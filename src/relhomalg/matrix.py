@@ -247,10 +247,6 @@ def column_space_basis(m: Matrix) -> Matrix:
     return m.select_columns(pivots)
 
 
-def in_column_space(basis: Matrix, vectors: Matrix) -> bool:
-    return solve(basis, vectors) is not None
-
-
 def complement_columns(basis: Matrix) -> list[int]:
     """Indices of identity columns completing basis to a full basis.
 
@@ -327,9 +323,3 @@ def block_diag(field: Field, blocks: list[Matrix]) -> Matrix:
 def vec(m: Matrix) -> list:
     """Column-major vectorization (columns stacked)."""
     return [m.at(i, j) for j in range(m.cols) for i in range(m.rows)]
-
-
-def unvec(field: Field, rows: int, cols: int, v: list) -> Matrix:
-    assert len(v) == rows * cols
-    e = [v[j * rows + i] for i in range(rows) for j in range(cols)]
-    return Matrix(field, rows, cols, e)

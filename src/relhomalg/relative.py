@@ -53,8 +53,6 @@ class SubbifunctorF:
         self.summands = list(summands)
         self.sum = direct_sum([s.module for s in summands], algebra)
         self.validation_notes: list[str] = []
-        self._pair_homs: dict[tuple[int, int], list[ModuleMap]] = {}
-        self._hom_from_cache: dict[int, list[list[ModuleMap]]] = {}
         if validate:
             self._validate()
 
@@ -82,19 +80,6 @@ class SubbifunctorF:
                     f"summand {s.name}: endomorphism spot check found an idempotent or a"
                     " non-nilpotent non-invertible element; indecomposability is doubtful")
 
-    def pair_hom(self, i: int, j: int) -> list[ModuleMap]:
-        key = (i, j)
-        if key not in self._pair_homs:
-            self._pair_homs[key] = hom_space(self.summands[i].module, self.summands[j].module)
-        return self._pair_homs[key]
-
-    def summand_index_of_projective(self, v: int) -> int:
-        p = projective(self.algebra, v)
-        for k, s in enumerate(self.summands):
-            if is_isomorphic(p, s.module).isomorphic:
-                return k
-        raise ValueError("projective not declared")
-
     def is_projective_summand(self, k: int) -> bool:
         m = self.summands[k].module
         for v in range(1, self.algebra.quiver.n + 1):
@@ -109,7 +94,7 @@ class SubbifunctorF:
 
 def hom_g_surjective(f: SubbifunctorF, g_map: ModuleMap) -> bool:
     """Is Hom(G, g_map) surjective onto Hom(G, target)?"""
-    return hom_class_surjective(f.summands, g_map)
+    return _minimal_approximating_subset(g_map.target, [g_map], f.summands, left=False) is not None
 
 
 def is_f_exact(ses: ShortExactSeq, f: SubbifunctorF) -> bool:
@@ -136,94 +121,77 @@ class Approximation:
         return self.pieces is None
 
 
-def hom_class_surjective(summands: list[SummandDecl], g_map: ModuleMap) -> bool:
-    """Is Hom(C, g_map) surjective for every C among the given summands?"""
-    F = g_map.source.algebra.field
+def _coordinate_matrix(field, basis: list[ModuleMap], maps: list[ModuleMap]) -> Matrix:
+    """The matrix whose columns are the coordinates of maps in basis."""
+    cols = [hom_coordinates(basis, m) for m in maps]
+    return Matrix(field, len(basis), len(cols),
+                  [cols[c][r] for r in range(len(basis)) for c in range(len(cols))])
+
+
+def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
+                                  summands: list[SummandDecl], left: bool) -> list[int] | None:
+    """Indices of a minimal sublist of maps that is still an add(⊕summands)-
+    approximation of x, or None when the full list is not one.
+
+    Right (left=False): maps u_c: M_c -> x, and Hom(C, ⊕M_c) -> Hom(C, x)
+    must be onto for every summand C.  Left: maps u_c: x -> M_c, and
+    Hom(⊕M_c, C) -> Hom(x, C) must be onto.  The block of (C, u_c) holds the
+    coordinates of the composites "h then u_c" (left: "u_c then h") over all
+    h in Hom(C, M_c) (left: Hom(M_c, C)), so each trial is one rank per C.
+    Surjectivity is monotone in the kept set, so a single greedy removal
+    pass is minimal: a map needed once stays needed.
+    """
+    F = x.algebra.field
+    everything = range(len(maps))
+
+    def onto(need: int, row: list[Matrix], subset) -> bool:
+        glued = None
+        for c in subset:
+            if row[c].cols:
+                glued = row[c] if glued is None else glued.hstack(row[c])
+        return glued is not None and rank(glued) == need
+
+    rows: list[tuple[int, list[Matrix]]] = []
     for s in summands:
-        target_basis = hom_space(s.module, g_map.target)
-        if not target_basis:
+        basis = hom_space(x, s.module) if left else hom_space(s.module, x)
+        if not basis:
             continue
-        source_basis = hom_space(s.module, g_map.source)
-        if not source_basis:
-            return False
-        cols = [hom_coordinates(target_basis, phi.compose(g_map)) for phi in source_basis]
-        m = Matrix(F, len(target_basis), len(cols),
-                   [cols[c][r] for r in range(len(target_basis)) for c in range(len(cols))])
-        if rank(m) < len(target_basis):
-            return False
-    return True
+        if left:
+            row = [_coordinate_matrix(F, basis, [u.compose(h) for h in hom_space(u.target, s.module)])
+                   for u in maps]
+        else:
+            row = [_coordinate_matrix(F, basis, [h.compose(u) for h in hom_space(s.module, u.source)])
+                   for u in maps]
+        if not onto(len(basis), row, everything):
+            return None
+        rows.append((len(basis), row))
+    keep = list(everything)
+    for i in everything:
+        trial = [j for j in keep if j != i]
+        if all(onto(need, row, trial) for need, row in rows):
+            keep = trial
+    return keep
 
 
 def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
                                 algebra: PathAlgebra) -> Approximation:
-    """Minimal right add(⊕summands)-approximation, by greedy copy removal.
-
-    Surjectivity of Hom(C, -) is tested blockwise: the composition blocks
-    coords(h then u_c) are computed once, so each removal trial is a small
-    rank check.
-    """
+    """Minimal right add(⊕summands)-approximation, by greedy copy removal."""
     if x.is_zero():
         z = zero_representation(algebra)
         return Approximation(ModuleMap.zero(z, x), direct_sum([], algebra), [])
-    F = algebra.field
-    target_bases = [hom_space(s.module, x) for s in summands]
     maps: list[ModuleMap] = []
     pieces: list[int] = []
-    for k in range(len(summands)):
-        for phi in target_bases[k]:
+    for k, s in enumerate(summands):
+        for phi in hom_space(s.module, x):
             maps.append(phi)
             pieces.append(k)
-    pair_cache: dict[tuple[int, int], list[ModuleMap]] = {}
-
-    def pair(l: int, j: int) -> list[ModuleMap]:
-        if (l, j) not in pair_cache:
-            pair_cache[(l, j)] = hom_space(summands[l].module, summands[j].module)
-        return pair_cache[(l, j)]
-
-    # blocks[l][c]: coordinates in Hom(C_l, x) of {h then u_c : h in Hom(C_l, G_jc)}
-    blocks: list[list[Matrix]] = []
-    for l in range(len(summands)):
-        tb = target_bases[l]
-        row = []
-        for c, u in enumerate(maps):
-            homs = pair(l, pieces[c])
-            cols = [hom_coordinates(tb, h.compose(u)) for h in homs] if tb else []
-            row.append(Matrix(F, len(tb), len(cols),
-                              [cols[cc][r] for r in range(len(tb)) for cc in range(len(cols))]))
-        blocks.append(row)
-
-    def surjective(subset: list[int]) -> bool:
-        for l in range(len(summands)):
-            need = len(target_bases[l])
-            if need == 0:
-                continue
-            glued = None
-            for c in subset:
-                b = blocks[l][c]
-                if b.cols == 0:
-                    continue
-                glued = b if glued is None else glued.hstack(b)
-            if glued is None or rank(glued) < need:
-                return False
-        return True
-
-    keep = list(range(len(maps)))
-    if not surjective(keep):
+    keep = _minimal_approximating_subset(x, maps, summands, left=False)
+    if keep is None:
         raise ValueError("tautological approximation failed")
-    changed = True
-    while changed:
-        changed = False
-        for i in list(keep):
-            trial = [j for j in keep if j != i]
-            if surjective(trial):
-                keep = trial
-                changed = True
-    kept_maps = [maps[i] for i in keep]
-    ds, glued = stack_maps_to_common_target(kept_maps, x, algebra)
-    approx = Approximation(glued, ds, [pieces[i] for i in keep])
+    ds, glued = stack_maps_to_common_target([maps[i] for i in keep], x, algebra)
     if glued.is_isomorphism():
         return Approximation(ModuleMap.identity(x), None, None)
-    return approx
+    return Approximation(glued, ds, [pieces[i] for i in keep])
 
 
 def right_approximation(x: Representation, f: SubbifunctorF) -> Approximation:
@@ -232,69 +200,20 @@ def right_approximation(x: Representation, f: SubbifunctorF) -> Approximation:
 
 def left_approximation(x: Representation, targets: list[SummandDecl],
                        algebra: PathAlgebra) -> tuple[ModuleMap, DirectSum, list[int]]:
-    """Minimal left add(⊕targets)-approximation u: x -> I', blockwise."""
-    F = algebra.field
-    out_bases = [hom_space(x, t.module) for t in targets]
+    """Minimal left add(⊕targets)-approximation u: x -> I', by greedy copy removal."""
     maps: list[ModuleMap] = []
     pieces: list[int] = []
-    for k in range(len(targets)):
-        for phi in out_bases[k]:
+    for k, t in enumerate(targets):
+        for phi in hom_space(x, t.module):
             maps.append(phi)
             pieces.append(k)
-    pair_cache: dict[tuple[int, int], list[ModuleMap]] = {}
-
-    def pair(j: int, l: int) -> list[ModuleMap]:
-        if (j, l) not in pair_cache:
-            pair_cache[(j, l)] = hom_space(targets[j].module, targets[l].module)
-        return pair_cache[(j, l)]
-
-    # blocks[l][c]: coordinates in Hom(x, I_l) of {u_c then psi : psi in Hom(I_jc, I_l)}
-    blocks: list[list[Matrix]] = []
-    for l in range(len(targets)):
-        tb = out_bases[l]
-        row = []
-        for c, u in enumerate(maps):
-            homs = pair(pieces[c], l)
-            cols = [hom_coordinates(tb, u.compose(psi)) for psi in homs] if tb else []
-            row.append(Matrix(F, len(tb), len(cols),
-                              [cols[cc][r] for r in range(len(tb)) for cc in range(len(cols))]))
-        blocks.append(row)
-
-    def is_left_approx(subset: list[int]) -> bool:
-        for l in range(len(targets)):
-            need = len(out_bases[l])
-            if need == 0:
-                continue
-            glued = None
-            for c in subset:
-                b = blocks[l][c]
-                if b.cols == 0:
-                    continue
-                glued = b if glued is None else glued.hstack(b)
-            if glued is None or rank(glued) < need:
-                return False
-        return True
-
-    def build(subset: list[int]) -> tuple[ModuleMap, DirectSum]:
-        parts = [maps[i].target for i in subset]
-        ds = direct_sum(parts, algebra)
-        total = ModuleMap.zero(x, ds.rep)
-        for pos, i in enumerate(subset):
-            total = total + maps[i].compose(ds.injections[pos])
-        return total, ds
-
-    keep = list(range(len(maps)))
-    if not is_left_approx(keep):
+    keep = _minimal_approximating_subset(x, maps, targets, left=True)
+    if keep is None:
         raise ValueError("tautological left approximation failed")
-    changed = True
-    while changed:
-        changed = False
-        for i in list(keep):
-            trial = [j for j in keep if j != i]
-            if is_left_approx(trial):
-                keep = trial
-                changed = True
-    u, ds = build(keep)
+    ds = direct_sum([maps[i].target for i in keep], algebra)
+    u = ModuleMap.zero(x, ds.rep)
+    for pos, i in enumerate(keep):
+        u = u + maps[i].compose(ds.injections[pos])
     return u, ds, [pieces[i] for i in keep]
 
 
@@ -369,11 +288,7 @@ def resolution_hom_complex(res: FResolution, y: Representation) -> list[tuple[li
     for i in range(len(res.modules)):
         bi = bases[i]
         if i + 1 < len(res.modules):
-            bnext = bases[i + 1]
-            d = res.diffs[i]
-            cols = [hom_coordinates(bnext, d.compose(phi)) for phi in bi]
-            m = Matrix(F, len(bnext), len(bi),
-                       [cols[c][r] for r in range(len(bnext)) for c in range(len(bi))])
+            m = _coordinate_matrix(F, bases[i + 1], [res.diffs[i].compose(phi) for phi in bi])
         else:
             m = Matrix(F, 0, len(bi), [])
         out.append((bi, m))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .complexes import Complex, Part, shift_complex, stalk_complex
-from .fields import Field, PrimeField, QQ, RationalField
+from .fields import Field, PrimeField, QQ
 from .matrix import Matrix
 from .quiver import PathAlgebra, Quiver, build_algebra
 from .rep import ModuleMap, Representation, cokernel, projective, radical, simple, socle
@@ -107,12 +107,6 @@ def parse_field(spec, path: str) -> Field:
         except ValueError as e:
             raise SchemaError(path, str(e))
     raise SchemaError(path, f"unknown field spec {spec!r}")
-
-
-def field_to_json(field: Field):
-    if isinstance(field, RationalField):
-        return "Q"
-    return {"prime": field.characteristic}
 
 
 def _build_module(name: str, spec, ctx: "_Loader") -> Representation:
@@ -258,8 +252,10 @@ class _Loader:
         _expect(data.get("schema") == SCHEMA_VERSION, "$.schema",
                 f"expected schema {SCHEMA_VERSION!r}, got {data.get('schema')!r}")
         self.field = field_override or parse_field(data.get("field"), "$.field")
-        self.cutoff = cutoff_override or int(data.get("cutoff", 10))
-        _expect(self.cutoff >= 1, "$.cutoff", "cutoff must be positive")
+        cutoff = data.get("cutoff", 10) if cutoff_override is None else cutoff_override
+        _expect(isinstance(cutoff, int) and not isinstance(cutoff, bool) and cutoff >= 1,
+                "$.cutoff", f"cutoff must be an integer >= 1, got {cutoff!r}")
+        self.cutoff = cutoff
         self.algebra = self._build_algebra()
         self._modules: dict[str, Representation] = {}
         self._complexes: dict[str, Complex] = {}

@@ -23,7 +23,7 @@ from .complexes import (
     sum_complexes,
     term_length,
 )
-from .matrix import Matrix, column_space_basis, rank, solve
+from .matrix import Matrix, column_space_basis, kernel_basis, rank, solve
 from .rep import ModuleMap, Representation, direct_sum, hom_space, is_isomorphic
 from .relative import SubbifunctorF
 
@@ -422,27 +422,20 @@ def hom_k_sigma(x: SigmaComplex, y: SigmaComplex, n: int) -> int:
     """Chain maps x -> y[n] modulo homotopy, over the corner spaces."""
     sigma = x.sigma
     F = sigma.field
-
-    def block_bases(m: int):
-        bases: dict[tuple[int, int, int], Matrix] = {}
-        offsets: dict[int, int] = {}
-        total = 0
-        for i in sorted(x.comps):
-            offsets[i] = total
-            for s, es in enumerate(x.comps[i]):
-                for t, et in enumerate(y.comps.get(i + m, [])):
-                    b = _corner_basis(sigma, es, et)
-                    bases[(i, s, t)] = b
-                    total += b.cols
-        return bases, offsets, total
+    corners: dict[tuple[int, int], Matrix] = {}
 
     def block_layout(m: int):
-        bases, _, _ = block_bases(m)
+        """Corner basis and column offset of each block (i, s, t) of the
+        degree-m hom space, and the total dimension."""
+        bases: dict[tuple[int, int, int], Matrix] = {}
         layout: dict[tuple[int, int, int], int] = {}
         pos = 0
         for i in sorted(x.comps):
-            for s, _es in enumerate(x.comps[i]):
-                for t, _et in enumerate(y.comps.get(i + m, [])):
+            for s, es in enumerate(x.comps[i]):
+                for t, et in enumerate(y.comps.get(i + m, [])):
+                    if (es, et) not in corners:
+                        corners[(es, et)] = _corner_basis(sigma, es, et)
+                    bases[(i, s, t)] = corners[(es, et)]
                     layout[(i, s, t)] = pos
                     pos += bases[(i, s, t)].cols
         return bases, layout, pos
@@ -492,15 +485,9 @@ def hom_k_sigma(x: SigmaComplex, y: SigmaComplex, n: int) -> int:
                         rows[tgt_l[key] + rr][src_l[(i, s, t)] + c] = F.sub(
                             rows[tgt_l[key] + rr][src_l[(i, s, t)] + c],
                             F.mul(sign, coef.at(rr, 0)))
-        from .matrix import Matrix as M_
-        return (M_.from_rows(F, rows) if tgt_n else M_(F, 0, src_n, [])), src_n
+        return Matrix.from_rows(F, rows) if tgt_n else Matrix(F, 0, src_n, [])
 
-    D_out, dim_n = build_D(n)
-    D_in, _ = build_D(n - 1)
-    from .matrix import kernel_basis as kb, rank as rk
-    if dim_n == 0:
-        return 0
-    return kb(D_out).cols - rk(D_in)
+    return kernel_basis(build_D(n)).cols - rank(build_D(n - 1))
 
 
 def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF,

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from relhomalg.cli import main
 from relhomalg.schema import canonical_form, load_problem
 
@@ -125,6 +127,19 @@ def test_cutoff_flag(capsys, tmp_path):
     assert code == 0
     payload = json.loads(report.read_text())
     assert payload["results"]["gldim_F"]["cutoff"] == 4
+
+
+@pytest.mark.parametrize("file_cutoff, flag", [
+    ("x", None), (2.7, None), (True, None), (0, None), (10, "0"),
+])
+def test_bad_cutoff_is_input_error(tmp_path, capsys, file_cutoff, flag):
+    data = json.loads((DATA / "section7.json").read_text())
+    data["cutoff"] = file_cutoff
+    f = tmp_path / "cutoff.json"
+    f.write_text(json.dumps(data))
+    argv = (["--cutoff", flag] if flag is not None else []) + ["algebra", f]
+    assert run(argv) == 1
+    assert "$.cutoff" in capsys.readouterr().err
 
 
 def test_symmetric_variant_loads():
