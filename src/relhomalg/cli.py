@@ -208,7 +208,7 @@ def cmd_complex(args, out: Output) -> int:
         dims = {}
         lo, hi = -(args.window or 3), (args.window or 3)
         for n in range(lo, hi + 1):
-            dims[n] = hom_k(x, y, n)[0]
+            dims[n] = hom_k(x, y, n)
         out.table([[n, dims[n]] for n in sorted(dims)], headers=["shift", "dim hom_K"])
         out.report = {"from": args.complex, "to": args.to,
                       "hom_k": {str(n): d for n, d in sorted(dims.items())}}
@@ -297,8 +297,16 @@ def cmd_bounds(args, out: Output) -> int:
     return EXIT_VIOLATED if rep.violated else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="relhomalg",
         description="relative homological algebra over finite-dimensional quiver algebras")
     p.add_argument("--cutoff", type=int, default=None,

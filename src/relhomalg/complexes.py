@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, column_space_basis, kernel_basis, rank, rref, solve
+from .matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref, solve
 from .quiver import PathAlgebra
 from .rep import (
     ModuleMap,
     Representation,
     ShortExactSeq,
+    _solve_splitting,
     direct_sum,
     hom_coordinates,
     hom_space,
@@ -42,6 +43,7 @@ class Complex:
                  diffs: dict[int, ModuleMap], parts: dict[int, list[Part]] | None = None,
                  check: bool = True):
         self.algebra = algebra
+        self.zero = zero_representation(algebra)  # the component of every absent degree
         self.comps = {i: c for i, c in comps.items() if not c.is_zero()}
         self.diffs = {}
         for i, d in diffs.items():
@@ -87,7 +89,7 @@ class Complex:
         return self.hi - self.lo if self.comps else 0
 
     def component(self, i: int) -> Representation:
-        return self.comps.get(i) or zero_representation(self.algebra)
+        return self.comps.get(i) or self.zero
 
     def differential(self, i: int) -> ModuleMap:
         d = self.diffs.get(i)
@@ -205,24 +207,18 @@ def null_homotopy_witness(hh: "HomotopyHom", cm_comps: dict[int, ModuleMap]) -> 
     """If the given cycle is null-homotopic, produce the witnessing s maps."""
     F = hh.field
     v = hh.chain_map_to_vector(cm_comps)
-    from .matrix import Matrix as M_
-    if hh.boundaries.cols == 0:
-        if all(F.is_zero(c) for c in v):
-            return Homotopy(hh.vector_to_chain_map(v), hh.n, {})
-        return None
-    coeff = solve(hh.D_in[2], M_(F, len(v), 1, v))
+    coeff = solve(hh.d_in, Matrix(F, len(v), 1, v))
     if coeff is None:
         return None
-    src_bb, src_off = hh.D_in[0], hh.D_in[1]
     # D at level n-1 differs from the homotopy identity by a global sign on odd n
     sign = F.of_int(-1 if hh.n % 2 else 1)
     s: dict[int, ModuleMap] = {}
-    for i, basis in src_bb.items():
+    for (i, _, _), (basis, off) in hh.homotopies.items():
         if not basis:
             continue
         acc = None
         for k, b in enumerate(basis):
-            c = F.mul(sign, coeff.at(src_off[i] + k, 0))
+            c = F.mul(sign, coeff.at(off + k, 0))
             term = b.scale(c)
             acc = term if acc is None else acc + term
         if acc is not None and not acc.is_zero():
@@ -274,7 +270,89 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
 
 
 # ---------------------------------------------------------------------------
-# homotopy-category hom
+# the total Hom complex and homotopy-category hom
+
+
+class _TotalHom:
+    """The total Hom complex between two bounded complexes whose components
+    are lists of pieces.
+
+    Hom^m is laid out as blocks Hom(X^i_s, Y^{i+m}_t), ordered by source
+    degree i, source piece s and target piece t; its differential is
+    D f = f d_Y - (-1)^m d_X f, with maps composed left to right.  A side
+    supplies the pieces of each component, the differential entries
+    {(s, t): piece s of Z^i -> piece t of Z^{i+1}} of each degree, and three
+    functions: `hom(a, b)`, a basis of the maps between two pieces;
+    `compose(f, g)`, f then g; `coords(a, b, f)`, the coordinates of f in
+    `hom(a, b)`.
+    """
+
+    def __init__(self, field, x_pieces: dict, x_diffs: dict, y_pieces: dict, y_diffs: dict,
+                 hom, compose, coords):
+        self.field = field
+        self.x_pieces, self.x_diffs = x_pieces, x_diffs
+        self.y_pieces, self.y_diffs = y_pieces, y_diffs
+        self.hom, self.compose, self.coords = hom, compose, coords
+        self._blocks: dict[int, tuple[dict, int]] = {}
+
+    def blocks(self, m: int) -> tuple[dict, int]:
+        """Hom^m as {(i, s, t): (basis, first column)} in column order, and
+        its dimension."""
+        if m not in self._blocks:
+            layout, pos = {}, 0
+            for i in sorted(self.x_pieces):
+                for s, a in enumerate(self.x_pieces[i]):
+                    for t, b in enumerate(self.y_pieces.get(i + m, ())):
+                        basis = self.hom(a, b)
+                        layout[(i, s, t)] = (basis, pos)
+                        pos += len(basis)
+            self._blocks[m] = (layout, pos)
+        return self._blocks[m]
+
+    def differential(self, m: int) -> Matrix:
+        """The matrix of D^m: Hom^m -> Hom^{m+1}."""
+        F = self.field
+        src, n_src = self.blocks(m)
+        tgt, n_tgt = self.blocks(m + 1)
+        rows = [[F.zero] * n_src for _ in range(n_tgt)]
+
+        def put(key, col: int, maps, negate: bool):
+            """Coordinates of maps (composites of consecutive source basis
+            elements) into target block key, from column col on."""
+            basis, row = tgt[key]
+            if not basis:
+                return
+            j, p, r = key
+            a, b = self.x_pieces[j][p], self.y_pieces[j + m + 1][r]
+            for k, g in enumerate(maps):
+                for rr, c in enumerate(self.coords(a, b, g)):
+                    rows[row + rr][col + k] = F.neg(c) if negate else c
+
+        for (i, s, t), (basis, col) in src.items():
+            # f then d_Y^{i+m} lands in block (i, s, r) with sign +1
+            for (u, r), d in self.y_diffs.get(i + m, {}).items():
+                if u == t:
+                    put((i, s, r), col, (self.compose(f, d) for f in basis), False)
+            # d_X^{i-1} then f lands in block (i-1, q, t) with sign -(-1)^m
+            for (q, u), d in self.x_diffs.get(i - 1, {}).items():
+                if u == s:
+                    put((i - 1, q, t), col, (self.compose(d, f) for f in basis), m % 2 == 0)
+        return Matrix.from_rows(F, rows) if n_tgt else Matrix(F, 0, n_src, [])
+
+    def dim(self, n: int) -> int:
+        """dim H^n = dim Hom^n - rank D^n - rank D^{n-1}."""
+        return self.blocks(n)[1] - rank(self.differential(n)) - rank(self.differential(n - 1))
+
+
+def _module_total_hom(x: Complex, y: Complex) -> _TotalHom:
+    """The total Hom complex of two complexes of representations, with one
+    piece per nonzero component."""
+    def one_piece(z: Complex):
+        return ({i: [c] for i, c in z.comps.items()},
+                {i: {(0, 0): d} for i, d in z.diffs.items()})
+
+    return _TotalHom(x.algebra.field, *one_piece(x), *one_piece(y), hom_space,
+                     ModuleMap.compose, lambda a, b, f: hom_coordinates(hom_space(a, b), f))
 
 
 class HomotopyHom:
@@ -288,99 +366,41 @@ class HomotopyHom:
         self.x, self.y, self.n = x, y, n
         F = x.algebra.field
         self.field = F
-        self.block_basis: dict[int, list[ModuleMap]] = {}
-        self.block_offsets: dict[int, int] = {}
-        total = 0
-        for i in x.degrees():
-            basis = hom_space(x.comps[i], y.component(i + n))
-            self.block_basis[i] = basis
-            self.block_offsets[i] = total
-            total += len(basis)
-        self.dim_total = total
-        self.D_out = self._hom_diff_matrix(n)      # Hom^n -> Hom^{n+1}
-        self.D_in = self._hom_diff_matrix(n - 1)   # Hom^{n-1} -> Hom^n
-        K = kernel_basis(self.D_out[2]) if total else Matrix(F, 0, 0, [])
+        total = _module_total_hom(x, y)
+        self.blocks, self.dim_total = total.blocks(n)    # maps X^i -> Y^{i+n}
+        self.homotopies = total.blocks(n - 1)[0]          # maps X^i -> Y^{i+n-1}
+        self.d_in = total.differential(n - 1)             # Hom^{n-1} -> Hom^n
+        K = kernel_basis(total.differential(n))           # Hom^n -> Hom^{n+1}
         self.cycles = K
-        img = column_space_basis(self.D_in[2]) if total else Matrix(F, 0, 0, [])
+        img = column_space_basis(self.d_in)
         self.boundaries = img
-        self.dim = K.cols - rank(img) if total else 0
+        self.dim = K.cols - img.cols
         # class representatives: kernel columns completing the image
-        stacked = img.hstack(K) if total else Matrix(F, 0, 0, [])
-        _, pivots = rref(stacked)
+        _, pivots = rref(img.hstack(K))
         rep_cols = [p - img.cols for p in pivots if p >= img.cols]
         self.rep_vectors = [K.col(c) for c in rep_cols]
-        self._class_basis = img.hstack(K.select_columns(rep_cols)) if total else Matrix(F, 0, 0, [])
-        from .matrix import SpanSolver
+        self._class_basis = img.hstack(K.select_columns(rep_cols))
         self._class_solver = SpanSolver(self._class_basis) if self._class_basis.cols else None
-
-    def _blocks_for_degree(self, m: int):
-        """Hom^m block bases: maps X^i -> Y^{i+m}."""
-        if m == self.n:
-            return self.block_basis, self.block_offsets, self.dim_total
-        bb, off, total = {}, {}, 0
-        for i in self.x.degrees():
-            basis = hom_space(self.x.comps[i], self.y.component(i + m))
-            bb[i] = basis
-            off[i] = total
-            total += len(basis)
-        return bb, off, total
-
-    def _hom_diff_matrix(self, m: int):
-        """Matrix of D: Hom^m -> Hom^{m+1}, (Df)^i = d_Y f^i - (-1)^m f^{i+1} d_X."""
-        F = self.field
-        src_bb, src_off, src_total = self._blocks_for_degree(m)
-        tgt_bb, tgt_off, tgt_total = self._blocks_for_degree(m + 1)
-        rows = [[F.zero] * src_total for _ in range(tgt_total)]
-        sign = F.of_int(1 if m % 2 == 0 else -1)
-        for i in self.x.degrees():
-            for k, b in enumerate(src_bb[i]):
-                # postcompose with d_Y^{i+m}
-                dy = self.y.differential(i + m)
-                comp = b.compose(dy)
-                if tgt_bb.get(i):
-                    coords = hom_coordinates(tgt_bb[i], comp)
-                    for r, cval in enumerate(coords):
-                        rows[tgt_off[i] + r][src_off[i] + k] = F.add(
-                            rows[tgt_off[i] + r][src_off[i] + k], cval)
-                # precompose with d_X^{i-1}: contributes to block i-1
-                j = i - 1
-                if j in self.x.comps and tgt_bb.get(j):
-                    dx = self.x.differential(j)
-                    comp2 = dx.compose(b)
-                    coords = hom_coordinates(tgt_bb[j], comp2)
-                    for r, cval in enumerate(coords):
-                        rows[tgt_off[j] + r][src_off[i] + k] = F.sub(
-                            rows[tgt_off[j] + r][src_off[i] + k], F.mul(sign, cval))
-        m_out = Matrix.from_rows(F, rows) if tgt_total else Matrix(F, 0, src_total, [])
-        return src_bb, src_off, m_out
 
     # -- conversions -------------------------------------------------------
 
     def vector_to_chain_map(self, vec: list) -> ChainMap:
         comps = {}
-        yshift = shift_complex(self.y, self.n)
-        for i in self.x.degrees():
-            basis = self.block_basis[i]
+        for (i, _, _), (basis, off) in self.blocks.items():
             if not basis:
                 continue
-            acc = ModuleMap.zero(self.x.comps[i], self.y.component(i + self.n))
+            acc = ModuleMap.zero(basis[0].source, basis[0].target)
             for k, b in enumerate(basis):
-                acc = acc + b.scale(vec[self.block_offsets[i] + k])
+                acc = acc + b.scale(vec[off + k])
             comps[i] = acc
-        return ChainMap(self.x, yshift, comps)
+        return ChainMap(self.x, shift_complex(self.y, self.n), comps)
 
     def chain_map_to_vector(self, cm_comps: dict[int, ModuleMap]) -> list:
         vec = [self.field.zero] * self.dim_total
-        for i in self.x.degrees():
-            basis = self.block_basis[i]
-            if not basis:
-                continue
+        for (i, _, _), (basis, off) in self.blocks.items():
             f = cm_comps.get(i)
-            if f is None:
-                continue
-            coords = hom_coordinates(basis, f)
-            for k, c in enumerate(coords):
-                vec[self.block_offsets[i] + k] = c
+            if basis and f is not None:
+                vec[off:off + len(basis)] = hom_coordinates(basis, f)
         return vec
 
     def representatives(self) -> list[ChainMap]:
@@ -400,42 +420,19 @@ class HomotopyHom:
         return coords[self.boundaries.cols:]
 
 
-def hom_k(x: Complex, y: Complex, n: int) -> tuple[int, list[ChainMap]]:
-    hh = HomotopyHom(x, y, n)
-    return hh.dim, hh.representatives()
+def hom_k(x: Complex, y: Complex, n: int) -> int:
+    """dim Hom_K(x, y[n]); HomotopyHom gives representatives."""
+    return _module_total_hom(x, y).dim(n)
 
 
 # ---------------------------------------------------------------------------
 # F-acyclicity
 
 
-def _hom_g_complex(f: SubbifunctorF, x: Complex):
-    """The complex of vector spaces Hom(G, X^i) with induced maps."""
-    F = f.algebra.field
-    bases = {i: hom_space(f.generator, x.comps[i]) for i in x.degrees()}
-    mats = {}
-    for i in x.degrees():
-        if (i + 1) not in bases:
-            continue
-        d = x.diffs.get(i)
-        if d is None:
-            mats[i] = Matrix.zeros(F, len(bases[i + 1]), len(bases[i]))
-            continue
-        cols = [hom_coordinates(bases[i + 1], phi.compose(d)) for phi in bases[i]]
-        mats[i] = Matrix(F, len(bases[i + 1]), len(cols),
-                         [cols[c][r] for r in range(len(bases[i + 1])) for c in range(len(cols))])
-    return bases, mats
-
-
 def is_f_acyclic(x: Complex, f: SubbifunctorF) -> bool:
-    bases, mats = _hom_g_complex(f, x)
-    for i in x.degrees():
-        dim_i = len(bases[i])
-        r_out = rank(mats[i]) if i in mats else 0
-        r_in = rank(mats[i - 1]) if (i - 1) in mats else 0
-        if dim_i - r_out - r_in != 0:
-            return False
-    return True
+    """Hom(G, x) is acyclic."""
+    g = stalk_complex(f.generator)
+    return all(hom_k(g, x, m) == 0 for m in x.degrees())
 
 
 def f_acyclic_definitional(x: Complex, f: SubbifunctorF) -> bool:
@@ -615,13 +612,11 @@ def triangle_from_f_exact(f: ChainMap, g: ChainMap, sub_f: SubbifunctorF) -> Tri
 def _split_connecting(f: ChainMap, g: ChainMap) -> ChainMap | None:
     """For degreewise split sequences, h^i = s^i d_Y r^{i+1} - d_Z s^{i+1} r^{i+1}
     seen inside X[1]; None when no degreewise splitting exists."""
-    from .rep import _solve_retraction
-
     X, Y, Z = f.source, f.target, g.target
     sections, retractions = {}, {}
     for i in sorted(set(Y.comps) | set(Z.comps) | set(X.comps)):
-        s = _solve_section(g.component(i))
-        r = _solve_retraction(f.component(i))
+        s = _solve_splitting(g.component(i), retraction=False)
+        r = _solve_splitting(f.component(i), retraction=True)
         if s is None or r is None:
             return None
         sections[i] = s
@@ -650,26 +645,6 @@ def _zero_retr(f: ChainMap, i: int):
 
 def _zero_sec(g: ChainMap, i: int):
     return ModuleMap.zero(g.target.component(i), g.source.component(i))
-
-
-def _solve_section(g: ModuleMap):
-    """s with s.compose(g) = id on g.target, or None."""
-    basis = hom_space(g.target, g.source)
-    if not basis:
-        return None if not g.target.is_zero() else ModuleMap.zero(g.target, g.source)
-    F = g.source.algebra.field
-    comps = [b.compose(g) for b in basis]
-    cols = [[x for mm in c.mats for x in mm.entries] for c in comps]
-    ident = ModuleMap.identity(g.target)
-    tgt = [x for mm in ident.mats for x in mm.entries]
-    A = Matrix(F, len(tgt), len(cols), [cols[j][i] for i in range(len(tgt)) for j in range(len(cols))])
-    Xs = solve(A, Matrix(F, len(tgt), 1, tgt))
-    if Xs is None:
-        return None
-    out = ModuleMap.zero(g.target, g.source)
-    for k, b in enumerate(basis):
-        out = out + b.scale(Xs.at(k, 0))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -822,5 +797,4 @@ def hom_df(x: Complex, y: Complex, n: int, f: SubbifunctorF, depth: int | None =
         if lowest_needed < rep.trusted_below:
             raise TruncationError(
                 f"replacement truncated: degree {lowest_needed} needed, trusted down to {rep.trusted_below}")
-    dim, _ = hom_k(rep.complex, y, n)
-    return dim
+    return hom_k(rep.complex, y, n)

@@ -649,7 +649,7 @@ def strip_projective_summands(m: Representation) -> Representation:
             u = inj.compose(cover.map)  # P(v_k) -> m
             P = cover.total.parts[k]
             # section r: m -> P with u then r = id_P
-            retr = _solve_retraction(u)
+            retr = _solve_splitting(u, retraction=True)
             if retr is not None:
                 m, _ = cokernel(u)
                 changed = True
@@ -657,16 +657,17 @@ def strip_projective_summands(m: Representation) -> Representation:
     return m
 
 
-def _solve_retraction(u: ModuleMap):
-    """Find r with u.compose(r) = id on u.source, or None."""
+def _solve_splitting(u: ModuleMap, retraction: bool):
+    """v: u.target -> u.source with u then v = id (a retraction) or v then u
+    = id (a section), or None when there is none."""
+    ident = ModuleMap.identity(u.source if retraction else u.target)
     basis = hom_space(u.target, u.source)
     if not basis:
-        return None if not u.source.is_zero() else ModuleMap.zero(u.target, u.source)
+        return None if not ident.source.is_zero() else ModuleMap.zero(u.target, u.source)
     F = u.source.algebra.field
-    # linear condition on coordinates x: sum_k x_k (u then b_k) = id
-    comps = [u.compose(b) for b in basis]
+    # linear condition on coordinates x: sum_k x_k (b_k composed with u) = id
+    comps = [u.compose(b) if retraction else b.compose(u) for b in basis]
     cols = [[x for mm in c.mats for x in mm.entries] for c in comps]
-    ident = ModuleMap.identity(u.source)
     tgt = [x for mm in ident.mats for x in mm.entries]
     A = Matrix(F, len(tgt), len(cols), [cols[j][i] for i in range(len(tgt)) for j in range(len(cols))])
     X = solve(A, Matrix(F, len(tgt), 1, tgt))

@@ -16,6 +16,7 @@ from .complexes import (
     Complex,
     HomotopyHom,
     Part,
+    _TotalHom,
     chain_identity,
     cone,
     hom_k,
@@ -23,7 +24,7 @@ from .complexes import (
     sum_complexes,
     term_length,
 )
-from .matrix import Matrix, column_space_basis, kernel_basis, rank, solve
+from .matrix import Matrix, column_space_basis, rank, solve
 from .rep import ModuleMap, Representation, direct_sum, hom_space, is_isomorphic
 from .relative import SubbifunctorF
 
@@ -343,7 +344,7 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
     for i in range(-window, window + 1):
         if i == 0:
             continue
-        dim, _ = hom_k(t, t, i)
+        dim = hom_k(t, t, i)
         table[i] = dim
         if dim != 0:
             self_ok = False
@@ -372,7 +373,7 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
             generation = "witnessed"
         else:
             failures += [m for m in glog if "FAILED" in m or "unknown" in m]
-    endo_dim, _ = hom_k(t, t, 0)
+    endo_dim = hom_k(t, t, 0)
     tl = term_length(t)
     return TiltingReport(
         in_kb_pf=in_add,
@@ -424,70 +425,24 @@ def hom_k_sigma(x: SigmaComplex, y: SigmaComplex, n: int) -> int:
     F = sigma.field
     corners: dict[tuple[int, int], Matrix] = {}
 
-    def block_layout(m: int):
-        """Corner basis and column offset of each block (i, s, t) of the
-        degree-m hom space, and the total dimension."""
-        bases: dict[tuple[int, int, int], Matrix] = {}
-        layout: dict[tuple[int, int, int], int] = {}
-        pos = 0
-        for i in sorted(x.comps):
-            for s, es in enumerate(x.comps[i]):
-                for t, et in enumerate(y.comps.get(i + m, [])):
-                    if (es, et) not in corners:
-                        corners[(es, et)] = _corner_basis(sigma, es, et)
-                    bases[(i, s, t)] = corners[(es, et)]
-                    layout[(i, s, t)] = pos
-                    pos += bases[(i, s, t)].cols
-        return bases, layout, pos
+    def corner(e: int, f: int) -> Matrix:
+        if (e, f) not in corners:
+            corners[(e, f)] = _corner_basis(sigma, e, f)
+        return corners[(e, f)]
 
-    def diff_entry(z: SigmaComplex, i: int, t: int, s: int):
-        d = z.diffs.get(i)
-        if d is None:
-            return None
-        return d[t][s]
+    def coords(e: int, f: int, v: list) -> list:
+        coef = solve(corner(e, f), Matrix(F, sigma.dim, 1, v))
+        if coef is None:
+            raise ValueError("corner composition escaped its space")
+        return coef.col(0)
 
-    def build_D(m: int):
-        src_b, src_l, src_n = block_layout(m)
-        tgt_b, tgt_l, tgt_n = block_layout(m + 1)
-        rows = [[F.zero] * src_n for _ in range(tgt_n)]
-        sign = F.of_int(1 if m % 2 == 0 else -1)
-        for (i, s, t), basis in src_b.items():
-            for c in range(basis.cols):
-                xval = basis.col(c)
-                # postcompose with d_Y^{i+m}: contributes to (i, s, r)
-                for r, _er in enumerate(y.comps.get(i + m + 1, [])):
-                    dent = diff_entry(y, i + m, r, t)
-                    if dent is None:
-                        continue
-                    val = sigma.mul(xval, dent)
-                    key = (i, s, r)
-                    if key not in tgt_b:
-                        continue
-                    coef = solve(tgt_b[key], Matrix(F, sigma.dim, 1, val))
-                    if coef is None:
-                        raise ValueError("corner composition escaped its space")
-                    for rr in range(coef.rows):
-                        rows[tgt_l[key] + rr][src_l[(i, s, t)] + c] = F.add(
-                            rows[tgt_l[key] + rr][src_l[(i, s, t)] + c], coef.at(rr, 0))
-                # precompose with d_X^{i-1}: contributes to (i-1, q, t)
-                for q, _eq in enumerate(x.comps.get(i - 1, [])):
-                    dent = diff_entry(x, i - 1, s, q)
-                    if dent is None:
-                        continue
-                    val = sigma.mul(dent, xval)
-                    key = (i - 1, q, t)
-                    if key not in tgt_b:
-                        continue
-                    coef = solve(tgt_b[key], Matrix(F, sigma.dim, 1, val))
-                    if coef is None:
-                        raise ValueError("corner composition escaped its space")
-                    for rr in range(coef.rows):
-                        rows[tgt_l[key] + rr][src_l[(i, s, t)] + c] = F.sub(
-                            rows[tgt_l[key] + rr][src_l[(i, s, t)] + c],
-                            F.mul(sign, coef.at(rr, 0)))
-        return Matrix.from_rows(F, rows) if tgt_n else Matrix(F, 0, src_n, [])
+    def entries(z: SigmaComplex) -> dict:
+        return {i: {(s, t): e for t, row in enumerate(d) for s, e in enumerate(row)}
+                for i, d in z.diffs.items()}
 
-    return kernel_basis(build_D(n)).cols - rank(build_D(n - 1))
+    return _TotalHom(F, x.comps, entries(x), y.comps, entries(y),
+                     lambda e, f: [corner(e, f).col(c) for c in range(corner(e, f).cols)],
+                     sigma.mul, coords).dim(n)
 
 
 def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF,
@@ -554,9 +509,7 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF,
     window = 2 * t.width() + 1
     comparison = {}
     for nn in range(-window, window + 1):
-        lhs, _ = hom_k(t, t, nn)
-        rhs = hom_k_sigma(sc, sc, nn)
-        comparison[nn] = (lhs, rhs)
+        comparison[nn] = (hom_k(t, t, nn), hom_k_sigma(sc, sc, nn))
     return sc, comparison, dims_check
 
 

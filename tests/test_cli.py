@@ -142,6 +142,18 @@ def test_bad_cutoff_is_input_error(tmp_path, capsys, file_cutoff, flag):
     assert "$.cutoff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["algebra"], 1),
+    (["--cutoff", "x", "algebra", DATA / "section7.json"], 1),
+    (["bounds", "nope", DATA / "section7.json"], 1),
+    (["--help"], 0),
+])
+def test_usage_error_exit_code(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == code
+
+
 def test_symmetric_variant_loads():
     p = load_problem(str(DATA / "section6_symmetric.json"))
     assert p.algebra.dim == 9

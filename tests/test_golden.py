@@ -1,15 +1,26 @@
-"""Golden CLI outputs that pin which copies the minimal approximations keep.
+"""Golden CLI outputs that pin the approximations and the total Hom complex.
 
 `<problem>.resolve.<module>.txt` is the stdout of `relhom resolve --module`,
 which lists the add(G) pieces chosen in each degree; `<problem>.module.json`
-is the `module --report` payload without its `file` key, whose pd_F and id_F
-values cover the right and the left approximations.  Each fixture is the
-output of the code before the approximation routines were merged.
+is the `module --report` payload, whose pd_F and id_F values cover the right
+and the left approximations.  Each of these is the output of the code before
+the approximation routines were merged.
+
+`<problem>.tilting.txt` and `<problem>.tilting.json` are the stdout and the
+report of `tilting --sigma`; `<problem>.homk.<X>.json` is the report of
+`complex homk --complex X --to T` and `<problem>.acyclic.<X>.json` the report
+of `complex acyclic --complex X`.  They pin hom_K windows, End(T), the image
+over Sigma = End(G) and F-acyclicity, and are the output of the code before
+the three total-Hom-complex builders were merged into one.
+
+Reports are compared without their `file` key, which holds a local path.
 """
 
 import contextlib
+import functools
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,22 +31,40 @@ DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _render(fixture: str, tmp_path) -> str:
-    problem, kind, rest = fixture.split(".", 2)
-    path = DATA / f"{problem}.json"
+@functools.lru_cache(maxsize=None)
+def _run(*args: str) -> tuple[str, str]:
+    """stdout and the `--report` payload (without `file`) of one CLI call."""
     out = io.StringIO()
-    if kind == "resolve":
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
         with contextlib.redirect_stdout(out):
-            assert main(["relhom", "resolve", str(path), "--module", rest[:-len(".txt")]]) == 0
-        return out.getvalue()
-    report = tmp_path / "report.json"
-    with contextlib.redirect_stdout(out):
-        assert main(["--report", str(report), "module", str(path)]) == 0
-    payload = json.loads(report.read_text())
+            code = main(["--report", str(report), *args])
+        payload = json.loads(report.read_text())
+    assert payload["exit"] == code
     del payload["file"]
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return out.getvalue(), json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def _render(fixture: str) -> str:
+    problem, kind, rest = fixture.split(".", 2)
+    path = str(DATA / f"{problem}.json")
+    name = rest.rsplit(".", 1)[0]
+    if kind == "resolve":
+        stdout, report = _run("relhom", "resolve", path, "--module", name)
+        assert json.loads(report)["exit"] == 0
+        return stdout
+    if kind == "module":
+        return _run("module", path)[1]
+    if kind == "tilting":
+        stdout, report = _run("tilting", path, "--sigma")
+        return stdout if rest == "txt" else report
+    if kind == "homk":
+        return _run("complex", "homk", path, "--complex", name, "--to", "T")[1]
+    if kind == "acyclic":
+        return _run("complex", "acyclic", path, "--complex", name)[1]
+    raise AssertionError(f"unknown fixture kind {kind!r}")
 
 
 @pytest.mark.parametrize("fixture", sorted(p.name for p in GOLDEN.iterdir()))
-def test_golden_output(fixture, tmp_path):
-    assert _render(fixture, tmp_path) == (GOLDEN / fixture).read_text()
+def test_golden_output(fixture):
+    assert _render(fixture) == (GOLDEN / fixture).read_text()
