@@ -523,11 +523,6 @@ class Resolution:
             if kc.cols == 0:
                 self.complete = True
 
-    def length_if_complete(self) -> int | None:
-        if not self.complete:
-            return None
-        return max(0, len(self.levels) - 1) if self.levels else 0
-
 
 def _hom_piece_basis(piece: Piece, n: AbstractModule) -> Matrix:
     """Columns: basis of g.N ≅ Hom(A*g, N)."""

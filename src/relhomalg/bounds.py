@@ -22,10 +22,11 @@ from .algebra import (
     rep_to_abstract,
     semisimple_quotient_module,
 )
-from .complexes import radical_normalize, term_length
+from .complexes import term_length
 from .relative import (
     SubbifunctorF,
     findim_f,
+    finitistic_sup,
     gldim_f,
     id_f,
     pd_f,
@@ -89,15 +90,20 @@ def _fd_dim(report: DimensionReport, complete: bool) -> Dim:
     return Dim(report.dim.value, True)
 
 
+def _gamma_pd_breakdown(gamma: AbstractAlgebra, cutoff: int) -> dict[str, Dim]:
+    """pd of the Gamma modules the finitistic sides are taken over."""
+    return {"regular": pd(regular_module(gamma), cutoff).dim,
+            "Gamma/rad": pd(semisimple_quotient_module(gamma), cutoff).dim}
+
+
 def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
-                    ts: ComplexSum, cutoff: int, complete: bool = False,
-                    gamma_corpus_extra=None) -> BoundsReport:
+                    ts: ComplexSum, cutoff: int, complete: bool = False) -> BoundsReport:
     rep = BoundsReport("theorem73")
     tilt = verify_f_tilting(ts, f, declared_count=len(ts.parts))
     if not tilt.self_orthogonal_ok:
         raise ValueError("tilting precondition failed: " + "; ".join(tilt.failures))
     gl_f = gldim_f(corpus, f, cutoff, complete=complete)
-    t = term_length(radical_normalize(ts.total))
+    t = tilt.term_length
     endo = end_algebra(ts)
     gamma = endo.to_abstract()
     gl_g = gldim(gamma, cutoff)
@@ -112,20 +118,10 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
     if not complete:
         rep.notes.append("Lambda corpus not declared complete; gldim_F is a corpus max")
     # finitistic side
-    fd_f_rep = findim_f(corpus, f, cutoff, complete=complete)
+    fd_f_rep = findim_f(gl_f, complete=complete)
     fd_f = _fd_dim(fd_f_rep, complete)
-    gamma_members = [("regular", regular_module(gamma)),
-                     ("Gamma/rad", semisimple_quotient_module(gamma))]
-    if gamma_corpus_extra:
-        gamma_members += list(gamma_corpus_extra)
-    fd_g_break = {}
-    finite_vals = [Dim(0)]
-    for name, m in gamma_members:
-        p = pd(m, cutoff)
-        fd_g_break[name] = p.dim
-        if not p.dim.censored:
-            finite_vals.append(p.dim)
-    fd_g_value = dim_max(finite_vals)
+    fd_g_break = _gamma_pd_breakdown(gamma, cutoff)
+    fd_g_value = finitistic_sup(fd_g_break.values())
     rep.values["fd_F(Lambda)"] = fd_f_rep
     rep.values["fd(Gamma) corpus max"] = DimensionReport(
         "fd", fd_g_value, cutoff, breakdown=fd_g_break,
@@ -149,7 +145,7 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     if not tilt.self_orthogonal_ok:
         raise ValueError("tilting precondition failed: " + "; ".join(tilt.failures))
     lam = quiver_to_abstract(algebra)
-    l = term_length(radical_normalize(ts.total))
+    l = tilt.term_length
     endo = end_algebra(ts)
     gamma = endo.to_abstract()
     gl_l = gldim(lam, cutoff)
@@ -166,25 +162,11 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     rep.checks.append(InequalityCheck.of("gldim(Gamma) <= gldim(Lambda) + l",
                                          gl_g.dim, _shifted(gl_l.dim, l)))
     # ordinary finitistic side over the corpus
-    fd_break = {}
-    finite_vals = [Dim(0)]
-    for name, m in corpus:
-        p = pd(rep_to_abstract(m, lam), cutoff)
-        fd_break[name] = p.dim
-        if not p.dim.censored:
-            finite_vals.append(p.dim)
-    fd_l = dim_max(finite_vals)
+    fd_break = {name: pd(rep_to_abstract(m, lam), cutoff).dim for name, m in corpus}
+    fd_l = finitistic_sup(fd_break.values())
     fd_l_exact = complete and not any(d.censored for d in fd_break.values())
-    gamma_members = [("regular", regular_module(gamma)),
-                     ("Gamma/rad", semisimple_quotient_module(gamma))]
-    fd_g_break = {}
-    finite_g = [Dim(0)]
-    for name, m in gamma_members:
-        p = pd(m, cutoff)
-        fd_g_break[name] = p.dim
-        if not p.dim.censored:
-            finite_g.append(p.dim)
-    fd_g = dim_max(finite_g)
+    fd_g_break = _gamma_pd_breakdown(gamma, cutoff)
+    fd_g = finitistic_sup(fd_g_break.values())
     rep.values["fd(Lambda)"] = DimensionReport("fd", Dim(fd_l.value, not fd_l_exact), cutoff,
                                                breakdown=fd_break)
     rep.values["fd(Gamma) corpus max"] = DimensionReport("fd", fd_g, cutoff, breakdown=fd_g_break)
@@ -251,7 +233,7 @@ def gorenstein_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
         lambda_gorenstein = True
     rep.values["Lambda F-Gorenstein"] = (
         "yes" if lambda_gorenstein else "undetermined at cutoff")
-    t = term_length(radical_normalize(ts.total))
+    t = term_length(ts.total)
     endo = end_algebra(ts)
     gamma = endo.to_abstract()
     status, left, right = is_gorenstein(gamma, cutoff)

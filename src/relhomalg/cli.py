@@ -27,9 +27,9 @@ from .relative import (
     gldim_f,
     id_f,
     is_f_exact,
-    pd_f,
     relative_injectives,
 )
+from .reports import DimensionReport
 from .rep import ShortExactSeq, is_isomorphic, kernel, projective_cover
 from .schema import SchemaError, canonical_form, load_problem
 from .tilting import end_algebra, image_tilting_over_sigma, verify_f_tilting
@@ -112,9 +112,9 @@ def cmd_module(args, out: Output) -> int:
         if n not in problem.modules:
             raise SchemaError("--name", f"unknown module {n!r}")
         m = problem.modules[n]
-        pdr = pd_f(m, F, problem.cutoff)
-        idr = id_f(m, F, injs, problem.cutoff)
         res = f_resolution(m, F, problem.cutoff)
+        pdr = DimensionReport("pd_F", res.pd, problem.cutoff)
+        idr = id_f(m, F, injs, problem.cutoff)
         shape = " <- ".join(str(p.dims) for p in res.modules)
         rows.append([n, str(m.dims), str(pdr.dim), str(idr.dim), shape])
         rep_json[n] = {"dims": list(m.dims), "pd_F": pdr.to_json(), "id_F": idr.to_json()}
@@ -143,7 +143,7 @@ def cmd_relhom(args, out: Output) -> int:
         return EXIT_OK if validated else EXIT_VIOLATED
     if args.sub == "gldim":
         g = gldim_f(corpus, F, problem.cutoff, complete=problem.corpus_complete)
-        fd = findim_f(corpus, F, problem.cutoff, complete=problem.corpus_complete)
+        fd = findim_f(g, complete=problem.corpus_complete)
         out.say(f"gldim_F = {g.dim}   fd_F = {fd.dim}   (cutoff {problem.cutoff})")
         out.table([[n, str(d)] for n, d in sorted(g.breakdown.items())],
                   headers=["module", "pd_F"])
@@ -249,8 +249,9 @@ def cmd_tilting(args, out: Output) -> int:
     for f in rep.failures:
         out.say("failure:", f)
     if args.sigma:
-        _, comparison, dims_check = image_tilting_over_sigma(ts, F)
-        mism = {n: v for n, v in comparison.items() if v[0] != v[1]}
+        _, sigma_dims, _ = image_tilting_over_sigma(ts, F)
+        lam = {**rep.self_orthogonal, 0: rep.endo_dim}
+        mism = {n: (lam[n], d) for n, d in sigma_dims.items() if lam[n] != d}
         out.say("image over Sigma: hom windows "
                 + ("match" if not mism else f"MISMATCH {mism}"))
     out.report = {"tilting": rep.to_json(), "endo_dim": endo.dim,

@@ -292,18 +292,17 @@ class SpanSolver:
         else:
             self.inv = Matrix(F, 0, 0, [])
 
-    def coords(self, vec: list, verify: bool = True):
+    def coords(self, vec: list):
         """Coordinates of vec in the basis, or None if outside the span."""
         F = self.basis.field
         if self.basis.cols == 0:
             return [] if all(F.is_zero(v) for v in vec) else None
         sel = [vec[r] for r in self.rows]
         out = self.inv.apply(sel)
-        if verify:
-            back = self.basis.apply(out)
-            for a, b in zip(back, vec):
-                if not F.is_zero(F.sub(a, b)):
-                    return None
+        back = self.basis.apply(out)
+        for a, b in zip(back, vec):
+            if not F.is_zero(F.sub(a, b)):
+                return None
         return out
 
 

@@ -238,9 +238,6 @@ class PathAlgebra:
 
     # -- elements ---------------------------------------------------------
 
-    def element_source(self, k: int) -> int:
-        return self.basis[k][0]
-
     def element_target(self, k: int) -> int:
         src, word = self.basis[k]
         return src if not word else self.quiver.word_target(word)

@@ -48,13 +48,12 @@ class SubbifunctorF:
     """F = F_{add G} for a generator G declared by its indecomposable
     summands (pairwise non-isomorphic, projectives included)."""
 
-    def __init__(self, algebra: PathAlgebra, summands: list[SummandDecl], validate: bool = True):
+    def __init__(self, algebra: PathAlgebra, summands: list[SummandDecl]):
         self.algebra = algebra
         self.summands = list(summands)
         self.sum = direct_sum([s.module for s in summands], algebra)
         self.validation_notes: list[str] = []
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- declarations ------------------------------------------------------
 
@@ -242,11 +241,10 @@ class FResolution:
     def length(self) -> int:
         return len(self.modules) - 1
 
-    def module_at(self, i: int) -> Representation:
-        """P^{-i}, or a zero module beyond the resolution."""
-        if 0 <= i < len(self.modules):
-            return self.modules[i]
-        return zero_representation(self.x.algebra)
+    @property
+    def pd(self) -> Dim:
+        """pd_F(x); a truncated resolution has length maxlen, a lower bound."""
+        return Dim(self.length, censored=self.truncated)
 
 
 def f_resolution(x: Representation, f: SubbifunctorF, maxlen: int) -> FResolution:
@@ -321,20 +319,8 @@ CORPUS_ASSUMPTION = ("sup taken over the supplied corpus; exact only if the "
                      "declared indecomposable list is complete")
 
 
-def pd_f(x: Representation, f: SubbifunctorF, cutoff: int,
-         corpus: list[Representation] | None = None) -> DimensionReport:
-    res = f_resolution(x, f, cutoff)
-    if res.truncated:
-        d = Dim(cutoff, censored=True)
-    else:
-        d = Dim(res.length)
-    report = DimensionReport("pd_F", d, cutoff)
-    if corpus is not None and not d.censored:
-        for y in corpus:
-            if ext_f(x, y, d.value + 1, f) != 0:
-                raise AssertionError("vanishing cross-check failed: Ext^{pd+1} != 0")
-        report.breakdown["lemma71_checked_degree"] = d.value + 1
-    return report
+def pd_f(x: Representation, f: SubbifunctorF, cutoff: int) -> DimensionReport:
+    return DimensionReport("pd_F", f_resolution(x, f, cutoff).pd, cutoff)
 
 
 def syzygy_f(x: Representation, f: SubbifunctorF) -> Representation:
@@ -365,12 +351,11 @@ def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = 
     validated = True
     notes: list[str] = []
     if corpus is not None:
+        resolutions = [f_resolution(x, f, 2) for x in corpus]
         for c in candidates:
-            for x in corpus:
-                if ext_f(x, c.module, 1, f) != 0:
-                    validated = False
-                    notes.append(f"{c.name} fails F-injectivity against a corpus module")
-                    break
+            if any(ext_f(res.x, c.module, 1, f, resolution=res) != 0 for res in resolutions):
+                validated = False
+                notes.append(f"{c.name} fails F-injectivity against a corpus module")
     return candidates, validated, notes
 
 
@@ -389,7 +374,6 @@ def id_f(x: Representation, f: SubbifunctorF, injectives: list[SummandDecl],
     cur = x
     length = 0
     notes: list[str] = []
-    steps = 0
     while not cur.is_zero():
         u, _, _ = left_approximation(cur, injectives, algebra)
         if u.is_isomorphism():
@@ -398,46 +382,37 @@ def id_f(x: Representation, f: SubbifunctorF, injectives: list[SummandDecl],
             notes.append("left approximation not injective: I(F) list rejected as"
                          " an enough-injectives class")
             return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=notes)
-        if not hom_g_surjective(f, cokernel(u)[1]):
+        cur, proj = cokernel(u)
+        if not hom_g_surjective(f, proj):
             notes.append("coresolution step is not F-exact: I(F) list invalid")
             return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=notes)
-        cur, _ = cokernel(u)
         length += 1
-        steps += 1
-        if steps > cutoff:
+        if length > cutoff:
             return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=notes)
-    return DimensionReport("id_F", Dim(length if not x.is_zero() else 0), cutoff, caveats=notes)
+    return DimensionReport("id_F", Dim(length), cutoff, caveats=notes)
 
 
 def gldim_f(corpus: list[tuple[str, Representation]], f: SubbifunctorF, cutoff: int,
             complete: bool = False) -> DimensionReport:
     if not corpus:
         raise ValueError("empty corpus")
-    breakdown = {}
-    dims = []
-    for name, x in corpus:
-        r = pd_f(x, f, cutoff)
-        breakdown[name] = r.dim
-        dims.append(r.dim)
-    report = DimensionReport("gldim_F", dim_max(dims), cutoff, breakdown=breakdown)
+    breakdown = {name: f_resolution(x, f, cutoff).pd for name, x in corpus}
+    report = DimensionReport("gldim_F", dim_max(list(breakdown.values())), cutoff,
+                             breakdown=breakdown)
     if not complete:
         report.assumptions.append(CORPUS_ASSUMPTION)
     return report
 
 
-def findim_f(corpus: list[tuple[str, Representation]], f: SubbifunctorF, cutoff: int,
-             complete: bool = False) -> DimensionReport:
-    if not corpus:
-        raise ValueError("empty corpus")
-    breakdown = {}
-    finite = []
-    for name, x in corpus:
-        r = pd_f(x, f, cutoff)
-        breakdown[name] = r.dim
-        if not r.dim.censored:
-            finite.append(r.dim)
-    value = dim_max(finite) if finite else Dim(0)
-    report = DimensionReport("fd_F", value, cutoff, breakdown=breakdown)
+def finitistic_sup(dims) -> Dim:
+    """The largest exact value among dims, 0 when there is none."""
+    return dim_max([Dim(0)] + [d for d in dims if not d.censored])
+
+
+def findim_f(gl: DimensionReport, complete: bool = False) -> DimensionReport:
+    """fd_F from the per-module pd_F breakdown of a gldim_f report."""
+    report = DimensionReport("fd_F", finitistic_sup(gl.breakdown.values()), gl.cutoff,
+                             breakdown=dict(gl.breakdown))
     report.assumptions.append("finitistic sup over corpus members of finite pd_F; "
                               "a certified lower bound of fd_F")
     if not complete:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .matrix import (
     Matrix,
+    SpanSolver,
     block_diag,
     column_space_basis,
     complement_columns,
@@ -26,10 +27,11 @@ from .quiver import PathAlgebra
 
 
 class Representation:
-    __slots__ = ("algebra", "dims", "mats")
+    __slots__ = ("algebra", "dims", "mats", "_homs")
 
     def __init__(self, algebra: PathAlgebra, dims, mats, check: bool = True):
         self.algebra = algebra
+        self._homs: dict | None = None  # hom_space results, keyed by target
         self.dims = tuple(dims)
         if len(self.dims) != algebra.quiver.n:
             raise ValueError("dimension vector length mismatch")
@@ -70,20 +72,6 @@ class Representation:
         for ai in word:
             m = self.mats[ai] * m
         return m
-
-    def element_action(self, combo: dict[int, object], src: int, tgt: int) -> Matrix:
-        """Action of an algebra element (basis combo) as a map X_src -> X_tgt.
-
-        Only the parallel (src -> tgt) components of the combo contribute.
-        """
-        F = self.algebra.field
-        out = Matrix.zeros(F, self.dims[tgt - 1], self.dims[src - 1])
-        for k, c in combo.items():
-            s, word = self.algebra.basis[k]
-            if s != src or self.algebra.element_target(k) != tgt:
-                continue
-            out = out + self.word_action(word, s).scale(c)
-        return out
 
     def __repr__(self):
         return f"Rep{self.dims}"
@@ -244,23 +232,34 @@ def injective(algebra: PathAlgebra, i: int) -> Representation:
 # hom spaces
 
 
-_HOM_CACHE: dict = {}
+class HomBasis(list):
+    """A basis of Hom(m, n), a list of ModuleMaps that owns the solver for
+    coordinates against it."""
+    __slots__ = ("_solver",)
+
+    def solver(self) -> SpanSolver:
+        if not hasattr(self, "_solver"):
+            F = self[0].source.algebra.field
+            cols = [[x for m in b.mats for x in m.entries] for b in self]
+            n = len(cols[0])
+            self._solver = SpanSolver(
+                Matrix(F, n, len(cols), [cols[j][i] for i in range(n) for j in range(len(cols))]))
+        return self._solver
 
 
-def hom_space(m: Representation, n: Representation) -> list[ModuleMap]:
+def hom_space(m: Representation, n: Representation) -> HomBasis:
     """Basis of Hom(m, n), deterministically ordered by RREF pivots of the
-    intertwining system.  Cached per object pair (representations are
-    immutable; the cache pins its keys so ids stay valid)."""
-    key = (id(m), id(n))
-    hit = _HOM_CACHE.get(key)
-    if hit is not None and hit[0] is m and hit[1] is n:
-        return hit[2]
-    out = _hom_space_compute(m, n)
-    _HOM_CACHE[key] = (m, n, out)
+    intertwining system.  Cached on m per target object (representations
+    are immutable), so the cache lives exactly as long as m."""
+    if m._homs is None:
+        m._homs = {}
+    out = m._homs.get(n)
+    if out is None:
+        out = m._homs[n] = _hom_space_compute(m, n)
     return out
 
 
-def _hom_space_compute(m: Representation, n: Representation) -> list[ModuleMap]:
+def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
     if m.algebra is not n.algebra:
         raise ValueError("hom across different algebras")
     F = m.algebra.field
@@ -291,7 +290,7 @@ def _hom_space_compute(m: Representation, n: Representation) -> list[ModuleMap]:
     else:
         sysm = Matrix(F, 0, total, [])
     K = kernel_basis(sysm)
-    out = []
+    out = HomBasis()
     for c in range(K.cols):
         vecv = K.col(c)
         mats = []
@@ -302,33 +301,14 @@ def _hom_space_compute(m: Representation, n: Representation) -> list[ModuleMap]:
     return out
 
 
-_SOLVER_CACHE: dict = {}
-
-
-def _basis_solver(basis: list[ModuleMap]):
-    from .matrix import SpanSolver
-
-    key = id(basis)
-    hit = _SOLVER_CACHE.get(key)
-    if hit is not None and hit[0] is basis:
-        return hit[1]
-    F = basis[0].source.algebra.field
-    cols = [[x for m in b.mats for x in m.entries] for b in basis]
-    n = len(cols[0])
-    stacked = Matrix(F, n, len(cols), [cols[j][i] for i in range(n) for j in range(len(cols))])
-    solver = SpanSolver(stacked)
-    _SOLVER_CACHE[key] = (basis, solver)
-    return solver
-
-
-def hom_coordinates(basis: list[ModuleMap], f: ModuleMap) -> list:
-    """Coordinates of f in a hom-space basis (must lie in the span)."""
+def hom_coordinates(basis: HomBasis, f: ModuleMap) -> list:
+    """Coordinates of f in a hom_space basis (must lie in the span)."""
     if not basis:
         if all(m.is_zero() for m in f.mats):
             return []
         raise ValueError("map outside empty hom space")
     target = [x for m in f.mats for x in m.entries]
-    out = _basis_solver(basis).coords(target)
+    out = basis.solver().coords(target)
     if out is None:
         raise ValueError("map outside hom space span")
     return out

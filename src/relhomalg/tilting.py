@@ -445,16 +445,15 @@ def hom_k_sigma(x: SigmaComplex, y: SigmaComplex, n: int) -> int:
                      sigma.mul, coords).dim(n)
 
 
-def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF,
-                             sigma: EndoPresentation | None = None):
-    """Hom(G, T) as a complex of projective Sigma-modules, plus the window
-    comparison of homotopy homs on both sides."""
+def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF):
+    """Hom(G, T) as a complex of projective Sigma-modules, its hom_K(-, -, n)
+    dimensions over the self-orthogonality window of T, and the per-degree
+    pairs (dim Hom(G, T^i), Sigma-side size)."""
     t = ts.total
     if t.parts is None:
         raise ValueError("image tilting needs summand decompositions")
-    if sigma is None:
-        g_stalks = [stalk_complex(s.module, 0, label=s.name) for s in f.summands]
-        sigma = end_algebra(sum_complexes_with_maps(g_stalks, [s.name for s in f.summands]))
+    g_stalks = [stalk_complex(s.module, 0, label=s.name) for s in f.summands]
+    sigma = end_algebra(sum_complexes_with_maps(g_stalks, [s.name for s in f.summands]))
     sig = sigma.to_abstract()
     if not sig.idempotents_split_basic():
         raise ValueError("Sigma idempotents failed the split-basic certificate")
@@ -507,10 +506,8 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF,
         diffs[i] = rows
     sc = SigmaComplex(sig, comps, diffs)
     window = 2 * t.width() + 1
-    comparison = {}
-    for nn in range(-window, window + 1):
-        comparison[nn] = (hom_k(t, t, nn), hom_k_sigma(sc, sc, nn))
-    return sc, comparison, dims_check
+    sigma_dims = {nn: hom_k_sigma(sc, sc, nn) for nn in range(-window, window + 1)}
+    return sc, sigma_dims, dims_check
 
 
 def _corner_dim(sig: AbstractAlgebra, k: int) -> int:

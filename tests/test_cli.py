@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from relhomalg import cli, relative
 from relhomalg.cli import main
 from relhomalg.schema import canonical_form, load_problem
 
@@ -181,3 +182,32 @@ def test_vacuous_at_cutoff_exits_zero(tmp_path, capsys):
     assert code == 0
     payload = json.loads(report.read_text())
     assert payload["results"]["status"] == "vacuous-at-cutoff"
+
+
+def _resolutions(monkeypatch, argv) -> int:
+    """Number of f_resolution calls one CLI command makes."""
+    calls = []
+    real = relative.f_resolution
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relative, "f_resolution", counted)
+    monkeypatch.setattr(cli, "f_resolution", counted)
+    assert run(argv) == 0
+    return len(calls)
+
+
+def test_module_resolves_each_module_once(monkeypatch, capsys):
+    path = DATA / "section7.json"
+    problem = load_problem(str(path))
+    count = _resolutions(monkeypatch, ["module", path])
+    assert count <= len(problem.corpus_names) + len(problem.modules)
+
+
+@pytest.mark.parametrize("argv", [["bounds", "theorem73"], ["relhom", "gldim"]])
+def test_corpus_dimensions_resolve_each_corpus_module_once(monkeypatch, capsys, argv):
+    path = DATA / "section7.json"
+    problem = load_problem(str(path))
+    assert _resolutions(monkeypatch, [*argv, path]) == len(problem.corpus_names)

@@ -13,6 +13,13 @@ of `complex acyclic --complex X`.  They pin hom_K windows, End(T), the image
 over Sigma = End(G) and F-acyclicity, and are the output of the code before
 the three total-Hom-complex builders were merged into one.
 
+`<problem>.<check>.json` holds the exit code, stdout, stderr and report of
+`bounds <check>` (theorem73, cor710, counts, gorenstein) or `relhom <check>`
+(gldim, ifset); the report is null when the command exits before writing
+one.  They pin every relative dimension that is read off an F-resolution,
+and are the output of the code before each module was resolved only once
+per command.
+
 Reports are compared without their `file` key, which holds a local path.
 """
 
@@ -31,18 +38,35 @@ DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+BOUNDS = ("theorem73", "cor710", "counts", "gorenstein")
+RELHOM = ("gldim", "ifset")
+
+
 @functools.lru_cache(maxsize=None)
-def _run(*args: str) -> tuple[str, str]:
-    """stdout and the `--report` payload (without `file`) of one CLI call."""
-    out = io.StringIO()
+def _call(*args: str) -> tuple[int, str, str, dict | None]:
+    """Exit code, stdout, stderr and `--report` payload (without `file`,
+    None if no report was written) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report.json"
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--report", str(report), *args])
-        payload = json.loads(report.read_text())
-    assert payload["exit"] == code
-    del payload["file"]
-    return out.getvalue(), json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        payload = json.loads(report.read_text()) if report.exists() else None
+    if payload is not None:
+        assert payload["exit"] == code
+        del payload["file"]
+    return code, out.getvalue(), err.getvalue(), payload
+
+
+def _dump(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def _run(*args: str) -> tuple[str, str]:
+    """stdout and the `--report` payload of one CLI call that writes one."""
+    _, stdout, _, payload = _call(*args)
+    assert payload is not None
+    return stdout, _dump(payload)
 
 
 def _render(fixture: str) -> str:
@@ -62,6 +86,10 @@ def _render(fixture: str) -> str:
         return _run("complex", "homk", path, "--complex", name, "--to", "T")[1]
     if kind == "acyclic":
         return _run("complex", "acyclic", path, "--complex", name)[1]
+    if kind in BOUNDS or kind in RELHOM:
+        code, stdout, stderr, payload = _call(
+            "bounds" if kind in BOUNDS else "relhom", kind, path)
+        return _dump({"exit": code, "stdout": stdout, "stderr": stderr, "report": payload})
     raise AssertionError(f"unknown fixture kind {kind!r}")
 
 

@@ -1,14 +1,18 @@
+import gc
+
 import pytest
 
 from relhomalg.fields import QQ
 from relhomalg.quiver import Quiver, build_algebra
 from relhomalg.rep import (
     ModuleMap,
+    Representation,
     cokernel,
     direct_sum,
     dtr,
     dual,
     dual_to_main,
+    hom_coordinates,
     hom_space,
     injective,
     is_isomorphic,
@@ -205,3 +209,25 @@ def test_vertex_out_of_range(L7):
 def test_nilpotency_bound_too_small_rejected():
     with pytest.raises(ValueError):
         build_algebra(QQ, Quiver(1, []), [], 1)
+
+
+def test_hom_caches_do_not_pin_representations():
+    alg = cycle3_verbatim()
+
+    def churn():
+        for i in (1, 2, 3):
+            p, s = projective(alg, i), simple(alg, i)
+            basis = hom_space(p, p)
+            assert hom_space(p, p) is basis
+            assert hom_coordinates(basis, basis[0])
+            hom_space(p, s)
+
+    def live() -> int:
+        gc.collect()
+        return sum(isinstance(o, Representation) for o in gc.get_objects())
+
+    churn()
+    before = live()
+    for _ in range(5):
+        churn()
+    assert live() == before

@@ -122,8 +122,8 @@ def test_pd_of_generator_summand_zero(F7, L7_modules):
     assert pd_f(L7_modules["S3"], F7, 10).dim.value == 0
 
 
-def test_pd_m1_at_most_one(F7, L7_modules, corpus7):
-    rep = pd_f(L7_modules["M1"], F7, 10, corpus=[m for _, m in corpus7])
+def test_pd_m1_at_most_one(F7, L7_modules):
+    rep = pd_f(L7_modules["M1"], F7, 10)
     assert not rep.dim.censored and rep.dim.value <= 1
 
 
@@ -143,7 +143,7 @@ def test_gldim_ordinary_censored(F7_ordinary, corpus7):
 
 
 def test_findim_semisimple_style(F7, corpus7):
-    rep = findim_f(corpus7, F7, 10, complete=True)
+    rep = findim_f(gldim_f(corpus7, F7, 10, complete=True), complete=True)
     assert rep.dim.value <= 1
 
 
