@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from .fields import Field
 from .matrix import (
     Matrix,
+    block_diag,
     column_space_basis,
     complement_columns,
     inverse,
     kernel_basis,
+    lincomb,
     rank,
     solve,
 )
@@ -37,6 +39,8 @@ class AbstractAlgebra:
         self._left = {}
         self._right = {}
         self._rad = None
+        self._top = None
+        self._pieces = {}
         self._opposite = None
         self._idem_ok = None
         if validate is None:
@@ -273,12 +277,7 @@ class AbstractModule:
             self.validate()
 
     def rho(self, v) -> Matrix:
-        F = self.algebra.field
-        out = Matrix.zeros(F, self.dim, self.dim)
-        for i, c in enumerate(v):
-            if not F.is_zero(c):
-                out = out + self.action[i].scale(c)
-        return out
+        return lincomb(self.algebra.field, self.dim, self.dim, v, self.action)
 
     def validate(self):
         F = self.algebra.field
@@ -321,7 +320,9 @@ def dual_module(m: AbstractModule) -> AbstractModule:
 
 
 def semisimple_quotient_module(algebra: AbstractAlgebra) -> AbstractModule:
-    """A/rad A as a left module."""
+    """A/rad A as a left module, built once per algebra."""
+    if algebra._top is not None:
+        return algebra._top
     F = algebra.field
     rad = algebra.radical_matrix()
     comp = complement_columns(rad)
@@ -335,7 +336,8 @@ def semisimple_quotient_module(algebra: AbstractAlgebra) -> AbstractModule:
     sec = C
     action = [proj * algebra.left_mult(tuple(algebra.basis_vector(i))) * sec
               for i in range(n)]
-    return AbstractModule(algebra, len(comp), action, validate=False)
+    algebra._top = AbstractModule(algebra, len(comp), action, validate=False)
+    return algebra._top
 
 
 def submodule_from_columns(m: AbstractModule, cols: Matrix) -> AbstractModule:
@@ -387,31 +389,32 @@ class Level:
     minimal: bool
 
 
+def _piece_actions(algebra: AbstractAlgebra, piece: Piece) -> list[Matrix]:
+    """The action matrices of the basis elements of A on A*g, cached on the
+    algebra per piece."""
+    key = (tuple(piece.gen), piece.basis.cols, tuple(piece.basis.entries))
+    actions = algebra._pieces.get(key)
+    if actions is None:
+        actions = []
+        for i in range(algebra.dim):
+            L = algebra.left_mult(tuple(algebra.basis_vector(i)))
+            coef = solve(piece.basis, L * piece.basis)
+            if coef is None:
+                raise ValueError("piece not closed under left multiplication")
+            actions.append(coef)
+        algebra._pieces[key] = actions
+    return actions
+
+
 def _piece_module(algebra: AbstractAlgebra, pieces: list[Piece]) -> tuple[AbstractModule, list[int]]:
-    F = algebra.field
     offsets = []
     total = 0
     for p in pieces:
         offsets.append(total)
         total += p.basis.cols
-    action = []
-    for i in range(algebra.dim):
-        L = algebra.left_mult(tuple(algebra.basis_vector(i)))
-        blocks = []
-        for p in pieces:
-            coef = solve(p.basis, L * p.basis)
-            if coef is None:
-                raise ValueError("piece not closed under left multiplication")
-            blocks.append(coef)
-        rows = [[F.zero] * total for _ in range(total)]
-        # assemble block diagonal
-        pos = 0
-        for b in blocks:
-            for r in range(b.rows):
-                for c in range(b.cols):
-                    rows[pos + r][pos + c] = b.at(r, c)
-            pos += b.rows
-        action.append(Matrix.from_rows(F, rows) if total else Matrix(F, 0, 0, []))
+    per_piece = [_piece_actions(algebra, p) for p in pieces]
+    action = [block_diag(algebra.field, [acts[i] for acts in per_piece])
+              for i in range(algebra.dim)]
     return AbstractModule(algebra, total, action, validate=False), offsets
 
 
@@ -611,8 +614,7 @@ def free_resolution(m: AbstractModule, maxlen: int, doubled: bool = False) -> Re
     res.extend_to(maxlen + 1)
     for k, lvl in enumerate(res.levels):
         target_dim = m.dim if k == 0 else res.levels[k - 1].kernel.dim
-        from .matrix import rank as _rank
-        if _rank(lvl.phi) != target_dim:
+        if rank(lvl.phi) != target_dim:
             raise AssertionError("resolution joint not exact")
     return res
 

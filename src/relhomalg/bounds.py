@@ -20,7 +20,6 @@ from .algebra import (
     quiver_to_abstract,
     regular_module,
     rep_to_abstract,
-    semisimple_quotient_module,
 )
 from .complexes import term_length
 from .relative import (
@@ -90,10 +89,10 @@ def _fd_dim(report: DimensionReport, complete: bool) -> Dim:
     return Dim(report.dim.value, True)
 
 
-def _gamma_pd_breakdown(gamma: AbstractAlgebra, cutoff: int) -> dict[str, Dim]:
-    """pd of the Gamma modules the finitistic sides are taken over."""
-    return {"regular": pd(regular_module(gamma), cutoff).dim,
-            "Gamma/rad": pd(semisimple_quotient_module(gamma), cutoff).dim}
+def _gamma_pd_breakdown(gamma: AbstractAlgebra, gl_g: Dim, cutoff: int) -> dict[str, Dim]:
+    """pd of the Gamma modules the finitistic sides are taken over; pd(Gamma/rad)
+    is gldim(Gamma), which the caller already holds."""
+    return {"regular": pd(regular_module(gamma), cutoff).dim, "Gamma/rad": gl_g}
 
 
 def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
@@ -120,7 +119,7 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
     # finitistic side
     fd_f_rep = findim_f(gl_f, complete=complete)
     fd_f = _fd_dim(fd_f_rep, complete)
-    fd_g_break = _gamma_pd_breakdown(gamma, cutoff)
+    fd_g_break = _gamma_pd_breakdown(gamma, gl_g.dim, cutoff)
     fd_g_value = finitistic_sup(fd_g_break.values())
     rep.values["fd_F(Lambda)"] = fd_f_rep
     rep.values["fd(Gamma) corpus max"] = DimensionReport(
@@ -165,7 +164,7 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     fd_break = {name: pd(rep_to_abstract(m, lam), cutoff).dim for name, m in corpus}
     fd_l = finitistic_sup(fd_break.values())
     fd_l_exact = complete and not any(d.censored for d in fd_break.values())
-    fd_g_break = _gamma_pd_breakdown(gamma, cutoff)
+    fd_g_break = _gamma_pd_breakdown(gamma, gl_g.dim, cutoff)
     fd_g = finitistic_sup(fd_g_break.values())
     rep.values["fd(Lambda)"] = DimensionReport("fd", Dim(fd_l.value, not fd_l_exact), cutoff,
                                                breakdown=fd_break)

@@ -216,12 +216,9 @@ def null_homotopy_witness(hh: "HomotopyHom", cm_comps: dict[int, ModuleMap]) -> 
     for (i, _, _), (basis, off) in hh.homotopies.items():
         if not basis:
             continue
-        acc = None
-        for k, b in enumerate(basis):
-            c = F.mul(sign, coeff.at(off + k, 0))
-            term = b.scale(c)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
+        coeffs = [F.mul(sign, coeff.at(off + k, 0)) for k in range(len(basis))]
+        acc = ModuleMap.combination(basis[0].source, basis[0].target, coeffs, basis)
+        if not acc.is_zero():
             s[i] = acc
     hom = Homotopy(hh.vector_to_chain_map(v), hh.n, s)
     return hom.validate()
@@ -294,6 +291,7 @@ class _TotalHom:
         self.y_pieces, self.y_diffs = y_pieces, y_diffs
         self.hom, self.compose, self.coords = hom, compose, coords
         self._blocks: dict[int, tuple[dict, int]] = {}
+        self._ranks: dict[int, int] = {}
 
     def blocks(self, m: int) -> tuple[dict, int]:
         """Hom^m as {(i, s, t): (basis, first column)} in column order, and
@@ -339,9 +337,15 @@ class _TotalHom:
                     put((i - 1, q, t), col, (self.compose(d, f) for f in basis), m % 2 == 0)
         return Matrix.from_rows(F, rows) if n_tgt else Matrix(F, 0, n_src, [])
 
+    def rank(self, m: int) -> int:
+        """rank D^m, computed once per m."""
+        if m not in self._ranks:
+            self._ranks[m] = rank(self.differential(m))
+        return self._ranks[m]
+
     def dim(self, n: int) -> int:
         """dim H^n = dim Hom^n - rank D^n - rank D^{n-1}."""
-        return self.blocks(n)[1] - rank(self.differential(n)) - rank(self.differential(n - 1))
+        return self.blocks(n)[1] - self.rank(n) - self.rank(n - 1)
 
 
 def _module_total_hom(x: Complex, y: Complex) -> _TotalHom:
@@ -389,10 +393,8 @@ class HomotopyHom:
         for (i, _, _), (basis, off) in self.blocks.items():
             if not basis:
                 continue
-            acc = ModuleMap.zero(basis[0].source, basis[0].target)
-            for k, b in enumerate(basis):
-                acc = acc + b.scale(vec[off + k])
-            comps[i] = acc
+            comps[i] = ModuleMap.combination(basis[0].source, basis[0].target,
+                                             vec[off:off + len(basis)], basis)
         return ChainMap(self.x, shift_complex(self.y, self.n), comps)
 
     def chain_map_to_vector(self, cm_comps: dict[int, ModuleMap]) -> list:
@@ -727,10 +729,7 @@ def lift_through(eps: ChainMap, g: ChainMap) -> tuple[ChainMap, int | None]:
         if Xs is None:
             failed_at = i
             break
-        acc = ModuleMap.zero(qi, ri)
-        for k, b in enumerate(basis):
-            acc = acc + b.scale(Xs.at(k, 0))
-        comps[i] = acc
+        comps[i] = ModuleMap.combination(qi, ri, Xs.col(0), basis)
     return ChainMap(Q, R, comps), failed_at
 
 

@@ -117,21 +117,20 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
+        is_zero, add, mul = F.is_zero, F.add, F.mul
         n, k, m = self.rows, self.cols, other.cols
-        out = [zero] * (n * m)
+        out = [F.zero] * (n * m)
         se, oe = self.entries, other.entries
         for i in range(n):
-            base = i * k
+            base, rb = i * k, i * m
             for t in range(k):
                 a = se[base + t]
-                if F.is_zero(a):
+                if is_zero(a):
                     continue
                 ob = t * m
-                rb = i * m
                 for j in range(m):
                     b = oe[ob + j]
-                    if not F.is_zero(b):
+                    if not is_zero(b):
                         out[rb + j] = add(out[rb + j], mul(a, b))
         return Matrix(F, n, m, out)
 
@@ -139,13 +138,17 @@ class Matrix:
         """Matrix times column vector (as a plain list)."""
         assert len(vec) == self.cols
         F = self.field
+        is_zero, add, mul, zero = F.is_zero, F.add, F.mul, F.zero
+        nonzero = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
+        e, k = self.entries, self.cols
         out = []
         for i in range(self.rows):
-            s = F.zero
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if not F.is_zero(v):
-                    s = F.add(s, F.mul(self.entries[base + j], v))
+            s = zero
+            base = i * k
+            for j, v in nonzero:
+                a = e[base + j]
+                if not is_zero(a):
+                    s = add(s, mul(a, v))
             out.append(s)
         return out
 
@@ -170,9 +173,24 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
+    """The rows x cols matrix sum c_i M_i, built in one pass that skips zero
+    coefficients and zero entries."""
+    is_zero, add, mul = field.is_zero, field.add, field.mul
+    out = [field.zero] * (rows * cols)
+    for c, m in zip(coeffs, mats):
+        if is_zero(c):
+            continue
+        for k, a in enumerate(m.entries):
+            if not is_zero(a):
+                out[k] = add(out[k], mul(c, a))
+    return Matrix(field, rows, cols, out)
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
     F = m.field
+    is_zero, sub, mul = F.is_zero, F.sub, F.mul
     rows = m.to_rows()
     nr, nc = m.rows, m.cols
     pivots: list[int] = []
@@ -182,23 +200,28 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             break
         pr = None
         for i in range(r, nr):
-            if not F.is_zero(rows[i][c]):
+            if not is_zero(rows[i][c]):
                 pr = i
                 break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = F.inv(rows[r][c])
-        if not F.is_zero(F.sub(inv, F.one)):
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        if not is_zero(sub(inv, F.one)):
+            rows[r] = [mul(inv, x) for x in rows[r]]
+        rr = rows[r]
+        nonzero = None  # the pivot row's nonzero columns, built on first use
         for i in range(nr):
             if i == r:
                 continue
             f = rows[i][c]
-            if F.is_zero(f):
+            if is_zero(f):
                 continue
-            ri, rr = rows[i], rows[r]
-            rows[i] = [F.sub(ri[j], F.mul(f, rr[j])) for j in range(nc)]
+            if nonzero is None:
+                nonzero = [(j, x) for j, x in enumerate(rr) if not is_zero(x)]
+            ri = rows[i]
+            for j, x in nonzero:
+                ri[j] = sub(ri[j], mul(f, x))
         pivots.append(c)
         r += 1
     return Matrix.from_rows(F, rows) if nr else Matrix(F, 0, nc, []), pivots
@@ -295,13 +318,14 @@ class SpanSolver:
     def coords(self, vec: list):
         """Coordinates of vec in the basis, or None if outside the span."""
         F = self.basis.field
+        is_zero, sub = F.is_zero, F.sub
         if self.basis.cols == 0:
-            return [] if all(F.is_zero(v) for v in vec) else None
+            return [] if all(is_zero(v) for v in vec) else None
         sel = [vec[r] for r in self.rows]
         out = self.inv.apply(sel)
         back = self.basis.apply(out)
         for a, b in zip(back, vec):
-            if not F.is_zero(F.sub(a, b)):
+            if a is not b and not is_zero(sub(a, b)):
                 return None
         return out
 

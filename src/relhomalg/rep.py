@@ -20,6 +20,7 @@ from .matrix import (
     inverse,
     invertible,
     kernel_basis,
+    lincomb,
     rank,
     solve,
 )
@@ -106,6 +107,15 @@ class ModuleMap:
         return ModuleMap(source, target,
                          [Matrix.zeros(F, target.dims[v], source.dims[v])
                           for v in range(source.algebra.quiver.n)], check=False)
+
+    @staticmethod
+    def combination(source: Representation, target: Representation, coeffs,
+                    maps) -> "ModuleMap":
+        """sum c_i f_i of maps source -> target, one fused pass per vertex."""
+        F = source.algebra.field
+        return ModuleMap(source, target, [
+            lincomb(F, target.dims[v], source.dims[v], coeffs, [f.mats[v] for f in maps])
+            for v in range(len(source.dims))], check=False)
 
     @staticmethod
     def identity(m: Representation) -> "ModuleMap":
@@ -653,10 +663,7 @@ def _solve_splitting(u: ModuleMap, retraction: bool):
     X = solve(A, Matrix(F, len(tgt), 1, tgt))
     if X is None:
         return None
-    out = ModuleMap.zero(u.target, u.source)
-    for k, b in enumerate(basis):
-        out = out + b.scale(X.at(k, 0))
-    return out
+    return ModuleMap.combination(u.target, u.source, X.col(0), basis)
 
 
 def dtr(m: Representation) -> Representation:
@@ -697,10 +704,9 @@ def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
     small_field = F.characteristic != 0 and F.characteristic < ISO_ATTEMPTS
     span = F.characteristic - 1 if small_field else 7
     for _ in range(ISO_ATTEMPTS):
-        cand = ModuleMap.zero(m, n)
-        for b in basis:
-            c = F.of_int(rng.randint(0, span) if small_field else rng.randint(-span, span))
-            cand = cand + b.scale(c)
+        coeffs = [F.of_int(rng.randint(0, span) if small_field else rng.randint(-span, span))
+                  for _ in basis]
+        cand = ModuleMap.combination(m, n, coeffs, basis)
         if cand.is_isomorphism():
             return IsoResult(True, cand)
     return IsoResult(None if small_field else False)
@@ -717,10 +723,8 @@ def endo_indecomposability_check(m: Representation) -> bool:
     rng = random.Random(ISO_SEED ^ 0xE11D0)
     candidates = list(endos)
     for _ in range(16):
-        cand = ModuleMap.zero(m, m)
-        for b in endos:
-            cand = cand + b.scale(F.of_int(rng.randint(-3, 3)))
-        candidates.append(cand)
+        coeffs = [F.of_int(rng.randint(-3, 3)) for _ in endos]
+        candidates.append(ModuleMap.combination(m, m, coeffs, endos))
     ident = ModuleMap.identity(m)
     for f in candidates:
         if (f.compose(f) - f).is_zero() and not f.is_zero() and not (f - ident).is_zero():

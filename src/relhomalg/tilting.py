@@ -16,10 +16,10 @@ from .complexes import (
     Complex,
     HomotopyHom,
     Part,
+    _module_total_hom,
     _TotalHom,
     chain_identity,
     cone,
-    hom_k,
     stalk_complex,
     sum_complexes,
     term_length,
@@ -339,12 +339,13 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
     failures += fail_a
     width = t.width()
     window = 2 * width + 1
+    total_hom = _module_total_hom(t, t)
     table = {}
     self_ok = True
     for i in range(-window, window + 1):
         if i == 0:
             continue
-        dim = hom_k(t, t, i)
+        dim = total_hom.dim(i)
         table[i] = dim
         if dim != 0:
             self_ok = False
@@ -373,7 +374,7 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
             generation = "witnessed"
         else:
             failures += [m for m in glog if "FAILED" in m or "unknown" in m]
-    endo_dim = hom_k(t, t, 0)
+    endo_dim = total_hom.dim(0)
     tl = term_length(t)
     return TiltingReport(
         in_kb_pf=in_add,

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from relhomalg import cli, relative
+from relhomalg import algebra, cli, relative
 from relhomalg.cli import main
 from relhomalg.schema import canonical_form, load_problem
 
@@ -211,3 +211,27 @@ def test_corpus_dimensions_resolve_each_corpus_module_once(monkeypatch, capsys, 
     path = DATA / "section7.json"
     problem = load_problem(str(path))
     assert _resolutions(monkeypatch, [*argv, path]) == len(problem.corpus_names)
+
+
+def test_theorem73_builds_and_resolves_gamma_top_once(monkeypatch, capsys):
+    # gldim(Gamma) is pd(Gamma/rad Gamma), so the finitistic side reuses it
+    # instead of resolving Gamma/rad Gamma again, and the quotient module
+    # itself is built once per algebra
+    tops, resolved = [], []
+    build = algebra.semisimple_quotient_module
+
+    def recorded(a):
+        tops.append(build(a))
+        return tops[-1]
+
+    init = algebra.Resolution.__init__
+
+    def recorded_init(self, m, *args, **kwargs):
+        resolved.append(m)
+        init(self, m, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "semisimple_quotient_module", recorded)
+    monkeypatch.setattr(algebra.Resolution, "__init__", recorded_init)
+    assert run(["bounds", "theorem73", DATA / "section7.json"]) == 0
+    assert len({id(s) for s in tops}) == 1
+    assert sum(any(m is s for s in tops) for m in resolved) == 1

@@ -1,7 +1,7 @@
 import pytest
 
 from relhomalg.algebra import gldim
-from relhomalg.complexes import hom_k, stalk_complex, term_length
+from relhomalg.complexes import _TotalHom, hom_k, stalk_complex, term_length
 from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import hom_space, projective, radical
 from relhomalg.tilting import (
@@ -97,6 +97,26 @@ def test_section6_tilting(section6, L7):
     assert rep.count_criterion_ok
     assert rep.generation == "witnessed", rep.generation_log
     assert rep.term_length == 1
+
+
+def test_verify_f_tilting_assembles_each_differential_once(section6, monkeypatch):
+    # one total Hom complex of (T, T) serves the whole self-orthogonality
+    # window and endo_dim, and it keeps the rank of each D^m
+    _, F6, ts, _ = section6
+    t = ts.total
+    components = [id(c) for c in t.comps.values()]
+    assembled = []
+    differential = _TotalHom.differential
+
+    def counted(self, m):
+        if [id(p) for ps in self.x_pieces.values() for p in ps] == components:
+            assembled.append(m)
+        return differential(self, m)
+
+    monkeypatch.setattr(_TotalHom, "differential", counted)
+    verify_f_tilting(ts, F6, declared_count=4)
+    window = 2 * t.width() + 1
+    assert sorted(assembled) == list(range(-window - 1, window + 1))
 
 
 def test_section6_term_length(section6):
