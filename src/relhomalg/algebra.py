@@ -2,10 +2,13 @@
 form, resolutions, Ext, projective/injective/global dimension, Gorenstein
 checks.
 
-Covers use caller-supplied orthogonal idempotents when present (validated
-split-basic), falling back to greedy radical-minimal free covers; projective
-dimension is read off Ext^i(M, A/rad A) vanishing, which is resolution-
-independent, so non-minimal covers never corrupt a report.
+Only the nonzero products of basis vectors are stored.  Covers use
+caller-supplied orthogonal idempotents when they are certified split-basic
+and grade the basis (every basis vector lies in one corner e_i A e_j), so a
+cover piece A*e_j is spanned by basis vectors; otherwise covers fall back to
+greedy radical-minimal free covers.  Projective dimension is read off
+Ext^i(M, A/rad A) vanishing, which is resolution-independent, so non-minimal
+covers never corrupt a report.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from .fields import Field
 from .matrix import (
     Matrix,
+    SpanSolver,
     block_diag,
     column_space_basis,
     complement_columns,
@@ -30,14 +34,30 @@ from .reports import Dim, DimensionReport
 class AbstractAlgebra:
     def __init__(self, field: Field, dim: int, table, unit, idempotents=None,
                  validate: bool | None = None):
-        """table[i][j] is the coordinate vector of e_i * e_j."""
+        """table maps (i, j) to the coordinates {k: c} of b_i * b_j and may
+        leave out zero products; a dense table[i][j] of coordinate vectors is
+        accepted too."""
         self.field = field
         self.dim = dim
-        self.table = [[list(table[i][j]) for j in range(dim)] for i in range(dim)]
+        if isinstance(table, dict):
+            items = ((key, vec.items()) for key, vec in table.items())
+        else:
+            items = (((i, j), enumerate(vec)) for i, row in enumerate(table)
+                     for j, vec in enumerate(row))
+        is_zero = field.is_zero
+        self.products: dict[tuple[int, int], list] = {}  # (i, j) -> [(k, c)], c != 0
+        for key, entries in items:
+            nonzero = sorted((k, c) for k, c in entries if not is_zero(c))
+            if nonzero:
+                self.products[key] = nonzero
+        self._by_left = [[] for _ in range(dim)]   # i -> [(j, product)]
+        self._by_right = [[] for _ in range(dim)]  # j -> [(i, product)]
+        for (i, j), prod in sorted(self.products.items()):
+            self._by_left[i].append((j, prod))
+            self._by_right[j].append((i, prod))
         self.unit = list(unit)
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
-        self._left = {}
-        self._right = {}
+        self._grading = None  # the certified grading, False once the check failed
         self._rad = None
         self._top = None
         self._pieces = {}
@@ -52,46 +72,42 @@ class AbstractAlgebra:
 
     def mul(self, u, v) -> list:
         F = self.field
+        is_zero, add, mul = F.is_zero, F.add, F.mul
+        right = {j: c for j, c in enumerate(v) if not is_zero(c)}
         out = [F.zero] * self.dim
         for i, ci in enumerate(u):
-            if F.is_zero(ci):
+            if is_zero(ci):
                 continue
-            for j, cj in enumerate(v):
-                if F.is_zero(cj):
+            for j, prod in self._by_left[i]:
+                cj = right.get(j)
+                if cj is None:
                     continue
-                c = F.mul(ci, cj)
-                for k, ck in enumerate(self.table[i][j]):
-                    if not F.is_zero(ck):
-                        out[k] = F.add(out[k], F.mul(c, ck))
+                c = mul(ci, cj)
+                for k, ck in prod:
+                    out[k] = add(out[k], mul(c, ck))
         return out
 
-    def left_mult(self, v: tuple) -> Matrix:
-        """Matrix of x -> v * x."""
-        key = tuple(v)
-        if key not in self._left:
-            F = self.field
-            cols = []
-            for j in range(self.dim):
-                ej = [F.zero] * self.dim
-                ej[j] = F.one
-                cols.append(self.mul(list(v), ej))
-            self._left[key] = Matrix(F, self.dim, self.dim,
-                                     [cols[j][i] for i in range(self.dim) for j in range(self.dim)])
-        return self._left[key]
+    def _mult_matrix(self, v, by) -> Matrix:
+        """Matrix of x -> v * x (by = _by_left) or x -> x * v (by = _by_right)."""
+        F = self.field
+        is_zero, add, mul = F.is_zero, F.add, F.mul
+        d = self.dim
+        out = [F.zero] * (d * d)
+        for i, ci in enumerate(v):
+            if is_zero(ci):
+                continue
+            for j, prod in by[i]:
+                for k, ck in prod:
+                    out[k * d + j] = add(out[k * d + j], mul(ci, ck))
+        return Matrix(F, d, d, out)
 
-    def right_mult(self, v: tuple) -> Matrix:
+    def left_mult(self, v) -> Matrix:
+        """Matrix of x -> v * x."""
+        return self._mult_matrix(v, self._by_left)
+
+    def right_mult(self, v) -> Matrix:
         """Matrix of x -> x * v."""
-        key = tuple(v)
-        if key not in self._right:
-            F = self.field
-            cols = []
-            for j in range(self.dim):
-                ej = [F.zero] * self.dim
-                ej[j] = F.one
-                cols.append(self.mul(ej, list(v)))
-            self._right[key] = Matrix(F, self.dim, self.dim,
-                                      [cols[j][i] for i in range(self.dim) for j in range(self.dim)])
-        return self._right[key]
+        return self._mult_matrix(v, self._by_right)
 
     def basis_vector(self, i: int) -> list:
         F = self.field
@@ -99,13 +115,21 @@ class AbstractAlgebra:
         v[i] = F.one
         return v
 
+    def product(self, i: int, j: int) -> list:
+        """b_i * b_j as a coordinate vector."""
+        F = self.field
+        out = [F.zero] * self.dim
+        for k, c in self.products.get((i, j), ()):
+            out[k] = c
+        return out
+
     def validate(self):
         F = self.field
         for i in range(self.dim):
             for j in range(self.dim):
                 for k in range(self.dim):
-                    lhs = self.mul(self.table[i][j], self.basis_vector(k))
-                    rhs = self.mul(self.basis_vector(i), self.table[j][k])
+                    lhs = self.mul(self.product(i, j), self.basis_vector(k))
+                    rhs = self.mul(self.basis_vector(i), self.product(j, k))
                     if any(not F.is_zero(F.sub(a, b)) for a, b in zip(lhs, rhs)):
                         raise ValueError(f"associativity fails at ({i},{j},{k})")
         for i in range(self.dim):
@@ -116,6 +140,16 @@ class AbstractAlgebra:
 
     # -- radical -------------------------------------------------------------
 
+    def _traces(self) -> list:
+        """tr(x -> b_k * x) for each basis vector b_k."""
+        F = self.field
+        traces = [F.zero] * self.dim
+        for (k, j), prod in self.products.items():
+            for i, c in prod:
+                if i == j:
+                    traces[k] = F.add(traces[k], c)
+        return traces
+
     def radical_matrix(self, supplied: list | None = None) -> Matrix:
         """Columns spanning rad(A).  Characteristic 0 computes it from the
         trace form; characteristic p needs a supplied basis (validated)."""
@@ -125,23 +159,13 @@ class AbstractAlgebra:
         if supplied is None:
             if F.characteristic != 0:
                 raise ValueError("characteristic p radical needs a supplied basis")
-            traces = []
-            for k in range(self.dim):
-                L = self.left_mult(tuple(self.basis_vector(k)))
-                t = F.zero
-                for i in range(self.dim):
-                    t = F.add(t, L.at(i, i))
-                traces.append(t)
-            gram_rows = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    s = F.zero
-                    for k, c in enumerate(self.table[i][j]):
-                        if not F.is_zero(c):
-                            s = F.add(s, F.mul(c, traces[k]))
-                    row.append(s)
-                gram_rows.append(row)
+            traces = self._traces()
+            gram_rows = [[F.zero] * self.dim for _ in range(self.dim)]
+            for (i, j), prod in self.products.items():
+                s = F.zero
+                for k, c in prod:
+                    s = F.add(s, F.mul(c, traces[k]))
+                gram_rows[i][j] = s
             rad = kernel_basis(Matrix.from_rows(F, gram_rows))
         else:
             rad = Matrix(F, self.dim, len(supplied),
@@ -155,8 +179,8 @@ class AbstractAlgebra:
         F = self.field
         # two-sided ideal
         for i in range(self.dim):
-            L = self.left_mult(tuple(self.basis_vector(i)))
-            R = self.right_mult(tuple(self.basis_vector(i)))
+            L = self.left_mult(self.basis_vector(i))
+            R = self.right_mult(self.basis_vector(i))
             if solve(rad, L * rad) is None or solve(rad, R * rad) is None:
                 raise ValueError("radical candidate is not a two-sided ideal")
         # nilpotent: powers of the span shrink to zero
@@ -167,7 +191,7 @@ class AbstractAlgebra:
             cols = []
             for a in range(span.cols):
                 va = span.col(a)
-                L = self.left_mult(tuple(va))
+                L = self.left_mult(va)
                 prod = L * rad
                 cols.append(prod)
             glued = cols[0]
@@ -181,25 +205,17 @@ class AbstractAlgebra:
             comp = complement_columns(rad)
             q = len(comp)
             if q:
-                F_ = self.field
-                traces = []
-                for k in range(self.dim):
-                    L = self.left_mult(tuple(self.basis_vector(k)))
-                    t = F_.zero
-                    for i in range(self.dim):
-                        t = F_.add(t, L.at(i, i))
-                    traces.append(t)
+                traces = self._traces()
                 rows = []
                 for a in comp:
                     row = []
                     for b in comp:
-                        prod = self.mul(self.basis_vector(a), self.basis_vector(b))
-                        s = F_.zero
-                        for k, c in enumerate(prod):
-                            s = F_.add(s, F_.mul(c, traces[k]))
+                        s = F.zero
+                        for k, c in self.products.get((a, b), ()):
+                            s = F.add(s, F.mul(c, traces[k]))
                         row.append(s)
                     rows.append(row)
-                if rank(Matrix.from_rows(F_, rows)) != q:
+                if rank(Matrix.from_rows(F, rows)) != q:
                     raise ValueError("quotient trace form degenerate; radical basis rejected")
 
     def radical_dim(self) -> int:
@@ -210,46 +226,85 @@ class AbstractAlgebra:
 
     # -- idempotent certificates ---------------------------------------------
 
-    def idempotents_split_basic(self) -> bool:
-        """Supplied idempotents are orthogonal, complete, and have
-        one-dimensional corners in A/rad (the split basic certificate)."""
-        if self.idempotents is None:
-            return False
-        if self._idem_ok is not None:
-            return self._idem_ok
+    def grading(self) -> list[tuple[int, int]] | None:
+        """The corner (i, j) of each basis vector, certified: the supplied
+        idempotents are orthogonal and complete, and every basis vector b has
+        e_i b e_j = b for exactly one pair (i, j).  None when no idempotents
+        were supplied or the check fails."""
+        if self._grading is None:
+            self._grading = self._certify_grading() if self.idempotents else False
+        return self._grading or None
+
+    def _certify_grading(self):
         F = self.field
-        ok = True
+        idems = self.idempotents
         total = [F.zero] * self.dim
-        for a, e in enumerate(self.idempotents):
+        for a, e in enumerate(idems):
             total = [F.add(x, y) for x, y in zip(total, e)]
-            for b, f in enumerate(self.idempotents):
-                prod = self.mul(e, f)
+            for b, f in enumerate(idems):
                 expected = e if a == b else [F.zero] * self.dim
-                if any(not F.is_zero(F.sub(x, y)) for x, y in zip(prod, expected)):
-                    ok = False
-        if any(not F.is_zero(F.sub(x, y)) for x, y in zip(total, self.unit)):
-            ok = False
-        if ok:
-            rad = self.radical_matrix()
-            for e in self.idempotents:
-                corner_cols = []
-                for b in range(self.dim):
-                    v = self.mul(self.mul(e, self.basis_vector(b)), e)
-                    corner_cols.append(v)
-                corner = Matrix(F, self.dim, self.dim,
-                                [corner_cols[j][i] for i in range(self.dim) for j in range(self.dim)])
-                joint = rad.hstack(corner)
-                if rank(joint) - rad.cols != 1:
-                    ok = False
-                    break
-        self._idem_ok = ok
-        return ok
+                if not _same(F, self.mul(e, f), expected):
+                    return False
+        if not _same(F, total, self.unit):
+            return False
+        # e_i b e_j = b iff e_i b = b and b e_j = b, so the pair is unique
+        # when exactly one idempotent fixes b on each side
+        supports = [{k: c for k, c in enumerate(e) if not F.is_zero(c)} for e in idems]
+        grading = []
+        for b in range(self.dim):
+            lefts = [i for i, e in enumerate(supports) if self._fixes(e, b, self._by_right)]
+            rights = [j for j, e in enumerate(supports) if self._fixes(e, b, self._by_left)]
+            if len(lefts) != 1 or len(rights) != 1:
+                return False
+            grading.append((lefts[0], rights[0]))
+        return grading
+
+    def _fixes(self, e: dict, b: int, by) -> bool:
+        """e * b_b = b_b (by = _by_right) or b_b * e = b_b (by = _by_left),
+        for e given by its nonzero coordinates."""
+        F = self.field
+        out = {}
+        for i, prod in by[b]:
+            c = e.get(i)
+            if c is None:
+                continue
+            for k, ck in prod:
+                out[k] = F.add(out.get(k, F.zero), F.mul(c, ck))
+        nonzero = [(k, x) for k, x in out.items() if not F.is_zero(x)]
+        return len(nonzero) == 1 and nonzero[0][0] == b and F.is_zero(F.sub(nonzero[0][1], F.one))
+
+    def corner(self, i: int, j: int) -> list[int]:
+        """The basis vectors spanning e_i A e_j."""
+        return [b for b, c in enumerate(self._graded()) if c == (i, j)]
+
+    def column(self, j: int) -> list[int]:
+        """The basis vectors spanning A e_j."""
+        return [b for b, c in enumerate(self._graded()) if c[1] == j]
+
+    def _graded(self) -> list[tuple[int, int]]:
+        grading = self.grading()
+        if grading is None:
+            raise ValueError("the basis is not certified as graded by the idempotents")
+        return grading
+
+    def idempotents_split_basic(self) -> bool:
+        """The supplied idempotents grade the basis (see `grading`) and have
+        one-dimensional corners in A/rad (the split basic certificate)."""
+        if self._idem_ok is None:
+            ok = self.grading() is not None
+            if ok:
+                rad = self.radical_matrix()
+                ident = Matrix.identity(self.field, self.dim)
+                ok = all(rank(rad.hstack(ident.select_columns(self.corner(i, i)))) - rad.cols == 1
+                         for i in range(len(self.idempotents)))
+            self._idem_ok = ok
+        return self._idem_ok
 
     # -- opposite -------------------------------------------------------------
 
     def opposite(self) -> "AbstractAlgebra":
         if self._opposite is None:
-            table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            table = {(j, i): dict(prod) for (i, j), prod in self.products.items()}
             op = AbstractAlgebra(self.field, self.dim, table, self.unit,
                                  idempotents=self.idempotents, validate=False)
             op._opposite = self
@@ -258,6 +313,10 @@ class AbstractAlgebra:
 
     def __repr__(self):
         return f"AbstractAlgebra(dim={self.dim})"
+
+
+def _same(F: Field, u: list, v: list) -> bool:
+    return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
 
 
 class AbstractModule:
@@ -286,7 +345,7 @@ class AbstractModule:
             raise ValueError("unit does not act as identity")
         for i in range(self.algebra.dim):
             for j in range(self.algebra.dim):
-                lhs = self.rho(self.algebra.table[i][j])
+                lhs = self.rho(self.algebra.product(i, j))
                 rhs = self.action[i] * self.action[j]
                 if not (lhs - rhs).is_zero():
                     raise ValueError(f"action violates structure constants at ({i},{j})")
@@ -300,17 +359,13 @@ class AbstractModule:
 
 
 def regular_module(algebra: AbstractAlgebra) -> AbstractModule:
-    return AbstractModule(algebra, algebra.dim,
-                          [algebra.left_mult(tuple(algebra.basis_vector(i)))
-                           for i in range(algebra.dim)], validate=False)
+    return AbstractModule(algebra, algebra.dim, _piece_actions(algebra, _free_piece(algebra)),
+                          validate=False)
 
 
 def right_regular_module(algebra: AbstractAlgebra) -> AbstractModule:
     """A as a right module = left module over the opposite algebra."""
-    op = algebra.opposite()
-    return AbstractModule(op, algebra.dim,
-                          [algebra.right_mult(tuple(algebra.basis_vector(i)))
-                           for i in range(algebra.dim)], validate=False)
+    return regular_module(algebra.opposite())
 
 
 def dual_module(m: AbstractModule) -> AbstractModule:
@@ -333,22 +388,25 @@ def semisimple_quotient_module(algebra: AbstractAlgebra) -> AbstractModule:
     full = rad.hstack(C)
     inv = inverse(full)
     proj = inv.submatrix(range(rad.cols, n), range(n))
-    sec = C
-    action = [proj * algebra.left_mult(tuple(algebra.basis_vector(i))) * sec
-              for i in range(n)]
+    action = [proj * L.select_columns(comp) for L in regular_module(algebra).action]
     algebra._top = AbstractModule(algebra, len(comp), action, validate=False)
     return algebra._top
 
 
 def submodule_from_columns(m: AbstractModule, cols: Matrix) -> AbstractModule:
+    """The submodule spanned by independent columns, its action read in their
+    coordinates by one solver."""
+    F = m.algebra.field
+    k = cols.cols
+    solver = SpanSolver(cols)
     action = []
-    for i in range(m.algebra.dim):
-        img = m.action[i] * cols
-        coef = solve(cols, img)
-        if coef is None:
+    for a in m.action:
+        img = a * cols
+        coords = [solver.coords(img.col(c)) for c in range(k)]
+        if any(x is None for x in coords):
             raise ValueError("columns not closed under the action")
-        action.append(coef)
-    return AbstractModule(m.algebra, cols.cols, action, validate=False)
+        action.append(Matrix(F, k, k, [x[r] for r in range(k) for x in coords]))
+    return AbstractModule(m.algebra, k, action, validate=False)
 
 
 def radical_action_columns(m: AbstractModule) -> Matrix:
@@ -372,9 +430,11 @@ def radical_action_columns(m: AbstractModule) -> Matrix:
 
 @dataclass
 class Piece:
-    """One cover piece A*g (g the unit for a free piece, or an idempotent)."""
+    """One cover piece A*g: g is the unit (a free piece) or an idempotent
+    e_j, and A*g is spanned by the basis vectors of A listed in indices (all
+    of them, or those of the corners e_i A e_j)."""
     gen: list           # g in algebra coordinates
-    basis: Matrix       # columns: basis of A*g inside A
+    indices: list[int]  # the basis of A*g, as basis vectors of A
     target_vec: list    # image of the generator in the covered module
 
 
@@ -389,19 +449,32 @@ class Level:
     minimal: bool
 
 
+def _free_piece(algebra: AbstractAlgebra, target_vec=None) -> Piece:
+    return Piece(gen=list(algebra.unit), indices=list(range(algebra.dim)), target_vec=target_vec)
+
+
 def _piece_actions(algebra: AbstractAlgebra, piece: Piece) -> list[Matrix]:
-    """The action matrices of the basis elements of A on A*g, cached on the
-    algebra per piece."""
-    key = (tuple(piece.gen), piece.basis.cols, tuple(piece.basis.entries))
+    """The action matrices of the basis elements of A on A*g, read off the
+    products and cached on the algebra per piece."""
+    key = tuple(piece.indices)
     actions = algebra._pieces.get(key)
     if actions is None:
+        F = algebra.field
+        n = len(key)
+        pos = {b: r for r, b in enumerate(key)}
         actions = []
-        for i in range(algebra.dim):
-            L = algebra.left_mult(tuple(algebra.basis_vector(i)))
-            coef = solve(piece.basis, L * piece.basis)
-            if coef is None:
-                raise ValueError("piece not closed under left multiplication")
-            actions.append(coef)
+        for a in range(algebra.dim):
+            entries = [F.zero] * (n * n)
+            for b, prod in algebra._by_left[a]:
+                c = pos.get(b)
+                if c is None:
+                    continue
+                for k, ck in prod:
+                    r = pos.get(k)
+                    if r is None:
+                        raise ValueError("piece not closed under left multiplication")
+                    entries[r * n + c] = ck
+            actions.append(Matrix(F, n, n, entries))
         algebra._pieces[key] = actions
     return actions
 
@@ -411,11 +484,18 @@ def _piece_module(algebra: AbstractAlgebra, pieces: list[Piece]) -> tuple[Abstra
     total = 0
     for p in pieces:
         offsets.append(total)
-        total += p.basis.cols
+        total += len(p.indices)
     per_piece = [_piece_actions(algebra, p) for p in pieces]
     action = [block_diag(algebra.field, [acts[i] for acts in per_piece])
               for i in range(algebra.dim)]
     return AbstractModule(algebra, total, action, validate=False), offsets
+
+
+def _cover_map(m: AbstractModule, pieces: list[Piece]) -> Matrix:
+    """⊕ A*g -> m: each basis vector b of a piece goes to b . target_vec."""
+    cols = [m.action[b].apply(p.target_vec) for p in pieces for b in p.indices]
+    return Matrix(m.algebra.field, m.dim, len(cols),
+                  [c[i] for i in range(m.dim) for c in cols])
 
 
 def _cover(algebra: AbstractAlgebra, m: AbstractModule,
@@ -434,16 +514,18 @@ def _cover(algebra: AbstractAlgebra, m: AbstractModule,
         full = radm.hstack(C)
         inv = inverse(full)
         proj = inv.submatrix(range(radm.cols, n), range(n))
-        for e in algebra.idempotents:
-            rho_e_top = proj * m.rho(e) * C
+        for j, e in enumerate(algebra.idempotents):
+            rho_e = m.rho(e)
+            rho_e_top = proj * rho_e * C
             img = column_space_basis(rho_e_top)
+            if not img.cols:
+                continue
+            # w = rho_top(e) x ; v = rho(e) lift(x) has class w
+            lifts = C * solve(rho_e_top, img)
+            indices = algebra.column(j)
             for c in range(img.cols):
-                # w = rho_top(e) x ; v = rho(e) lift(x) has class w
-                x = solve(rho_e_top, img.select_columns([c]))
-                lift = C * x
-                v = m.rho(e).apply(lift.col(0))
-                basis = column_space_basis(algebra.right_mult(tuple(e)))
-                pieces.append(Piece(gen=list(e), basis=basis, target_vec=v))
+                pieces.append(Piece(gen=list(e), indices=indices,
+                                    target_vec=rho_e.apply(lifts.col(c))))
     else:
         generated = Matrix.zeros(F, m.dim, 0)
         for cand in range(m.dim):
@@ -453,8 +535,7 @@ def _cover(algebra: AbstractAlgebra, m: AbstractModule,
             vm = Matrix(F, m.dim, 1, v)
             if solve(ambient, vm) is not None:
                 continue
-            pieces.append(Piece(gen=list(algebra.unit),
-                                basis=Matrix.identity(F, algebra.dim), target_vec=v))
+            pieces.append(_free_piece(algebra, v))
             orbit_cols = []
             for p in pieces:
                 orbit = []
@@ -469,14 +550,7 @@ def _cover(algebra: AbstractAlgebra, m: AbstractModule,
             joint = generated.hstack(radm)
             if rank(joint) == m.dim:
                 break
-    phi_cols = []
-    for p in pieces:
-        for c in range(p.basis.cols):
-            b = p.basis.col(c)
-            phi_cols.append(m.rho(b).apply(p.target_vec))
-    total = sum(p.basis.cols for p in pieces)
-    phi = Matrix(F, m.dim, total,
-                 [phi_cols[j][i] for i in range(m.dim) for j in range(total)])
+    phi = _cover_map(m, pieces)
     if rank(phi) != m.dim:
         raise ValueError("cover not surjective")
     return pieces, phi, use_idem
@@ -506,15 +580,8 @@ class Resolution:
                 break
             pieces, phi, minimal = _cover(self.algebra, target, force_free=self.force_free)
             if self.doubled:
-                pieces = pieces + [Piece(p.gen, p.basis, p.target_vec) for p in pieces]
-                F = self.algebra.field
-                cols = []
-                for p in pieces:
-                    for c in range(p.basis.cols):
-                        cols.append(target.rho(p.basis.col(c)).apply(p.target_vec))
-                total = sum(p.basis.cols for p in pieces)
-                phi = Matrix(F, target.dim, total,
-                             [cols[j][i] for i in range(target.dim) for j in range(total)])
+                pieces = pieces + [Piece(p.gen, p.indices, p.target_vec) for p in pieces]
+                phi = _cover_map(target, pieces)
                 minimal = False
             pmod, offsets = _piece_module(self.algebra, pieces)
             kc = kernel_basis(phi)
@@ -530,6 +597,15 @@ class Resolution:
 def _hom_piece_basis(piece: Piece, n: AbstractModule) -> Matrix:
     """Columns: basis of g.N ≅ Hom(A*g, N)."""
     return column_space_basis(n.rho(piece.gen))
+
+
+def _generator_coordinates(piece: Piece, field: Field) -> list:
+    """The generator's coordinates in its piece: its entries at the piece's
+    basis vectors, once it is checked to have no others."""
+    inside = set(piece.indices)
+    if any(not field.is_zero(c) for k, c in enumerate(piece.gen) if k not in inside):
+        raise ValueError("generator outside its piece")
+    return [piece.gen[k] for k in piece.indices]
 
 
 def ext_dims(resolution: Resolution, n: AbstractModule, upto: int) -> list[int]:
@@ -563,25 +639,23 @@ def ext_dims(resolution: Resolution, n: AbstractModule, upto: int) -> list[int]:
             tgt_off.append(acc)
             acc += b.cols
         for t, pt in enumerate(above.pieces):
-            # generator of piece t inside P_{l+1}: coordinates of gen in piece basis
-            gen_in_piece = solve(pt.basis, Matrix(F, algebra.dim, 1, pt.gen))
-            if gen_in_piece is None:
-                raise ValueError("generator outside its piece")
+            # generator of piece t inside P_{l+1}
             gen_coords = [F.zero] * above.module.dim
-            for r in range(pt.basis.cols):
-                gen_coords[above.offsets[t] + r] = gen_in_piece.at(r, 0)
+            for r, c in enumerate(_generator_coordinates(pt, F)):
+                gen_coords[above.offsets[t] + r] = c
             # phi lands in K_l in its own coordinates; pull back into P_l
             img_k = above.phi.apply(gen_coords)
             img = below.kernel_cols.apply(img_k)
-            # split img into piece components x_{st} (algebra coordinates)
+            # split img into piece components x_{st}, coordinates on the basis
+            # vectors of piece s
             for s, ps in enumerate(below.pieces):
-                seg = img[below.offsets[s]: below.offsets[s] + ps.basis.cols]
-                x_st = ps.basis.apply(seg)  # back to A-coordinates
+                seg = img[below.offsets[s]: below.offsets[s] + len(ps.indices)]
                 # block: v in g_s N -> rho(x_st) v expressed in g_t N basis
                 bs, bt = hom_bases[l][s], hom_bases[l + 1][t]
                 if bs.cols == 0 or bt.cols == 0:
                     continue
-                block_img = n.rho(x_st) * bs
+                rho_x = lincomb(F, n.dim, n.dim, seg, [n.action[b] for b in ps.indices])
+                block_img = rho_x * bs
                 coef = solve(bt, block_img)
                 if coef is None:
                     raise ValueError("hom differential escapes the corner space")
@@ -670,16 +744,7 @@ def quiver_to_abstract(pathalg) -> AbstractAlgebra:
     modules: the product has e_i * e_j = (path j) followed by (path i)."""
     F = pathalg.field
     d = pathalg.dim
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            combo = pathalg.mul_basis(j, i)
-            vec = [F.zero] * d
-            for k, c in combo.items():
-                vec[k] = c
-            row.append(vec)
-        table.append(row)
+    table = {(i, j): pathalg.mul_basis(j, i) for i in range(d) for j in range(d)}
     unit = [F.zero] * d
     for v in range(1, pathalg.quiver.n + 1):
         unit[pathalg.trivial_path(v)] = F.one

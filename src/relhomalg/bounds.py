@@ -95,6 +95,13 @@ def _gamma_pd_breakdown(gamma: AbstractAlgebra, gl_g: Dim, cutoff: int) -> dict[
     return {"regular": pd(regular_module(gamma), cutoff).dim, "Gamma/rad": gl_g}
 
 
+def _fd_gamma_upper(fd_g: Dim, gl_g: Dim) -> Dim:
+    """The supplied-corpus fd(Gamma) as the left side of an upper bound: it
+    equals fd(Gamma) when gldim(Gamma) is exact (then fd = gldim), and is only
+    a lower bound when gldim(Gamma) is censored."""
+    return Dim(fd_g.value, gl_g.censored)
+
+
 def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
                     ts: ComplexSum, cutoff: int, complete: bool = False) -> BoundsReport:
     rep = BoundsReport("theorem73")
@@ -129,7 +136,7 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
         "fd_F(Lambda) - t <= fd(Gamma)", _shifted(fd_f, -t), Dim(fd_g_value.value, True)))
     rep.checks.append(InequalityCheck.of(
         "fd(Gamma) <= fd_F(Lambda) + t + 2 (per supplied corpora)",
-        Dim(fd_g_value.value, False), _shifted(fd_f, t + 2)))
+        _fd_gamma_upper(fd_g_value, gl_g.dim), _shifted(fd_f, t + 2)))
     return rep
 
 
@@ -174,7 +181,7 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
         _shifted(Dim(fd_l.value, not fd_l_exact), -l), Dim(fd_g.value, True)))
     rep.checks.append(InequalityCheck.of(
         "fd(Gamma) <= fd(Lambda) + l (per supplied corpora)",
-        Dim(fd_g.value, False), _shifted(Dim(fd_l.value, not fd_l_exact), l)))
+        _fd_gamma_upper(fd_g, gl_g.dim), _shifted(Dim(fd_l.value, not fd_l_exact), l)))
     rep.checks.append(InequalityCheck.of("id(Lambda) - l <= id(Gamma)",
                                          _shifted(id_l.dim, -l), id_g.dim))
     rep.checks.append(InequalityCheck.of("id(Gamma) <= id(Lambda) + l",

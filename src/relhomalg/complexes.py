@@ -291,6 +291,7 @@ class _TotalHom:
         self.y_pieces, self.y_diffs = y_pieces, y_diffs
         self.hom, self.compose, self.coords = hom, compose, coords
         self._blocks: dict[int, tuple[dict, int]] = {}
+        self._diffs: dict[int, Matrix] = {}
         self._ranks: dict[int, int] = {}
 
     def blocks(self, m: int) -> tuple[dict, int]:
@@ -308,7 +309,12 @@ class _TotalHom:
         return self._blocks[m]
 
     def differential(self, m: int) -> Matrix:
-        """The matrix of D^m: Hom^m -> Hom^{m+1}."""
+        """The matrix of D^m: Hom^m -> Hom^{m+1}, assembled once per m."""
+        if m not in self._diffs:
+            self._diffs[m] = self._assemble(m)
+        return self._diffs[m]
+
+    def _assemble(self, m: int) -> Matrix:
         F = self.field
         src, n_src = self.blocks(m)
         tgt, n_tgt = self.blocks(m + 1)
@@ -362,28 +368,39 @@ def _module_total_hom(x: Complex, y: Complex) -> _TotalHom:
 class HomotopyHom:
     """hom_k(X, Y, n): chain maps X -> Y[n] modulo null-homotopy.
 
-    Built from the total Hom complex; representatives are chosen by RREF
-    pivots against the null-homotopic subspace, in a fixed degreewise order.
+    Built from the total Hom complex `total` of (X, Y), or a fresh one;
+    representatives are chosen by RREF pivots against the null-homotopic
+    subspace: first the cycles given in `first` (as degreewise maps) that
+    are independent modulo boundaries, then kernel columns in a fixed
+    degreewise order.
     """
 
-    def __init__(self, x: Complex, y: Complex, n: int):
+    def __init__(self, x: Complex, y: Complex, n: int, total: _TotalHom | None = None,
+                 first: tuple = ()):
         self.x, self.y, self.n = x, y, n
         F = x.algebra.field
         self.field = F
-        total = _module_total_hom(x, y)
+        if total is None:
+            total = _module_total_hom(x, y)
         self.blocks, self.dim_total = total.blocks(n)    # maps X^i -> Y^{i+n}
         self.homotopies = total.blocks(n - 1)[0]          # maps X^i -> Y^{i+n-1}
         self.d_in = total.differential(n - 1)             # Hom^{n-1} -> Hom^n
-        K = kernel_basis(total.differential(n))           # Hom^n -> Hom^{n+1}
+        d_out = total.differential(n)                     # Hom^n -> Hom^{n+1}
+        K = kernel_basis(d_out)
         self.cycles = K
         img = column_space_basis(self.d_in)
         self.boundaries = img
         self.dim = K.cols - img.cols
-        # class representatives: kernel columns completing the image
-        _, pivots = rref(img.hstack(K))
+        lead = [self.chain_map_to_vector(comps) for comps in first]
+        if any(not F.is_zero(c) for v in lead for c in d_out.apply(v)):
+            raise ValueError("a preferred representative is not a cycle")
+        candidates = Matrix(F, self.dim_total, len(lead),
+                            [v[r] for r in range(self.dim_total) for v in lead]).hstack(K)
+        # class representatives: candidate columns completing the image
+        _, pivots = rref(img.hstack(candidates))
         rep_cols = [p - img.cols for p in pivots if p >= img.cols]
-        self.rep_vectors = [K.col(c) for c in rep_cols]
-        self._class_basis = img.hstack(K.select_columns(rep_cols))
+        self.rep_vectors = [candidates.col(c) for c in rep_cols]
+        self._class_basis = img.hstack(candidates.select_columns(rep_cols))
         self._class_solver = SpanSolver(self._class_basis) if self._class_basis.cols else None
 
     # -- conversions -------------------------------------------------------

@@ -8,7 +8,7 @@ that convention Hom(G, -) and Hom(T, -) land in left modules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import AbstractAlgebra
 from .complexes import (
@@ -24,7 +24,6 @@ from .complexes import (
     sum_complexes,
     term_length,
 )
-from .matrix import Matrix, column_space_basis, rank, solve
 from .rep import ModuleMap, Representation, direct_sum, hom_space, is_isomorphic
 from .relative import SubbifunctorF
 
@@ -33,27 +32,42 @@ _SEED = 0x7E171
 
 @dataclass
 class ComplexSum:
+    """T = ⊕ T_i.  Hom^•(T, T) is the direct sum of the complexes
+    Hom^•(T_i, T_j), so each summand pair gets one total Hom engine, kept
+    here for every check that reads it."""
     total: Complex
     parts: list[Complex]
     names: list[str]
-    injections: list[ChainMap]
-    projections: list[ChainMap]
+    _engines: dict = field(default_factory=dict, repr=False)
+    _corners: dict = field(default_factory=dict, repr=False)
+
+    def engine(self, i: int, j: int) -> _TotalHom:
+        """The total Hom complex of (T_i, T_j)."""
+        if (i, j) not in self._engines:
+            self._engines[(i, j)] = _module_total_hom(self.parts[i], self.parts[j])
+        return self._engines[(i, j)]
+
+    def corner(self, i: int, j: int) -> HomotopyHom:
+        """Hom_K(T_i, T_j) over engine(i, j); on the diagonal the identity of
+        T_i is the first representative unless T_i is contractible."""
+        if (i, j) not in self._corners:
+            first = (chain_identity(self.parts[i]).comps,) if i == j else ()
+            self._corners[(i, j)] = HomotopyHom(self.parts[i], self.parts[j], 0,
+                                                total=self.engine(i, j), first=first)
+        return self._corners[(i, j)]
+
+    def hom_k(self, n: int) -> int:
+        """dim Hom_K(T, T[n]), summed over the summand pairs."""
+        k = len(self.parts)
+        return sum(self.engine(i, j).dim(n) for i in range(k) for j in range(k))
 
 
 def sum_complexes_with_maps(parts: list[Complex], names: list[str],
                             algebra=None) -> ComplexSum:
+    """The sum of the named parts, with the per-pair Hom engines of ComplexSum."""
     if algebra is None:
         algebra = parts[0].algebra
-    total = sum_complexes(parts, algebra)
-    degrees = total.degrees()
-    sums = {i: direct_sum([p.component(i) for p in parts], algebra) for i in degrees}
-    injections, projections = [], []
-    for k, p in enumerate(parts):
-        inj = {i: sums[i].injections[k] for i in degrees if i in p.comps}
-        proj = {i: sums[i].projections[k] for i in degrees if i in p.comps}
-        injections.append(ChainMap(p, total, inj).validate())
-        projections.append(ChainMap(total, p, proj).validate())
-    return ComplexSum(total, list(parts), list(names), injections, projections)
+    return ComplexSum(sum_complexes(parts, algebra), list(parts), list(names))
 
 
 def compose_chain(f: ChainMap, g: ChainMap) -> dict[int, ModuleMap]:
@@ -85,41 +99,60 @@ def approximation_cone_complex(target: Representation, target_label: str,
 @dataclass
 class EndoPresentation:
     """End_{K(A)}(T) by structure constants over homotopy-class
-    representatives (product: a*b = a then b)."""
+    representatives (product: a*b = a then b).  The basis is graded by
+    summand pairs: corner (i, j) is Hom_K(T_i, T_j), and its representatives
+    are the basis vectors from offsets[(i, j)] on."""
     dim: int
-    table: list          # table[i][j]: coordinate vector
-    unit: list
-    idempotents: list | None
-    hom: HomotopyHom
-    reps: list[ChainMap]
+    table: dict          # (a, b) -> {k: c}, nonzero products only
+    ts: ComplexSum
+    offsets: dict        # (i, j) -> index of the first basis vector of the corner
+
+    def coordinates(self, i: int, j: int, comps: dict[int, ModuleMap]) -> list:
+        """Coordinates in End(T) of the class of a chain map T_i -> T_j."""
+        coords = self.ts.corner(i, j).class_coordinates(comps)
+        out = [self.ts.total.algebra.field.zero] * self.dim
+        start = self.offsets[(i, j)]
+        out[start:start + len(coords)] = coords
+        return out
+
+    @property
+    def idempotents(self) -> list:
+        """The identities of the T_i."""
+        return [self.coordinates(i, i, chain_identity(p).comps)
+                for i, p in enumerate(self.ts.parts)]
 
     def to_abstract(self, validate: bool = False) -> AbstractAlgebra:
-        return AbstractAlgebra(self.hom.field, self.dim, self.table, self.unit,
-                               idempotents=self.idempotents, validate=validate)
+        F = self.ts.total.algebra.field
+        idempotents = self.idempotents
+        unit = [F.zero] * self.dim
+        for e in idempotents:
+            unit = [F.add(x, y) for x, y in zip(unit, e)]
+        return AbstractAlgebra(F, self.dim, self.table, unit, idempotents=idempotents,
+                               validate=validate)
 
 
-def end_algebra(t: Complex | ComplexSum) -> EndoPresentation:
-    ts = t if isinstance(t, ComplexSum) else None
-    total = ts.total if ts else t
-    hh = HomotopyHom(total, total, 0)
-    reps = hh.representatives()
-    d = hh.dim
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            comp = compose_chain(reps[i], reps[j])
-            row.append(hh.class_coordinates(comp))
-        table.append(row)
-    unit = hh.class_coordinates(chain_identity(total).comps)
-    idems = None
-    if ts is not None:
-        idems = []
-        for k in range(len(ts.parts)):
-            e = compose_chain(ts.projections[k], ts.injections[k])
-            idems.append(hh.class_coordinates(e))
-    return EndoPresentation(dim=d, table=table, unit=unit, idempotents=idems,
-                            hom=hh, reps=reps)
+def end_algebra(ts: ComplexSum) -> EndoPresentation:
+    """End_K(T) one corner at a time: a product (i -> j) then (j' -> k) is
+    zero unless j = j', so only pairs of corners that meet are composed."""
+    F = ts.total.algebra.field
+    n = len(ts.parts)
+    offsets, reps, dim = {}, {}, 0
+    for i in range(n):
+        for j in range(n):
+            offsets[(i, j)] = dim
+            reps[(i, j)] = ts.corner(i, j).representatives()
+            dim += len(reps[(i, j)])
+    table = {}
+    for (i, j), left in reps.items():
+        for k in range(n):
+            target, start = ts.corner(i, k), offsets[(i, k)]
+            for a, f in enumerate(left):
+                for b, g in enumerate(reps[(j, k)]):
+                    coords = target.class_coordinates(compose_chain(f, g))
+                    nonzero = {start + c: x for c, x in enumerate(coords) if not F.is_zero(x)}
+                    if nonzero:
+                        table[(offsets[(i, j)] + a, offsets[(j, k)] + b)] = nonzero
+    return EndoPresentation(dim=dim, table=table, ts=ts, offsets=offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +334,8 @@ def _component_in_add_g(t: Complex, f: SubbifunctorF) -> tuple[bool, dict, list[
 def _idempotent_spot_check(ts: ComplexSum) -> dict[str, bool]:
     """Absence of nontrivial idempotents in End_K of each declared summand."""
     out = {}
-    for name, part in zip(ts.names, ts.parts):
-        hh = HomotopyHom(part, part, 0)
-        reps = hh.representatives()
+    for k, (name, part) in enumerate(zip(ts.names, ts.parts)):
+        hh = ts.corner(k, k)
         unit = hh.class_coordinates(chain_identity(part).comps)
         F = hh.field
         ok = True
@@ -337,15 +369,13 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
     failures: list[str] = []
     in_add, component_witnesses, fail_a = _component_in_add_g(t, f)
     failures += fail_a
-    width = t.width()
-    window = 2 * width + 1
-    total_hom = _module_total_hom(t, t)
+    window = 2 * t.width() + 1
     table = {}
     self_ok = True
     for i in range(-window, window + 1):
         if i == 0:
             continue
-        dim = total_hom.dim(i)
+        dim = ts.hom_k(i)
         table[i] = dim
         if dim != 0:
             self_ok = False
@@ -374,7 +404,7 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
             generation = "witnessed"
         else:
             failures += [m for m in glog if "FAILED" in m or "unknown" in m]
-    endo_dim = total_hom.dim(0)
+    endo_dim = ts.hom_k(0)
     tl = term_length(t)
     return TiltingReport(
         in_kb_pf=in_add,
@@ -406,44 +436,28 @@ class SigmaComplex:
     diffs: dict[int, list[list[list]]]  # diffs[i][t][s]: Sigma element
 
 
-def _corner_basis(sigma: AbstractAlgebra, e_idx: int, f_idx: int) -> Matrix:
-    """Basis of e * Sigma * f (the hom space Sigma*e -> Sigma*f)."""
-    F = sigma.field
-    e = sigma.idempotents[e_idx]
-    ff = sigma.idempotents[f_idx]
-    cols = []
-    for b in range(sigma.dim):
-        v = sigma.mul(sigma.mul(e, sigma.basis_vector(b)), ff)
-        cols.append(v)
-    m = Matrix(F, sigma.dim, sigma.dim,
-               [cols[j][i] for i in range(sigma.dim) for j in range(sigma.dim)])
-    return column_space_basis(m)
-
-
 def hom_k_sigma(x: SigmaComplex, y: SigmaComplex, n: int) -> int:
-    """Chain maps x -> y[n] modulo homotopy, over the corner spaces."""
+    """Chain maps x -> y[n] modulo homotopy, over the corner spaces e Sigma f,
+    each spanned by basis vectors of the graded Sigma."""
     sigma = x.sigma
     F = sigma.field
-    corners: dict[tuple[int, int], Matrix] = {}
 
-    def corner(e: int, f: int) -> Matrix:
-        if (e, f) not in corners:
-            corners[(e, f)] = _corner_basis(sigma, e, f)
-        return corners[(e, f)]
+    def basis(e: int, f: int) -> list:
+        return [sigma.basis_vector(b) for b in sigma.corner(e, f)]
 
     def coords(e: int, f: int, v: list) -> list:
-        coef = solve(corner(e, f), Matrix(F, sigma.dim, 1, v))
-        if coef is None:
+        inside = sigma.corner(e, f)
+        out = [v[b] for b in inside]
+        if sum(not F.is_zero(c) for c in v) != sum(not F.is_zero(c) for c in out):
             raise ValueError("corner composition escaped its space")
-        return coef.col(0)
+        return out
 
     def entries(z: SigmaComplex) -> dict:
         return {i: {(s, t): e for t, row in enumerate(d) for s, e in enumerate(row)}
                 for i, d in z.diffs.items()}
 
     return _TotalHom(F, x.comps, entries(x), y.comps, entries(y),
-                     lambda e, f: [corner(e, f).col(c) for c in range(corner(e, f).cols)],
-                     sigma.mul, coords).dim(n)
+                     basis, sigma.mul, coords).dim(n)
 
 
 def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF):
@@ -478,14 +492,13 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF):
         part_idx[i] = idxs
         part_isos[i] = isos
     # build the Sigma complex: differential blocks as End(G) elements
-    gsum = f.sum
     comps = {i: list(part_idx[i]) for i in t.degrees()}
     diffs = {}
     dims_check = {}
     for i in t.degrees():
         # dimension preservation: dim Hom(G, T^i) equals the Sigma-side size
         lhs = len(hom_space(f.generator, t.comps[i]))
-        rhs = sum(_corner_dim(sig, k) for k in part_idx[i])
+        rhs = sum(len(sig.column(k)) for k in part_idx[i])
         dims_check[i] = (lhs, rhs)
         if (i + 1) not in t.comps:
             continue
@@ -499,22 +512,11 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF):
                 blk = sums_i.injections[s].compose(d).compose(sums_j.projections[tt])
                 # conjugate into G-summand coordinates
                 u = part_isos[i][s].inverse_map().compose(blk).compose(part_isos[i + 1][tt])
-                # element of End(G): pi_js then u then iota_jt
-                ks, kt = part_idx[i][s], part_idx[i + 1][tt]
-                endo = f.sum.projections[ks].compose(u).compose(f.sum.injections[kt])
-                row.append(_endo_coordinates(sigma, endo))
+                # u: G_ks -> G_kt lies in the corner (ks, kt) of End(G)
+                row.append(sigma.coordinates(part_idx[i][s], part_idx[i + 1][tt], {0: u}))
             rows.append(row)
         diffs[i] = rows
     sc = SigmaComplex(sig, comps, diffs)
     window = 2 * t.width() + 1
     sigma_dims = {nn: hom_k_sigma(sc, sc, nn) for nn in range(-window, window + 1)}
     return sc, sigma_dims, dims_check
-
-
-def _corner_dim(sig: AbstractAlgebra, k: int) -> int:
-    return rank(sig.right_mult(tuple(sig.idempotents[k])))
-
-
-def _endo_coordinates(sigma: EndoPresentation, endo: ModuleMap) -> list:
-    """Class coordinates of a G-endomorphism inside the Sigma presentation."""
-    return sigma.hom.class_coordinates({0: endo})

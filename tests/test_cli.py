@@ -184,6 +184,22 @@ def test_vacuous_at_cutoff_exits_zero(tmp_path, capsys):
     assert payload["results"]["status"] == "vacuous-at-cutoff"
 
 
+def test_fd_gamma_upper_bound_is_vacuous_when_gldim_gamma_is_censored(tmp_path, capsys):
+    # at cutoff 2, gldim(Gamma) = 3 is reported as ">= 2"; fd(Gamma) over
+    # the supplied Gamma modules is then only a lower bound, so it cannot
+    # verify the upper bound fd(Gamma) <= fd_F(Lambda) + t + 2
+    report = tmp_path / "rep.json"
+    code = run(["--cutoff", "2", "--report", report, "bounds", "theorem73",
+                DATA / "section7.json"])
+    assert code == 0
+    results = json.loads(report.read_text())["results"]
+    assert results["values"]["gldim(Gamma)"]["censored"]
+    [check] = [c for c in results["checks"] if c["label"].startswith("fd(Gamma) <=")]
+    assert check["lhs"] == {"value": 0, "censored": True}
+    assert check["status"] == "vacuous-at-cutoff"
+    assert "verified" not in capsys.readouterr().out.split("fd(Gamma) <=")[1].splitlines()[0]
+
+
 def _resolutions(monkeypatch, argv) -> int:
     """Number of f_resolution calls one CLI command makes."""
     calls = []

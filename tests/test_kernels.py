@@ -1,25 +1,37 @@
-"""The zero-skipping kernels of `matrix` against the plain kernels they
-replaced.
+"""The zero-skipping kernels of `matrix` and the sparse structure constants
+of `AbstractAlgebra` against the plain kernels they replaced.
 
 The reference functions below are the earlier dense versions of
 `Matrix.apply`, `Matrix.__mul__`, `rref`, `SpanSolver.coords` and
-`AbstractModule.rho`, kept verbatim as an oracle.  Every check compares exact
-entries on seeded random matrices over Q and F_32003, most of them sparse
-(at least 70% zeros, like the matrices the workloads build), plus zero-row
-and zero-column shapes.
+`AbstractModule.rho`, kept verbatim as an oracle, and so are the dense
+`AbstractAlgebra.mul`, `left_mult` and `right_mult` over a full table and the
+solve-based `_piece_actions`.  Every check compares exact entries on seeded
+random matrices over Q and F_32003, most of them sparse (at least 70% zeros,
+like the matrices the workloads build), plus zero-row and zero-column shapes,
+or on the algebras the program builds: path algebras and End(T).
 """
 
 import random
 from fractions import Fraction
 
-import pytest
-from helpers import cycle3_selfinjective
+from pathlib import Path
 
-from relhomalg.algebra import quiver_to_abstract, regular_module, rep_to_abstract
+import pytest
+from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim
+
+from relhomalg.algebra import (
+    Piece,
+    _piece_actions,
+    quiver_to_abstract,
+    regular_module,
+    rep_to_abstract,
+)
 from relhomalg.complexes import HomotopyHom, stalk_complex
 from relhomalg.fields import QQ, PrimeField
-from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, lincomb, rref
+from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, lincomb, rref, solve
 from relhomalg.rep import projective
+from relhomalg.schema import load_problem
+from relhomalg.tilting import end_algebra
 
 FIELDS = [QQ, PrimeField(32003)]
 SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 7), (7, 1), (5, 5), (6, 9), (9, 6), (12, 12)]
@@ -115,6 +127,80 @@ def ref_rho(module, v):
         if not F.is_zero(c):
             out = out + module.action[i].scale(c)
     return out
+
+
+class RefAlgebra:
+    """The dense multiplication of the earlier AbstractAlgebra: table[i][j]
+    is the full coordinate vector of b_i * b_j."""
+
+    def __init__(self, field, dim, table):
+        self.field = field
+        self.dim = dim
+        self.table = table
+        self._left = {}
+        self._right = {}
+
+    def mul(self, u, v) -> list:
+        F = self.field
+        out = [F.zero] * self.dim
+        for i, ci in enumerate(u):
+            if F.is_zero(ci):
+                continue
+            for j, cj in enumerate(v):
+                if F.is_zero(cj):
+                    continue
+                c = F.mul(ci, cj)
+                for k, ck in enumerate(self.table[i][j]):
+                    if not F.is_zero(ck):
+                        out[k] = F.add(out[k], F.mul(c, ck))
+        return out
+
+    def left_mult(self, v: tuple) -> Matrix:
+        """Matrix of x -> v * x."""
+        key = tuple(v)
+        if key not in self._left:
+            F = self.field
+            cols = []
+            for j in range(self.dim):
+                ej = [F.zero] * self.dim
+                ej[j] = F.one
+                cols.append(self.mul(list(v), ej))
+            self._left[key] = Matrix(F, self.dim, self.dim,
+                                     [cols[j][i] for i in range(self.dim) for j in range(self.dim)])
+        return self._left[key]
+
+    def right_mult(self, v: tuple) -> Matrix:
+        """Matrix of x -> x * v."""
+        key = tuple(v)
+        if key not in self._right:
+            F = self.field
+            cols = []
+            for j in range(self.dim):
+                ej = [F.zero] * self.dim
+                ej[j] = F.one
+                cols.append(self.mul(ej, list(v)))
+            self._right[key] = Matrix(F, self.dim, self.dim,
+                                      [cols[j][i] for i in range(self.dim) for j in range(self.dim)])
+        return self._right[key]
+
+    def basis_vector(self, i: int) -> list:
+        F = self.field
+        v = [F.zero] * self.dim
+        v[i] = F.one
+        return v
+
+
+def ref_piece_actions(algebra, basis):
+    """The solve-based action of the basis of A on the piece spanned by the
+    columns of basis."""
+    actions = []
+    for i in range(algebra.dim):
+        L = algebra.left_mult(tuple(algebra.basis_vector(i)))
+        coef = solve(basis, L * basis)
+        if coef is None:
+            raise ValueError("piece not closed under left multiplication")
+        actions.append(coef)
+    return actions
 
 
 # -- random inputs -----------------------------------------------------------
@@ -236,3 +322,92 @@ def test_vector_to_chain_map_matches_repeated_add_and_scale(L7_modules):
             for k, b in enumerate(basis):
                 want = want + b.scale(vec[off + k])
             assert [m.entries for m in got.comps[i].mats] == [m.entries for m in want.mats]
+
+
+# -- the Gamma side ------------------------------------------------------------
+
+DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
+
+
+def dense_table(field, dim, table):
+    """The full table[i][j] of a structure-constant dict {(i, j): {k: c}}."""
+    out = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), prod in table.items():
+        for k, c in prod.items():
+            out[i][j][k] = c
+    return out
+
+
+def path_algebra_pairs():
+    for field in FIELDS:
+        for build in (a2_algebra, cycle3_selfinjective, cycle3_verbatim):
+            lam = build(field)
+            table = {(i, j): lam.mul_basis(j, i) for i in range(lam.dim) for j in range(lam.dim)}
+            yield f"{build.__name__}/{field!r}", quiver_to_abstract(lam), \
+                RefAlgebra(field, lam.dim, dense_table(field, lam.dim, table))
+
+
+def end_algebra_pairs():
+    for name in ("section6", "section7"):
+        endo = end_algebra(load_problem(str(DATA / f"{name}.json")).tilting_sum())
+        yield f"End(T) {name}", endo.to_abstract(), \
+            RefAlgebra(QQ, endo.dim, dense_table(QQ, endo.dim, endo.table))
+
+
+ALGEBRAS = list(path_algebra_pairs()) + list(end_algebra_pairs())
+
+
+@pytest.mark.parametrize("label, algebra, ref", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
+def test_sparse_products_match_the_dense_table(label, algebra, ref):
+    F = algebra.field
+    rng = random.Random(8)
+    vectors = [algebra.basis_vector(b) for b in range(algebra.dim)]
+    vectors += [sparse_list(F, rng, algebra.dim, zeros)
+                for zeros in (0.0, 0.5, 0.9) for _ in range(3)]
+    vectors += [algebra.unit] + algebra.idempotents
+    for u in vectors:
+        assert algebra.left_mult(u).entries == ref.left_mult(tuple(u)).entries
+        assert algebra.right_mult(u).entries == ref.right_mult(tuple(u)).entries
+        for v in vectors[::3]:
+            assert algebra.mul(u, v) == ref.mul(u, v)
+
+
+@pytest.mark.parametrize("label, algebra, ref", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
+def test_piece_actions_match_the_solves(label, algebra, ref):
+    F = algebra.field
+    assert algebra.grading() is not None
+    ident = Matrix.identity(F, algebra.dim)
+    free = Piece(algebra.unit, list(range(algebra.dim)), None)
+    assert [m.entries for m in _piece_actions(algebra, free)] == \
+        [m.entries for m in ref_piece_actions(ref, ident)]
+    for j, e in enumerate(algebra.idempotents):
+        # the earlier cover piece A*e: the pivot columns of x -> x * e
+        basis = column_space_basis(ref.right_mult(tuple(e)))
+        assert basis.entries == ident.select_columns(algebra.column(j)).entries
+        piece = Piece(e, algebra.column(j), None)
+        assert [m.entries for m in _piece_actions(algebra, piece)] == \
+            [m.entries for m in ref_piece_actions(ref, basis)]
+
+
+@pytest.mark.parametrize("label, algebra, ref", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
+def test_unclosed_pieces_are_rejected_like_the_solves(label, algebra, ref):
+    F = algebra.field
+    ident = Matrix.identity(F, algebra.dim)
+    rejected = 0
+    for i in range(len(algebra.idempotents)):
+        for j in range(len(algebra.idempotents)):
+            indices = algebra.corner(i, j)
+            if not indices:
+                continue
+            try:
+                ref_piece_actions(ref, ident.select_columns(indices))
+                closed = True
+            except ValueError:
+                closed = False
+            try:
+                _piece_actions(algebra, Piece(algebra.unit, indices, None))
+                assert closed
+            except ValueError:
+                assert not closed
+                rejected += 1
+    assert rejected or len(algebra.idempotents) == 1

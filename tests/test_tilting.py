@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from relhomalg import cli, schema
 from relhomalg.algebra import gldim
 from relhomalg.complexes import _TotalHom, hom_k, stalk_complex, term_length
 from relhomalg.relative import SubbifunctorF, SummandDecl
@@ -16,6 +19,8 @@ from relhomalg.tilting import (
 )
 
 from helpers import cycle3_verbatim
+
+DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -99,24 +104,33 @@ def test_section6_tilting(section6, L7):
     assert rep.term_length == 1
 
 
-def test_verify_f_tilting_assembles_each_differential_once(section6, monkeypatch):
-    # one total Hom complex of (T, T) serves the whole self-orthogonality
-    # window and endo_dim, and it keeps the rank of each D^m
-    _, F6, ts, _ = section6
-    t = ts.total
-    components = [id(c) for c in t.comps.values()]
+def test_verify_f_tilting_assembles_each_differential_once(monkeypatch, capsys):
+    # `bounds theorem73` on section6: verify_f_tilting and end_algebra read
+    # one total Hom engine per summand pair (T_i, T_j) of T, and each engine
+    # assembles each D^m of its window once; no engine of the whole T is built
+    sums = []
+    tilting_sum = schema.Problem.tilting_sum
+
+    def recorded(self):
+        sums.append(tilting_sum(self))
+        return sums[-1]
+
+    monkeypatch.setattr(schema.Problem, "tilting_sum", recorded)
     assembled = []
-    differential = _TotalHom.differential
+    assemble = _TotalHom._assemble
 
     def counted(self, m):
-        if [id(p) for ps in self.x_pieces.values() for p in ps] == components:
-            assembled.append(m)
-        return differential(self, m)
+        assembled.append((self, m))
+        return assemble(self, m)
 
-    monkeypatch.setattr(_TotalHom, "differential", counted)
-    verify_f_tilting(ts, F6, declared_count=4)
-    window = 2 * t.width() + 1
-    assert sorted(assembled) == list(range(-window - 1, window + 1))
+    monkeypatch.setattr(_TotalHom, "_assemble", counted)
+    assert cli.main(["--quiet", "bounds", "theorem73", str(DATA / "section6.json")]) == 0
+    [ts] = sums
+    corners = [ts.engine(i, j) for i in range(len(ts.parts)) for j in range(len(ts.parts))]
+    window = 2 * ts.total.width() + 1
+    expected = sorted((id(e), m) for e in corners for m in range(-window - 1, window + 1))
+    assert len(corners) == 16
+    assert sorted((id(e), m) for e, m in assembled) == expected
 
 
 def test_section6_term_length(section6):
