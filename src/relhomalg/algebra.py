@@ -1,6 +1,6 @@
-"""Finite-dimensional algebras by structure constants: radical by the trace
-form, resolutions, Ext, projective/injective/global dimension, Gorenstein
-checks.
+"""Finite-dimensional algebras by structure constants: residue maps of local
+algebras, the radical they give in every characteristic, resolutions, Ext,
+projective/injective/global dimension, Gorenstein checks.
 
 Only the nonzero products of basis vectors are stored.  Covers use
 caller-supplied orthogonal idempotents when they are certified split-basic
@@ -26,6 +26,7 @@ from .matrix import (
     kernel_basis,
     lincomb,
     rank,
+    rref,
     solve,
 )
 from .reports import Dim, DimensionReport
@@ -62,7 +63,7 @@ class AbstractAlgebra:
         self._top = None
         self._pieces = {}
         self._opposite = None
-        self._idem_ok = None
+        self._corners = {}  # i -> corner_certificate(i)
         if validate is None:
             validate = dim <= 16
         if validate:
@@ -86,28 +87,6 @@ class AbstractAlgebra:
                 for k, ck in prod:
                     out[k] = add(out[k], mul(c, ck))
         return out
-
-    def _mult_matrix(self, v, by) -> Matrix:
-        """Matrix of x -> v * x (by = _by_left) or x -> x * v (by = _by_right)."""
-        F = self.field
-        is_zero, add, mul = F.is_zero, F.add, F.mul
-        d = self.dim
-        out = [F.zero] * (d * d)
-        for i, ci in enumerate(v):
-            if is_zero(ci):
-                continue
-            for j, prod in by[i]:
-                for k, ck in prod:
-                    out[k * d + j] = add(out[k * d + j], mul(ci, ck))
-        return Matrix(F, d, d, out)
-
-    def left_mult(self, v) -> Matrix:
-        """Matrix of x -> v * x."""
-        return self._mult_matrix(v, self._by_left)
-
-    def right_mult(self, v) -> Matrix:
-        """Matrix of x -> x * v."""
-        return self._mult_matrix(v, self._by_right)
 
     def basis_vector(self, i: int) -> list:
         F = self.field
@@ -140,89 +119,70 @@ class AbstractAlgebra:
 
     # -- radical -------------------------------------------------------------
 
-    def _traces(self) -> list:
-        """tr(x -> b_k * x) for each basis vector b_k."""
-        F = self.field
-        traces = [F.zero] * self.dim
-        for (k, j), prod in self.products.items():
-            for i, c in prod:
-                if i == j:
-                    traces[k] = F.add(traces[k], c)
-        return traces
-
-    def radical_matrix(self, supplied: list | None = None) -> Matrix:
-        """Columns spanning rad(A).  Characteristic 0 computes it from the
-        trace form; characteristic p needs a supplied basis (validated)."""
-        if self._rad is not None and supplied is None:
-            return self._rad
-        F = self.field
-        if supplied is None:
-            if F.characteristic != 0:
-                raise ValueError("characteristic p radical needs a supplied basis")
-            traces = self._traces()
+    def radical_matrix(self) -> Matrix:
+        """Columns spanning rad(A), in every characteristic: the kernel of the
+        form (a, b) -> χ(ab) with χ(b) = Σ_i ε_i(e_i b e_i), where ε_i is the
+        residue map of the corner e_i A e_i (see `corner_certificate`) and
+        the e_i are the supplied idempotents, or the unit when none were
+        supplied.  χ vanishes on rad A and is the trace on A/rad A, a product
+        of matrix algebras over k whose trace form is nondegenerate, so the
+        kernel is rad A.  Raises ValueError when a corner is not certified."""
+        if self._rad is None:
+            F = self.field
+            chi = [F.zero] * self.dim
+            for i in range(len(self._corner_idempotents())):
+                ks, coords, residues = self.corner_certificate(i)
+                if residues is None:
+                    raise ValueError(f"corner {i} is not certified local with residue field {F!r}")
+                for c, k in enumerate(ks):
+                    chi[k] = F.add(chi[k], _dot(F, coords.col(c), residues))
             gram_rows = [[F.zero] * self.dim for _ in range(self.dim)]
             for (i, j), prod in self.products.items():
-                s = F.zero
-                for k, c in prod:
-                    s = F.add(s, F.mul(c, traces[k]))
-                gram_rows[i][j] = s
-            rad = kernel_basis(Matrix.from_rows(F, gram_rows))
-        else:
-            rad = Matrix(F, self.dim, len(supplied),
-                         [supplied[j][i] for i in range(self.dim) for j in range(len(supplied))])
-        self._validate_radical(rad, supplied is not None)
-        if supplied is None:
-            self._rad = rad
-        return rad
-
-    def _validate_radical(self, rad: Matrix, full_check: bool):
-        F = self.field
-        # two-sided ideal
-        for i in range(self.dim):
-            L = self.left_mult(self.basis_vector(i))
-            R = self.right_mult(self.basis_vector(i))
-            if solve(rad, L * rad) is None or solve(rad, R * rad) is None:
-                raise ValueError("radical candidate is not a two-sided ideal")
-        # nilpotent: powers of the span shrink to zero
-        span = rad
-        for _ in range(self.dim + 1):
-            if span.cols == 0:
-                break
-            cols = []
-            for a in range(span.cols):
-                va = span.col(a)
-                L = self.left_mult(va)
-                prod = L * rad
-                cols.append(prod)
-            glued = cols[0]
-            for c in cols[1:]:
-                glued = glued.hstack(c)
-            span = column_space_basis(glued)
-        else:
-            raise ValueError("radical candidate is not nilpotent")
-        if full_check:
-            # semisimple quotient: trace form nondegenerate on the complement
-            comp = complement_columns(rad)
-            q = len(comp)
-            if q:
-                traces = self._traces()
-                rows = []
-                for a in comp:
-                    row = []
-                    for b in comp:
-                        s = F.zero
-                        for k, c in self.products.get((a, b), ()):
-                            s = F.add(s, F.mul(c, traces[k]))
-                        row.append(s)
-                    rows.append(row)
-                if rank(Matrix.from_rows(F, rows)) != q:
-                    raise ValueError("quotient trace form degenerate; radical basis rejected")
+                gram_rows[i][j] = _dot(F, (c for _, c in prod), (chi[k] for k, _ in prod))
+            self._rad = kernel_basis(Matrix.from_rows(F, gram_rows))
+        return self._rad
 
     def radical_dim(self) -> int:
         return self.radical_matrix().cols
 
     def semisimple_quotient_dim(self) -> int:
         return self.dim - self.radical_dim()
+
+    def _corner_idempotents(self) -> list:
+        """The supplied idempotents, certified orthogonal and complete, or the
+        unit when none were supplied."""
+        if not self.idempotents:
+            return [self.unit]
+        # a certified grading includes the check, and is kept
+        if self.grading() is None and not self._orthogonal_complete():
+            raise ValueError("the supplied idempotents are not orthogonal and complete")
+        return self.idempotents
+
+    def corner_certificate(self, i: int) -> tuple[list[int], Matrix, list | None]:
+        """The corner E = e_i A e_i, spanned by the products e_i b_k e_i: the
+        indices k of the nonzero ones, their coordinates (columns) in a basis
+        of E, and the residues of that basis when they certify E local with
+        E/rad E = k (see `residue_certificate`), else None."""
+        if i not in self._corners:
+            F = self.field
+            e = self._corner_idempotents()[i]
+            ks, ys = [], []
+            for k in range(self.dim):
+                y = self.mul(self.mul(e, self.basis_vector(k)), e)
+                if any(not F.is_zero(c) for c in y):
+                    ks.append(k)
+                    ys.append(y)
+            Y = Matrix(F, self.dim, len(ys), [y[r] for r in range(self.dim) for y in ys])
+            R, pivots = rref(Y)
+            basis = Y.select_columns(pivots)
+            solver = SpanSolver(basis)
+
+            def mul(u, v):
+                return solver.coords(self.mul(basis.apply(u), basis.apply(v)))
+
+            self._corners[i] = (ks, R.submatrix(range(len(pivots)), range(len(ys))),
+                                residue_certificate(F, len(pivots), solver.coords(e), mul))
+        return self._corners[i]
 
     # -- idempotent certificates ---------------------------------------------
 
@@ -235,7 +195,7 @@ class AbstractAlgebra:
             self._grading = self._certify_grading() if self.idempotents else False
         return self._grading or None
 
-    def _certify_grading(self):
+    def _orthogonal_complete(self) -> bool:
         F = self.field
         idems = self.idempotents
         total = [F.zero] * self.dim
@@ -245,11 +205,15 @@ class AbstractAlgebra:
                 expected = e if a == b else [F.zero] * self.dim
                 if not _same(F, self.mul(e, f), expected):
                     return False
-        if not _same(F, total, self.unit):
+        return _same(F, total, self.unit)
+
+    def _certify_grading(self):
+        if not self._orthogonal_complete():
             return False
+        F = self.field
         # e_i b e_j = b iff e_i b = b and b e_j = b, so the pair is unique
         # when exactly one idempotent fixes b on each side
-        supports = [{k: c for k, c in enumerate(e) if not F.is_zero(c)} for e in idems]
+        supports = [{k: c for k, c in enumerate(e) if not F.is_zero(c)} for e in self.idempotents]
         grading = []
         for b in range(self.dim):
             lefts = [i for i, e in enumerate(supports) if self._fixes(e, b, self._by_right)]
@@ -288,17 +252,11 @@ class AbstractAlgebra:
         return grading
 
     def idempotents_split_basic(self) -> bool:
-        """The supplied idempotents grade the basis (see `grading`) and have
-        one-dimensional corners in A/rad (the split basic certificate)."""
-        if self._idem_ok is None:
-            ok = self.grading() is not None
-            if ok:
-                rad = self.radical_matrix()
-                ident = Matrix.identity(self.field, self.dim)
-                ok = all(rank(rad.hstack(ident.select_columns(self.corner(i, i)))) - rad.cols == 1
-                         for i in range(len(self.idempotents)))
-            self._idem_ok = ok
-        return self._idem_ok
+        """The supplied idempotents grade the basis (see `grading`) and every
+        corner passes the residue certificate, which proves its image in
+        A/rad one-dimensional (the split basic certificate)."""
+        return self.grading() is not None and all(
+            self.corner_certificate(i)[2] is not None for i in range(len(self.idempotents)))
 
     # -- opposite -------------------------------------------------------------
 
@@ -317,6 +275,76 @@ class AbstractAlgebra:
 
 def _same(F: Field, u: list, v: list) -> bool:
     return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
+
+
+def _dot(F: Field, u, v):
+    out = F.zero
+    for x, y in zip(u, v):
+        out = F.add(out, F.mul(x, y))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# residue maps of local algebras
+
+
+def residue(F: Field, x: list, unit: list, mul):
+    """The only eigenvalue λ of x in an algebra with unit `unit` (elements are
+    coordinate vectors, `mul` multiplies them), read off the minimal
+    polynomial (t - λ)^k of x; None when the minimal polynomial is not a
+    power of a linear factor.  Over F_p write k = p^a·m with p ∤ m: then
+    (t - λ)^k = (t^(p^a) - λ)^m because λ^p = λ, so the coefficient of
+    t^(p^a·(m-1)) is -mλ (a = 0 in characteristic 0)."""
+    n = len(unit)
+    powers = [unit]
+    while True:
+        nxt = mul(powers[-1], x)
+        basis = Matrix(F, n, len(powers), [v[r] for r in range(n) for v in powers])
+        low = SpanSolver(basis).coords(nxt)
+        if low is not None:
+            break
+        powers.append(nxt)
+    k = len(powers)
+    poly = [F.neg(c) for c in low] + [F.one]  # the minimal polynomial, constant term first
+    p, q = F.characteristic, 1
+    while p and (k // q) % p == 0:
+        q *= p
+    m = k // q
+    lam = F.div(F.neg(poly[q * (m - 1)]), F.of_int(m))
+    power = [F.one]  # (t - λ)^j, constant term first
+    for _ in range(k):
+        power = [F.sub(a, F.mul(lam, b)) for a, b in zip([F.zero] + power, power + [F.zero])]
+    return lam if _same(F, poly, power) else None
+
+
+def residue_certificate(F: Field, dim: int, unit: list, mul) -> list | None:
+    """The residues λ_a of the basis vectors b_a of an algebra E of dimension
+    dim (unit and products as in `residue`) when they certify that E is
+    local with E/rad E = k; None otherwise.
+
+    The certificate: every b_a has a residue, and the linear map ε with
+    ε(b_a) = λ_a has ε(e) = 1 and ε(b_a·b_c) = λ_a·λ_c.  Then ε is an algebra
+    map onto k, so ker ε is a two-sided ideal of codimension 1, spanned by
+    the nilpotents b_a - λ_a·e.  Its image in the semisimple E/rad E is an
+    ideal, hence semisimple, and no nonzero semisimple ideal is spanned by
+    nilpotents; so ker ε lies in rad E, and equals it because ε(e) = 1."""
+    if dim == 0:
+        return None
+    basis = [[F.one if r == a else F.zero for r in range(dim)] for a in range(dim)]
+    residues = []
+    for b in basis:
+        lam = residue(F, b, unit, mul)
+        if lam is None:
+            return None
+        residues.append(lam)
+    if not F.is_zero(F.sub(_dot(F, unit, residues), F.one)):
+        return None
+    for a, ba in enumerate(basis):
+        for c, bc in enumerate(basis):
+            if not F.is_zero(F.sub(_dot(F, mul(ba, bc), residues),
+                                   F.mul(residues[a], residues[c]))):
+                return None
+    return residues
 
 
 class AbstractModule:

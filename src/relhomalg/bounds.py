@@ -41,7 +41,7 @@ from .reports import (
     InequalityCheck,
     dim_max,
 )
-from .tilting import ComplexSum, end_algebra, verify_f_tilting
+from .tilting import ComplexSum, verify_f_tilting
 
 
 @dataclass
@@ -110,12 +110,11 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
         raise ValueError("tilting precondition failed: " + "; ".join(tilt.failures))
     gl_f = gldim_f(corpus, f, cutoff, complete=complete)
     t = tilt.term_length
-    endo = end_algebra(ts)
-    gamma = endo.to_abstract()
+    gamma = ts.gamma()
     gl_g = gldim(gamma, cutoff)
     rep.values["gldim_F(Lambda)"] = gl_f
     rep.values["t(T)"] = t
-    rep.values["dim(Gamma)"] = endo.dim
+    rep.values["dim(Gamma)"] = gamma.dim
     rep.values["gldim(Gamma)"] = gl_g
     lhs = _shifted(gl_f.dim, -t)
     rep.checks.append(InequalityCheck.of("gldim_F(Lambda) - t <= gldim(Gamma)", lhs, gl_g.dim))
@@ -152,8 +151,7 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
         raise ValueError("tilting precondition failed: " + "; ".join(tilt.failures))
     lam = quiver_to_abstract(algebra)
     l = tilt.term_length
-    endo = end_algebra(ts)
-    gamma = endo.to_abstract()
+    gamma = ts.gamma()
     gl_l = gldim(lam, cutoff)
     gl_g = gldim(gamma, cutoff)
     id_l = injdim(regular_module(lam), cutoff)
@@ -240,8 +238,7 @@ def gorenstein_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
     rep.values["Lambda F-Gorenstein"] = (
         "yes" if lambda_gorenstein else "undetermined at cutoff")
     t = term_length(ts.total)
-    endo = end_algebra(ts)
-    gamma = endo.to_abstract()
+    gamma = ts.gamma()
     status, left, right = is_gorenstein(gamma, cutoff)
     rep.values["id(Gamma left regular)"] = left
     rep.values["id(Gamma right regular)"] = right

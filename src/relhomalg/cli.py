@@ -32,7 +32,7 @@ from .relative import (
 from .reports import DimensionReport
 from .rep import ShortExactSeq, is_isomorphic, kernel, projective_cover
 from .schema import SchemaError, canonical_form, load_problem
-from .tilting import end_algebra, image_tilting_over_sigma, verify_f_tilting
+from .tilting import image_tilting_over_sigma, verify_f_tilting
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -216,15 +216,8 @@ def cmd_complex(args, out: Output) -> int:
     raise SchemaError("complex", f"unknown subcommand {args.sub!r}")
 
 
-def _require_char_zero(problem):
-    if problem.field.characteristic != 0:
-        raise SchemaError("--field", "endomorphism-algebra checks need characteristic 0 "
-                          "(the automatic radical uses the trace form); drop the field override")
-
-
 def cmd_tilting(args, out: Output) -> int:
     problem = _load(args, out)
-    _require_char_zero(problem)
     F = problem.subbifunctor
     if problem.tilting is None:
         raise SchemaError("$.tilting", "file declares no tilting complex")
@@ -232,8 +225,7 @@ def cmd_tilting(args, out: Output) -> int:
     rep = verify_f_tilting(ts, F, problem.tilting.declared_count,
                            witnesses=problem.tilting.witnesses,
                            witness_env=problem.complexes)
-    endo = end_algebra(ts)
-    gamma = endo.to_abstract()
+    gamma = ts.gamma()
     out.say(f"tilting complex {problem.tilting.complex_name}: "
             f"{'PASSES' if rep.passed else 'FAILS'}")
     out.table([
@@ -254,14 +246,13 @@ def cmd_tilting(args, out: Output) -> int:
         mism = {n: (lam[n], d) for n, d in sigma_dims.items() if lam[n] != d}
         out.say("image over Sigma: hom windows "
                 + ("match" if not mism else f"MISMATCH {mism}"))
-    out.report = {"tilting": rep.to_json(), "endo_dim": endo.dim,
+    out.report = {"tilting": rep.to_json(), "endo_dim": gamma.dim,
                   "endo_radical_dim": gamma.radical_dim()}
     return EXIT_OK if rep.passed else EXIT_VIOLATED
 
 
 def cmd_bounds(args, out: Output) -> int:
     problem = _load(args, out)
-    _require_char_zero(problem)
     F = problem.subbifunctor
     corpus = problem.corpus()
     if problem.tilting is None:
@@ -275,9 +266,7 @@ def cmd_bounds(args, out: Output) -> int:
         rep = bounds_mod.corollary710_check(F, corpus, ts, cutoff,
                                             complete=problem.corpus_complete)
     elif args.sub == "counts":
-        endo = end_algebra(ts)
-        rep = bounds_mod.prop63_64_counts(F, problem.tilting.declared_count,
-                                          endo.to_abstract())
+        rep = bounds_mod.prop63_64_counts(F, problem.tilting.declared_count, ts.gamma())
     elif args.sub == "gorenstein":
         rep = bounds_mod.gorenstein_check(F, corpus, ts, cutoff)
     else:

@@ -76,8 +76,8 @@ class SubbifunctorF:
         for s in self.summands:
             if not endo_indecomposability_check(s.module):
                 self.validation_notes.append(
-                    f"summand {s.name}: endomorphism spot check found an idempotent or a"
-                    " non-nilpotent non-invertible element; indecomposability is doubtful")
+                    f"summand {s.name}: End({s.name}) failed the residue certificate (not"
+                    " proven local); indecomposability is unproven")
 
     def is_projective_summand(self, k: int) -> bool:
         m = self.summands[k].module

@@ -8,9 +8,9 @@ against the relations exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
+from .algebra import residue_certificate
 from .matrix import (
     Matrix,
     SpanSolver,
@@ -28,11 +28,12 @@ from .quiver import PathAlgebra
 
 
 class Representation:
-    __slots__ = ("algebra", "dims", "mats", "_homs")
+    __slots__ = ("algebra", "dims", "mats", "_homs", "_local")
 
     def __init__(self, algebra: PathAlgebra, dims, mats, check: bool = True):
         self.algebra = algebra
         self._homs: dict | None = None  # hom_space results, keyed by target
+        self._local: bool | None = None  # endo_indecomposability_check, once computed
         self.dims = tuple(dims)
         if len(self.dims) != algebra.quiver.n:
             raise ValueError("dimension vector length mismatch")
@@ -680,15 +681,22 @@ def dtr(m: Representation) -> Representation:
 
 @dataclass
 class IsoResult:
-    isomorphic: bool | None  # None means "unknown" (small-field exhaustion)
+    isomorphic: bool | None  # None means "unknown": neither End is certified local
     witness: ModuleMap | None = None
 
 
-ISO_SEED = 0x52454C48  # fixed seed: deterministic witnesses across runs
-ISO_ATTEMPTS = 64
-
-
 def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
+    """True, with an isomorphism among the basis maps b_0..b_{h-1} of
+    Hom(m, n) as witness.  Otherwise False when End(m) or End(n) is certified
+    local: if m ≅ n, the non-isomorphisms in Hom(m, n) form a hyperplane
+    (rad End(m) moved along an isomorphism), which contains no basis.
+
+    When neither is local, the maps Σ_i t^i·b_i for t = 1..D(h-1), with
+    D = dim m, are tried before answering None (unknown); t = 0 gives b_0.
+    They find an isomorphism whenever m ≅ n is multiplicity-free with
+    End(m)/rad = k^r and the field has more than D(h-1) elements: the
+    non-isomorphisms then form r <= D hyperplanes, each meeting the curve in
+    at most h-1 points."""
     if m.dims != n.dims:
         return IsoResult(False)
     if m.total_dim == 0:
@@ -699,46 +707,33 @@ def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
     for b in basis:
         if b.is_isomorphism():
             return IsoResult(True, b)
+    if endo_indecomposability_check(m) or endo_indecomposability_check(n):
+        return IsoResult(False)
     F = m.algebra.field
-    rng = random.Random(ISO_SEED)
-    small_field = F.characteristic != 0 and F.characteristic < ISO_ATTEMPTS
-    span = F.characteristic - 1 if small_field else 7
-    for _ in range(ISO_ATTEMPTS):
-        coeffs = [F.of_int(rng.randint(0, span) if small_field else rng.randint(-span, span))
-                  for _ in basis]
-        cand = ModuleMap.combination(m, n, coeffs, basis)
-        if cand.is_isomorphism():
-            return IsoResult(True, cand)
-    return IsoResult(None if small_field else False)
+    tries = m.total_dim * (len(basis) - 1)
+    if F.characteristic:
+        tries = min(tries, F.characteristic - 1)
+    for t in range(1, tries + 1):
+        f = ModuleMap.combination(m, n, [F.of_int(t ** i) for i in range(len(basis))], basis)
+        if f.is_isomorphism():
+            return IsoResult(True, f)
+    return IsoResult(None)
 
 
 def endo_indecomposability_check(m: Representation) -> bool:
-    """Spot check that End(m) looks local: every basis endomorphism (and a
-    few random combinations) is nilpotent or invertible, and no nontrivial
-    idempotent shows up.  A True result is consistency, not proof."""
-    if m.is_zero():
-        return False
-    endos = hom_space(m, m)
-    F = m.algebra.field
-    rng = random.Random(ISO_SEED ^ 0xE11D0)
-    candidates = list(endos)
-    for _ in range(16):
-        coeffs = [F.of_int(rng.randint(-3, 3)) for _ in endos]
-        candidates.append(ModuleMap.combination(m, m, coeffs, endos))
-    ident = ModuleMap.identity(m)
-    for f in candidates:
-        if (f.compose(f) - f).is_zero() and not f.is_zero() and not (f - ident).is_zero():
-            return False
-        if f.is_isomorphism():
-            continue
-        power = f
-        for _ in range(m.total_dim + 1):
-            power = power.compose(f)
-            if power.is_zero():
-                break
-        else:
-            return False
-    return True
+    """End(m) passes the residue certificate (`algebra.residue_certificate`)
+    over its hom_space basis, which proves it local with End(m)/rad = k, so
+    m is indecomposable.  Computed once per m."""
+    if m._local is None:
+        basis = hom_space(m, m)
+
+        def mul(u, v):
+            return hom_coordinates(basis, ModuleMap.combination(m, m, u, basis).compose(
+                ModuleMap.combination(m, m, v, basis)))
+
+        unit = hom_coordinates(basis, ModuleMap.identity(m))
+        m._local = residue_certificate(m.algebra.field, len(basis), unit, mul) is not None
+    return m._local
 
 
 # ---------------------------------------------------------------------------

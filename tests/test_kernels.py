@@ -4,8 +4,8 @@ of `AbstractAlgebra` against the plain kernels they replaced.
 The reference functions below are the earlier dense versions of
 `Matrix.apply`, `Matrix.__mul__`, `rref`, `SpanSolver.coords` and
 `AbstractModule.rho`, kept verbatim as an oracle, and so are the dense
-`AbstractAlgebra.mul`, `left_mult` and `right_mult` over a full table and the
-solve-based `_piece_actions`.  Every check compares exact entries on seeded
+`AbstractAlgebra.mul` over a full table and the solve-based
+`_piece_actions`.  Every check compares exact entries on seeded
 random matrices over Q and F_32003, most of them sparse (at least 70% zeros,
 like the matrices the workloads build), plus zero-row and zero-column shapes,
 or on the algebras the program builds: path algebras and End(T).
@@ -366,8 +366,6 @@ def test_sparse_products_match_the_dense_table(label, algebra, ref):
                 for zeros in (0.0, 0.5, 0.9) for _ in range(3)]
     vectors += [algebra.unit] + algebra.idempotents
     for u in vectors:
-        assert algebra.left_mult(u).entries == ref.left_mult(tuple(u)).entries
-        assert algebra.right_mult(u).entries == ref.right_mult(tuple(u)).entries
         for v in vectors[::3]:
             assert algebra.mul(u, v) == ref.mul(u, v)
 
