@@ -89,10 +89,11 @@ def _fd_dim(report: DimensionReport, complete: bool) -> Dim:
     return Dim(report.dim.value, True)
 
 
-def _gamma_pd_breakdown(gamma: AbstractAlgebra, gl_g: Dim, cutoff: int) -> dict[str, Dim]:
-    """pd of the Gamma modules the finitistic sides are taken over; pd(Gamma/rad)
-    is gldim(Gamma), which the caller already holds."""
-    return {"regular": pd(regular_module(gamma), cutoff).dim, "Gamma/rad": gl_g}
+def _gamma_pd_breakdown(gl_g: Dim) -> dict[str, Dim]:
+    """pd of the Gamma modules the finitistic sides are taken over: the
+    regular module is free, so pd 0, and pd(Gamma/rad) is gldim(Gamma), which
+    the caller already holds."""
+    return {"regular": Dim(0), "Gamma/rad": gl_g}
 
 
 def _fd_gamma_upper(fd_g: Dim, gl_g: Dim) -> Dim:
@@ -125,7 +126,7 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
     # finitistic side
     fd_f_rep = findim_f(gl_f, complete=complete)
     fd_f = _fd_dim(fd_f_rep, complete)
-    fd_g_break = _gamma_pd_breakdown(gamma, gl_g.dim, cutoff)
+    fd_g_break = _gamma_pd_breakdown(gl_g.dim)
     fd_g_value = finitistic_sup(fd_g_break.values())
     rep.values["fd_F(Lambda)"] = fd_f_rep
     rep.values["fd(Gamma) corpus max"] = DimensionReport(
@@ -169,7 +170,7 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     fd_break = {name: pd(rep_to_abstract(m, lam), cutoff).dim for name, m in corpus}
     fd_l = finitistic_sup(fd_break.values())
     fd_l_exact = complete and not any(d.censored for d in fd_break.values())
-    fd_g_break = _gamma_pd_breakdown(gamma, gl_g.dim, cutoff)
+    fd_g_break = _gamma_pd_breakdown(gl_g.dim)
     fd_g = finitistic_sup(fd_g_break.values())
     rep.values["fd(Lambda)"] = DimensionReport("fd", Dim(fd_l.value, not fd_l_exact), cutoff,
                                                breakdown=fd_break)

@@ -207,6 +207,11 @@ class PathAlgebra:
         self.dim = len(self.basis)
 
         self._mul_table: dict[tuple[int, int], dict[int, object]] = {}
+        # Representations over this algebra, one object per content (dims and
+        # arrow-matrix entries, see rep.Representation), and the projective
+        # and injective at each vertex, keyed (kind, vertex).  Insert-only.
+        self.modules: dict = {}
+        self.vertex_modules: dict[tuple[str, int], object] = {}
 
     def _ensure_length_cutoff_consistent(self, rw: _Rewriter):
         """Every composable word of length N must rewrite to something of

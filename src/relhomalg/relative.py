@@ -193,13 +193,34 @@ def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
     return Approximation(glued, ds, [pieces[i] for i in keep])
 
 
+def _on_module(x: Representation, side: str, summands: list[SummandDecl], compute):
+    """compute(), stored on x under the side and the summand modules.
+    Representations are canonical per algebra, so the key is content and
+    every construction of the same module shares the result."""
+    if x._approximations is None:
+        x._approximations = {}
+    key = (side, tuple(s.module for s in summands))
+    out = x._approximations.get(key)
+    if out is None:
+        out = x._approximations[key] = compute()
+    return out
+
+
 def right_approximation(x: Representation, f: SubbifunctorF) -> Approximation:
-    return minimal_right_approximation(x, f.summands, f.algebra)
+    """The minimal right add(G)-approximation of x, computed once per x and G."""
+    return _on_module(x, "right", f.summands,
+                      lambda: minimal_right_approximation(x, f.summands, f.algebra))
 
 
 def left_approximation(x: Representation, targets: list[SummandDecl],
                        algebra: PathAlgebra) -> tuple[ModuleMap, DirectSum, list[int]]:
-    """Minimal left add(⊕targets)-approximation u: x -> I', by greedy copy removal."""
+    """Minimal left add(⊕targets)-approximation u: x -> I', by greedy copy
+    removal; computed once per x and targets."""
+    return _on_module(x, "left", targets, lambda: _left_approximation(x, targets, algebra))
+
+
+def _left_approximation(x: Representation, targets: list[SummandDecl],
+                        algebra: PathAlgebra) -> tuple[ModuleMap, DirectSum, list[int]]:
     maps: list[ModuleMap] = []
     pieces: list[int] = []
     for k, t in enumerate(targets):

@@ -28,24 +28,41 @@ from .quiver import PathAlgebra
 
 
 class Representation:
-    __slots__ = ("algebra", "dims", "mats", "_homs", "_local")
+    """A representation, hash-consed per algebra: constructing a content
+    (dims and the entries of every arrow matrix) that the algebra's table
+    `algebra.modules` already holds returns the stored object, so identity
+    is content and the per-object caches below serve every construction of
+    the same module.  The relations are checked once per content, the first
+    time a checked construction asks for it; unchecked constructions (direct
+    sums, simples) store the content unvalidated until then."""
+    __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations")
 
-    def __init__(self, algebra: PathAlgebra, dims, mats, check: bool = True):
-        self.algebra = algebra
-        self._homs: dict | None = None  # hom_space results, keyed by target
-        self._local: bool | None = None  # endo_indecomposability_check, once computed
-        self.dims = tuple(dims)
-        if len(self.dims) != algebra.quiver.n:
+    def __new__(cls, algebra: PathAlgebra, dims, mats, check: bool = True):
+        dims = tuple(dims)
+        if len(dims) != algebra.quiver.n:
             raise ValueError("dimension vector length mismatch")
-        self.mats = list(mats)
-        if len(self.mats) != len(algebra.quiver.arrows):
+        mats = list(mats)
+        if len(mats) != len(algebra.quiver.arrows):
             raise ValueError("need one matrix per arrow")
         for ai, a in enumerate(algebra.quiver.arrows):
-            m = self.mats[ai]
-            if (m.rows, m.cols) != (self.dims[a.target - 1], self.dims[a.source - 1]):
+            m = mats[ai]
+            if (m.rows, m.cols) != (dims[a.target - 1], dims[a.source - 1]):
                 raise ValueError(f"arrow {a.name}: matrix shape {m.rows}x{m.cols} does not match dims")
-        if check:
-            self._check_relations()
+        key = (dims, tuple(tuple(m.entries) for m in mats))
+        self = algebra.modules.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self.algebra = algebra
+            self.dims = dims
+            self.mats = mats
+            self._checked = False
+            self._homs: dict | None = None  # hom_space results, keyed by target
+            self._local: bool | None = None  # endo_indecomposability_check, once computed
+            self._approximations: dict | None = None  # relative.py add(G)-approximations
+        if check and not self._checked:
+            self._check_relations()  # a new content that fails is never stored
+            self._checked = True
+        return algebra.modules.setdefault(key, self)
 
     def _check_relations(self):
         F = self.algebra.field
@@ -184,10 +201,30 @@ def simple(algebra: PathAlgebra, i: int) -> Representation:
 
 
 def projective(algebra: PathAlgebra, i: int) -> Representation:
-    """The projective with top S_i: basis paths from i, arrows append."""
+    """The projective with top S_i: basis paths from i, arrows append.
+    Built once per algebra and vertex."""
     q = algebra.quiver
     if not 1 <= i <= q.n:
         raise ValueError("vertex out of range")
+    return _vertex_module(algebra, "projective", i, _build_projective)
+
+
+def injective(algebra: PathAlgebra, i: int) -> Representation:
+    """The injective with socle S_i, D P_i of the opposite algebra.  Built once
+    per algebra and vertex."""
+    return _vertex_module(algebra, "injective", i,
+                          lambda alg, v: dual(projective(alg.opposite(), v)))
+
+
+def _vertex_module(algebra: PathAlgebra, kind: str, i: int, build) -> Representation:
+    out = algebra.vertex_modules.get((kind, i))
+    if out is None:
+        out = algebra.vertex_modules.setdefault((kind, i), build(algebra, i))
+    return out
+
+
+def _build_projective(algebra: PathAlgebra, i: int) -> Representation:
+    q = algebra.quiver
     F = algebra.field
     per_vertex = [[] for _ in range(q.n)]
     for k, (src, _word) in enumerate(algebra.basis):
@@ -235,10 +272,6 @@ def dual(m: Representation) -> Representation:
     return Representation(op, m.dims, mats)
 
 
-def injective(algebra: PathAlgebra, i: int) -> Representation:
-    return dual(projective(algebra.opposite(), i))
-
-
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -260,8 +293,8 @@ class HomBasis(list):
 
 def hom_space(m: Representation, n: Representation) -> HomBasis:
     """Basis of Hom(m, n), deterministically ordered by RREF pivots of the
-    intertwining system.  Cached on m per target object (representations
-    are immutable), so the cache lives exactly as long as m."""
+    intertwining system.  Cached on m per target object; representations
+    are canonical per algebra, so each pair of contents is solved once."""
     if m._homs is None:
         m._homs = {}
     out = m._homs.get(n)

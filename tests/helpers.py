@@ -59,3 +59,30 @@ def uniserials(algebra):
                 break
             cur, _ = cokernel(incl)
     return out
+
+
+def nakayama_problem(n, length):
+    """Problem file (as a dict) for the n-cycle with every path of length
+    `length` zero: G = the projectives and the simples, the corpus every
+    uniserial U{i}_{k} = P_i / rad^k P_i."""
+    arrows = [[f"a{v}", v, v % n + 1] for v in range(1, n + 1)]
+    modules, corpus = {}, []
+    for v in range(1, n + 1):
+        modules[f"P{v}"] = {"projective": v}
+        corpus.append(f"P{v}")
+        for k in range(1, length):
+            modules[f"U{v}_{k}"] = {"quotient_by_radical_power": [f"P{v}", k]}
+            corpus.append(f"U{v}_{k}")
+    return {
+        "schema": "relhomalg/1",
+        "field": "Q",
+        "cutoff": 6,
+        "quiver": {"vertices": n, "arrows": arrows},
+        "relations": [[["1", [arrows[(v + s) % n][0] for s in range(length)]]]
+                      for v in range(n)],
+        "nilpotency": length,
+        "modules": modules,
+        "generator": [f"P{v}" for v in range(1, n + 1)] + [f"U{v}_1" for v in range(1, n + 1)],
+        "corpus": corpus,
+        "corpus_complete": True,
+    }
