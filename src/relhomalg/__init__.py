@@ -5,13 +5,14 @@ Layers, bottom up: exact linear algebra over Q and F_p (matrix), path
 algebras and quiver representations (quiver, rep), the relative theory for
 F = F_{add G} (relative), bounded complexes and derived Homs (complexes),
 F-tilting verification and endomorphism algebras (tilting), structure-
-constant algebras (algebra), the headline dimension-bound checks (bounds),
-and a JSON problem-file front end (schema, cli).
+constant algebras and their quiver presentations (algebra), the headline
+dimension-bound checks (bounds), and a JSON problem-file front end (schema,
+cli).
 """
 
 from .fields import PrimeField, QQ, RationalField
 from .matrix import Matrix, kernel_basis, rank, rref, solve
-from .quiver import PathAlgebra, Quiver, build_algebra
+from .quiver import PathAlgebra, Quiver
 from .rep import (
     ModuleMap,
     Representation,
@@ -30,10 +31,12 @@ from .relative import (
     ext_f,
     f_resolution,
     findim_f,
+    gldim,
     gldim_f,
     id_f,
     is_f_exact,
     is_f_frobenius,
+    is_gorenstein,
     pd_f,
     relative_injectives,
     right_approximation,
@@ -53,7 +56,7 @@ from .complexes import (
     triangle_from_f_exact,
 )
 from .tilting import end_algebra, image_tilting_over_sigma, verify_f_tilting
-from .algebra import AbstractAlgebra, AbstractModule, ext_dim, gldim, injdim, is_gorenstein, pd
+from .algebra import AbstractAlgebra
 from .bounds import corollary710_check, gorenstein_check, prop63_64_counts, theorem73_check
 from .schema import load_problem, parse_problem
 

@@ -1,35 +1,21 @@
 """Finite-dimensional algebras by structure constants: residue maps of local
-algebras, the radical they give in every characteristic, resolutions, Ext,
-projective/injective/global dimension, Gorenstein checks.
+algebras, the radical they give in every characteristic, and the
+presentation as a bound quiver algebra kQ/I.
 
-Only the nonzero products of basis vectors are stored.  Covers use
-caller-supplied orthogonal idempotents when they are certified split-basic
-and grade the basis (every basis vector lies in one corner e_i A e_j), so a
-cover piece A*e_j is spanned by basis vectors; otherwise covers fall back to
-greedy radical-minimal free covers.  Projective dimension is read off
-Ext^i(M, A/rad A) vanishing, which is resolution-independent, so non-minimal
-covers never corrupt a report.
+Only the nonzero products of basis vectors are stored.  The supplied
+orthogonal idempotents (or the unit) are the vertices of the presentation;
+its arrows are lifts of rad/rad² taken corner by corner, its relations the
+kernel of the path map, and a certificate checks that the basis words map to
+a basis.  Modules over the algebra are then representations of the
+presentation, resolved by the same code as modules over a path algebra
+(`relative`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import Field
-from .matrix import (
-    Matrix,
-    SpanSolver,
-    block_diag,
-    column_space_basis,
-    complement_columns,
-    inverse,
-    kernel_basis,
-    lincomb,
-    rank,
-    rref,
-    solve,
-)
-from .reports import Dim, DimensionReport
+from .matrix import Matrix, SpanSolver, kernel_basis, rank, rref
+from .quiver import PathAlgebra, Quiver, irredundant_relations
 
 
 class AbstractAlgebra:
@@ -60,10 +46,9 @@ class AbstractAlgebra:
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self._grading = None  # the certified grading, False once the check failed
         self._rad = None
-        self._top = None
-        self._pieces = {}
-        self._opposite = None
         self._corners = {}  # i -> corner_certificate(i)
+        self._presentation = None
+        self.arrow_lifts: list | None = None  # the element of A behind each arrow
         if validate is None:
             validate = dim <= 16
         if validate:
@@ -72,21 +57,25 @@ class AbstractAlgebra:
     # -- multiplication -----------------------------------------------------
 
     def mul(self, u, v) -> list:
-        F = self.field
-        is_zero, add, mul = F.is_zero, F.add, F.mul
-        right = {j: c for j, c in enumerate(v) if not is_zero(c)}
-        out = [F.zero] * self.dim
-        for i, ci in enumerate(u):
-            if is_zero(ci):
-                continue
-            for j, prod in self._by_left[i]:
-                cj = right.get(j)
-                if cj is None:
-                    continue
-                c = mul(ci, cj)
-                for k, ck in prod:
-                    out[k] = add(out[k], mul(c, ck))
+        out = [self.field.zero] * self.dim
+        for k, c in self._sparse_mul(_sparse(self.field, u), _sparse(self.field, v)).items():
+            out[k] = c
         return out
+
+    def _sparse_mul(self, u: dict, v: dict) -> dict:
+        """u * v for elements given by their nonzero coordinates {index: c}:
+        one lookup per pair of nonzero coordinates."""
+        F = self.field
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                prod = self.products.get((i, j))
+                if prod is None:
+                    continue
+                c = F.mul(ci, cj)
+                for k, ck in prod:
+                    out[k] = F.add(out.get(k, F.zero), F.mul(c, ck))
+        return {k: c for k, c in out.items() if not F.is_zero(c)}
 
     def basis_vector(self, i: int) -> list:
         F = self.field
@@ -258,16 +247,123 @@ class AbstractAlgebra:
         return self.grading() is not None and all(
             self.corner_certificate(i)[2] is not None for i in range(len(self.idempotents)))
 
-    # -- opposite -------------------------------------------------------------
+    # -- presentation ---------------------------------------------------------
 
-    def opposite(self) -> "AbstractAlgebra":
-        if self._opposite is None:
-            table = {(j, i): dict(prod) for (i, j), prod in self.products.items()}
-            op = AbstractAlgebra(self.field, self.dim, table, self.unit,
-                                 idempotents=self.idempotents, validate=False)
-            op._opposite = self
-            self._opposite = op
-        return self._opposite
+    def presentation(self) -> PathAlgebra:
+        """A as a bound quiver algebra kQ/I (Gabriel; Assem–Simson–Skowroński
+        I, §II.3), built once and certified (`certify_presentation`).
+
+        Vertex i is the idempotent e_i of `_corner_idempotents`.  A lift b of
+        a basis of e_i(rad/rad²)e_j is an arrow j -> i; the corners are taken
+        as e_i·x·e_j, so the basis of A need not be graded.  The word
+        (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul` order), so representations
+        of kQ/I are left A-modules.  With L the Loewy length, J^L maps to 0
+        and the nilpotency bound is max(L, 2); I is generated by the kernel
+        of the path map on the words of length 2..L-1 (`_relations`), of
+        which the irredundant relations are kept."""
+        if self._presentation is None:
+            quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
+            nilpotency = max(loewy, 2)
+            relations = irredundant_relations(self.field, self._relations(quiver, loewy), nilpotency)
+            pathalg = PathAlgebra(self.field, quiver, relations, nilpotency)
+            self.certify_presentation(pathalg)
+            self._presentation = pathalg
+        return self._presentation
+
+    def _gabriel_quiver(self) -> tuple[Quiver, list[dict], int]:
+        """The quiver, the lift of each arrow and the Loewy length, with
+        elements kept sparse."""
+        F = self.field
+        idems = [_sparse(F, e) for e in self._corner_idempotents()]
+        n = len(idems)
+        rad = self.radical_matrix()
+        lefts = [[self._sparse_mul(e, _sparse(F, rad.col(c))) for c in range(rad.cols)]
+                 for e in idems]
+        corners = {(i, j): _span(F, [self._sparse_mul(x, e) for x in lefts[i]])
+                   for i in range(n) for j, e in enumerate(idems)}  # e_i rad e_j
+        arrows, lifts = [], []
+        for j in range(n):
+            for i in range(n):
+                square = _span(F, [self._sparse_mul(x, y) for k in range(n)
+                                   for x in corners[(i, k)] for y in corners[(k, j)]])
+                _, pivots = rref(_columns(F, square + corners[(i, j)]))
+                for p in pivots[len(square):]:
+                    arrows.append((f"b{len(arrows) + 1}", j + 1, i + 1))
+                    lifts.append(corners[(i, j)][p - len(square)])
+        # rad^(k+1) = Σ_arrows b·rad^k, corner by corner
+        loewy, layer = 1, corners
+        while any(layer.values()):
+            loewy += 1
+            layer = {(i, j): _span(F, [self._sparse_mul(b, y) for b, (_, s, t) in zip(lifts, arrows)
+                                       if t == i + 1 for y in layer[(s - 1, j)]])
+                     for (i, j) in layer}
+        return Quiver(n, arrows), lifts, loewy
+
+    def _relations(self, quiver: Quiver, loewy: int) -> list:
+        """The kernel of the path map on words of length 2..L-1, as rules
+        w - Σ c_u·u with every u an irreducible word before w (shorter, or
+        as long and smaller) with the same source and target.  Length by
+        length, the candidates are the words whose prefix and suffix one
+        arrow shorter are irreducible; per (source, target), in increasing
+        order, a candidate is a relation exactly when its image lies in the
+        span of the irreducible words before it (one rref).  A word that
+        contains a relation's leading word is in the ideal already, so these
+        rules and J^L generate I: they are the reduced Gröbner basis for the
+        order the rewriter uses."""
+        F = self.field
+        image = {(a,): b for a, b in enumerate(self.arrow_lifts)}  # irreducible words
+        leaving = {v: [a for a, arrow in enumerate(quiver.arrows) if arrow.source == v]
+                   for v in range(1, quiver.n + 1)}
+        known: dict[tuple[int, int], list] = {}  # (source, target) -> irreducible words, length >= 2
+        relations = []
+        level = sorted(image)
+        for _ in range(2, loewy):
+            candidates: dict[tuple[int, int], list] = {}
+            for w in level:
+                for a in leaving[quiver.word_target(w)]:
+                    if w[1:] + (a,) in image:
+                        ends = (quiver.word_source(w), quiver.arrows[a].target)
+                        candidates.setdefault(ends, []).append(w + (a,))
+            level = []
+            for ends, words in sorted(candidates.items()):
+                words.sort()
+                before = known.setdefault(ends, [])
+                cols = before + words
+                vectors = [image[u] for u in before] + [
+                    self._sparse_mul(self.arrow_lifts[w[-1]], image[w[:-1]]) for w in words]
+                reduced, pivots = rref(_columns(F, vectors))
+                is_pivot = set(pivots)
+                for c in range(len(before), len(cols)):
+                    w = cols[c]
+                    if c in is_pivot:
+                        image[w] = vectors[c]
+                        level.append(w)
+                        continue
+                    rel = [(F.one, w)]
+                    for r, p in enumerate(pivots):
+                        if p < c and not F.is_zero(reduced.at(r, c)):
+                            rel.append((F.neg(reduced.at(r, c)), cols[p]))
+                    relations.append(rel)
+                before.extend(w for w in words if w in image)
+            if not level:
+                break
+        return relations
+
+    def certify_presentation(self, pathalg: PathAlgebra):
+        """Raise ValueError unless the images in A of the basis words of
+        pathalg (a trivial path to its idempotent, a word to the product of
+        `arrow_lifts`) form a basis of A."""
+        F = self.field
+        idems = self._corner_idempotents()
+        images = []
+        for v, word in pathalg.basis:
+            x = _sparse(F, idems[v - 1])
+            for a in word:
+                x = self._sparse_mul(self.arrow_lifts[a], x)
+            images.append(x)
+        if len(images) != self.dim or rank(_columns(F, images)) != self.dim:
+            raise ValueError(f"the quiver presentation fails its certificate: {len(images)} "
+                             f"basis words do not map to a basis of the {self.dim}-dimensional algebra")
 
     def __repr__(self):
         return f"AbstractAlgebra(dim={self.dim})"
@@ -275,6 +371,26 @@ class AbstractAlgebra:
 
 def _same(F: Field, u: list, v: list) -> bool:
     return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
+
+
+def _sparse(F: Field, v: list) -> dict:
+    return {k: c for k, c in enumerate(v) if not F.is_zero(c)}
+
+
+def _columns(F: Field, vectors: list[dict]) -> Matrix:
+    """Sparse vectors as the columns of a matrix over the union of their
+    supports."""
+    rows = sorted(set().union(*vectors))
+    return Matrix(F, len(rows), len(vectors), [v.get(r, F.zero) for r in rows for v in vectors])
+
+
+def _span(F: Field, vectors: list[dict]) -> list[dict]:
+    """A basis of the span of vectors, chosen among them."""
+    vectors = [v for v in vectors if v]
+    if not vectors:
+        return []
+    _, pivots = rref(_columns(F, vectors))
+    return [vectors[p] for p in pivots]
 
 
 def _dot(F: Field, u, v):
@@ -345,463 +461,3 @@ def residue_certificate(F: Field, dim: int, unit: list, mul) -> list | None:
                                    F.mul(residues[a], residues[c]))):
                 return None
     return residues
-
-
-class AbstractModule:
-    def __init__(self, algebra: AbstractAlgebra, dim: int, action: list[Matrix],
-                 validate: bool | None = None):
-        self.algebra = algebra
-        self.dim = dim
-        self.action = list(action)
-        if len(action) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        for m in action:
-            if (m.rows, m.cols) != (dim, dim):
-                raise ValueError("action matrix shape mismatch")
-        if validate is None:
-            validate = algebra.dim * dim <= 64
-        if validate:
-            self.validate()
-
-    def rho(self, v) -> Matrix:
-        return lincomb(self.algebra.field, self.dim, self.dim, v, self.action)
-
-    def validate(self):
-        F = self.algebra.field
-        ident = Matrix.identity(F, self.dim)
-        if not (self.rho(self.algebra.unit) == ident):
-            raise ValueError("unit does not act as identity")
-        for i in range(self.algebra.dim):
-            for j in range(self.algebra.dim):
-                lhs = self.rho(self.algebra.product(i, j))
-                rhs = self.action[i] * self.action[j]
-                if not (lhs - rhs).is_zero():
-                    raise ValueError(f"action violates structure constants at ({i},{j})")
-        return self
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def __repr__(self):
-        return f"AbstractModule(dim={self.dim})"
-
-
-def regular_module(algebra: AbstractAlgebra) -> AbstractModule:
-    return AbstractModule(algebra, algebra.dim, _piece_actions(algebra, _free_piece(algebra)),
-                          validate=False)
-
-
-def right_regular_module(algebra: AbstractAlgebra) -> AbstractModule:
-    """A as a right module = left module over the opposite algebra."""
-    return regular_module(algebra.opposite())
-
-
-def dual_module(m: AbstractModule) -> AbstractModule:
-    """k-dual, a module over the opposite algebra."""
-    op = m.algebra.opposite()
-    return AbstractModule(op, m.dim, [a.transpose() for a in m.action], validate=False)
-
-
-def semisimple_quotient_module(algebra: AbstractAlgebra) -> AbstractModule:
-    """A/rad A as a left module, built once per algebra."""
-    if algebra._top is not None:
-        return algebra._top
-    F = algebra.field
-    rad = algebra.radical_matrix()
-    comp = complement_columns(rad)
-    n = algebra.dim
-    if n == 0:
-        return AbstractModule(algebra, 0, [])
-    C = Matrix.identity(F, n).select_columns(comp)
-    full = rad.hstack(C)
-    inv = inverse(full)
-    proj = inv.submatrix(range(rad.cols, n), range(n))
-    action = [proj * L.select_columns(comp) for L in regular_module(algebra).action]
-    algebra._top = AbstractModule(algebra, len(comp), action, validate=False)
-    return algebra._top
-
-
-def submodule_from_columns(m: AbstractModule, cols: Matrix) -> AbstractModule:
-    """The submodule spanned by independent columns, its action read in their
-    coordinates by one solver."""
-    F = m.algebra.field
-    k = cols.cols
-    solver = SpanSolver(cols)
-    action = []
-    for a in m.action:
-        img = a * cols
-        coords = [solver.coords(img.col(c)) for c in range(k)]
-        if any(x is None for x in coords):
-            raise ValueError("columns not closed under the action")
-        action.append(Matrix(F, k, k, [x[r] for r in range(k) for x in coords]))
-    return AbstractModule(m.algebra, k, action, validate=False)
-
-
-def radical_action_columns(m: AbstractModule) -> Matrix:
-    """Columns spanning rad(A) . m."""
-    F = m.algebra.field
-    rad = m.algebra.radical_matrix()
-    pieces = []
-    for c in range(rad.cols):
-        pieces.append(m.rho(rad.col(c)))
-    if not pieces:
-        return Matrix.zeros(F, m.dim, 0)
-    glued = pieces[0]
-    for p in pieces[1:]:
-        glued = glued.hstack(p)
-    return column_space_basis(glued)
-
-
-# ---------------------------------------------------------------------------
-# resolutions
-
-
-@dataclass
-class Piece:
-    """One cover piece A*g: g is the unit (a free piece) or an idempotent
-    e_j, and A*g is spanned by the basis vectors of A listed in indices (all
-    of them, or those of the corners e_i A e_j)."""
-    gen: list           # g in algebra coordinates
-    indices: list[int]  # the basis of A*g, as basis vectors of A
-    target_vec: list    # image of the generator in the covered module
-
-
-@dataclass
-class Level:
-    pieces: list[Piece]
-    module: AbstractModule        # P_l
-    offsets: list[int]
-    phi: Matrix                   # P_l -> K_{l-1} (coordinates of the ambient below)
-    kernel_cols: Matrix           # basis of K_l inside P_l
-    kernel: AbstractModule
-    minimal: bool
-
-
-def _free_piece(algebra: AbstractAlgebra, target_vec=None) -> Piece:
-    return Piece(gen=list(algebra.unit), indices=list(range(algebra.dim)), target_vec=target_vec)
-
-
-def _piece_actions(algebra: AbstractAlgebra, piece: Piece) -> list[Matrix]:
-    """The action matrices of the basis elements of A on A*g, read off the
-    products and cached on the algebra per piece."""
-    key = tuple(piece.indices)
-    actions = algebra._pieces.get(key)
-    if actions is None:
-        F = algebra.field
-        n = len(key)
-        pos = {b: r for r, b in enumerate(key)}
-        actions = []
-        for a in range(algebra.dim):
-            entries = [F.zero] * (n * n)
-            for b, prod in algebra._by_left[a]:
-                c = pos.get(b)
-                if c is None:
-                    continue
-                for k, ck in prod:
-                    r = pos.get(k)
-                    if r is None:
-                        raise ValueError("piece not closed under left multiplication")
-                    entries[r * n + c] = ck
-            actions.append(Matrix(F, n, n, entries))
-        algebra._pieces[key] = actions
-    return actions
-
-
-def _piece_module(algebra: AbstractAlgebra, pieces: list[Piece]) -> tuple[AbstractModule, list[int]]:
-    offsets = []
-    total = 0
-    for p in pieces:
-        offsets.append(total)
-        total += len(p.indices)
-    per_piece = [_piece_actions(algebra, p) for p in pieces]
-    action = [block_diag(algebra.field, [acts[i] for acts in per_piece])
-              for i in range(algebra.dim)]
-    return AbstractModule(algebra, total, action, validate=False), offsets
-
-
-def _cover_map(m: AbstractModule, pieces: list[Piece]) -> Matrix:
-    """⊕ A*g -> m: each basis vector b of a piece goes to b . target_vec."""
-    cols = [m.action[b].apply(p.target_vec) for p in pieces for b in p.indices]
-    return Matrix(m.algebra.field, m.dim, len(cols),
-                  [c[i] for i in range(m.dim) for c in cols])
-
-
-def _cover(algebra: AbstractAlgebra, m: AbstractModule,
-           force_free: bool = False) -> tuple[list[Piece], Matrix, bool]:
-    """Cover m by ⊕ A*g pieces; returns (pieces, phi, minimal_certified)."""
-    F = algebra.field
-    radm = radical_action_columns(m)
-    comp = complement_columns(radm)
-    use_idem = not force_free and algebra.idempotents_split_basic()
-    pieces: list[Piece] = []
-    if m.dim == 0:
-        return [], Matrix(F, 0, 0, []), True
-    if use_idem:
-        n = m.dim
-        C = Matrix.identity(F, n).select_columns(comp)
-        full = radm.hstack(C)
-        inv = inverse(full)
-        proj = inv.submatrix(range(radm.cols, n), range(n))
-        for j, e in enumerate(algebra.idempotents):
-            rho_e = m.rho(e)
-            rho_e_top = proj * rho_e * C
-            img = column_space_basis(rho_e_top)
-            if not img.cols:
-                continue
-            # w = rho_top(e) x ; v = rho(e) lift(x) has class w
-            lifts = C * solve(rho_e_top, img)
-            indices = algebra.column(j)
-            for c in range(img.cols):
-                pieces.append(Piece(gen=list(e), indices=indices,
-                                    target_vec=rho_e.apply(lifts.col(c))))
-    else:
-        generated = Matrix.zeros(F, m.dim, 0)
-        for cand in range(m.dim):
-            v = [F.zero] * m.dim
-            v[cand] = F.one
-            ambient = generated.hstack(radm)
-            vm = Matrix(F, m.dim, 1, v)
-            if solve(ambient, vm) is not None:
-                continue
-            pieces.append(_free_piece(algebra, v))
-            orbit_cols = []
-            for p in pieces:
-                orbit = []
-                for i in range(algebra.dim):
-                    orbit.append(m.action[i].apply(p.target_vec))
-                orbit_cols.append(Matrix(F, m.dim, algebra.dim,
-                                         [orbit[j][i] for i in range(m.dim) for j in range(algebra.dim)]))
-            glued = orbit_cols[0]
-            for oc in orbit_cols[1:]:
-                glued = glued.hstack(oc)
-            generated = column_space_basis(glued)
-            joint = generated.hstack(radm)
-            if rank(joint) == m.dim:
-                break
-    phi = _cover_map(m, pieces)
-    if rank(phi) != m.dim:
-        raise ValueError("cover not surjective")
-    return pieces, phi, use_idem
-
-
-class Resolution:
-    """Left resolution of an AbstractModule by ⊕ A*g covers.
-
-    force_free restricts covers to free pieces A*1 (the literal
-    free-resolution contract); doubled lists every generator twice, the
-    deliberately non-minimal variant used by the independence tests.
-    """
-
-    def __init__(self, m: AbstractModule, doubled: bool = False, force_free: bool = False):
-        self.module = m
-        self.algebra = m.algebra
-        self.doubled = doubled
-        self.force_free = force_free
-        self.levels: list[Level] = []
-        self.complete = m.dim == 0  # zero module: empty resolution
-
-    def extend_to(self, depth: int):
-        while len(self.levels) < depth and not self.complete:
-            target = self.module if not self.levels else self.levels[-1].kernel
-            if target.dim == 0:
-                self.complete = True
-                break
-            pieces, phi, minimal = _cover(self.algebra, target, force_free=self.force_free)
-            if self.doubled:
-                pieces = pieces + [Piece(p.gen, p.indices, p.target_vec) for p in pieces]
-                phi = _cover_map(target, pieces)
-                minimal = False
-            pmod, offsets = _piece_module(self.algebra, pieces)
-            kc = kernel_basis(phi)
-            kmod = submodule_from_columns(pmod, kc) if kc.cols else AbstractModule(
-                self.algebra, 0, [Matrix(self.algebra.field, 0, 0, [])] * self.algebra.dim,
-                validate=False)
-            self.levels.append(Level(pieces=pieces, module=pmod, offsets=offsets,
-                                     phi=phi, kernel_cols=kc, kernel=kmod, minimal=minimal))
-            if kc.cols == 0:
-                self.complete = True
-
-
-def _hom_piece_basis(piece: Piece, n: AbstractModule) -> Matrix:
-    """Columns: basis of g.N ≅ Hom(A*g, N)."""
-    return column_space_basis(n.rho(piece.gen))
-
-
-def _generator_coordinates(piece: Piece, field: Field) -> list:
-    """The generator's coordinates in its piece: its entries at the piece's
-    basis vectors, once it is checked to have no others."""
-    inside = set(piece.indices)
-    if any(not field.is_zero(c) for k, c in enumerate(piece.gen) if k not in inside):
-        raise ValueError("generator outside its piece")
-    return [piece.gen[k] for k in piece.indices]
-
-
-def ext_dims(resolution: Resolution, n: AbstractModule, upto: int) -> list[int]:
-    """dim Ext^i(M, N) for i = 0..upto, from the (possibly non-minimal)
-    resolution."""
-    resolution.extend_to(upto + 2)
-    algebra = resolution.algebra
-    F = algebra.field
-    levels = resolution.levels
-    hom_bases: list[list[Matrix]] = []
-    hom_dims: list[int] = []
-    for lvl in levels:
-        bases = [_hom_piece_basis(p, n) for p in lvl.pieces]
-        hom_bases.append(bases)
-        hom_dims.append(sum(b.cols for b in bases))
-    mats: list[Matrix] = []
-    for l in range(len(levels) - 1):
-        src_dims, tgt_dims = hom_dims[l], hom_dims[l + 1]
-        rows = [[F.zero] * src_dims for _ in range(tgt_dims)]
-        below = levels[l]
-        above = levels[l + 1]
-        # d: P_{l+1} -> P_l sends each generator to phi(gen coords) inside P_l
-        src_off = []
-        acc = 0
-        for b in hom_bases[l]:
-            src_off.append(acc)
-            acc += b.cols
-        tgt_off = []
-        acc = 0
-        for b in hom_bases[l + 1]:
-            tgt_off.append(acc)
-            acc += b.cols
-        for t, pt in enumerate(above.pieces):
-            # generator of piece t inside P_{l+1}
-            gen_coords = [F.zero] * above.module.dim
-            for r, c in enumerate(_generator_coordinates(pt, F)):
-                gen_coords[above.offsets[t] + r] = c
-            # phi lands in K_l in its own coordinates; pull back into P_l
-            img_k = above.phi.apply(gen_coords)
-            img = below.kernel_cols.apply(img_k)
-            # split img into piece components x_{st}, coordinates on the basis
-            # vectors of piece s
-            for s, ps in enumerate(below.pieces):
-                seg = img[below.offsets[s]: below.offsets[s] + len(ps.indices)]
-                # block: v in g_s N -> rho(x_st) v expressed in g_t N basis
-                bs, bt = hom_bases[l][s], hom_bases[l + 1][t]
-                if bs.cols == 0 or bt.cols == 0:
-                    continue
-                rho_x = lincomb(F, n.dim, n.dim, seg, [n.action[b] for b in ps.indices])
-                block_img = rho_x * bs
-                coef = solve(bt, block_img)
-                if coef is None:
-                    raise ValueError("hom differential escapes the corner space")
-                for r in range(bt.cols):
-                    for c in range(bs.cols):
-                        rows[tgt_off[t] + r][src_off[s] + c] = coef.at(r, c)
-        mats.append(Matrix.from_rows(F, rows) if tgt_dims else Matrix(F, 0, src_dims, []))
-    out = []
-    for i in range(upto + 1):
-        if i >= len(levels):
-            out.append(0)
-            continue
-        dim_i = hom_dims[i]
-        r_out = rank(mats[i]) if i < len(mats) else 0
-        r_in = rank(mats[i - 1]) if i >= 1 else 0
-        out.append(dim_i - r_out - r_in)
-    return out
-
-
-def ext_dim(m: AbstractModule, n: AbstractModule, i: int,
-            resolution: Resolution | None = None) -> int:
-    res = resolution if resolution is not None else Resolution(m)
-    return ext_dims(res, n, i)[i]
-
-
-def free_resolution(m: AbstractModule, maxlen: int, doubled: bool = False) -> Resolution:
-    """A resolution of m by free modules, extended to the requested length
-    (or until a kernel vanishes).  Exactness at every joint is rechecked."""
-    res = Resolution(m, doubled=doubled, force_free=True)
-    res.extend_to(maxlen + 1)
-    for k, lvl in enumerate(res.levels):
-        target_dim = m.dim if k == 0 else res.levels[k - 1].kernel.dim
-        if rank(lvl.phi) != target_dim:
-            raise AssertionError("resolution joint not exact")
-    return res
-
-
-# ---------------------------------------------------------------------------
-# dimensions
-
-
-def pd(m: AbstractModule, cutoff: int, resolution: Resolution | None = None) -> DimensionReport:
-    """Projective dimension from Ext^i(M, A/rad A) vanishing (first zero at
-    i = n+1 certifies pd = n over an Artin algebra)."""
-    algebra = m.algebra
-    if m.dim == 0:
-        return DimensionReport("pd", Dim(0), cutoff, caveats=["zero module: pd reported as 0"])
-    res = resolution if resolution is not None else Resolution(m)
-    s = semisimple_quotient_module(algebra)
-    values = ext_dims(res, s, cutoff + 1)
-    for i in range(1, cutoff + 2):
-        if values[i] == 0:
-            return DimensionReport("pd", Dim(i - 1), cutoff)
-    return DimensionReport("pd", Dim(cutoff, censored=True), cutoff)
-
-
-def gldim(algebra: AbstractAlgebra, cutoff: int) -> DimensionReport:
-    s = semisimple_quotient_module(algebra)
-    rep = pd(s, cutoff)
-    return DimensionReport("gldim", rep.dim, cutoff, breakdown={"pd(A/radA)": rep.dim})
-
-
-def injdim(m: AbstractModule, cutoff: int) -> DimensionReport:
-    rep = pd(dual_module(m), cutoff)
-    return DimensionReport("id", rep.dim, cutoff)
-
-
-def is_gorenstein(algebra: AbstractAlgebra, cutoff: int) -> tuple[bool | None, DimensionReport, DimensionReport]:
-    """(status, id of the left regular, id of the right regular); status None
-    when a side is censored."""
-    left = injdim(regular_module(algebra), cutoff)
-    left.quantity = "id(left regular)"
-    right = injdim(right_regular_module(algebra), cutoff)
-    right.quantity = "id(right regular)"
-    if left.dim.censored or right.dim.censored:
-        return None, left, right
-    return True, left, right
-
-
-# ---------------------------------------------------------------------------
-# bridges from the quiver side
-
-
-def quiver_to_abstract(pathalg) -> AbstractAlgebra:
-    """Structure constants for which quiver representations are honest left
-    modules: the product has e_i * e_j = (path j) followed by (path i)."""
-    F = pathalg.field
-    d = pathalg.dim
-    table = {(i, j): pathalg.mul_basis(j, i) for i in range(d) for j in range(d)}
-    unit = [F.zero] * d
-    for v in range(1, pathalg.quiver.n + 1):
-        unit[pathalg.trivial_path(v)] = F.one
-    idems = []
-    for v in range(1, pathalg.quiver.n + 1):
-        e = [F.zero] * d
-        e[pathalg.trivial_path(v)] = F.one
-        idems.append(e)
-    return AbstractAlgebra(F, d, table, unit, idempotents=idems, validate=False)
-
-
-def rep_to_abstract(rep, abstract: AbstractAlgebra) -> AbstractModule:
-    """A representation as a module over quiver_to_abstract of its algebra."""
-    pathalg = rep.algebra
-    F = pathalg.field
-    q = pathalg.quiver
-    offsets = []
-    total = 0
-    for v in range(q.n):
-        offsets.append(total)
-        total += rep.dims[v]
-    action = []
-    for k in range(pathalg.dim):
-        src, word = pathalg.basis[k]
-        tgt = pathalg.element_target(k)
-        blk = rep.word_action(word, src)
-        rows = [[F.zero] * total for _ in range(total)]
-        for r in range(blk.rows):
-            for c in range(blk.cols):
-                rows[offsets[tgt - 1] + r][offsets[src - 1] + c] = blk.at(r, c)
-        action.append(Matrix.from_rows(F, rows) if total else Matrix(F, 0, 0, []))
-    return AbstractModule(abstract, total, action, validate=False)

@@ -11,24 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import (
-    AbstractAlgebra,
-    gldim,
-    injdim,
-    is_gorenstein,
-    pd,
-    quiver_to_abstract,
-    regular_module,
-    rep_to_abstract,
-)
+from .algebra import AbstractAlgebra
 from .complexes import term_length
 from .relative import (
     SubbifunctorF,
     findim_f,
     finitistic_sup,
+    gldim,
     gldim_f,
     id_f,
+    is_gorenstein,
+    ordinary_pd,
     pd_f,
+    regular_id,
     relative_injectives,
 )
 from .rep import Representation
@@ -112,7 +107,7 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
     gl_f = gldim_f(corpus, f, cutoff, complete=complete)
     t = tilt.term_length
     gamma = ts.gamma()
-    gl_g = gldim(gamma, cutoff)
+    gl_g = gldim(gamma.presentation(), cutoff)
     rep.values["gldim_F(Lambda)"] = gl_f
     rep.values["t(T)"] = t
     rep.values["dim(Gamma)"] = gamma.dim
@@ -150,13 +145,12 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     tilt = verify_f_tilting(ts, f, declared_count=len(ts.parts))
     if not tilt.self_orthogonal_ok:
         raise ValueError("tilting precondition failed: " + "; ".join(tilt.failures))
-    lam = quiver_to_abstract(algebra)
     l = tilt.term_length
-    gamma = ts.gamma()
-    gl_l = gldim(lam, cutoff)
+    gamma = ts.gamma().presentation()
+    gl_l = gldim(algebra, cutoff)
     gl_g = gldim(gamma, cutoff)
-    id_l = injdim(regular_module(lam), cutoff)
-    id_g = injdim(regular_module(gamma), cutoff)
+    id_l = regular_id(algebra, cutoff)
+    id_g = regular_id(gamma, cutoff)
     rep.values["gldim(Lambda)"] = gl_l
     rep.values["gldim(Gamma)"] = gl_g
     rep.values["l(T)"] = l
@@ -167,7 +161,7 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     rep.checks.append(InequalityCheck.of("gldim(Gamma) <= gldim(Lambda) + l",
                                          gl_g.dim, _shifted(gl_l.dim, l)))
     # ordinary finitistic side over the corpus
-    fd_break = {name: pd(rep_to_abstract(m, lam), cutoff).dim for name, m in corpus}
+    fd_break = {name: ordinary_pd(m, cutoff) for name, m in corpus}
     fd_l = finitistic_sup(fd_break.values())
     fd_l_exact = complete and not any(d.censored for d in fd_break.values())
     fd_g_break = _gamma_pd_breakdown(gl_g.dim)
@@ -239,8 +233,7 @@ def gorenstein_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
     rep.values["Lambda F-Gorenstein"] = (
         "yes" if lambda_gorenstein else "undetermined at cutoff")
     t = term_length(ts.total)
-    gamma = ts.gamma()
-    status, left, right = is_gorenstein(gamma, cutoff)
+    status, left, right = is_gorenstein(ts.gamma().presentation(), cutoff)
     rep.values["id(Gamma left regular)"] = left
     rep.values["id(Gamma right regular)"] = right
     rep.values["Gamma Gorenstein"] = "yes" if status else "undetermined at cutoff"

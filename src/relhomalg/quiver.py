@@ -212,6 +212,7 @@ class PathAlgebra:
         # and injective at each vertex, keyed (kind, vertex).  Insert-only.
         self.modules: dict = {}
         self.vertex_modules: dict[tuple[str, int], object] = {}
+        self.ordinary = None  # relative.ordinary_f (G = the projectives), built once
 
     def _ensure_length_cutoff_consistent(self, rw: _Rewriter):
         """Every composable word of length N must rewrite to something of
@@ -304,5 +305,18 @@ class PathAlgebra:
         return f"PathAlgebra(n={self.quiver.n}, arrows={len(self.quiver.arrows)}, dim={self.dim})"
 
 
-def build_algebra(field: Field, quiver: Quiver, relations, nilpotency: int) -> PathAlgebra:
-    return PathAlgebra(field, quiver, relations, nilpotency)
+def irredundant_relations(field: Field, relations, nilpotency: int) -> list:
+    """The relations, in order, that the ones kept before them do not imply
+    modulo J^N: each is reduced by the completed rules of those kept, and
+    dropped when it reduces to 0.  Reductions stay in the ideal, so the kept
+    relations generate the same ideal."""
+    rw = _Rewriter(field, nilpotency)
+    kept = []
+    for rel in relations:
+        combo: dict = {}
+        for coeff, word in rel:
+            combo[tuple(word)] = field.add(combo.get(tuple(word), field.zero), coeff)
+        if rw.add_rule_from(combo):
+            kept.append(rel)
+            rw.complete()
+    return kept

@@ -28,6 +28,7 @@ from .rep import (
     is_isomorphic,
     kernel,
     projective,
+    simple,
     stack_maps_to_common_target,
     zero_representation,
 )
@@ -193,22 +194,25 @@ def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
     return Approximation(glued, ds, [pieces[i] for i in keep])
 
 
-def _on_module(x: Representation, side: str, summands: list[SummandDecl], compute):
-    """compute(), stored on x under the side and the summand modules.
-    Representations are canonical per algebra, so the key is content and
-    every construction of the same module shares the result."""
+def _on_module(x: Representation, key: tuple, compute):
+    """compute(), stored on x under key, which names the summand modules it
+    depends on.  Representations are canonical per algebra, so the key is
+    content and every construction of the same module shares the result."""
     if x._approximations is None:
         x._approximations = {}
-    key = (side, tuple(s.module for s in summands))
     out = x._approximations.get(key)
     if out is None:
         out = x._approximations[key] = compute()
     return out
 
 
+def _modules(summands: list[SummandDecl]) -> tuple[Representation, ...]:
+    return tuple(s.module for s in summands)
+
+
 def right_approximation(x: Representation, f: SubbifunctorF) -> Approximation:
     """The minimal right add(G)-approximation of x, computed once per x and G."""
-    return _on_module(x, "right", f.summands,
+    return _on_module(x, ("right", _modules(f.summands)),
                       lambda: minimal_right_approximation(x, f.summands, f.algebra))
 
 
@@ -216,7 +220,8 @@ def left_approximation(x: Representation, targets: list[SummandDecl],
                        algebra: PathAlgebra) -> tuple[ModuleMap, DirectSum, list[int]]:
     """Minimal left add(⊕targets)-approximation u: x -> I', by greedy copy
     removal; computed once per x and targets."""
-    return _on_module(x, "left", targets, lambda: _left_approximation(x, targets, algebra))
+    return _on_module(x, ("left", _modules(targets)),
+                      lambda: _left_approximation(x, targets, algebra))
 
 
 def _left_approximation(x: Representation, targets: list[SummandDecl],
@@ -380,37 +385,59 @@ def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = 
     return candidates, validated, notes
 
 
-def cosyzygy_f(x: Representation, injectives: list[SummandDecl], algebra: PathAlgebra) -> Representation:
-    u, _, _ = left_approximation(x, injectives, algebra)
-    if u.is_isomorphism():
-        return zero_representation(algebra)
-    cok, _ = cokernel(u)
-    return cok
+@dataclass
+class CoresolutionStep:
+    """One step x -> I' -> C of a coresolution by add(I(F)): u: x -> I' is the
+    minimal left approximation and C its cokernel.  cosyzygy is None when u
+    is an isomorphism (x lies in add I(F)); failure says why the step cannot
+    continue an F-exact coresolution."""
+    cosyzygy: Representation | None
+    failure: str | None = None
+
+
+def coresolution_step(x: Representation, f: SubbifunctorF,
+                      injectives: list[SummandDecl]) -> CoresolutionStep:
+    """The step from x, computed once per x, I(F) and G and stored on x, so
+    coresolutions that meet share the rest of their steps."""
+    def step() -> CoresolutionStep:
+        u, _, _ = left_approximation(x, injectives, f.algebra)
+        if u.is_isomorphism():
+            return CoresolutionStep(None)
+        if not u.is_injective():
+            return CoresolutionStep(None, "left approximation not injective: I(F) list rejected"
+                                          " as an enough-injectives class")
+        cok, proj = cokernel(u)
+        if not hom_g_surjective(f, proj):
+            return CoresolutionStep(cok, "coresolution step is not F-exact: I(F) list invalid")
+        return CoresolutionStep(cok)
+
+    return _on_module(x, ("coresolution", _modules(injectives), _modules(f.summands)), step)
+
+
+def cosyzygy_f(x: Representation, f: SubbifunctorF,
+               injectives: list[SummandDecl]) -> Representation:
+    """The cokernel of the minimal left add(I(F))-approximation of x (zero when
+    x lies in add I(F))."""
+    step = coresolution_step(x, f, injectives)
+    return step.cosyzygy if step.cosyzygy is not None else zero_representation(f.algebra)
 
 
 def id_f(x: Representation, f: SubbifunctorF, injectives: list[SummandDecl],
          cutoff: int) -> DimensionReport:
     """Relative injective dimension, by minimal left I(F)-approximations."""
-    algebra = f.algebra
     cur = x
     length = 0
-    notes: list[str] = []
     while not cur.is_zero():
-        u, _, _ = left_approximation(cur, injectives, algebra)
-        if u.is_isomorphism():
+        step = coresolution_step(cur, f, injectives)
+        if step.failure is not None:
+            return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=[step.failure])
+        if step.cosyzygy is None:
             break
-        if not u.is_injective():
-            notes.append("left approximation not injective: I(F) list rejected as"
-                         " an enough-injectives class")
-            return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=notes)
-        cur, proj = cokernel(u)
-        if not hom_g_surjective(f, proj):
-            notes.append("coresolution step is not F-exact: I(F) list invalid")
-            return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=notes)
+        cur = step.cosyzygy
         length += 1
         if length > cutoff:
-            return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff, caveats=notes)
-    return DimensionReport("id_F", Dim(length), cutoff, caveats=notes)
+            return DimensionReport("id_F", Dim(cutoff, censored=True), cutoff)
+    return DimensionReport("id_F", Dim(length), cutoff)
 
 
 def gldim_f(corpus: list[tuple[str, Representation]], f: SubbifunctorF, cutoff: int,
@@ -450,3 +477,47 @@ def is_f_frobenius(f: SubbifunctorF, corpus: list[Representation] | None = None)
         if not any(is_isomorphic(c.module, s.module).isomorphic for s in f.summands):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# ordinary dimensions: G = the projectives, so every sequence is F-exact
+
+
+def ordinary_f(algebra: PathAlgebra) -> SubbifunctorF:
+    """F for G = the indecomposable projectives, built once per algebra."""
+    if algebra.ordinary is None:
+        algebra.ordinary = SubbifunctorF(algebra, [
+            SummandDecl(f"P{v}", projective(algebra, v)) for v in range(1, algebra.quiver.n + 1)])
+    return algebra.ordinary
+
+
+def ordinary_pd(x: Representation, cutoff: int) -> Dim:
+    """pd(x), from its minimal projective resolution."""
+    return f_resolution(x, ordinary_f(x.algebra), cutoff).pd
+
+
+def gldim(algebra: PathAlgebra, cutoff: int) -> DimensionReport:
+    """gldim = pd(A/rad A), the largest pd of a simple."""
+    d = dim_max([ordinary_pd(simple(algebra, v), cutoff) for v in range(1, algebra.quiver.n + 1)])
+    return DimensionReport("gldim", d, cutoff, breakdown={"pd(A/radA)": d})
+
+
+def regular_id(algebra: PathAlgebra, cutoff: int) -> DimensionReport:
+    """id of the left regular module, the largest id of a projective, by
+    minimal injective coresolutions (I(F) = the injectives)."""
+    injectives = [SummandDecl(f"I{v}", injective(algebra, v))
+                  for v in range(1, algebra.quiver.n + 1)]
+    d = dim_max([id_f(projective(algebra, v), ordinary_f(algebra), injectives, cutoff).dim
+                 for v in range(1, algebra.quiver.n + 1)])
+    return DimensionReport("id", d, cutoff)
+
+
+def is_gorenstein(algebra: PathAlgebra, cutoff: int) -> tuple[bool | None, DimensionReport, DimensionReport]:
+    """(status, id of the left regular, id of the right regular); status None
+    when a side is censored.  id(A_A) is pd of its dual, the sum of the
+    injective left modules."""
+    left = regular_id(algebra, cutoff)
+    left.quantity = "id(left regular)"
+    right = DimensionReport("id(right regular)", dim_max(
+        [ordinary_pd(injective(algebra, v), cutoff) for v in range(1, algebra.quiver.n + 1)]), cutoff)
+    return (None if left.dim.censored or right.dim.censored else True), left, right

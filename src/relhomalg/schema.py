@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .complexes import Complex, Part, shift_complex, stalk_complex
 from .fields import Field, PrimeField, QQ
 from .matrix import Matrix
-from .quiver import PathAlgebra, Quiver, build_algebra
+from .quiver import PathAlgebra, Quiver
 from .rep import ModuleMap, Representation, cokernel, projective, radical, simple, socle
 from .relative import SubbifunctorF, SummandDecl
 from .tilting import (
@@ -298,7 +298,7 @@ class _Loader:
         _expect(isinstance(nilp, int) and nilp >= 2, "$.nilpotency",
                 "nilpotency bound must be an integer >= 2")
         try:
-            return build_algebra(self.field, quiver, relations, nilp)
+            return PathAlgebra(self.field, quiver, relations, nilp)
         except ValueError as e:
             raise SchemaError("$.relations", str(e))
 

@@ -1,8 +1,11 @@
 """Shared constructions for the test suite: the worked algebras."""
 
+from relhomalg.algebra import AbstractAlgebra
 from relhomalg.fields import QQ
-from relhomalg.quiver import Quiver, build_algebra
-from relhomalg.rep import projective, socle, cokernel
+from relhomalg.matrix import Matrix, rank
+from relhomalg.quiver import PathAlgebra, Quiver
+from relhomalg.relative import SummandDecl, left_approximation
+from relhomalg.rep import cokernel, hom_coordinates, hom_space, injective, projective, socle
 
 
 def cycle3_selfinjective(field=QQ):
@@ -14,7 +17,7 @@ def cycle3_selfinjective(field=QQ):
         [(one, (1, 2, 0))],  # b c a
         [(one, (2, 0, 1))],  # c a b
     ]
-    return build_algebra(field, q, rels, 3)
+    return PathAlgebra(field, q, rels, 3)
 
 
 def cycle3_verbatim(field=QQ):
@@ -26,18 +29,18 @@ def cycle3_verbatim(field=QQ):
         [(one, (1, 2, 0, 1))],
         [(one, (2, 0, 1, 2))],
     ]
-    return build_algebra(field, q, rels, 4)
+    return PathAlgebra(field, q, rels, 4)
 
 
 def a2_algebra(field=QQ):
     q = Quiver(2, [("a", 1, 2)])
-    return build_algebra(field, q, [], 2)
+    return PathAlgebra(field, q, [], 2)
 
 
 def loop_dual_numbers(field=QQ):
     """k[x]/(x^2) as a one-vertex one-loop quiver."""
     q = Quiver(1, [("x", 1, 1)])
-    return build_algebra(field, q, [], 2)
+    return PathAlgebra(field, q, [], 2)
 
 
 def sub_quotient(m, sub_incl):
@@ -86,3 +89,49 @@ def nakayama_problem(n, length):
         "corpus": corpus,
         "corpus_complete": True,
     }
+
+
+def structure_constants(pathalg):
+    """pathalg as an AbstractAlgebra whose left modules are its
+    representations: b_i * b_j is (path j) followed by (path i), and the
+    supplied idempotents are the trivial paths."""
+    F = pathalg.field
+    d = pathalg.dim
+    table = {(i, j): pathalg.mul_basis(j, i) for i in range(d) for j in range(d)}
+    trivial = [pathalg.trivial_path(v) for v in range(1, pathalg.quiver.n + 1)]
+
+    def vector(ks):
+        return [F.one if k in ks else F.zero for k in range(d)]
+
+    return AbstractAlgebra(F, d, table, vector(trivial),
+                           idempotents=[vector({k}) for k in trivial], validate=False)
+
+
+def ext_by_injectives(x, y, upto):
+    """dim Ext^i(x, y) for i = 0..upto from a minimal injective coresolution
+    0 -> y -> I^0 -> I^1 -> ... of y, built from left approximations by the
+    injectives and cokernels: the cohomology of Hom(x, I^*).  Ext is
+    balanced, so this is a route to Ext independent of projective
+    resolutions."""
+    algebra = y.algebra
+    injectives = [SummandDecl(f"I{v}", injective(algebra, v))
+                  for v in range(1, algebra.quiver.n + 1)]
+    terms, diffs = [], []  # I^i, and d^i: I^i -> I^(i+1)
+    cur, proj = y, None
+    while len(terms) < upto + 2 and not cur.is_zero():
+        u, ds, _ = left_approximation(cur, injectives, algebra)
+        if proj is not None:
+            diffs.append(proj.compose(u))
+        terms.append(ds.rep)
+        cur, proj = cokernel(u)
+
+    def hom_rank(i):  # rank of Hom(x, d^i)
+        if i < 0 or i >= len(diffs):
+            return 0
+        source, target = hom_space(x, terms[i]), hom_space(x, terms[i + 1])
+        cols = [hom_coordinates(target, phi.compose(diffs[i])) for phi in source]
+        return rank(Matrix(x.algebra.field, len(target), len(cols),
+                           [c[r] for r in range(len(target)) for c in cols]))
+
+    return [len(hom_space(x, terms[i])) - hom_rank(i) - hom_rank(i - 1) if i < len(terms) else 0
+            for i in range(upto + 1)]

@@ -8,12 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from relhomalg.algebra import (
-    Resolution,
-    ext_dims,
-    quiver_to_abstract,
-    rep_to_abstract,
-)
 from relhomalg.bounds import gorenstein_check, prop63_64_counts, theorem73_check
 from relhomalg.complexes import hom_df, stalk_complex, Complex
 from relhomalg.relative import (
@@ -29,7 +23,7 @@ from relhomalg.reports import VERIFIED
 from relhomalg.schema import load_problem
 from relhomalg.tilting import end_algebra, verify_f_tilting
 
-from helpers import a2_algebra, loop_dual_numbers, uniserials
+from helpers import a2_algebra, ext_by_injectives, loop_dual_numbers, uniserials
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -101,20 +95,18 @@ def test_criterion_4_section6_tilting(sec6):
 
 
 def _specialization_case(algebra, corpus):
-    """ext_f with G = Lambda versus ordinary Ext over structure constants."""
+    """ext_f with G = Lambda versus ordinary Ext from injective coresolutions."""
     ordinary = SubbifunctorF(
         algebra,
         [SummandDecl(f"P{i}", projective(algebra, i))
          for i in range(1, algebra.quiver.n + 1)])
-    abstract = quiver_to_abstract(algebra)
     for x in corpus:
         res_f = f_resolution(x, ordinary, 7)
-        res_a = Resolution(rep_to_abstract(x, abstract))
         for y in corpus:
-            abs_dims = ext_dims(res_a, rep_to_abstract(y, abstract), 5)
+            balanced = ext_by_injectives(x, y, 5)
             for i in range(6):
                 lhs = ext_f(x, y, i, ordinary, resolution=res_f)
-                assert lhs == abs_dims[i], (x.dims, y.dims, i, lhs, abs_dims[i])
+                assert lhs == balanced[i], (x.dims, y.dims, i, lhs, balanced[i])
 
 
 def test_criterion_5_specialization(sec7):
@@ -123,7 +115,7 @@ def test_criterion_5_specialization(sec7):
     _specialization_case(a2, uniserials(a2))
     loop = loop_dual_numbers()
     _specialization_case(loop, uniserials(loop))
-    report(5, "ext_F(G=Lambda) equals ordinary Ext on three algebras, degrees <= 5")
+    report(5, "ext_F(G=Lambda) equals Ext from injective coresolutions on three algebras, degrees <= 5")
 
 
 def test_criterion_6_property_suites(F7, corpus7):

@@ -1,24 +1,27 @@
 import pytest
 
 from relhomalg.fields import QQ
-from relhomalg.algebra import (
-    AbstractAlgebra,
-    AbstractModule,
-    Resolution,
-    ext_dim,
-    ext_dims,
+from relhomalg.algebra import AbstractAlgebra
+from relhomalg.relative import (
+    SummandDecl,
+    ext_f,
+    f_resolution,
     gldim,
-    injdim,
+    id_f,
     is_gorenstein,
-    pd,
-    quiver_to_abstract,
-    regular_module,
-    rep_to_abstract,
+    ordinary_f,
+    ordinary_pd,
 )
-from relhomalg.matrix import Matrix
-from relhomalg.rep import projective, simple
+from relhomalg.reports import Dim
+from relhomalg.rep import injective, projective, simple, zero_representation
 
-from helpers import a2_algebra, cycle3_selfinjective, loop_dual_numbers
+from helpers import (
+    a2_algebra,
+    cycle3_selfinjective,
+    ext_by_injectives,
+    loop_dual_numbers,
+    structure_constants,
+)
 
 
 def field_algebra():
@@ -33,12 +36,6 @@ def dual_numbers():
         [[z, o], [z, z]],
     ]
     return AbstractAlgebra(QQ, 2, table, [o, z], validate=True)
-
-
-def dual_numbers_k_module(A):
-    # k with x acting by 0
-    return AbstractModule(A, 1, [Matrix.from_rows(QQ, [[QQ.one]]),
-                                 Matrix.from_rows(QQ, [[QQ.zero]])], validate=True)
 
 
 def test_field_has_zero_radical():
@@ -68,109 +65,111 @@ def test_bad_associativity_rejected():
 
 
 def test_free_module_pd_zero():
-    A = dual_numbers()
-    assert pd(regular_module(A), 10).dim.value == 0
+    # the unit alone is the only vertex, so the projective there is A itself
+    P = dual_numbers().presentation()
+    assert P.quiver.n == 1 and P.dim == 2
+    assert ordinary_pd(projective(P, 1), 10) == Dim(0)
 
 
 def test_dual_numbers_simple_is_periodic():
-    A = dual_numbers()
-    k = dual_numbers_k_module(A)
-    res = Resolution(k)
-    res.extend_to(4)
-    assert [lvl.kernel.dim for lvl in res.levels[:3]] == [1, 1, 1]
-    rep = pd(k, 10)
-    assert rep.dim.censored and rep.dim.value == 10
+    P = dual_numbers().presentation()
+    k = simple(P, 1)
+    res = f_resolution(k, ordinary_f(P), 4)
+    # every syzygy is k again, so every term is the free module of rank one
+    assert [m.dims for m in res.modules] == [(2,)] * 5
+    assert res.truncated
+    assert ordinary_pd(k, 10) == Dim(10, censored=True)
 
 
 def test_zero_module_resolution():
-    A = dual_numbers()
-    z = AbstractModule(A, 0, [Matrix(QQ, 0, 0, []), Matrix(QQ, 0, 0, [])], validate=False)
-    assert pd(z, 5).dim.value == 0
+    P = dual_numbers().presentation()
+    assert ordinary_pd(zero_representation(P), 5) == Dim(0)
 
 
 def test_semisimple_gldim_zero():
-    assert gldim(field_algebra(), 10).dim.value == 0
+    assert gldim(field_algebra().presentation(), 10).dim == Dim(0)
 
 
 def test_dual_numbers_gldim_infinite_but_gorenstein():
-    A = dual_numbers()
-    g = gldim(A, 6)
+    P = dual_numbers().presentation()
+    g = gldim(P, 6)
     assert g.dim.censored
-    status, left, right = is_gorenstein(A, 6)
+    status, left, right = is_gorenstein(P, 6)
     assert status is True
     assert left.dim.value == 0 and right.dim.value == 0  # self-injective
 
 
 def test_ext_resolution_independence_dual_numbers():
-    A = dual_numbers()
-    k = dual_numbers_k_module(A)
-    plain = Resolution(k)
-    doubled = Resolution(k, doubled=True)
-    assert ext_dims(plain, k, 5) == ext_dims(doubled, k, 5)
+    # Ext^i(k, k) from the minimal projective resolution of the first
+    # argument and from the minimal injective coresolution of the second
+    P = dual_numbers().presentation()
+    k = simple(P, 1)
+    res = f_resolution(k, ordinary_f(P), 6)
+    by_projectives = [ext_f(k, k, i, ordinary_f(P), resolution=res) for i in range(6)]
+    assert by_projectives == ext_by_injectives(k, k, 5) == [1] * 6
 
 
 def test_quiver_bridge_left_module_property():
-    L = cycle3_selfinjective()
-    A = quiver_to_abstract(L)
-    A.validate()
-    assert A.idempotents_split_basic()
-    p = rep_to_abstract(projective(L, 1), A)
-    p.validate()
+    # presenting the structure constants of a path algebra gives back its
+    # quiver, and the projectives of the presentation are those of the path
+    # algebra, not of its opposite: representations are left modules
+    for L in (cycle3_selfinjective(), a2_algebra()):
+        A = structure_constants(L)
+        A.validate()
+        assert A.idempotents_split_basic()
+        P = A.presentation()
+        assert (P.quiver.n, len(P.quiver.arrows), P.dim) == (L.quiver.n, len(L.quiver.arrows), L.dim)
+        for v in range(1, L.quiver.n + 1):
+            assert projective(P, v).dims == projective(L, v).dims
 
 
 def test_quiver_bridge_radical_and_gldim():
     L = cycle3_selfinjective()
-    A = quiver_to_abstract(L)
+    A = structure_constants(L)
     assert A.radical_dim() == 6
-    assert gldim(A, 6).dim.censored  # self-injective non-semisimple
-    status, left, right = is_gorenstein(A, 6)
+    P = A.presentation()
+    assert gldim(P, 6).dim.censored  # self-injective non-semisimple
+    status, left, right = is_gorenstein(P, 6)
     assert status is True and left.dim.value == 0
 
 
 def test_a2_bridge_gldim_one():
-    A2 = a2_algebra()
-    A = quiver_to_abstract(A2)
-    assert gldim(A, 10).dim.value == 1
-    status, left, right = is_gorenstein(A, 10)
+    P = structure_constants(a2_algebra()).presentation()
+    assert gldim(P, 10).dim == Dim(1)
+    status, left, right = is_gorenstein(P, 10)
     assert status is True
     assert left.dim.value == 1
 
 
 def test_gldim_consistent_with_max_over_simples():
-    # with a complete idempotent set the simples are available directly and
-    # gldim = pd(A/rad A) must agree with their maximum
-    A2 = a2_algebra()
-    A = quiver_to_abstract(A2)
-    s1 = rep_to_abstract(simple(A2, 1), A)
-    s2 = rep_to_abstract(simple(A2, 2), A)
-    per_simple = max(pd(s1, 10).dim.value, pd(s2, 10).dim.value)
-    assert gldim(A, 10).dim.value == per_simple == 1
+    # gldim = pd(A/rad A) must agree with the largest pd of a simple
+    P = structure_constants(a2_algebra()).presentation()
+    per_simple = max(ordinary_pd(simple(P, 1), 10).value, ordinary_pd(simple(P, 2), 10).value)
+    assert gldim(P, 10).dim.value == per_simple == 1
 
 
 def test_bridge_ext_matches_hand_value():
     # over A_2: Ext^1(S1, S2) = 1, Ext^1(S1, S1) = 0
-    A2 = a2_algebra()
-    A = quiver_to_abstract(A2)
-    s1 = rep_to_abstract(simple(A2, 1), A)
-    s2 = rep_to_abstract(simple(A2, 2), A)
-    assert ext_dim(s1, s2, 1) == 1
-    assert ext_dim(s1, s1, 1) == 0
-    assert ext_dim(s1, s2, 0) == 0
-    assert ext_dim(s1, s1, 0) == 1
+    P = structure_constants(a2_algebra()).presentation()
+    f = ordinary_f(P)
+    s1, s2 = simple(P, 1), simple(P, 2)
+    assert ext_f(s1, s2, 1, f) == 1
+    assert ext_f(s1, s1, 1, f) == 0
+    assert ext_f(s1, s2, 0, f) == 0
+    assert ext_f(s1, s1, 0, f) == 1
 
 
 def test_injdim_of_a2_projectives():
-    A2 = a2_algebra()
-    A = quiver_to_abstract(A2)
-    p1 = rep_to_abstract(projective(A2, 1), A)  # P1 = I2 injective
-    p2 = rep_to_abstract(projective(A2, 2), A)  # S2 has id 1
-    assert injdim(p1, 10).dim.value == 0
-    assert injdim(p2, 10).dim.value == 1
+    P = structure_constants(a2_algebra()).presentation()
+    injectives = [SummandDecl(f"I{v}", injective(P, v)) for v in (1, 2)]
+    p1 = projective(P, 1)  # P1 = I2 injective
+    p2 = projective(P, 2)  # S2 has id 1
+    assert id_f(p1, ordinary_f(P), injectives, 10).dim == Dim(0)
+    assert id_f(p2, ordinary_f(P), injectives, 10).dim == Dim(1)
 
 
 def test_loop_algebra_matches_dual_numbers():
-    L = loop_dual_numbers()
-    A = quiver_to_abstract(L)
+    A = structure_constants(loop_dual_numbers())
     A.validate()
     assert A.radical_dim() == 1
-    assert gldim(A, 5).dim.censored
+    assert gldim(A.presentation(), 5).dim.censored

@@ -11,7 +11,7 @@ import pytest
 
 from helpers import a2_algebra, cycle3_selfinjective, nakayama_problem
 
-from relhomalg import rep
+from relhomalg import relative, rep
 from relhomalg.cli import main
 from relhomalg.fields import PrimeField
 from relhomalg.matrix import Matrix
@@ -148,3 +148,28 @@ def test_approximations_are_stored_on_the_module(L7, L7_modules, F7):
     assert right_approximation(cokernel(incl)[0], F7) is app
     targets = F7.summands[:3]
     assert left_approximation(m1, targets, L7) is left_approximation(m1, targets, L7)
+
+
+def test_coresolution_steps_run_once_per_module(tmp_path, monkeypatch):
+    # id_F walks each module's coresolution; a step (left approximation,
+    # cokernel and F-exactness test) is stored on the module it starts from,
+    # so coresolutions that meet share the rest of their steps
+    cokernels, exactness = [], []
+    real_cokernel, real_exact = relative.cokernel, relative.hom_g_surjective
+
+    def counted_cokernel(u):
+        cokernels.append(u.source)
+        return real_cokernel(u)
+
+    def counted_exact(f, g_map):
+        exactness.append(g_map.target)
+        return real_exact(f, g_map)
+
+    monkeypatch.setattr(relative, "cokernel", counted_cokernel)
+    monkeypatch.setattr(relative, "hom_g_surjective", counted_exact)
+    path = tmp_path / "nakayama.json"
+    path.write_text(json.dumps(nakayama_problem(4, 3)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["module", str(path)]) == 0
+    assert cokernels and len(set(cokernels)) == len(cokernels)
+    assert len(exactness) == len(cokernels)

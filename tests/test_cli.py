@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from relhomalg import algebra, cli, relative
+from relhomalg import algebra, cli, relative, rep
 from relhomalg.cli import main
 from relhomalg.schema import canonical_form, load_problem
 
@@ -200,25 +200,28 @@ def test_fd_gamma_upper_bound_is_vacuous_when_gldim_gamma_is_censored(tmp_path, 
     assert "verified" not in capsys.readouterr().out.split("fd(Gamma) <=")[1].splitlines()[0]
 
 
-def _resolutions(monkeypatch, argv) -> int:
-    """Number of f_resolution calls one CLI command makes."""
+def _resolutions(monkeypatch, argv, ordinary=False) -> list:
+    """The modules one CLI command passes to f_resolution: for the problem's
+    F, or with ordinary=True for G = the projectives of the algebra they
+    live over (the Gamma side)."""
     calls = []
     real = relative.f_resolution
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counted(x, f, *args, **kwargs):
+        if (f is x.algebra.ordinary) == ordinary:
+            calls.append(x)
+        return real(x, f, *args, **kwargs)
 
     monkeypatch.setattr(relative, "f_resolution", counted)
     monkeypatch.setattr(cli, "f_resolution", counted)
     assert run(argv) == 0
-    return len(calls)
+    return calls
 
 
 def test_module_resolves_each_module_once(monkeypatch, capsys):
     path = DATA / "section7.json"
     problem = load_problem(str(path))
-    count = _resolutions(monkeypatch, ["module", path])
+    count = len(_resolutions(monkeypatch, ["module", path]))
     assert count <= len(problem.corpus_names) + len(problem.modules)
 
 
@@ -226,28 +229,25 @@ def test_module_resolves_each_module_once(monkeypatch, capsys):
 def test_corpus_dimensions_resolve_each_corpus_module_once(monkeypatch, capsys, argv):
     path = DATA / "section7.json"
     problem = load_problem(str(path))
-    assert _resolutions(monkeypatch, [*argv, path]) == len(problem.corpus_names)
+    assert len(_resolutions(monkeypatch, [*argv, path])) == len(problem.corpus_names)
 
 
 def test_theorem73_builds_and_resolves_gamma_top_once(monkeypatch, capsys):
-    # gldim(Gamma) is pd(Gamma/rad Gamma), so the finitistic side reuses it
-    # instead of resolving Gamma/rad Gamma again, and the quotient module
-    # itself is built once per algebra
-    tops, resolved = [], []
-    build = algebra.semisimple_quotient_module
+    # gldim(Gamma) is the largest pd of a simple of Gamma, so the finitistic
+    # side reuses it instead of resolving the simples again, and the quiver
+    # presentation of Gamma is built once per command
+    built = []
+    gabriel = algebra.AbstractAlgebra._gabriel_quiver
 
-    def recorded(a):
-        tops.append(build(a))
-        return tops[-1]
+    def recorded(self):
+        built.append(self)
+        return gabriel(self)
 
-    init = algebra.Resolution.__init__
-
-    def recorded_init(self, m, *args, **kwargs):
-        resolved.append(m)
-        init(self, m, *args, **kwargs)
-
-    monkeypatch.setattr(algebra, "semisimple_quotient_module", recorded)
-    monkeypatch.setattr(algebra.Resolution, "__init__", recorded_init)
-    assert run(["bounds", "theorem73", DATA / "section7.json"]) == 0
-    assert len({id(s) for s in tops}) == 1
-    assert sum(any(m is s for s in tops) for m in resolved) == 1
+    monkeypatch.setattr(algebra.AbstractAlgebra, "_gabriel_quiver", recorded)
+    resolved = _resolutions(monkeypatch, ["bounds", "theorem73", DATA / "section7.json"],
+                            ordinary=True)
+    assert len(built) == 1
+    pres = built[0].presentation()
+    simples = [rep.simple(pres, v) for v in range(1, pres.quiver.n + 1)]
+    assert len(resolved) == len(simples) == 6
+    assert all(sum(m is s for m in resolved) == 1 for s in simples)

@@ -1,8 +1,9 @@
-"""Q and F_32003 agree on every End(T) check and every relative-dimension
-command of the bundled problems: the radical of Gamma comes from residue
-maps, which work in every characteristic, add(G)-approximations and
-F-resolutions are rank computations whose ranks do not drop mod 32003 on
-these inputs, and the bundled answers are the same over both fields."""
+"""Q and F_32003 agree on every End(T) check, every relative-dimension
+command and every per-module and per-complex command of the bundled
+problems: the radical of Gamma comes from residue maps, which work in every
+characteristic, add(G)-approximations, F-resolutions and total Hom
+complexes are rank computations whose ranks do not drop mod 32003 on these
+inputs, and the bundled answers are the same over both fields."""
 
 import contextlib
 import io
@@ -21,6 +22,16 @@ COMMANDS = [("bounds", "theorem73"), ("bounds", "cor710"), ("bounds", "counts"),
             ("module",), ("relhom", "gldim"), ("relhom", "ifset")]
 
 
+def _declared(key: str) -> list[tuple[str, str]]:
+    """(problem, name) for every module or complex a bundled problem declares."""
+    return [(problem, name) for problem in PROBLEMS
+            for name in json.loads((DATA / problem).read_text()).get(key, {})]
+
+
+MODULES = _declared("modules")
+COMPLEXES = _declared("complexes")
+
+
 def _call(*args: str) -> tuple[int, str, str, dict | None]:
     """Exit code, stdout, stderr and `--report` payload (without `file`, None
     when the command exits before writing one) of one CLI call."""
@@ -35,6 +46,12 @@ def _call(*args: str) -> tuple[int, str, str, dict | None]:
     return code, out.getvalue(), err.getvalue(), payload
 
 
+def _agree(*args: str):
+    over_q = _call("--field", "q", *args)
+    over_p = _call("--field", "fp:32003", *args)
+    assert over_p == over_q
+
+
 def test_bundled_problems_are_all_covered():
     assert len(PROBLEMS) == 4
 
@@ -42,7 +59,17 @@ def test_bundled_problems_are_all_covered():
 @pytest.mark.parametrize("command", COMMANDS, ids=["-".join(c) for c in COMMANDS])
 @pytest.mark.parametrize("problem", PROBLEMS)
 def test_q_and_fp_agree(problem, command):
-    path = str(DATA / problem)
-    over_q = _call("--field", "q", *command, path)
-    over_p = _call("--field", "fp:32003", *command, path)
-    assert over_p == over_q
+    _agree(*command, str(DATA / problem))
+
+
+@pytest.mark.parametrize("sub", ["resolve", "exact"])
+@pytest.mark.parametrize("problem, module", MODULES, ids=["/".join(m) for m in MODULES])
+def test_q_and_fp_agree_per_module(problem, module, sub):
+    _agree("relhom", sub, str(DATA / problem), "--module", module)
+
+
+@pytest.mark.parametrize("sub", ["termlength", "acyclic", "cone"])
+@pytest.mark.parametrize("problem, name", COMPLEXES, ids=["/".join(c) for c in COMPLEXES])
+def test_q_and_fp_agree_per_complex(problem, name, sub):
+    _agree("complex", sub, str(DATA / problem), "--complex", name)
+

@@ -1,10 +1,3 @@
-from relhomalg.algebra import (
-    Resolution,
-    ext_dims,
-    free_resolution,
-    quiver_to_abstract,
-    rep_to_abstract,
-)
 from relhomalg.complexes import (
     Complex,
     HomotopyHom,
@@ -13,9 +6,7 @@ from relhomalg.complexes import (
     null_homotopy_witness,
     stalk_complex,
 )
-from relhomalg.rep import ModuleMap, hom_space, projective, simple
-
-from helpers import a2_algebra, cycle3_selfinjective
+from relhomalg.rep import hom_space
 
 
 def test_null_homotopy_witness_on_contractible(L7_modules):
@@ -47,29 +38,3 @@ def test_null_homotopy_witness_odd_shift(L7_modules):
         cm = hh.vector_to_chain_map(vec)
         wit = null_homotopy_witness(hh, cm.comps)
         assert wit is not None
-
-
-def test_free_resolution_over_quiver_algebra():
-    A2 = a2_algebra()
-    A = quiver_to_abstract(A2)
-    s1 = rep_to_abstract(simple(A2, 1), A)
-    res = free_resolution(s1, 4)
-    for lvl in res.levels:
-        # every piece is a full free module A*1
-        assert all(len(p.indices) == A.dim for p in lvl.pieces)
-    # ext dims agree with the idempotent-cover engine
-    s2 = rep_to_abstract(simple(A2, 2), A)
-    assert ext_dims(res, s2, 3) == ext_dims(Resolution(s1), s2, 3)
-
-
-def test_free_resolution_never_terminates_on_nonfree_kernel():
-    # over the 3-cycle algebra the first syzygy of a simple is never free,
-    # so the free resolution keeps going while pd stays censored; ext dims
-    # remain correct because they are resolution-independent
-    L = cycle3_selfinjective()
-    A = quiver_to_abstract(L)
-    s1 = rep_to_abstract(simple(L, 1), A)
-    free = free_resolution(s1, 3)
-    assert not free.complete
-    s2 = rep_to_abstract(simple(L, 2), A)
-    assert ext_dims(free, s2, 2) == ext_dims(Resolution(s1), s2, 2)

@@ -2,13 +2,14 @@
 of `AbstractAlgebra` against the plain kernels they replaced.
 
 The reference functions below are the earlier dense versions of
-`Matrix.apply`, `Matrix.__mul__`, `rref`, `SpanSolver.coords` and
-`AbstractModule.rho`, kept verbatim as an oracle, and so are the dense
-`AbstractAlgebra.mul` over a full table and the solve-based
-`_piece_actions`.  Every check compares exact entries on seeded
-random matrices over Q and F_32003, most of them sparse (at least 70% zeros,
-like the matrices the workloads build), plus zero-row and zero-column shapes,
-or on the algebras the program builds: path algebras and End(T).
+`Matrix.apply`, `Matrix.__mul__`, `rref` and `SpanSolver.coords`, kept
+verbatim as an oracle, and so are the dense `AbstractAlgebra.mul` over a
+full table and the solve-based action of A on a piece A*e_j, which the
+projectives of the quiver presentation must reproduce.  Every check
+compares exact entries on seeded random matrices over Q and F_32003, most
+of them sparse (at least 70% zeros, like the matrices the workloads build),
+plus zero-row and zero-column shapes, or on the algebras the program
+builds: path algebras and End(T).
 """
 
 import random
@@ -17,19 +18,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim
+from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, structure_constants
 
-from relhomalg.algebra import (
-    Piece,
-    _piece_actions,
-    quiver_to_abstract,
-    regular_module,
-    rep_to_abstract,
-)
 from relhomalg.complexes import HomotopyHom, stalk_complex
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, lincomb, rref, solve
-from relhomalg.rep import projective
+from relhomalg.rep import _induced_sub, projective
 from relhomalg.schema import load_problem
 from relhomalg.tilting import end_algebra
 
@@ -117,15 +111,6 @@ def ref_coords(solver, vec):
     for a, b in zip(back, vec):
         if not F.is_zero(F.sub(a, b)):
             return None
-    return out
-
-
-def ref_rho(module, v):
-    F = module.algebra.field
-    out = Matrix.zeros(F, module.dim, module.dim)
-    for i, c in enumerate(v):
-        if not F.is_zero(c):
-            out = out + module.action[i].scale(c)
     return out
 
 
@@ -296,18 +281,6 @@ def test_lincomb_matches_repeated_add_and_scale():
         assert lincomb(field, rows, cols, coeffs, mats).entries == want.entries
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_rho_matches_reference(field):
-    lam = cycle3_selfinjective(field)
-    a = quiver_to_abstract(lam)
-    rng = random.Random(6)
-    modules = [regular_module(a), rep_to_abstract(projective(lam, 2), a)]
-    for module in modules:
-        for zeros in (0.0, 0.75):
-            v = sparse_list(field, rng, a.dim, zeros)
-            assert module.rho(v).entries == ref_rho(module, v).entries
-
-
 def test_vector_to_chain_map_matches_repeated_add_and_scale(L7_modules):
     x, y = stalk_complex(L7_modules["P1"]), stalk_complex(L7_modules["M1"])
     hh = HomotopyHom(x, y, 0)
@@ -343,7 +316,7 @@ def path_algebra_pairs():
         for build in (a2_algebra, cycle3_selfinjective, cycle3_verbatim):
             lam = build(field)
             table = {(i, j): lam.mul_basis(j, i) for i in range(lam.dim) for j in range(lam.dim)}
-            yield f"{build.__name__}/{field!r}", quiver_to_abstract(lam), \
+            yield f"{build.__name__}/{field!r}", structure_constants(lam), \
                 RefAlgebra(field, lam.dim, dense_table(field, lam.dim, table))
 
 
@@ -372,25 +345,48 @@ def test_sparse_products_match_the_dense_table(label, algebra, ref):
 
 @pytest.mark.parametrize("label, algebra, ref", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
 def test_piece_actions_match_the_solves(label, algebra, ref):
+    # the projective P_j of the quiver presentation is the piece A*e_j: its
+    # basis words map to a basis of A*e_j, and each arrow acts on P_j as its
+    # lift acts on A*e_j by the solves
     F = algebra.field
     assert algebra.grading() is not None
-    ident = Matrix.identity(F, algebra.dim)
-    free = Piece(algebra.unit, list(range(algebra.dim)), None)
-    assert [m.entries for m in _piece_actions(algebra, free)] == \
-        [m.entries for m in ref_piece_actions(ref, ident)]
+    pres = algebra.presentation()
+    lifts = [[b.get(k, F.zero) for k in range(algebra.dim)] for b in algebra.arrow_lifts]
     for j, e in enumerate(algebra.idempotents):
-        # the earlier cover piece A*e: the pivot columns of x -> x * e
-        basis = column_space_basis(ref.right_mult(tuple(e)))
-        assert basis.entries == ident.select_columns(algebra.column(j)).entries
-        piece = Piece(e, algebra.column(j), None)
-        assert [m.entries for m in _piece_actions(algebra, piece)] == \
-            [m.entries for m in ref_piece_actions(ref, basis)]
+        pj = projective(pres, j + 1)
+        words = [pres.basis[k] for v in range(1, pres.quiver.n + 1)
+                 for k, (src, _) in enumerate(pres.basis)
+                 if src == j + 1 and pres.element_target(k) == v]
+        images = []
+        for _, word in words:
+            x = list(e)
+            for a in word:
+                x = ref.mul(lifts[a], x)
+            images.append(x)
+        basis = Matrix(F, algebra.dim, len(images),
+                       [x[r] for r in range(algebra.dim) for x in images])
+        piece = column_space_basis(ref.right_mult(tuple(e)))
+        assert len(images) == piece.cols == column_space_basis(basis.hstack(piece)).cols
+        actions = ref_piece_actions(ref, basis)
+        offsets = [sum(pj.dims[:v]) for v in range(len(pj.dims))]
+        for a, arrow in enumerate(pres.quiver.arrows):
+            want = lincomb(F, basis.cols, basis.cols, lifts[a], actions)
+            got = Matrix.zeros(F, basis.cols, basis.cols).to_rows()
+            block = pj.mats[a]
+            for r in range(block.rows):
+                for c in range(block.cols):
+                    got[offsets[arrow.target - 1] + r][offsets[arrow.source - 1] + c] = block.at(r, c)
+            assert [x for row in got for x in row] == want.entries
 
 
 @pytest.mark.parametrize("label, algebra, ref", ALGEBRAS, ids=[a[0] for a in ALGEBRAS])
 def test_unclosed_pieces_are_rejected_like_the_solves(label, algebra, ref):
+    # e_i A e_j is the space at vertex i of the projective P_j of the
+    # presentation; the rep layer accepts it as a subrepresentation exactly
+    # when the solves find it closed under left multiplication
     F = algebra.field
     ident = Matrix.identity(F, algebra.dim)
+    pres = algebra.presentation()
     rejected = 0
     for i in range(len(algebra.idempotents)):
         for j in range(len(algebra.idempotents)):
@@ -402,8 +398,12 @@ def test_unclosed_pieces_are_rejected_like_the_solves(label, algebra, ref):
                 closed = True
             except ValueError:
                 closed = False
+            pj = projective(pres, j + 1)
+            assert pj.dims[i] == len(indices)
+            cols = [Matrix.identity(F, d) if v == i else Matrix.zeros(F, d, 0)
+                    for v, d in enumerate(pj.dims)]
             try:
-                _piece_actions(algebra, Piece(algebra.unit, indices, None))
+                _induced_sub(pj, cols)
                 assert closed
             except ValueError:
                 assert not closed

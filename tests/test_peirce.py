@@ -6,10 +6,11 @@ instead of assuming it."""
 from pathlib import Path
 
 import pytest
-from helpers import a2_algebra, cycle3_selfinjective, uniserials
+from helpers import a2_algebra, cycle3_selfinjective, structure_constants, uniserials
 
 from relhomalg import tilting
-from relhomalg.algebra import AbstractAlgebra, gldim, quiver_to_abstract
+from relhomalg.algebra import AbstractAlgebra
+from relhomalg.relative import gldim
 from relhomalg.complexes import hom_k, stalk_complex
 from relhomalg.schema import load_problem
 from relhomalg.tilting import end_algebra, sum_complexes_with_maps
@@ -85,7 +86,7 @@ def mixed_a2():
     that basis vector mixes two corners, while the supplied idempotents stay
     the trivial paths e1 and e2."""
     lam = a2_algebra()
-    a = quiver_to_abstract(lam)
+    a = structure_constants(lam)
     F = a.field
     trivial = [e.index(F.one) for e in a.idempotents]
     (x,) = [b for b in range(a.dim) if b not in trivial]
@@ -122,6 +123,6 @@ def test_inhomogeneous_basis_fails_the_certificate():
     assert not mixed.idempotents_split_basic()
     with pytest.raises(ValueError):
         mixed.corner(0, 0)
-    # covers fall back to free pieces, with the same answer
-    assert gldim(mixed, 5).dim == gldim(a, 5).dim
-    assert gldim(a, 5).dim.value == 1
+    # the presentation takes its corners by multiplication, with the same answer
+    assert gldim(mixed.presentation(), 5).dim == gldim(a.presentation(), 5).dim
+    assert gldim(a.presentation(), 5).dim.value == 1

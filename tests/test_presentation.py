@@ -1,0 +1,90 @@
+"""Gamma = End_K(T) as a bound quiver algebra kQ/I: the presentation is
+certified (its basis words map to a basis of Gamma), a missing relation
+breaks the certificate, the quiver of an Auslander algebra is its AR quiver,
+and the arrows count Ext^1 between simples (Gabriel)."""
+
+from pathlib import Path
+
+import pytest
+from helpers import cycle3_selfinjective, uniserials
+
+from relhomalg.algebra import AbstractAlgebra
+from relhomalg.complexes import stalk_complex
+from relhomalg.fields import QQ
+from relhomalg.quiver import PathAlgebra
+from relhomalg.relative import ext_f, ordinary_f
+from relhomalg.rep import simple
+from relhomalg.schema import load_problem
+from relhomalg.tilting import sum_complexes_with_maps
+
+from test_peirce import mixed_a2
+
+DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
+BUNDLED = ["section7", "section6", "a2_apr", "section6_symmetric"]
+
+
+def nakayama33_gamma():
+    """The Auslander algebra of the Nakayama algebra (3, 3): End of the sum of
+    every uniserial."""
+    modules = uniserials(cycle3_selfinjective())
+    parts = [stalk_complex(m, 0, label=f"U{k}") for k, m in enumerate(modules)]
+    return sum_complexes_with_maps(parts, [f"U{k}" for k in range(len(parts))]).gamma()
+
+
+GAMMAS = [(name, lambda name=name: load_problem(str(DATA / f"{name}.json")).tilting_sum().gamma())
+          for name in BUNDLED]
+GAMMAS += [("nakayama(3,3) all", nakayama33_gamma), ("mixed_a2", lambda: mixed_a2()[1])]
+
+
+@pytest.mark.parametrize("label, build", GAMMAS, ids=[g[0] for g in GAMMAS])
+def test_presentation_is_certified(label, build):
+    gamma = build()
+    pres = gamma.presentation()
+    assert pres.dim == gamma.dim
+    assert pres.quiver.n == len(gamma.idempotents)
+    assert gamma.presentation() is pres
+    gamma.certify_presentation(pres)
+
+
+@pytest.mark.parametrize("label", ["section7", "section6", "section6_symmetric", "nakayama(3,3) all"])
+def test_a_dropped_relation_breaks_the_certificate(label):
+    gamma = dict(GAMMAS)[label]()
+    pres = gamma.presentation()
+    assert pres.relations
+    for k in range(len(pres.relations)):
+        fewer = pres.relations[:k] + pres.relations[k + 1:]
+        with pytest.raises(ValueError, match="certificate"):
+            gamma.certify_presentation(PathAlgebra(pres.field, pres.quiver, fewer, pres.N))
+
+
+def test_auslander_algebra_quiver_is_the_ar_quiver():
+    # Nakayama (3, 3) has 9 indecomposables; its AR quiver has the 6 arrows
+    # between non-projectives and their neighbours plus 2 at each of the 3
+    # projective-injectives, 12 in all
+    pres = nakayama33_gamma().presentation()
+    assert (pres.quiver.n, len(pres.quiver.arrows)) == (9, 12)
+
+
+@pytest.mark.parametrize("label, build", GAMMAS, ids=[g[0] for g in GAMMAS])
+def test_arrows_count_ext1_between_simples(label, build):
+    pres = build().presentation()
+    f = ordinary_f(pres)
+    n = pres.quiver.n
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            arrows = sum(1 for a in pres.quiver.arrows if (a.source, a.target) == (j, i))
+            assert ext_f(simple(pres, j), simple(pres, i), 1, f) == arrows, (j, i)
+
+
+def test_a_non_basic_algebra_fails_the_certificate():
+    # M_2(Q) with the two diagonal idempotents: they are isomorphic, so two
+    # vertices and no arrows present k x k, not M_2(Q)
+    index = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+    table = {(a, b): {index[(i, l)]: QQ.one}
+             for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
+    o, z = QQ.one, QQ.zero
+    m2 = AbstractAlgebra(QQ, 4, table, [o, z, z, o], idempotents=[[o, z, z, z], [z, z, z, o]],
+                         validate=True)
+    assert m2.radical_dim() == 0
+    with pytest.raises(ValueError, match="certificate"):
+        m2.presentation()

@@ -3,7 +3,7 @@ import gc
 import pytest
 
 from relhomalg.fields import QQ
-from relhomalg.quiver import Quiver, build_algebra
+from relhomalg.quiver import PathAlgebra, Quiver
 from relhomalg.rep import (
     ModuleMap,
     Representation,
@@ -44,7 +44,7 @@ def M_module(algebra, i):
 
 
 def test_one_vertex_no_arrows():
-    alg = build_algebra(QQ, Quiver(1, []), [], 2)
+    alg = PathAlgebra(QQ, Quiver(1, []), [], 2)
     assert alg.dim == 1
 
 
@@ -196,7 +196,7 @@ def test_uniserial_corpus_count(L7):
 def test_non_admissible_relation_rejected():
     q = Quiver(2, [("a", 1, 2)])
     with pytest.raises(ValueError):
-        build_algebra(QQ, q, [[(QQ.one, (0,))]], 2)  # single arrow: length 1
+        PathAlgebra(QQ, q, [[(QQ.one, (0,))]], 2)  # single arrow: length 1
 
 
 def test_vertex_out_of_range(L7):
@@ -208,7 +208,7 @@ def test_vertex_out_of_range(L7):
 
 def test_nilpotency_bound_too_small_rejected():
     with pytest.raises(ValueError):
-        build_algebra(QQ, Quiver(1, []), [], 1)
+        PathAlgebra(QQ, Quiver(1, []), [], 1)
 
 
 def test_hom_caches_do_not_pin_representations():

@@ -3,9 +3,8 @@ from pathlib import Path
 import pytest
 
 from relhomalg import cli, schema
-from relhomalg.algebra import gldim
 from relhomalg.complexes import _TotalHom, hom_k, stalk_complex, term_length
-from relhomalg.relative import SubbifunctorF, SummandDecl
+from relhomalg.relative import SubbifunctorF, SummandDecl, gldim
 from relhomalg.rep import hom_space, projective, radical
 from relhomalg.tilting import (
     ConeWitness,
@@ -161,7 +160,7 @@ def test_gamma_gldim_section7(F7, stalk_tilting7):
     endo = end_algebra(stalk_tilting7)
     A = endo.to_abstract()
     assert A.radical_dim() == 22 - 6
-    g = gldim(A, 10)
+    g = gldim(A.presentation(), 10)
     assert not g.dim.censored
     assert g.dim.value <= 3
 
