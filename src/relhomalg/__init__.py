@@ -17,7 +17,6 @@ from .rep import (
     ModuleMap,
     Representation,
     ShortExactSeq,
-    dtr,
     hom_space,
     injective,
     is_isomorphic,
@@ -28,6 +27,7 @@ from .relative import (
     FResolution,
     SubbifunctorF,
     SummandDecl,
+    dtr,
     ext_f,
     f_resolution,
     findim_f,

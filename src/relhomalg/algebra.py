@@ -22,19 +22,13 @@ class AbstractAlgebra:
     def __init__(self, field: Field, dim: int, table, unit, idempotents=None,
                  validate: bool | None = None):
         """table maps (i, j) to the coordinates {k: c} of b_i * b_j and may
-        leave out zero products; a dense table[i][j] of coordinate vectors is
-        accepted too."""
+        leave out zero products."""
         self.field = field
         self.dim = dim
-        if isinstance(table, dict):
-            items = ((key, vec.items()) for key, vec in table.items())
-        else:
-            items = (((i, j), enumerate(vec)) for i, row in enumerate(table)
-                     for j, vec in enumerate(row))
         is_zero = field.is_zero
         self.products: dict[tuple[int, int], list] = {}  # (i, j) -> [(k, c)], c != 0
-        for key, entries in items:
-            nonzero = sorted((k, c) for k, c in entries if not is_zero(c))
+        for key, vec in table.items():
+            nonzero = sorted((k, c) for k, c in vec.items() if not is_zero(c))
             if nonzero:
                 self.products[key] = nonzero
         self._by_left = [[] for _ in range(dim)]   # i -> [(j, product)]
@@ -155,13 +149,15 @@ class AbstractAlgebra:
         if i not in self._corners:
             F = self.field
             e = self._corner_idempotents()[i]
+            es = _sparse(F, e)
             ks, ys = [], []
             for k in range(self.dim):
-                y = self.mul(self.mul(e, self.basis_vector(k)), e)
-                if any(not F.is_zero(c) for c in y):
+                y = self._sparse_mul(self._sparse_mul(es, {k: F.one}), es)
+                if y:
                     ks.append(k)
                     ys.append(y)
-            Y = Matrix(F, self.dim, len(ys), [y[r] for r in range(self.dim) for y in ys])
+            Y = Matrix(F, self.dim, len(ys),
+                       [y.get(r, F.zero) for r in range(self.dim) for y in ys])
             R, pivots = rref(Y)
             basis = Y.select_columns(pivots)
             solver = SpanSolver(basis)

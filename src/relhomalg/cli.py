@@ -27,10 +27,11 @@ from .relative import (
     gldim_f,
     id_f,
     is_f_exact,
+    projective_cover,
     relative_injectives,
 )
 from .reports import DimensionReport
-from .rep import ShortExactSeq, is_isomorphic, kernel, projective_cover
+from .rep import ShortExactSeq, is_isomorphic, kernel
 from .schema import SchemaError, canonical_form, load_problem
 from .tilting import image_tilting_over_sigma, verify_f_tilting
 

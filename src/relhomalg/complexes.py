@@ -177,53 +177,6 @@ def chain_identity(x: Complex) -> ChainMap:
     return ChainMap(x, x, {i: ModuleMap.identity(x.comps[i]) for i in x.comps})
 
 
-@dataclass
-class Homotopy:
-    """Maps s^i: X^i -> Y^{i+n-1} witnessing that a degree-n chain map f is
-    null-homotopic: f = s d + d s (with the shifted differential of Y[n])."""
-    f: ChainMap
-    n: int
-    s: dict[int, ModuleMap]
-
-    def validate(self):
-        X = self.f.source
-        Y_shift = self.f.target  # already Y[n]
-        F = X.algebra.field
-        for i in set(X.comps):
-            si = self.s.get(i)
-            snext = self.s.get(i + 1)
-            target_i = self.f.component(i).target
-            acc = ModuleMap.zero(X.component(i), target_i)
-            if si is not None:
-                acc = acc + si.compose(Y_shift.differential(i - 1))
-            if snext is not None:
-                acc = acc + X.differential(i).compose(snext)
-            if not (acc - self.f.component(i)).is_zero():
-                raise ValueError(f"homotopy identity fails at degree {i}")
-        return self
-
-
-def null_homotopy_witness(hh: "HomotopyHom", cm_comps: dict[int, ModuleMap]) -> Homotopy | None:
-    """If the given cycle is null-homotopic, produce the witnessing s maps."""
-    F = hh.field
-    v = hh.chain_map_to_vector(cm_comps)
-    coeff = solve(hh.d_in, Matrix(F, len(v), 1, v))
-    if coeff is None:
-        return None
-    # D at level n-1 differs from the homotopy identity by a global sign on odd n
-    sign = F.of_int(-1 if hh.n % 2 else 1)
-    s: dict[int, ModuleMap] = {}
-    for (i, _, _), (basis, off) in hh.homotopies.items():
-        if not basis:
-            continue
-        coeffs = [F.mul(sign, coeff.at(off + k, 0)) for k in range(len(basis))]
-        acc = ModuleMap.combination(basis[0].source, basis[0].target, coeffs, basis)
-        if not acc.is_zero():
-            s[i] = acc
-    hom = Homotopy(hh.vector_to_chain_map(v), hh.n, s)
-    return hom.validate()
-
-
 def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     """Mapping cone M(f)^i = X^{i+1} ⊕ Y^i, with the canonical maps
     alpha: Y -> M(f) and beta: M(f) -> X[1]."""
@@ -452,44 +405,6 @@ def is_f_acyclic(x: Complex, f: SubbifunctorF) -> bool:
     """Hom(G, x) is acyclic."""
     g = stalk_complex(f.generator)
     return all(hom_k(g, x, m) == 0 for m in x.degrees())
-
-
-def f_acyclic_definitional(x: Complex, f: SubbifunctorF) -> bool:
-    """Lemma-style check: exact, and each 0 -> Im d^{i-1} -> X^i -> Im d^i -> 0
-    is F-exact."""
-    from .rep import image, kernel as rep_kernel
-
-    F = x.algebra.field
-    for i in x.degrees():
-        d_out = x.differential(i)
-        d_in = x.differential(i - 1)
-        img_in, incl_in = image(d_in)
-        ker_out, _ = rep_kernel(d_out)
-        if img_in.total_dim != ker_out.total_dim:
-            return False
-        for v in range(x.algebra.quiver.n):
-            if solve(kernel_basis(d_out.mats[v]), incl_in.mats[v]) is None:
-                return False
-        img_out, incl_out = image(d_out)
-        # corestriction X^i -> Im d^i
-        mats = []
-        ok = True
-        for v in range(x.algebra.quiver.n):
-            coef = solve(incl_out.mats[v], d_out.mats[v])
-            if coef is None:
-                ok = False
-                break
-            mats.append(coef)
-        if not ok:
-            return False
-        co = ModuleMap(x.comps[i], img_out, mats)
-        try:
-            ses = ShortExactSeq(incl_in, co)
-        except ValueError:
-            return False
-        if not is_f_exact(ses, f):
-            return False
-    return True
 
 
 def is_f_quasi_iso(h: ChainMap, f: SubbifunctorF) -> bool:

@@ -1,5 +1,6 @@
-"""The relative theory: F = F_{add G}, approximations, F-projective
-resolutions, relative Ext, relative dimensions, I(F) and F-syzygies.
+"""The relative theory: F = F_{add G}, approximations, projective covers and
+DTr, F-projective resolutions, relative Ext, relative dimensions, I(F) and
+F-syzygies.
 
 The generator G always contains every indecomposable projective among its
 declared summands, which is the enough-projectives setting the whole
@@ -20,16 +21,18 @@ from .rep import (
     ShortExactSeq,
     cokernel,
     direct_sum,
-    dtr,
+    dual_to_main,
     endo_indecomposability_check,
     hom_coordinates,
     hom_space,
+    hom_to_algebra,
     injective,
     is_isomorphic,
     kernel,
     projective,
+    radical,
     simple,
-    stack_maps_to_common_target,
+    stack_maps,
     zero_representation,
 )
 from .reports import Dim, DimensionReport, dim_max
@@ -107,13 +110,15 @@ def is_f_exact(ses: ShortExactSeq, f: SubbifunctorF) -> bool:
 
 @dataclass
 class Approximation:
-    """Minimal right add(G)-approximation f: G' -> X with its decomposition.
+    """Minimal add(⊕summands)-approximation of x: right f: ⊕M_k -> x or left
+    f: x -> ⊕M_k, with the sum of the copies M_k in `total`.
 
-    pieces[k] = index into f.summands for each copy in the source sum;
-    for X already in add(G) the map is the identity and pieces is None.
+    pieces[k] = index into the summands for each copy in the sum; when f is
+    an isomorphism (x already in add(⊕summands)) the map is the identity of x
+    and total and pieces are None.
     """
     map: ModuleMap
-    source_sum: DirectSum | None
+    total: DirectSum | None
     pieces: list[int] | None
 
     @property
@@ -173,27 +178,6 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     return keep
 
 
-def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
-                                algebra: PathAlgebra) -> Approximation:
-    """Minimal right add(⊕summands)-approximation, by greedy copy removal."""
-    if x.is_zero():
-        z = zero_representation(algebra)
-        return Approximation(ModuleMap.zero(z, x), direct_sum([], algebra), [])
-    maps: list[ModuleMap] = []
-    pieces: list[int] = []
-    for k, s in enumerate(summands):
-        for phi in hom_space(s.module, x):
-            maps.append(phi)
-            pieces.append(k)
-    keep = _minimal_approximating_subset(x, maps, summands, left=False)
-    if keep is None:
-        raise ValueError("tautological approximation failed")
-    ds, glued = stack_maps_to_common_target([maps[i] for i in keep], x, algebra)
-    if glued.is_isomorphism():
-        return Approximation(ModuleMap.identity(x), None, None)
-    return Approximation(glued, ds, [pieces[i] for i in keep])
-
-
 def _on_module(x: Representation, key: tuple, compute):
     """compute(), stored on x under key, which names the summand modules it
     depends on.  Representations are canonical per algebra, so the key is
@@ -210,36 +194,97 @@ def _modules(summands: list[SummandDecl]) -> tuple[Representation, ...]:
     return tuple(s.module for s in summands)
 
 
+def _approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
+                   left: bool) -> Approximation:
+    """The minimal left or right add(⊕summands)-approximation of x, by greedy
+    copy removal over the hom-space bases on that side; computed once per x,
+    side and summands, and stored on x."""
+    return _on_module(x, ("left" if left else "right", _modules(summands)),
+                      lambda: _build_approximation(x, summands, algebra, left))
+
+
+def _build_approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
+                         left: bool) -> Approximation:
+    if x.is_zero():
+        z = zero_representation(algebra)
+        return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x),
+                             direct_sum([], algebra), [])
+    maps: list[ModuleMap] = []
+    pieces: list[int] = []
+    for k, s in enumerate(summands):
+        for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
+            maps.append(phi)
+            pieces.append(k)
+    keep = _minimal_approximating_subset(x, maps, summands, left)
+    if keep is None:
+        raise ValueError("tautological approximation failed")
+    total, glued = stack_maps([maps[i] for i in keep], x, into=left)
+    if glued.is_isomorphism():
+        return Approximation(ModuleMap.identity(x), None, None)
+    return Approximation(glued, total, [pieces[i] for i in keep])
+
+
+def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
+                                algebra: PathAlgebra) -> Approximation:
+    """The minimal right add(⊕summands)-approximation ⊕M_k -> x."""
+    return _approximation(x, summands, algebra, left=False)
+
+
 def right_approximation(x: Representation, f: SubbifunctorF) -> Approximation:
-    """The minimal right add(G)-approximation of x, computed once per x and G."""
-    return _on_module(x, ("right", _modules(f.summands)),
-                      lambda: minimal_right_approximation(x, f.summands, f.algebra))
+    """The minimal right add(G)-approximation of x."""
+    return minimal_right_approximation(x, f.summands, f.algebra)
 
 
 def left_approximation(x: Representation, targets: list[SummandDecl],
-                       algebra: PathAlgebra) -> tuple[ModuleMap, DirectSum, list[int]]:
-    """Minimal left add(⊕targets)-approximation u: x -> I', by greedy copy
-    removal; computed once per x and targets."""
-    return _on_module(x, ("left", _modules(targets)),
-                      lambda: _left_approximation(x, targets, algebra))
+                       algebra: PathAlgebra) -> Approximation:
+    """The minimal left add(⊕targets)-approximation x -> ⊕M_k."""
+    return _approximation(x, targets, algebra, left=True)
 
 
-def _left_approximation(x: Representation, targets: list[SummandDecl],
-                        algebra: PathAlgebra) -> tuple[ModuleMap, DirectSum, list[int]]:
-    maps: list[ModuleMap] = []
-    pieces: list[int] = []
-    for k, t in enumerate(targets):
-        for phi in hom_space(x, t.module):
-            maps.append(phi)
-            pieces.append(k)
-    keep = _minimal_approximating_subset(x, maps, targets, left=True)
-    if keep is None:
-        raise ValueError("tautological left approximation failed")
-    ds = direct_sum([maps[i].target for i in keep], algebra)
-    u = ModuleMap.zero(x, ds.rep)
-    for pos, i in enumerate(keep):
-        u = u + maps[i].compose(ds.injections[pos])
-    return u, ds, [pieces[i] for i in keep]
+# ---------------------------------------------------------------------------
+# projective covers and the Auslander-Reiten translate
+
+
+def projective_cover(m: Representation) -> Approximation:
+    """The projective cover of m: its minimal right add(Λ)-approximation,
+    certified by counting.  A surjection ⊕P_v -> m is a projective cover
+    (its kernel lies in the radical of the source) exactly when the copies
+    of P_v number dim top(m)_v = dim m_v - dim (rad m)_v at every vertex v;
+    ValueError otherwise."""
+    app = right_approximation(m, ordinary_f(m.algebra))
+    if app.is_identity:
+        return app
+    copies = [0] * m.algebra.quiver.n
+    for k in app.pieces:  # summand k of ordinary_f is P_{k+1}
+        copies[k] += 1
+    rad, _ = radical(m)
+    if copies != [d - r for d, r in zip(m.dims, rad.dims)]:
+        raise ValueError("cover kernel escapes the radical")
+    return app
+
+
+def transpose(m: Representation) -> Representation:
+    """Tr m = coker(Hom(P0, Λ) -> Hom(P1, Λ)) over the opposite algebra, for
+    the minimal presentation P1 -> P0 -> m -> 0 that the projective covers of
+    m and of its syzygy give; Tr P = 0 for a projective P."""
+    if m.is_zero():
+        return zero_representation(m.algebra.opposite())
+    c0 = projective_cover(m)
+    ker, incl = kernel(c0.map)
+    c1 = projective_cover(ker)
+    d = c1.map.compose(incl)
+    H0, bases0 = hom_to_algebra(c0.map.source)
+    H1, bases1 = hom_to_algebra(c1.map.source)
+    F = m.algebra.field
+    mats = [_coordinate_matrix(F, bases1[v], [d.compose(psi) for psi in bases0[v]])
+            for v in range(m.algebra.quiver.n)]
+    tr, _ = cokernel(ModuleMap(H0, H1, mats))
+    return tr
+
+
+def dtr(m: Representation) -> Representation:
+    """The Auslander-Reiten translate D Tr m (zero on projectives)."""
+    return dual_to_main(transpose(m))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +445,7 @@ def coresolution_step(x: Representation, f: SubbifunctorF,
     """The step from x, computed once per x, I(F) and G and stored on x, so
     coresolutions that meet share the rest of their steps."""
     def step() -> CoresolutionStep:
-        u, _, _ = left_approximation(x, injectives, f.algebra)
+        u = left_approximation(x, injectives, f.algebra).map
         if u.is_isomorphism():
             return CoresolutionStep(None)
         if not u.is_injective():

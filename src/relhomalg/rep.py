@@ -385,11 +385,6 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return _induced_sub(f.source, cols)
 
 
-def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    cols = [column_space_basis(f.mats[v]) for v in range(len(f.mats))]
-    return _induced_sub(f.target, cols)
-
-
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Quotient target/im(f) with the projection map."""
     F = f.source.algebra.field
@@ -465,28 +460,29 @@ def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) 
     return DirectSum(total, list(parts), injections, projections)
 
 
-def stack_maps_to_common_target(maps: list[ModuleMap], target: Representation,
-                                algebra: PathAlgebra | None = None) -> tuple[DirectSum, ModuleMap]:
-    """Bundle f_k: M_k -> X into (⊕M_k) -> X."""
-    if algebra is None:
-        algebra = target.algebra
-    ds = direct_sum([f.source for f in maps], algebra)
+def stack_maps(maps: list[ModuleMap], x: Representation,
+               into: bool = False) -> tuple[DirectSum, ModuleMap]:
+    """Bundle f_k: M_k -> x into (⊕M_k) -> x, or with `into` f_k: x -> M_k
+    into x -> (⊕M_k)."""
+    algebra = x.algebra
+    ds = direct_sum([f.target if into else f.source for f in maps], algebra)
     F = algebra.field
-    q = algebra.quiver
     mats = []
-    for v in range(q.n):
+    for v in range(algebra.quiver.n):
         if maps:
-            row = maps[0].mats[v]
+            block = maps[0].mats[v]
             for f in maps[1:]:
-                row = row.hstack(f.mats[v])
+                block = block.vstack(f.mats[v]) if into else block.hstack(f.mats[v])
         else:
-            row = Matrix.zeros(F, target.dims[v], 0)
-        mats.append(row)
-    return ds, ModuleMap(ds.rep, target, mats, check=False)
+            block = Matrix.zeros(F, 0, x.dims[v]) if into else Matrix.zeros(F, x.dims[v], 0)
+        mats.append(block)
+    if into:
+        return ds, ModuleMap(x, ds.rep, mats, check=False)
+    return ds, ModuleMap(ds.rep, x, mats, check=False)
 
 
 # ---------------------------------------------------------------------------
-# radical, top, socle
+# radical and socle
 
 
 def radical(m: Representation) -> tuple[Representation, ModuleMap]:
@@ -503,11 +499,6 @@ def radical(m: Representation) -> tuple[Representation, ModuleMap]:
         else:
             cols.append(Matrix.zeros(F, m.dims[v], 0))
     return _induced_sub(m, cols)
-
-
-def top(m: Representation) -> tuple[Representation, ModuleMap]:
-    _, incl = radical(m)
-    return cokernel(incl)
 
 
 def socle(m: Representation) -> tuple[Representation, ModuleMap]:
@@ -537,74 +528,7 @@ def radical_power_sub(m: Representation, k: int) -> tuple[Representation, Module
 
 
 # ---------------------------------------------------------------------------
-# projective covers and presentations
-
-
-@dataclass
-class Cover:
-    """Projective cover data: decorated source ⊕ P(v_k) and the cover map."""
-    total: DirectSum
-    vertices: list[int]
-    map: ModuleMap
-
-
-def projective_cover(m: Representation) -> Cover:
-    algebra = m.algebra
-    F = algebra.field
-    t, proj = top(m)
-    # lift a basis of top(m) vertexwise
-    verts: list[int] = []
-    lifts: list[list] = []
-    for v in range(algebra.quiver.n):
-        sec = solve(proj.mats[v], Matrix.identity(F, t.dims[v]))
-        if sec is None:
-            raise ValueError("top projection not surjective")
-        for c in range(t.dims[v]):
-            verts.append(v + 1)
-            lifts.append(sec.col(c))
-    parts = [projective(algebra, v) for v in verts]
-    ds = direct_sum(parts, algebra)
-    blocks = []
-    for v0, lift in zip(verts, lifts):
-        P = projective(algebra, v0)
-        per_vertex = [[] for _ in range(algebra.quiver.n)]
-        for k, (src, _w) in enumerate(algebra.basis):
-            if src == v0:
-                per_vertex[algebra.element_target(k) - 1].append(k)
-        mats = []
-        for v in range(algebra.quiver.n):
-            colsm = Matrix.zeros(F, m.dims[v], P.dims[v]).to_rows()
-            for col, k in enumerate(per_vertex[v]):
-                _, word = algebra.basis[k]
-                img = m.word_action(word, v0).apply(lift)
-                for r in range(m.dims[v]):
-                    colsm[r][col] = img[r]
-            mats.append(Matrix.from_rows(F, colsm) if m.dims[v] else Matrix(F, 0, P.dims[v], []))
-        blocks.append(ModuleMap(P, m, mats))
-    _, cover_map = stack_maps_to_common_target(blocks, m, algebra)
-    cover_map = ModuleMap(ds.rep, m, cover_map.mats)
-    if not cover_map.is_surjective():
-        raise ValueError("projective cover failed surjectivity")
-    # minimality certificate: kernel sits inside rad(P)
-    ker, ker_incl = kernel(cover_map)
-    _, rad_incl = radical(ds.rep)
-    for v in range(algebra.quiver.n):
-        if solve(rad_incl.mats[v], ker_incl.mats[v]) is None:
-            raise ValueError("cover kernel escapes the radical")
-    return Cover(total=ds, vertices=verts, map=cover_map)
-
-
-def minimal_presentation(m: Representation) -> tuple[Cover, ModuleMap, Cover]:
-    """(P1-cover, d: P1 -> P0, P0-cover) with P1 -> P0 -> m -> 0 exact."""
-    c0 = projective_cover(m)
-    ker, incl = kernel(c0.map)
-    c1 = projective_cover(ker)
-    d = c1.map.compose(incl)
-    return c1, d, c0
-
-
-# ---------------------------------------------------------------------------
-# transpose, dual and the AR translate
+# duals and Hom into the algebra
 
 
 def hom_to_algebra(m: Representation) -> tuple[Representation, list[list[ModuleMap]]]:
@@ -636,49 +560,11 @@ def hom_to_algebra(m: Representation) -> tuple[Representation, list[list[ModuleM
     return Representation(op, dims, mats), bases
 
 
-def transpose(m: Representation) -> Representation:
-    """Tr m = coker(Hom(P0, Λ) -> Hom(P1, Λ)) over the opposite algebra."""
-    if m.is_zero():
-        return zero_representation(m.algebra.opposite())
-    c1, d, c0 = minimal_presentation(m)
-    H0, bases0 = hom_to_algebra(c0.total.rep)
-    H1, bases1 = hom_to_algebra(c1.total.rep)
-    F = m.algebra.field
-    mats = []
-    for v in range(m.algebra.quiver.n):
-        cols = [hom_coordinates(bases1[v], d.compose(psi)) for psi in bases0[v]]
-        nrows, ncols = len(bases1[v]), len(bases0[v])
-        entries = [cols[c][r] for r in range(nrows) for c in range(ncols)]
-        mats.append(Matrix(F, nrows, ncols, entries))
-    hd = ModuleMap(H0, H1, mats)
-    tr, _ = cokernel(hd)
-    return tr
-
-
 def dual_to_main(m_op: Representation) -> Representation:
     """Dual of an opposite-algebra representation, back over the original."""
     main = m_op.algebra.opposite()
     mats = [m_op.mats[ai].transpose() for ai in range(len(m_op.mats))]
     return Representation(main, m_op.dims, mats)
-
-
-def strip_projective_summands(m: Representation) -> Representation:
-    """Peel off projective direct summands (cover-splitting detection)."""
-    algebra = m.algebra
-    changed = True
-    while changed and not m.is_zero():
-        changed = False
-        cover = projective_cover(m)
-        for k, inj in enumerate(cover.total.injections):
-            u = inj.compose(cover.map)  # P(v_k) -> m
-            P = cover.total.parts[k]
-            # section r: m -> P with u then r = id_P
-            retr = _solve_splitting(u, retraction=True)
-            if retr is not None:
-                m, _ = cokernel(u)
-                changed = True
-                break
-    return m
 
 
 def _solve_splitting(u: ModuleMap, retraction: bool):
@@ -698,14 +584,6 @@ def _solve_splitting(u: ModuleMap, retraction: bool):
     if X is None:
         return None
     return ModuleMap.combination(u.target, u.source, X.col(0), basis)
-
-
-def dtr(m: Representation) -> Representation:
-    """Auslander-Reiten translate D Tr; projective summands are stripped."""
-    core = strip_projective_summands(m)
-    if core.is_zero():
-        return zero_representation(m.algebra)
-    return dual_to_main(transpose(core))
 
 
 # ---------------------------------------------------------------------------
@@ -810,32 +688,3 @@ class ShortExactSeq:
 def ses_from_sub(m: Representation, incl: ModuleMap) -> ShortExactSeq:
     _, proj = cokernel(incl)
     return ShortExactSeq(incl, proj)
-
-
-def pushout_ses(ses: ShortExactSeq, h: ModuleMap) -> ShortExactSeq:
-    """Pushout of 0 -> A -> B -> C -> 0 along h: A -> A'."""
-    a = ses.f.source
-    aprime = h.target
-    ds = direct_sum([aprime, ses.middle])
-    # map A -> A' ⊕ B, a |-> (h(a), -f(a)); pushout is its cokernel
-    glue = h.compose(ds.injections[0]) + ses.f.compose(ds.injections[1]).scale(
-        a.algebra.field.of_int(-1))
-    po, proj = cokernel(glue)
-    f2 = ds.injections[0].compose(proj)
-    # induced map to C: (a', b) -> g(b)
-    g2 = _factor_through_quotient(proj, ds.projections[1].compose(ses.g))
-    return ShortExactSeq(f2, g2)
-
-
-def _factor_through_quotient(proj: ModuleMap, total_map: ModuleMap) -> ModuleMap:
-    """Given proj: T -> Q surjective and total_map: T -> C vanishing on
-    ker(proj), return the induced Q -> C."""
-    F = proj.source.algebra.field
-    mats = []
-    for v in range(len(proj.mats)):
-        sec = solve(proj.mats[v], Matrix.identity(F, proj.target.dims[v]))
-        if sec is None:
-            raise ValueError("projection not surjective")
-        mats.append(total_map.mats[v] * sec)
-    return ModuleMap(proj.target, total_map.target, mats)
-

@@ -24,7 +24,7 @@ from .complexes import (
     term_length,
 )
 from .rep import ModuleMap, Representation, direct_sum, hom_space, is_isomorphic
-from .relative import SubbifunctorF
+from .relative import SubbifunctorF, minimal_right_approximation
 
 
 @dataclass
@@ -90,8 +90,6 @@ def approximation_cone_complex(target: Representation, target_label: str,
                                by: list, algebra) -> Complex:
     """The two-term complex Q -> target (degrees -1, 0) with Q -> target a
     minimal right add(⊕by)-approximation."""
-    from .relative import minimal_right_approximation
-
     app = minimal_right_approximation(target, by, algebra)
     if app.is_identity or app.map.source.is_zero():
         raise ValueError("approximation is trivial; the cone would be contractible or a stalk")

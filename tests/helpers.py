@@ -1,11 +1,30 @@
-"""Shared constructions for the test suite: the worked algebras."""
+"""Shared constructions for the test suite: the worked algebras, and
+second routes to what the program computes (images and pushouts, the
+definitional F-acyclicity check, explicit null-homotopies) that serve only
+as cross-checks."""
+
+from dataclasses import dataclass
 
 from relhomalg.algebra import AbstractAlgebra
+from relhomalg.complexes import ChainMap, Complex, HomotopyHom
 from relhomalg.fields import QQ
-from relhomalg.matrix import Matrix, rank
+from relhomalg.matrix import Matrix, column_space_basis, kernel_basis, rank, solve
 from relhomalg.quiver import PathAlgebra, Quiver
-from relhomalg.relative import SummandDecl, left_approximation
-from relhomalg.rep import cokernel, hom_coordinates, hom_space, injective, projective, socle
+from relhomalg.relative import SubbifunctorF, SummandDecl, is_f_exact, left_approximation
+from relhomalg.rep import (
+    ModuleMap,
+    Representation,
+    ShortExactSeq,
+    _induced_sub,
+    cokernel,
+    direct_sum,
+    hom_coordinates,
+    hom_space,
+    injective,
+    kernel,
+    projective,
+    socle,
+)
 
 
 def cycle3_selfinjective(field=QQ):
@@ -119,10 +138,10 @@ def ext_by_injectives(x, y, upto):
     terms, diffs = [], []  # I^i, and d^i: I^i -> I^(i+1)
     cur, proj = y, None
     while len(terms) < upto + 2 and not cur.is_zero():
-        u, ds, _ = left_approximation(cur, injectives, algebra)
+        u = left_approximation(cur, injectives, algebra).map
         if proj is not None:
             diffs.append(proj.compose(u))
-        terms.append(ds.rep)
+        terms.append(u.target)
         cur, proj = cokernel(u)
 
     def hom_rank(i):  # rank of Hom(x, d^i)
@@ -135,3 +154,113 @@ def ext_by_injectives(x, y, upto):
 
     return [len(hom_space(x, terms[i])) - hom_rank(i) - hom_rank(i - 1) if i < len(terms) else 0
             for i in range(upto + 1)]
+
+
+def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    cols = [column_space_basis(f.mats[v]) for v in range(len(f.mats))]
+    return _induced_sub(f.target, cols)
+
+
+def pushout_ses(ses: ShortExactSeq, h: ModuleMap) -> ShortExactSeq:
+    """Pushout of 0 -> A -> B -> C -> 0 along h: A -> A'."""
+    a = ses.f.source
+    aprime = h.target
+    ds = direct_sum([aprime, ses.middle])
+    # map A -> A' ⊕ B, a |-> (h(a), -f(a)); pushout is its cokernel
+    glue = h.compose(ds.injections[0]) + ses.f.compose(ds.injections[1]).scale(
+        a.algebra.field.of_int(-1))
+    po, proj = cokernel(glue)
+    f2 = ds.injections[0].compose(proj)
+    # induced map to C: (a', b) -> g(b)
+    g2 = _factor_through_quotient(proj, ds.projections[1].compose(ses.g))
+    return ShortExactSeq(f2, g2)
+
+
+def _factor_through_quotient(proj: ModuleMap, total_map: ModuleMap) -> ModuleMap:
+    """Given proj: T -> Q surjective and total_map: T -> C vanishing on
+    ker(proj), return the induced Q -> C."""
+    F = proj.source.algebra.field
+    mats = []
+    for v in range(len(proj.mats)):
+        sec = solve(proj.mats[v], Matrix.identity(F, proj.target.dims[v]))
+        if sec is None:
+            raise ValueError("projection not surjective")
+        mats.append(total_map.mats[v] * sec)
+    return ModuleMap(proj.target, total_map.target, mats)
+
+
+def f_acyclic_definitional(x: Complex, f: SubbifunctorF) -> bool:
+    """Lemma-style check: exact, and each 0 -> Im d^{i-1} -> X^i -> Im d^i -> 0
+    is F-exact; a second route to `complexes.is_f_acyclic`."""
+    for i in x.degrees():
+        d_out = x.differential(i)
+        d_in = x.differential(i - 1)
+        img_in, incl_in = image(d_in)
+        ker_out, _ = kernel(d_out)
+        if img_in.total_dim != ker_out.total_dim:
+            return False
+        for v in range(x.algebra.quiver.n):
+            if solve(kernel_basis(d_out.mats[v]), incl_in.mats[v]) is None:
+                return False
+        img_out, incl_out = image(d_out)
+        # corestriction X^i -> Im d^i
+        mats = []
+        for v in range(x.algebra.quiver.n):
+            coef = solve(incl_out.mats[v], d_out.mats[v])
+            if coef is None:
+                return False
+            mats.append(coef)
+        co = ModuleMap(x.comps[i], img_out, mats)
+        try:
+            ses = ShortExactSeq(incl_in, co)
+        except ValueError:
+            return False
+        if not is_f_exact(ses, f):
+            return False
+    return True
+
+
+@dataclass
+class Homotopy:
+    """Maps s^i: X^i -> Y^{i+n-1} witnessing that a degree-n chain map f is
+    null-homotopic: f = s d + d s (with the shifted differential of Y[n])."""
+    f: ChainMap
+    n: int
+    s: dict[int, ModuleMap]
+
+    def validate(self):
+        X = self.f.source
+        Y_shift = self.f.target  # already Y[n]
+        for i in set(X.comps):
+            si = self.s.get(i)
+            snext = self.s.get(i + 1)
+            target_i = self.f.component(i).target
+            acc = ModuleMap.zero(X.component(i), target_i)
+            if si is not None:
+                acc = acc + si.compose(Y_shift.differential(i - 1))
+            if snext is not None:
+                acc = acc + X.differential(i).compose(snext)
+            if not (acc - self.f.component(i)).is_zero():
+                raise ValueError(f"homotopy identity fails at degree {i}")
+        return self
+
+
+def null_homotopy_witness(hh: HomotopyHom, cm_comps: dict[int, ModuleMap]) -> Homotopy | None:
+    """If the given cycle is null-homotopic, produce the witnessing s maps."""
+    F = hh.field
+    v = hh.chain_map_to_vector(cm_comps)
+    coeff = solve(hh.d_in, Matrix(F, len(v), 1, v))
+    if coeff is None:
+        return None
+    # D at level n-1 differs from the homotopy identity by a global sign on odd n
+    sign = F.of_int(-1 if hh.n % 2 else 1)
+    s: dict[int, ModuleMap] = {}
+    for (i, _, _), (basis, off) in hh.homotopies.items():
+        if not basis:
+            continue
+        coeffs = [F.mul(sign, coeff.at(off + k, 0)) for k in range(len(basis))]
+        acc = ModuleMap.combination(basis[0].source, basis[0].target, coeffs, basis)
+        if not acc.is_zero():
+            s[i] = acc
+    hom = Homotopy(hh.vector_to_chain_map(v), hh.n, s)
+    return hom.validate()

@@ -25,16 +25,13 @@ from helpers import (
 
 
 def field_algebra():
-    return AbstractAlgebra(QQ, 1, [[[QQ.one]]], [QQ.one], validate=True)
+    return AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [QQ.one], validate=True)
 
 
 def dual_numbers():
     # basis 1, x with x^2 = 0
     z, o = QQ.zero, QQ.one
-    table = [
-        [[o, z], [z, o]],
-        [[z, o], [z, z]],
-    ]
+    table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
     return AbstractAlgebra(QQ, 2, table, [o, z], validate=True)
 
 
@@ -52,15 +49,13 @@ def test_dual_numbers_radical_is_x():
 
 def test_bad_associativity_rejected():
     z, o = QQ.zero, QQ.one
-    table = [
-        [[o, z], [z, o]],
-        [[z, o], [o, z]],  # x*x = 1 but then unit laws break associative chain
-    ]
+    # x*x = 1 but then unit laws break associative chain
+    table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}, (1, 1): {0: o}}
     with pytest.raises(ValueError):
         # x * x = 1 is fine (k[x]/(x^2-1)) so corrupt a different entry
-        bad = [[list(c) for c in row] for row in table]
-        bad[1][1] = [z, o]  # x*x = x while 1*x = x: (xx)x = xx = x, x(xx) = xx = x ... tweak more
-        bad[0][1] = [o, z]  # 1*x = 1 breaks the unit law
+        bad = {key: dict(vec) for key, vec in table.items()}
+        bad[(1, 1)] = {1: o}  # x*x = x while 1*x = x: (xx)x = xx = x, x(xx) = xx = x ... tweak more
+        bad[(0, 1)] = {0: o}  # 1*x = 1 breaks the unit law
         AbstractAlgebra(QQ, 2, bad, [o, z], validate=True)
 
 

@@ -5,7 +5,6 @@ from relhomalg.complexes import (
     Complex,
     chain_identity,
     cone,
-    f_acyclic_definitional,
     hom_df,
     hom_k,
     is_f_acyclic,
@@ -26,7 +25,9 @@ from relhomalg.rep import (
     ses_from_sub,
     socle,
 )
-from relhomalg.relative import TruncationError, ext_f, f_resolution, is_f_exact
+from relhomalg.relative import TruncationError, ext_f, f_resolution, is_f_exact, projective_cover
+
+from helpers import f_acyclic_definitional
 
 
 def two_term(m_from, m_to, d, lo=-1):
@@ -56,7 +57,6 @@ def test_shift_round_trip(L7_modules):
 
 
 def _cover_map(mods, pname, mname):
-    from relhomalg.rep import projective_cover
     cover = projective_cover(mods[mname])
     assert cover.total.rep.dims == mods[pname].dims
     return ModuleMap(mods[pname], mods[mname], cover.map.mats)

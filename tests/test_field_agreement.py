@@ -68,8 +68,9 @@ def test_q_and_fp_agree_per_module(problem, module, sub):
     _agree("relhom", sub, str(DATA / problem), "--module", module)
 
 
-@pytest.mark.parametrize("sub", ["termlength", "acyclic", "cone"])
+@pytest.mark.parametrize("sub", [("termlength",), ("acyclic",), ("cone",), ("homk", "--to", "T")],
+                         ids=["termlength", "acyclic", "cone", "homk"])
 @pytest.mark.parametrize("problem, name", COMPLEXES, ids=["/".join(c) for c in COMPLEXES])
 def test_q_and_fp_agree_per_complex(problem, name, sub):
-    _agree("complex", sub, str(DATA / problem), "--complex", name)
+    _agree("complex", sub[0], str(DATA / problem), "--complex", name, *sub[1:])
 

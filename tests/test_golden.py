@@ -20,6 +20,11 @@ one.  They pin every relative dimension that is read off an F-resolution,
 and are the output of the code before each module was resolved only once
 per command.
 
+`<problem>.exact.<module>.json` holds the exit code, stdout, stderr and
+report of `relhom exact --module`, for every declared module.  They pin the
+projective cover sequence and its F-exactness, and are the output of the
+code before projective covers became minimal add(Λ)-approximations.
+
 Reports are compared without their `file` key, which holds a local path.
 """
 
@@ -69,6 +74,11 @@ def _run(*args: str) -> tuple[str, str]:
     return stdout, _dump(payload)
 
 
+def _dump_call(*args: str) -> str:
+    code, stdout, stderr, payload = _call(*args)
+    return _dump({"exit": code, "stdout": stdout, "stderr": stderr, "report": payload})
+
+
 def _render(fixture: str) -> str:
     problem, kind, rest = fixture.split(".", 2)
     path = str(DATA / f"{problem}.json")
@@ -87,9 +97,9 @@ def _render(fixture: str) -> str:
     if kind == "acyclic":
         return _run("complex", "acyclic", path, "--complex", name)[1]
     if kind in BOUNDS or kind in RELHOM:
-        code, stdout, stderr, payload = _call(
-            "bounds" if kind in BOUNDS else "relhom", kind, path)
-        return _dump({"exit": code, "stdout": stdout, "stderr": stderr, "report": payload})
+        return _dump_call("bounds" if kind in BOUNDS else "relhom", kind, path)
+    if kind == "exact":
+        return _dump_call("relhom", "exact", path, "--module", name)
     raise AssertionError(f"unknown fixture kind {kind!r}")
 
 

@@ -3,10 +3,11 @@ from relhomalg.complexes import (
     HomotopyHom,
     chain_identity,
     cone,
-    null_homotopy_witness,
     stalk_complex,
 )
 from relhomalg.rep import hom_space
+
+from helpers import null_homotopy_witness
 
 
 def test_null_homotopy_witness_on_contractible(L7_modules):

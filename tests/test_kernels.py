@@ -4,8 +4,9 @@ of `AbstractAlgebra` against the plain kernels they replaced.
 The reference functions below are the earlier dense versions of
 `Matrix.apply`, `Matrix.__mul__`, `rref` and `SpanSolver.coords`, kept
 verbatim as an oracle, and so are the dense `AbstractAlgebra.mul` over a
-full table and the solve-based action of A on a piece A*e_j, which the
-projectives of the quiver presentation must reproduce.  Every check
+full table, the solve-based action of A on a piece A*e_j, which the
+projectives of the quiver presentation must reproduce, and the corner
+certificate built from dense products e*b_k*e.  Every check
 compares exact entries on seeded random matrices over Q and F_32003, most
 of them sparse (at least 70% zeros, like the matrices the workloads build),
 plus zero-row and zero-column shapes, or on the algebras the program
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, structure_constants
 
+from relhomalg.algebra import residue_certificate
 from relhomalg.complexes import HomotopyHom, stalk_complex
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, lincomb, rref, solve
@@ -409,3 +411,42 @@ def test_unclosed_pieces_are_rejected_like_the_solves(label, algebra, ref):
                 assert not closed
                 rejected += 1
     assert rejected or len(algebra.idempotents) == 1
+
+
+def ref_corner_certificate(ref, e):
+    """The earlier corner_certificate: e*b_k*e by two dense products per
+    basis vector, and the residues over the dense multiplication."""
+    F = ref.field
+    ks, ys = [], []
+    for k in range(ref.dim):
+        y = ref.mul(ref.mul(e, ref.basis_vector(k)), e)
+        if any(not F.is_zero(c) for c in y):
+            ks.append(k)
+            ys.append(y)
+    Y = Matrix(F, ref.dim, len(ys), [y[r] for r in range(ref.dim) for y in ys])
+    R, pivots = rref(Y)
+    basis = Y.select_columns(pivots)
+    solver = SpanSolver(basis)
+
+    def mul(u, v):
+        return solver.coords(ref.mul(basis.apply(u), basis.apply(v)))
+
+    return (ks, R.submatrix(range(len(pivots)), range(len(ys))),
+            residue_certificate(F, len(pivots), solver.coords(e), mul))
+
+
+BUNDLED = sorted(p.stem for p in DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_corner_certificates_match_the_dense_products(name):
+    endo = end_algebra(load_problem(str(DATA / f"{name}.json")).tilting_sum())
+    gamma = endo.to_abstract()
+    ref = RefAlgebra(QQ, endo.dim, dense_table(QQ, endo.dim, endo.table))
+    for i, e in enumerate(gamma.idempotents):
+        ks, coords, residues = gamma.corner_certificate(i)
+        ref_ks, ref_coords, ref_residues = ref_corner_certificate(ref, e)
+        assert ks == ref_ks and ks == gamma.corner(i, i)
+        assert (coords.rows, coords.cols, coords.entries) == \
+            (ref_coords.rows, ref_coords.cols, ref_coords.entries)
+        assert residues is not None and residues == ref_residues

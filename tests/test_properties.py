@@ -7,7 +7,6 @@ from relhomalg.complexes import (
     Complex,
     chain_identity,
     cone,
-    f_acyclic_definitional,
     hom_k,
     is_f_acyclic,
     resolution_as_complex,
@@ -16,16 +15,16 @@ from relhomalg.complexes import (
 )
 from relhomalg.fields import QQ
 from relhomalg.matrix import Matrix, kernel_basis, rank
-from relhomalg.relative import ext_f, f_resolution, hom_g_surjective
+from relhomalg.relative import ext_f, f_resolution, hom_g_surjective, projective_cover
 from relhomalg.rep import (
     ModuleMap,
     cokernel,
     direct_sum,
     hom_space,
-    image,
-    pushout_ses,
     ses_from_sub,
 )
+
+from helpers import f_acyclic_definitional, image, pushout_ses
 
 SEED = 0x5EC7
 
@@ -218,7 +217,6 @@ def test_hom_k_homotopy_invariance(F7, corpus7):
 
 
 def _cover_onto(p, m):
-    from relhomalg.rep import projective_cover
     cover = projective_cover(m)
     return ModuleMap(p, m, cover.map.mats)
 

@@ -9,7 +9,6 @@ from relhomalg.rep import (
     Representation,
     cokernel,
     direct_sum,
-    dtr,
     dual,
     dual_to_main,
     hom_coordinates,
@@ -17,16 +16,13 @@ from relhomalg.rep import (
     injective,
     is_isomorphic,
     kernel,
-    minimal_presentation,
     projective,
-    projective_cover,
     radical,
     simple,
     socle,
-    top,
-    transpose,
     zero_representation,
 )
+from relhomalg.relative import dtr, projective_cover, transpose
 
 from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, uniserials
 
@@ -106,7 +102,7 @@ def test_cokernel_of_zero_map(L7):
 
 def test_kernel_of_top_cover(L7):
     p1 = projective(L7, 1)
-    _, proj = top(p1)
+    _, proj = cokernel(radical(p1)[1])
     k, _ = kernel(proj)
     assert k.dims == (0, 1, 1)
 
@@ -123,7 +119,7 @@ def test_radical_top_socle(L7):
     p1 = projective(L7, 1)
     r, _ = radical(p1)
     assert r.dims == (0, 1, 1)
-    t, _ = top(p1)
+    t, _ = cokernel(radical(p1)[1])
     assert is_isomorphic(t, simple(L7, 1)).isomorphic is True
     s, _ = socle(p1)
     assert is_isomorphic(s, simple(L7, 3)).isomorphic is True
@@ -139,18 +135,22 @@ def test_projective_cover_of_projective_is_iso(L7):
     p = projective(L7, 2)
     cover = projective_cover(p)
     assert cover.map.is_isomorphism()
-    assert cover.vertices == [2]
+    assert cover.is_identity and cover.map.source is p
 
 
 def test_cover_of_zero_module(L7):
     cover = projective_cover(zero_representation(L7))
-    assert cover.total.rep.is_zero()
+    assert cover.total.rep.is_zero() and cover.pieces == []
 
 
 def test_minimal_presentation_of_s2(L7):
-    c1, d, c0 = minimal_presentation(simple(L7, 2))
-    assert c0.vertices == [2]
-    assert c1.vertices == [3]
+    # the covers of S2 and of its syzygy: P3 -> P2 -> S2 -> 0
+    c0 = projective_cover(simple(L7, 2))
+    ker, incl = kernel(c0.map)
+    c1 = projective_cover(ker)
+    d = c1.map.compose(incl)
+    assert c0.pieces == [1]
+    assert c1.pieces == [2]
     assert d.compose(c0.map).is_zero()
 
 

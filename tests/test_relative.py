@@ -1,19 +1,27 @@
+import collections
+from pathlib import Path
+
+import pytest
+
+from relhomalg import relative
 from relhomalg.rep import (
+    ModuleMap,
     direct_sum,
     hom_space,
     is_isomorphic,
     kernel,
     projective,
-    projective_cover,
     radical,
     ses_from_sub,
     simple,
+    stack_maps,
     zero_representation,
 )
 from relhomalg.relative import (
     SubbifunctorF,
     SummandDecl,
     cosyzygy_f,
+    dtr,
     ext_f,
     f_resolution,
     findim_f,
@@ -21,12 +29,16 @@ from relhomalg.relative import (
     is_f_exact,
     is_f_frobenius,
     pd_f,
+    projective_cover,
     relative_injectives,
     right_approximation,
     syzygy_f,
 )
+from relhomalg.schema import load_problem
 
 from helpers import a2_algebra
+
+DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
 
 def ses_cover(m):
@@ -191,3 +203,47 @@ def test_a2_ordinary_not_frobenius():
     F = SubbifunctorF(alg, [SummandDecl(f"P{i}", projective(alg, i)) for i in (1, 2)])
     mods = [projective(alg, 1), projective(alg, 2), simple(alg, 1)]
     assert not is_f_frobenius(F, mods)
+
+
+def test_projective_cover_rejects_a_non_minimal_cover(L7, L7_modules, monkeypatch):
+    # one extra copy of P1 mapped by 0 keeps the cover onto, but its kernel
+    # leaves the radical: the copies of P1 outnumber dim top(M2) at vertex 1
+    m = L7_modules["M2"]
+    real = relative.right_approximation
+
+    def padded(x, f):
+        app = real(x, f)
+        extra = projective(L7, 1)
+        maps = [inj.compose(app.map) for inj in app.total.injections] + [ModuleMap.zero(extra, x)]
+        total, glued = stack_maps(maps, x)
+        return relative.Approximation(glued, total, app.pieces + [0])
+
+    assert projective_cover(m).pieces == [1]
+    monkeypatch.setattr(relative, "right_approximation", padded)
+    assert padded(m, relative.ordinary_f(L7)).map.is_surjective()
+    with pytest.raises(ValueError, match="radical"):
+        projective_cover(m)
+
+
+def test_dtr_builds_each_cover_once(monkeypatch):
+    # DTr m needs the covers of m and of its syzygy; each approximation is
+    # built once per module and stored on it, so a second DTr builds none
+    problem = load_problem(str(DATA / "section7.json"))
+    builds = collections.Counter()
+    real = relative._build_approximation
+
+    def counted(x, summands, algebra, left):
+        builds[(x, left, tuple(s.module for s in summands))] += 1
+        return real(x, summands, algebra, left)
+
+    monkeypatch.setattr(relative, "_build_approximation", counted)
+    modules = [m for m in problem.modules.values() if not m.is_zero()]
+    first = [dtr(m) for m in modules]
+    assert builds and set(builds.values()) == {1}
+    covered = {x for x, left, _ in builds}
+    for m in modules:
+        ker, _ = kernel(projective_cover(m).map)
+        assert m in covered and (ker.is_zero() or ker in covered)
+    seen = dict(builds)
+    assert [dtr(m) for m in modules] == first
+    assert builds == seen

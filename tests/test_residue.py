@@ -17,13 +17,14 @@ from helpers import cycle3_selfinjective
 def truncated_polynomials(F):
     """k[x]/(x^2) on the basis 1, x."""
     z, o = F.zero, F.one
-    return AbstractAlgebra(F, 2, [[[o, z], [z, o]], [[z, o], [z, z]]], [o, z], validate=True)
+    return AbstractAlgebra(F, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}, [o, z],
+                           validate=True)
 
 
 def product_k_k(F, idempotents=None):
     """k × k on the basis e1, e2 of its two idempotents."""
     z, o = F.zero, F.one
-    return AbstractAlgebra(F, 2, [[[o, z], [z, z]], [[z, z], [z, o]]], [o, o],
+    return AbstractAlgebra(F, 2, {(0, 0): {0: o}, (1, 1): {1: o}}, [o, o],
                            idempotents=idempotents, validate=True)
 
 
