@@ -418,7 +418,7 @@ def residue(F: Field, x: list, unit: list, mul):
         powers.append(nxt)
     k = len(powers)
     poly = [F.neg(c) for c in low] + [F.one]  # the minimal polynomial, constant term first
-    p, q = F.characteristic, 1
+    p, q = F.p, 1
     while p and (k // q) % p == 0:
         q *= p
     m = k // q

@@ -1,8 +1,13 @@
 """Exact base fields: the rationals and prime fields F_p.
 
-Field elements are plain Python values (Fraction for Q, int in [0, p) for
-F_p); a field object interprets them.  Contexts are per-computation so the
-same process can run a problem over Q and over F_p side by side.
+Field elements are plain Python values; a field object interprets them.
+An element of F_p is an int in [0, p).  An element of Q is an int when it is
+integral and a Fraction otherwise, so the kernels on integral matrices run
+on native int arithmetic.  This normal form only makes things faster: every
+test of an element is ``==`` or truthiness, which mean the same for an int
+and an equal Fraction (hashes agree too), so correctness never depends on
+it.  Contexts are per-computation so the same process can run a problem
+over Q and over F_p side by side.
 """
 
 from __future__ import annotations
@@ -35,9 +40,15 @@ def _is_probable_prime(n: int) -> bool:
 
 
 class Field:
-    """Interface shared by RationalField and PrimeField."""
+    """Interface shared by RationalField and PrimeField.
 
-    characteristic: int
+    ``zero`` and ``one`` are plain attributes, and ``p`` is the
+    characteristic, which is the modulus the matrix kernels reduce by over
+    F_p and 0 over Q."""
+
+    p: int
+    zero = 0
+    one = 1
 
     def of_int(self, n: int):
         raise NotImplementedError
@@ -66,50 +77,49 @@ class Field:
     def is_zero(self, a) -> bool:
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.of_int(0)
-
-    @property
-    def one(self):
-        return self.of_int(1)
-
     def to_str(self, a) -> str:
         raise NotImplementedError
 
 
-_SMALL_FRACTIONS = {n: Fraction(n) for n in range(-16, 17)}
+def _q(x):
+    """The normal form of a rational: its numerator, an int, when it is
+    integral, and the Fraction itself otherwise."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class RationalField(Field):
-    characteristic = 0
+    p = 0
 
-    def of_int(self, n: int) -> Fraction:
-        cached = _SMALL_FRACTIONS.get(n)
-        return cached if cached is not None else Fraction(n)
+    def of_int(self, n: int) -> int:
+        return int(n)
 
-    def of_str(self, s: str) -> Fraction:
-        return Fraction(s)
+    def of_str(self, s: str):
+        return _q(Fraction(s))
 
     def add(self, a, b):
-        return a + b
+        return _q(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _q(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _q(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        if a.numerator == 0:
+        if not a:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return _q(Fraction(1, a))
+
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("inverse of 0")
+        return _q(Fraction(a, b))
 
     def is_zero(self, a) -> bool:
-        return a.numerator == 0
+        return not a
 
     def to_str(self, a) -> str:
         # canonical form: reduced, positive denominator, "a" or "a/b"
@@ -131,7 +141,6 @@ class PrimeField(Field):
         if not _is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
 
     def of_int(self, n: int) -> int:
         return n % self.p

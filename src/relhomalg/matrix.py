@@ -3,11 +3,25 @@
 All values are immutable after construction and all operations are pure, so
 matrices can be shared freely.  Entries live in a Field context; arithmetic
 is exact, residuals are compared against literal zero.
+
+The inner loops use the native operators and truthiness on the entries, and
+reduce by the field's modulus ``p`` once per entry or row update over F_p
+(whose elements are ints in [0, p)).  Over Q (``p == 0``) the results are
+put in the int-or-Fraction normal form of `fields`; the tests of an entry
+are ``==`` and truthiness, so they do not depend on it.
 """
 
 from __future__ import annotations
 
-from .fields import Field
+from .fields import Field, _q
+
+
+def _normal(entries: list, p: int) -> list:
+    """entries in the field's normal form: reduced mod p over F_p, and an
+    int wherever integral over Q."""
+    if p:
+        return [x % p for x in entries]
+    return [x if x.__class__ is int else _q(x) for x in entries]
 
 
 class Matrix:
@@ -95,67 +109,64 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        add = self.field.add
         return Matrix(self.field, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.entries, other.entries)])
+                      _normal([a + b for a, b in zip(self.entries, other.entries)], self.field.p))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        sub = self.field.sub
         return Matrix(self.field, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.entries, other.entries)])
+                      _normal([a - b for a, b in zip(self.entries, other.entries)], self.field.p))
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.entries])
+        return Matrix(self.field, self.rows, self.cols,
+                      _normal([-a for a in self.entries], self.field.p))
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(c, a) for a in self.entries])
+        return Matrix(self.field, self.rows, self.cols,
+                      _normal([c * a for a in self.entries], self.field.p))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        F = self.field
-        is_zero, add, mul = F.is_zero, F.add, F.mul
         n, k, m = self.rows, self.cols, other.cols
-        out = [F.zero] * (n * m)
         se, oe = self.entries, other.entries
+        other_rows = [None] * k  # the nonzero entries of each row of other, built on first use
+        out = []
         for i in range(n):
-            base, rb = i * k, i * m
+            acc = [0] * m
+            base = i * k
             for t in range(k):
                 a = se[base + t]
-                if is_zero(a):
+                if not a:
                     continue
-                ob = t * m
-                for j in range(m):
-                    b = oe[ob + j]
-                    if not is_zero(b):
-                        out[rb + j] = add(out[rb + j], mul(a, b))
-        return Matrix(F, n, m, out)
+                nz = other_rows[t]
+                if nz is None:
+                    nz = other_rows[t] = [(j, b) for j, b in enumerate(oe[t * m:(t + 1) * m]) if b]
+                for j, b in nz:
+                    acc[j] += a * b
+            out += acc
+        return Matrix(self.field, n, m, _normal(out, self.field.p))
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector (as a plain list)."""
         assert len(vec) == self.cols
-        F = self.field
-        is_zero, add, mul, zero = F.is_zero, F.add, F.mul, F.zero
-        nonzero = [(j, v) for j, v in enumerate(vec) if not is_zero(v)]
+        nonzero = [(j, v) for j, v in enumerate(vec) if v]
         e, k = self.entries, self.cols
         out = []
         for i in range(self.rows):
-            s = zero
+            s = 0
             base = i * k
             for j, v in nonzero:
                 a = e[base + j]
-                if not is_zero(a):
-                    s = add(s, mul(a, v))
+                if a:
+                    s += a * v
             out.append(s)
-        return out
+        return _normal(out, self.field.p)
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(a) for a in self.entries)
+        return not any(self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -176,23 +187,25 @@ class Matrix:
 def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
     """The rows x cols matrix sum c_i M_i, built in one pass that skips zero
     coefficients and zero entries."""
-    is_zero, add, mul = field.is_zero, field.add, field.mul
-    out = [field.zero] * (rows * cols)
+    out = [0] * (rows * cols)
     for c, m in zip(coeffs, mats):
-        if is_zero(c):
+        if not c:
             continue
         for k, a in enumerate(m.entries):
-            if not is_zero(a):
-                out[k] = add(out[k], mul(c, a))
-    return Matrix(field, rows, cols, out)
+            if a:
+                out[k] += c * a
+    return Matrix(field, rows, cols, _normal(out, field.p))
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
     F = m.field
-    is_zero, sub, mul = F.is_zero, F.sub, F.mul
-    rows = m.to_rows()
+    p = F.p
     nr, nc = m.rows, m.cols
+    e = m.entries
+    rows = [e[i * nc:(i + 1) * nc] for i in range(nr)]
+    if p:  # the pivot search needs reduced entries
+        rows = [[x % p for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(nc):
@@ -200,31 +213,39 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
             break
         pr = None
         for i in range(r, nr):
-            if not is_zero(rows[i][c]):
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        if not is_zero(sub(inv, F.one)):
-            rows[r] = [mul(inv, x) for x in rows[r]]
+        if rows[r][c] != 1:
+            inv = F.inv(rows[r][c])
+            rows[r] = _normal([inv * x for x in rows[r]], p)
         rr = rows[r]
         nonzero = None  # the pivot row's nonzero columns, built on first use
         for i in range(nr):
             if i == r:
                 continue
-            f = rows[i][c]
-            if is_zero(f):
+            ri = rows[i]
+            f = ri[c]
+            if not f:
                 continue
             if nonzero is None:
-                nonzero = [(j, x) for j, x in enumerate(rr) if not is_zero(x)]
-            ri = rows[i]
-            for j, x in nonzero:
-                ri[j] = sub(ri[j], mul(f, x))
+                nonzero = [(j, x) for j, x in enumerate(rr) if x]
+                integral = all(x.__class__ is int for _, x in nonzero)
+            if p:
+                for j, x in nonzero:
+                    ri[j] = (ri[j] - f * x) % p
+            else:
+                for j, x in nonzero:
+                    ri[j] -= f * x
+                # an update by int multiples leaves the normal form as it was
+                if not integral or f.__class__ is not int:
+                    rows[i] = _normal(ri, 0)
         pivots.append(c)
         r += 1
-    return Matrix.from_rows(F, rows) if nr else Matrix(F, 0, nc, []), pivots
+    return Matrix(F, nr, nc, [x for row in rows for x in row]), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -317,15 +338,12 @@ class SpanSolver:
 
     def coords(self, vec: list):
         """Coordinates of vec in the basis, or None if outside the span."""
-        F = self.basis.field
-        is_zero, sub = F.is_zero, F.sub
         if self.basis.cols == 0:
-            return [] if all(is_zero(v) for v in vec) else None
-        sel = [vec[r] for r in self.rows]
-        out = self.inv.apply(sel)
+            return None if any(vec) else []
+        out = self.inv.apply([vec[r] for r in self.rows])
         back = self.basis.apply(out)
         for a, b in zip(back, vec):
-            if a is not b and not is_zero(sub(a, b)):
+            if a != b:
                 return None
         return out
 
@@ -342,7 +360,3 @@ def block_diag(field: Field, blocks: list[Matrix]) -> Matrix:
         co += b.cols
     return Matrix.from_rows(field, out) if rows else Matrix(field, 0, cols, [])
 
-
-def vec(m: Matrix) -> list:
-    """Column-major vectorization (columns stacked)."""
-    return [m.at(i, j) for j in range(m.cols) for i in range(m.rows)]

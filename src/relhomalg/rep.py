@@ -622,8 +622,8 @@ def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
         return IsoResult(False)
     F = m.algebra.field
     tries = m.total_dim * (len(basis) - 1)
-    if F.characteristic:
-        tries = min(tries, F.characteristic - 1)
+    if F.p:
+        tries = min(tries, F.p - 1)
     for t in range(1, tries + 1):
         f = ModuleMap.combination(m, n, [F.of_int(t ** i) for i in range(len(basis))], basis)
         if f.is_isomorphism():

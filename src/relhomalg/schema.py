@@ -74,8 +74,21 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _integer(v, path: str, what: str, minimum: int | None = None) -> int:
+    """v, checked to be a JSON integer of at least minimum."""
+    bound = "" if minimum is None else f" >= {minimum}"
+    _expect(_is_int(v) and (minimum is None or v >= minimum), path,
+            f"{what} must be an integer{bound}, got {v!r}")
+    return v
+
+
 def _parse_scalar(field: Field, v, path: str):
-    if isinstance(v, int):
+    if _is_int(v):
         return field.of_int(v)
     if isinstance(v, str):
         try:
@@ -103,7 +116,7 @@ def parse_field(spec, path: str) -> Field:
         return QQ
     if isinstance(spec, dict) and "prime" in spec:
         try:
-            return PrimeField(int(spec["prime"]))
+            return PrimeField(_integer(spec["prime"], path, "prime"))
         except ValueError as e:
             raise SchemaError(path, str(e))
     raise SchemaError(path, f"unknown field spec {spec!r}")
@@ -134,13 +147,15 @@ def _build_module(name: str, spec, ctx: "_Loader") -> Representation:
                 "quotient_by_radical_power expects [module, power]")
         base = ctx.module(ref[0], path)
         from .rep import radical_power_sub
-        _, incl = radical_power_sub(base, int(ref[1]))
+        _, incl = radical_power_sub(base, _integer(ref[1], path, "radical power", 0))
         return cokernel(incl)[0]
     if "dims" in spec:
         dims = spec["dims"]
         q = algebra.quiver
         _expect(isinstance(dims, list) and len(dims) == q.n, f"{path}.dims",
                 f"dimension vector must have {q.n} entries")
+        for k, d in enumerate(dims):
+            _integer(d, f"{path}.dims[{k}]", "dimension", 0)
         mats = []
         given = spec.get("matrices", {})
         for ai, a in enumerate(q.arrows):
@@ -159,7 +174,7 @@ def _build_module(name: str, spec, ctx: "_Loader") -> Representation:
 
 
 def _vertex(v, algebra, path) -> int:
-    _expect(isinstance(v, int), path, "vertex must be an integer")
+    _integer(v, path, "vertex")
     _expect(1 <= v <= algebra.quiver.n, path, f"vertex {v} out of range")
     return v
 
@@ -171,7 +186,7 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
         raise SchemaError(path, "complex spec must be an object")
     if "stalk" in spec:
         mods = spec["stalk"] if isinstance(spec["stalk"], list) else [spec["stalk"]]
-        degree = int(spec.get("degree", 0))
+        degree = _integer(spec.get("degree", 0), f"{path}.degree", "degree")
         parts = [Part(m, ctx.module(m, path)) for m in mods]
         from .rep import direct_sum
         total = direct_sum([p.module for p in parts], algebra).rep
@@ -179,7 +194,7 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
     if "shift" in spec:
         ref = spec["shift"]
         _expect(isinstance(ref, list) and len(ref) == 2, path, "shift expects [complex, n]")
-        return shift_complex(ctx.complex(ref[0], path), int(ref[1]))
+        return shift_complex(ctx.complex(ref[0], path), _integer(ref[1], path, "shift"))
     if "sum" in spec:
         parts = [ctx.complex(n, path) for n in spec["sum"]]
         from .complexes import sum_complexes
@@ -189,11 +204,11 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
         _expect(isinstance(ref, list) and len(ref) == 2, path,
                 "stalk_from expects [complex, degree]")
         base = ctx.complex(ref[0], path)
-        deg = int(ref[1])
+        deg = _integer(ref[1], path, "degree")
         _expect(deg in base.comps, path, f"complex {ref[0]} has no component at degree {deg}")
         comp = base.comps[deg]
         parts = list(base.parts[deg]) if base.parts is not None else None
-        out_degree = int(spec.get("degree", deg))
+        out_degree = _integer(spec.get("degree", deg), f"{path}.degree", "degree")
         return stalk_complex(comp, out_degree, label=f"{ref[0]}@{deg}", parts=parts)
     if "approximation_cone" in spec:
         sub = spec["approximation_cone"]
@@ -220,7 +235,10 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
             parts[deg] = pl
         diffs = {}
         for dstr, vmats in spec.get("differentials", {}).items():
-            deg = int(dstr)
+            try:
+                deg = int(dstr)
+            except ValueError:
+                raise SchemaError(f"{path}.differentials", f"bad degree key {dstr!r}")
             _expect(deg in comps and (deg + 1) in comps, f"{path}.differentials.{dstr}",
                     "differential endpoints missing")
             src, tgt = comps[deg], comps[deg + 1]
@@ -253,9 +271,7 @@ class _Loader:
                 f"expected schema {SCHEMA_VERSION!r}, got {data.get('schema')!r}")
         self.field = field_override or parse_field(data.get("field"), "$.field")
         cutoff = data.get("cutoff", 10) if cutoff_override is None else cutoff_override
-        _expect(isinstance(cutoff, int) and not isinstance(cutoff, bool) and cutoff >= 1,
-                "$.cutoff", f"cutoff must be an integer >= 1, got {cutoff!r}")
-        self.cutoff = cutoff
+        self.cutoff = _integer(cutoff, "$.cutoff", "cutoff", 1)
         self.algebra = self._build_algebra()
         self._modules: dict[str, Representation] = {}
         self._complexes: dict[str, Complex] = {}
@@ -266,13 +282,14 @@ class _Loader:
         data = self.data
         qspec = data.get("quiver")
         _expect(isinstance(qspec, dict), "$.quiver", "missing quiver")
-        _expect(isinstance(qspec.get("vertices"), int) and qspec["vertices"] >= 1,
-                "$.quiver.vertices", "need a positive vertex count")
+        _integer(qspec.get("vertices"), "$.quiver.vertices", "vertex count", 1)
         arrows = []
         for k, a in enumerate(qspec.get("arrows", [])):
             _expect(isinstance(a, list) and len(a) == 3, f"$.quiver.arrows[{k}]",
                     "arrow must be [name, source, target]")
-            arrows.append((str(a[0]), int(a[1]), int(a[2])))
+            for end in (1, 2):
+                _integer(a[end], f"$.quiver.arrows[{k}][{end}]", "vertex")
+            arrows.append((str(a[0]), a[1], a[2]))
         try:
             quiver = Quiver(qspec["vertices"], arrows)
         except ValueError as e:
@@ -360,7 +377,8 @@ class _Loader:
                     "tilting must declare its summand complexes")
             for n in summand_names:
                 self.complex(n, "$.tilting.summands")
-            count = int(tspec.get("summand_count", len(summand_names)))
+            count = _integer(tspec.get("summand_count", len(summand_names)),
+                             "$.tilting.summand_count", "summand count")
             witnesses = []
             for k, w in enumerate(tspec.get("witnesses", [])):
                 path = f"$.tilting.witnesses[{k}]"
@@ -368,7 +386,9 @@ class _Loader:
                         "witness must be {summand: ...} or {cone: ...}")
                 if "summand" in w:
                     s = w["summand"]
-                    witnesses.append(SummandWitness(s["module"], int(s["degree"]), s["of"]))
+                    witnesses.append(SummandWitness(s["module"],
+                                                    _integer(s["degree"], path, "degree"),
+                                                    s["of"]))
                 elif "cone" in w:
                     c = w["cone"]
                     _expect(c.get("map", "identity") == "identity", path,

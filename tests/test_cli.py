@@ -81,6 +81,56 @@ def test_input_error_bad_vertex(tmp_path, capsys):
     assert "$.modules.P1" in capsys.readouterr().err
 
 
+def _with_module(spec):
+    def edit(data):
+        data["modules"]["X"] = spec
+    return edit
+
+
+def _with_arrow(arrow):
+    def edit(data):
+        data["quiver"]["arrows"][0] = arrow
+    return edit
+
+
+def _with_complex(spec):
+    def edit(data):
+        data["complexes"]["C"] = spec
+    return edit
+
+
+def _with_summand_count(count):
+    def edit(data):
+        data["tilting"]["summand_count"] = count
+    return edit
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_with_module({"dims": [-1, 0, 0]}), "$.modules.X.dims[0]"),
+    (_with_module({"dims": [True, False, False]}), "$.modules.X.dims[0]"),
+    (_with_module({"dims": ["1", 0, 0]}), "$.modules.X.dims[0]"),
+    (_with_module({"dims": [1.5, 0, 0]}), "$.modules.X.dims[0]"),
+    (_with_arrow(["a", True, 2]), "$.quiver.arrows[0][1]"),
+    (_with_module({"dims": [1, 1, 0], "matrices": {"a": [[True]]}}),
+     "$.modules.X.matrices.a[0][0]"),
+    (_with_module({"quotient_by_radical_power": ["P1", 1.7]}), "$.modules.X"),
+    (_with_complex({"stalk": "P1", "degree": "x"}), "$.complexes.C.degree"),
+    (_with_complex({"terms": {"0": "P1", "1": "P1"}, "differentials": {"x": {}}}),
+     "$.complexes.C.differentials"),
+    (_with_summand_count(True), "$.tilting.summand_count"),
+], ids=["negative-dim", "bool-dims", "string-dim", "float-dim", "bool-vertex", "bool-entry",
+        "float-power", "string-degree", "string-differential-key", "bool-summand-count"])
+def test_non_integers_are_input_errors(tmp_path, capsys, edit, path):
+    data = json.loads((DATA / "section7.json").read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["module", bad]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+
+
 def test_violated_exit_code(tmp_path, capsys):
     # declaring the wrong summand count makes the count criterion fail
     data = json.loads((DATA / "section7.json").read_text())

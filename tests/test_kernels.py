@@ -10,9 +10,13 @@ certificate built from dense products e*b_k*e.  Every check
 compares exact entries on seeded random matrices over Q and F_32003, most
 of them sparse (at least 70% zeros, like the matrices the workloads build),
 plus zero-row and zero-column shapes, or on the algebras the program
-builds: path algebras and End(T).
+builds: path algebras and End(T).  The scalar kernels keep the normal form
+of `fields`: every entry they return over Q is an int when it is integral
+(never a float), every entry over F_p lies in range(p), and inputs that
+are not in normal form give the same values.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,9 +28,10 @@ from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, structure
 from relhomalg.algebra import residue_certificate
 from relhomalg.complexes import HomotopyHom, stalk_complex
 from relhomalg.fields import QQ, PrimeField
-from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, lincomb, rref, solve
-from relhomalg.rep import _induced_sub, projective
-from relhomalg.schema import load_problem
+from relhomalg.matrix import (Matrix, SpanSolver, column_space_basis, kernel_basis, lincomb, rref,
+                              solve)
+from relhomalg.rep import Representation, _induced_sub, projective
+from relhomalg.schema import load_problem, parse_problem
 from relhomalg.tilting import end_algebra
 
 FIELDS = [QQ, PrimeField(32003)]
@@ -281,6 +286,119 @@ def test_lincomb_matches_repeated_add_and_scale():
             if not field.is_zero(c):
                 want = want + m.scale(c)
         assert lincomb(field, rows, cols, coeffs, mats).entries == want.entries
+
+
+def normal(field, x):
+    """x in the field's normal form, computed without the field's methods."""
+    if field.p:
+        return x % field.p
+    return x.numerator if x.denominator == 1 else x
+
+
+def in_normal_form(field, x) -> bool:
+    if field.p:
+        return type(x) is int and 0 <= x < field.p
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def kernel_outputs(field, rng, rows, cols, zeros, entries):
+    """Every entry that the matrix operations return on one random case,
+    built from entries(list) -> list, which may put the inputs out of normal
+    form."""
+    def mat(r, c):
+        return Matrix(field, r, c, entries(sparse_list(field, rng, r * c, zeros)))
+
+    m = mat(rows, cols)
+    other = mat(cols, 3)
+    same_shape = mat(rows, cols)
+    v = entries(sparse_list(field, rng, cols, zeros))
+    basis = column_space_basis(m)
+    solver = SpanSolver(basis)
+    out = {"add": (m + same_shape).entries, "sub": (m - same_shape).entries,
+           "neg": (-m).entries, "scale": m.scale(entries(sparse_list(field, rng, 1, 0))[0]).entries,
+           "mul": (m * other).entries, "apply": m.apply(v), "rref": rref(m)[0].entries,
+           "kernel_basis": kernel_basis(m).entries,
+           "lincomb": lincomb(field, rows, cols, entries(sparse_list(field, rng, 3, 0.3)),
+                              [m, mat(rows, cols), mat(rows, cols)]).entries,
+           "coords": solver.coords(basis.apply(entries(sparse_list(field, rng, basis.cols,
+                                                                     zeros)))),
+           "solve": (solve(m, mat(rows, 2)) or Matrix(field, 0, 0, [])).entries}
+    return out
+
+
+def test_kernel_outputs_are_in_normal_form():
+    seen_fraction = 0
+    for field, rng, rows, cols, zeros in cases(9):
+        for name, got in kernel_outputs(field, rng, rows, cols, zeros,
+                                        lambda xs: [normal(field, x) for x in xs]).items():
+            assert all(in_normal_form(field, x) for x in got), (field, name, got)
+            seen_fraction += any(type(x) is Fraction for x in got)
+    assert seen_fraction > 50  # the Fraction half of the normal form is exercised
+
+
+def test_unnormalised_inputs_give_the_same_values():
+    # Fraction(4, 2) is the Fraction 2, not the int 2; over F_p, p + 1 is 1
+    def spread(field, xs):
+        if field.p:
+            return [x + field.p * (k % 3) for k, x in enumerate(xs)]
+        return [Fraction(x) * Fraction(2, 2) if k % 2 else x for k, x in enumerate(xs)]
+
+    for (field, rng, rows, cols, zeros), seed in zip(cases(10), range(1000)):
+        want = kernel_outputs(field, random.Random(seed), rows, cols, zeros,
+                              lambda xs: [normal(field, x) for x in xs])
+        got = kernel_outputs(field, random.Random(seed), rows, cols, zeros,
+                             lambda xs: spread(field, xs))
+        assert got == want
+
+
+def test_unnormalised_inputs_match_the_reference_kernels():
+    rng = random.Random(11)
+    for _ in range(20):
+        entries = [Fraction(2 * x, 2) for x in sparse_list(QQ, rng, 36, 0.5)]
+        m = Matrix(QQ, 6, 6, entries)
+        v = [Fraction(4, 2), Fraction(0, 3), Fraction(-3, 3), Fraction(1, 2), 0, 1]
+        assert m.apply(v) == ref_apply(m, v)
+        assert (m * m).entries == ref_mul(m, m).entries
+        got, want = rref(m), ref_rref(m)
+        assert (got[0].entries, got[1]) == (want[0].entries, want[1])
+
+
+def test_rational_field_arithmetic_is_exact_and_normal():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    results = [QQ.add(half, half), QQ.sub(Fraction(5, 2), half), QQ.mul(third, 3),
+               QQ.inv(third), QQ.inv(-1), QQ.div(6, 3), QQ.of_str("4/2"), QQ.of_int(7),
+               QQ.add(2, 3), QQ.neg(4)]
+    assert results == [1, 2, 1, 3, -1, 2, 2, 7, 5, -4]
+    assert all(type(x) is int for x in results)
+    assert [QQ.add(half, third), QQ.sub(half, 1), QQ.mul(half, third), QQ.inv(2),
+            QQ.div(2, 4)] == [Fraction(5, 6), Fraction(-1, 2), Fraction(1, 6), half, half]
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0, 5))
+    assert (QQ.zero, QQ.one, QQ.p) == (0, 1, 0)
+    F = PrimeField(7)
+    assert (F.zero, F.one, F.p) == (0, 1, 7)
+    assert [F.add(5, 4), F.sub(2, 5), F.mul(3, 5), F.inv(3), F.neg(2)] == [2, 4, 1, 5, 5]
+
+
+def test_equal_entries_give_one_canonical_module():
+    def problem(entry):
+        data = json.loads((DATA / "section7.json").read_text())
+        data["modules"]["X"] = {"dims": [1, 1, 0], "matrices": {"a": [[entry]]}}
+        return parse_problem(json.dumps(data))
+
+    x = problem("2").modules["X"]
+    assert type(x.mats[0].entries[0]) is int
+    # two loads build two algebras; compare within one algebra
+    alg = x.algebra
+    y = Representation(alg, (1, 1, 0), [Matrix(QQ, 1, 1, [QQ.of_str("4/2")]),
+                                        Matrix(QQ, 0, 1, []), Matrix(QQ, 1, 0, [])])
+    z = Representation(alg, (1, 1, 0), [Matrix(QQ, 1, 1, [Fraction(4, 2)]),
+                                        Matrix(QQ, 0, 1, []), Matrix(QQ, 1, 0, [])])
+    assert x is y is z
+    assert problem("4/2").modules["X"].mats[0].entries == [2]
 
 
 def test_vector_to_chain_map_matches_repeated_add_and_scale(L7_modules):

@@ -2,6 +2,8 @@
 radical in every characteristic, certified negative isomorphisms, and the
 fail-closed verdicts on decomposable summands of G and T."""
 
+from fractions import Fraction
+
 import pytest
 
 from relhomalg.algebra import AbstractAlgebra, residue, residue_certificate
@@ -98,8 +100,8 @@ def m2_mul(u, v):
     a, b = ([[sum(c * m[r][s] for c, m in zip(w, M2_BASIS)) for s in (0, 1)] for r in (0, 1)]
             for w in (u, v))
     p = [[a[r][0] * b[0][s] + a[r][1] * b[1][s] for s in (0, 1)] for r in (0, 1)]
-    n = (p[0][0] - p[1][1]) / 2
-    return [(p[0][0] + p[1][1]) / 2, p[0][1] - n, p[1][0] + n, n]
+    n = Fraction(p[0][0] - p[1][1], 2)
+    return [Fraction(p[0][0] + p[1][1], 2), p[0][1] - n, p[1][0] + n, n]
 
 
 def test_single_eigenvalues_without_a_multiplicative_residue_map_fail():
