@@ -222,20 +222,6 @@ class AbstractAlgebra:
         nonzero = [(k, x) for k, x in out.items() if not F.is_zero(x)]
         return len(nonzero) == 1 and nonzero[0][0] == b and F.is_zero(F.sub(nonzero[0][1], F.one))
 
-    def corner(self, i: int, j: int) -> list[int]:
-        """The basis vectors spanning e_i A e_j."""
-        return [b for b, c in enumerate(self._graded()) if c == (i, j)]
-
-    def column(self, j: int) -> list[int]:
-        """The basis vectors spanning A e_j."""
-        return [b for b, c in enumerate(self._graded()) if c[1] == j]
-
-    def _graded(self) -> list[tuple[int, int]]:
-        grading = self.grading()
-        if grading is None:
-            raise ValueError("the basis is not certified as graded by the idempotents")
-        return grading
-
     def idempotents_split_basic(self) -> bool:
         """The supplied idempotents grade the basis (see `grading`) and every
         corner passes the residue certificate, which proves its image in

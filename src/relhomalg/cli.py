@@ -242,7 +242,7 @@ def cmd_tilting(args, out: Output) -> int:
     for f in rep.failures:
         out.say("failure:", f)
     if args.sigma:
-        _, sigma_dims, _ = image_tilting_over_sigma(ts, F)
+        _, sigma_dims = image_tilting_over_sigma(ts, F)
         lam = {**rep.self_orthogonal, 0: rep.endo_dim}
         mism = {n: (lam[n], d) for n, d in sigma_dims.items() if lam[n] != d}
         out.say("image over Sigma: hom windows "

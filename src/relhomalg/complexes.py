@@ -224,40 +224,29 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
 
 
 class _TotalHom:
-    """The total Hom complex between two bounded complexes whose components
-    are lists of pieces.
+    """The total Hom complex of two bounded complexes X and Y.
 
-    Hom^m is laid out as blocks Hom(X^i_s, Y^{i+m}_t), ordered by source
-    degree i, source piece s and target piece t; its differential is
-    D f = f d_Y - (-1)^m d_X f, with maps composed left to right.  A side
-    supplies the pieces of each component, the differential entries
-    {(s, t): piece s of Z^i -> piece t of Z^{i+1}} of each degree, and three
-    functions: `hom(a, b)`, a basis of the maps between two pieces;
-    `compose(f, g)`, f then g; `coords(a, b, f)`, the coordinates of f in
-    `hom(a, b)`.
+    Hom^m = ⊕_i Hom(X^i, Y^{i+m}) is laid out as one block per source degree
+    i, in increasing order, each with the `hom_space` basis; its differential
+    is D f = f d_Y - (-1)^m d_X f, with maps composed left to right.
     """
 
-    def __init__(self, field, x_pieces: dict, x_diffs: dict, y_pieces: dict, y_diffs: dict,
-                 hom, compose, coords):
-        self.field = field
-        self.x_pieces, self.x_diffs = x_pieces, x_diffs
-        self.y_pieces, self.y_diffs = y_pieces, y_diffs
-        self.hom, self.compose, self.coords = hom, compose, coords
+    def __init__(self, x: Complex, y: Complex):
+        self.x, self.y = x, y
         self._blocks: dict[int, tuple[dict, int]] = {}
         self._diffs: dict[int, Matrix] = {}
         self._ranks: dict[int, int] = {}
 
     def blocks(self, m: int) -> tuple[dict, int]:
-        """Hom^m as {(i, s, t): (basis, first column)} in column order, and
-        its dimension."""
+        """Hom^m as {i: (basis of Hom(X^i, Y^{i+m}), first column)} in column
+        order, and its dimension."""
         if m not in self._blocks:
             layout, pos = {}, 0
-            for i in sorted(self.x_pieces):
-                for s, a in enumerate(self.x_pieces[i]):
-                    for t, b in enumerate(self.y_pieces.get(i + m, ())):
-                        basis = self.hom(a, b)
-                        layout[(i, s, t)] = (basis, pos)
-                        pos += len(basis)
+            for i in sorted(self.x.comps):
+                if (i + m) in self.y.comps:
+                    basis = hom_space(self.x.comps[i], self.y.comps[i + m])
+                    layout[i] = (basis, pos)
+                    pos += len(basis)
             self._blocks[m] = (layout, pos)
         return self._blocks[m]
 
@@ -268,32 +257,28 @@ class _TotalHom:
         return self._diffs[m]
 
     def _assemble(self, m: int) -> Matrix:
-        F = self.field
+        F = self.x.algebra.field
         src, n_src = self.blocks(m)
         tgt, n_tgt = self.blocks(m + 1)
         rows = [[F.zero] * n_src for _ in range(n_tgt)]
 
-        def put(key, col: int, maps, negate: bool):
+        def put(j: int, col: int, maps, negate: bool):
             """Coordinates of maps (composites of consecutive source basis
-            elements) into target block key, from column col on."""
-            basis, row = tgt[key]
+            elements) into target block j, from column col on."""
+            basis, row = tgt[j]
             if not basis:
                 return
-            j, p, r = key
-            a, b = self.x_pieces[j][p], self.y_pieces[j + m + 1][r]
             for k, g in enumerate(maps):
-                for rr, c in enumerate(self.coords(a, b, g)):
+                for rr, c in enumerate(hom_coordinates(basis, g)):
                     rows[row + rr][col + k] = F.neg(c) if negate else c
 
-        for (i, s, t), (basis, col) in src.items():
-            # f then d_Y^{i+m} lands in block (i, s, r) with sign +1
-            for (u, r), d in self.y_diffs.get(i + m, {}).items():
-                if u == t:
-                    put((i, s, r), col, (self.compose(f, d) for f in basis), False)
-            # d_X^{i-1} then f lands in block (i-1, q, t) with sign -(-1)^m
-            for (q, u), d in self.x_diffs.get(i - 1, {}).items():
-                if u == s:
-                    put((i - 1, q, t), col, (self.compose(d, f) for f in basis), m % 2 == 0)
+        for i, (basis, col) in src.items():
+            d = self.y.diffs.get(i + m)
+            if d is not None:  # f then d_Y^{i+m} lands in block i with sign +1
+                put(i, col, (f.compose(d) for f in basis), False)
+            d = self.x.diffs.get(i - 1)
+            if d is not None:  # d_X^{i-1} then f lands in block i-1 with sign -(-1)^m
+                put(i - 1, col, (d.compose(f) for f in basis), m % 2 == 0)
         return Matrix.from_rows(F, rows) if n_tgt else Matrix(F, 0, n_src, [])
 
     def rank(self, m: int) -> int:
@@ -305,17 +290,6 @@ class _TotalHom:
     def dim(self, n: int) -> int:
         """dim H^n = dim Hom^n - rank D^n - rank D^{n-1}."""
         return self.blocks(n)[1] - self.rank(n) - self.rank(n - 1)
-
-
-def _module_total_hom(x: Complex, y: Complex) -> _TotalHom:
-    """The total Hom complex of two complexes of representations, with one
-    piece per nonzero component."""
-    def one_piece(z: Complex):
-        return ({i: [c] for i, c in z.comps.items()},
-                {i: {(0, 0): d} for i, d in z.diffs.items()})
-
-    return _TotalHom(x.algebra.field, *one_piece(x), *one_piece(y), hom_space,
-                     ModuleMap.compose, lambda a, b, f: hom_coordinates(hom_space(a, b), f))
 
 
 class HomotopyHom:
@@ -334,7 +308,7 @@ class HomotopyHom:
         F = x.algebra.field
         self.field = F
         if total is None:
-            total = _module_total_hom(x, y)
+            total = _TotalHom(x, y)
         self.blocks, self.dim_total = total.blocks(n)    # maps X^i -> Y^{i+n}
         self.homotopies = total.blocks(n - 1)[0]          # maps X^i -> Y^{i+n-1}
         self.d_in = total.differential(n - 1)             # Hom^{n-1} -> Hom^n
@@ -360,7 +334,7 @@ class HomotopyHom:
 
     def vector_to_chain_map(self, vec: list) -> ChainMap:
         comps = {}
-        for (i, _, _), (basis, off) in self.blocks.items():
+        for i, (basis, off) in self.blocks.items():
             if not basis:
                 continue
             comps[i] = ModuleMap.combination(basis[0].source, basis[0].target,
@@ -369,7 +343,7 @@ class HomotopyHom:
 
     def chain_map_to_vector(self, cm_comps: dict[int, ModuleMap]) -> list:
         vec = [self.field.zero] * self.dim_total
-        for (i, _, _), (basis, off) in self.blocks.items():
+        for i, (basis, off) in self.blocks.items():
             f = cm_comps.get(i)
             if basis and f is not None:
                 vec[off:off + len(basis)] = hom_coordinates(basis, f)
@@ -394,7 +368,7 @@ class HomotopyHom:
 
 def hom_k(x: Complex, y: Complex, n: int) -> int:
     """dim Hom_K(x, y[n]); HomotopyHom gives representatives."""
-    return _module_total_hom(x, y).dim(n)
+    return _TotalHom(x, y).dim(n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from .rep import (
     ModuleMap,
     Representation,
     ShortExactSeq,
+    _coordinate_matrix,
     cokernel,
     direct_sum,
     dual_to_main,
     endo_indecomposability_check,
-    hom_coordinates,
     hom_space,
     hom_to_algebra,
     injective,
@@ -124,13 +124,6 @@ class Approximation:
     @property
     def is_identity(self) -> bool:
         return self.pieces is None
-
-
-def _coordinate_matrix(field, basis: list[ModuleMap], maps: list[ModuleMap]) -> Matrix:
-    """The matrix whose columns are the coordinates of maps in basis."""
-    cols = [hom_coordinates(basis, m) for m in maps]
-    return Matrix(field, len(basis), len(cols),
-                  [cols[c][r] for r in range(len(basis)) for c in range(len(cols))])
 
 
 def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],

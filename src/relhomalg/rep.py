@@ -358,6 +358,13 @@ def hom_coordinates(basis: HomBasis, f: ModuleMap) -> list:
     return out
 
 
+def _coordinate_matrix(field, basis: list[ModuleMap], maps) -> Matrix:
+    """The matrix whose columns are the coordinates of maps in basis."""
+    cols = [hom_coordinates(basis, m) for m in maps]
+    return Matrix(field, len(basis), len(cols),
+                  [cols[c][r] for r in range(len(basis)) for c in range(len(cols))])
+
+
 # ---------------------------------------------------------------------------
 # kernels, images, quotients
 
@@ -549,14 +556,7 @@ def hom_to_algebra(m: Representation) -> tuple[Representation, list[list[ModuleM
         # in the opposite quiver the arrow runs a.target -> a.source
         La = left_multiplication_map(algebra, ai)
         src_v, tgt_v = a.target - 1, a.source - 1
-        cols = []
-        for phi in bases[src_v]:
-            composite = phi.compose(La)
-            cols.append(hom_coordinates(bases[tgt_v], composite))
-        ncols = len(bases[src_v])
-        nrows = len(bases[tgt_v])
-        entries = [cols[c][r] for r in range(nrows) for c in range(ncols)]
-        mats[ai] = Matrix(F, nrows, ncols, entries)
+        mats[ai] = _coordinate_matrix(F, bases[tgt_v], [phi.compose(La) for phi in bases[src_v]])
     return Representation(op, dims, mats), bases
 
 

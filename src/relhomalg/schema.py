@@ -87,6 +87,27 @@ def _integer(v, path: str, what: str, minimum: int | None = None) -> int:
     return v
 
 
+_WITNESS_NAMES = {"summand": ("module", "of"), "cone": ("name", "source", "target")}
+
+
+def _witness(w, path: str):
+    """A generation witness {summand: {module, degree, of}} or
+    {cone: {name, source, target}}, every key checked."""
+    _expect(isinstance(w, dict) and len(w) == 1, path,
+            "witness must be {summand: ...} or {cone: ...}")
+    [(kind, spec)] = w.items()
+    _expect(kind in _WITNESS_NAMES, path, f"unknown witness kind {sorted(w)}")
+    _expect(isinstance(spec, dict), path, f"{kind} witness must be an object")
+    for key in _WITNESS_NAMES[kind]:
+        _expect(isinstance(spec.get(key), str), path, f"{kind} witness needs a string {key!r}")
+    if kind == "summand":
+        return SummandWitness(spec["module"], _integer(spec.get("degree"), path, "degree"),
+                              spec["of"])
+    _expect(spec.get("map", "identity") == "identity", path,
+            "only identity-component cone maps are supported in files")
+    return ConeWitness(spec["name"], spec["source"], spec["target"], "identity")
+
+
 def _parse_scalar(field: Field, v, path: str):
     if _is_int(v):
         return field.of_int(v)
@@ -381,21 +402,7 @@ class _Loader:
                              "$.tilting.summand_count", "summand count")
             witnesses = []
             for k, w in enumerate(tspec.get("witnesses", [])):
-                path = f"$.tilting.witnesses[{k}]"
-                _expect(isinstance(w, dict) and len(w) == 1, path,
-                        "witness must be {summand: ...} or {cone: ...}")
-                if "summand" in w:
-                    s = w["summand"]
-                    witnesses.append(SummandWitness(s["module"],
-                                                    _integer(s["degree"], path, "degree"),
-                                                    s["of"]))
-                elif "cone" in w:
-                    c = w["cone"]
-                    _expect(c.get("map", "identity") == "identity", path,
-                            "only identity-component cone maps are supported in files")
-                    witnesses.append(ConeWitness(c["name"], c["source"], c["target"], "identity"))
-                else:
-                    raise SchemaError(path, f"unknown witness kind {sorted(w)}")
+                witnesses.append(_witness(w, f"$.tilting.witnesses[{k}]"))
             tilting = TiltingDecl(complex_name=tspec.get("complex", "T"),
                                   summand_names=summand_names,
                                   declared_count=count, witnesses=witnesses)

@@ -15,7 +15,6 @@ from .complexes import (
     Complex,
     HomotopyHom,
     Part,
-    _module_total_hom,
     _TotalHom,
     chain_identity,
     cone,
@@ -23,7 +22,7 @@ from .complexes import (
     sum_complexes,
     term_length,
 )
-from .rep import ModuleMap, Representation, direct_sum, hom_space, is_isomorphic
+from .rep import ModuleMap, Representation, _coordinate_matrix, hom_space, is_isomorphic
 from .relative import SubbifunctorF, minimal_right_approximation
 
 
@@ -42,7 +41,7 @@ class ComplexSum:
     def engine(self, i: int, j: int) -> _TotalHom:
         """The total Hom complex of (T_i, T_j)."""
         if (i, j) not in self._engines:
-            self._engines[(i, j)] = _module_total_hom(self.parts[i], self.parts[j])
+            self._engines[(i, j)] = _TotalHom(self.parts[i], self.parts[j])
         return self._engines[(i, j)]
 
     def corner(self, i: int, j: int) -> HomotopyHom:
@@ -268,7 +267,8 @@ class TiltingReport:
 
     @property
     def passed(self) -> bool:
-        return self.in_kb_pf and self.self_orthogonal_ok and self.count_criterion_ok
+        """No failure was recorded; every check that fails records one."""
+        return not self.failures
 
     def to_json(self):
         return {
@@ -373,97 +373,48 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
 # the image tilting complex over Sigma = End(G)
 
 
-@dataclass
-class SigmaComplex:
-    """A bounded complex of projective left Sigma-modules, components given
-    by lists of idempotent indices and differentials by matrices of Sigma
-    elements (entry x_{ts}: piece s -> piece t acts by right multiplication)."""
-    sigma: AbstractAlgebra
-    comps: dict[int, list[int]]
-    diffs: dict[int, list[list[list]]]  # diffs[i][t][s]: Sigma element
+def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF) -> tuple[ComplexSum, dict[int, int]]:
+    """The image of T under Hom(G, -): add G -> proj Σ, Σ = End(G), and its
+    hom_K(-, -, n) dimensions over the self-orthogonality window of T.
 
-
-def hom_k_sigma(x: SigmaComplex, y: SigmaComplex, n: int) -> int:
-    """Chain maps x -> y[n] modulo homotopy, over the corner spaces e Sigma f,
-    each spanned by basis vectors of the graded Sigma."""
-    sigma = x.sigma
-    F = sigma.field
-
-    def basis(e: int, f: int) -> list:
-        return [sigma.basis_vector(b) for b in sigma.corner(e, f)]
-
-    def coords(e: int, f: int, v: list) -> list:
-        inside = sigma.corner(e, f)
-        out = [v[b] for b in inside]
-        if sum(not F.is_zero(c) for c in v) != sum(not F.is_zero(c) for c in out):
-            raise ValueError("corner composition escaped its space")
-        return out
-
-    def entries(z: SigmaComplex) -> dict:
-        return {i: {(s, t): e for t, row in enumerate(d) for s, e in enumerate(row)}
-                for i, d in z.diffs.items()}
-
-    return _TotalHom(F, x.comps, entries(x), y.comps, entries(y),
-                     basis, sigma.mul, coords).dim(n)
-
-
-def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF):
-    """Hom(G, T) as a complex of projective Sigma-modules, its hom_K(-, -, n)
-    dimensions over the self-orthogonality window of T, and the per-degree
-    pairs (dim Hom(G, T^i), Sigma-side size)."""
-    t = ts.total
-    if t.parts is None:
-        raise ValueError("image tilting needs summand decompositions")
-    g_stalks = [stalk_complex(s.module, 0, label=s.name) for s in f.summands]
-    sigma = end_algebra(sum_complexes_with_maps(g_stalks, [s.name for s in f.summands]))
+    Each Hom(G, T_k) is a complex of representations of Σ's presentation:
+    vertex v carries Hom(G_v, X), and the arrow j -> i, whose lift lies in
+    the corner e_i Σ e_j = Hom(G_i, G_j), acts by φ ↦ lift then φ; Hom(G, d)
+    is φ ↦ φ then d.  For X in add(G) this is a projective Σ-module
+    (Auslander–Reiten–Smalø, Prop. II.2.1), so every component of T must lie
+    in add(G)."""
+    in_add, _, failures = _component_in_add_g(ts.total, f)
+    if not in_add:
+        raise ValueError(f"image over Sigma: {failures[0]}")
+    G = [s.module for s in f.summands]
+    gs = sum_complexes_with_maps([stalk_complex(s.module, 0, label=s.name) for s in f.summands],
+                                 [s.name for s in f.summands])
+    sigma = end_algebra(gs)
     sig = sigma.to_abstract()
     if not sig.idempotents_split_basic():
         raise ValueError("Sigma idempotents failed the split-basic certificate")
-    # identify each part with a declared summand index
-    name_to_idx = {s.name: k for k, s in enumerate(f.summands)}
-    part_idx: dict[int, list[int]] = {}
-    part_isos: dict[int, list] = {}
-    for i in t.degrees():
-        idxs, isos = [], []
-        for part in t.parts[i]:
-            found = None
-            for s_name, k in name_to_idx.items():
-                r = is_isomorphic(part.module, f.summands[k].module)
-                if r.isomorphic:
-                    found = (k, r.witness)
-                    break
-            if found is None:
-                raise ValueError(f"part {part.label} at degree {i} not matched in add(G)")
-            idxs.append(found[0])
-            isos.append(found[1])
-        part_idx[i] = idxs
-        part_isos[i] = isos
-    # build the Sigma complex: differential blocks as End(G) elements
-    comps = {i: list(part_idx[i]) for i in t.degrees()}
-    diffs = {}
-    dims_check = {}
-    for i in t.degrees():
-        # dimension preservation: dim Hom(G, T^i) equals the Sigma-side size
-        lhs = len(hom_space(f.generator, t.comps[i]))
-        rhs = sum(len(sig.column(k)) for k in part_idx[i])
-        dims_check[i] = (lhs, rhs)
-        if (i + 1) not in t.comps:
-            continue
-        sums_i = direct_sum([p.module for p in t.parts[i]], t.algebra)
-        sums_j = direct_sum([p.module for p in t.parts[i + 1]], t.algebra)
-        d = t.differential(i)
-        rows = []
-        for tt, pt in enumerate(t.parts[i + 1]):
-            row = []
-            for s, ps in enumerate(t.parts[i]):
-                blk = sums_i.injections[s].compose(d).compose(sums_j.projections[tt])
-                # conjugate into G-summand coordinates
-                u = part_isos[i][s].inverse_map().compose(blk).compose(part_isos[i + 1][tt])
-                # u: G_ks -> G_kt lies in the corner (ks, kt) of End(G)
-                row.append(sigma.coordinates(part_idx[i][s], part_idx[i + 1][tt], {0: u}))
-            rows.append(row)
-        diffs[i] = rows
-    sc = SigmaComplex(sig, comps, diffs)
-    window = 2 * t.width() + 1
-    sigma_dims = {nn: hom_k_sigma(sc, sc, nn) for nn in range(-window, window + 1)}
-    return sc, sigma_dims, dims_check
+    pres = sig.presentation()
+    F = pres.field
+    lifts = []
+    for lift, arrow in zip(sig.arrow_lifts, pres.quiver.arrows):
+        i, j = arrow.target - 1, arrow.source - 1
+        reps = [r.comps[0] for r in gs.corner(i, j).representatives()]
+        start = sigma.offsets[(i, j)]
+        if any(not start <= b < start + len(reps) for b in lift):
+            raise ValueError(f"the lift of arrow {arrow.name} of Sigma leaves its corner")
+        lifts.append(ModuleMap.combination(G[i], G[j], [lift.get(start + k, F.zero)
+                                                        for k in range(len(reps))], reps))
+
+    def image(x: Complex) -> Complex:
+        bases = {d: [hom_space(g, c) for g in G] for d, c in x.comps.items()}
+        comps = {d: Representation(pres, [len(b) for b in bs], [
+            _coordinate_matrix(F, bs[a.target - 1], (u.compose(phi) for phi in bs[a.source - 1]))
+            for u, a in zip(lifts, pres.quiver.arrows)]) for d, bs in bases.items()}
+        diffs = {d: ModuleMap(comps[d], comps[d + 1], [
+            _coordinate_matrix(F, bases[d + 1][v], (phi.compose(dx) for phi in bases[d][v]))
+            for v in range(len(G))]) for d, dx in x.diffs.items()}
+        return Complex(pres, comps, diffs)
+
+    images = sum_complexes_with_maps([image(x) for x in ts.parts], ts.names, pres)
+    window = 2 * ts.total.width() + 1
+    return images, {n: images.hom_k(n) for n in range(-window, window + 1)}

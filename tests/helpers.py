@@ -255,7 +255,7 @@ def null_homotopy_witness(hh: HomotopyHom, cm_comps: dict[int, ModuleMap]) -> Ho
     # D at level n-1 differs from the homotopy identity by a global sign on odd n
     sign = F.of_int(-1 if hh.n % 2 else 1)
     s: dict[int, ModuleMap] = {}
-    for (i, _, _), (basis, off) in hh.homotopies.items():
+    for i, (basis, off) in hh.homotopies.items():
         if not basis:
             continue
         coeffs = [F.mul(sign, coeff.at(off + k, 0)) for k in range(len(basis))]

@@ -140,6 +140,59 @@ def test_violated_exit_code(tmp_path, capsys):
     assert run(["--quiet", "tilting", bad]) == 2
 
 
+def _with_witness(witness):
+    def edit(data):
+        data["tilting"]["witnesses"][0] = witness
+    return edit
+
+
+@pytest.mark.parametrize("witness", [
+    {"summand": {"degree": -1, "of": "T2a"}},
+    {"cone": {"name": "W", "target": "T1a"}},
+    {"summand": "P1"},
+], ids=["summand-without-module", "cone-without-source", "summand-not-an-object"])
+def test_malformed_witness_is_input_error(tmp_path, capsys, witness):
+    data = json.loads((DATA / "section6.json").read_text())
+    _with_witness(witness)(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["tilting", bad]) == 1
+    err = capsys.readouterr().err
+    assert "$.tilting.witnesses[0]" in err
+    assert "Traceback" not in err
+
+
+def test_recorded_failure_fails_the_tilting_check(tmp_path, capsys):
+    # T without TM2 has five structural parts; the declared count 6 matches
+    # |ind G|, but the mismatch with the parts is a failure, so T FAILS
+    data = json.loads((DATA / "section7.json").read_text())
+    data["tilting"]["summands"].remove("TM2")
+    data["tilting"]["summand_count"] = 6
+    bad = tmp_path / "five_parts.json"
+    bad.write_text(json.dumps(data))
+    assert run(["tilting", bad]) == 2
+    out = capsys.readouterr().out
+    assert "FAILS" in out and "PASSES" not in out
+    assert "failure: declared summand count 6 differs" in out
+
+
+def test_sigma_image_needs_components_in_add_g(tmp_path, capsys):
+    # with M2 taken out of G, the part TM2 of T is not in add(G), so T has no
+    # image over Sigma = End(G)
+    data = json.loads((DATA / "section7.json").read_text())
+    data["generator"].remove("M2")
+    data["tilting"]["summand_count"] = 5
+    data["tilting"]["witnesses"] = [w for w in data["tilting"]["witnesses"]
+                                    if w["summand"]["module"] != "M2"]
+    bad = tmp_path / "no_m2.json"
+    bad.write_text(json.dumps(data))
+    assert run(["tilting", "--sigma", bad]) == 2
+    captured = capsys.readouterr()
+    assert "hom windows" not in captured.out
+    assert "not in add(G)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_canonical_roundtrip():
     for name in ("section7.json", "section6.json", "a2_apr.json"):
         text = (DATA / name).read_text()

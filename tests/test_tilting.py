@@ -5,7 +5,8 @@ import pytest
 from relhomalg import cli, schema
 from relhomalg.complexes import _TotalHom, hom_k, stalk_complex, term_length
 from relhomalg.relative import SubbifunctorF, SummandDecl, gldim
-from relhomalg.rep import hom_space, projective, radical
+from relhomalg.rep import direct_sum, hom_space, is_isomorphic, projective, radical
+from relhomalg.schema import load_problem
 from relhomalg.tilting import (
     ConeWitness,
     SummandWitness,
@@ -139,9 +140,9 @@ def test_section6_term_length(section6):
 
 
 def test_image_tilting_over_sigma_stalk(F7, stalk_tilting7):
-    sc, sigma_dims, dims_check = image_tilting_over_sigma(stalk_tilting7, F7)
-    assert list(sc.comps) == [0]
-    assert dims_check[0][0] == dims_check[0][1] == 22
+    image, sigma_dims = image_tilting_over_sigma(stalk_tilting7, F7)
+    assert image.total.degrees() == [0]
+    assert image.total.comps[0].total_dim == 22
     t = stalk_tilting7.total
     for n, rhs in sigma_dims.items():
         assert hom_k(t, t, n) == rhs, (n, rhs)
@@ -149,11 +150,26 @@ def test_image_tilting_over_sigma_stalk(F7, stalk_tilting7):
 
 def test_image_tilting_over_sigma_section6(section6):
     alg, F6, ts, _ = section6
-    sc, sigma_dims, dims_check = image_tilting_over_sigma(ts, F6)
-    for i, (lhs, rhs) in dims_check.items():
-        assert lhs == rhs, (i, lhs, rhs)
+    _, sigma_dims = image_tilting_over_sigma(ts, F6)
     for n, rhs in sigma_dims.items():
         assert hom_k(ts.total, ts.total, n) == rhs, (n, rhs)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+def test_image_over_sigma_is_projective(name):
+    # Yoneda: Hom(G, G_a) is the projective P_a of Σ = End(G), so the image of
+    # T^i = ⊕ G_a is ⊕ P_a over the G-summands its parts match
+    problem = load_problem(str(DATA / f"{name}.json"))
+    f, ts = problem.subbifunctor, problem.tilting_sum()
+    image, _ = image_tilting_over_sigma(ts, f)
+    pres = image.total.algebra
+    for x, y in zip(ts.parts, image.parts):
+        assert x.degrees() == y.degrees()
+        for i in x.degrees():
+            vertices = [next(a for a, s in enumerate(f.summands, 1)
+                             if is_isomorphic(p.module, s.module).isomorphic) for p in x.parts[i]]
+            expected = direct_sum([projective(pres, v) for v in vertices], pres).rep
+            assert is_isomorphic(y.comps[i], expected).isomorphic is True, (name, i, vertices)
 
 
 def test_gamma_gldim_section7(F7, stalk_tilting7):
