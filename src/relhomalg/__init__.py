@@ -35,7 +35,6 @@ from .relative import (
     gldim_f,
     id_f,
     is_f_exact,
-    is_f_frobenius,
     is_gorenstein,
     pd_f,
     relative_injectives,
@@ -48,12 +47,10 @@ from .complexes import (
     hom_df,
     hom_k,
     is_f_acyclic,
-    is_f_quasi_iso,
     radical_normalize,
     shift_complex,
     stalk_complex,
     term_length,
-    triangle_from_f_exact,
 )
 from .tilting import end_algebra, image_tilting_over_sigma, verify_f_tilting
 from .algebra import AbstractAlgebra

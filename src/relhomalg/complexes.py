@@ -1,6 +1,7 @@
 """Bounded complexes of representations: cones, shifts, homotopy-category
-Hom spaces, F-acyclicity, radical normalization, term length, and derived
-Homs via F-projective replacement.
+Hom spaces, F-acyclicity, radical normalization, term length, and
+Hom_{D_F} via F-projective replacement (on stalks it is Ext_F, which
+`relative.ext_f` counts from Hom dimensions, so each checks the other).
 
 Degree convention: differentials raise degree, d^i: X^i -> X^{i+1};
 (X[n])^i = X^{i+n} with differential (-1)^n d^{i+n}.
@@ -15,14 +16,12 @@ from .quiver import PathAlgebra
 from .rep import (
     ModuleMap,
     Representation,
-    ShortExactSeq,
-    _solve_splitting,
     direct_sum,
     hom_coordinates,
     hom_space,
     zero_representation,
 )
-from .relative import FResolution, SubbifunctorF, TruncationError, f_resolution, is_f_exact
+from .relative import FResolution, SubbifunctorF, TruncationError, f_resolution
 
 
 @dataclass
@@ -381,11 +380,6 @@ def is_f_acyclic(x: Complex, f: SubbifunctorF) -> bool:
     return all(hom_k(g, x, m) == 0 for m in x.degrees())
 
 
-def is_f_quasi_iso(h: ChainMap, f: SubbifunctorF) -> bool:
-    M, _, _ = cone(h)
-    return is_f_acyclic(M, f)
-
-
 # ---------------------------------------------------------------------------
 # radical normalization and term length
 
@@ -476,83 +470,6 @@ def term_length(x: Complex) -> int:
     if norm.is_zero():
         return 0
     return norm.hi - norm.lo
-
-
-# ---------------------------------------------------------------------------
-# Prop 4.1 triangles
-
-
-@dataclass
-class Triangle:
-    """X -> Y -> Z -> X[1]; the connecting map is an honest chain map only
-    when the degreewise sequence splits, otherwise it is carried as the
-    verified roof (phi: cone(f) -> Z an F-quasi-iso, beta: cone(f) -> X[1])."""
-    f: ChainMap
-    g: ChainMap
-    cone_complex: Complex
-    phi: ChainMap
-    beta: ChainMap
-    connecting: ChainMap | None
-
-
-def triangle_from_f_exact(f: ChainMap, g: ChainMap, sub_f: SubbifunctorF) -> Triangle:
-    X, Y, Z = f.source, f.target, g.target
-    for i in sorted(set(Y.comps) | set(X.comps) | set(Z.comps)):
-        ses = ShortExactSeq(
-            ModuleMap(X.component(i), Y.component(i), f.component(i).mats),
-            ModuleMap(Y.component(i), Z.component(i), g.component(i).mats))
-        if not is_f_exact(ses, sub_f):
-            raise ValueError(f"sequence is not degreewise F-exact at degree {i}")
-    M, alpha, beta = cone(f)
-    # phi: M(f)^i = X^{i+1} ⊕ Y^i -> Z^i is (0, g^i)
-    comps = {}
-    for i in M.degrees():
-        xs = X.component(i + 1)
-        ds = direct_sum([xs, Y.component(i)], X.algebra)
-        comps[i] = ds.projections[1].compose(g.component(i))
-    phi = ChainMap(M, Z, comps).validate()
-    if not is_f_quasi_iso(phi, sub_f):
-        raise ValueError("cone comparison map is not an F-quasi-isomorphism")
-    connecting = _split_connecting(f, g)
-    return Triangle(f=f, g=g, cone_complex=M, phi=phi, beta=beta, connecting=connecting)
-
-
-def _split_connecting(f: ChainMap, g: ChainMap) -> ChainMap | None:
-    """For degreewise split sequences, h^i = s^i d_Y r^{i+1} - d_Z s^{i+1} r^{i+1}
-    seen inside X[1]; None when no degreewise splitting exists."""
-    X, Y, Z = f.source, f.target, g.target
-    sections, retractions = {}, {}
-    for i in sorted(set(Y.comps) | set(Z.comps) | set(X.comps)):
-        s = _solve_splitting(g.component(i), retraction=False)
-        r = _solve_splitting(f.component(i), retraction=True)
-        if s is None or r is None:
-            return None
-        sections[i] = s
-        retractions[i] = r
-    comps = {}
-    x1 = shift_complex(X, 1)
-    for i in Z.degrees():
-        r_next = retractions.get(i + 1) or _zero_retr(f, i + 1)
-        s_next = sections.get(i + 1) or _zero_sec(g, i + 1)
-        term1 = sections[i].compose(Y.differential(i)).compose(r_next)
-        term2 = Z.differential(i).compose(s_next).compose(r_next)
-        comps[i] = term1 - term2
-    for flip_sign in (False, True):
-        trial = comps if not flip_sign else {
-            i: -m for i, m in comps.items()}
-        try:
-            return ChainMap(Z, x1, trial).validate()
-        except ValueError:
-            continue
-    return None
-
-
-def _zero_retr(f: ChainMap, i: int):
-    return ModuleMap.zero(f.target.component(i), f.source.component(i))
-
-
-def _zero_sec(g: ChainMap, i: int):
-    return ModuleMap.zero(g.target.component(i), g.source.component(i))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The relative theory: F = F_{add G}, approximations, projective covers and
-DTr, F-projective resolutions, relative Ext, relative dimensions, I(F) and
-F-syzygies.
+DTr, F-projective resolutions with their F-syzygies, relative Ext as a count
+of Hom dimensions, relative dimensions and I(F).
 
 The generator G always contains every indecomposable projective among its
 declared summands, which is the enough-projectives setting the whole
@@ -289,16 +289,17 @@ class FResolution:
     """Minimal F-projective resolution P^{-m} -> ... -> P^0 -> X.
 
     modules[i] is P^{-i}; diffs[i]: P^{-i} -> P^{-i+1} for i >= 1;
-    augmentation: P^0 -> X.  pieces[i] lists the G-summand index of each
-    copy in P^{-i} (None marks an identity approximation of a module
-    already in add G).
+    augmentation: P^0 -> X.  syzygies[i] is Ω^{i+1} X, the kernel of the map
+    out of P^{-i}; the last one is zero unless the resolution is truncated.
+    pieces[i] lists the G-summand index of each copy in P^{-i} (None marks
+    an identity approximation of a module already in add G).
     """
     x: Representation
     modules: list[Representation]
     diffs: list[ModuleMap]
     augmentation: ModuleMap
+    syzygies: list[Representation]
     pieces: list[list[int] | None]
-    minimal: bool
     truncated: bool
 
     @property
@@ -316,6 +317,7 @@ def f_resolution(x: Representation, f: SubbifunctorF, maxlen: int) -> FResolutio
         raise ValueError("maxlen must be >= 0")
     modules: list[Representation] = []
     diffs: list[ModuleMap] = []
+    syzygies: list[Representation] = []
     pieces: list[list[int] | None] = []
     app = right_approximation(x, f)
     modules.append(app.map.source)
@@ -326,6 +328,7 @@ def f_resolution(x: Representation, f: SubbifunctorF, maxlen: int) -> FResolutio
     step = 0
     while True:
         ker, incl = kernel(prev_map)
+        syzygies.append(ker)
         if ker.is_zero():
             break
         if step == maxlen:
@@ -338,41 +341,26 @@ def f_resolution(x: Representation, f: SubbifunctorF, maxlen: int) -> FResolutio
         diffs.append(app.map.compose(incl))
         prev_map = app.map
     return FResolution(x=x, modules=modules, diffs=diffs, augmentation=augmentation,
-                       pieces=pieces, minimal=True, truncated=truncated)
-
-
-def resolution_hom_complex(res: FResolution, y: Representation) -> list[tuple[list[ModuleMap], Matrix]]:
-    """For each i >= 0 the hom basis of Hom(P^{-i}, Y) and the matrix of
-    Hom(P^{-i}, Y) -> Hom(P^{-i-1}, Y) (composition with the differential)."""
-    F = res.x.algebra.field
-    bases = [hom_space(p, y) for p in res.modules]
-    out = []
-    for i in range(len(res.modules)):
-        bi = bases[i]
-        if i + 1 < len(res.modules):
-            m = _coordinate_matrix(F, bases[i + 1], [res.diffs[i].compose(phi) for phi in bi])
-        else:
-            m = Matrix(F, 0, len(bi), [])
-        out.append((bi, m))
-    return out
+                       syzygies=syzygies, pieces=pieces, truncated=truncated)
 
 
 def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
           resolution: FResolution | None = None) -> int:
-    """dim Ext_F^i(x, y), from a minimal F-projective resolution of x."""
+    """dim Ext_F^i(x, y).  For i >= 1 the F-exact 0 -> Ω^i x -> P -> Ω^{i-1} x
+    -> 0 of the resolution, with Ext_F^{>=1}(P, -) = 0, gives
+    dim Hom(Ω^i x, y) - dim Hom(P, y) + dim Hom(Ω^{i-1} x, y)."""
     if i < 0:
         raise ValueError("negative degree")
-    res = resolution if resolution is not None else f_resolution(x, f, i + 1)
-    if res.truncated and res.length < i + 1:
-        raise TruncationError(f"resolution truncated before depth {i + 1}")
-    layers = resolution_hom_complex(res, y)
-    if i >= len(layers):
+    if i == 0:
+        return len(hom_space(x, y))
+    res = resolution if resolution is not None else f_resolution(x, f, i - 1)
+    if i - 1 > res.length:
+        if res.truncated:
+            raise TruncationError(f"resolution truncated before depth {i - 1}")
         return 0
-    _, d_out = layers[i]
-    dim_i = d_out.cols
-    rank_out = rank(d_out)
-    rank_in = rank(layers[i - 1][1]) if i >= 1 else 0
-    return dim_i - rank_out - rank_in
+    before = res.syzygies[i - 2] if i >= 2 else x
+    return (len(hom_space(res.syzygies[i - 1], y)) - len(hom_space(res.modules[i - 1], y))
+            + len(hom_space(before, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +373,6 @@ CORPUS_ASSUMPTION = ("sup taken over the supplied corpus; exact only if the "
 
 def pd_f(x: Representation, f: SubbifunctorF, cutoff: int) -> DimensionReport:
     return DimensionReport("pd_F", f_resolution(x, f, cutoff).pd, cutoff)
-
-
-def syzygy_f(x: Representation, f: SubbifunctorF) -> Representation:
-    app = right_approximation(x, f)
-    ker, _ = kernel(app.map)
-    return ker
 
 
 def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = None):
@@ -415,7 +397,7 @@ def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = 
     validated = True
     notes: list[str] = []
     if corpus is not None:
-        resolutions = [f_resolution(x, f, 2) for x in corpus]
+        resolutions = [f_resolution(x, f, 0) for x in corpus]
         for c in candidates:
             if any(ext_f(res.x, c.module, 1, f, resolution=res) != 0 for res in resolutions):
                 validated = False
@@ -450,14 +432,6 @@ def coresolution_step(x: Representation, f: SubbifunctorF,
         return CoresolutionStep(cok)
 
     return _on_module(x, ("coresolution", _modules(injectives), _modules(f.summands)), step)
-
-
-def cosyzygy_f(x: Representation, f: SubbifunctorF,
-               injectives: list[SummandDecl]) -> Representation:
-    """The cokernel of the minimal left add(I(F))-approximation of x (zero when
-    x lies in add I(F))."""
-    step = coresolution_step(x, f, injectives)
-    return step.cosyzygy if step.cosyzygy is not None else zero_representation(f.algebra)
 
 
 def id_f(x: Representation, f: SubbifunctorF, injectives: list[SummandDecl],
@@ -504,17 +478,6 @@ def findim_f(gl: DimensionReport, complete: bool = False) -> DimensionReport:
     if not complete:
         report.assumptions.append(CORPUS_ASSUMPTION)
     return report
-
-
-def is_f_frobenius(f: SubbifunctorF, corpus: list[Representation] | None = None) -> bool:
-    """P(F) = I(F) up to isomorphism."""
-    injs, _, _ = relative_injectives(f, corpus)
-    if len(injs) != len(f.summands):
-        return False
-    for c in injs:
-        if not any(is_isomorphic(c.module, s.module).isomorphic for s in f.summands):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -567,25 +567,6 @@ def dual_to_main(m_op: Representation) -> Representation:
     return Representation(main, m_op.dims, mats)
 
 
-def _solve_splitting(u: ModuleMap, retraction: bool):
-    """v: u.target -> u.source with u then v = id (a retraction) or v then u
-    = id (a section), or None when there is none."""
-    ident = ModuleMap.identity(u.source if retraction else u.target)
-    basis = hom_space(u.target, u.source)
-    if not basis:
-        return None if not ident.source.is_zero() else ModuleMap.zero(u.target, u.source)
-    F = u.source.algebra.field
-    # linear condition on coordinates x: sum_k x_k (b_k composed with u) = id
-    comps = [u.compose(b) if retraction else b.compose(u) for b in basis]
-    cols = [[x for mm in c.mats for x in mm.entries] for c in comps]
-    tgt = [x for mm in ident.mats for x in mm.entries]
-    A = Matrix(F, len(tgt), len(cols), [cols[j][i] for i in range(len(tgt)) for j in range(len(cols))])
-    X = solve(A, Matrix(F, len(tgt), 1, tgt))
-    if X is None:
-        return None
-    return ModuleMap.combination(u.target, u.source, X.col(0), basis)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism testing
 
@@ -683,8 +664,3 @@ class ShortExactSeq:
     @property
     def quotient(self) -> Representation:
         return self.g.target
-
-
-def ses_from_sub(m: Representation, incl: ModuleMap) -> ShortExactSeq:
-    _, proj = cokernel(incl)
-    return ShortExactSeq(incl, proj)

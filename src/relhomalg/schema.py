@@ -66,7 +66,7 @@ class Problem:
         if self.tilting is None:
             raise SchemaError("$.tilting", "no tilting declaration in this file")
         parts = [self.complexes[n] for n in self.tilting.summand_names]
-        return sum_complexes_with_maps(parts, list(self.tilting.summand_names), self.algebra)
+        return sum_complexes_with_maps(parts, list(self.tilting.summand_names))
 
 
 def _expect(cond: bool, path: str, message: str):

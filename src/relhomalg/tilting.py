@@ -8,6 +8,7 @@ that convention Hom(G, -) and Hom(T, -) land in left modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import AbstractAlgebra
 from .complexes import (
@@ -30,13 +31,17 @@ from .relative import SubbifunctorF, minimal_right_approximation
 class ComplexSum:
     """T = ⊕ T_i.  Hom^•(T, T) is the direct sum of the complexes
     Hom^•(T_i, T_j), so each summand pair gets one total Hom engine, kept
-    here for every check that reads it."""
-    total: Complex
+    here for every check that reads it; the sum itself is built on first
+    read."""
     parts: list[Complex]
     names: list[str]
     _engines: dict = field(default_factory=dict, repr=False)
     _corners: dict = field(default_factory=dict, repr=False)
     _gamma: AbstractAlgebra | None = field(default=None, repr=False)
+
+    @cached_property
+    def total(self) -> Complex:
+        return sum_complexes(self.parts)
 
     def engine(self, i: int, j: int) -> _TotalHom:
         """The total Hom complex of (T_i, T_j)."""
@@ -66,12 +71,9 @@ class ComplexSum:
         return self._gamma
 
 
-def sum_complexes_with_maps(parts: list[Complex], names: list[str],
-                            algebra=None) -> ComplexSum:
+def sum_complexes_with_maps(parts: list[Complex], names: list[str]) -> ComplexSum:
     """The sum of the named parts, with the per-pair Hom engines of ComplexSum."""
-    if algebra is None:
-        algebra = parts[0].algebra
-    return ComplexSum(sum_complexes(parts, algebra), list(parts), list(names))
+    return ComplexSum(list(parts), list(names))
 
 
 def compose_chain(f: ChainMap, g: ChainMap) -> dict[int, ModuleMap]:
@@ -112,7 +114,7 @@ class EndoPresentation:
     def coordinates(self, i: int, j: int, comps: dict[int, ModuleMap]) -> list:
         """Coordinates in End(T) of the class of a chain map T_i -> T_j."""
         coords = self.ts.corner(i, j).class_coordinates(comps)
-        out = [self.ts.total.algebra.field.zero] * self.dim
+        out = [self.ts.parts[0].algebra.field.zero] * self.dim
         start = self.offsets[(i, j)]
         out[start:start + len(coords)] = coords
         return out
@@ -124,7 +126,7 @@ class EndoPresentation:
                 for i, p in enumerate(self.ts.parts)]
 
     def to_abstract(self, validate: bool = False) -> AbstractAlgebra:
-        F = self.ts.total.algebra.field
+        F = self.ts.parts[0].algebra.field
         idempotents = self.idempotents
         unit = [F.zero] * self.dim
         for e in idempotents:
@@ -136,7 +138,7 @@ class EndoPresentation:
 def end_algebra(ts: ComplexSum) -> EndoPresentation:
     """End_K(T) one corner at a time: a product (i -> j) then (j' -> k) is
     zero unless j = j', so only pairs of corners that meet are composed."""
-    F = ts.total.algebra.field
+    F = ts.parts[0].algebra.field
     n = len(ts.parts)
     offsets, reps, dim = {}, {}, 0
     for i in range(n):
@@ -415,6 +417,6 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF) -> tuple[ComplexS
             for v in range(len(G))]) for d, dx in x.diffs.items()}
         return Complex(pres, comps, diffs)
 
-    images = sum_complexes_with_maps([image(x) for x in ts.parts], ts.names, pres)
+    images = sum_complexes_with_maps([image(x) for x in ts.parts], ts.names)
     window = 2 * ts.total.width() + 1
     return images, {n: images.hom_k(n) for n in range(-window, window + 1)}

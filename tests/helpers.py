@@ -1,12 +1,13 @@
 """Shared constructions for the test suite: the worked algebras, and
 second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies) that serve only
-as cross-checks."""
+as cross-checks, and the short sequences and F-quasi-isomorphisms that
+only the tests build."""
 
 from dataclasses import dataclass
 
 from relhomalg.algebra import AbstractAlgebra
-from relhomalg.complexes import ChainMap, Complex, HomotopyHom
+from relhomalg.complexes import ChainMap, Complex, HomotopyHom, cone, is_f_acyclic
 from relhomalg.fields import QQ
 from relhomalg.matrix import Matrix, column_space_basis, kernel_basis, rank, solve
 from relhomalg.quiver import PathAlgebra, Quiver
@@ -159,6 +160,15 @@ def ext_by_injectives(x, y, upto):
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     cols = [column_space_basis(f.mats[v]) for v in range(len(f.mats))]
     return _induced_sub(f.target, cols)
+
+
+def ses_from_sub(m: Representation, incl: ModuleMap) -> ShortExactSeq:
+    """0 -> sub -> m -> m/sub -> 0 for a submodule inclusion."""
+    return ShortExactSeq(incl, cokernel(incl)[1])
+
+
+def is_f_quasi_iso(h: ChainMap, f: SubbifunctorF) -> bool:
+    return is_f_acyclic(cone(h)[0], f)
 
 
 def pushout_ses(ses: ShortExactSeq, h: ModuleMap) -> ShortExactSeq:

@@ -61,7 +61,7 @@ def a2_two_term_tilting(alg):
     t1 = Complex(alg, {-1: p2, 0: p1}, {-1: d},
                  parts={-1: [Part("P2", p2)], 0: [Part("P1", p1)]})
     t2 = stalk_complex(p2, -1, label="P2")
-    return sum_complexes_with_maps([t1, t2], ["T1", "T2"], alg)
+    return sum_complexes_with_maps([t1, t2], ["T1", "T2"])
 
 
 def test_corollary710_a2():

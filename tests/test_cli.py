@@ -53,6 +53,10 @@ def test_module_table(capsys):
     assert code == 0
     outp = capsys.readouterr().out
     assert "M1" in outp
+    for field in ("q", "fp:32003"):
+        assert run(["--field", field, "module", DATA / "section7.json",
+                    "--ext", "S1", "M2", "1"]) == 0
+        assert "ext_F^1(S1, M2) = 1" in capsys.readouterr().out
 
 
 def test_algebra_dump(capsys):

@@ -21,10 +21,9 @@ from relhomalg.rep import (
     cokernel,
     direct_sum,
     hom_space,
-    ses_from_sub,
 )
 
-from helpers import f_acyclic_definitional, image, pushout_ses
+from helpers import f_acyclic_definitional, image, pushout_ses, ses_from_sub
 
 SEED = 0x5EC7
 

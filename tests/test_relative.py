@@ -12,7 +12,6 @@ from relhomalg.rep import (
     kernel,
     projective,
     radical,
-    ses_from_sub,
     simple,
     stack_maps,
     zero_representation,
@@ -20,23 +19,22 @@ from relhomalg.rep import (
 from relhomalg.relative import (
     SubbifunctorF,
     SummandDecl,
-    cosyzygy_f,
+    TruncationError,
+    coresolution_step,
     dtr,
     ext_f,
     f_resolution,
     findim_f,
     gldim_f,
     is_f_exact,
-    is_f_frobenius,
     pd_f,
     projective_cover,
     relative_injectives,
     right_approximation,
-    syzygy_f,
 )
 from relhomalg.schema import load_problem
 
-from helpers import a2_algebra
+from helpers import a2_algebra, ses_from_sub
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -104,7 +102,8 @@ def test_ordinary_resolution_of_simple_is_periodic(F7_ordinary, L7, L7_modules):
     # syzygy dims alternate (0,1,1) / (1,0,0): self-injective, infinite pd
     dims = [m.dims for m in res.modules]
     assert all(d == (1, 1, 1) for d in dims)  # covers by single projectives
-    s = syzygy_f(L7_modules["S1"], F7_ordinary)
+    assert len(res.syzygies) == len(res.modules)
+    s = res.syzygies[0]
     r, _ = radical(L7_modules["P1"])
     assert is_isomorphic(s, r).isomorphic is True
 
@@ -128,6 +127,16 @@ def test_ext2_vanishes_for_section7_f(F7, corpus7):
 
 def test_ordinary_ext1_s1_s2(F7_ordinary, L7_modules):
     assert ext_f(L7_modules["S1"], L7_modules["S2"], 1, F7_ordinary) == 1
+
+
+def test_ext_from_a_supplied_shallow_resolution(F7_ordinary, L7_modules):
+    # Ext^1 needs P^0 and the first syzygy only; Ext^2 needs one step more
+    s1, s2 = L7_modules["S1"], L7_modules["S2"]
+    res = f_resolution(s1, F7_ordinary, 0)
+    assert res.truncated and res.length == 0
+    assert ext_f(s1, s2, 1, F7_ordinary, resolution=res) == 1
+    with pytest.raises(TruncationError):
+        ext_f(s1, s2, 2, F7_ordinary, resolution=res)
 
 
 def test_pd_of_generator_summand_zero(F7, L7_modules):
@@ -184,12 +193,18 @@ def test_ordinary_relative_injectives_are_injectives(F7_ordinary, L7, corpus7):
 
 def test_cosyzygy_of_relative_injective_vanishes(F7, corpus7, L7):
     injs, _, _ = relative_injectives(F7, [m for _, m in corpus7])
-    z = cosyzygy_f(injs[0].module, F7, injs)
-    assert z.is_zero()
+    assert coresolution_step(injs[0].module, F7, injs).cosyzygy is None
 
 
 def test_syzygy_of_generator_summand_vanishes(F7, L7_modules):
-    assert syzygy_f(L7_modules["M2"], F7).is_zero()
+    assert f_resolution(L7_modules["M2"], F7, 0).syzygies[0].is_zero()
+
+
+def is_f_frobenius(f, corpus):
+    """P(F) = I(F) up to isomorphism."""
+    injs, _, _ = relative_injectives(f, corpus)
+    return len(injs) == len(f.summands) and all(
+        any(is_isomorphic(c.module, s.module).isomorphic for s in f.summands) for c in injs)
 
 
 def test_frobenius_predicates(F7, F7_ordinary, corpus7, L7_modules):

@@ -43,7 +43,7 @@ def section6():
     t1b = approximation_cone_complex(P[1], "P1", by, alg)
     t2a = stalk_complex(P[2], -1, label="P2")
     t2b = stalk_complex(P[3], -1, label="P3")
-    ts = sum_complexes_with_maps([t1a, t1b, t2a, t2b], ["T1a", "T1b", "T2a", "T2b"], alg)
+    ts = sum_complexes_with_maps([t1a, t1b, t2a, t2b], ["T1a", "T1b", "T2a", "T2b"])
     return alg, F6, ts, {"T1a": t1a, "T1b": t1b, "T2a": t2a, "T2b": t2b}
 
 
