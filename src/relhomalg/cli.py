@@ -31,7 +31,7 @@ from .relative import (
     relative_injectives,
 )
 from .reports import DimensionReport
-from .rep import ShortExactSeq, is_isomorphic, kernel
+from .rep import ShortExactSeq, is_isomorphic
 from .schema import SchemaError, canonical_form, load_problem
 from .tilting import image_tilting_over_sigma, verify_f_tilting
 
@@ -168,7 +168,7 @@ def cmd_relhom(args, out: Output) -> int:
             raise SchemaError("--module", "relhom exact needs --module")
         m = problem.modules[args.module]
         cover = projective_cover(m)
-        k, incl = kernel(cover.map)
+        _, incl = cover.kernel
         ses = ShortExactSeq(incl, cover.map)
         ok = is_f_exact(ses, F)
         out.say(f"projective cover sequence of {args.module}: "

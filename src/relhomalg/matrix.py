@@ -29,12 +29,18 @@ class Matrix:
 
     Zero-row or zero-column matrices are legal and behave as expected under
     multiplication (m x 0 times 0 x n is the m x n zero matrix).
+
+    The constructor takes ownership of `entries` when it is a `list` and
+    copies anything else: a caller that passes a list must not change it
+    afterwards.  Every constructor and operation here builds a fresh list,
+    so no result shares its entries with an input.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries):
-        entries = list(entries)
+        if entries.__class__ is not list:
+            entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.field = field
@@ -46,7 +52,8 @@ class Matrix:
 
     @staticmethod
     def from_rows(field: Field, rows):
-        rows = [list(r) for r in rows]
+        if rows.__class__ is not list:
+            rows = list(rows)
         n = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != n:

@@ -11,6 +11,7 @@ Hom(G, B) -> Hom(G, C).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrix import Matrix, rank
 from .quiver import PathAlgebra
@@ -124,6 +125,13 @@ class Approximation:
     @property
     def is_identity(self) -> bool:
         return self.pieces is None
+
+    @cached_property
+    def kernel(self) -> tuple[Representation, ModuleMap]:
+        """(ker f, its inclusion), computed on first read and stored with the
+        approximation; for a right add(G)-approximation this is the
+        F-syzygy of x."""
+        return kernel(self.map)
 
 
 def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
@@ -263,7 +271,7 @@ def transpose(m: Representation) -> Representation:
     if m.is_zero():
         return zero_representation(m.algebra.opposite())
     c0 = projective_cover(m)
-    ker, incl = kernel(c0.map)
+    ker, incl = c0.kernel
     c1 = projective_cover(ker)
     d = c1.map.compose(incl)
     H0, bases0 = hom_to_algebra(c0.map.source)
@@ -286,25 +294,46 @@ def dtr(m: Representation) -> Representation:
 
 @dataclass
 class FResolution:
-    """Minimal F-projective resolution P^{-m} -> ... -> P^0 -> X.
+    """Minimal F-projective resolution P^{-m} -> ... -> P^0 -> X, held as its
+    stored approximations: approximations[i] maps P^{-i} onto Ω^i X
+    (Ω^0 X = X), and its kernel is Ω^{i+1} X.
 
-    modules[i] is P^{-i}; diffs[i]: P^{-i} -> P^{-i+1} for i >= 1;
+    modules[i] is P^{-i}; diffs[i - 1]: P^{-i} -> P^{-i+1} for i >= 1;
     augmentation: P^0 -> X.  syzygies[i] is Ω^{i+1} X, the kernel of the map
     out of P^{-i}; the last one is zero unless the resolution is truncated.
     pieces[i] lists the G-summand index of each copy in P^{-i} (None marks
     an identity approximation of a module already in add G).
     """
     x: Representation
-    modules: list[Representation]
-    diffs: list[ModuleMap]
-    augmentation: ModuleMap
-    syzygies: list[Representation]
-    pieces: list[list[int] | None]
+    approximations: list[Approximation]
     truncated: bool
 
     @property
+    def modules(self) -> list[Representation]:
+        return [a.map.source for a in self.approximations]
+
+    @property
+    def pieces(self) -> list[list[int] | None]:
+        return [a.pieces for a in self.approximations]
+
+    @property
+    def syzygies(self) -> list[Representation]:
+        return [a.kernel[0] for a in self.approximations]
+
+    @property
+    def augmentation(self) -> ModuleMap:
+        return self.approximations[0].map
+
+    @cached_property
+    def diffs(self) -> list[ModuleMap]:
+        """Composed on first read: only the F-projective replacements of
+        `complexes` read them."""
+        apps = self.approximations
+        return [apps[i].map.compose(apps[i - 1].kernel[1]) for i in range(1, len(apps))]
+
+    @property
     def length(self) -> int:
-        return len(self.modules) - 1
+        return len(self.approximations) - 1
 
     @property
     def pd(self) -> Dim:
@@ -315,40 +344,22 @@ class FResolution:
 def f_resolution(x: Representation, f: SubbifunctorF, maxlen: int) -> FResolution:
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
-    modules: list[Representation] = []
-    diffs: list[ModuleMap] = []
-    syzygies: list[Representation] = []
-    pieces: list[list[int] | None] = []
-    app = right_approximation(x, f)
-    modules.append(app.map.source)
-    pieces.append(app.pieces)
-    augmentation = app.map
-    truncated = False
-    prev_map = app.map
-    step = 0
-    while True:
-        ker, incl = kernel(prev_map)
-        syzygies.append(ker)
-        if ker.is_zero():
-            break
-        if step == maxlen:
-            truncated = True
-            break
-        step += 1
-        app = right_approximation(ker, f)
-        modules.append(app.map.source)
-        pieces.append(app.pieces)
-        diffs.append(app.map.compose(incl))
-        prev_map = app.map
-    return FResolution(x=x, modules=modules, diffs=diffs, augmentation=augmentation,
-                       syzygies=syzygies, pieces=pieces, truncated=truncated)
+    apps = [right_approximation(x, f)]
+    while not apps[-1].kernel[0].is_zero():
+        if len(apps) - 1 == maxlen:
+            return FResolution(x, apps, truncated=True)
+        apps.append(right_approximation(apps[-1].kernel[0], f))
+    return FResolution(x, apps, truncated=False)
 
 
 def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
           resolution: FResolution | None = None) -> int:
     """dim Ext_F^i(x, y).  For i >= 1 the F-exact 0 -> Ω^i x -> P -> Ω^{i-1} x
     -> 0 of the resolution, with Ext_F^{>=1}(P, -) = 0, gives
-    dim Hom(Ω^i x, y) - dim Hom(P, y) + dim Hom(Ω^{i-1} x, y)."""
+    dim Hom(Ω^i x, y) - dim Hom(P, y) + dim Hom(Ω^{i-1} x, y).  Hom is
+    additive, so dim Hom(P, y) is the sum of dim Hom(G_k, y) over the
+    G-summands G_k of P; only an identity approximation (P = Ω^{i-1} x)
+    has no pieces to sum."""
     if i < 0:
         raise ValueError("negative degree")
     if i == 0:
@@ -358,9 +369,10 @@ def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
         if res.truncated:
             raise TruncationError(f"resolution truncated before depth {i - 1}")
         return 0
-    before = res.syzygies[i - 2] if i >= 2 else x
-    return (len(hom_space(res.syzygies[i - 1], y)) - len(hom_space(res.modules[i - 1], y))
-            + len(hom_space(before, y)))
+    app = res.approximations[i - 1]  # P -> Ω^{i-1} x, with kernel Ω^i x
+    middle = (len(hom_space(app.map.source, y)) if app.pieces is None
+              else sum(len(hom_space(f.summands[k].module, y)) for k in app.pieces))
+    return len(hom_space(app.kernel[0], y)) - middle + len(hom_space(app.map.target, y))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ against the relations exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import residue_certificate
 from .matrix import (
     Matrix,
     SpanSolver,
+    _normal,
     block_diag,
     column_space_basis,
     complement_columns,
@@ -314,25 +316,25 @@ def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
 
-    def idx(v, r, c):
-        return offsets[v] + r * m.dims[v] + c
-
-    rows = []
+    # one row per arrow a: i -> j and entry (u, c) of T_a f_i - f_j S_a, with
+    # the block f_v stored row-major from offsets[v] in the unknown vector
+    flat = []
+    nrows = 0
     for ai, a in enumerate(q.arrows):
         i, j = a.source - 1, a.target - 1
-        Ta, Sa = n.mats[ai], m.mats[ai]
+        ta, sa = n.mats[ai].entries, m.mats[ai].entries
+        ni, mi, mj = n.dims[i], m.dims[i], m.dims[j]
+        oi, oj = offsets[i], offsets[j]
         for u in range(n.dims[j]):
-            for vcol in range(m.dims[i]):
-                row = [F.zero] * total
-                for w in range(n.dims[i]):
-                    row[idx(i, w, vcol)] = F.add(row[idx(i, w, vcol)], Ta.at(u, w))
-                for w in range(m.dims[j]):
-                    row[idx(j, u, w)] = F.sub(row[idx(j, u, w)], Sa.at(w, vcol))
-                rows.append(row)
-    if rows:
-        sysm = Matrix.from_rows(F, rows)
-    else:
-        sysm = Matrix(F, 0, total, [])
+            for c in range(mi):
+                row = [0] * total
+                for w in range(ni):
+                    row[oi + w * mi + c] += ta[u * ni + w]
+                for w in range(mj):
+                    row[oj + u * mj + w] -= sa[w * mi + c]
+                flat += row
+                nrows += 1
+    sysm = Matrix(F, nrows, total, _normal(flat, F.p))
     K = kernel_basis(sysm)
     out = HomBasis()
     for c in range(K.cols):
@@ -396,38 +398,57 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Quotient target/im(f) with the projection map."""
     F = f.source.algebra.field
     q = f.source.algebra.quiver
-    projs = []
-    dims = []
+    projs, sections, dims = [], [], []
     for v in range(q.n):
         B = column_space_basis(f.mats[v])
         comp = complement_columns(B)
         dims.append(len(comp))
         n = f.target.dims[v]
+        C = Matrix.identity(F, n).select_columns(comp)
+        sections.append(C)
         if n == 0:
             projs.append(Matrix(F, 0, 0, []))
             continue
-        C = Matrix.identity(F, n).select_columns(comp)
-        full = B.hstack(C)
-        inv = inverse(full)
+        # inverse() checks full · inv = I, so inv · full = I and proj · C = I:
+        # the complement columns C are a section of the projection
+        inv = inverse(B.hstack(C))
         projs.append(inv.submatrix(range(B.cols, n), range(n)))
-    mats = []
-    for ai, a in enumerate(q.arrows):
-        i, j = a.source - 1, a.target - 1
-        # induced action: proj_j . X_a . section_i ; use any preimage section
-        sec = solve(projs[i], Matrix.identity(F, dims[i]))
-        if sec is None:
-            raise ValueError("projection not surjective")
-        mats.append(projs[j] * f.target.mats[ai] * sec)
+    mats = [projs[a.target - 1] * f.target.mats[ai] * sections[a.source - 1]
+            for ai, a in enumerate(q.arrows)]
     quot = Representation(f.source.algebra, dims, mats)
     return quot, ModuleMap(f.target, quot, projs)
 
 
-@dataclass
 class DirectSum:
-    rep: Representation
-    parts: list[Representation]
-    injections: list[ModuleMap]
-    projections: list[ModuleMap]
+    """rep = ⊕parts; the injections and projections of the parts are built
+    on first read."""
+
+    def __init__(self, rep: Representation, parts: list[Representation]):
+        self.rep = rep
+        self.parts = parts
+
+    @cached_property
+    def injections(self) -> list[ModuleMap]:
+        F = self.rep.algebra.field
+        dims = self.rep.dims
+        offs = [0] * len(dims)
+        out = []
+        for p in self.parts:
+            blocks = []
+            for D, d, o in zip(dims, p.dims, offs):
+                e = [F.zero] * (D * d)
+                for t in range(d):
+                    e[(o + t) * d + t] = F.one
+                blocks.append(Matrix(F, D, d, e))
+            out.append(ModuleMap(p, self.rep, blocks, check=False))
+            offs = [o + d for o, d in zip(offs, p.dims)]
+        return out
+
+    @cached_property
+    def projections(self) -> list[ModuleMap]:
+        """The transposes of the injections."""
+        return [ModuleMap(self.rep, i.source, [m.transpose() for m in i.mats], check=False)
+                for i in self.injections]
 
 
 def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) -> DirectSum:
@@ -446,25 +467,7 @@ def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) 
             mats.append(Matrix.zeros(F, 0, 0))
         if (mats[-1].rows, mats[-1].cols) != (dims[a.target - 1], dims[a.source - 1]):
             mats[-1] = Matrix.zeros(F, dims[a.target - 1], dims[a.source - 1])
-    total = Representation(algebra, dims, mats, check=False)
-    injections, projections = [], []
-    offs = [0] * q.n
-    for p in parts:
-        inj, proj = [], []
-        for v in range(q.n):
-            m = Matrix.zeros(F, dims[v], p.dims[v]).to_rows()
-            for r in range(p.dims[v]):
-                m[offs[v] + r][r] = F.one
-            inj.append(Matrix.from_rows(F, m) if dims[v] else Matrix(F, 0, p.dims[v], []))
-            pm = Matrix.zeros(F, p.dims[v], dims[v]).to_rows()
-            for r in range(p.dims[v]):
-                pm[r][offs[v] + r] = F.one
-            proj.append(Matrix.from_rows(F, pm) if p.dims[v] else Matrix(F, 0, dims[v], []))
-        injections.append(ModuleMap(p, total, inj, check=False))
-        projections.append(ModuleMap(total, p, proj, check=False))
-        for v in range(q.n):
-            offs[v] += p.dims[v]
-    return DirectSum(total, list(parts), injections, projections)
+    return DirectSum(Representation(algebra, dims, mats, check=False), list(parts))
 
 
 def stack_maps(maps: list[ModuleMap], x: Representation,

@@ -152,3 +152,33 @@ def test_solve_residual_exact():
         x = solve(a, b)
         assert x is not None
         assert (a * x - b).is_zero()
+
+
+def test_results_do_not_alias_their_inputs():
+    # the constructor takes ownership of a list, so every operation must
+    # hand it a list of its own
+    F = QQ
+    rows = [[F.of_int(1), F.of_int(2)], [F.of_int(3), F.of_int(6)]]
+    a = Matrix.from_rows(F, rows)
+    empty_rows, empty_cols = Matrix(F, 0, 2, []), Matrix(F, 2, 0, [])
+    identity = mat(F, [[1, 0], [0, 1]])
+    results = {
+        "from_rows": Matrix.from_rows(F, rows),
+        "vstack": a.vstack(empty_rows),
+        "vstack_empty": empty_rows.vstack(a),
+        "hstack": a.hstack(empty_cols),
+        "hstack_empty": empty_cols.hstack(a),
+        "transpose": a.transpose(),
+        "rref": rref(a)[0],
+        "rref_reduced": rref(identity)[0],
+        "kernel_basis": kernel_basis(a),
+    }
+    before = [list(r) for r in rows], list(a.entries), list(identity.entries)
+    for name, out in results.items():
+        for k in range(len(out.entries)):
+            out.entries[k] = F.of_int(99)
+        assert ([list(r) for r in rows], list(a.entries), list(identity.entries)) == before, name
+    lst = [F.one, F.zero]
+    assert Matrix(F, 1, 2, lst).entries is lst
+    tup = (F.one, F.zero)
+    assert Matrix(F, 1, 2, tup).entries == list(tup)

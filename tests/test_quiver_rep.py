@@ -231,3 +231,25 @@ def test_hom_caches_do_not_pin_representations():
     for _ in range(5):
         churn()
     assert live() == before
+
+
+@pytest.mark.parametrize("names", [[], ["S1"], ["P1", "S2", "P1"], ["Z", "P2", "Z", "S1", "Z"]],
+                         ids=["empty", "one", "repeat", "zero-parts"])
+def test_direct_sum_maps_are_built_on_read_and_split(L7, names):
+    mods = {"Z": zero_representation(L7), "S1": simple(L7, 1), "S2": simple(L7, 2),
+            "P1": projective(L7, 1), "P2": projective(L7, 2)}
+    ds = direct_sum([mods[n] for n in names], L7)
+    assert "injections" not in vars(ds) and "projections" not in vars(ds)
+    inj, proj = ds.injections, ds.projections
+    assert ds.injections is inj and ds.projections is proj
+    for k, pk in enumerate(proj):
+        for j, ij in enumerate(inj):
+            got = ij.compose(pk)  # π_k ∘ ι_j
+            want = ModuleMap.identity(ds.parts[k]) if j == k else ModuleMap.zero(ds.parts[j], ds.parts[k])
+            assert got.mats == want.mats
+    total = ModuleMap.zero(ds.rep, ds.rep)
+    for ik, pk in zip(inj, proj):
+        ModuleMap(ik.source, ik.target, ik.mats)  # intertwines
+        ModuleMap(pk.source, pk.target, pk.mats)
+        total = total + pk.compose(ik)  # ι_k ∘ π_k
+    assert total.mats == ModuleMap.identity(ds.rep).mats

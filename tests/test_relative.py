@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from relhomalg import relative
+from relhomalg.fields import QQ, PrimeField
 from relhomalg.rep import (
     ModuleMap,
     direct_sum,
@@ -31,6 +32,7 @@ from relhomalg.relative import (
     projective_cover,
     relative_injectives,
     right_approximation,
+    transpose,
 )
 from relhomalg.schema import load_problem
 
@@ -262,3 +264,69 @@ def test_dtr_builds_each_cover_once(monkeypatch):
     seen = dict(builds)
     assert [dtr(m) for m in modules] == first
     assert builds == seen
+
+
+def count_kernels(monkeypatch) -> collections.Counter:
+    """Count the kernels the relative layer takes (through `rep.kernel`)."""
+    calls = collections.Counter()
+    real = relative.kernel
+
+    def counted(f):
+        calls[f.target] += 1
+        return real(f)
+
+    monkeypatch.setattr(relative, "kernel", counted)
+    return calls
+
+
+def test_a_second_resolution_takes_no_kernel(monkeypatch):
+    # each F-syzygy is stored with the approximation it is the kernel of
+    problem = load_problem(str(DATA / "section7.json"))
+    f = problem.subbifunctor
+    calls = count_kernels(monkeypatch)
+    first = {name: f_resolution(x, f, 3) for name, x in problem.modules.items()}
+    assert calls and set(calls.values()) == {1}
+    seen = dict(calls)
+    for name, x in problem.modules.items():
+        again = f_resolution(x, f, 3)
+        assert again.syzygies == first[name].syzygies and again.modules == first[name].modules
+    assert calls == seen
+    app = right_approximation(problem.modules["M1"], f)
+    assert app.kernel is app.kernel
+
+
+def test_transpose_reuses_the_stored_cover_kernel(monkeypatch):
+    problem = load_problem(str(DATA / "section7.json"))
+    modules = [m for m in problem.modules.values() if not m.is_zero()]
+    for m in modules:
+        projective_cover(m).kernel
+    calls = count_kernels(monkeypatch)
+    for m in modules:
+        transpose(m)
+    assert not calls
+
+
+def whole_middle_ext_f(x, y, i, f):
+    """dim Ext_F^i(x, y) with dim Hom(P, y) solved on the sum P itself."""
+    res = f_resolution(x, f, i - 1)
+    if i - 1 > res.length:
+        return 0
+    before = res.syzygies[i - 2] if i >= 2 else x
+    return (len(hom_space(res.syzygies[i - 1], y)) - len(hom_space(res.modules[i - 1], y))
+            + len(hom_space(before, y)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["q", "fp32003"])
+@pytest.mark.parametrize("name", ["section6", "section7", "a2_apr"])
+def test_ext_f_from_pieces_matches_the_whole_middle_term(name, field):
+    problem = load_problem(str(DATA / f"{name}.json"), field)
+    f = problem.subbifunctor
+    modules = list(problem.modules.values())
+    nonzero = 0
+    for x in modules:
+        for y in modules:
+            for i in (1, 2, 3):
+                want = whole_middle_ext_f(x, y, i, f)
+                assert ext_f(x, y, i, f) == want, (name, x, y, i)
+                nonzero += want != 0
+    assert name == "a2_apr" or nonzero
