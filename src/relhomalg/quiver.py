@@ -209,7 +209,8 @@ class PathAlgebra:
         self._mul_table: dict[tuple[int, int], dict[int, object]] = {}
         # Representations over this algebra, one object per content (dims and
         # arrow-matrix entries, see rep.Representation), and the projective
-        # and injective at each vertex, keyed (kind, vertex).  Insert-only.
+        # and injective at each vertex and the left multiplication map of
+        # each arrow, keyed (kind, vertex or arrow index).  Insert-only.
         self.modules: dict = {}
         self.vertex_modules: dict[tuple[str, int], object] = {}
         self.ordinary = None  # relative.ordinary_f (G = the projectives), built once

@@ -34,6 +34,7 @@ from .rep import (
     radical,
     simple,
     stack_maps,
+    top_columns,
     zero_representation,
 )
 from .reports import Dim, DimensionReport, dim_max
@@ -141,40 +142,54 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
 
     Right (left=False): maps u_c: M_c -> x, and Hom(C, ⊕M_c) -> Hom(C, x)
     must be onto for every summand C.  Left: maps u_c: x -> M_c, and
-    Hom(⊕M_c, C) -> Hom(x, C) must be onto.  The block of (C, u_c) holds the
-    coordinates of the composites "h then u_c" (left: "u_c then h") over all
-    h in Hom(C, M_c) (left: Hom(M_c, C)), so each trial is one rank per C.
-    Surjectivity is monotone in the kept set, so a single greedy removal
-    pass is minimal: a map needed once stays needed.
+    Hom(⊕M_c, C) -> Hom(x, C) must be onto.  No composite is built: the
+    block of (C, u_c) holds the composites "h then u_c" over h in Hom(C, M_c)
+    (left: "u_c then h" over h in Hom(M_c, C)) evaluated at the top columns
+    of their source, the vectors (u_c)_v·(column j of h_v) (left:
+    h_v·(column j of (u_c)_v)) over the top columns (v, j).  Evaluation at
+    the top columns is injective on Hom(C, x) (left: Hom(x, C)), see
+    `rep.top_columns`, so a block is (the evaluated Hom basis, of full
+    column rank) times (the coordinates of the composites): its rank is
+    theirs, and a trial is onto when it reaches dim Hom(C, x) (left:
+    dim Hom(x, C)), one rank per C.  Surjectivity is monotone in the kept
+    set, so a single greedy removal pass is minimal: a map needed once stays
+    needed.
     """
     F = x.algebra.field
     everything = range(len(maps))
+    columns: dict[ModuleMap, list[list]] = {}  # each first map at the top columns, taken once
 
-    def onto(need: int, row: list[Matrix], subset) -> bool:
-        glued = None
-        for c in subset:
-            if row[c].cols:
-                glued = row[c] if glued is None else glued.hstack(row[c])
-        return glued is not None and rank(glued) == need
+    def evaluated(first: ModuleMap, then: ModuleMap) -> list:
+        top = top_columns(first.source)
+        cols = columns.get(first)
+        if cols is None:
+            cols = columns[first] = [first.mats[v].col(j) for v, j in top]
+        return [e for (v, _), col in zip(top, cols) for e in then.mats[v].apply(col)]
 
-    rows: list[tuple[int, list[Matrix]]] = []
+    def onto(need: int, width: int, row: list[list], subset) -> bool:
+        flat = [e for c in subset for e in row[c]]
+        n = len(flat) // width
+        return n >= need and rank(Matrix(F, n, width, flat)) == need
+
+    rows: list[tuple[int, int, list[list]]] = []
     for s in summands:
-        basis = hom_space(x, s.module) if left else hom_space(s.module, x)
+        c = s.module
+        basis = hom_space(x, c) if left else hom_space(c, x)
         if not basis:
             continue
         if left:
-            row = [_coordinate_matrix(F, basis, [u.compose(h) for h in hom_space(u.target, s.module)])
-                   for u in maps]
+            width = sum(c.dims[v] for v, _ in top_columns(x))
+            row = [[e for h in hom_space(u.target, c) for e in evaluated(u, h)] for u in maps]
         else:
-            row = [_coordinate_matrix(F, basis, [h.compose(u) for h in hom_space(s.module, u.source)])
-                   for u in maps]
-        if not onto(len(basis), row, everything):
+            width = sum(x.dims[v] for v, _ in top_columns(c))
+            row = [[e for h in hom_space(c, u.source) for e in evaluated(h, u)] for u in maps]
+        if not onto(len(basis), width, row, everything):
             return None
-        rows.append((len(basis), row))
+        rows.append((len(basis), width, row))
     keep = list(everything)
     for i in everything:
         trial = [j for j in keep if j != i]
-        if all(onto(need, row, trial) for need, row in rows):
+        if all(onto(need, width, row, trial) for need, width, row in rows):
             keep = trial
     return keep
 

@@ -37,7 +37,8 @@ class Representation:
     the same module.  The relations are checked once per content, the first
     time a checked construction asks for it; unchecked constructions (direct
     sums, simples) store the content unvalidated until then."""
-    __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations")
+    __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations",
+                 "_radical", "_top")
 
     def __new__(cls, algebra: PathAlgebra, dims, mats, check: bool = True):
         dims = tuple(dims)
@@ -61,6 +62,8 @@ class Representation:
             self._homs: dict | None = None  # hom_space results, keyed by target
             self._local: bool | None = None  # endo_indecomposability_check, once computed
             self._approximations: dict | None = None  # relative.py add(G)-approximations
+            self._radical = None  # radical(self), once computed
+            self._top: list | None = None  # top_columns(self), once computed
         if check and not self._checked:
             self._check_relations()  # a new content that fails is never stored
             self._checked = True
@@ -208,17 +211,17 @@ def projective(algebra: PathAlgebra, i: int) -> Representation:
     q = algebra.quiver
     if not 1 <= i <= q.n:
         raise ValueError("vertex out of range")
-    return _vertex_module(algebra, "projective", i, _build_projective)
+    return _per_algebra(algebra, "projective", i, _build_projective)
 
 
 def injective(algebra: PathAlgebra, i: int) -> Representation:
     """The injective with socle S_i, D P_i of the opposite algebra.  Built once
     per algebra and vertex."""
-    return _vertex_module(algebra, "injective", i,
-                          lambda alg, v: dual(projective(alg.opposite(), v)))
+    return _per_algebra(algebra, "injective", i,
+                        lambda alg, v: dual(projective(alg.opposite(), v)))
 
 
-def _vertex_module(algebra: PathAlgebra, kind: str, i: int, build) -> Representation:
+def _per_algebra(algebra: PathAlgebra, kind: str, i: int, build):
     out = algebra.vertex_modules.get((kind, i))
     if out is None:
         out = algebra.vertex_modules.setdefault((kind, i), build(algebra, i))
@@ -246,7 +249,12 @@ def _build_projective(algebra: PathAlgebra, i: int) -> Representation:
 
 
 def left_multiplication_map(algebra: PathAlgebra, ai: int) -> ModuleMap:
-    """Prepending arrow a: m -> m' gives the module map P(m') -> P(m)."""
+    """Prepending arrow a: m -> m' gives the module map P(m') -> P(m).  Built
+    once per algebra and arrow."""
+    return _per_algebra(algebra, "left_multiplication", ai, _build_left_multiplication)
+
+
+def _build_left_multiplication(algebra: PathAlgebra, ai: int) -> ModuleMap:
     a = algebra.quiver.arrows[ai]
     src_proj = projective(algebra, a.target)
     tgt_proj = projective(algebra, a.source)
@@ -496,6 +504,10 @@ def stack_maps(maps: list[ModuleMap], x: Representation,
 
 
 def radical(m: Representation) -> tuple[Representation, ModuleMap]:
+    """rad m = J·m, the sum of the arrow images, with its inclusion; computed
+    once per m and stored on it."""
+    if m._radical is not None:
+        return m._radical
     F = m.algebra.field
     q = m.algebra.quiver
     cols = []
@@ -508,7 +520,21 @@ def radical(m: Representation) -> tuple[Representation, ModuleMap]:
             cols.append(column_space_basis(glued))
         else:
             cols.append(Matrix.zeros(F, m.dims[v], 0))
-    return _induced_sub(m, cols)
+    m._radical = _induced_sub(m, cols)
+    return m._radical
+
+
+def top_columns(m: Representation) -> list[tuple[int, int]]:
+    """The (v, j), v 0-based, whose standard basis vectors e_j complete the
+    stored basis of (rad m)_v to one of m_v; computed once per m and stored
+    on it.  They generate m, so evaluating at them is injective on Hom(m, -):
+    every module has J^N m = 0 (the schema checks declared ones, and
+    kernels, cokernels, sums and duals keep it), so the submodule S they
+    generate, with S + J·m = m, is m = S + J^N·m by Nakayama's lemma."""
+    if m._top is None:
+        _, incl = radical(m)
+        m._top = [(v, j) for v, basis in enumerate(incl.mats) for j in complement_columns(basis)]
+    return m._top
 
 
 def socle(m: Representation) -> tuple[Representation, ModuleMap]:

@@ -15,7 +15,8 @@ from .complexes import Complex, Part, shift_complex, stalk_complex
 from .fields import Field, PrimeField, QQ
 from .matrix import Matrix
 from .quiver import PathAlgebra, Quiver
-from .rep import ModuleMap, Representation, cokernel, projective, radical, simple, socle
+from .rep import (ModuleMap, Representation, cokernel, projective, radical, radical_power_sub,
+                  simple, socle)
 from .relative import SubbifunctorF, SummandDecl
 from .tilting import (
     ComplexSum,
@@ -167,7 +168,6 @@ def _build_module(name: str, spec, ctx: "_Loader") -> Representation:
         _expect(isinstance(ref, list) and len(ref) == 2, path,
                 "quotient_by_radical_power expects [module, power]")
         base = ctx.module(ref[0], path)
-        from .rep import radical_power_sub
         _, incl = radical_power_sub(base, _integer(ref[1], path, "radical power", 0))
         return cokernel(incl)[0]
     if "dims" in spec:
@@ -188,9 +188,14 @@ def _build_module(name: str, spec, ctx: "_Loader") -> Representation:
             else:
                 mats.append(Matrix.zeros(ctx.field, rows_expected, cols_expected))
         try:
-            return Representation(algebra, tuple(dims), mats)
+            rep = Representation(algebra, tuple(dims), mats)
         except ValueError as e:
             raise SchemaError(path, f"invalid representation: {e}")
+        # a module of kQ/(I + J^N): its radical series reaches 0 within N steps
+        _expect(radical_power_sub(rep, algebra.N)[0].is_zero(), path,
+                f"invalid representation: paths of length {algebra.N} (the nilpotency"
+                " bound) do not act as zero")
+        return rep
     raise SchemaError(path, f"unrecognized module shorthand {sorted(spec)}")
 
 

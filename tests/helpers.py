@@ -1,7 +1,7 @@
 """Shared constructions for the test suite: the worked algebras, and
 second routes to what the program computes (images and pushouts, the
-definitional F-acyclicity check, explicit null-homotopies) that serve only
-as cross-checks, and the short sequences and F-quasi-isomorphisms that
+definitional F-acyclicity check, explicit null-homotopies, approximations
+from Hom coordinates) that serve only as cross-checks, and the short sequences and F-quasi-isomorphisms that
 only the tests build."""
 
 from dataclasses import dataclass
@@ -16,6 +16,7 @@ from relhomalg.rep import (
     ModuleMap,
     Representation,
     ShortExactSeq,
+    _coordinate_matrix,
     _induced_sub,
     cokernel,
     direct_sum,
@@ -155,6 +156,44 @@ def ext_by_injectives(x, y, upto):
 
     return [len(hom_space(x, terms[i])) - hom_rank(i) - hom_rank(i - 1) if i < len(terms) else 0
             for i in range(upto + 1)]
+
+
+def coordinate_approximating_subset(x, maps, summands, left):
+    """`relative._minimal_approximating_subset` from coordinates: the block of
+    (C, u_c) holds the coordinates, in the basis of Hom(C, x) (left:
+    Hom(x, C)), of the composite maps "h then u_c" over h in Hom(C, M_c)
+    (left: "u_c then h" over h in Hom(M_c, C)), followed by the same single
+    greedy removal pass; a second route to the keep list."""
+    F = x.algebra.field
+    everything = range(len(maps))
+
+    def onto(need, row, subset):
+        glued = None
+        for c in subset:
+            if row[c].cols:
+                glued = row[c] if glued is None else glued.hstack(row[c])
+        return glued is not None and rank(glued) == need
+
+    rows = []
+    for s in summands:
+        basis = hom_space(x, s.module) if left else hom_space(s.module, x)
+        if not basis:
+            continue
+        if left:
+            row = [_coordinate_matrix(F, basis, [u.compose(h) for h in hom_space(u.target, s.module)])
+                   for u in maps]
+        else:
+            row = [_coordinate_matrix(F, basis, [h.compose(u) for h in hom_space(s.module, u.source)])
+                   for u in maps]
+        if not onto(len(basis), row, everything):
+            return None
+        rows.append((len(basis), row))
+    keep = list(everything)
+    for i in everything:
+        trial = [j for j in keep if j != i]
+        if all(onto(need, row, trial) for need, row in rows):
+            keep = trial
+    return keep
 
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:

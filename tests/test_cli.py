@@ -135,6 +135,44 @@ def test_non_integers_are_input_errors(tmp_path, capsys, edit, path):
     assert "Traceback" not in err
 
 
+def _one_loop(nilpotency, loop):
+    """The one-loop quiver with no relations and J^nilpotency = 0, with a
+    declared module M on which the loop acts by `loop`."""
+    return {
+        "schema": "relhomalg/1",
+        "quiver": {"vertices": 1, "arrows": [["x", 1, 1]]},
+        "relations": [],
+        "nilpotency": nilpotency,
+        "modules": {"P1": {"projective": 1},
+                    "M": {"dims": [len(loop)], "matrices": {"x": loop}}},
+        "generator": ["P1"],
+        "corpus": ["M"],
+    }
+
+
+@pytest.mark.parametrize("argv", [["module"], ["relhom", "exact", "--module", "M"]])
+def test_module_not_killed_by_j_to_the_n_is_input_error(tmp_path, capsys, argv):
+    # x^3 != 0 on M, although kQ/J^3 makes every path of length 3 zero
+    bad = tmp_path / "loop.json"
+    bad.write_text(json.dumps(_one_loop(3, [["1"]])))
+    assert run([*argv, bad]) == 1
+    err = capsys.readouterr().err
+    assert "$.modules.M" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("nilpotency, loop, code", [
+    (3, [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]], 0),  # x^2 != 0 = x^3
+    (2, [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]], 1),  # x^2 != 0
+    (2, [["0", "0"], ["1", "0"]], 0),
+])
+def test_nilpotency_bound_on_declared_modules(tmp_path, capsys, nilpotency, loop, code):
+    f = tmp_path / "loop.json"
+    f.write_text(json.dumps(_one_loop(nilpotency, loop)))
+    assert run(["module", f]) == code
+    assert ("$.modules.M" in capsys.readouterr().err) == bool(code)
+
+
 def test_violated_exit_code(tmp_path, capsys):
     # declaring the wrong summand count makes the count criterion fail
     data = json.loads((DATA / "section7.json").read_text())
