@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrix import Matrix, rank
+from .matrix import Matrix, rank, rref
 from .quiver import PathAlgebra
 from .rep import (
     DirectSum,
     ModuleMap,
     Representation,
     ShortExactSeq,
+    _arrows_at,
     _coordinate_matrix,
     cokernel,
     direct_sum,
@@ -31,10 +32,10 @@ from .rep import (
     is_isomorphic,
     kernel,
     projective,
-    radical,
     simple,
     stack_maps,
     top_columns,
+    top_dims,
     zero_representation,
 )
 from .reports import Dim, DimensionReport, dim_max
@@ -194,6 +195,38 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     return keep
 
 
+def _vertex_keep(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
+                 left: bool) -> list[int] | None:
+    """The keep list of `_minimal_approximating_subset` when the summands are
+    the stored P_1..P_n (right: projective covers) or I_1..I_n (left:
+    injective envelopes), else None.  Both are spanning conditions at each
+    vertex v: onto iff the tops u(e_v) (column 0 of u_v) of the maps u out of
+    P_v span x_v modulo (rad x)_v, the columns of the arrows into v; mono
+    iff mono on soc x, iff the functionals (row 0 of u_v) of the maps into
+    I_v span D(x_v) modulo the rows of the arrows out of v, which annihilate
+    (soc x)_v.  So the greedy pass keeps each map outside the span of the
+    fixed part and the maps after it: the pivots of one rref of
+    [fixed | u_last ... u_first] per vertex."""
+    kind = "injective" if left else "projective"
+    if _modules(summands) != tuple(algebra.vertex_modules.get((kind, v))
+                                   for v in range(1, algebra.quiver.n + 1)):
+        return None
+    keep: list[int] = []
+    offset = 0
+    for v, c in enumerate(_modules(summands)):
+        basis = hom_space(x, c) if left else hom_space(c, x)
+        if not basis:
+            continue
+        fixed = _arrows_at(x, v, into=False).transpose() if left else _arrows_at(x, v)
+        vecs = [u.mats[v].row(0) if left else u.mats[v].col(0) for u in reversed(basis)]
+        w, d = fixed.cols, len(vecs)
+        _, pivots = rref(Matrix(algebra.field, fixed.rows, w + d, [
+            e for r in range(fixed.rows) for e in fixed.row(r) + [vec[r] for vec in vecs]]))
+        keep += sorted(offset + w + d - 1 - p for p in pivots if p >= w)
+        offset += d
+    return keep
+
+
 def _on_module(x: Representation, key: tuple, compute):
     """compute(), stored on x under key, which names the summand modules it
     depends on.  Representations are canonical per algebra, so the key is
@@ -231,7 +264,9 @@ def _build_approximation(x: Representation, summands: list[SummandDecl], algebra
         for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
             maps.append(phi)
             pieces.append(k)
-    keep = _minimal_approximating_subset(x, maps, summands, left)
+    keep = _vertex_keep(x, summands, algebra, left)
+    if keep is None:
+        keep = _minimal_approximating_subset(x, maps, summands, left)
     if keep is None:
         raise ValueError("tautological approximation failed")
     total, glued = stack_maps([maps[i] for i in keep], x, into=left)
@@ -273,8 +308,7 @@ def projective_cover(m: Representation) -> Approximation:
     copies = [0] * m.algebra.quiver.n
     for k in app.pieces:  # summand k of ordinary_f is P_{k+1}
         copies[k] += 1
-    rad, _ = radical(m)
-    if copies != [d - r for d, r in zip(m.dims, rad.dims)]:
+    if copies != top_dims(m):
         raise ValueError("cover kernel escapes the radical")
     return app
 

@@ -14,7 +14,6 @@ from functools import cached_property
 from .algebra import residue_certificate
 from .matrix import (
     Matrix,
-    SpanSolver,
     _normal,
     block_diag,
     column_space_basis,
@@ -24,6 +23,7 @@ from .matrix import (
     kernel_basis,
     lincomb,
     rank,
+    rref,
     solve,
 )
 from .quiver import PathAlgebra
@@ -225,16 +225,32 @@ def _per_algebra(algebra: PathAlgebra, kind: str, i: int, build):
     out = algebra.vertex_modules.get((kind, i))
     if out is None:
         out = algebra.vertex_modules.setdefault((kind, i), build(algebra, i))
+        if isinstance(out, Representation):  # and the vertex of a stored module
+            algebra.vertex_modules.setdefault((kind, out), i)
     return out
+
+
+def _paths_from(algebra: PathAlgebra, i: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """The basis paths from vertex i: per target vertex (0-based) in basis
+    order, the basis of P_i at each vertex; and in basis order, each
+    nontrivial path's (index, index of its prefix, last arrow).  Basis paths
+    are prefix-closed.  Built once per algebra and vertex."""
+    def build(alg, i):
+        per_vertex, steps = [[] for _ in range(alg.quiver.n)], []
+        for k, (src, word) in enumerate(alg.basis):
+            if src == i:
+                per_vertex[alg.element_target(k) - 1].append(k)
+                if word:
+                    steps.append((k, alg.basis_index[(i, word[:-1])], word[-1]))
+        return per_vertex, steps
+
+    return _per_algebra(algebra, "paths", i, build)
 
 
 def _build_projective(algebra: PathAlgebra, i: int) -> Representation:
     q = algebra.quiver
     F = algebra.field
-    per_vertex = [[] for _ in range(q.n)]
-    for k, (src, _word) in enumerate(algebra.basis):
-        if src == i:
-            per_vertex[algebra.element_target(k) - 1].append(k)
+    per_vertex = _paths_from(algebra, i)[0]
     index = {k: (v, pos) for v in range(q.n) for pos, k in enumerate(per_vertex[v])}
     dims = tuple(len(per_vertex[v]) for v in range(q.n))
     mats = []
@@ -255,24 +271,13 @@ def left_multiplication_map(algebra: PathAlgebra, ai: int) -> ModuleMap:
 
 
 def _build_left_multiplication(algebra: PathAlgebra, ai: int) -> ModuleMap:
+    """The map P(a.target) -> P(a.source) sending e to the arrow a, the j-th
+    basis path of P(a.source) at a.target."""
     a = algebra.quiver.arrows[ai]
-    src_proj = projective(algebra, a.target)
-    tgt_proj = projective(algebra, a.source)
-    F = algebra.field
-    q = algebra.quiver
-    src_pv = [[k for k, (s, _) in enumerate(algebra.basis)
-               if s == a.target and algebra.element_target(k) == v + 1] for v in range(q.n)]
-    tgt_pv = [[k for k, (s, _) in enumerate(algebra.basis)
-               if s == a.source and algebra.element_target(k) == v + 1] for v in range(q.n)]
-    ae = algebra.arrow_element(ai)
-    mats = []
-    for v in range(q.n):
-        m = Matrix.zeros(F, len(tgt_pv[v]), len(src_pv[v])).to_rows()
-        for col, k in enumerate(src_pv[v]):
-            for k2, c in algebra.mul_basis(ae, k).items():
-                m[tgt_pv[v].index(k2)][col] = c
-        mats.append(Matrix.from_rows(F, m) if tgt_pv[v] else Matrix(F, 0, len(src_pv[v]), []))
-    return ModuleMap(src_proj, tgt_proj, mats)
+    src, tgt = projective(algebra, a.target), projective(algebra, a.source)
+    j = _paths_from(algebra, a.source)[0][a.target - 1].index(algebra.arrow_element(ai))
+    e_to_a = _vertex_maps(src, tgt, a.target, False)[j]
+    return ModuleMap(src, tgt, _hom_basis(src, tgt, [e_to_a])[0].mats)
 
 
 def dual(m: Representation) -> Representation:
@@ -287,35 +292,49 @@ def dual(m: Representation) -> Representation:
 
 
 class HomBasis(list):
-    """A basis of Hom(m, n), a list of ModuleMaps that owns the solver for
-    coordinates against it."""
-    __slots__ = ("_solver",)
+    """A basis of Hom(m, n), a list of ModuleMaps in the canonical form of
+    the intertwining solve.  Flatten each map to its vertex blocks, row-major
+    and vertex by vertex: map i is 1 at its free unknown, its last nonzero
+    entry, and 0 at the free unknowns of the others."""
+    __slots__ = ("_free",)
 
-    def solver(self) -> SpanSolver:
-        if not hasattr(self, "_solver"):
-            F = self[0].source.algebra.field
-            cols = [[x for m in b.mats for x in m.entries] for b in self]
-            n = len(cols[0])
-            self._solver = SpanSolver(
-                Matrix(F, n, len(cols), [cols[j][i] for i in range(n) for j in range(len(cols))]))
-        return self._solver
+    def free(self) -> list[int]:
+        """The free unknown of each map, found on first use."""
+        if not hasattr(self, "_free"):
+            self._free = [max(k for k, x in enumerate([y for a in f.mats for y in a.entries]) if x)
+                          for f in self]
+        return self._free
 
 
 def hom_space(m: Representation, n: Representation) -> HomBasis:
     """Basis of Hom(m, n), deterministically ordered by RREF pivots of the
     intertwining system.  Cached on m per target object; representations
-    are canonical per algebra, so each pair of contents is solved once."""
+    are canonical per algebra, so each pair of contents is computed once,
+    by `_vertex_hom`."""
+    if m.algebra is not n.algebra:
+        raise ValueError("hom across different algebras")
     if m._homs is None:
         m._homs = {}
     out = m._homs.get(n)
     if out is None:
-        out = m._homs[n] = _hom_space_compute(m, n)
+        out = m._homs[n] = _vertex_hom(m, n)
+    return out
+
+
+def _hom_basis(m: Representation, n: Representation, vecs: list[list]) -> HomBasis:
+    """The maps m -> n flattened in vecs."""
+    F = m.algebra.field
+    out = HomBasis()
+    for vec in vecs:
+        mats, o = [], 0
+        for v in range(len(m.dims)):
+            mats.append(Matrix(F, n.dims[v], m.dims[v], vec[o:o + n.dims[v] * m.dims[v]]))
+            o += n.dims[v] * m.dims[v]
+        out.append(ModuleMap(m, n, mats, check=False))
     return out
 
 
 def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
-    if m.algebra is not n.algebra:
-        raise ValueError("hom across different algebras")
     F = m.algebra.field
     q = m.algebra.quiver
     offsets = []
@@ -342,28 +361,66 @@ def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
                     row[oj + u * mj + w] -= sa[w * mi + c]
                 flat += row
                 nrows += 1
-    sysm = Matrix(F, nrows, total, _normal(flat, F.p))
-    K = kernel_basis(sysm)
-    out = HomBasis()
-    for c in range(K.cols):
-        vecv = K.col(c)
-        mats = []
-        for v in range(q.n):
-            e = vecv[offsets[v]: offsets[v] + n.dims[v] * m.dims[v]]
-            mats.append(Matrix(F, n.dims[v], m.dims[v], e))
-        out.append(ModuleMap(m, n, mats, check=False))
-    return out
+    K = kernel_basis(Matrix(F, nrows, total, _normal(flat, F.p)))
+    return _hom_basis(m, n, [K.col(c) for c in range(K.cols)])
+
+
+def _vertex_hom(m: Representation, n: Representation) -> HomBasis:
+    """Hom(P_v, n) for the stored projective m = P_v, or Hom(m, I_v) for the
+    stored injective n = I_v, from `_vertex_maps`, else the intertwining
+    solve.  The solve's free unknowns are the last nonzero positions of the
+    Hom space, so one rref of these maps with the unknowns reversed gives
+    its basis: the rows, un-reversed, in reverse order."""
+    v = m.algebra.vertex_modules.get(("projective", m))
+    into = v is None
+    if into:
+        v = m.algebra.vertex_modules.get(("injective", n))
+        if v is None:
+            return _hom_space_compute(m, n)
+    vecs = _vertex_maps(m, n, v, into)
+    size = len(vecs[0]) if vecs else 0
+    R, _ = rref(Matrix(m.algebra.field, len(vecs), size,
+                       [e for vec in vecs for e in reversed(vec)]))
+    return _hom_basis(m, n, [R.row(r)[::-1] for r in reversed(range(len(vecs)))])
+
+
+def _vertex_maps(m: Representation, n: Representation, v: int, into: bool) -> list[list]:
+    """A basis of Hom(P_v, n) = n_v, m = P_v (Assem-Simson-Skowroński I,
+    III.2), flattened as in `_hom_space_compute`: the map e_v -> e_j sends
+    the basis path p of P_v to n(p)·e_j.  With into, dually, of
+    Hom(m, I_v) = D(m_v) for I_v = D P'_v, P'_v over the opposite algebra:
+    the functional e_j^T gives the map sending y in m_w to p -> e_j^T·m(p*)·y
+    on the basis paths p of P'_v at w, p* reversed.  Each product is one
+    step from its prefix's."""
+    x, paths_alg = (m, m.algebra.opposite()) if into else (n, n.algebra)
+    d = x.dims[v - 1]
+    if not d:
+        return []
+    per_vertex, steps = _paths_from(paths_alg, v)
+    trivial = per_vertex[v - 1][0]
+    products = {trivial: Matrix.identity(x.algebra.field, d)}  # path p -> n(p), or m(p*) with into
+    for k, prefix, a in steps:
+        products[k] = (x.mats[a] if prefix == trivial
+                       else products[prefix] * x.mats[a] if into else x.mats[a] * products[prefix])
+    vecs = []
+    for j in range(d):
+        vec = []
+        for ks in per_vertex:
+            if into:  # the block at w has the rows j of m(p*)
+                vec += [e for k in ks for e in products[k].row(j)]
+            else:  # the block at w has the columns j of n(p)
+                vec += [e for col in zip(*(products[k].entries[j::d] for k in ks)) for e in col]
+        vecs.append(vec)
+    return vecs
 
 
 def hom_coordinates(basis: HomBasis, f: ModuleMap) -> list:
-    """Coordinates of f in a hom_space basis (must lie in the span)."""
-    if not basis:
-        if all(m.is_zero() for m in f.mats):
-            return []
-        raise ValueError("map outside empty hom space")
-    target = [x for m in f.mats for x in m.entries]
-    out = basis.solver().coords(target)
-    if out is None:
+    """Coordinates of f in a hom_space basis: its entries at the free
+    unknowns, checked by one linear combination (f must lie in the span)."""
+    flat = [e for a in f.mats for e in a.entries]
+    out = [flat[k] for k in basis.free()]
+    back = ModuleMap.combination(f.source, f.target, out, basis)
+    if any(a.entries != b.entries for a, b in zip(back.mats, f.mats)):
         raise ValueError("map outside hom space span")
     return out
 
@@ -379,27 +436,33 @@ def _coordinate_matrix(field, basis: list[ModuleMap], maps) -> Matrix:
 # kernels, images, quotients
 
 
-def _induced_sub(m: Representation, cols: list[Matrix]) -> tuple[Representation, ModuleMap]:
-    """Subrepresentation on given per-vertex column spaces (must be closed)."""
-    F = m.algebra.field
-    q = m.algebra.quiver
-    dims = tuple(cols[v].cols for v in range(q.n))
+def _induced_sub(m: Representation, cols: list[Matrix],
+                 rows=None) -> tuple[Representation, ModuleMap]:
+    """Subrepresentation on given per-vertex column spaces (must be closed).
+    When each cols[v] is the identity at rows[v], the arrows on the sub are
+    read off there, and the inclusion's intertwining check proves closure."""
     mats = []
-    for ai, a in enumerate(q.arrows):
-        i, j = a.source - 1, a.target - 1
-        img = m.mats[ai] * cols[i]
-        coef = solve(cols[j], img)
+    for ai, a in enumerate(m.algebra.quiver.arrows):
+        img = m.mats[ai] * cols[a.source - 1]
+        coef = (solve(cols[a.target - 1], img) if rows is None
+                else img.submatrix(rows[a.target - 1], range(img.cols)))
         if coef is None:
             raise ValueError("columns not closed under the action")
         mats.append(coef)
-    sub = Representation(m.algebra, dims, mats)
-    incl = ModuleMap(sub, m, cols)
-    return sub, incl
+    sub = Representation(m.algebra, tuple(c.cols for c in cols), mats)
+    return sub, ModuleMap(sub, m, cols)
+
+
+def _kernel_sub(m: Representation, mats: list[Matrix]) -> tuple[Representation, ModuleMap]:
+    """The subrepresentation on the kernels of mats[v] (must be closed); each
+    kernel_basis is the identity at its free rows, a column's last nonzero."""
+    cols = [kernel_basis(a) for a in mats]
+    return _induced_sub(m, cols, [[max(r for r in range(K.rows) if K.entries[r * K.cols + c])
+                                   for c in range(K.cols)] for K in cols])
 
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    cols = [kernel_basis(f.mats[v]) for v in range(len(f.mats))]
-    return _induced_sub(f.source, cols)
+    return _kernel_sub(f.source, f.mats)
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -503,24 +566,28 @@ def stack_maps(maps: list[ModuleMap], x: Representation,
 # radical and socle
 
 
+def _arrows_at(m: Representation, v: int, into: bool = True) -> Matrix:
+    """The arrows into vertex v (0-based) side by side, spanning (rad m)_v,
+    or with into=False those out of v stacked, with kernel (soc m)_v."""
+    F = m.algebra.field
+    out = Matrix.zeros(F, m.dims[v], 0) if into else Matrix.zeros(F, 0, m.dims[v])
+    for ai, a in enumerate(m.algebra.quiver.arrows):
+        if (a.target if into else a.source) - 1 == v:
+            out = out.hstack(m.mats[ai]) if into else out.vstack(m.mats[ai])
+    return out
+
+
+def top_dims(m: Representation) -> list[int]:
+    """dim (m/J·m)_v at each vertex v: dim m_v less the rank of the arrows into v."""
+    return [d - rank(_arrows_at(m, v)) for v, d in enumerate(m.dims)]
+
+
 def radical(m: Representation) -> tuple[Representation, ModuleMap]:
     """rad m = J·m, the sum of the arrow images, with its inclusion; computed
     once per m and stored on it."""
-    if m._radical is not None:
-        return m._radical
-    F = m.algebra.field
-    q = m.algebra.quiver
-    cols = []
-    for v in range(q.n):
-        pieces = [m.mats[ai] for ai, a in enumerate(q.arrows) if a.target - 1 == v]
-        if pieces:
-            glued = pieces[0]
-            for p in pieces[1:]:
-                glued = glued.hstack(p)
-            cols.append(column_space_basis(glued))
-        else:
-            cols.append(Matrix.zeros(F, m.dims[v], 0))
-    m._radical = _induced_sub(m, cols)
+    if m._radical is None:
+        m._radical = _induced_sub(m, [column_space_basis(_arrows_at(m, v))
+                                      for v in range(len(m.dims))])
     return m._radical
 
 
@@ -538,19 +605,7 @@ def top_columns(m: Representation) -> list[tuple[int, int]]:
 
 
 def socle(m: Representation) -> tuple[Representation, ModuleMap]:
-    F = m.algebra.field
-    q = m.algebra.quiver
-    cols = []
-    for v in range(q.n):
-        pieces = [m.mats[ai] for ai, a in enumerate(q.arrows) if a.source - 1 == v]
-        if pieces:
-            glued = pieces[0]
-            for p in pieces[1:]:
-                glued = glued.vstack(p)
-            cols.append(kernel_basis(glued))
-        else:
-            cols.append(Matrix.identity(F, m.dims[v]))
-    return _induced_sub(m, cols)
+    return _kernel_sub(m, [_arrows_at(m, v, into=False) for v in range(len(m.dims))])
 
 
 def radical_power_sub(m: Representation, k: int) -> tuple[Representation, ModuleMap]:
@@ -642,9 +697,13 @@ def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
 
 
 def endo_indecomposability_check(m: Representation) -> bool:
-    """End(m) passes the residue certificate (`algebra.residue_certificate`)
-    over its hom_space basis, which proves it local with End(m)/rad = k, so
-    m is indecomposable.  Computed once per m."""
+    """End(m) is local with End(m)/rad = k, so m is indecomposable; computed
+    once per m.  When dim top m = 1, m = Λx for any x outside J·m, each f in
+    End(m) acts on the top by a scalar λ, and f - λ maps J^i·m into
+    J^(i+1)·m, so it is nilpotent.  Otherwise End(m) must pass the residue
+    certificate (`algebra.residue_certificate`) over its hom_space basis."""
+    if m._local is None and sum(top_dims(m)) == 1:
+        m._local = True
     if m._local is None:
         basis = hom_space(m, m)
 

@@ -1,11 +1,14 @@
 """Shared constructions for the test suite: the worked algebras, and
 second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies, approximations
-from Hom coordinates) that serve only as cross-checks, and the short sequences and F-quasi-isomorphisms that
-only the tests build."""
+from Hom coordinates, the intertwining solve and greedy removal for Homs
+and approximations that are read off vertex spaces) that serve only as
+cross-checks, and the short sequences and F-quasi-isomorphisms that only
+the tests build."""
 
 from dataclasses import dataclass
 
+from relhomalg import relative, rep
 from relhomalg.algebra import AbstractAlgebra
 from relhomalg.complexes import ChainMap, Complex, HomotopyHom, cone, is_f_acyclic
 from relhomalg.fields import QQ
@@ -85,10 +88,12 @@ def uniserials(algebra):
     return out
 
 
-def nakayama_problem(n, length):
+def nakayama_problem(n, length, every_indecomposable=False, tilting=False):
     """Problem file (as a dict) for the n-cycle with every path of length
-    `length` zero: G = the projectives and the simples, the corpus every
-    uniserial U{i}_{k} = P_i / rad^k P_i."""
+    `length` zero: G = the projectives and the simples (with
+    `every_indecomposable`, every uniserial), the corpus every uniserial
+    U{i}_{k} = P_i / rad^k P_i.  With `tilting` the file declares T = (+)G
+    as stalk complexes in degree 0."""
     arrows = [[f"a{v}", v, v % n + 1] for v in range(1, n + 1)]
     modules, corpus = {}, []
     for v in range(1, n + 1):
@@ -97,7 +102,9 @@ def nakayama_problem(n, length):
         for k in range(1, length):
             modules[f"U{v}_{k}"] = {"quotient_by_radical_power": [f"P{v}", k]}
             corpus.append(f"U{v}_{k}")
-    return {
+    generator = corpus if every_indecomposable else \
+        [f"P{v}" for v in range(1, n + 1)] + [f"U{v}_1" for v in range(1, n + 1)]
+    data = {
         "schema": "relhomalg/1",
         "field": "Q",
         "cutoff": 6,
@@ -106,10 +113,40 @@ def nakayama_problem(n, length):
                       for v in range(n)],
         "nilpotency": length,
         "modules": modules,
-        "generator": [f"P{v}" for v in range(1, n + 1)] + [f"U{v}_1" for v in range(1, n + 1)],
+        "generator": generator,
         "corpus": corpus,
         "corpus_complete": True,
     }
+    if tilting:
+        data["complexes"] = {f"T{g}": {"stalk": g, "degree": 0} for g in generator}
+        data["complexes"]["T"] = {"sum": [f"T{g}" for g in generator]}
+        data["tilting"] = {
+            "complex": "T",
+            "summands": [f"T{g}" for g in generator],
+            "summand_count": len(generator),
+            "witnesses": [{"summand": {"module": g, "degree": 0, "of": f"T{g}"}}
+                          for g in generator],
+        }
+    return data
+
+
+def solved_hom_space(m, n):
+    """Hom(m, n) by the intertwining solve, `rep._hom_space_compute`, which
+    `rep.hom_space` runs for every pair but a stored projective source or
+    stored injective target; the reference for the bases read off vertex
+    spaces."""
+    return rep._hom_space_compute(m, n)
+
+
+def greedy_keep(x, summands, left):
+    """The keep list of the greedy removal pass,
+    `relative._minimal_approximating_subset`, over the maps that
+    `relative._build_approximation` gathers, which every summand list but
+    the stored projectives (right) and injectives (left) runs; the
+    reference for the covers and envelopes read in one echelon scan."""
+    maps = [phi for s in summands
+            for phi in (hom_space(x, s.module) if left else hom_space(s.module, x))]
+    return relative._minimal_approximating_subset(x, maps, summands, left)
 
 
 def structure_constants(pathalg):
