@@ -39,7 +39,8 @@ class AbstractAlgebra:
         self.unit = list(unit)
         self.idempotents = [list(e) for e in idempotents] if idempotents else None
         self._grading = None  # the certified grading, False once the check failed
-        self._rad = None
+        self._rad = None  # radical(), with _off_diagonal_zero
+        self._off_diagonal_zero = None
         self._corners = {}  # i -> corner_certificate(i)
         self._presentation = None
         self.arrow_lifts: list | None = None  # the element of A behind each arrow
@@ -102,31 +103,49 @@ class AbstractAlgebra:
 
     # -- radical -------------------------------------------------------------
 
-    def radical_matrix(self) -> Matrix:
-        """Columns spanning rad(A), in every characteristic: the kernel of the
-        form (a, b) -> χ(ab) with χ(b) = Σ_i ε_i(e_i b e_i), where ε_i is the
-        residue map of the corner e_i A e_i (see `corner_certificate`) and
-        the e_i are the supplied idempotents, or the unit when none were
-        supplied.  χ vanishes on rad A and is the trace on A/rad A, a product
-        of matrix algebras over k whose trace form is nondegenerate, so the
-        kernel is rad A.  Raises ValueError when a corner is not certified."""
+    def radical(self) -> dict[tuple[int, int], list[dict]]:
+        """rad A corner by corner: (i, j) -> a basis of rad A ∩ e_i A e_j as
+        sparse vectors, for the idempotents e_i of `_corner_idempotents`;
+        ValueError when a corner is not certified.
+
+        rad A is the kernel of the form (a, b) -> χ(ab) with χ(b) =
+        Σ_i ε_i(e_i b e_i), where ε_i is the residue map of the corner
+        e_i A e_i (see `corner_certificate`): χ vanishes on rad A and is the
+        trace on A/rad A, a product of matrix algebras over k whose trace
+        form is nondegenerate, in every characteristic.  χ(ab) ≠ 0 needs ab
+        in some e_k A e_k, so b in e_i A e_j pairs only with a in e_j A e_i:
+        the kernel is the direct sum over (i, j) of the kernels of the blocks
+        [χ(x·y)], x and y running over bases of e_j A e_i and e_i A e_j.
+        `_off_diagonal_zero` records whether every block with i ≠ j is 0."""
         if self._rad is None:
             F = self.field
-            chi = [F.zero] * self.dim
+            chi = {}
             for i in range(len(self._corner_idempotents())):
                 ks, coords, residues = self.corner_certificate(i)
                 if residues is None:
                     raise ValueError(f"corner {i} is not certified local with residue field {F!r}")
                 for c, k in enumerate(ks):
-                    chi[k] = F.add(chi[k], _dot(F, coords.col(c), residues))
-            gram_rows = [[F.zero] * self.dim for _ in range(self.dim)]
-            for (i, j), prod in self.products.items():
-                gram_rows[i][j] = _dot(F, (c for _, c in prod), (chi[k] for k, _ in prod))
-            self._rad = kernel_basis(Matrix.from_rows(F, gram_rows))
+                    chi[k] = F.add(chi.get(k, F.zero), _dot(F, coords.col(c), residues))
+            bases = self._corner_bases()
+            self._rad, self._off_diagonal_zero = {}, True
+            for (i, j), ys in bases.items():
+                xs = bases[(j, i)]
+                block = [_dot(F, xy.values(), (chi.get(k, F.zero) for k in xy))
+                         for xy in (self._sparse_mul(x, y) for x in xs for y in ys)]
+                if i != j and not all(F.is_zero(c) for c in block):
+                    self._off_diagonal_zero = False
+                kernel = kernel_basis(Matrix(F, len(xs), len(ys), block))
+                self._rad[(i, j)] = [_combination(F, kernel.col(c), ys) for c in range(kernel.cols)]
         return self._rad
 
+    def radical_matrix(self) -> Matrix:
+        """The vectors of `radical` as the columns of one matrix."""
+        F = self.field
+        cols = [v for vs in self.radical().values() for v in vs]
+        return Matrix(F, self.dim, len(cols), [v.get(r, F.zero) for r in range(self.dim) for v in cols])
+
     def radical_dim(self) -> int:
-        return self.radical_matrix().cols
+        return sum(len(vs) for vs in self.radical().values())
 
     def semisimple_quotient_dim(self) -> int:
         return self.dim - self.radical_dim()
@@ -141,32 +160,55 @@ class AbstractAlgebra:
             raise ValueError("the supplied idempotents are not orthogonal and complete")
         return self.idempotents
 
+    def _corner_bases(self) -> dict[tuple[int, int], list[dict]]:
+        """A basis of each corner e_i A e_j as sparse vectors: the basis
+        vectors in it when the basis is graded (see `grading`; without
+        supplied idempotents the one corner is A), else a basis of the span
+        of the e_i·b·e_j over the basis vectors b."""
+        F = self.field
+        idems = [_sparse(F, e) for e in self._corner_idempotents()]
+        n = len(idems)
+        grading = self.grading() if self.idempotents else [(0, 0)] * self.dim
+        if grading:
+            bases = {(i, j): [] for i in range(n) for j in range(n)}
+            for b, corner in enumerate(grading):
+                bases[corner].append({b: F.one})
+            return bases
+        lefts = [[self._sparse_mul(e, {b: F.one}) for b in range(self.dim)] for e in idems]
+        return {(i, j): _span(F, [self._sparse_mul(x, e) for x in lefts[i]])
+                for i in range(n) for j, e in enumerate(idems)}
+
     def corner_certificate(self, i: int) -> tuple[list[int], Matrix, list | None]:
         """The corner E = e_i A e_i, spanned by the products e_i b_k e_i: the
         indices k of the nonzero ones, their coordinates (columns) in a basis
         of E, and the residues of that basis when they certify E local with
-        E/rad E = k (see `residue_certificate`), else None."""
+        E/rad E = k (see `residue_certificate`), else None.  When the basis
+        is graded (see `grading`) the nonzero products are the basis vectors
+        of the corner, read off the grading."""
         if i not in self._corners:
             F = self.field
-            e = self._corner_idempotents()[i]
-            es = _sparse(F, e)
-            ks, ys = [], []
-            for k in range(self.dim):
-                y = self._sparse_mul(self._sparse_mul(es, {k: F.one}), es)
-                if y:
-                    ks.append(k)
-                    ys.append(y)
-            Y = Matrix(F, self.dim, len(ys),
-                       [y.get(r, F.zero) for r in range(self.dim) for y in ys])
+            es = _sparse(F, self._corner_idempotents()[i])
+            grading = self.grading()
+            if grading:
+                pairs = [(k, {k: F.one}) for k, corner in enumerate(grading) if corner == (i, i)]
+            else:
+                pairs = [(k, y) for k in range(self.dim)
+                         for y in [self._sparse_mul(self._sparse_mul(es, {k: F.one}), es)] if y]
+            ks, ys = [k for k, _ in pairs], [y for _, y in pairs]
+            rows = sorted(set().union(*ys))
+            Y = Matrix(F, len(rows), len(ys), [y.get(r, F.zero) for r in rows for y in ys])
             R, pivots = rref(Y)
-            basis = Y.select_columns(pivots)
-            solver = SpanSolver(basis)
+            basis = [ys[p] for p in pivots]
+            solver = SpanSolver(Y.select_columns(pivots))
+
+            def coords(x: dict):
+                return solver.coords([x.get(r, F.zero) for r in rows])
 
             def mul(u, v):
-                return solver.coords(self.mul(basis.apply(u), basis.apply(v)))
+                return coords(self._sparse_mul(_combination(F, u, basis), _combination(F, v, basis)))
 
             self._corners[i] = (ks, R.submatrix(range(len(pivots)), range(len(ys))),
-                                residue_certificate(F, len(pivots), solver.coords(e), mul))
+                                residue_certificate(F, len(pivots), coords(es), mul))
         return self._corners[i]
 
     # -- idempotent certificates ---------------------------------------------
@@ -174,60 +216,63 @@ class AbstractAlgebra:
     def grading(self) -> list[tuple[int, int]] | None:
         """The corner (i, j) of each basis vector, certified: the supplied
         idempotents are orthogonal and complete, and every basis vector b has
-        e_i b e_j = b for exactly one pair (i, j).  None when no idempotents
-        were supplied or the check fails."""
+        e_i·b = b = b·e_j for some pair (i, j).  Then b lies in e_i A e_j and
+        in no other corner, since e_k·b = e_k·e_i·b = 0 for k ≠ i (and
+        b·e_l = 0 for l ≠ j).  None when no idempotents were supplied or the
+        check fails."""
         if self._grading is None:
             self._grading = self._certify_grading() if self.idempotents else False
         return self._grading or None
 
     def _orthogonal_complete(self) -> bool:
         F = self.field
-        idems = self.idempotents
-        total = [F.zero] * self.dim
+        idems = [_sparse(F, e) for e in self.idempotents]
+        total = {}
         for a, e in enumerate(idems):
-            total = [F.add(x, y) for x, y in zip(total, e)]
+            for k, c in e.items():
+                total[k] = F.add(total.get(k, F.zero), c)
             for b, f in enumerate(idems):
-                expected = e if a == b else [F.zero] * self.dim
-                if not _same(F, self.mul(e, f), expected):
+                if not _same(F, self._sparse_mul(e, f), e if a == b else {}):
                     return False
-        return _same(F, total, self.unit)
+        return _same(F, total, _sparse(F, self.unit))
 
     def _certify_grading(self):
         if not self._orthogonal_complete():
             return False
-        F = self.field
-        # e_i b e_j = b iff e_i b = b and b e_j = b, so the pair is unique
-        # when exactly one idempotent fixes b on each side
-        supports = [{k: c for k, c in enumerate(e) if not F.is_zero(c)} for e in self.idempotents]
-        grading = []
-        for b in range(self.dim):
-            lefts = [i for i, e in enumerate(supports) if self._fixes(e, b, self._by_right)]
-            rights = [j for j, e in enumerate(supports) if self._fixes(e, b, self._by_left)]
-            if len(lefts) != 1 or len(rights) != 1:
-                return False
-            grading.append((lefts[0], rights[0]))
-        return grading
+        idems = [_sparse(self.field, e) for e in self.idempotents]
+        lefts, rights = self._fixed(idems, self._by_left), self._fixed(idems, self._by_right)
+        if len(lefts) < self.dim or len(rights) < self.dim:
+            return False
+        return [(lefts[b], rights[b]) for b in range(self.dim)]
 
-    def _fixes(self, e: dict, b: int, by) -> bool:
-        """e * b_b = b_b (by = _by_right) or b_b * e = b_b (by = _by_left),
-        for e given by its nonzero coordinates."""
+    def _fixed(self, idems: list[dict], by) -> dict[int, int]:
+        """b -> i for the basis vectors b with e_i·b = b (by = _by_left) or
+        b·e_i = b (by = _by_right).  Each e_i multiplies every basis vector
+        at once, through the products of the basis vectors in its support,
+        so only nonzero products are touched."""
         F = self.field
-        out = {}
-        for i, prod in by[b]:
-            c = e.get(i)
-            if c is None:
-                continue
-            for k, ck in prod:
-                out[k] = F.add(out.get(k, F.zero), F.mul(c, ck))
-        nonzero = [(k, x) for k, x in out.items() if not F.is_zero(x)]
-        return len(nonzero) == 1 and nonzero[0][0] == b and F.is_zero(F.sub(nonzero[0][1], F.one))
+        fixed = {}
+        for i, e in enumerate(idems):
+            out: dict[int, dict] = {}
+            for k, c in e.items():
+                for b, prod in by[k]:
+                    y = out.setdefault(b, {})
+                    for t, ct in prod:
+                        y[t] = F.add(y.get(t, F.zero), F.mul(c, ct))
+            fixed.update((b, i) for b, y in out.items() if _same(F, y, {b: F.one}))
+        return fixed
 
     def idempotents_split_basic(self) -> bool:
-        """The supplied idempotents grade the basis (see `grading`) and every
-        corner passes the residue certificate, which proves its image in
-        A/rad one-dimensional (the split basic certificate)."""
-        return self.grading() is not None and all(
-            self.corner_certificate(i)[2] is not None for i in range(len(self.idempotents)))
+        """The split basic certificate: the supplied idempotents grade the
+        basis (see `grading`), every corner passes the residue certificate,
+        which proves its image in A/rad A to be k, and every block of
+        `radical` off the diagonal is zero, so e_i A e_j lies in rad A for
+        i ≠ j.  Together A/rad A = k × ... × k."""
+        if self.grading() is None or any(self.corner_certificate(i)[2] is None
+                                         for i in range(len(self.idempotents))):
+            return False
+        self.radical()
+        return self._off_diagonal_zero
 
     # -- presentation ---------------------------------------------------------
 
@@ -236,33 +281,29 @@ class AbstractAlgebra:
         I, §II.3), built once and certified (`certify_presentation`).
 
         Vertex i is the idempotent e_i of `_corner_idempotents`.  A lift b of
-        a basis of e_i(rad/rad²)e_j is an arrow j -> i; the corners are taken
-        as e_i·x·e_j, so the basis of A need not be graded.  The word
-        (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul` order), so representations
-        of kQ/I are left A-modules.  With L the Loewy length, J^L maps to 0
-        and the nilpotency bound is max(L, 2); I is generated by the kernel
-        of the path map on the words of length 2..L-1 (`_relations`), of
-        which the irredundant relations are kept."""
+        a basis of e_i(rad/rad²)e_j is an arrow j -> i, read off the corners
+        of `radical`.  The word (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul`
+        order), so representations of kQ/I are left A-modules.  With L the
+        Loewy length, J^L maps to 0 and the nilpotency bound is max(L, 2).
+        `_relations` gives the reduced Gröbner basis of I and the irreducible
+        words, which the path algebra takes as they are; of the Gröbner basis
+        the irredundant relations are kept as `relations`."""
         if self._presentation is None:
             quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
             nilpotency = max(loewy, 2)
-            relations = irredundant_relations(self.field, self._relations(quiver, loewy), nilpotency)
-            pathalg = PathAlgebra(self.field, quiver, relations, nilpotency)
+            groebner = self._relations(quiver, loewy)
+            relations = irredundant_relations(self.field, groebner[0], nilpotency)
+            pathalg = PathAlgebra(self.field, quiver, relations, nilpotency, groebner)
             self.certify_presentation(pathalg)
             self._presentation = pathalg
         return self._presentation
 
     def _gabriel_quiver(self) -> tuple[Quiver, list[dict], int]:
         """The quiver, the lift of each arrow and the Loewy length, with
-        elements kept sparse."""
+        elements kept sparse, corner by corner."""
         F = self.field
-        idems = [_sparse(F, e) for e in self._corner_idempotents()]
-        n = len(idems)
-        rad = self.radical_matrix()
-        lefts = [[self._sparse_mul(e, _sparse(F, rad.col(c))) for c in range(rad.cols)]
-                 for e in idems]
-        corners = {(i, j): _span(F, [self._sparse_mul(x, e) for x in lefts[i]])
-                   for i in range(n) for j, e in enumerate(idems)}  # e_i rad e_j
+        n = len(self._corner_idempotents())
+        corners = self.radical()  # e_i rad e_j
         arrows, lifts = [], []
         for j in range(n):
             for i in range(n):
@@ -281,7 +322,7 @@ class AbstractAlgebra:
                      for (i, j) in layer}
         return Quiver(n, arrows), lifts, loewy
 
-    def _relations(self, quiver: Quiver, loewy: int) -> list:
+    def _relations(self, quiver: Quiver, loewy: int) -> tuple[list, list]:
         """The kernel of the path map on words of length 2..L-1, as rules
         w - Σ c_u·u with every u an irreducible word before w (shorter, or
         as long and smaller) with the same source and target.  Length by
@@ -291,7 +332,8 @@ class AbstractAlgebra:
         span of the irreducible words before it (one rref).  A word that
         contains a relation's leading word is in the ideal already, so these
         rules and J^L generate I: they are the reduced Gröbner basis for the
-        order the rewriter uses."""
+        order the rewriter uses.  Returns the rules, each [(1, w), (-c_u, u),
+        ...], and the irreducible words of length 1..L-1."""
         F = self.field
         image = {(a,): b for a, b in enumerate(self.arrow_lifts)}  # irreducible words
         leaving = {v: [a for a, arrow in enumerate(quiver.arrows) if arrow.source == v]
@@ -329,7 +371,7 @@ class AbstractAlgebra:
                 before.extend(w for w in words if w in image)
             if not level:
                 break
-        return relations
+        return relations, list(image)
 
     def certify_presentation(self, pathalg: PathAlgebra):
         """Raise ValueError unless the images in A of the basis words of
@@ -351,8 +393,8 @@ class AbstractAlgebra:
         return f"AbstractAlgebra(dim={self.dim})"
 
 
-def _same(F: Field, u: list, v: list) -> bool:
-    return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
+def _same(F: Field, u: dict, v: dict) -> bool:
+    return all(F.is_zero(F.sub(u.get(k, F.zero), v.get(k, F.zero))) for k in u.keys() | v.keys())
 
 
 def _sparse(F: Field, v: list) -> dict:
@@ -373,6 +415,15 @@ def _span(F: Field, vectors: list[dict]) -> list[dict]:
         return []
     _, pivots = rref(_columns(F, vectors))
     return [vectors[p] for p in pivots]
+
+
+def _combination(F: Field, coeffs, vectors: list[dict]) -> dict:
+    """Σ c·v over the coefficients and the sparse vectors, sparse."""
+    out = {}
+    for c, v in zip(coeffs, vectors):
+        for k, x in v.items():
+            out[k] = F.add(out.get(k, F.zero), F.mul(c, x))
+    return {k: x for k, x in out.items() if not F.is_zero(x)}
 
 
 def _dot(F: Field, u, v):
@@ -412,7 +463,7 @@ def residue(F: Field, x: list, unit: list, mul):
     power = [F.one]  # (t - λ)^j, constant term first
     for _ in range(k):
         power = [F.sub(a, F.mul(lam, b)) for a, b in zip([F.zero] + power, power + [F.zero])]
-    return lam if _same(F, poly, power) else None
+    return lam if _same(F, dict(enumerate(poly)), dict(enumerate(power))) else None
 
 
 def residue_certificate(F: Field, dim: int, unit: list, mul) -> list | None:

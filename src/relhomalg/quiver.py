@@ -56,40 +56,33 @@ def _word_key(w: tuple[int, ...]):
 
 
 class _Rewriter:
-    """Confluent rewriting for word combos, with the J^N cutoff built in."""
+    """Confluent rewriting for word combos, with the J^N cutoff built in: each
+    rule rewrites its leading word L to the combination rules[L]."""
 
     def __init__(self, field: Field, nilpotency: int):
         self.field = field
         self.N = nilpotency
-        self.rules: list[tuple[tuple[int, ...], dict]] = []
+        self.rules: dict[tuple[int, ...], dict] = {}
 
     def reduce(self, combo: dict) -> dict:
         F = self.field
+        rules = self.rules
         out: dict = {}
-        stack = [(w, c) for w, c in combo.items()]
+        stack = list(combo.items())
         while stack:
             w, c = stack.pop()
-            if F.is_zero(c):
+            if F.is_zero(c) or len(w) >= self.N:
                 continue
-            if len(w) >= self.N:
-                continue
-            hit = None
-            for L, R in self.rules:
-                lw = len(L)
-                for pos in range(len(w) - lw + 1):
-                    if w[pos : pos + lw] == L:
-                        hit = (L, R, pos)
-                        break
-                if hit:
-                    break
+            hit = next(((pos, end) for pos in range(len(w)) for end in range(pos + 1, len(w) + 1)
+                        if w[pos:end] in rules), None)
             if hit is None:
                 out[w] = F.add(out.get(w, F.zero), c)
                 if F.is_zero(out[w]):
                     del out[w]
             else:
-                L, R, pos = hit
-                for rw, rc in R.items():
-                    stack.append((w[:pos] + rw + w[pos + len(L):], F.mul(c, rc)))
+                pos, end = hit
+                for rw, rc in rules[w[pos:end]].items():
+                    stack.append((w[:pos] + rw + w[end:], F.mul(c, rc)))
         return out
 
     def add_rule_from(self, combo: dict) -> bool:
@@ -99,58 +92,32 @@ class _Rewriter:
         F = self.field
         L = max(combo, key=_word_key)
         lead = combo[L]
-        R = {w: F.neg(F.div(c, lead)) for w, c in combo.items() if w != L}
-        self.rules.append((L, R))
+        self.rules[L] = {w: F.neg(F.div(c, lead)) for w, c in combo.items() if w != L}
         return True
 
     def complete(self):
-        """Critical-pair completion (bounded by the length cutoff)."""
+        """Critical-pair completion (bounded by the length cutoff): each word
+        with two rewrites u1·L1·v1 = u2·L2·v2, where L1 ends as L2 begins or
+        L1 contains L2, rewritten both ways; a nonzero difference is a rule."""
         F = self.field
         changed = True
         while changed:
             changed = False
-            n_rules = len(self.rules)
-            for i in range(n_rules):
-                for j in range(n_rules):
-                    L1, R1 = self.rules[i]
-                    L2, R2 = self.rules[j]
-                    overlaps = []
-                    # suffix of L1 equals prefix of L2
-                    for k in range(1, min(len(L1), len(L2))):
-                        if L1[-k:] == L2[:k]:
-                            overlaps.append(("glue", k))
-                    # L2 contained inside L1
+            rules = list(self.rules.items())
+            for i, (L1, R1) in enumerate(rules):
+                for j, (L2, R2) in enumerate(rules):
+                    sides = [((), L2[k:], L1[:-k], ()) for k in range(1, min(len(L1), len(L2)))
+                             if L1[-k:] == L2[:k]]
                     if i != j and len(L2) < len(L1):
-                        for pos in range(len(L1) - len(L2) + 1):
-                            if L1[pos : pos + len(L2)] == L2:
-                                overlaps.append(("contain", pos))
-                    for kind, k in overlaps:
-                        if kind == "glue":
-                            tail = L2[k:]
-                            one = {L1 + tail: F.one}
-                            c1 = {}
-                            for rw, rc in R1.items():
-                                c1[rw + tail] = F.add(c1.get(rw + tail, F.zero), rc)
-                            head = L1[: len(L1) - k]
-                            c2 = {}
-                            for rw, rc in R2.items():
-                                c2[head + rw] = F.add(c2.get(head + rw, F.zero), rc)
-                        else:
-                            pos = k
-                            c1 = dict(R1)
-                            c2 = {}
-                            for rw, rc in R2.items():
-                                w = L1[:pos] + rw + L1[pos + len(L2):]
-                                c2[w] = F.add(c2.get(w, F.zero), rc)
+                        sides += [((), (), L1[:pos], L1[pos + len(L2):])
+                                  for pos in range(len(L1) - len(L2) + 1) if L1[pos:pos + len(L2)] == L2]
+                    for u1, v1, u2, v2 in sides:
                         diff: dict = {}
-                        for w, c in c1.items():
-                            diff[w] = F.add(diff.get(w, F.zero), c)
-                        for w, c in c2.items():
-                            diff[w] = F.sub(diff.get(w, F.zero), c)
+                        for R, u, v, sign in ((R1, u1, v1, F.one), (R2, u2, v2, F.neg(F.one))):
+                            for w, c in R.items():
+                                diff[u + w + v] = F.add(diff.get(u + w + v, F.zero), F.mul(sign, c))
                         if self.add_rule_from(diff):
                             changed = True
-            if changed:
-                continue
 
 
 class PathAlgebra:
@@ -161,7 +128,14 @@ class PathAlgebra:
     indices; trivial paths have the empty word.
     """
 
-    def __init__(self, field: Field, quiver: Quiver, relations, nilpotency: int):
+    def __init__(self, field: Field, quiver: Quiver, relations, nilpotency: int,
+                 groebner: tuple[list, list] | None = None):
+        """The relations modulo J^N, completed into rewriting rules whose
+        irreducible words are the basis.  groebner = (rules, words), a reduced
+        Gröbner basis of that ideal for the rewriter's order, each rule
+        [(1, w), (c, u), ...] with leading word w, and its irreducible words
+        of length 1..N-1, is taken as it is; the caller proves it (see
+        `algebra.AbstractAlgebra.certify_presentation`)."""
         if nilpotency < 2:
             raise ValueError("nilpotency bound must be at least 2")
         self.field = field
@@ -171,37 +145,34 @@ class PathAlgebra:
         self._opposite: PathAlgebra | None = None
 
         rw = _Rewriter(field, nilpotency)
-        for rel in relations:
-            if not rel:
-                continue
-            ends = set()
-            for coeff, word in rel:
-                word = tuple(word)
-                if len(word) < 2:
-                    raise ValueError("non-admissible relation: path of length < 2")
-                if not quiver.composable(word):
-                    raise ValueError(f"relation word not composable: {word}")
-                ends.add((quiver.word_source(word), quiver.word_target(word)))
-            if len(ends) != 1:
-                raise ValueError("relation mixes non-parallel paths")
-            combo: dict = {}
-            for coeff, word in rel:
-                w = tuple(word)
-                combo[w] = field.add(combo.get(w, field.zero), coeff)
-            rw.add_rule_from(combo)
-        rw.complete()
-        self._ensure_length_cutoff_consistent(rw)
+        if groebner is None:
+            for rel in filter(None, relations):
+                combo: dict = {}
+                for coeff, word in rel:
+                    w = tuple(word)
+                    if len(w) < 2:
+                        raise ValueError("non-admissible relation: path of length < 2")
+                    if not quiver.composable(w):
+                        raise ValueError(f"relation word not composable: {w}")
+                    combo[w] = field.add(combo.get(w, field.zero), coeff)
+                if len({(quiver.word_source(w), quiver.word_target(w)) for w in combo}) != 1:
+                    raise ValueError("relation mixes non-parallel paths")
+                rw.add_rule_from(combo)
+            rw.complete()
+            self._ensure_length_cutoff_consistent(rw)
+            words, level = [], [()]
+            for _ in range(nilpotency - 1):
+                level = [w + (ai,) for w in level for ai in range(len(quiver.arrows))
+                         if not w or quiver.arrows[w[-1]].target == quiver.arrows[ai].source]
+                words += [w for w in level if rw.reduce({w: field.one}) == {w: field.one}]
+        else:
+            rules, words = groebner
+            rw.rules = {tuple(rule[0][1]): {tuple(w): field.neg(c) for c, w in rule[1:]}
+                        for rule in rules}
         self.rewriter = rw
 
         self.basis: list[tuple[int, tuple[int, ...]]] = [(v, ()) for v in range(1, quiver.n + 1)]
-        words = [()]
-        for _ in range(nilpotency - 1):
-            words = [w + (ai,) for w in words for ai in range(len(quiver.arrows))
-                     if not w or quiver.arrows[w[-1]].target == quiver.arrows[ai].source]
-            for w in words:
-                reduced = rw.reduce({w: field.one})
-                if len(reduced) == 1 and w in reduced:
-                    self.basis.append((quiver.word_source(w), w))
+        self.basis += [(quiver.word_source(w), w) for w in words]
         self.basis.sort(key=lambda e: (len(e[1]), e[1], e[0]))
         self.basis_index = {e: k for k, e in enumerate(self.basis)}
         self.dim = len(self.basis)
@@ -220,28 +191,23 @@ class PathAlgebra:
         length >= N or to 0 under the relation rules; otherwise the J^N
         truncation would disagree with the relation ideal and we add the
         residue as an extra rule."""
-        F = self.field
         q = self.quiver
-        changed = True
-        guard = 0
-        while changed:
+        words = [()]
+        for _ in range(self.N):
+            words = [w + (ai,) for w in words for ai in range(len(q.arrows))
+                     if not w or q.arrows[w[-1]].target == q.arrows[ai].source]
+            if len(words) > 200000:
+                raise ValueError("nilpotency sweep too large; lower N or simplify relations")
+        for _ in range(20):
             changed = False
-            guard += 1
-            if guard > 20:
-                raise ValueError("relation/nilpotency completion did not stabilize")
-            words = [()]
-            for _ in range(self.N):
-                words = [w + (ai,) for w in words for ai in range(len(q.arrows))
-                         if not w or q.arrows[w[-1]].target == q.arrows[ai].source]
-                if len(words) > 200000:
-                    raise ValueError("nilpotency sweep too large; lower N or simplify relations")
             for w in words:
-                residue = rw.reduce({w: F.one})
-                if residue:
-                    if rw.add_rule_from(residue):
-                        changed = True
-            if changed:
-                rw.complete()
+                residue = rw.reduce({w: self.field.one})
+                if residue and rw.add_rule_from(residue):
+                    changed = True
+            if not changed:
+                return
+            rw.complete()
+        raise ValueError("relation/nilpotency completion did not stabilize")
 
     # -- elements ---------------------------------------------------------
 

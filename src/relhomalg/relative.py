@@ -99,7 +99,10 @@ class SubbifunctorF:
 
 
 def hom_g_surjective(f: SubbifunctorF, g_map: ModuleMap) -> bool:
-    """Is Hom(G, g_map) surjective onto Hom(G, target)?"""
+    """Is Hom(G, g_map) surjective onto Hom(G, target)?  When G is the
+    stored P_1..P_n, Hom(P_v, -) = (-)_v, so this is g_map onto."""
+    if _are_vertex_modules(f.summands, f.algebra, "projective"):
+        return g_map.is_surjective()
     return _minimal_approximating_subset(g_map.target, [g_map], f.summands, left=False) is not None
 
 
@@ -207,9 +210,7 @@ def _vertex_keep(x: Representation, summands: list[SummandDecl], algebra: PathAl
     (soc x)_v.  So the greedy pass keeps each map outside the span of the
     fixed part and the maps after it: the pivots of one rref of
     [fixed | u_last ... u_first] per vertex."""
-    kind = "injective" if left else "projective"
-    if _modules(summands) != tuple(algebra.vertex_modules.get((kind, v))
-                                   for v in range(1, algebra.quiver.n + 1)):
+    if not _are_vertex_modules(summands, algebra, "injective" if left else "projective"):
         return None
     keep: list[int] = []
     offset = 0
@@ -225,6 +226,12 @@ def _vertex_keep(x: Representation, summands: list[SummandDecl], algebra: PathAl
         keep += sorted(offset + w + d - 1 - p for p in pivots if p >= w)
         offset += d
     return keep
+
+
+def _are_vertex_modules(summands: list[SummandDecl], algebra: PathAlgebra, kind: str) -> bool:
+    """The summands are the stored modules of kind at vertices 1..n, in order."""
+    return _modules(summands) == tuple(algebra.vertex_modules.get((kind, v))
+                                       for v in range(1, algebra.quiver.n + 1))
 
 
 def _on_module(x: Representation, key: tuple, compute):

@@ -35,8 +35,10 @@ class Representation:
     `algebra.modules` already holds returns the stored object, so identity
     is content and the per-object caches below serve every construction of
     the same module.  The relations are checked once per content, the first
-    time a checked construction asks for it; unchecked constructions (direct
-    sums, simples) store the content unvalidated until then."""
+    time a checked construction asks for it; unchecked constructions (simples,
+    submodules and sums of unchecked modules) store the content unvalidated
+    until then, and submodules and sums of checked ones are checked by
+    construction."""
     __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations",
                  "_radical", "_top")
 
@@ -438,9 +440,13 @@ def _coordinate_matrix(field, basis: list[ModuleMap], maps) -> Matrix:
 
 def _induced_sub(m: Representation, cols: list[Matrix],
                  rows=None) -> tuple[Representation, ModuleMap]:
-    """Subrepresentation on given per-vertex column spaces (must be closed).
-    When each cols[v] is the identity at rows[v], the arrows on the sub are
-    read off there, and the inclusion's intertwining check proves closure."""
+    """Subrepresentation on given per-vertex column spaces (bases, must be
+    closed).  When each cols[v] is the identity at rows[v], the arrows on
+    the sub are read off there, and the inclusion's intertwining check
+    proves closure.  That check also proves the relations when m satisfies
+    them: it gives m(w)·cols = cols·sub(w) for every word w, so
+    cols·sub(ρ) = m(ρ)·cols = 0 for a relation ρ, and cols is injective.
+    So the sub is checked exactly when m is."""
     mats = []
     for ai, a in enumerate(m.algebra.quiver.arrows):
         img = m.mats[ai] * cols[a.source - 1]
@@ -449,13 +455,16 @@ def _induced_sub(m: Representation, cols: list[Matrix],
         if coef is None:
             raise ValueError("columns not closed under the action")
         mats.append(coef)
-    sub = Representation(m.algebra, tuple(c.cols for c in cols), mats)
-    return sub, ModuleMap(sub, m, cols)
+    sub = Representation(m.algebra, tuple(c.cols for c in cols), mats, check=False)
+    incl = ModuleMap(sub, m, cols)
+    sub._checked |= m._checked
+    return sub, incl
 
 
 def _kernel_sub(m: Representation, mats: list[Matrix]) -> tuple[Representation, ModuleMap]:
-    """The subrepresentation on the kernels of mats[v] (must be closed); each
-    kernel_basis is the identity at its free rows, a column's last nonzero."""
+    """The subrepresentation on the kernels of mats[v] (must be closed),
+    checked when m is; each kernel_basis is the identity at its free rows, a
+    column's last nonzero."""
     cols = [kernel_basis(a) for a in mats]
     return _induced_sub(m, cols, [[max(r for r in range(K.rows) if K.entries[r * K.cols + c])
                                    for c in range(K.cols)] for K in cols])
@@ -523,6 +532,8 @@ class DirectSum:
 
 
 def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) -> DirectSum:
+    """The sum, marked checked when every part is: its arrow matrices are
+    block-diagonal, so every word, and every relation, acts part by part."""
     if algebra is None:
         algebra = parts[0].algebra
     F = algebra.field
@@ -538,7 +549,9 @@ def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) 
             mats.append(Matrix.zeros(F, 0, 0))
         if (mats[-1].rows, mats[-1].cols) != (dims[a.target - 1], dims[a.source - 1]):
             mats[-1] = Matrix.zeros(F, dims[a.target - 1], dims[a.source - 1])
-    return DirectSum(Representation(algebra, dims, mats, check=False), list(parts))
+    rep = Representation(algebra, dims, mats, check=False)
+    rep._checked |= all(p._checked for p in parts)
+    return DirectSum(rep, list(parts))
 
 
 def stack_maps(maps: list[ModuleMap], x: Representation,

@@ -2,17 +2,19 @@
 second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies, approximations
 from Hom coordinates, the intertwining solve and greedy removal for Homs
-and approximations that are read off vertex spaces) that serve only as
+and approximations that are read off vertex spaces, and for End(T) the
+residue form on all of A, the grading scan over every idempotent and the
+presentation by completing its relations) that serve only as
 cross-checks, and the short sequences and F-quasi-isomorphisms that only
 the tests build."""
 
 from dataclasses import dataclass
 
 from relhomalg import relative, rep
-from relhomalg.algebra import AbstractAlgebra
+from relhomalg.algebra import AbstractAlgebra, residue_certificate
 from relhomalg.complexes import ChainMap, Complex, HomotopyHom, cone, is_f_acyclic
 from relhomalg.fields import QQ
-from relhomalg.matrix import Matrix, column_space_basis, kernel_basis, rank, solve
+from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref, solve
 from relhomalg.quiver import PathAlgebra, Quiver
 from relhomalg.relative import SubbifunctorF, SummandDecl, is_f_exact, left_approximation
 from relhomalg.rep import (
@@ -163,6 +165,122 @@ def structure_constants(pathalg):
 
     return AbstractAlgebra(F, d, table, vector(trivial),
                            idempotents=[vector({k}) for k in trivial], validate=False)
+
+
+def residue_form_radical(algebra):
+    """rad A as the kernel of the d x d form [χ(b_i·b_j)], with χ(b) =
+    Σ_i ε_i(e_i b e_i) read off dense products e_i·b_k·e_i for every basis
+    vector; the construction the block radical (`AbstractAlgebra.radical`)
+    replaced."""
+    F, d = algebra.field, algebra.dim
+    chi = [F.zero] * d
+    for e in algebra.idempotents or [algebra.unit]:
+        ys = {}
+        for k in range(d):
+            y = algebra.mul(algebra.mul(e, algebra.basis_vector(k)), e)
+            if any(not F.is_zero(c) for c in y):
+                ys[k] = y
+        Y = Matrix(F, d, len(ys), [y[r] for r in range(d) for y in ys.values()])
+        R, pivots = rref(Y)
+        basis = Y.select_columns(pivots)
+        solver = SpanSolver(basis)
+        residues = residue_certificate(F, len(pivots), solver.coords(e), lambda u, v: solver.coords(
+            algebra.mul(basis.apply(u), basis.apply(v))))
+        assert residues is not None
+        for c, k in enumerate(ys):
+            for r, lam in enumerate(residues):
+                chi[k] = F.add(chi[k], F.mul(R.at(r, c), lam))
+    gram = [[F.zero] * d for _ in range(d)]
+    for (i, j), prod in algebra.products.items():
+        for k, c in prod:
+            gram[i][j] = F.add(gram[i][j], F.mul(c, chi[k]))
+    return kernel_basis(Matrix.from_rows(F, gram))
+
+
+def scanned_grading(algebra):
+    """The corner (i, j) of each basis vector b from dense products of b with
+    every idempotent on both sides: None unless the idempotents are
+    orthogonal and complete and exactly one fixes b on each side; a second
+    route to `AbstractAlgebra.grading`."""
+    F, d = algebra.field, algebra.dim
+    idems = algebra.idempotents
+    if not idems:
+        return None
+
+    def same(u, v):
+        return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
+
+    total = [F.zero] * d
+    for a, e in enumerate(idems):
+        total = [F.add(x, y) for x, y in zip(total, e)]
+        for b, f in enumerate(idems):
+            if not same(algebra.mul(e, f), e if a == b else [F.zero] * d):
+                return None
+    if not same(total, algebra.unit):
+        return None
+    grading = []
+    for b in range(d):
+        v = algebra.basis_vector(b)
+        lefts = [i for i, e in enumerate(idems) if same(algebra.mul(e, v), v)]
+        rights = [j for j, e in enumerate(idems) if same(algebra.mul(v, e), v)]
+        if len(lefts) != 1 or len(rights) != 1:
+            return None
+        grading.append((lefts[0], rights[0]))
+    return grading
+
+
+def completed_presentation(algebra):
+    """The quiver presentation of an AbstractAlgebra rebuilt from its
+    irredundant relations by the completing construction (critical-pair
+    completion, the length-cutoff sweep and the enumeration of irreducible
+    words), which the path algebra of a presentation no longer runs."""
+    pres = algebra.presentation()
+    return PathAlgebra(pres.field, pres.quiver, pres.relations, pres.N)
+
+
+def matrix_algebra_2(field=QQ):
+    """M_2(k) on the matrix units E11, E12, E21, E22, with the idempotents
+    E11 and E22: isomorphic, so it is not basic, and rad = 0."""
+    index = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+    table = {(a, b): {index[(i, l)]: field.one}
+             for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
+    o, z = field.one, field.zero
+    return AbstractAlgebra(field, 4, table, [o, z, z, o], idempotents=[[o, z, z, z], [z, z, z, o]],
+                           validate=True)
+
+
+def dual_numbers(field=QQ):
+    """k[x]/(x^2) on the basis 1, x, with no idempotents supplied."""
+    o, z = field.one, field.zero
+    return AbstractAlgebra(field, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}, [o, z],
+                           validate=True)
+
+
+def mixed_a2(field=QQ):
+    """A2's path algebra with the arrow a replaced by a + e1 in its basis, so
+    that basis vector mixes two corners, while the supplied idempotents stay
+    the trivial paths e1 and e2."""
+    a = structure_constants(a2_algebra(field))
+    F = a.field
+    trivial = [e.index(F.one) for e in a.idempotents]
+    (x,) = [b for b in range(a.dim) if b not in trivial]
+    mix = trivial[0]
+
+    def to_old(w):  # new coordinates -> old: b'_x = b_x + b_mix
+        v = list(w)
+        v[mix] = F.add(v[mix], w[x])
+        return v
+
+    def to_new(v):
+        w = list(v)
+        w[mix] = F.sub(w[mix], v[x])
+        return w
+
+    table = {(i, j): dict(enumerate(to_new(a.mul(to_old(a.basis_vector(i)),
+                                                 to_old(a.basis_vector(j))))))
+             for i in range(a.dim) for j in range(a.dim)}
+    return AbstractAlgebra(F, a.dim, table, to_new(a.unit),
+                           idempotents=[to_new(e) for e in a.idempotents], validate=True)
 
 
 def ext_by_injectives(x, y, upto):

@@ -84,7 +84,10 @@ def test_bundled_approximations_match_coordinates(checked, name, field):
         run("--field", field, "relhom", "exact", "--module", module, path)
     assert_agree(checked)
     kinds = {what for what, _, _ in checked}
-    assert kinds == {"keep", "hom_g_surjective"}
+    # with G the projectives (a2_apr) F-exactness is surjectivity and every
+    # approximation is a projective cover or injective envelope, so the
+    # routine runs only when G has another summand
+    assert kinds == ({"hom_g_surjective"} if name == "a2_apr" else {"keep", "hom_g_surjective"})
 
 
 @pytest.mark.parametrize("field", FIELDS)
