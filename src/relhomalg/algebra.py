@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .fields import Field
 from .matrix import Matrix, SpanSolver, kernel_basis, rank, rref
-from .quiver import PathAlgebra, Quiver, irredundant_relations
+from .quiver import PathAlgebra, Quiver, _combine
 
 
 class AbstractAlgebra:
@@ -135,7 +135,7 @@ class AbstractAlgebra:
                 if i != j and not all(F.is_zero(c) for c in block):
                     self._off_diagonal_zero = False
                 kernel = kernel_basis(Matrix(F, len(xs), len(ys), block))
-                self._rad[(i, j)] = [_combination(F, kernel.col(c), ys) for c in range(kernel.cols)]
+                self._rad[(i, j)] = [_combine(F, zip(kernel.col(c), ys)) for c in range(kernel.cols)]
         return self._rad
 
     def radical_matrix(self) -> Matrix:
@@ -205,7 +205,7 @@ class AbstractAlgebra:
                 return solver.coords([x.get(r, F.zero) for r in rows])
 
             def mul(u, v):
-                return coords(self._sparse_mul(_combination(F, u, basis), _combination(F, v, basis)))
+                return coords(self._sparse_mul(_combine(F, zip(u, basis)), _combine(F, zip(v, basis))))
 
             self._corners[i] = (ks, R.submatrix(range(len(pivots)), range(len(ys))),
                                 residue_certificate(F, len(pivots), coords(es), mul))
@@ -285,15 +285,16 @@ class AbstractAlgebra:
         of `radical`.  The word (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul`
         order), so representations of kQ/I are left A-modules.  With L the
         Loewy length, J^L maps to 0 and the nilpotency bound is max(L, 2).
-        `_relations` gives the reduced Gröbner basis of I and the irreducible
-        words, which the path algebra takes as they are; of the Gröbner basis
-        the irredundant relations are kept as `relations`."""
+        This map is the path algebra's model of the words' images: its basis
+        is the normal words, and its relations the reduced Gröbner basis of
+        I, the kernel of the map (see `quiver._normal_words`)."""
         if self._presentation is None:
+            F = self.field
             quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
-            nilpotency = max(loewy, 2)
-            groebner = self._relations(quiver, loewy)
-            relations = irredundant_relations(self.field, groebner[0], nilpotency)
-            pathalg = PathAlgebra(self.field, quiver, relations, nilpotency, groebner)
+            idems = [_sparse(F, e) for e in self._corner_idempotents()]
+            pathalg = PathAlgebra(F, quiver, None, max(loewy, 2),
+                                  (lambda v: idems[v - 1],
+                                   lambda x, a: self._sparse_mul(self.arrow_lifts[a], x)))
             self.certify_presentation(pathalg)
             self._presentation = pathalg
         return self._presentation
@@ -321,57 +322,6 @@ class AbstractAlgebra:
                                        if t == i + 1 for y in layer[(s - 1, j)]])
                      for (i, j) in layer}
         return Quiver(n, arrows), lifts, loewy
-
-    def _relations(self, quiver: Quiver, loewy: int) -> tuple[list, list]:
-        """The kernel of the path map on words of length 2..L-1, as rules
-        w - Σ c_u·u with every u an irreducible word before w (shorter, or
-        as long and smaller) with the same source and target.  Length by
-        length, the candidates are the words whose prefix and suffix one
-        arrow shorter are irreducible; per (source, target), in increasing
-        order, a candidate is a relation exactly when its image lies in the
-        span of the irreducible words before it (one rref).  A word that
-        contains a relation's leading word is in the ideal already, so these
-        rules and J^L generate I: they are the reduced Gröbner basis for the
-        order the rewriter uses.  Returns the rules, each [(1, w), (-c_u, u),
-        ...], and the irreducible words of length 1..L-1."""
-        F = self.field
-        image = {(a,): b for a, b in enumerate(self.arrow_lifts)}  # irreducible words
-        leaving = {v: [a for a, arrow in enumerate(quiver.arrows) if arrow.source == v]
-                   for v in range(1, quiver.n + 1)}
-        known: dict[tuple[int, int], list] = {}  # (source, target) -> irreducible words, length >= 2
-        relations = []
-        level = sorted(image)
-        for _ in range(2, loewy):
-            candidates: dict[tuple[int, int], list] = {}
-            for w in level:
-                for a in leaving[quiver.word_target(w)]:
-                    if w[1:] + (a,) in image:
-                        ends = (quiver.word_source(w), quiver.arrows[a].target)
-                        candidates.setdefault(ends, []).append(w + (a,))
-            level = []
-            for ends, words in sorted(candidates.items()):
-                words.sort()
-                before = known.setdefault(ends, [])
-                cols = before + words
-                vectors = [image[u] for u in before] + [
-                    self._sparse_mul(self.arrow_lifts[w[-1]], image[w[:-1]]) for w in words]
-                reduced, pivots = rref(_columns(F, vectors))
-                is_pivot = set(pivots)
-                for c in range(len(before), len(cols)):
-                    w = cols[c]
-                    if c in is_pivot:
-                        image[w] = vectors[c]
-                        level.append(w)
-                        continue
-                    rel = [(F.one, w)]
-                    for r, p in enumerate(pivots):
-                        if p < c and not F.is_zero(reduced.at(r, c)):
-                            rel.append((F.neg(reduced.at(r, c)), cols[p]))
-                    relations.append(rel)
-                before.extend(w for w in words if w in image)
-            if not level:
-                break
-        return relations, list(image)
 
     def certify_presentation(self, pathalg: PathAlgebra):
         """Raise ValueError unless the images in A of the basis words of
@@ -415,15 +365,6 @@ def _span(F: Field, vectors: list[dict]) -> list[dict]:
         return []
     _, pivots = rref(_columns(F, vectors))
     return [vectors[p] for p in pivots]
-
-
-def _combination(F: Field, coeffs, vectors: list[dict]) -> dict:
-    """Σ c·v over the coefficients and the sparse vectors, sparse."""
-    out = {}
-    for c, v in zip(coeffs, vectors):
-        for k, x in v.items():
-            out[k] = F.add(out.get(k, F.zero), F.mul(c, x))
-    return {k: x for k, x in out.items() if not F.is_zero(x)}
 
 
 def _dot(F: Field, u, v):

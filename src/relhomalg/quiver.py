@@ -1,10 +1,13 @@
-"""Path algebras kQ/I with admissible relations, by bounded confluent rewriting.
+"""Path algebras kQ/I with admissible relations, built by linear algebra.
 
 A word is a tuple of arrow indices (left-to-right composition: the word
-(a, b) means "a then b").  The ideal presented is <relations> + J^N where J
-is the arrow ideal; the nilpotency bound N makes every basis enumeration
-finite.  Basis elements are the irreducible words of length < N together
-with the trivial paths, ordered by (length, word).
+(a, b) means "a then b").  The ideal presented is I + J^N, J the arrow
+ideal.  The basis is the trivial paths and the normal words of length < N
+(`_normal_words`), ordered by (length, word), and a product is read off its
+image.  A model gives the images: the residue modulo the relations
+(`_relations_model`), the reversed word in the algebra an opposite is taken
+of (`PathAlgebra.opposite`), or the product of arrow lifts in an algebra
+given by structure constants (`algebra.AbstractAlgebra.presentation`).
 """
 
 from __future__ import annotations
@@ -51,131 +54,181 @@ class Quiver:
         return Quiver(self.n, [(a.name, a.target, a.source) for a in self.arrows])
 
 
+MAX_WORDS = 200000  # composable words of length < N a relations model may have
+
+
 def _word_key(w: tuple[int, ...]):
     return (len(w), w)
 
 
-class _Rewriter:
-    """Confluent rewriting for word combos, with the J^N cutoff built in: each
-    rule rewrites its leading word L to the combination rules[L]."""
+def _axpy(F: Field, y: dict, c, x: dict) -> dict:
+    """y += c·x for sparse vectors, in place."""
+    for k, v in x.items():
+        s = F.add(y.get(k, F.zero), F.mul(c, v))
+        if F.is_zero(s):
+            y.pop(k, None)
+        else:
+            y[k] = s
+    return y
 
-    def __init__(self, field: Field, nilpotency: int):
-        self.field = field
-        self.N = nilpotency
-        self.rules: dict[tuple[int, ...], dict] = {}
 
-    def reduce(self, combo: dict) -> dict:
-        F = self.field
-        rules = self.rules
-        out: dict = {}
-        stack = list(combo.items())
-        while stack:
-            w, c = stack.pop()
-            if F.is_zero(c) or len(w) >= self.N:
-                continue
-            hit = next(((pos, end) for pos in range(len(w)) for end in range(pos + 1, len(w) + 1)
-                        if w[pos:end] in rules), None)
-            if hit is None:
-                out[w] = F.add(out.get(w, F.zero), c)
-                if F.is_zero(out[w]):
-                    del out[w]
+def _combine(F: Field, terms) -> dict:
+    """Σ c·x over the pairs (c, x) of terms, sparse."""
+    out: dict = {}
+    for c, x in terms:
+        _axpy(F, out, c, x)
+    return out
+
+
+# An echelon form of sparse vectors, each added with a label, is a dict
+# pivot -> (row, its combination of the labels), reduced: a row is 1 at its
+# pivot and 0 at the others, so it enters x with coefficient x[pivot].
+
+def _reduce(F: Field, span: dict, x: dict) -> tuple[dict, dict]:
+    """x less its component in the span, and that component as a
+    combination of the labels."""
+    rest, combo = dict(x), {}
+    for p, c in x.items():
+        if p in span:
+            _axpy(F, rest, F.neg(c), span[p][0])
+            _axpy(F, combo, c, span[p][1])
+    return rest, combo
+
+
+def _add(F: Field, span: dict, rest: dict, combo: dict, label):
+    """Add the vector whose `_reduce` gave rest ≠ 0 and combo."""
+    p = next(iter(rest))
+    s = F.inv(rest[p])
+    row, labels = {k: F.mul(s, c) for k, c in rest.items()}, _axpy(F, {label: s}, F.neg(s), combo)
+    for other, other_labels in span.values():
+        if p in other:
+            c = F.neg(other[p])
+            _axpy(F, other, c, row)
+            _axpy(F, other_labels, c, labels)
+    span[p] = (row, labels)
+
+
+def _normal_words(field: Field, quiver: Quiver, nilpotency: int, unit, times):
+    """The normal words of lengths 1..N-1 with their images, the echelon
+    form of those images per (source, target), and the rules
+    [(1, w), (-c_u, u), ...] of the other words tested.
+
+    Words go by (length, word).  A word is normal when its image is
+    independent of the images of the normal words before it with its source
+    and target, which span the images of all words before it; otherwise
+    w - Σ c_u·u lies in I, and so does x·(w - Σ c_u·u)·y, which leads with
+    x·w·y.  So only a word whose prefix and suffix are normal is tested, and
+    the rules of those that fail are the reduced Gröbner basis of I for this
+    order, which with J^N generates I."""
+    F, arrows = field, quiver.arrows
+    spans: dict[tuple[int, int], dict] = {(v, v): {} for v in range(1, quiver.n + 1)}
+    for (v, _), span in spans.items():
+        _add(F, span, unit(v), {}, ())  # the trivial path
+    images: dict[tuple[int, ...], dict] = {}  # normal word -> image
+    rules = []
+    level = [(v, ()) for v in range(1, quiver.n + 1)]
+    for _ in range(1, nilpotency):
+        candidates = sorted((src, arrows[a].target, w + (a,)) for src, w in level
+                            for a, arrow in enumerate(arrows)
+                            if arrow.source == (arrows[w[-1]].target if w else src)
+                            and (not w or w[1:] + (a,) in images))
+        level = []
+        for src, tgt, w in candidates:
+            x = times(images[w[:-1]] if len(w) > 1 else unit(src), w[-1])
+            span = spans.setdefault((src, tgt), {})
+            rest, coords = _reduce(F, span, x)
+            if rest:
+                _add(F, span, rest, coords, w)
+                images[w] = x
+                level.append((src, w))
             else:
-                pos, end = hit
-                for rw, rc in rules[w[pos:end]].items():
-                    stack.append((w[:pos] + rw + w[end:], F.mul(c, rc)))
-        return out
+                rules.append([(F.one, w)] + [(F.neg(coords[u]), u) for u in sorted(coords, key=_word_key)])
+        if not level:
+            break
+    return images, spans, rules
 
-    def add_rule_from(self, combo: dict) -> bool:
-        combo = self.reduce(combo)
-        if not combo:
-            return False
-        F = self.field
-        L = max(combo, key=_word_key)
-        lead = combo[L]
-        self.rules[L] = {w: F.neg(F.div(c, lead)) for w, c in combo.items() if w != L}
-        return True
 
-    def complete(self):
-        """Critical-pair completion (bounded by the length cutoff): each word
-        with two rewrites u1·L1·v1 = u2·L2·v2, where L1 ends as L2 begins or
-        L1 contains L2, rewritten both ways; a nonzero difference is a rule."""
-        F = self.field
-        changed = True
-        while changed:
-            changed = False
-            rules = list(self.rules.items())
-            for i, (L1, R1) in enumerate(rules):
-                for j, (L2, R2) in enumerate(rules):
-                    sides = [((), L2[k:], L1[:-k], ()) for k in range(1, min(len(L1), len(L2)))
-                             if L1[-k:] == L2[:k]]
-                    if i != j and len(L2) < len(L1):
-                        sides += [((), (), L1[:pos], L1[pos + len(L2):])
-                                  for pos in range(len(L1) - len(L2) + 1) if L1[pos:pos + len(L2)] == L2]
-                    for u1, v1, u2, v2 in sides:
-                        diff: dict = {}
-                        for R, u, v, sign in ((R1, u1, v1, F.one), (R2, u2, v2, F.neg(F.one))):
-                            for w, c in R.items():
-                                diff[u + w + v] = F.add(diff.get(u + w + v, F.zero), F.mul(sign, c))
-                        if self.add_rule_from(diff):
-                            changed = True
+def _relations_model(field: Field, quiver: Quiver, relations, nilpotency: int):
+    """(unit, times) for kQ/(I + J^N), I generated by the relations: a word's
+    image is its residue modulo an echelon form (larger words lead) of the
+    span of the products u·r·w (paths u, w, relation r) cut below length N:
+    the relations' span closed under multiplying by arrows on both sides, so
+    each new row queues its products with the arrows.  ValueError for a
+    relation that is not admissible, and, before any row, when more than
+    MAX_WORDS composable words have length < N."""
+    F, arrows, vertices = field, quiver.arrows, range(1, quiver.n + 1)
+    queue = []
+    for rel in filter(None, relations):
+        combo: dict = {}
+        for coeff, word in rel:
+            w = tuple(word)
+            if len(w) < 2:
+                raise ValueError("non-admissible relation: path of length < 2")
+            if not quiver.composable(w):
+                raise ValueError(f"relation word not composable: {w}")
+            combo[w] = F.add(combo.get(w, F.zero), coeff)
+        if len({(quiver.word_source(w), quiver.word_target(w)) for w in combo}) != 1:
+            raise ValueError("relation mixes non-parallel paths")
+        queue.append(combo)
+    ending, total = dict.fromkeys(vertices, 1), 0  # words of one length, by their target
+    for _ in range(1, nilpotency):
+        longer = dict.fromkeys(vertices, 0)
+        for a in arrows:
+            longer[a.target] += ending[a.source]
+        ending, total = longer, total + sum(longer.values())
+        if total > MAX_WORDS:
+            raise ValueError(f"more than {MAX_WORDS} paths of length < {nilpotency}; "
+                             "lower the nilpotency bound")
+        if not any(longer.values()):
+            break
+    rows: dict[tuple[int, ...], dict] = {}  # leading word -> row, 1 there
+    while queue:
+        x = {w: c for w, c in queue.pop().items() if len(w) < nilpotency and not F.is_zero(c)}
+        while x:
+            lead = max(x, key=_word_key)
+            if lead not in rows:
+                rows[lead] = row = {w: F.div(c, x[lead]) for w, c in x.items()}
+                queue += [{(a,) + w: c for w, c in row.items()} for a, arrow in enumerate(arrows)
+                          if arrow.target == quiver.word_source(lead)]
+                queue += [{w + (a,): c for w, c in row.items()} for a, arrow in enumerate(arrows)
+                          if arrow.source == quiver.word_target(lead)]
+                break
+            _axpy(F, x, F.neg(x[lead]), rows[lead])
+    residues: dict[tuple[int, ...], dict] = {}  # leading word -> residue, smaller words first
+    for w in sorted(rows, key=_word_key):
+        residues[w] = _combine(F, ((F.neg(c), residues.get(u, {u: F.one}))
+                                   for u, c in rows[w].items() if u != w))
+    return (lambda v: {(): F.one}), lambda x, a: _combine(
+        F, ((c, residues.get(w + (a,), {w + (a,): F.one})) for w, c in x.items() if len(w) + 1 < nilpotency))
 
 
 class PathAlgebra:
-    """Finite-dimensional quotient kQ/(I + J^N) with an explicit basis and
-    multiplication table.
+    """Finite-dimensional quotient kQ/(I + J^N): the normal words of a model
+    of the words' images are its basis, and products are read off images.
 
     Basis elements are (source_vertex, word) with word a tuple of arrow
     indices; trivial paths have the empty word.
     """
 
-    def __init__(self, field: Field, quiver: Quiver, relations, nilpotency: int,
-                 groebner: tuple[list, list] | None = None):
-        """The relations modulo J^N, completed into rewriting rules whose
-        irreducible words are the basis.  groebner = (rules, words), a reduced
-        Gröbner basis of that ideal for the rewriter's order, each rule
-        [(1, w), (c, u), ...] with leading word w, and its irreducible words
-        of length 1..N-1, is taken as it is; the caller proves it (see
-        `algebra.AbstractAlgebra.certify_presentation`)."""
+    def __init__(self, field: Field, quiver: Quiver, relations, nilpotency: int, model=None):
+        """model = (unit, times) gives the words' images as sparse vectors:
+        unit(v) of the trivial path at v, times(x, a) of w·a from the image
+        x of w; by default `_relations_model`.  relations=None keeps as
+        `relations` the rules of `_normal_words`, a reduced Gröbner basis."""
         if nilpotency < 2:
             raise ValueError("nilpotency bound must be at least 2")
-        self.field = field
-        self.quiver = quiver
-        self.N = nilpotency
-        self.relations = relations
+        self.field, self.quiver, self.N = field, quiver, nilpotency
         self._opposite: PathAlgebra | None = None
-
-        rw = _Rewriter(field, nilpotency)
-        if groebner is None:
-            for rel in filter(None, relations):
-                combo: dict = {}
-                for coeff, word in rel:
-                    w = tuple(word)
-                    if len(w) < 2:
-                        raise ValueError("non-admissible relation: path of length < 2")
-                    if not quiver.composable(w):
-                        raise ValueError(f"relation word not composable: {w}")
-                    combo[w] = field.add(combo.get(w, field.zero), coeff)
-                if len({(quiver.word_source(w), quiver.word_target(w)) for w in combo}) != 1:
-                    raise ValueError("relation mixes non-parallel paths")
-                rw.add_rule_from(combo)
-            rw.complete()
-            self._ensure_length_cutoff_consistent(rw)
-            words, level = [], [()]
-            for _ in range(nilpotency - 1):
-                level = [w + (ai,) for w in level for ai in range(len(quiver.arrows))
-                         if not w or quiver.arrows[w[-1]].target == quiver.arrows[ai].source]
-                words += [w for w in level if rw.reduce({w: field.one}) == {w: field.one}]
-        else:
-            rules, words = groebner
-            rw.rules = {tuple(rule[0][1]): {tuple(w): field.neg(c) for c, w in rule[1:]}
-                        for rule in rules}
-        self.rewriter = rw
+        unit, self._times = model or _relations_model(field, quiver, relations, nilpotency)
+        images, self._spans, rules = _normal_words(field, quiver, nilpotency, unit, self._times)
+        self.relations = rules if relations is None else relations
 
         self.basis: list[tuple[int, tuple[int, ...]]] = [(v, ()) for v in range(1, quiver.n + 1)]
-        self.basis += [(quiver.word_source(w), w) for w in words]
+        self.basis += [(quiver.word_source(w), w) for w in images]
         self.basis.sort(key=lambda e: (len(e[1]), e[1], e[0]))
         self.basis_index = {e: k for k, e in enumerate(self.basis)}
         self.dim = len(self.basis)
+        self._images = [images[w] if w else unit(v) for v, w in self.basis]
 
         self._mul_table: dict[tuple[int, int], dict[int, object]] = {}
         # Representations over this algebra, one object per content (dims and
@@ -185,29 +238,6 @@ class PathAlgebra:
         self.modules: dict = {}
         self.vertex_modules: dict[tuple[str, int], object] = {}
         self.ordinary = None  # relative.ordinary_f (G = the projectives), built once
-
-    def _ensure_length_cutoff_consistent(self, rw: _Rewriter):
-        """Every composable word of length N must rewrite to something of
-        length >= N or to 0 under the relation rules; otherwise the J^N
-        truncation would disagree with the relation ideal and we add the
-        residue as an extra rule."""
-        q = self.quiver
-        words = [()]
-        for _ in range(self.N):
-            words = [w + (ai,) for w in words for ai in range(len(q.arrows))
-                     if not w or q.arrows[w[-1]].target == q.arrows[ai].source]
-            if len(words) > 200000:
-                raise ValueError("nilpotency sweep too large; lower N or simplify relations")
-        for _ in range(20):
-            changed = False
-            for w in words:
-                residue = rw.reduce({w: self.field.one})
-                if residue and rw.add_rule_from(residue):
-                    changed = True
-            if not changed:
-                return
-            rw.complete()
-        raise ValueError("relation/nilpotency completion did not stabilize")
 
     # -- elements ---------------------------------------------------------
 
@@ -222,68 +252,37 @@ class PathAlgebra:
         a = self.quiver.arrows[ai]
         return self.basis_index[(a.source, (ai,))]
 
-    def reduce_word(self, src: int, word: tuple[int, ...]) -> dict[int, object]:
-        """Image of a word in the basis, as index -> coeff."""
-        if not word:
-            return {self.trivial_path(src): self.field.one}
-        combo = self.rewriter.reduce({tuple(word): self.field.one})
-        return {self.basis_index[(src, w)]: c for w, c in combo.items()}
-
     def mul_basis(self, i: int, j: int) -> dict[int, object]:
-        """Product basis_i * basis_j in diagrammatic order (i then j)."""
-        key = (i, j)
-        cached = self._mul_table.get(key)
-        if cached is not None:
-            return cached
-        si, wi = self.basis[i]
-        sj, wj = self.basis[j]
-        if self.element_target(i) != sj:
-            out: dict[int, object] = {}
-        else:
-            out = self.reduce_word(si, wi + wj)
-        self._mul_table[key] = out
-        return out
-
-    def mul(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
-        F = self.field
-        out: dict[int, object] = {}
-        for i, ci in x.items():
-            if F.is_zero(ci):
-                continue
-            for j, cj in y.items():
-                c = F.mul(ci, cj)
-                for k, ck in self.mul_basis(i, j).items():
-                    out[k] = F.add(out.get(k, F.zero), F.mul(c, ck))
-        return {k: c for k, c in out.items() if not F.is_zero(c)}
+        """Product basis_i * basis_j in diagrammatic order (i then j): the
+        coordinates of its image against the images of the normal words
+        with its source and target."""
+        cached = self._mul_table.get((i, j))
+        if cached is None:
+            src, word = self.basis[i][0], self.basis[j][1]
+            x, coords = self._images[i], {}
+            if self.element_target(i) == self.basis[j][0]:
+                for a in word:
+                    x = self._times(x, a)
+                rest, coords = _reduce(self.field, self._spans.get((src, self.element_target(j)), {}), x)
+                if rest:
+                    raise ValueError("a product lies outside the span of the basis words")
+            cached = self._mul_table[(i, j)] = {self.basis_index[(src, w)]: c for w, c in coords.items()}
+        return cached
 
     # -- opposite ----------------------------------------------------------
 
     def opposite(self) -> "PathAlgebra":
+        """kQ^op/I^op: its word (a_1, ..., a_k) has the image a_k ⋯ a_1 in
+        this algebra, and its relations are the reversed relations."""
         if self._opposite is None:
-            rels = []
-            for rel in self.relations:
-                rels.append([(c, tuple(reversed(tuple(w)))) for c, w in rel])
-            op = PathAlgebra(self.field, self.quiver.opposite(), rels, self.N)
-            op._opposite = self
-            self._opposite = op
+            F = self.field
+            rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in self.relations]
+            op = PathAlgebra(F, self.quiver.opposite(), rels, self.N,
+                             (lambda v: {self.trivial_path(v): F.one},
+                              lambda x, a: _combine(F, ((c, self.mul_basis(self.arrow_element(a), k))
+                                                        for k, c in x.items()))))
+            op._opposite, self._opposite = self, op
         return self._opposite
 
     def __repr__(self):
         return f"PathAlgebra(n={self.quiver.n}, arrows={len(self.quiver.arrows)}, dim={self.dim})"
-
-
-def irredundant_relations(field: Field, relations, nilpotency: int) -> list:
-    """The relations, in order, that the ones kept before them do not imply
-    modulo J^N: each is reduced by the completed rules of those kept, and
-    dropped when it reduces to 0.  Reductions stay in the ideal, so the kept
-    relations generate the same ideal."""
-    rw = _Rewriter(field, nilpotency)
-    kept = []
-    for rel in relations:
-        combo: dict = {}
-        for coeff, word in rel:
-            combo[tuple(word)] = field.add(combo.get(tuple(word), field.zero), coeff)
-        if rw.add_rule_from(combo):
-            kept.append(rel)
-            rw.complete()
-    return kept

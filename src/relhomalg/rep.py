@@ -36,9 +36,9 @@ class Representation:
     is content and the per-object caches below serve every construction of
     the same module.  The relations are checked once per content, the first
     time a checked construction asks for it; unchecked constructions (simples,
-    submodules and sums of unchecked modules) store the content unvalidated
-    until then, and submodules and sums of checked ones are checked by
-    construction."""
+    submodules, quotients and sums of unchecked modules) store the content
+    unvalidated until then, and submodules, quotients and sums of checked
+    ones are checked by construction."""
     __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations",
                  "_radical", "_top")
 
@@ -475,7 +475,8 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Quotient target/im(f) with the projection map."""
+    """Quotient target/im(f) with the projection map, checked when the
+    target is."""
     F = f.source.algebra.field
     q = f.source.algebra.quiver
     projs, sections, dims = [], [], []
@@ -495,8 +496,12 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
         projs.append(inv.submatrix(range(B.cols, n), range(n)))
     mats = [projs[a.target - 1] * f.target.mats[ai] * sections[a.source - 1]
             for ai, a in enumerate(q.arrows)]
-    quot = Representation(f.source.algebra, dims, mats)
-    return quot, ModuleMap(f.target, quot, projs)
+    quot = Representation(f.source.algebra, dims, mats, check=False)
+    proj = ModuleMap(f.target, quot, projs)
+    # the projection intertwines, so quot(ρ)·proj = proj·target(ρ) = 0 for a
+    # relation ρ the target satisfies, and every projs[v] is onto: quot(ρ) = 0
+    quot._checked |= f.target._checked
+    return quot, proj
 
 
 class DirectSum:

@@ -2,11 +2,11 @@
 second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies, approximations
 from Hom coordinates, the intertwining solve and greedy removal for Homs
-and approximations that are read off vertex spaces, and for End(T) the
-residue form on all of A, the grading scan over every idempotent and the
-presentation by completing its relations) that serve only as
-cross-checks, and the short sequences and F-quasi-isomorphisms that only
-the tests build."""
+and approximations that are read off vertex spaces, for End(T) the residue
+form on all of A and the grading scan over every idempotent, and for path
+algebras the construction by completing the relations into rewriting
+rules) that serve only as cross-checks, and the short sequences and
+F-quasi-isomorphisms that only the tests build."""
 
 from dataclasses import dataclass
 
@@ -229,13 +229,142 @@ def scanned_grading(algebra):
     return grading
 
 
-def completed_presentation(algebra):
-    """The quiver presentation of an AbstractAlgebra rebuilt from its
-    irredundant relations by the completing construction (critical-pair
-    completion, the length-cutoff sweep and the enumeration of irreducible
-    words), which the path algebra of a presentation no longer runs."""
-    pres = algebra.presentation()
-    return PathAlgebra(pres.field, pres.quiver, pres.relations, pres.N)
+def _word_key(w):
+    return (len(w), w)
+
+
+class _Rewriter:
+    """Confluent rewriting for word combos, with the J^N cutoff built in: each
+    rule rewrites its leading word L to the combination rules[L]."""
+
+    def __init__(self, field, nilpotency):
+        self.field = field
+        self.N = nilpotency
+        self.rules = {}
+
+    def reduce(self, combo):
+        F = self.field
+        rules = self.rules
+        out = {}
+        stack = list(combo.items())
+        while stack:
+            w, c = stack.pop()
+            if F.is_zero(c) or len(w) >= self.N:
+                continue
+            hit = next(((pos, end) for pos in range(len(w)) for end in range(pos + 1, len(w) + 1)
+                        if w[pos:end] in rules), None)
+            if hit is None:
+                out[w] = F.add(out.get(w, F.zero), c)
+                if F.is_zero(out[w]):
+                    del out[w]
+            else:
+                pos, end = hit
+                for rw, rc in rules[w[pos:end]].items():
+                    stack.append((w[:pos] + rw + w[end:], F.mul(c, rc)))
+        return out
+
+    def add_rule_from(self, combo):
+        combo = self.reduce(combo)
+        if not combo:
+            return False
+        F = self.field
+        L = max(combo, key=_word_key)
+        lead = combo[L]
+        self.rules[L] = {w: F.neg(F.div(c, lead)) for w, c in combo.items() if w != L}
+        return True
+
+    def complete(self):
+        """Critical-pair completion (bounded by the length cutoff): each word
+        with two rewrites u1·L1·v1 = u2·L2·v2, where L1 ends as L2 begins or
+        L1 contains L2, rewritten both ways; a nonzero difference is a rule."""
+        F = self.field
+        changed = True
+        while changed:
+            changed = False
+            rules = list(self.rules.items())
+            for i, (L1, R1) in enumerate(rules):
+                for j, (L2, R2) in enumerate(rules):
+                    sides = [((), L2[k:], L1[:-k], ()) for k in range(1, min(len(L1), len(L2)))
+                             if L1[-k:] == L2[:k]]
+                    if i != j and len(L2) < len(L1):
+                        sides += [((), (), L1[:pos], L1[pos + len(L2):])
+                                  for pos in range(len(L1) - len(L2) + 1) if L1[pos:pos + len(L2)] == L2]
+                    for u1, v1, u2, v2 in sides:
+                        diff = {}
+                        for R, u, v, sign in ((R1, u1, v1, F.one), (R2, u2, v2, F.neg(F.one))):
+                            for w, c in R.items():
+                                diff[u + w + v] = F.add(diff.get(u + w + v, F.zero), F.mul(sign, c))
+                        if self.add_rule_from(diff):
+                            changed = True
+
+
+class RewrittenAlgebra:
+    """kQ/(I + J^N) by bounded confluent rewriting, the construction the
+    path algebras replaced: the relations completed into rewriting rules
+    (critical pairs, then a sweep of the words of length N until they all
+    rewrite to 0), and the irreducible words of length < N enumerated.  The
+    rewriter drops every word of length >= N before rewriting it, so the
+    sweep never adds a rule: it is the reference only where that loses
+    nothing, for relations whose terms have one length or when J^N lies in
+    I (a quiver presentation, whose J^L maps to 0).  Basis, `basis_index`
+    and `mul_basis` as in `quiver.PathAlgebra`."""
+
+    def __init__(self, field, quiver, relations, nilpotency):
+        self.field, self.quiver, self.N = field, quiver, nilpotency
+        rw = self.rewriter = _Rewriter(field, nilpotency)
+        for rel in filter(None, relations):
+            combo = {}
+            for coeff, word in rel:
+                combo[tuple(word)] = field.add(combo.get(tuple(word), field.zero), coeff)
+            rw.add_rule_from(combo)
+        rw.complete()
+        self._sweep_length_cutoff()
+        words, level = [], [()]
+        for _ in range(nilpotency - 1):
+            level = [w + (ai,) for w in level for ai in range(len(quiver.arrows))
+                     if not w or quiver.arrows[w[-1]].target == quiver.arrows[ai].source]
+            words += [w for w in level if rw.reduce({w: field.one}) == {w: field.one}]
+        self.basis = [(v, ()) for v in range(1, quiver.n + 1)]
+        self.basis += [(quiver.word_source(w), w) for w in words]
+        self.basis.sort(key=lambda e: (len(e[1]), e[1], e[0]))
+        self.basis_index = {e: k for k, e in enumerate(self.basis)}
+        self.dim = len(self.basis)
+
+    def _sweep_length_cutoff(self):
+        """Every composable word of length N rewritten, and a nonzero residue
+        added as a rule, until none is left."""
+        q, rw = self.quiver, self.rewriter
+        words = [()]
+        for _ in range(self.N):
+            words = [w + (ai,) for w in words for ai in range(len(q.arrows))
+                     if not w or q.arrows[w[-1]].target == q.arrows[ai].source]
+        for _ in range(20):
+            changed = False
+            for w in words:
+                residue = rw.reduce({w: self.field.one})
+                if residue and rw.add_rule_from(residue):
+                    changed = True
+            if not changed:
+                return
+            rw.complete()
+        raise ValueError("relation/nilpotency completion did not stabilize")
+
+    def mul_basis(self, i, j):
+        (si, wi), (sj, wj) = self.basis[i], self.basis[j]
+        target = si if not wi else self.quiver.word_target(wi)
+        if target != sj:
+            return {}
+        if not wi + wj:
+            return {i: self.field.one}
+        return {self.basis_index[(si, w)]: c
+                for w, c in self.rewriter.reduce({wi + wj: self.field.one}).items()}
+
+
+def rewritten_opposite(pathalg):
+    """The reference `RewrittenAlgebra` for pathalg.opposite(): the reversed
+    relations on the opposite quiver."""
+    rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in pathalg.relations]
+    return RewrittenAlgebra(pathalg.field, pathalg.quiver.opposite(), rels, pathalg.N)
 
 
 def matrix_algebra_2(field=QQ):

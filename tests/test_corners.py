@@ -1,10 +1,10 @@
 """Gamma = End(T) presented corner by corner: the radical is a direct sum of
 kernels of small residue blocks, the grading is certified per basis vector,
-and the path algebra of the presentation takes the reduced Groebner basis
-and the irreducible words as they are.  Each is checked against the
+and the path algebra of the presentation reads its normal words and
+products off the products of the arrow lifts.  Each is checked against the
 construction it replaced (`helpers`) over Q and F_32003, and the program's
-submodules and sums are checked against the relations they are marked as
-satisfying."""
+submodules, quotients and sums are checked against the relations they are
+marked as satisfying."""
 
 import contextlib
 import io
@@ -13,18 +13,19 @@ from pathlib import Path
 
 import pytest
 from helpers import (
-    completed_presentation,
+    RewrittenAlgebra,
     cycle3_selfinjective,
     dual_numbers,
     matrix_algebra_2,
     mixed_a2,
     nakayama_problem,
     residue_form_radical,
+    rewritten_opposite,
     scanned_grading,
     uniserials,
 )
 
-from relhomalg import relative, rep
+from relhomalg import relative, rep, schema
 from relhomalg.cli import main
 from relhomalg.complexes import stalk_complex
 from relhomalg.fields import QQ, PrimeField
@@ -92,12 +93,16 @@ def test_grading_matches_the_scan(label, build, F):
 @pytest.mark.parametrize("label, build, F", [c for c in CASES if c[0] != "M_2"],
                          ids=[i for c, i in zip(CASES, IDS) if c[0] != "M_2"])
 def test_presentation_matches_the_completing_construction(label, build, F):
-    algebra = build(F)
-    pres, ref = algebra.presentation(), completed_presentation(algebra)
-    assert pres.basis == ref.basis
-    for i in range(pres.dim):
-        for j in range(pres.dim):
-            assert pres.mul_basis(i, j) == ref.mul_basis(i, j), (i, j)
+    # J^L maps to 0 in the algebra, so rewriting loses nothing by dropping
+    # the words of length >= L; the opposite is built from the reversed
+    # relations there and from the reversed words' elements here
+    pres = build(F).presentation()
+    for ours, ref in ((pres, RewrittenAlgebra(F, pres.quiver, pres.relations, pres.N)),
+                      (pres.opposite(), rewritten_opposite(pres))):
+        assert ours.basis == ref.basis
+        for i in range(ours.dim):
+            for j in range(ours.dim):
+                assert ours.mul_basis(i, j) == ref.mul_basis(i, j), (i, j)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=repr)
@@ -156,7 +161,8 @@ def test_doubled_summand_fails_the_presentation(doubled_p1, check, field):
 
 
 # ---------------------------------------------------------------------------
-# kernels, radicals and sums carry the relation check of what they are built from
+# kernels, radicals, quotients and sums carry the relation check of what they
+# are built from
 
 
 GAMMA_INPUTS = [("nakayama(4,4) P+S", lambda: nakayama_problem(4, 4, tilting=True)),
@@ -201,6 +207,40 @@ def test_submodules_and_sums_satisfy_the_relations(monkeypatch, tmp_path, field)
     for module, from_checked in built:
         module._check_relations()  # raises when a relation fails
         assert module._checked or not from_checked
+
+
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+def test_quotients_are_checked_by_construction(monkeypatch, tmp_path, field):
+    # bounds gorenstein takes the cokernels of the injective coresolutions
+    # and of the transposes
+    built, inside, checks = [], [], []
+    cokernel, check = rep.cokernel, rep.Representation._check_relations
+
+    def record_cokernel(f):
+        inside.append(f)
+        try:
+            quot, proj = cokernel(f)
+        finally:
+            inside.pop()
+        built.append((quot, f.target._checked))
+        return quot, proj
+
+    def count_check(m):
+        checks.append(bool(inside))
+        check(m)
+
+    for module in (rep, relative, schema):
+        monkeypatch.setattr(module, "cokernel", record_cokernel)
+    monkeypatch.setattr(rep.Representation, "_check_relations", count_check)
+    path = tmp_path / "nakayama55_all.json"
+    path.write_text(json.dumps(nakayama_problem(5, 5, every_indecomposable=True, tilting=True)))
+    for problem in (DATA / "section7.json", path):
+        assert run("--field", field, "bounds", "gorenstein", problem)[0] == 0
+    assert checks and not any(checks)  # no relation check from a cokernel
+    assert sum(from_checked for _, from_checked in built) > 10
+    for quot, from_checked in built:
+        check(quot)  # raises when a relation fails
+        assert quot._checked or not from_checked
 
 
 # ---------------------------------------------------------------------------

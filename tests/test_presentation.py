@@ -1,7 +1,8 @@
 """Gamma = End_K(T) as a bound quiver algebra kQ/I: the presentation is
-certified (its basis words map to a basis of Gamma), a missing relation
-breaks the certificate, the quiver of an Auslander algebra is its AR quiver,
-and the arrows count Ext^1 between simples (Gabriel)."""
+certified (its basis words map to a basis of Gamma), its relations generate
+I and dropping one that is needed breaks the certificate, the quiver of an
+Auslander algebra is its AR quiver, and the arrows count Ext^1 between
+simples (Gabriel)."""
 
 from pathlib import Path
 
@@ -47,14 +48,26 @@ def test_presentation_is_certified(label, build):
 
 
 @pytest.mark.parametrize("label", ["section7", "section6", "section6_symmetric", "nakayama(3,3) all"])
-def test_a_dropped_relation_breaks_the_certificate(label):
+def test_dropping_a_needed_relation_breaks_the_certificate(label):
     gamma = dict(GAMMAS)[label]()
     pres = gamma.presentation()
-    assert pres.relations
+    # the relations (a reduced Gröbner basis) and J^N generate I: the path
+    # algebra on them is the presentation
+    again = PathAlgebra(pres.field, pres.quiver, pres.relations, pres.N)
+    assert again.basis == pres.basis
+    assert all(again.mul_basis(i, j) == pres.mul_basis(i, j)
+               for i in range(pres.dim) for j in range(pres.dim))
+    needed = 0
     for k in range(len(pres.relations)):
-        fewer = pres.relations[:k] + pres.relations[k + 1:]
+        fewer = PathAlgebra(pres.field, pres.quiver, pres.relations[:k] + pres.relations[k + 1:],
+                            pres.N)
+        if fewer.dim == pres.dim:  # a redundant rule: the same ideal
+            assert fewer.basis == pres.basis
+            continue
+        needed += 1
         with pytest.raises(ValueError, match="certificate"):
-            gamma.certify_presentation(PathAlgebra(pres.field, pres.quiver, fewer, pres.N))
+            gamma.certify_presentation(fewer)
+    assert needed
 
 
 def test_auslander_algebra_quiver_is_the_ar_quiver():
