@@ -42,6 +42,7 @@ class AbstractAlgebra:
         self._rad = None  # radical(), with _off_diagonal_zero
         self._off_diagonal_zero = None
         self._corners = {}  # i -> corner_certificate(i)
+        self._sparse_idems = None  # _sparse_idempotents()
         self._presentation = None
         self.arrow_lifts: list | None = None  # the element of A behind each arrow
         if validate is None:
@@ -160,13 +161,20 @@ class AbstractAlgebra:
             raise ValueError("the supplied idempotents are not orthogonal and complete")
         return self.idempotents
 
+    def _sparse_idempotents(self) -> list[dict]:
+        """The idempotents of `_corner_idempotents` as sparse vectors, built
+        once."""
+        if self._sparse_idems is None:
+            self._sparse_idems = [_sparse(self.field, e) for e in self._corner_idempotents()]
+        return self._sparse_idems
+
     def _corner_bases(self) -> dict[tuple[int, int], list[dict]]:
         """A basis of each corner e_i A e_j as sparse vectors: the basis
         vectors in it when the basis is graded (see `grading`; without
         supplied idempotents the one corner is A), else a basis of the span
         of the e_i·b·e_j over the basis vectors b."""
         F = self.field
-        idems = [_sparse(F, e) for e in self._corner_idempotents()]
+        idems = self._sparse_idempotents()
         n = len(idems)
         grading = self.grading() if self.idempotents else [(0, 0)] * self.dim
         if grading:
@@ -187,7 +195,7 @@ class AbstractAlgebra:
         of the corner, read off the grading."""
         if i not in self._corners:
             F = self.field
-            es = _sparse(F, self._corner_idempotents()[i])
+            es = self._sparse_idempotents()[i]
             grading = self.grading()
             if grading:
                 pairs = [(k, {k: F.one}) for k, corner in enumerate(grading) if corner == (i, i)]
@@ -291,7 +299,7 @@ class AbstractAlgebra:
         if self._presentation is None:
             F = self.field
             quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
-            idems = [_sparse(F, e) for e in self._corner_idempotents()]
+            idems = self._sparse_idempotents()
             pathalg = PathAlgebra(F, quiver, None, max(loewy, 2),
                                   (lambda v: idems[v - 1],
                                    lambda x, a: self._sparse_mul(self.arrow_lifts[a], x)))
@@ -328,10 +336,10 @@ class AbstractAlgebra:
         pathalg (a trivial path to its idempotent, a word to the product of
         `arrow_lifts`) form a basis of A."""
         F = self.field
-        idems = self._corner_idempotents()
+        idems = self._sparse_idempotents()
         images = []
         for v, word in pathalg.basis:
-            x = _sparse(F, idems[v - 1])
+            x = idems[v - 1]
             for a in word:
                 x = self._sparse_mul(self.arrow_lifts[a], x)
             images.append(x)

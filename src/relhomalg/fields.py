@@ -8,6 +8,10 @@ test of an element is ``==`` or truthiness, which mean the same for an int
 and an equal Fraction (hashes agree too), so correctness never depends on
 it.  Contexts are per-computation so the same process can run a problem
 over Q and over F_p side by side.
+
+Each field object owns the insert-only tables in which `matrix` stores the
+products and eliminations of small operands over it (see `matrix`), so
+results computed over Q are never handed to a computation over F_p.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ class Field:
     p: int
     zero = 0
     one = 1
+
+    def __init__(self):
+        self.rref_table: dict = {}     # (rows, cols, entries) -> matrix.rref(...)
+        self.product_table: dict = {}  # (n, k, m, entries, entries) -> the product
 
     def of_int(self, n: int):
         raise NotImplementedError
@@ -140,6 +148,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not _is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
+        super().__init__()
         self.p = p
 
     def of_int(self, n: int) -> int:

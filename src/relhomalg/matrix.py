@@ -4,6 +4,15 @@ All values are immutable after construction and all operations are pure, so
 matrices can be shared freely.  Entries live in a Field context; arithmetic
 is exact, residuals are compared against literal zero.
 
+Each distinct product (`Matrix.__mul__`) and elimination (`rref`) of
+operands with at most `STORED_ENTRIES` entries is computed once per field:
+the field's insert-only tables hold the results, keyed by the operands'
+shapes and entries, and hand the same objects to every equal operand.
+Small blocks (corners of arrow matrices, vertex spaces) recur across
+modules and algebras, while large operands do not.  Results may therefore
+be shared between calls, and no code writes into the `entries` of a
+matrix or into a pivot list.
+
 The inner loops use the native operators and truthiness on the entries, and
 reduce by the field's modulus ``p`` once per entry or row update over F_p
 (whose elements are ints in [0, p)).  Over Q (``p == 0``) the results are
@@ -14,6 +23,8 @@ are ``==`` and truthiness, so they do not depend on it.
 from __future__ import annotations
 
 from .fields import Field, _q
+
+STORED_ENTRIES = 64  # operands up to this many entries have their results stored
 
 
 def _normal(entries: list, p: int) -> list:
@@ -32,8 +43,9 @@ class Matrix:
 
     The constructor takes ownership of `entries` when it is a `list` and
     copies anything else: a caller that passes a list must not change it
-    afterwards.  Every constructor and operation here builds a fresh list,
-    so no result shares its entries with an input.
+    afterwards.  No result shares its entries with an input, but a stored
+    product or elimination is handed to every caller with equal operands
+    (see the module docstring), so nobody may write into `entries`.
     """
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -135,6 +147,16 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        se, oe = self.entries, other.entries
+        if len(se) > STORED_ENTRIES or len(oe) > STORED_ENTRIES:
+            return self._product(other)
+        key = (self.rows, self.cols, other.cols, tuple(se), tuple(oe))
+        table = self.field.product_table
+        out = table.get(key)
+        return out if out is not None else table.setdefault(key, self._product(other))
+
+    def _product(self, other: "Matrix") -> "Matrix":
+        """self * other, computed."""
         n, k, m = self.rows, self.cols, other.cols
         se, oe = self.entries, other.entries
         other_rows = [None] * k  # the nonzero entries of each row of other, built on first use
@@ -206,13 +228,23 @@ def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
+    if m.rows * m.cols > STORED_ENTRIES:
+        return _rref(m)
+    key = (m.rows, m.cols, tuple(m.entries))
+    table = m.field.rref_table
+    out = table.get(key)
+    return out if out is not None else table.setdefault(key, _rref(m))
+
+
+def _rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """`rref`, computed.  The rows start in normal form (the pivot search
+    over F_p needs reduced entries), and every update keeps them in it, so
+    equal operands give identical results."""
     F = m.field
     p = F.p
     nr, nc = m.rows, m.cols
-    e = m.entries
+    e = _normal(m.entries, p)
     rows = [e[i * nc:(i + 1) * nc] for i in range(nr)]
-    if p:  # the pivot search needs reduced entries
-        rows = [[x % p for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(nc):

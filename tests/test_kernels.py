@@ -28,8 +28,8 @@ from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, structure
 from relhomalg.algebra import residue_certificate
 from relhomalg.complexes import HomotopyHom, stalk_complex
 from relhomalg.fields import QQ, PrimeField
-from relhomalg.matrix import (Matrix, SpanSolver, column_space_basis, kernel_basis, lincomb, rref,
-                              solve)
+from relhomalg.matrix import (STORED_ENTRIES, Matrix, SpanSolver, _rref, column_space_basis,
+                              kernel_basis, lincomb, rref, solve)
 from relhomalg.rep import Representation, _induced_sub, projective
 from relhomalg.schema import load_problem, parse_problem
 from relhomalg.tilting import end_algebra
@@ -334,6 +334,31 @@ def test_kernel_outputs_are_in_normal_form():
             assert all(in_normal_form(field, x) for x in got), (field, name, got)
             seen_fraction += any(type(x) is Fraction for x in got)
     assert seen_fraction > 50  # the Fraction half of the normal form is exercised
+    # a pivot that is already 1 and a row that no update touches
+    m = Matrix(QQ, 1, 2, [Fraction(1), Fraction(3)])
+    for name, got in {"rref": rref(m)[0].entries, "computed rref": _rref(m)[0].entries,
+                      "kernel_basis": kernel_basis(m).entries}.items():
+        assert all(in_normal_form(QQ, x) for x in got), (name, got)
+
+
+def test_stored_results_match_the_computed_ones():
+    stored = 0
+    for field, rng, rows, cols, zeros in cases(12):
+        m = sparse_matrix(field, rng, rows, cols, zeros)
+        others = [sparse_matrix(field, rng, cols, inner, zeros) for inner in (0, 1, 3)]
+        for _ in range(2):  # the second round reads what the first one stored
+            again = Matrix(field, rows, cols, list(m.entries))
+            got, want = rref(again), _rref(m)
+            assert got[1] == want[1]
+            assert (got[0].rows, got[0].cols, got[0].entries) == (want[0].rows, want[0].cols,
+                                                                  want[0].entries)
+            assert got[0].entries == ref_rref(m)[0].entries
+            for b in others:
+                assert (again * b).entries == m._product(b).entries == ref_mul(m, b).entries
+        small = rows * cols <= STORED_ENTRIES
+        assert (rref(m) is rref(again)) == small
+        stored += small
+    assert stored > 30  # both sides of the cap are exercised
 
 
 def test_unnormalised_inputs_give_the_same_values():

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.matrix import (
+    STORED_ENTRIES,
     Matrix,
     kernel_basis,
     rank,
@@ -156,29 +158,59 @@ def test_solve_residual_exact():
 
 def test_results_do_not_alias_their_inputs():
     # the constructor takes ownership of a list, so every operation must
-    # hand it a list of its own
+    # hand it a list of its own; results may be stored and shared, so the
+    # check is by identity and writes nothing
     F = QQ
     rows = [[F.of_int(1), F.of_int(2)], [F.of_int(3), F.of_int(6)]]
     a = Matrix.from_rows(F, rows)
     empty_rows, empty_cols = Matrix(F, 0, 2, []), Matrix(F, 2, 0, [])
     identity = mat(F, [[1, 0], [0, 1]])
     results = {
-        "from_rows": Matrix.from_rows(F, rows),
-        "vstack": a.vstack(empty_rows),
-        "vstack_empty": empty_rows.vstack(a),
-        "hstack": a.hstack(empty_cols),
-        "hstack_empty": empty_cols.hstack(a),
-        "transpose": a.transpose(),
-        "rref": rref(a)[0],
-        "rref_reduced": rref(identity)[0],
-        "kernel_basis": kernel_basis(a),
+        "from_rows": (Matrix.from_rows(F, rows), [a]),
+        "vstack": (a.vstack(empty_rows), [a, empty_rows]),
+        "vstack_empty": (empty_rows.vstack(a), [a, empty_rows]),
+        "hstack": (a.hstack(empty_cols), [a, empty_cols]),
+        "hstack_empty": (empty_cols.hstack(a), [a, empty_cols]),
+        "transpose": (a.transpose(), [a]),
+        "mul": (a * identity, [a, identity]),
+        "mul_identity": (identity * identity, [identity]),
+        "rref": (rref(a)[0], [a]),
+        "rref_reduced": (rref(identity)[0], [identity]),
+        "kernel_basis": (kernel_basis(a), [a]),
     }
-    before = [list(r) for r in rows], list(a.entries), list(identity.entries)
-    for name, out in results.items():
-        for k in range(len(out.entries)):
-            out.entries[k] = F.of_int(99)
-        assert ([list(r) for r in rows], list(a.entries), list(identity.entries)) == before, name
+    for name, (out, inputs) in results.items():
+        assert all(out.entries is not x.entries for x in inputs), name
+        assert all(out.entries is not r for r in rows), name
     lst = [F.one, F.zero]
     assert Matrix(F, 1, 2, lst).entries is lst
     tup = (F.one, F.zero)
     assert Matrix(F, 1, 2, tup).entries == list(tup)
+
+
+def test_equal_operands_get_the_stored_result():
+    F, G = QQ, PrimeField(7)
+    a, b = mat(F, [[1, 2], [3, 6]]), mat(F, [[2, 0], [1, 1]])
+    # equal entries in other lists, one of them a Fraction equal to an int
+    a2 = Matrix(F, 2, 2, [Fraction(1), 2, 3, 6])
+    assert rref(a) is rref(a2)
+    assert a * b is a2 * mat(F, [[2, 0], [1, 1]])
+    assert (F.rref_table[(2, 2, (1, 2, 3, 6))] is rref(a)
+            and F.product_table[(2, 2, 2, (1, 2, 3, 6), (2, 0, 1, 1))] is a * b)
+    # the tables of Q and of F_7 are separate
+    a7, b7 = mat(G, [[1, 2], [3, 6]]), mat(G, [[2, 0], [1, 1]])
+    assert rref(a7) is not rref(a) and rref(a7)[0].field is G
+    assert (a7 * b7).field is G and a7 * b7 is not a * b
+    assert G.rref_table is not F.rref_table and G.product_table is not F.product_table
+    assert rref(a7) is G.rref_table[(2, 2, (1, 2, 3, 6))]
+    assert PrimeField(7).rref_table == {}
+    # an operand above STORED_ENTRIES entries is computed every time
+    n = 9
+    assert n * n > STORED_ENTRIES
+    big = Matrix.identity(F, n)
+    assert rref(big) is not rref(Matrix.identity(F, n)) and rref(big)[0] == big
+    assert big * big is not big * big and big * big == big
+    assert (n, n, tuple(big.entries)) not in F.rref_table
+    assert not any(key[:3] == (n, n, n) for key in F.product_table)
+    # one small operand does not store a product with a large one
+    row = Matrix(F, 1, n, [1] * n)
+    assert row * big is not row * big
