@@ -31,7 +31,7 @@ from .relative import (
     relative_injectives,
 )
 from .reports import DimensionReport
-from .rep import ShortExactSeq, is_isomorphic
+from .rep import ShortExactSeq, proven_isomorphic
 from .schema import SchemaError, canonical_form, load_problem
 from .tilting import image_tilting_over_sigma, verify_f_tilting
 
@@ -74,7 +74,7 @@ def _load(args, out: Output):
 
 def _named_match(problem, module) -> str:
     for name, m in problem.modules.items():
-        if is_isomorphic(m, module).isomorphic:
+        if proven_isomorphic(m, module):
             return name
     return f"<unnamed {module.dims}>"
 

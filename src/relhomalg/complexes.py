@@ -10,6 +10,7 @@ Degree convention: differentials raise degree, d^i: X^i -> X^{i+1};
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref, solve
 from .quiver import PathAlgebra
@@ -19,6 +20,7 @@ from .rep import (
     direct_sum,
     hom_coordinates,
     hom_space,
+    top_columns,
     zero_representation,
 )
 from .relative import FResolution, SubbifunctorF, TruncationError, f_resolution
@@ -298,7 +300,11 @@ class HomotopyHom:
     representatives are chosen by RREF pivots against the null-homotopic
     subspace: first the cycles given in `first` (as degreewise maps) that
     are independent modulo boundaries, then kernel columns in a fixed
-    degreewise order.
+    degreewise order.  Cycles are read back only at the top columns (v, c)
+    of each X^i, which generate X^i, so that evaluation is injective on
+    Hom^n (`rep.top_columns`): one solver on the class basis evaluated
+    there gives class coordinates, and its back-check over every evaluated
+    entry proves the cycle is the combination found.
     """
 
     def __init__(self, x: Complex, y: Complex, n: int, total: _TotalHom | None = None,
@@ -327,7 +333,6 @@ class HomotopyHom:
         rep_cols = [p - img.cols for p in pivots if p >= img.cols]
         self.rep_vectors = [candidates.col(c) for c in rep_cols]
         self._class_basis = img.hstack(candidates.select_columns(rep_cols))
-        self._class_solver = SpanSolver(self._class_basis) if self._class_basis.cols else None
 
     # -- conversions -------------------------------------------------------
 
@@ -338,7 +343,7 @@ class HomotopyHom:
                 continue
             comps[i] = ModuleMap.combination(basis[0].source, basis[0].target,
                                              vec[off:off + len(basis)], basis)
-        return ChainMap(self.x, shift_complex(self.y, self.n), comps)
+        return ChainMap(self.x, shift_complex(self.y, self.n) if self.n else self.y, comps)
 
     def chain_map_to_vector(self, cm_comps: dict[int, ModuleMap]) -> list:
         vec = [self.field.zero] * self.dim_total
@@ -351,18 +356,49 @@ class HomotopyHom:
     def representatives(self) -> list[ChainMap]:
         return [self.vector_to_chain_map(v) for v in self.rep_vectors]
 
-    def class_coordinates(self, cm_comps: dict[int, ModuleMap]) -> list:
-        """Coordinates of a cycle's homotopy class in the representative basis."""
-        F = self.field
-        v = self.chain_map_to_vector(cm_comps)
-        if self._class_basis.cols == 0:
-            if all(F.is_zero(c) for c in v):
-                return []
-            raise ValueError("nonzero cycle in zero hom space")
-        coords = self._class_solver.coords(v)
+    @cached_property
+    def _tops(self) -> list:
+        """(i, top columns of X^i, Y^{i+n}) for each block with a basis; a
+        map in a block without one is zero."""
+        return [(i, top_columns(self.x.comps[i]), basis[0].target)
+                for i, (basis, _) in self.blocks.items() if basis]
+
+    @cached_property
+    def _top_solver(self) -> SpanSolver:
+        """The class basis evaluated at the top columns, in the layout of
+        `_class_of`; of full column rank, as the evaluation is injective."""
+        F, rows = self.field, []
+        for i, tops, y in self._tops:
+            basis, off = self.blocks[i]
+            rows += [[F.zero] * off + [b.mats[v].at(r, c) for b in basis]
+                     + [F.zero] * (self.dim_total - off - len(basis))
+                     for v, c in tops for r in range(y.dims[v])]
+        return SpanSolver(Matrix.from_rows(F, rows) * self._class_basis)
+
+    def _class_of(self, values) -> list:
+        """Class coordinates of the cycle whose column c at vertex v in
+        degree i is values(i, v, c), or zero where that is None."""
+        vec = []
+        for i, tops, y in self._tops:
+            for v, c in tops:
+                col = values(i, v, c)
+                vec += [self.field.zero] * y.dims[v] if col is None else col
+        coords = self._top_solver.coords(vec)
         if coords is None:
             raise ValueError("vector is not a cycle combination")
         return coords[self.boundaries.cols:]
+
+    def class_coordinates(self, cm_comps: dict[int, ModuleMap]) -> list:
+        """Coordinates of a cycle's homotopy class in the representative
+        basis; cm_comps are its module maps X^i -> Y^{i+n}."""
+        return self._class_of(lambda i, v, c: cm_comps[i].mats[v].col(c) if i in cm_comps else None)
+
+    def product_coordinates(self, f: ChainMap, g: ChainMap) -> list:
+        """class_coordinates of "f then g" for f: X -> W of degree 0 and
+        g: W -> Y[n], with no composite built: one matrix-vector product
+        g^i·(column c of f^i) per top column."""
+        return self._class_of(lambda i, v, c: g.comps[i].mats[v].apply(f.comps[i].mats[v].col(c))
+                              if i in f.comps and i in g.comps else None)
 
 
 def hom_k(x: Complex, y: Complex, n: int) -> int:

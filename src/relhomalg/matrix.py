@@ -331,10 +331,9 @@ def column_space_basis(m: Matrix) -> Matrix:
 
 
 def complement_columns(basis: Matrix) -> list[int]:
-    """Indices of identity columns completing basis to a full basis.
-
-    basis has full column rank; returns indices j with e_j extending it.
-    """
+    """Indices j of identity columns e_j completing the column space of
+    basis (of any rank) to the whole space: the pivots past basis in
+    rref([basis | I])."""
     n = basis.rows
     aug = basis.hstack(Matrix.identity(basis.field, n))
     _, pivots = rref(aug)
@@ -388,14 +387,14 @@ class SpanSolver:
 
 
 def block_diag(field: Field, blocks: list[Matrix]) -> Matrix:
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    out = Matrix.zeros(field, rows, cols).to_rows()
-    ro = co = 0
+    z, out, co = field.zero, [], 0
     for b in blocks:
+        left, right = [z] * co, [z] * (cols - co - b.cols)
         for i in range(b.rows):
-            out[ro + i][co : co + b.cols] = b.row(i)
-        ro += b.rows
+            out += left
+            out += b.entries[i * b.cols:(i + 1) * b.cols]
+            out += right
         co += b.cols
-    return Matrix.from_rows(field, out) if rows else Matrix(field, 0, cols, [])
+    return Matrix(field, sum(b.rows for b in blocks), cols, out)
 

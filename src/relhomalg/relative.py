@@ -13,15 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrix import Matrix, rank, rref
+from .matrix import Matrix, rank
 from .quiver import PathAlgebra
 from .rep import (
     DirectSum,
     ModuleMap,
     Representation,
     ShortExactSeq,
-    _arrows_at,
     _coordinate_matrix,
+    _hom_basis,
+    _vertex_maps,
     cokernel,
     direct_sum,
     dual_to_main,
@@ -29,13 +30,13 @@ from .rep import (
     hom_space,
     hom_to_algebra,
     injective,
-    is_isomorphic,
     kernel,
     projective,
+    proven_isomorphic,
     simple,
+    socle_rows,
     stack_maps,
     top_columns,
-    top_dims,
     zero_representation,
 )
 from .reports import Dim, DimensionReport, dim_max
@@ -72,12 +73,11 @@ class SubbifunctorF:
         n = self.algebra.quiver.n
         for i in range(1, n + 1):
             p = projective(self.algebra, i)
-            if not any(is_isomorphic(p, s.module).isomorphic for s in self.summands):
+            if not any(proven_isomorphic(p, s.module) for s in self.summands):
                 raise ValueError(f"projective({i}) is not among the declared summands of G")
         for a in range(len(self.summands)):
             for b in range(a + 1, len(self.summands)):
-                r = is_isomorphic(self.summands[a].module, self.summands[b].module)
-                if r.isomorphic:
+                if proven_isomorphic(self.summands[a].module, self.summands[b].module):
                     raise ValueError(
                         f"declared summands {self.summands[a].name} and {self.summands[b].name} are isomorphic")
         for s in self.summands:
@@ -88,10 +88,8 @@ class SubbifunctorF:
 
     def is_projective_summand(self, k: int) -> bool:
         m = self.summands[k].module
-        for v in range(1, self.algebra.quiver.n + 1):
-            if is_isomorphic(m, projective(self.algebra, v)).isomorphic:
-                return True
-        return False
+        return any(proven_isomorphic(m, projective(self.algebra, v))
+                   for v in range(1, self.algebra.quiver.n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,34 +196,19 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     return keep
 
 
-def _vertex_keep(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
-                 left: bool) -> list[int] | None:
-    """The keep list of `_minimal_approximating_subset` when the summands are
-    the stored P_1..P_n (right: projective covers) or I_1..I_n (left:
-    injective envelopes), else None.  Both are spanning conditions at each
-    vertex v: onto iff the tops u(e_v) (column 0 of u_v) of the maps u out of
-    P_v span x_v modulo (rad x)_v, the columns of the arrows into v; mono
-    iff mono on soc x, iff the functionals (row 0 of u_v) of the maps into
-    I_v span D(x_v) modulo the rows of the arrows out of v, which annihilate
-    (soc x)_v.  So the greedy pass keeps each map outside the span of the
-    fixed part and the maps after it: the pivots of one rref of
-    [fixed | u_last ... u_first] per vertex."""
-    if not _are_vertex_modules(summands, algebra, "injective" if left else "projective"):
-        return None
-    keep: list[int] = []
-    offset = 0
-    for v, c in enumerate(_modules(summands)):
-        basis = hom_space(x, c) if left else hom_space(c, x)
-        if not basis:
-            continue
-        fixed = _arrows_at(x, v, into=False).transpose() if left else _arrows_at(x, v)
-        vecs = [u.mats[v].row(0) if left else u.mats[v].col(0) for u in reversed(basis)]
-        w, d = fixed.cols, len(vecs)
-        _, pivots = rref(Matrix(algebra.field, fixed.rows, w + d, [
-            e for r in range(fixed.rows) for e in fixed.row(r) + [vec[r] for vec in vecs]]))
-        keep += sorted(offset + w + d - 1 - p for p in pivots if p >= w)
-        offset += d
-    return keep
+def _vertex_generators(x: Representation, summands: list[SummandDecl],
+                       left: bool) -> tuple[list[ModuleMap], list[int]]:
+    """The maps of the cover of x by the stored P_1..P_n (right), or of its
+    envelope in the stored I_1..I_n (left), with their vertices, and no
+    other map of Hom(P_v, x) or Hom(x, I_v): e_v -> e_j for each top column
+    (v, j) of x, or the functional e_j^T for each of its `socle_rows`."""
+    gens = socle_rows(x) if left else top_columns(x)
+    maps: list[ModuleMap] = []
+    for v, s in enumerate(summands):
+        js = [j for w, j in gens if w == v]
+        src, tgt = (x, s.module) if left else (s.module, x)
+        maps += _hom_basis(src, tgt, _vertex_maps(src, tgt, v + 1, left, js)) if js else []
+    return maps, [v for v, _ in gens]
 
 
 def _are_vertex_modules(summands: list[SummandDecl], algebra: PathAlgebra, kind: str) -> bool:
@@ -261,25 +244,31 @@ def _approximation(x: Representation, summands: list[SummandDecl], algebra: Path
 
 def _build_approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
                          left: bool) -> Approximation:
+    """By the greedy pass over the Hom-space basis maps, or, for the stored
+    projectives (injectives), from `_vertex_generators` alone: their glued
+    map is checked onto (mono), so it is an add(Λ)- (add(DΛ)-)
+    approximation, and it is minimal by its count of copies, dim top(x)_v
+    of P_v (dim soc(x)_v of I_v), see `projective_cover`."""
     if x.is_zero():
         z = zero_representation(algebra)
         return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x),
                              direct_sum([], algebra), [])
-    maps: list[ModuleMap] = []
-    pieces: list[int] = []
-    for k, s in enumerate(summands):
-        for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
-            maps.append(phi)
-            pieces.append(k)
-    keep = _vertex_keep(x, summands, algebra, left)
-    if keep is None:
-        keep = _minimal_approximating_subset(x, maps, summands, left)
-    if keep is None:
+    vertex = _are_vertex_modules(summands, algebra, "injective" if left else "projective")
+    if vertex:
+        maps, pieces = _vertex_generators(x, summands, left)
+    else:
+        pairs = [(phi, k) for k, s in enumerate(summands)
+                 for phi in (hom_space(x, s.module) if left else hom_space(s.module, x))]
+        keep = _minimal_approximating_subset(x, [phi for phi, _ in pairs], summands, left)
+        if keep is None:
+            raise ValueError("tautological approximation failed")
+        maps, pieces = [pairs[i][0] for i in keep], [pairs[i][1] for i in keep]
+    total, glued = stack_maps(maps, x, into=left)
+    if vertex and not (glued.is_injective() if left else glued.is_surjective()):
         raise ValueError("tautological approximation failed")
-    total, glued = stack_maps([maps[i] for i in keep], x, into=left)
     if glued.is_isomorphism():
         return Approximation(ModuleMap.identity(x), None, None)
-    return Approximation(glued, total, [pieces[i] for i in keep])
+    return Approximation(glued, total, pieces)
 
 
 def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
@@ -305,17 +294,13 @@ def left_approximation(x: Representation, targets: list[SummandDecl],
 
 def projective_cover(m: Representation) -> Approximation:
     """The projective cover of m: its minimal right add(Λ)-approximation,
-    certified by counting.  A surjection ⊕P_v -> m is a projective cover
-    (its kernel lies in the radical of the source) exactly when the copies
-    of P_v number dim top(m)_v = dim m_v - dim (rad m)_v at every vertex v;
-    ValueError otherwise."""
+    built from the top columns of m alone (`_vertex_generators`), checked
+    onto, and certified by counting.  A surjection ⊕P_v -> m is a projective
+    cover (its kernel lies in the radical of the source) exactly when the
+    copies of P_v number dim top(m)_v, the top columns (v, j) of m at each
+    vertex v (summand k of ordinary_f is P_{k+1}); ValueError otherwise."""
     app = right_approximation(m, ordinary_f(m.algebra))
-    if app.is_identity:
-        return app
-    copies = [0] * m.algebra.quiver.n
-    for k in app.pieces:  # summand k of ordinary_f is P_{k+1}
-        copies[k] += 1
-    if copies != top_dims(m):
+    if not app.is_identity and sorted(app.pieces) != [v for v, _ in top_columns(m)]:
         raise ValueError("cover kernel escapes the radical")
     return app
 
@@ -453,7 +438,7 @@ def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = 
         if m.is_zero():
             return
         for c in candidates:
-            if is_isomorphic(c.module, m).isomorphic:
+            if proven_isomorphic(c.module, m):
                 return
         candidates.append(SummandDecl(name, m))
 

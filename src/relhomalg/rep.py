@@ -386,14 +386,15 @@ def _vertex_hom(m: Representation, n: Representation) -> HomBasis:
     return _hom_basis(m, n, [R.row(r)[::-1] for r in reversed(range(len(vecs)))])
 
 
-def _vertex_maps(m: Representation, n: Representation, v: int, into: bool) -> list[list]:
+def _vertex_maps(m: Representation, n: Representation, v: int, into: bool,
+                 js: list[int] | None = None) -> list[list]:
     """A basis of Hom(P_v, n) = n_v, m = P_v (Assem-Simson-Skowroński I,
     III.2), flattened as in `_hom_space_compute`: the map e_v -> e_j sends
     the basis path p of P_v to n(p)·e_j.  With into, dually, of
     Hom(m, I_v) = D(m_v) for I_v = D P'_v, P'_v over the opposite algebra:
     the functional e_j^T gives the map sending y in m_w to p -> e_j^T·m(p*)·y
     on the basis paths p of P'_v at w, p* reversed.  Each product is one
-    step from its prefix's."""
+    step from its prefix's.  Only the maps of the j in js, when given."""
     x, paths_alg = (m, m.algebra.opposite()) if into else (n, n.algebra)
     d = x.dims[v - 1]
     if not d:
@@ -405,7 +406,7 @@ def _vertex_maps(m: Representation, n: Representation, v: int, into: bool) -> li
         products[k] = (x.mats[a] if prefix == trivial
                        else products[prefix] * x.mats[a] if into else x.mats[a] * products[prefix])
     vecs = []
-    for j in range(d):
+    for j in range(d) if js is None else js:
         vec = []
         for ks in per_vertex:
             if into:  # the block at w has the rows j of m(p*)
@@ -544,16 +545,7 @@ def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) 
     F = algebra.field
     q = algebra.quiver
     dims = tuple(sum(p.dims[v] for p in parts) for v in range(q.n))
-    mats = []
-    for ai in range(len(q.arrows)):
-        a = q.arrows[ai]
-        blocks = [p.mats[ai] for p in parts]
-        if parts:
-            mats.append(block_diag(F, blocks))
-        else:
-            mats.append(Matrix.zeros(F, 0, 0))
-        if (mats[-1].rows, mats[-1].cols) != (dims[a.target - 1], dims[a.source - 1]):
-            mats[-1] = Matrix.zeros(F, dims[a.target - 1], dims[a.source - 1])
+    mats = [block_diag(F, [p.mats[ai] for p in parts]) for ai in range(len(q.arrows))]
     rep = Representation(algebra, dims, mats, check=False)
     rep._checked |= all(p._checked for p in parts)
     return DirectSum(rep, list(parts))
@@ -565,16 +557,11 @@ def stack_maps(maps: list[ModuleMap], x: Representation,
     into x -> (⊕M_k)."""
     algebra = x.algebra
     ds = direct_sum([f.target if into else f.source for f in maps], algebra)
-    F = algebra.field
-    mats = []
-    for v in range(algebra.quiver.n):
-        if maps:
-            block = maps[0].mats[v]
-            for f in maps[1:]:
-                block = block.vstack(f.mats[v]) if into else block.hstack(f.mats[v])
-        else:
-            block = Matrix.zeros(F, 0, x.dims[v]) if into else Matrix.zeros(F, x.dims[v], 0)
-        mats.append(block)
+    F, dims = algebra.field, ds.rep.dims
+    mats = [Matrix(F, dims[v], x.dims[v], [e for f in maps for e in f.mats[v].entries]) if into
+            else Matrix(F, x.dims[v], dims[v],
+                        [e for r in range(x.dims[v]) for f in maps for e in f.mats[v].row(r)])
+            for v in range(algebra.quiver.n)]
     if into:
         return ds, ModuleMap(x, ds.rep, mats, check=False)
     return ds, ModuleMap(ds.rep, x, mats, check=False)
@@ -587,17 +574,13 @@ def stack_maps(maps: list[ModuleMap], x: Representation,
 def _arrows_at(m: Representation, v: int, into: bool = True) -> Matrix:
     """The arrows into vertex v (0-based) side by side, spanning (rad m)_v,
     or with into=False those out of v stacked, with kernel (soc m)_v."""
-    F = m.algebra.field
-    out = Matrix.zeros(F, m.dims[v], 0) if into else Matrix.zeros(F, 0, m.dims[v])
-    for ai, a in enumerate(m.algebra.quiver.arrows):
-        if (a.target if into else a.source) - 1 == v:
-            out = out.hstack(m.mats[ai]) if into else out.vstack(m.mats[ai])
-    return out
-
-
-def top_dims(m: Representation) -> list[int]:
-    """dim (m/J·m)_v at each vertex v: dim m_v less the rank of the arrows into v."""
-    return [d - rank(_arrows_at(m, v)) for v, d in enumerate(m.dims)]
+    mats = [m.mats[ai] for ai, a in enumerate(m.algebra.quiver.arrows)
+            if (a.target if into else a.source) - 1 == v]
+    if into:
+        return Matrix(m.algebra.field, m.dims[v], sum(a.cols for a in mats),
+                      [e for r in range(m.dims[v]) for a in mats for e in a.row(r)])
+    return Matrix(m.algebra.field, sum(a.rows for a in mats), m.dims[v],
+                  [e for a in mats for e in a.entries])
 
 
 def radical(m: Representation) -> tuple[Representation, ModuleMap]:
@@ -611,15 +594,23 @@ def radical(m: Representation) -> tuple[Representation, ModuleMap]:
 
 def top_columns(m: Representation) -> list[tuple[int, int]]:
     """The (v, j), v 0-based, whose standard basis vectors e_j complete the
-    stored basis of (rad m)_v to one of m_v; computed once per m and stored
-    on it.  They generate m, so evaluating at them is injective on Hom(m, -):
-    every module has J^N m = 0 (the schema checks declared ones, and
-    kernels, cokernels, sums and duals keep it), so the submodule S they
-    generate, with S + J·m = m, is m = S + J^N·m by Nakayama's lemma."""
+    pivot columns of the arrows into v, the basis of (rad m)_v that
+    `radical` takes, to one of m_v; computed once per m and stored on it.
+    They generate m, so evaluating at them is injective on Hom(m, -): every
+    module has J^N m = 0 (the schema checks declared ones, and kernels,
+    cokernels, sums and duals keep it), so the submodule S they generate,
+    with S + J·m = m, is m = S + J^N·m by Nakayama's lemma."""
     if m._top is None:
-        _, incl = radical(m)
-        m._top = [(v, j) for v, basis in enumerate(incl.mats) for j in complement_columns(basis)]
+        m._top = [(v, j) for v in range(len(m.dims)) for j in complement_columns(_arrows_at(m, v))]
     return m._top
+
+
+def socle_rows(m: Representation) -> list[tuple[int, int]]:
+    """The (v, j), v 0-based, whose functionals e_j^T complete the pivot rows
+    of the arrows out of v, which vanish exactly on (soc m)_v, to a basis of
+    D(m_v): restricted to (soc m)_v they form a basis of its dual."""
+    return [(v, j) for v in range(len(m.dims))
+            for j in complement_columns(_arrows_at(m, v, into=False).transpose())]
 
 
 def socle(m: Representation) -> tuple[Representation, ModuleMap]:
@@ -714,13 +705,23 @@ def is_isomorphic(m: Representation, n: Representation) -> IsoResult:
     return IsoResult(None)
 
 
+def proven_isomorphic(m: Representation, n: Representation) -> bool:
+    """is_isomorphic(m, n) answers True, asked only when cheap invariants
+    leave it open: m is n proves it (representations are canonical per
+    algebra), and different dims or tops (vertices of `top_columns`) refute it."""
+    if m is n or m.dims != n.dims:
+        return m is n
+    return ([v for v, _ in top_columns(m)] == [v for v, _ in top_columns(n)]
+            and is_isomorphic(m, n).isomorphic is True)
+
+
 def endo_indecomposability_check(m: Representation) -> bool:
     """End(m) is local with End(m)/rad = k, so m is indecomposable; computed
     once per m.  When dim top m = 1, m = Λx for any x outside J·m, each f in
     End(m) acts on the top by a scalar λ, and f - λ maps J^i·m into
     J^(i+1)·m, so it is nilpotent.  Otherwise End(m) must pass the residue
     certificate (`algebra.residue_certificate`) over its hom_space basis."""
-    if m._local is None and sum(top_dims(m)) == 1:
+    if m._local is None and len(top_columns(m)) == 1:
         m._local = True
     if m._local is None:
         basis = hom_space(m, m)

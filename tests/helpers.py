@@ -2,11 +2,11 @@
 second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies, approximations
 from Hom coordinates, the intertwining solve and greedy removal for Homs
-and approximations that are read off vertex spaces, for End(T) the residue
-form on all of A and the grading scan over every idempotent, and for path
-algebras the construction by completing the relations into rewriting
-rules) that serve only as cross-checks, and the short sequences and
-F-quasi-isomorphisms that only the tests build."""
+and approximations that are read off vertex spaces, for End(T) its products
+by composing chain maps, the residue form on all of A and the grading scan
+over every idempotent, and for path algebras the construction by completing
+the relations into rewriting rules) that serve only as cross-checks, and
+the short sequences and F-quasi-isomorphisms that only the tests build."""
 
 from dataclasses import dataclass
 
@@ -31,7 +31,9 @@ from relhomalg.rep import (
     kernel,
     projective,
     socle,
+    stack_maps,
 )
+from relhomalg.tilting import end_algebra
 
 
 def cycle3_selfinjective(field=QQ):
@@ -140,15 +142,50 @@ def solved_hom_space(m, n):
     return rep._hom_space_compute(m, n)
 
 
-def greedy_keep(x, summands, left):
-    """The keep list of the greedy removal pass,
-    `relative._minimal_approximating_subset`, over the maps that
-    `relative._build_approximation` gathers, which every summand list but
-    the stored projectives (right) and injectives (left) runs; the
-    reference for the covers and envelopes read in one echelon scan."""
-    maps = [phi for s in summands
-            for phi in (hom_space(x, s.module) if left else hom_space(s.module, x))]
-    return relative._minimal_approximating_subset(x, maps, summands, left)
+def full_basis_approximation(x, summands, left):
+    """(pieces, map) of the minimal approximation that the greedy removal
+    pass, `relative._minimal_approximating_subset`, keeps from every map of
+    the Hom-space bases: the route that covers by the stored projectives
+    (right) and envelopes in the stored injectives (left) took before they
+    were built from their kept maps alone (`relative._vertex_generators`);
+    every other summand list still takes it."""
+    maps, pieces = [], []
+    for k, s in enumerate(summands):
+        for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
+            maps.append(phi)
+            pieces.append(k)
+    keep = relative._minimal_approximating_subset(x, maps, summands, left)
+    return [pieces[i] for i in keep], stack_maps([maps[i] for i in keep], x, into=left)[1]
+
+
+def compose_chain(f, g):
+    """Degreewise composition f then g of two degree-0 chain maps."""
+    return {i: f.comps[i].compose(g.comps[i]) for i in f.comps if i in g.comps}
+
+
+def composed_end_table(ts):
+    """The structure constants of End_K(T) by composing each pair of
+    representatives with `compose_chain` and solving the class coordinates
+    of the composite over all of Hom^0 (`hom_coordinates` in each degree);
+    the route that `tilting.end_algebra` replaced by reading products at
+    the top columns."""
+    endo = end_algebra(ts)
+    F, n = ts.parts[0].algebra.field, len(ts.parts)
+    reps = {key: ts.corner(*key).representatives() for key in endo.offsets}
+    table = {}
+    for (i, j), left in reps.items():
+        for k in range(n):
+            hh, start = ts.corner(i, k), endo.offsets[(i, k)]
+            solver = SpanSolver(hh._class_basis)
+            for a, f in enumerate(left):
+                for b, g in enumerate(reps[(j, k)]):
+                    coords = solver.coords(hh.chain_map_to_vector(compose_chain(f, g)))
+                    assert coords is not None
+                    nonzero = {start + c: x for c, x in enumerate(coords[hh.boundaries.cols:])
+                               if not F.is_zero(x)}
+                    if nonzero:
+                        table[(endo.offsets[(i, j)] + a, endo.offsets[(j, k)] + b)] = nonzero
+    return table
 
 
 def structure_constants(pathalg):

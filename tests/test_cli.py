@@ -182,6 +182,26 @@ def test_violated_exit_code(tmp_path, capsys):
     assert run(["--quiet", "tilting", bad]) == 2
 
 
+def test_count_criterion_counts_proven_parts(tmp_path, capsys):
+    # section7 with TM2 dropped from T keeps five parts, each proven
+    # indecomposable, against |ind P(F)| = 6; the declared count of 6 must
+    # not make the count criterion pass
+    data = json.loads((DATA / "section7.json").read_text())
+    data["complexes"]["T"]["sum"].remove("TM2")
+    data["tilting"]["summands"].remove("TM2")
+    assert data["tilting"]["summand_count"] == 6
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    assert run(["--report", str(report), "tilting", probe]) == 2
+    out = capsys.readouterr().out
+    assert "count criterion       FAILS" in out
+    assert "count criterion: 5 parts proven indecomposable, |ind P(F)| = 6" in out
+    tilting = json.loads(report.read_text())["results"]["tilting"]
+    assert not tilting["count_criterion_ok"] and tilting["declared_count"] == 6
+    assert all(tilting["summand_spot_checks"].values())
+
+
 def _with_witness(witness):
     def edit(data):
         data["tilting"]["witnesses"][0] = witness

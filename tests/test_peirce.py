@@ -3,24 +3,28 @@ in one corner Hom_K(T_i, T_j), the idempotents are basis vectors, products
 vanish unless their corners meet, and the algebra certifies the grading
 instead of assuming it."""
 
+import json
 from pathlib import Path
 
 import pytest
-from helpers import a2_algebra, cycle3_selfinjective, structure_constants, uniserials
+from helpers import (a2_algebra, composed_end_table, cycle3_selfinjective, nakayama_problem,
+                     structure_constants, uniserials)
 
-from relhomalg import tilting
+from relhomalg import complexes
 from relhomalg.algebra import AbstractAlgebra
+from relhomalg.complexes import HomotopyHom, hom_k, stalk_complex
+from relhomalg.fields import QQ, PrimeField
 from relhomalg.relative import gldim
-from relhomalg.complexes import hom_k, stalk_complex
-from relhomalg.schema import load_problem
+from relhomalg.rep import ModuleMap
+from relhomalg.schema import load_problem, parse_problem
 from relhomalg.tilting import end_algebra, sum_complexes_with_maps
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section7", "section6", "a2_apr", "section6_symmetric"]
 
 
-def bundled_sum(name):
-    return load_problem(str(DATA / f"{name}.json")).tilting_sum()
+def bundled_sum(name, field=QQ):
+    return load_problem(str(DATA / f"{name}.json"), field).tilting_sum()
 
 
 def nakayama33_sum():
@@ -64,21 +68,53 @@ def test_end_algebra_basis_is_graded_by_summand_pairs(label, build):
 
 @pytest.mark.parametrize("label, build", SUMS, ids=[s[0] for s in SUMS])
 def test_end_algebra_composes_only_corners_that_meet(label, build, monkeypatch):
+    """One `product_coordinates` per pair of representatives whose corners
+    meet, (i -> j) then (j -> k), and only into a corner Hom_K(T_i, T_k)
+    that is not zero; no composite map is built and no class is solved over
+    all of Hom^0."""
     ts = build()
     n = len(ts.parts)
-    d = {(i, j): hom_k(ts.parts[i], ts.parts[j], 0) for i in range(n) for j in range(n)}
+    d = {(i, j): len(ts.corner(i, j).representatives()) for i in range(n) for j in range(n)}
     calls = []
-    compose = tilting.compose_chain
+    product = HomotopyHom.product_coordinates
 
-    def counted(f, g):
+    def counted(self, f, g):
         calls.append(1)
-        return compose(f, g)
+        return product(self, f, g)
 
-    monkeypatch.setattr(tilting, "compose_chain", counted)
+    def forbidden(*args):
+        raise AssertionError("end_algebra built a composite or solved over all of Hom^0")
+
+    monkeypatch.setattr(HomotopyHom, "product_coordinates", counted)
+    monkeypatch.setattr(HomotopyHom, "class_coordinates", forbidden)
+    monkeypatch.setattr(ModuleMap, "compose", forbidden)
+    monkeypatch.setattr(complexes, "hom_coordinates", forbidden)
     endo = end_algebra(ts)
-    expected = sum(d[(i, j)] * d[(j, k)] for i in range(n) for j in range(n) for k in range(n))
+    expected = sum(d[(i, j)] * d[(j, k)] for i in range(n) for j in range(n) for k in range(n)
+                   if d[(i, k)])
     assert len(calls) == expected
     assert endo.dim == sum(d.values())
+
+
+def nakayama_sum(n, length, every, field):
+    data = nakayama_problem(n, length, every_indecomposable=every, tilting=True)
+    return parse_problem(json.dumps(data), field_override=field).tilting_sum()
+
+
+TABLES = [(name, lambda field, name=name: bundled_sum(name, field)) for name in BUNDLED]
+TABLES += [(f"nakayama({n},{length}) {'all' if every else 'P+S'}",
+            lambda field, n=n, length=length, every=every: nakayama_sum(n, length, every, field))
+           for n, length, every in ((3, 3, True), (4, 4, True), (4, 4, False))]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["q", "fp:32003"])
+@pytest.mark.parametrize("label, build", TABLES, ids=[t[0] for t in TABLES])
+def test_end_algebra_matches_the_composed_products(label, build, field):
+    """The structure constants read at the top columns are those of
+    composing each pair of representatives and solving its class over all
+    of Hom^0 (`helpers.composed_end_table`)."""
+    ts = build(field)
+    assert end_algebra(ts).table == composed_end_table(ts)
 
 
 def mixed_a2():

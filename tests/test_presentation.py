@@ -101,3 +101,19 @@ def test_a_non_basic_algebra_fails_the_certificate():
     assert m2.radical_dim() == 0
     with pytest.raises(ValueError, match="certificate"):
         m2.presentation()
+
+
+def test_nilpotency_bound_is_the_loewy_length_not_the_longest_normal_word():
+    """Γ of section6 has Loewy length 4, while its longest normal word has
+    length 2: a relation sets a path of length 3 equal to a normal word of
+    length 2, so that path is a nonzero element of rad³Γ.  The first length
+    with no normal word (3) is therefore no nilpotency bound: J³ = 0 would
+    lose that product, and the bound comes from the radical layers."""
+    pres = load_problem(str(DATA / "section6.json")).tilting_sum().gamma().presentation()
+    assert pres.N == 4
+    assert max(len(word) for _, word in pres.basis) == 2
+    mixed = [rel for rel in pres.relations if {len(w) for _, w in rel} == {2, 3}]
+    assert mixed
+    for rel in mixed:
+        for _, w in rel:
+            assert len(w) == 3 or (pres.quiver.word_source(w), w) in pres.basis_index

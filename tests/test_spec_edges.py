@@ -9,9 +9,9 @@ from relhomalg.fields import PrimeField, QQ
 from relhomalg.relative import SubbifunctorF, SummandDecl, pd_f
 from relhomalg.rep import hom_space, is_isomorphic, projective, simple
 from relhomalg.reports import Dim
-from relhomalg.tilting import compose_chain, sum_complexes_with_maps
+from relhomalg.tilting import sum_complexes_with_maps
 
-from helpers import cycle3_selfinjective, ext_by_injectives
+from helpers import compose_chain, cycle3_selfinjective, ext_by_injectives
 
 
 def test_prime_field_algebra_and_homs():
@@ -67,6 +67,7 @@ def test_null_homotopic_composition_stays_null(F7, L7_modules):
         for rep in hh.representatives():
             comp = compose_chain(null_map, rep)
             assert all(F.is_zero(c) for c in hh.class_coordinates(comp))
+            assert all(F.is_zero(c) for c in hh.product_coordinates(null_map, rep))
 
 
 def test_hom_window_symmetry(F7):

@@ -73,7 +73,6 @@ def test_single_stalk_endo_one_dimensional(F7, L7_modules):
 
 def test_cone_padding_preserves_endo_dim(F7, L7_modules, stalk_tilting7):
     from relhomalg.complexes import cone, chain_identity
-    from relhomalg.tilting import compose_chain
     m = L7_modules["P2"]
     contractible, _, _ = cone(chain_identity(stalk_complex(m, 0, label="P2")))
     padded = sum_complexes_with_maps(

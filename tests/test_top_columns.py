@@ -18,6 +18,7 @@ import pytest
 from relhomalg import relative
 from relhomalg.cli import main
 from relhomalg.fields import QQ, PrimeField
+from relhomalg.matrix import rank
 from relhomalg.rep import (
     direct_sum,
     injective,
@@ -26,6 +27,8 @@ from relhomalg.rep import (
     radical,
     radical_power_sub,
     simple,
+    socle,
+    socle_rows,
     top_columns,
 )
 from relhomalg.relative import SummandDecl, left_approximation
@@ -131,6 +134,17 @@ def test_top_columns_complement_the_radical(name):
         assert [sum(1 for v, _ in top if v == w) for w in range(len(m.dims))] == \
             [d - r for d, r in zip(m.dims, rad.dims)]
         assert top_columns(m) is top
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_socle_rows_restrict_to_a_basis_of_the_dual_socle(name):
+    for m in load_problem(str(DATA / f"{name}.json")).modules.values():
+        rows = socle_rows(m)
+        soc, incl = socle(m)
+        assert [sum(1 for v, _ in rows if v == w) for w in range(len(m.dims))] == list(soc.dims)
+        for w, basis in enumerate(incl.mats):  # the functionals, restricted to (soc m)_w
+            picked = basis.submatrix([j for v, j in rows if v == w], range(basis.cols))
+            assert rank(picked) == basis.cols
 
 
 def test_radical_and_left_multiplication_are_built_once():

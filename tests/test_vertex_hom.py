@@ -1,15 +1,17 @@
 """Hom from projectives and into injectives read off vertex spaces, and
-covers and envelopes read in one echelon scan.
+covers and envelopes built from their kept maps alone.
 
 `rep.hom_space` reads Hom(P_v, X) off X_v and Hom(X, I_v) off D(X_v) for the
 stored projectives and injectives (`rep._vertex_hom`), and
-`relative._build_approximation` reads the keep list of a projective cover or
-injective envelope off one rref per vertex (`relative._vertex_keep`).  These
-tests check both, entry for entry and keep list for keep list, against the
-intertwining solve and the greedy removal pass (`helpers.solved_hom_space`,
-`helpers.greedy_keep`) on every Hom and approximation that real commands
-build, over Q and F_32003, and count that those commands no longer solve or
-scan where the answer is structural.
+`relative._build_approximation` builds a cover by the projectives from the
+top columns of X and an envelope in the injectives from the rows completing
+the arrows out of each vertex (`relative._vertex_generators`), with no
+other map of those Hom spaces.  These tests check both against the
+intertwining solve and against the greedy pass over the whole Hom bases
+(`helpers.solved_hom_space`, `helpers.full_basis_approximation`) on every
+Hom and approximation that real commands build, over Q and F_32003, and
+count that those commands no longer solve or scan where the answer is
+structural.
 """
 
 import contextlib
@@ -27,10 +29,12 @@ from relhomalg.matrix import Matrix, kernel_basis, rank
 from relhomalg.rep import (
     ModuleMap,
     _induced_sub,
+    cokernel,
     endo_indecomposability_check,
     hom_coordinates,
     hom_space,
     injective,
+    is_isomorphic,
     kernel,
     left_multiplication_map,
     projective,
@@ -39,8 +43,8 @@ from relhomalg.rep import (
 )
 from relhomalg.schema import load_problem
 
-from helpers import (cycle3_selfinjective, cycle3_verbatim, greedy_keep, nakayama_problem,
-                     solved_hom_space, uniserials)
+from helpers import (cycle3_selfinjective, cycle3_verbatim, full_basis_approximation,
+                     nakayama_problem, solved_hom_space, uniserials)
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section6", "section6_symmetric", "section7", "a2_apr"]
@@ -62,10 +66,11 @@ def flat(basis):
 @pytest.fixture
 def compared(monkeypatch):
     """Checks every Hom read off a vertex space against the intertwining
-    solve, and every cover and envelope keep list against the greedy pass;
-    returns the counts of each."""
+    solve, and every cover and envelope against the one the greedy pass
+    keeps from the whole Hom bases (the same pieces, and a kernel or
+    cokernel certified isomorphic); returns the counts of each."""
     seen = {"hom": 0, "cover": 0, "envelope": 0}
-    vertex_hom, vertex_keep = rep._vertex_hom, relative._vertex_keep
+    vertex_hom, build = rep._vertex_hom, relative._build_approximation
 
     def hom_both(m, n):
         out = vertex_hom(m, n)
@@ -75,15 +80,26 @@ def compared(monkeypatch):
             seen["hom"] += 1
         return out
 
-    def keep_both(x, summands, algebra, left):
-        out = vertex_keep(x, summands, algebra, left)
-        if out is not None:
-            assert out == greedy_keep(x, summands, left)
-            seen["envelope" if left else "cover"] += 1
+    def approximation_both(x, summands, algebra, left):
+        kind = "injective" if left else "projective"
+        if x.is_zero() or [s.module for s in summands] != [
+                algebra.vertex_modules.get((kind, v)) for v in range(1, algebra.quiver.n + 1)]:
+            return build(x, summands, algebra, left)
+        with pytest.MonkeyPatch.context() as mp:  # no Hom basis on the vertex side is built
+            mp.setattr(relative, "hom_space", None)
+            out = build(x, summands, algebra, left)
+        pieces, ref = full_basis_approximation(x, summands, left)
+        if out.is_identity:
+            assert ref.is_isomorphism()
+        else:
+            assert sorted(out.pieces) == sorted(pieces)
+            end = cokernel if left else kernel
+            assert is_isomorphic(end(out.map)[0], end(ref)[0]).isomorphic is True
+        seen["envelope" if left else "cover"] += 1
         return out
 
     monkeypatch.setattr(rep, "_vertex_hom", hom_both)
-    monkeypatch.setattr(relative, "_vertex_keep", keep_both)
+    monkeypatch.setattr(relative, "_build_approximation", approximation_both)
     return seen
 
 
