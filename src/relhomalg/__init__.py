@@ -3,11 +3,11 @@ quiver algebras.
 
 Layers, bottom up: exact linear algebra over Q and F_p (matrix), path
 algebras and quiver representations (quiver, rep), the relative theory for
-F = F_{add G} (relative), bounded complexes and derived Homs (complexes),
-F-tilting verification and endomorphism algebras (tilting), structure-
-constant algebras and their quiver presentations (algebra), the headline
-dimension-bound checks (bounds), and a JSON problem-file front end (schema,
-cli).
+F = F_{add G} (relative), bounded complexes and homotopy-category Homs
+(complexes), F-tilting verification and endomorphism algebras (tilting),
+structure-constant algebras and their quiver presentations (algebra), the
+headline dimension-bound checks (bounds), and a JSON problem-file front end
+(schema, cli).
 """
 
 from .fields import PrimeField, QQ, RationalField
@@ -44,7 +44,6 @@ from .complexes import (
     ChainMap,
     Complex,
     cone,
-    hom_df,
     hom_k,
     is_f_acyclic,
     radical_normalize,

@@ -139,12 +139,6 @@ class AbstractAlgebra:
                 self._rad[(i, j)] = [_combine(F, zip(kernel.col(c), ys)) for c in range(kernel.cols)]
         return self._rad
 
-    def radical_matrix(self) -> Matrix:
-        """The vectors of `radical` as the columns of one matrix."""
-        F = self.field
-        cols = [v for vs in self.radical().values() for v in vs]
-        return Matrix(F, self.dim, len(cols), [v.get(r, F.zero) for r in range(self.dim) for v in cols])
-
     def radical_dim(self) -> int:
         return sum(len(vs) for vs in self.radical().values())
 

@@ -1,7 +1,5 @@
 """Bounded complexes of representations: cones, shifts, homotopy-category
-Hom spaces, F-acyclicity, radical normalization, term length, and
-Hom_{D_F} via F-projective replacement (on stalks it is Ext_F, which
-`relative.ext_f` counts from Hom dimensions, so each checks the other).
+Hom spaces, F-acyclicity, radical normalization and term length.
 
 Degree convention: differentials raise degree, d^i: X^i -> X^{i+1};
 (X[n])^i = X^{i+n} with differential (-1)^n d^{i+n}.
@@ -12,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref, solve
+from .matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref
 from .quiver import PathAlgebra
 from .rep import (
     ModuleMap,
@@ -23,7 +21,7 @@ from .rep import (
     top_columns,
     zero_representation,
 )
-from .relative import FResolution, SubbifunctorF, TruncationError, f_resolution
+from .relative import SubbifunctorF
 
 
 @dataclass
@@ -252,9 +250,12 @@ class _TotalHom:
         return self._blocks[m]
 
     def differential(self, m: int) -> Matrix:
-        """The matrix of D^m: Hom^m -> Hom^{m+1}, assembled once per m."""
+        """The matrix of D^m: Hom^m -> Hom^{m+1}, assembled once per m; when
+        either side is zero it is the empty-shaped zero matrix."""
         if m not in self._diffs:
-            self._diffs[m] = self._assemble(m)
+            n_src, n_tgt = self.blocks(m)[1], self.blocks(m + 1)[1]
+            self._diffs[m] = (self._assemble(m) if n_src and n_tgt
+                              else Matrix(self.x.algebra.field, n_tgt, n_src, []))
         return self._diffs[m]
 
     def _assemble(self, m: int) -> Matrix:
@@ -280,12 +281,14 @@ class _TotalHom:
             d = self.x.diffs.get(i - 1)
             if d is not None:  # d_X^{i-1} then f lands in block i-1 with sign -(-1)^m
                 put(i - 1, col, (d.compose(f) for f in basis), m % 2 == 0)
-        return Matrix.from_rows(F, rows) if n_tgt else Matrix(F, 0, n_src, [])
+        return Matrix.from_rows(F, rows)
 
     def rank(self, m: int) -> int:
-        """rank D^m, computed once per m."""
+        """rank D^m, computed once per m; 0 with no elimination when D^m
+        has an empty side."""
         if m not in self._ranks:
-            self._ranks[m] = rank(self.differential(m))
+            d = self.differential(m)
+            self._ranks[m] = rank(d) if d.rows and d.cols else 0
         return self._ranks[m]
 
     def dim(self, n: int) -> int:
@@ -506,153 +509,3 @@ def term_length(x: Complex) -> int:
     if norm.is_zero():
         return 0
     return norm.hi - norm.lo
-
-
-# ---------------------------------------------------------------------------
-# derived hom via F-projective replacement
-
-
-@dataclass
-class Replacement:
-    complex: Complex
-    to_target: ChainMap
-    trusted_below: int | None  # degrees >= this are certified; None = fully exact
-
-
-def resolution_as_complex(res: FResolution, top_degree: int, f: SubbifunctorF) -> Replacement:
-    """An F-resolution laid out as a complex ending at top_degree, with its
-    augmentation chain map to the stalk of X at top_degree."""
-    algebra = res.x.algebra
-    comps, diffs, parts = {}, {}, {}
-    for k, p in enumerate(res.modules):
-        deg = top_degree - k
-        if p.is_zero():
-            continue
-        comps[deg] = p
-        if res.pieces[k] is None:
-            parts[deg] = [Part(f"addG@{deg}", p)]
-        else:
-            parts[deg] = [Part(f.summands[j].name, f.summands[j].module) for j in res.pieces[k]]
-    for k, d in enumerate(res.diffs):
-        deg = top_degree - k - 1
-        if deg in comps and (deg + 1) in comps:
-            diffs[deg] = d
-    cx = Complex(algebra, comps, diffs, parts=parts)
-    tgt = stalk_complex(res.x, top_degree)
-    aug = ChainMap(cx, tgt, {top_degree: res.augmentation} if top_degree in cx.comps else {})
-    trusted = None
-    if res.truncated:
-        trusted = top_degree - res.length + 1
-    return Replacement(cx, aug.validate(), trusted)
-
-
-def lift_through(eps: ChainMap, g: ChainMap) -> tuple[ChainMap, int | None]:
-    """f with f then eps = g, where eps is a degreewise-F-epi quasi-iso with
-    F-acyclic kernel.  Returns (f, lowest degree where the exact solve failed
-    or None)."""
-    Q, R = g.source, eps.source
-    F = Q.algebra.field
-    comps: dict[int, ModuleMap] = {}
-    failed_at: int | None = None
-    for i in sorted(set(Q.comps) | set(R.comps), reverse=True):
-        qi = Q.component(i)
-        ri = R.component(i)
-        # conditions: f^i then eps^i = g^i  and  f^i then d_R = d_Q then f^{i+1}
-        rhs_next = Q.differential(i).compose(comps.get(i + 1) or
-                                             ModuleMap.zero(Q.component(i + 1), R.component(i + 1)))
-        if qi.is_zero():
-            continue
-        basis = hom_space(qi, ri) if not ri.is_zero() else []
-        if not basis:
-            if not g.component(i).is_zero() or not rhs_next.is_zero():
-                failed_at = i
-                break
-            continue
-        conds = []
-        targets = []
-        conds.append([b.compose(eps.component(i)) for b in basis])
-        targets.append(g.component(i))
-        conds.append([b.compose(R.differential(i)) for b in basis])
-        targets.append(rhs_next)
-        cols = []
-        for k in range(len(basis)):
-            col = []
-            for cset in conds:
-                col.extend([x for mm in cset[k].mats for x in mm.entries])
-            cols.append(col)
-        rhs = []
-        for t in targets:
-            rhs.extend([x for mm in t.mats for x in mm.entries])
-        A = Matrix(F, len(rhs), len(cols), [cols[c][r] for r in range(len(rhs)) for c in range(len(cols))])
-        Xs = solve(A, Matrix(F, len(rhs), 1, rhs))
-        if Xs is None:
-            failed_at = i
-            break
-        comps[i] = ModuleMap.combination(qi, ri, Xs.col(0), basis)
-    return ChainMap(Q, R, comps), failed_at
-
-
-def build_replacement(x: Complex, f: SubbifunctorF, depth: int) -> Replacement:
-    """Bounded-above complex of add(G) objects with an F-quasi-iso onto x,
-    built by the cone recursion over the bottom-degree filtration."""
-    if x.is_zero():
-        z = zero_complex(x.algebra)
-        return Replacement(z, ChainMap(z, x, {}), None)
-    degs = x.degrees()
-    m = degs[0]
-    if len(degs) == 1:
-        res = f_resolution(x.comps[m], f, depth)
-        rep = resolution_as_complex(res, m, f)
-        tgt_map = ChainMap(rep.complex, x, rep.to_target.comps)
-        return Replacement(rep.complex, tgt_map.validate(), rep.trusted_below)
-    upper = Complex(x.algebra, {i: c for i, c in x.comps.items() if i > m},
-                    {i: d for i, d in x.diffs.items() if i > m},
-                    parts={i: pl for i, pl in (x.parts or {}).items() if i > m}
-                    if x.parts is not None else None)
-    r_b = build_replacement(upper, f, depth)
-    res_a = f_resolution(x.comps[m], f, depth)
-    rep_a = resolution_as_complex(res_a, m + 1, f)
-    # g: R_A -> upper via the bottom differential
-    dhat = ChainMap(stalk_complex(x.comps[m], m + 1), upper,
-                    {m + 1: x.differential(m)}).validate()
-    g = ChainMap(rep_a.complex, upper,
-                 {m + 1: rep_a.to_target.component(m + 1).compose(x.differential(m))}).validate()
-    lifted, failed_at = lift_through(r_b.to_target, g)
-    M, alpha, beta = cone(lifted)
-    # augmentation: diag(eps_A shifted, eps_B)
-    comps = {}
-    for i in M.degrees():
-        a_part = rep_a.complex.component(i + 1)
-        b_part = r_b.complex.component(i)
-        ds = direct_sum([a_part, b_part], x.algebra)
-        acc = ModuleMap.zero(M.comps[i], x.component(i))
-        if i == m:
-            acc = acc + ds.projections[0].compose(rep_a.to_target.component(m + 1))
-        if i > m:
-            acc = acc + ds.projections[1].compose(r_b.to_target.component(i))
-        comps[i] = acc
-    aug = ChainMap(M, x, comps).validate()
-    trusted = None
-    candidates = [c for c in (rep_a.trusted_below, r_b.trusted_below,
-                              None if failed_at is None else failed_at + 2) if c is not None]
-    if candidates:
-        trusted = max(candidates)
-    return Replacement(M, aug, trusted)
-
-
-def hom_df(x: Complex, y: Complex, n: int, f: SubbifunctorF, depth: int | None = None) -> int:
-    """dim Hom_{D_F}(x, y[n]) computed as hom_k after F-projective replacement.
-
-    depth defaults to |n| + width + 2, which always covers the window; a
-    caller-supplied shallower depth can make the answer undeterminable."""
-    if x.is_zero() or y.is_zero():
-        return 0
-    if depth is None:
-        depth = abs(n) + x.width() + y.width() + 2
-    rep = build_replacement(x, f, depth)
-    if rep.trusted_below is not None:
-        lowest_needed = y.lo - n - 1
-        if lowest_needed < rep.trusted_below:
-            raise TruncationError(
-                f"replacement truncated: degree {lowest_needed} needed, trusted down to {rep.trusted_below}")
-    return hom_k(rep.complex, y, n)

@@ -113,10 +113,6 @@ class Matrix:
             e.extend(other.row(i))
         return Matrix(self.field, self.rows, self.cols + other.cols, e)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        assert self.cols == other.cols and self.field == other.field
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.entries + other.entries)
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         e = [self.at(i, j) for i in row_idx for j in col_idx]
         return Matrix(self.field, len(row_idx), len(col_idx), e)

@@ -339,9 +339,9 @@ class FResolution:
     stored approximations: approximations[i] maps P^{-i} onto Ω^i X
     (Ω^0 X = X), and its kernel is Ω^{i+1} X.
 
-    modules[i] is P^{-i}; diffs[i - 1]: P^{-i} -> P^{-i+1} for i >= 1;
-    augmentation: P^0 -> X.  syzygies[i] is Ω^{i+1} X, the kernel of the map
-    out of P^{-i}; the last one is zero unless the resolution is truncated.
+    modules[i] is P^{-i}; augmentation: P^0 -> X.  syzygies[i] is Ω^{i+1} X,
+    the kernel of the map out of P^{-i}; the last one is zero unless the
+    resolution is truncated.
     pieces[i] lists the G-summand index of each copy in P^{-i} (None marks
     an identity approximation of a module already in add G).
     """
@@ -364,13 +364,6 @@ class FResolution:
     @property
     def augmentation(self) -> ModuleMap:
         return self.approximations[0].map
-
-    @cached_property
-    def diffs(self) -> list[ModuleMap]:
-        """Composed on first read: only the F-projective replacements of
-        `complexes` read them."""
-        apps = self.approximations
-        return [apps[i].map.compose(apps[i - 1].kernel[1]) for i in range(1, len(apps))]
 
     @property
     def length(self) -> int:

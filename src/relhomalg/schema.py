@@ -23,7 +23,6 @@ from .tilting import (
     ConeWitness,
     SummandWitness,
     approximation_cone_complex,
-    sum_complexes_with_maps,
 )
 
 SCHEMA_VERSION = "relhomalg/1"
@@ -67,7 +66,7 @@ class Problem:
         if self.tilting is None:
             raise SchemaError("$.tilting", "no tilting declaration in this file")
         parts = [self.complexes[n] for n in self.tilting.summand_names]
-        return sum_complexes_with_maps(parts, list(self.tilting.summand_names))
+        return ComplexSum(parts, list(self.tilting.summand_names))
 
 
 def _expect(cond: bool, path: str, message: str):

@@ -71,11 +71,6 @@ class ComplexSum:
         return self._gamma
 
 
-def sum_complexes_with_maps(parts: list[Complex], names: list[str]) -> ComplexSum:
-    """The sum of the named parts, with the per-pair Hom engines of ComplexSum."""
-    return ComplexSum(list(parts), list(names))
-
-
 def approximation_cone_complex(target: Representation, target_label: str,
                                by: list, algebra) -> Complex:
     """The two-term complex Q -> target (degrees -1, 0) with Q -> target a
@@ -366,8 +361,8 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF) -> tuple[ComplexS
     if not in_add:
         raise ValueError(f"image over Sigma: {failures[0]}")
     G = [s.module for s in f.summands]
-    gs = sum_complexes_with_maps([stalk_complex(s.module, 0, label=s.name) for s in f.summands],
-                                 [s.name for s in f.summands])
+    gs = ComplexSum([stalk_complex(s.module, 0, label=s.name) for s in f.summands],
+                    [s.name for s in f.summands])
     sigma = end_algebra(gs)
     sig = sigma.to_abstract()
     if not sig.idempotents_split_basic():
@@ -394,6 +389,6 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF) -> tuple[ComplexS
             for v in range(len(G))]) for d, dx in x.diffs.items()}
         return Complex(pres, comps, diffs)
 
-    images = sum_complexes_with_maps([image(x) for x in ts.parts], ts.names)
+    images = ComplexSum([image(x) for x in ts.parts], list(ts.names))
     window = 2 * ts.total.width() + 1
     return images, {n: images.hom_k(n) for n in range(-window, window + 1)}

@@ -4,19 +4,39 @@ definitional F-acyclicity check, explicit null-homotopies, approximations
 from Hom coordinates, the intertwining solve and greedy removal for Homs
 and approximations that are read off vertex spaces, for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
-over every idempotent, and for path algebras the construction by completing
-the relations into rewriting rules) that serve only as cross-checks, and
-the short sequences and F-quasi-isomorphisms that only the tests build."""
+over every idempotent, for path algebras the construction by completing
+the relations into rewriting rules, and for Ext_F the Hom in D_F by
+F-projective replacement) that serve only as cross-checks, and the short
+sequences, F-quasi-isomorphisms, stacked matrices and radical matrices that
+only the tests build."""
 
 from dataclasses import dataclass
 
 from relhomalg import relative, rep
 from relhomalg.algebra import AbstractAlgebra, residue_certificate
-from relhomalg.complexes import ChainMap, Complex, HomotopyHom, cone, is_f_acyclic
+from relhomalg.complexes import (
+    ChainMap,
+    Complex,
+    HomotopyHom,
+    Part,
+    cone,
+    hom_k,
+    is_f_acyclic,
+    stalk_complex,
+    zero_complex,
+)
 from relhomalg.fields import QQ
 from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref, solve
 from relhomalg.quiver import PathAlgebra, Quiver
-from relhomalg.relative import SubbifunctorF, SummandDecl, is_f_exact, left_approximation
+from relhomalg.relative import (
+    FResolution,
+    SubbifunctorF,
+    SummandDecl,
+    TruncationError,
+    f_resolution,
+    is_f_exact,
+    left_approximation,
+)
 from relhomalg.rep import (
     ModuleMap,
     Representation,
@@ -202,6 +222,21 @@ def structure_constants(pathalg):
 
     return AbstractAlgebra(F, d, table, vector(trivial),
                            idempotents=[vector({k}) for k in trivial], validate=False)
+
+
+def vstack(a, b):
+    """a stacked on top of b (no route of the program stacks rows)."""
+    assert a.cols == b.cols and a.field == b.field
+    return Matrix(a.field, a.rows + b.rows, a.cols, a.entries + b.entries)
+
+
+def radical_matrix(algebra):
+    """The vectors of `AbstractAlgebra.radical` as the columns of one
+    d x dim(rad) matrix."""
+    F = algebra.field
+    cols = [v for vs in algebra.radical().values() for v in vs]
+    return Matrix(F, algebra.dim, len(cols),
+                  [v.get(r, F.zero) for r in range(algebra.dim) for v in cols])
 
 
 def residue_form_radical(algebra):
@@ -634,3 +669,162 @@ def null_homotopy_witness(hh: HomotopyHom, cm_comps: dict[int, ModuleMap]) -> Ho
             s[i] = acc
     hom = Homotopy(hh.vector_to_chain_map(v), hh.n, s)
     return hom.validate()
+
+
+# ---------------------------------------------------------------------------
+# derived hom via F-projective replacement: Hom_{D_F}(X, Y[n]) as hom_k after
+# replacing X by a complex of add(G) objects; on stalks it is Ext_F, which
+# `relative.ext_f` counts from Hom dimensions
+
+
+def resolution_diffs(res: FResolution) -> list[ModuleMap]:
+    """The differentials P^{-i} -> P^{-i+1}, i >= 1, of an F-resolution:
+    each approximation followed by the inclusion of the previous kernel."""
+    apps = res.approximations
+    return [apps[i].map.compose(apps[i - 1].kernel[1]) for i in range(1, len(apps))]
+
+
+@dataclass
+class Replacement:
+    complex: Complex
+    to_target: ChainMap
+    trusted_below: int | None  # degrees >= this are certified; None = fully exact
+
+
+def resolution_as_complex(res: FResolution, top_degree: int, f: SubbifunctorF) -> Replacement:
+    """An F-resolution laid out as a complex ending at top_degree, with its
+    augmentation chain map to the stalk of X at top_degree."""
+    algebra = res.x.algebra
+    comps, diffs, parts = {}, {}, {}
+    for k, p in enumerate(res.modules):
+        deg = top_degree - k
+        if p.is_zero():
+            continue
+        comps[deg] = p
+        if res.pieces[k] is None:
+            parts[deg] = [Part(f"addG@{deg}", p)]
+        else:
+            parts[deg] = [Part(f.summands[j].name, f.summands[j].module) for j in res.pieces[k]]
+    for k, d in enumerate(resolution_diffs(res)):
+        deg = top_degree - k - 1
+        if deg in comps and (deg + 1) in comps:
+            diffs[deg] = d
+    cx = Complex(algebra, comps, diffs, parts=parts)
+    tgt = stalk_complex(res.x, top_degree)
+    aug = ChainMap(cx, tgt, {top_degree: res.augmentation} if top_degree in cx.comps else {})
+    trusted = None
+    if res.truncated:
+        trusted = top_degree - res.length + 1
+    return Replacement(cx, aug.validate(), trusted)
+
+
+def lift_through(eps: ChainMap, g: ChainMap) -> tuple[ChainMap, int | None]:
+    """f with f then eps = g, where eps is a degreewise-F-epi quasi-iso with
+    F-acyclic kernel.  Returns (f, lowest degree where the exact solve failed
+    or None)."""
+    Q, R = g.source, eps.source
+    F = Q.algebra.field
+    comps: dict[int, ModuleMap] = {}
+    failed_at: int | None = None
+    for i in sorted(set(Q.comps) | set(R.comps), reverse=True):
+        qi = Q.component(i)
+        ri = R.component(i)
+        # conditions: f^i then eps^i = g^i  and  f^i then d_R = d_Q then f^{i+1}
+        rhs_next = Q.differential(i).compose(comps.get(i + 1) or
+                                             ModuleMap.zero(Q.component(i + 1), R.component(i + 1)))
+        if qi.is_zero():
+            continue
+        basis = hom_space(qi, ri) if not ri.is_zero() else []
+        if not basis:
+            if not g.component(i).is_zero() or not rhs_next.is_zero():
+                failed_at = i
+                break
+            continue
+        conds = []
+        targets = []
+        conds.append([b.compose(eps.component(i)) for b in basis])
+        targets.append(g.component(i))
+        conds.append([b.compose(R.differential(i)) for b in basis])
+        targets.append(rhs_next)
+        cols = []
+        for k in range(len(basis)):
+            col = []
+            for cset in conds:
+                col.extend([x for mm in cset[k].mats for x in mm.entries])
+            cols.append(col)
+        rhs = []
+        for t in targets:
+            rhs.extend([x for mm in t.mats for x in mm.entries])
+        A = Matrix(F, len(rhs), len(cols), [cols[c][r] for r in range(len(rhs)) for c in range(len(cols))])
+        Xs = solve(A, Matrix(F, len(rhs), 1, rhs))
+        if Xs is None:
+            failed_at = i
+            break
+        comps[i] = ModuleMap.combination(qi, ri, Xs.col(0), basis)
+    return ChainMap(Q, R, comps), failed_at
+
+
+def build_replacement(x: Complex, f: SubbifunctorF, depth: int) -> Replacement:
+    """Bounded-above complex of add(G) objects with an F-quasi-iso onto x,
+    built by the cone recursion over the bottom-degree filtration."""
+    if x.is_zero():
+        z = zero_complex(x.algebra)
+        return Replacement(z, ChainMap(z, x, {}), None)
+    degs = x.degrees()
+    m = degs[0]
+    if len(degs) == 1:
+        res = f_resolution(x.comps[m], f, depth)
+        rep = resolution_as_complex(res, m, f)
+        tgt_map = ChainMap(rep.complex, x, rep.to_target.comps)
+        return Replacement(rep.complex, tgt_map.validate(), rep.trusted_below)
+    upper = Complex(x.algebra, {i: c for i, c in x.comps.items() if i > m},
+                    {i: d for i, d in x.diffs.items() if i > m},
+                    parts={i: pl for i, pl in (x.parts or {}).items() if i > m}
+                    if x.parts is not None else None)
+    r_b = build_replacement(upper, f, depth)
+    res_a = f_resolution(x.comps[m], f, depth)
+    rep_a = resolution_as_complex(res_a, m + 1, f)
+    # g: R_A -> upper via the bottom differential, itself a chain map
+    # from the stalk of X^m in degree m + 1
+    ChainMap(stalk_complex(x.comps[m], m + 1), upper, {m + 1: x.differential(m)}).validate()
+    g = ChainMap(rep_a.complex, upper,
+                 {m + 1: rep_a.to_target.component(m + 1).compose(x.differential(m))}).validate()
+    lifted, failed_at = lift_through(r_b.to_target, g)
+    M, alpha, beta = cone(lifted)
+    # augmentation: diag(eps_A shifted, eps_B)
+    comps = {}
+    for i in M.degrees():
+        a_part = rep_a.complex.component(i + 1)
+        b_part = r_b.complex.component(i)
+        ds = direct_sum([a_part, b_part], x.algebra)
+        acc = ModuleMap.zero(M.comps[i], x.component(i))
+        if i == m:
+            acc = acc + ds.projections[0].compose(rep_a.to_target.component(m + 1))
+        if i > m:
+            acc = acc + ds.projections[1].compose(r_b.to_target.component(i))
+        comps[i] = acc
+    aug = ChainMap(M, x, comps).validate()
+    trusted = None
+    candidates = [c for c in (rep_a.trusted_below, r_b.trusted_below,
+                              None if failed_at is None else failed_at + 2) if c is not None]
+    if candidates:
+        trusted = max(candidates)
+    return Replacement(M, aug, trusted)
+
+
+def hom_df(x: Complex, y: Complex, n: int, f: SubbifunctorF, depth: int | None = None) -> int:
+    """dim Hom_{D_F}(x, y[n]) computed as hom_k after F-projective replacement.
+
+    depth defaults to |n| + width + 2, which always covers the window; a
+    caller-supplied shallower depth can make the answer undeterminable."""
+    if x.is_zero() or y.is_zero():
+        return 0
+    if depth is None:
+        depth = abs(n) + x.width() + y.width() + 2
+    rep = build_replacement(x, f, depth)
+    if rep.trusted_below is not None:
+        lowest_needed = y.lo - n - 1
+        if lowest_needed < rep.trusted_below:
+            raise TruncationError(
+                f"replacement truncated: degree {lowest_needed} needed, trusted down to {rep.trusted_below}")
+    return hom_k(rep.complex, y, n)

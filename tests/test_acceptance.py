@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from relhomalg.bounds import gorenstein_check, prop63_64_counts, theorem73_check
-from relhomalg.complexes import hom_df, stalk_complex, Complex
+from relhomalg.complexes import stalk_complex, Complex
 from relhomalg.relative import (
     SubbifunctorF,
     SummandDecl,
@@ -21,9 +21,9 @@ from relhomalg.relative import (
 from relhomalg.rep import hom_space, is_isomorphic, projective
 from relhomalg.reports import VERIFIED
 from relhomalg.schema import load_problem
-from relhomalg.tilting import end_algebra, verify_f_tilting
+from relhomalg.tilting import ComplexSum, end_algebra, verify_f_tilting
 
-from helpers import a2_algebra, ext_by_injectives, loop_dual_numbers, uniserials
+from helpers import a2_algebra, ext_by_injectives, hom_df, loop_dual_numbers, uniserials
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -188,8 +188,7 @@ def test_criterion_9_gorenstein(sec7, sec6):
         sec7.algebra,
         [SummandDecl(f"P{i}", projective(sec7.algebra, i)) for i in (1, 2, 3)])
     parts = [stalk_complex(s.module, 0, label=s.name) for s in ordinary.summands]
-    from relhomalg.tilting import sum_complexes_with_maps
-    ts_l = sum_complexes_with_maps(parts, [s.name for s in ordinary.summands])
+    ts_l = ComplexSum(parts, [s.name for s in ordinary.summands])
     rep = gorenstein_check(ordinary, sec7.corpus(), ts_l, 10)
     assert rep.values["Lambda F-Gorenstein"] == "yes"
     assert rep.values["Gamma Gorenstein"] == "yes"

@@ -20,6 +20,7 @@ from helpers import (
     cycle3_selfinjective,
     ext_by_injectives,
     loop_dual_numbers,
+    radical_matrix,
     structure_constants,
 )
 
@@ -41,7 +42,7 @@ def test_field_has_zero_radical():
 
 def test_dual_numbers_radical_is_x():
     A = dual_numbers()
-    rad = A.radical_matrix()
+    rad = radical_matrix(A)
     assert rad.cols == 1
     v = rad.col(0)
     assert QQ.is_zero(v[0]) and not QQ.is_zero(v[1])

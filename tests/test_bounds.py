@@ -10,16 +10,13 @@ from relhomalg.complexes import Complex, stalk_complex
 from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import projective, simple
 from relhomalg.reports import VACUOUS, VERIFIED
-from relhomalg.tilting import (
-    end_algebra,
-    sum_complexes_with_maps,
-)
+from relhomalg.tilting import ComplexSum, end_algebra
 from helpers import a2_algebra
 
 
 def stalk_sum(F):
     parts = [stalk_complex(s.module, 0, label=s.name) for s in F.summands]
-    return sum_complexes_with_maps(parts, [s.name for s in F.summands])
+    return ComplexSum(parts, [s.name for s in F.summands])
 
 
 def test_theorem73_section7(F7, corpus7):
@@ -61,7 +58,7 @@ def a2_two_term_tilting(alg):
     t1 = Complex(alg, {-1: p2, 0: p1}, {-1: d},
                  parts={-1: [Part("P2", p2)], 0: [Part("P1", p1)]})
     t2 = stalk_complex(p2, -1, label="P2")
-    return sum_complexes_with_maps([t1, t2], ["T1", "T2"])
+    return ComplexSum([t1, t2], ["T1", "T2"])
 
 
 def test_corollary710_a2():

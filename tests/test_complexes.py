@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -7,11 +8,9 @@ from relhomalg.complexes import (
     Complex,
     chain_identity,
     cone,
-    hom_df,
     hom_k,
     is_f_acyclic,
     radical_normalize,
-    resolution_as_complex,
     shift_complex,
     stalk_complex,
     sum_complexes,
@@ -26,9 +25,16 @@ from relhomalg.rep import (
     socle,
 )
 from relhomalg.relative import TruncationError, ext_f, f_resolution, is_f_exact, projective_cover
-from relhomalg.schema import load_problem
+from relhomalg.schema import load_problem, parse_problem
 
-from helpers import f_acyclic_definitional, is_f_quasi_iso, ses_from_sub
+from helpers import (
+    f_acyclic_definitional,
+    hom_df,
+    is_f_quasi_iso,
+    nakayama_problem,
+    resolution_as_complex,
+    ses_from_sub,
+)
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -214,12 +220,19 @@ def test_hom_df_matches_ext(F7, L7_modules):
                     ext_f(x, y, i, F7)
 
 
+NAKAYAMA = {"nakayama33": (3, 3), "nakayama44": (4, 4)}
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["q", "fp32003"])
-@pytest.mark.parametrize("name", ["section6", "section7", "a2_apr"])
+@pytest.mark.parametrize("name", ["section6", "section7", "a2_apr", *NAKAYAMA])
 def test_ext_f_matches_hom_df_on_bundled_problems(name, field):
     # the Hom count against the F-projective replacement, on every ordered
-    # pair of declared modules
-    problem = load_problem(str(DATA / f"{name}.json"), field)
+    # pair of declared modules: the bundled files, and the Nakayama algebras
+    # (3, 3) and (4, 4) with G = the projectives and the simples
+    if name in NAKAYAMA:
+        problem = parse_problem(json.dumps(nakayama_problem(*NAKAYAMA[name])), field)
+    else:
+        problem = load_problem(str(DATA / f"{name}.json"), field)
     F = problem.subbifunctor
     for xn, x in problem.modules.items():
         for yn, y in problem.modules.items():

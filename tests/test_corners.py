@@ -19,6 +19,7 @@ from helpers import (
     matrix_algebra_2,
     mixed_a2,
     nakayama_problem,
+    radical_matrix,
     residue_form_radical,
     rewritten_opposite,
     scanned_grading,
@@ -31,7 +32,7 @@ from relhomalg.complexes import stalk_complex
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.matrix import rank
 from relhomalg.schema import load_problem, parse_problem
-from relhomalg.tilting import end_algebra, sum_complexes_with_maps
+from relhomalg.tilting import ComplexSum, end_algebra
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section7", "section6", "a2_apr", "section6_symmetric"]
@@ -45,15 +46,15 @@ def bundled_gamma(name, field):
 def bundled_sigma(name, field):
     """Σ = End(G) over the summands of G, as the Σ image builds it."""
     summands = load_problem(str(DATA / f"{name}.json"), field).subbifunctor.summands
-    gs = sum_complexes_with_maps([stalk_complex(s.module, 0, label=s.name) for s in summands],
-                                 [s.name for s in summands])
+    gs = ComplexSum([stalk_complex(s.module, 0, label=s.name) for s in summands],
+                    [s.name for s in summands])
     return end_algebra(gs).to_abstract()
 
 
 def nakayama33_gamma(field):
     modules = uniserials(cycle3_selfinjective(field))
     parts = [stalk_complex(m, 0, label=f"U{k}") for k, m in enumerate(modules)]
-    return sum_complexes_with_maps(parts, [f"U{k}" for k in range(len(parts))]).gamma()
+    return ComplexSum(parts, [f"U{k}" for k in range(len(parts))]).gamma()
 
 
 def nakayama44_gamma(field):
@@ -73,7 +74,7 @@ IDS = [f"{label}-{F!r}" for label, _, F in CASES]
 @pytest.mark.parametrize("label, build, F", CASES, ids=IDS)
 def test_block_radical_spans_the_residue_form_kernel(label, build, F):
     algebra = build(F)
-    ours, ref = algebra.radical_matrix(), residue_form_radical(algebra)
+    ours, ref = radical_matrix(algebra), residue_form_radical(algebra)
     assert ours.cols == ref.cols == algebra.radical_dim()
     assert rank(ours.hstack(ref)) == rank(ours) == ref.cols
     # every radical vector lies in the corner it is filed under

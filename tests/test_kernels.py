@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, structure_constants
+from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, structure_constants, vstack
 
 from relhomalg.algebra import residue_certificate
 from relhomalg.complexes import HomotopyHom, stalk_complex
@@ -246,8 +246,8 @@ def test_rref_matches_reference():
     for field, rng, rows, cols, zeros in cases(3):
         m = sparse_matrix(field, rng, rows, cols, zeros)
         # stack dependent rows so that eliminations really cancel
-        m = m.vstack(Matrix(field, rows, cols, [field.add(x, y) for x, y in
-                                                zip(m.entries, m.entries[cols:] + m.entries[:cols])]))
+        m = vstack(m, Matrix(field, rows, cols, [field.add(x, y) for x, y in
+                                                 zip(m.entries, m.entries[cols:] + m.entries[:cols])]))
         got, want = rref(m), ref_rref(m)
         assert got[1] == want[1]
         assert (got[0].rows, got[0].cols, got[0].entries) == (want[0].rows, want[0].cols,

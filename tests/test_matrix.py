@@ -12,6 +12,8 @@ from relhomalg.matrix import (
     solve,
 )
 
+from helpers import vstack
+
 
 def mat(field, rows):
     return Matrix.from_rows(field, [[field.of_int(x) for x in r] for r in rows])
@@ -167,8 +169,8 @@ def test_results_do_not_alias_their_inputs():
     identity = mat(F, [[1, 0], [0, 1]])
     results = {
         "from_rows": (Matrix.from_rows(F, rows), [a]),
-        "vstack": (a.vstack(empty_rows), [a, empty_rows]),
-        "vstack_empty": (empty_rows.vstack(a), [a, empty_rows]),
+        "vstack": (vstack(a, empty_rows), [a, empty_rows]),
+        "vstack_empty": (vstack(empty_rows, a), [a, empty_rows]),
         "hstack": (a.hstack(empty_cols), [a, empty_cols]),
         "hstack_empty": (empty_cols.hstack(a), [a, empty_cols]),
         "transpose": (a.transpose(), [a]),

@@ -17,7 +17,7 @@ from relhomalg.fields import QQ, PrimeField
 from relhomalg.relative import gldim
 from relhomalg.rep import ModuleMap
 from relhomalg.schema import load_problem, parse_problem
-from relhomalg.tilting import end_algebra, sum_complexes_with_maps
+from relhomalg.tilting import ComplexSum, end_algebra
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section7", "section6", "a2_apr", "section6_symmetric"]
@@ -31,7 +31,7 @@ def nakayama33_sum():
     """G = every uniserial of the Nakayama algebra (3, 3), as stalks."""
     modules = uniserials(cycle3_selfinjective())
     parts = [stalk_complex(m, 0, label=f"U{k}") for k, m in enumerate(modules)]
-    return sum_complexes_with_maps(parts, [f"U{k}" for k in range(len(parts))])
+    return ComplexSum(parts, [f"U{k}" for k in range(len(parts))])
 
 
 SUMS = [(name, lambda name=name: bundled_sum(name)) for name in BUNDLED]

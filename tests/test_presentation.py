@@ -16,7 +16,7 @@ from relhomalg.quiver import PathAlgebra
 from relhomalg.relative import ext_f, ordinary_f
 from relhomalg.rep import simple
 from relhomalg.schema import load_problem
-from relhomalg.tilting import sum_complexes_with_maps
+from relhomalg.tilting import ComplexSum
 
 from test_peirce import mixed_a2
 
@@ -29,7 +29,7 @@ def nakayama33_gamma():
     every uniserial."""
     modules = uniserials(cycle3_selfinjective())
     parts = [stalk_complex(m, 0, label=f"U{k}") for k, m in enumerate(modules)]
-    return sum_complexes_with_maps(parts, [f"U{k}" for k in range(len(parts))]).gamma()
+    return ComplexSum(parts, [f"U{k}" for k in range(len(parts))]).gamma()
 
 
 GAMMAS = [(name, lambda name=name: load_problem(str(DATA / f"{name}.json")).tilting_sum().gamma())

@@ -9,7 +9,6 @@ from relhomalg.complexes import (
     cone,
     hom_k,
     is_f_acyclic,
-    resolution_as_complex,
     stalk_complex,
     sum_complexes,
 )
@@ -23,7 +22,13 @@ from relhomalg.rep import (
     hom_space,
 )
 
-from helpers import f_acyclic_definitional, image, pushout_ses, ses_from_sub
+from helpers import (
+    f_acyclic_definitional,
+    image,
+    pushout_ses,
+    resolution_as_complex,
+    ses_from_sub,
+)
 
 SEED = 0x5EC7
 

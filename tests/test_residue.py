@@ -11,9 +11,9 @@ from relhomalg.complexes import stalk_complex
 from relhomalg.fields import PrimeField, QQ
 from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import direct_sum, endo_indecomposability_check, is_isomorphic, projective
-from relhomalg.tilting import sum_complexes_with_maps, verify_f_tilting
+from relhomalg.tilting import ComplexSum, verify_f_tilting
 
-from helpers import cycle3_selfinjective
+from helpers import cycle3_selfinjective, radical_matrix
 
 
 def truncated_polynomials(F):
@@ -32,7 +32,7 @@ def product_k_k(F, idempotents=None):
 
 def test_char_p_radical_is_the_residue_kernel():
     F5 = PrimeField(5)
-    rad = truncated_polynomials(F5).radical_matrix()
+    rad = radical_matrix(truncated_polynomials(F5))
     assert rad.cols == 1 and rad.col(0)[0] == F5.zero and rad.col(0)[1] != F5.zero
     # 1 + x has minimal polynomial t^2 + 1 = (t - 1)^2 over F_2: p divides k
     F2 = PrimeField(2)
@@ -55,7 +55,7 @@ def test_radical_rejects_k_times_k_given_only_its_unit():
     assert residue(QQ, [QQ.one, QQ.zero], A.unit, A.mul) is None
     assert residue_certificate(QQ, A.dim, A.unit, A.mul) is None
     with pytest.raises(ValueError):
-        A.radical_matrix()
+        radical_matrix(A)
     # with its idempotents supplied, both corners are k and rad = 0
     B = product_k_k(QQ, idempotents=[[QQ.one, QQ.zero], [QQ.zero, QQ.one]])
     assert B.radical_dim() == 0
@@ -84,8 +84,7 @@ def test_decomposable_t_summand_fails_the_spot_check(F7, L7_modules):
     mn = direct_sum([L7_modules["S2"], L7_modules["S3"]]).rep
     names = ["P1", "P2", "P3", "M2", "MN"]
     modules = [L7_modules[n] for n in names[:4]] + [mn]
-    ts = sum_complexes_with_maps([stalk_complex(m, 0, label=n) for n, m in zip(names, modules)],
-                                 names)
+    ts = ComplexSum([stalk_complex(m, 0, label=n) for n, m in zip(names, modules)], names)
     rep = verify_f_tilting(ts, F7, declared_count=5)
     assert rep.summand_spot_checks == {"P1": True, "P2": True, "P3": True, "M2": True,
                                        "MN": False}

@@ -4,14 +4,14 @@ agreement between projective resolutions and injective coresolutions."""
 
 import pytest
 
-from relhomalg.complexes import Complex, HomotopyHom, Part, hom_df, hom_k, stalk_complex
+from relhomalg.complexes import Complex, HomotopyHom, Part, hom_k, stalk_complex
 from relhomalg.fields import PrimeField, QQ
 from relhomalg.relative import SubbifunctorF, SummandDecl, pd_f
 from relhomalg.rep import hom_space, is_isomorphic, projective, simple
 from relhomalg.reports import Dim
-from relhomalg.tilting import sum_complexes_with_maps
+from relhomalg.tilting import ComplexSum
 
-from helpers import compose_chain, cycle3_selfinjective, ext_by_injectives
+from helpers import compose_chain, cycle3_selfinjective, ext_by_injectives, hom_df
 
 
 def test_prime_field_algebra_and_homs():
@@ -72,7 +72,7 @@ def test_null_homotopic_composition_stays_null(F7, L7_modules):
 
 def test_hom_window_symmetry(F7):
     parts = [stalk_complex(s.module, 0, label=s.name) for s in F7.summands]
-    ts = sum_complexes_with_maps(parts, [s.name for s in F7.summands])
+    ts = ComplexSum(parts, [s.name for s in F7.summands])
     w = ts.total.width()
     for i in (2 * w + 2, -(2 * w + 2), 2 * w + 5):
         assert hom_k(ts.total, ts.total, i) == 0

@@ -8,13 +8,13 @@ from relhomalg.relative import SubbifunctorF, SummandDecl, gldim
 from relhomalg.rep import direct_sum, hom_space, is_isomorphic, projective, radical
 from relhomalg.schema import load_problem
 from relhomalg.tilting import (
+    ComplexSum,
     ConeWitness,
     SummandWitness,
     approximation_cone_complex,
     end_algebra,
     image_tilting_over_sigma,
     stalk_is_homotopy_summand,
-    sum_complexes_with_maps,
     verify_f_tilting,
 )
 
@@ -26,7 +26,7 @@ DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 @pytest.fixture(scope="module")
 def stalk_tilting7(F7):
     parts = [stalk_complex(s.module, 0, label=s.name) for s in F7.summands]
-    return sum_complexes_with_maps(parts, [s.name for s in F7.summands])
+    return ComplexSum(parts, [s.name for s in F7.summands])
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def section6():
     t1b = approximation_cone_complex(P[1], "P1", by, alg)
     t2a = stalk_complex(P[2], -1, label="P2")
     t2b = stalk_complex(P[3], -1, label="P3")
-    ts = sum_complexes_with_maps([t1a, t1b, t2a, t2b], ["T1a", "T1b", "T2a", "T2b"])
+    ts = ComplexSum([t1a, t1b, t2a, t2b], ["T1a", "T1b", "T2a", "T2b"])
     return alg, F6, ts, {"T1a": t1a, "T1b": t1b, "T2a": t2a, "T2b": t2b}
 
 
@@ -66,7 +66,7 @@ def test_stalk_end_algebra_dim(F7, stalk_tilting7):
 
 
 def test_single_stalk_endo_one_dimensional(F7, L7_modules):
-    t = sum_complexes_with_maps([stalk_complex(L7_modules["P1"], 0, label="P1")], ["P1"])
+    t = ComplexSum([stalk_complex(L7_modules["P1"], 0, label="P1")], ["P1"])
     endo = end_algebra(t)
     assert endo.dim == 1
 
@@ -75,9 +75,8 @@ def test_cone_padding_preserves_endo_dim(F7, L7_modules, stalk_tilting7):
     from relhomalg.complexes import cone, chain_identity
     m = L7_modules["P2"]
     contractible, _, _ = cone(chain_identity(stalk_complex(m, 0, label="P2")))
-    padded = sum_complexes_with_maps(
-        stalk_tilting7.parts + [contractible],
-        stalk_tilting7.names + ["pad"])
+    padded = ComplexSum(stalk_tilting7.parts + [contractible],
+                        stalk_tilting7.names + ["pad"])
     assert end_algebra(padded).dim == end_algebra(stalk_tilting7).dim
 
 
@@ -103,11 +102,13 @@ def test_section6_tilting(section6, L7):
     assert rep.term_length == 1
 
 
-def test_verify_f_tilting_assembles_each_differential_once(monkeypatch, capsys):
-    # `bounds theorem73` on section6: verify_f_tilting and end_algebra read
-    # one total Hom engine per summand pair (T_i, T_j) of T, and each engine
-    # assembles each D^m of its window once; no engine of the whole T is built
-    sums = []
+def test_verify_f_tilting_assembles_each_differential_once(monkeypatch):
+    # `bounds theorem73`: verify_f_tilting and end_algebra read one total Hom
+    # engine per summand pair (T_i, T_j) of T, and no engine of the whole T
+    # is built.  Each engine assembles each D^m of its window at most once,
+    # and only where neither Hom^m nor Hom^{m+1} is zero, so the stalk T of
+    # section7 assembles none
+    sums, assembled = [], []
     tilting_sum = schema.Problem.tilting_sum
 
     def recorded(self):
@@ -115,21 +116,30 @@ def test_verify_f_tilting_assembles_each_differential_once(monkeypatch, capsys):
         return sums[-1]
 
     monkeypatch.setattr(schema.Problem, "tilting_sum", recorded)
-    assembled = []
     assemble = _TotalHom._assemble
 
     def counted(self, m):
+        assert self.blocks(m)[1] and self.blocks(m + 1)[1], m
         assembled.append((self, m))
         return assemble(self, m)
 
     monkeypatch.setattr(_TotalHom, "_assemble", counted)
-    assert cli.main(["--quiet", "bounds", "theorem73", str(DATA / "section6.json")]) == 0
-    [ts] = sums
-    corners = [ts.engine(i, j) for i in range(len(ts.parts)) for j in range(len(ts.parts))]
-    window = 2 * ts.total.width() + 1
-    expected = sorted((id(e), m) for e in corners for m in range(-window - 1, window + 1))
-    assert len(corners) == 16
-    assert sorted((id(e), m) for e, m in assembled) == expected
+    for name in ("section6", "section7"):
+        sums.clear()
+        assembled.clear()
+        assert cli.main(["--quiet", "bounds", "theorem73", str(DATA / f"{name}.json")]) == 0
+        [ts] = sums
+        corners = [ts.engine(i, j) for i in range(len(ts.parts)) for j in range(len(ts.parts))]
+        window = 2 * ts.total.width() + 1
+        expected = sorted((id(e), m) for e in corners for m in range(-window - 1, window + 1)
+                          if e.blocks(m)[1] and e.blocks(m + 1)[1])
+        keys = [(id(e), m) for e, m in assembled]
+        assert len(keys) == len(set(keys)), name
+        assert sorted(keys) == expected, name
+        if name == "section6":
+            assert len(corners) == 16 and expected
+        else:
+            assert ts.total.degrees() == [0] and assembled == []
 
 
 def test_section6_term_length(section6):
