@@ -20,7 +20,6 @@ from .complexes import (
 )
 from .fields import PrimeField, QQ
 from .relative import (
-    TruncationError,
     ext_f,
     f_resolution,
     findim_f,
@@ -357,9 +356,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except FileNotFoundError as e:
         print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except TruncationError as e:
-        print(f"undeterminable at this cutoff: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as e:
         print(f"check failed: {e}", file=sys.stderr)

@@ -7,8 +7,8 @@ Degree convention: differentials raise degree, d^i: X^i -> X^{i+1};
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref
 from .quiver import PathAlgebra
@@ -24,8 +24,7 @@ from .rep import (
 from .relative import SubbifunctorF
 
 
-@dataclass
-class Part:
+class Part(NamedTuple):
     """One declared direct summand of a complex component."""
     label: str
     module: Representation
@@ -148,8 +147,7 @@ def sum_complexes(xs: list[Complex], algebra: PathAlgebra | None = None) -> Comp
     return Complex(algebra, comps, diffs, parts=parts)
 
 
-@dataclass
-class ChainMap:
+class ChainMap(NamedTuple):
     source: Complex
     target: Complex
     comps: dict[int, ModuleMap]

@@ -12,13 +12,12 @@ given by structure constants (`algebra.AbstractAlgebra.presentation`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import Field
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: int
     target: int

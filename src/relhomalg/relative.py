@@ -10,8 +10,8 @@ Hom(G, B) -> Hom(G, C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .matrix import Matrix, rank
 from .quiver import PathAlgebra
@@ -46,8 +46,7 @@ class TruncationError(Exception):
     """A quantity is undeterminable at the chosen cutoff."""
 
 
-@dataclass
-class SummandDecl:
+class SummandDecl(NamedTuple):
     name: str
     module: Representation
 
@@ -112,7 +111,6 @@ def is_f_exact(ses: ShortExactSeq, f: SubbifunctorF) -> bool:
 # approximations
 
 
-@dataclass
 class Approximation:
     """Minimal add(⊕summands)-approximation of x: right f: ⊕M_k -> x or left
     f: x -> ⊕M_k, with the sum of the copies M_k in `total`.
@@ -121,9 +119,11 @@ class Approximation:
     an isomorphism (x already in add(⊕summands)) the map is the identity of x
     and total and pieces are None.
     """
-    map: ModuleMap
-    total: DirectSum | None
-    pieces: list[int] | None
+
+    def __init__(self, map: ModuleMap, total: DirectSum | None, pieces: list[int] | None):
+        self.map = map
+        self.total = total
+        self.pieces = pieces
 
     @property
     def is_identity(self) -> bool:
@@ -333,8 +333,7 @@ def dtr(m: Representation) -> Representation:
 # F-projective resolutions
 
 
-@dataclass
-class FResolution:
+class FResolution(NamedTuple):
     """Minimal F-projective resolution P^{-m} -> ... -> P^0 -> X, held as its
     stored approximations: approximations[i] maps P^{-i} onto Ω^i X
     (Ω^0 X = X), and its kernel is Ω^{i+1} X.
@@ -451,8 +450,7 @@ def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = 
     return candidates, validated, notes
 
 
-@dataclass
-class CoresolutionStep:
+class CoresolutionStep(NamedTuple):
     """One step x -> I' -> C of a coresolution by add(I(F)): u: x -> I' is the
     minimal left approximation and C its cokernel.  cosyzygy is None when u
     is an isomorphism (x lies in add I(F)); failure says why the step cannot

@@ -8,8 +8,8 @@ against the relations exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import residue_certificate
 from .matrix import (
@@ -37,8 +37,8 @@ class Representation:
     the same module.  The relations are checked once per content, the first
     time a checked construction asks for it; unchecked constructions (simples,
     submodules, quotients and sums of unchecked modules) store the content
-    unvalidated until then, and submodules, quotients and sums of checked
-    ones are checked by construction."""
+    unvalidated until then.  Projectives, and duals, submodules, quotients
+    and sums of checked modules, are checked by construction."""
     __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations",
                  "_radical", "_top")
 
@@ -263,7 +263,11 @@ def _build_projective(algebra: PathAlgebra, i: int) -> Representation:
             for k2, c in algebra.mul_basis(k, ae).items():
                 m[index[k2][1]][col] = c
         mats.append(Matrix.from_rows(F, m) if dims[a.target - 1] else Matrix(F, 0, dims[a.source - 1], []))
-    return Representation(algebra, dims, mats)
+    # a word w acts on the basis path k as the product k·w in the algebra,
+    # so a relation, zero in the algebra, acts as zero: checked by construction
+    p = Representation(algebra, dims, mats, check=False)
+    p._checked = True
+    return p
 
 
 def left_multiplication_map(algebra: PathAlgebra, ai: int) -> ModuleMap:
@@ -283,10 +287,15 @@ def _build_left_multiplication(algebra: PathAlgebra, ai: int) -> ModuleMap:
 
 
 def dual(m: Representation) -> Representation:
-    """Vector-space dual, a representation over the opposite algebra."""
+    """Vector-space dual, a representation over the opposite algebra.  The
+    opposite's relations are the reversed ones, and a reversed word acts on
+    the dual by the transpose of the word's action on m, so the dual of a
+    checked m is checked by construction."""
     op = m.algebra.opposite()
     mats = [m.mats[ai].transpose() for ai in range(len(m.mats))]
-    return Representation(op, m.dims, mats)
+    d = Representation(op, m.dims, mats, check=not m._checked)
+    d._checked |= m._checked
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +673,7 @@ def dual_to_main(m_op: Representation) -> Representation:
 # isomorphism testing
 
 
-@dataclass
-class IsoResult:
+class IsoResult(NamedTuple):
     isomorphic: bool | None  # None means "unknown": neither End is certified local
     witness: ModuleMap | None = None
 

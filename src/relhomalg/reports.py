@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Dim:
+class Dim(NamedTuple):
     """An exact value (censored=False) or a certified lower bound
     "actual >= value" (censored=True, from hitting a cutoff)."""
 
@@ -31,18 +30,20 @@ def dim_max(values: list[Dim]) -> Dim:
     return best
 
 
-@dataclass
 class DimensionReport:
-    quantity: str  # pd_F | id_F | gldim_F | fd_F | pd | gldim | fd | id
-    dim: Dim
-    cutoff: int
-    breakdown: dict = field(default_factory=dict)
-    assumptions: list = field(default_factory=list)
-    caveats: list = field(default_factory=list)
+    """A dimension with how it was obtained; a plain class, as callers extend
+    its lists and rename its quantity."""
 
-    def __post_init__(self):
-        if self.dim.value > self.cutoff and not self.dim.censored:
+    def __init__(self, quantity: str, dim: Dim, cutoff: int, breakdown: dict | None = None,
+                 assumptions: list | None = None, caveats: list | None = None):
+        if dim.value > cutoff and not dim.censored:
             raise ValueError("exact value above cutoff is inconsistent")
+        self.quantity = quantity  # pd_F | id_F | gldim_F | fd_F | pd | gldim | fd | id
+        self.dim = dim
+        self.cutoff = cutoff
+        self.breakdown = {} if breakdown is None else breakdown
+        self.assumptions = [] if assumptions is None else assumptions
+        self.caveats = [] if caveats is None else caveats
 
     def to_json(self):
         return {
@@ -75,8 +76,7 @@ def check_leq(lhs: Dim, rhs: Dim) -> str:
     return VACUOUS
 
 
-@dataclass
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     label: str
     lhs: Dim
     rhs: Dim

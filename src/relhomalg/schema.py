@@ -9,7 +9,7 @@ load time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import Complex, Part, shift_complex, stalk_complex
 from .fields import Field, PrimeField, QQ
@@ -36,16 +36,14 @@ class SchemaError(ValueError):
         self.message = message
 
 
-@dataclass
-class TiltingDecl:
+class TiltingDecl(NamedTuple):
     complex_name: str
     summand_names: list[str]
     declared_count: int
     witnesses: list
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     field: Field
     cutoff: int
     algebra: PathAlgebra

@@ -7,8 +7,8 @@ that convention Hom(G, -) and Hom(T, -) land in left modules.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import AbstractAlgebra
 from .complexes import (
@@ -27,17 +27,18 @@ from .rep import ModuleMap, Representation, _coordinate_matrix, hom_space, prove
 from .relative import SubbifunctorF, minimal_right_approximation
 
 
-@dataclass
 class ComplexSum:
     """T = ⊕ T_i.  Hom^•(T, T) is the direct sum of the complexes
     Hom^•(T_i, T_j), so each summand pair gets one total Hom engine, kept
     here for every check that reads it; the sum itself is built on first
     read."""
-    parts: list[Complex]
-    names: list[str]
-    _engines: dict = field(default_factory=dict, repr=False)
-    _corners: dict = field(default_factory=dict, repr=False)
-    _gamma: AbstractAlgebra | None = field(default=None, repr=False)
+
+    def __init__(self, parts: list[Complex], names: list[str]):
+        self.parts = parts
+        self.names = names
+        self._engines: dict = {}
+        self._corners: dict = {}
+        self._gamma: AbstractAlgebra | None = None
 
     @cached_property
     def total(self) -> Complex:
@@ -84,8 +85,7 @@ def approximation_cone_complex(target: Representation, target_label: str,
                    parts={-1: parts_src, 0: [Part(target_label, target)]})
 
 
-@dataclass
-class EndoPresentation:
+class EndoPresentation(NamedTuple):
     """End_{K(A)}(T) by structure constants over homotopy-class
     representatives (product: a*b = a then b).  The basis is graded by
     summand pairs: corner (i, j) is Hom_K(T_i, T_j), and its representatives
@@ -173,8 +173,7 @@ def stalk_is_homotopy_summand(module: Representation, degree: int, x: Complex) -
     return False
 
 
-@dataclass
-class ConeWitness:
+class ConeWitness(NamedTuple):
     """new_name := cone(map: source -> target); both must be available."""
     name: str
     source: str
@@ -182,8 +181,7 @@ class ConeWitness:
     map_comps: dict[int, ModuleMap] | str  # explicit maps or "identity"
 
 
-@dataclass
-class SummandWitness:
+class SummandWitness(NamedTuple):
     summand_name: str  # declared G-summand to realize as a stalk summand
     degree: int
     of: str
@@ -240,8 +238,7 @@ def check_generation_witnesses(f: SubbifunctorF, steps: list,
 # the verifier
 
 
-@dataclass
-class TiltingReport:
+class TiltingReport(NamedTuple):
     in_kb_pf: bool
     component_witnesses: dict
     self_orthogonal: dict[int, int]
@@ -263,7 +260,7 @@ class TiltingReport:
     def to_json(self):
         """Every field; JSON keys are strings, so the degrees of the
         self-orthogonality table become strings."""
-        return {**asdict(self), "self_orthogonal": {str(k): v for k, v in self.self_orthogonal.items()}}
+        return {**self._asdict(), "self_orthogonal": {str(k): v for k, v in self.self_orthogonal.items()}}
 
 
 def _component_in_add_g(t: Complex, f: SubbifunctorF) -> tuple[bool, dict, list[str]]:

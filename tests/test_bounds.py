@@ -9,7 +9,7 @@ from relhomalg.bounds import (
 from relhomalg.complexes import Complex, stalk_complex
 from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import projective, simple
-from relhomalg.reports import VACUOUS, VERIFIED
+from relhomalg.reports import VACUOUS, VERIFIED, VIOLATED, Dim, DimensionReport, dim_max
 from relhomalg.tilting import ComplexSum, end_algebra
 from helpers import a2_algebra
 
@@ -108,6 +108,35 @@ def test_counts_ordinary_three_vertices(F7_ordinary):
     rep = prop63_64_counts(F7_ordinary, 3, endo.to_abstract())
     assert rep.counts["dim(Gamma/rad Gamma)"] == 3
     assert rep.worst_status == VERIFIED
+
+
+@pytest.mark.parametrize("split, status", [(True, VIOLATED), (False, VACUOUS)])
+def test_count_disagreement_refutes_only_a_split_gamma(F7_ordinary, monkeypatch, split, status):
+    # unless Gamma/rad is split, its dimension only bounds the number of simples
+    gamma = end_algebra(stalk_sum(F7_ordinary)).to_abstract()
+    monkeypatch.setattr(type(gamma), "idempotents_split_basic", lambda self: split)
+    rep = prop63_64_counts(F7_ordinary, 4, gamma)
+    assert [c.status for c in rep.checks] == [status]
+    assert rep.worst_status == status
+
+
+def test_exact_dimension_above_cutoff_is_rejected():
+    with pytest.raises(ValueError, match="exact value above cutoff"):
+        DimensionReport("pd", Dim(11), 10)
+    assert DimensionReport("pd", Dim(11, censored=True), 10).dim == Dim(11, True)
+
+
+def test_dim_is_a_value():
+    assert Dim(3) == Dim(3, False) and Dim(3) != Dim(3, True)
+    assert {Dim(3), Dim(3, False), Dim(3, True)} == {Dim(3), Dim(3, True)}
+    assert {Dim(2): "a"}[Dim(2, censored=False)] == "a"
+    assert str(Dim(3)) == "3" and str(Dim(3, True)) == ">= 3"
+
+
+def test_dim_max_prefers_the_censored_value_on_a_tie():
+    assert dim_max([Dim(4, True), Dim(4)]) == Dim(4, True)
+    assert dim_max([Dim(4), Dim(4, True)]) == Dim(4, True)
+    assert dim_max([Dim(5), Dim(4, True)]) == Dim(5)
 
 
 def test_gorenstein_ordinary_selfinjective(F7_ordinary, corpus7):

@@ -105,6 +105,15 @@ def test_relation_violating_content_still_raises(check_calls):
     assert sum(check_calls.values()) == 3
 
 
+def test_projectives_and_duals_of_checked_modules_are_checked_by_construction(check_calls):
+    alg = cycle3_selfinjective()
+    for v in (1, 2, 3):
+        assert projective(alg, v)._checked and injective(alg, v)._checked
+    assert sum(check_calls.values()) == 0
+    assert rep.dual(simple(alg, 1))._checked  # the dual of an unchecked module is checked
+    assert sum(check_calls.values()) == 1
+
+
 def test_projectives_and_injectives_are_built_once_per_algebra(monkeypatch):
     builds = collections.Counter()
     original = rep._build_projective
@@ -137,7 +146,9 @@ def test_module_run_computes_each_hom_and_validation_once(tmp_path, monkeypatch,
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["module", str(path)]) == 0
     assert homs and max(homs.values()) == 1
-    assert check_calls and max(check_calls.values()) == 1
+    # every module of the run comes from the projectives and injectives,
+    # which are checked by construction, so no relation check runs
+    assert not check_calls
 
 
 def test_approximations_are_stored_on_the_module(L7, L7_modules, F7):

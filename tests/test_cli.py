@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,6 +60,26 @@ def test_module_table(capsys):
         assert run(["--field", field, "module", DATA / "section7.json",
                     "--ext", "S1", "M2", "1"]) == 0
         assert "ext_F^1(S1, M2) = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degree, dim", [(40, 1), (11, 0)])
+def test_module_ext_resolves_past_the_cutoff(capsys, degree, dim):
+    # cutoff 10 and pd_F(S2) >= 10: --ext resolves as deep as its degree
+    code = run(["module", DATA / "section6_symmetric.json", "--name", "S2",
+                "--ext", "S2", "S1", degree])
+    assert code == 0
+    assert f"ext_F^{degree}(S2, S1) = {dim}" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every CLI call starts a fresh interpreter; dataclasses' import and code
+    # generation would be paid on each.  pytest has loaded dataclasses here,
+    # so the import runs in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent)}
+    code = ("import sys, relhomalg.cli\n"
+            "if 'dataclasses' in sys.modules: sys.exit('import relhomalg.cli loaded dataclasses')")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_algebra_dump(capsys):
