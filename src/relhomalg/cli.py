@@ -1,4 +1,10 @@
-"""Command-line front end.
+"""Command-line front end:  relhomalg [GLOBAL OPTIONS] COMMAND ARGS...
+
+The tables COMMANDS and TOP give the grammar, read as argparse reads it:
+global options come before the command, a command's options before, between
+or after its positionals; `--opt=value` is `--opt value`, a unique prefix
+names a long option, a repeated option's last value wins, a negative number
+is a value, and every token after `--` is a positional.
 
 Exit codes: 0 = all checks verified or vacuous-at-cutoff, 1 = input or
 usage error, 2 = a check reported "violated" or a validation failed.
@@ -6,9 +12,11 @@ usage error, 2 = a check reported "violated" or a validation failed.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from .complexes import (
@@ -71,6 +79,12 @@ def _load(args, out: Output):
     return load_problem(args.file, field_override=field, cutoff_override=args.cutoff)
 
 
+def _named(table: dict, flag: str, kind: str, name: str):
+    if name not in table:
+        raise SchemaError(flag, f"unknown {kind} {name!r}")
+    return table[name]
+
+
 def _named_match(problem, module) -> str:
     for name, m in problem.modules.items():
         if proven_isomorphic(m, module):
@@ -104,14 +118,17 @@ def cmd_algebra(args, out: Output) -> int:
 def cmd_module(args, out: Output) -> int:
     problem = _load(args, out)
     F = problem.subbifunctor
+    if args.ext:
+        x, y, deg = args.ext
+        ext_pair = [_named(problem.modules, "--ext", "module", n) for n in (x, y)]
+        if deg < 0:
+            raise SchemaError("--ext", f"negative degree {deg}")
     names = [args.name] if args.name else list(problem.modules)
     injs, validated, _notes = relative_injectives(F, [m for _, m in problem.corpus()])
     rows = []
     rep_json = {}
     for n in names:
-        if n not in problem.modules:
-            raise SchemaError("--name", f"unknown module {n!r}")
-        m = problem.modules[n]
+        m = _named(problem.modules, "--name", "module", n)
         res = f_resolution(m, F, problem.cutoff)
         pdr = DimensionReport("pd_F", res.pd, problem.cutoff)
         idr = id_f(m, F, injs, problem.cutoff)
@@ -120,10 +137,9 @@ def cmd_module(args, out: Output) -> int:
         rep_json[n] = {"dims": list(m.dims), "pd_F": pdr.to_json(), "id_F": idr.to_json()}
     out.table(rows, headers=["module", "dims", "pd_F", "id_F", "resolution"])
     if args.ext:
-        x, y, deg = args.ext
-        val = ext_f(problem.modules[x], problem.modules[y], int(deg), F)
+        val = ext_f(*ext_pair, deg, F)
         out.say(f"ext_F^{deg}({x}, {y}) = {val}")
-        rep_json["ext"] = {"x": x, "y": y, "degree": int(deg), "dim": val}
+        rep_json["ext"] = {"x": x, "y": y, "degree": deg, "dim": val}
     out.report = rep_json
     return EXIT_OK
 
@@ -152,7 +168,7 @@ def cmd_relhom(args, out: Output) -> int:
     if args.sub == "resolve":
         if not args.module:
             raise SchemaError("--module", "relhom resolve needs --module")
-        m = problem.modules[args.module]
+        m = _named(problem.modules, "--module", "module", args.module)
         res = f_resolution(m, F, problem.cutoff)
         rows = [[-k, str(p.dims),
                  ",".join(F.summands[j].name for j in (res.pieces[k] or []))
@@ -165,7 +181,7 @@ def cmd_relhom(args, out: Output) -> int:
     if args.sub == "exact":
         if not args.module:
             raise SchemaError("--module", "relhom exact needs --module")
-        m = problem.modules[args.module]
+        m = _named(problem.modules, "--module", "module", args.module)
         cover = projective_cover(m)
         _, incl = cover.kernel
         ses = ShortExactSeq(incl, cover.map)
@@ -174,15 +190,12 @@ def cmd_relhom(args, out: Output) -> int:
                 f"{'F-exact' if ok else 'not F-exact'}")
         out.report = {"module": args.module, "cover_sequence_f_exact": ok}
         return EXIT_OK
-    raise SchemaError("relhom", f"unknown subcommand {args.sub!r}")
 
 
 def cmd_complex(args, out: Output) -> int:
     problem = _load(args, out)
     F = problem.subbifunctor
-    if args.complex not in problem.complexes:
-        raise SchemaError("--complex", f"unknown complex {args.complex!r}")
-    x = problem.complexes[args.complex]
+    x = _named(problem.complexes, "--complex", "complex", args.complex)
     if args.sub == "termlength":
         t = term_length(x)
         out.say(f"term length t({args.complex}) = {t}")
@@ -204,7 +217,7 @@ def cmd_complex(args, out: Output) -> int:
     if args.sub == "homk":
         if not args.to:
             raise SchemaError("--to", "complex homk needs --to")
-        y = problem.complexes[args.to]
+        y = _named(problem.complexes, "--to", "complex", args.to)
         dims = {}
         lo, hi = -(args.window or 3), (args.window or 3)
         for n in range(lo, hi + 1):
@@ -213,7 +226,6 @@ def cmd_complex(args, out: Output) -> int:
         out.report = {"from": args.complex, "to": args.to,
                       "hom_k": {str(n): d for n, d in sorted(dims.items())}}
         return EXIT_OK
-    raise SchemaError("complex", f"unknown subcommand {args.sub!r}")
 
 
 def cmd_tilting(args, out: Output) -> int:
@@ -267,10 +279,8 @@ def cmd_bounds(args, out: Output) -> int:
                                             complete=problem.corpus_complete)
     elif args.sub == "counts":
         rep = bounds_mod.prop63_64_counts(F, problem.tilting.declared_count, ts.gamma())
-    elif args.sub == "gorenstein":
+    else:  # gorenstein, the last choice in COMMANDS
         rep = bounds_mod.gorenstein_check(F, corpus, ts, cutoff)
-    else:
-        raise SchemaError("bounds", f"unknown subcommand {args.sub!r}")
     rows = []
     for key, val in rep.values.items():
         rows.append([key, str(val.dim) if hasattr(val, "dim") else str(val)])
@@ -287,74 +297,124 @@ def cmd_bounds(args, out: Output) -> int:
     return EXIT_VIOLATED if rep.violated else EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit EXIT_INPUT; subparsers inherit the class."""
+# An option takes one value per (metavar, type) pair; with none it is a flag
+# that stores True, else its default is None.  Positionals: (dest, choices).
+Option = namedtuple("Option", "help values required", defaults=((), False))
+Command = namedtuple("Command", "fn help positionals options")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+NAME, FILE = (("NAME", str),), ("file", None)
+COMMANDS = {
+    "algebra": Command(cmd_algebra, "build the algebra and dump its basis", (FILE,), {
+        "--canonical": Option("print the canonical form of the input file")}),
+    "module": Command(cmd_module, "module dimensions, resolutions and ext", (FILE,), {
+        "--name": Option("report only this module", NAME),
+        "--ext": Option("also compute ext_F^I(X, Y)", (("X", str), ("Y", str), ("I", int)))}),
+    "relhom": Command(cmd_relhom, "F-exactness, resolutions, I(F), gldim_F",
+                      (("sub", ("ifset", "gldim", "resolve", "exact")), FILE), {
+        "--module": Option("the module that resolve and exact read", NAME)}),
+    "complex": Command(cmd_complex, "cones, hom_k, acyclicity, term length",
+                       (("sub", ("termlength", "acyclic", "cone", "homk")), FILE), {
+        "--complex": Option("the complex to examine", NAME, required=True),
+        "--to": Option("the target complex of homk", NAME),
+        "--window": Option("homk shifts -N..N (default 3)", (("N", int),))}),
+    "tilting": Command(cmd_tilting, "verify the F-tilting declaration and dump End", (FILE,), {
+        "--sigma": Option("also compare hom windows with the image complex over End(G)")}),
+    "bounds": Command(cmd_bounds, "theorem73 / cor710 / counts / gorenstein",
+                      (("sub", ("theorem73", "cor710", "counts", "gorenstein")), FILE), {}),
+}
+TOP = Command(None, "relative homological algebra over finite-dimensional quiver algebras",
+              (("command", COMMANDS),), {
+    "--cutoff": Option("dimension cutoff (default: the file's, else 10)", (("N", int),)),
+    "--field": Option("field override: q or fp:P", (("FIELD", str),)),
+    "--report": Option("write a JSON report to PATH", (("PATH", str),)),
+    "--quiet": Option("suppress human output")})
+HELP = Option("show this help and exit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="relhomalg",
-        description="relative homological algebra over finite-dimensional quiver algebras")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="dimension cutoff (default: the file's, else 10)")
-    p.add_argument("--field", default=None, help="field override: q or fp:P")
-    p.add_argument("--report", default=None, help="write a JSON report to PATH")
-    p.add_argument("--quiet", action="store_true", help="suppress human output")
-    sub = p.add_subparsers(dest="command", required=True)
+def _spec(name: str, opt: Option) -> str:
+    return " ".join([name, *(metavar for metavar, _ in opt.values)])
 
-    pa = sub.add_parser("algebra", help="build the algebra and dump its basis")
-    pa.add_argument("file")
-    pa.add_argument("--canonical", action="store_true",
-                    help="print the canonical form of the input file")
-    pa.set_defaults(fn=cmd_algebra)
 
-    pm = sub.add_parser("module", help="module dimensions, resolutions and ext")
-    pm.add_argument("file")
-    pm.add_argument("--name", default=None)
-    pm.add_argument("--ext", nargs=3, metavar=("X", "Y", "I"), default=None)
-    pm.set_defaults(fn=cmd_module)
+def _usage(prog: str, cmd: Command) -> str:
+    opts = [_spec(n, o) if o.required else f"[{_spec(n, o)}]" for n, o in cmd.options.items()]
+    return " ".join(["usage:", prog, "[-h]", *opts, *(
+        "{" + ",".join(choices) + "}" if choices else dest.upper() for dest, choices in cmd.positionals)])
 
-    pr = sub.add_parser("relhom", help="F-exactness, resolutions, I(F), gldim_F")
-    pr.add_argument("sub", choices=["ifset", "gldim", "resolve", "exact"])
-    pr.add_argument("file")
-    pr.add_argument("--module", default=None)
-    pr.set_defaults(fn=cmd_relhom)
 
-    pc = sub.add_parser("complex", help="cones, hom_k, acyclicity, term length")
-    pc.add_argument("sub", choices=["termlength", "acyclic", "cone", "homk"])
-    pc.add_argument("file")
-    pc.add_argument("--complex", required=True)
-    pc.add_argument("--to", default=None)
-    pc.add_argument("--window", type=int, default=None)
-    pc.set_defaults(fn=cmd_complex)
+def _help(prog: str, cmd: Command) -> str:
+    rows = [("-h, --help", HELP.help), *((_spec(n, o), o.help) for n, o in cmd.options.items())]
+    commands = ["", "commands:", *(f"  {n:<9} {c.help}" for n, c in COMMANDS.items())]
+    return "\n".join([_usage(prog, cmd), "", cmd.help, *(commands if cmd is TOP else []),
+                      "", "options:", *(f"  {spec:<15} {text}" for spec, text in rows)])
 
-    pt = sub.add_parser("tilting", help="verify the F-tilting declaration and dump End")
-    pt.add_argument("file")
-    pt.add_argument("--sigma", action="store_true",
-                    help="also compare hom windows with the image complex over End(G)")
-    pt.set_defaults(fn=cmd_tilting)
 
-    pb = sub.add_parser("bounds", help="theorem73 / cor710 / counts / gorenstein")
-    pb.add_argument("sub", choices=["theorem73", "cor710", "counts", "gorenstein"])
-    pb.add_argument("file")
-    pb.set_defaults(fn=cmd_bounds)
-    return p
+def _fail(prog: str, cmd: Command, message: str):
+    print(f"{_usage(prog, cmd)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
+
+
+def _option(token: str, options: dict):
+    """(name, inline value or None) of an option, ("", None) if unknown, None for a value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    name, eq, inline = token.partition("=")
+    found = [n for n in (*options, "-h", "--help") if n == name] or [
+        n for n in (*options, "--help") if token.startswith("--") and n.startswith(name)]
+    if len(found) == 1:
+        return found[0], inline if eq else None
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else ("", None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """argv read as argparse reads it, by the grammar of the module docstring."""
+    prog, cmd, args, extras, only_values, i = "relhomalg", TOP, {}, [], False, 0
+    positionals, options = list(TOP.positionals), TOP.options
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token == "--" and cmd is not TOP and not only_values:
+            only_values = True
+            continue
+        found = None if only_values or token == "--" else _option(token, options)
+        if found is None and positionals:
+            dest, choices = positionals.pop(0)
+            if choices is not None and token not in choices:
+                _fail(prog, cmd, f"argument {dest}: invalid choice: {token!r}")
+            args[dest] = token
+            if dest == "command":
+                prog, cmd = f"relhomalg {token}", COMMANDS[token]
+                positionals, options = list(cmd.positionals), cmd.options
+        elif found is None or not found[0]:
+            extras.append(token)
+        else:
+            name, inline = found
+            opt = options.get(name, HELP)
+            given = argv[i:i + len(opt.values)] if inline is None else [inline]
+            i += len(given) if inline is None else 0
+            if len(given) != len(opt.values) or inline is None and any(_option(t, options) for t in given):
+                _fail(prog, cmd, f"argument {_spec(name, opt)}: expected {len(opt.values)} value(s)")
+            if opt is HELP:
+                print(_help(prog, cmd))
+                raise SystemExit(EXIT_OK)
+            try:
+                parsed = [kind(value) for (_, kind), value in zip(opt.values, given)]
+            except ValueError:
+                _fail(prog, cmd, f"argument {_spec(name, opt)}: invalid int in {' '.join(given)!r}")
+            args[name[2:]] = parsed[0] if len(parsed) == 1 else parsed or True
+    missing = [d for d, _ in positionals] + [n for n, o in options.items() if o.required and n[2:] not in args]
+    if missing:
+        _fail(prog, cmd, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(prog, cmd, f"unrecognized arguments: {' '.join(extras)}")
+    defaults = {n[2:]: None if o.values else False for n, o in {**TOP.options, **options}.items()}
+    return SimpleNamespace(**{**defaults, **args, "fn": cmd.fn})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     out = Output(quiet=args.quiet)
     try:
         code = args.fn(args, out)
-    except SchemaError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
+    except (SchemaError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as e:

@@ -6,13 +6,16 @@ and approximations that are read off vertex spaces, for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
 over every idempotent, for path algebras the construction by completing
 the relations into rewriting rules, and for Ext_F the Hom in D_F by
-F-projective replacement) that serve only as cross-checks, and the short
-sequences, F-quasi-isomorphisms, stacked matrices and radical matrices that
-only the tests build."""
+F-projective replacement, and for the command line the argparse reading)
+that serve only as cross-checks, and the short sequences,
+F-quasi-isomorphisms, stacked matrices and radical matrices that only the
+tests build."""
 
+import argparse
+import sys
 from dataclasses import dataclass
 
-from relhomalg import relative, rep
+from relhomalg import cli, relative, rep
 from relhomalg.algebra import AbstractAlgebra, residue_certificate
 from relhomalg.complexes import (
     ChainMap,
@@ -828,3 +831,76 @@ def hom_df(x: Complex, y: Complex, n: int, f: SubbifunctorF, depth: int | None =
             raise TruncationError(
                 f"replacement truncated: degree {lowest_needed} needed, trusted down to {rep.trusted_below}")
     return hom_k(rep.complex, y, n)
+
+
+# ---------------------------------------------------------------------------
+# the command line read by argparse, the reference for `cli.parse_args`
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(cli.EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+class _ExtValues(argparse.Action):
+    """--ext X Y I, with the degree I read as an int."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        x, y, degree = values
+        try:
+            setattr(namespace, self.dest, [x, y, int(degree)])
+        except ValueError:
+            raise argparse.ArgumentError(self, f"invalid int value: {degree!r}") from None
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    p = _Parser(
+        prog="relhomalg",
+        description="relative homological algebra over finite-dimensional quiver algebras")
+    p.add_argument("--cutoff", type=int, default=None,
+                   help="dimension cutoff (default: the file's, else 10)")
+    p.add_argument("--field", default=None, help="field override: q or fp:P")
+    p.add_argument("--report", default=None, help="write a JSON report to PATH")
+    p.add_argument("--quiet", action="store_true", help="suppress human output")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    pa = sub.add_parser("algebra", help="build the algebra and dump its basis")
+    pa.add_argument("file")
+    pa.add_argument("--canonical", action="store_true",
+                    help="print the canonical form of the input file")
+    pa.set_defaults(fn=cli.cmd_algebra)
+
+    pm = sub.add_parser("module", help="module dimensions, resolutions and ext")
+    pm.add_argument("file")
+    pm.add_argument("--name", default=None)
+    pm.add_argument("--ext", nargs=3, metavar=("X", "Y", "I"), default=None, action=_ExtValues)
+    pm.set_defaults(fn=cli.cmd_module)
+
+    pr = sub.add_parser("relhom", help="F-exactness, resolutions, I(F), gldim_F")
+    pr.add_argument("sub", choices=["ifset", "gldim", "resolve", "exact"])
+    pr.add_argument("file")
+    pr.add_argument("--module", default=None)
+    pr.set_defaults(fn=cli.cmd_relhom)
+
+    pc = sub.add_parser("complex", help="cones, hom_k, acyclicity, term length")
+    pc.add_argument("sub", choices=["termlength", "acyclic", "cone", "homk"])
+    pc.add_argument("file")
+    pc.add_argument("--complex", required=True)
+    pc.add_argument("--to", default=None)
+    pc.add_argument("--window", type=int, default=None)
+    pc.set_defaults(fn=cli.cmd_complex)
+
+    pt = sub.add_parser("tilting", help="verify the F-tilting declaration and dump End")
+    pt.add_argument("file")
+    pt.add_argument("--sigma", action="store_true",
+                    help="also compare hom windows with the image complex over End(G)")
+    pt.set_defaults(fn=cli.cmd_tilting)
+
+    pb = sub.add_parser("bounds", help="theorem73 / cor710 / counts / gorenstein")
+    pb.add_argument("sub", choices=["theorem73", "cor710", "counts", "gorenstein"])
+    pb.add_argument("file")
+    pb.set_defaults(fn=cli.cmd_bounds)
+    return p

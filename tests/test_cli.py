@@ -73,13 +73,40 @@ def test_module_ext_resolves_past_the_cutoff(capsys, degree, dim):
 
 def test_cli_import_leaves_dataclasses_unloaded():
     # every CLI call starts a fresh interpreter; dataclasses' import and code
-    # generation would be paid on each.  pytest has loaded dataclasses here,
-    # so the import runs in a fresh interpreter
+    # generation, and argparse with gettext and locale, would be paid on each.
+    # pytest has loaded them here, so the command runs in a fresh interpreter
     env = {**os.environ, "PYTHONPATH": str(DATA.parent.parent)}
     code = ("import sys, relhomalg.cli\n"
-            "if 'dataclasses' in sys.modules: sys.exit('import relhomalg.cli loaded dataclasses')")
+            "heavy = ('dataclasses', 'argparse', 'gettext', 'locale')\n"
+            "def check(when):\n"
+            "    loaded = [m for m in heavy if m in sys.modules]\n"
+            "    if loaded: sys.exit(f'{when} loaded {loaded}')\n"
+            "check('import relhomalg.cli')\n"
+            f"code = relhomalg.cli.main(['--quiet', 'bounds', 'cor710', {str(DATA / 'a2_apr.json')!r}])\n"
+            "check('bounds cor710')\n"
+            "sys.exit(code)")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("argv, diagnostic", [
+    (["module", DATA / "section7.json", "--ext", "NOPE", "S2", "1"],
+     "--ext: unknown module 'NOPE'"),
+    (["module", DATA / "section7.json", "--ext", "M2", "NOPE", "1"],
+     "--ext: unknown module 'NOPE'"),
+    (["module", DATA / "section7.json", "--ext", "M2", "S2", "-1"], "--ext: negative degree -1"),
+    (["relhom", "resolve", DATA / "section7.json", "--module", "NOPE"],
+     "--module: unknown module 'NOPE'"),
+    (["relhom", "exact", DATA / "section7.json", "--module", "NOPE"],
+     "--module: unknown module 'NOPE'"),
+    (["complex", "homk", DATA / "a2_apr.json", "--complex", "T", "--to", "NOPE"],
+     "--to: unknown complex 'NOPE'"),
+], ids=["ext-x", "ext-y", "ext-degree", "resolve", "exact", "homk-to"])
+def test_bad_names_are_input_errors(capsys, argv, diagnostic):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {diagnostic}\n"
+    assert captured.out == ""
 
 
 def test_algebra_dump(capsys):
