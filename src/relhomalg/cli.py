@@ -26,7 +26,7 @@ from .complexes import (
     is_f_acyclic,
     term_length,
 )
-from .fields import PrimeField, QQ
+from .fields import QQ
 from .relative import (
     ext_f,
     f_resolution,
@@ -39,7 +39,7 @@ from .relative import (
 )
 from .reports import DimensionReport
 from .rep import ShortExactSeq, proven_isomorphic
-from .schema import SchemaError, canonical_form, load_problem
+from .schema import SchemaError, canonical_form, load_problem, parse_field
 from .tilting import image_tilting_over_sigma, verify_f_tilting
 
 EXIT_OK = 0
@@ -72,8 +72,10 @@ def _load(args, out: Output):
     if args.field:
         if args.field.lower() in ("q", "qq"):
             field = QQ
-        elif args.field.lower().startswith("fp:"):
-            field = PrimeField(int(args.field.split(":", 1)[1]))
+        elif args.field.lower().startswith("fp:"):  # checked as a file's {"prime": P}
+            p = args.field[3:]  # an int where int() reads one
+            p = int(p) if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", p) else p
+            field = parse_field({"prime": p}, "--field")
         else:
             raise SchemaError("--field", f"unknown field {args.field!r} (use q or fp:P)")
     return load_problem(args.file, field_override=field, cutoff_override=args.cutoff)
@@ -218,10 +220,10 @@ def cmd_complex(args, out: Output) -> int:
         if not args.to:
             raise SchemaError("--to", "complex homk needs --to")
         y = _named(problem.complexes, "--to", "complex", args.to)
-        dims = {}
-        lo, hi = -(args.window or 3), (args.window or 3)
-        for n in range(lo, hi + 1):
-            dims[n] = hom_k(x, y, n)
+        window = 3 if args.window is None else args.window
+        if window < 0:
+            raise SchemaError("--window", f"negative window {window}")
+        dims = {n: hom_k(x, y, n) for n in range(-window, window + 1)}
         out.table([[n, dims[n]] for n in sorted(dims)], headers=["shift", "dim hom_K"])
         out.report = {"from": args.complex, "to": args.to,
                       "hom_k": {str(n): d for n, d in sorted(dims.items())}}

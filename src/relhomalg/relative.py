@@ -4,8 +4,8 @@ of Hom dimensions, relative dimensions and I(F).
 
 The generator G always contains every indecomposable projective among its
 declared summands, which is the enough-projectives setting the whole
-machinery runs on; F-exactness of 0 -> A -> B -> C -> 0 is surjectivity of
-Hom(G, B) -> Hom(G, C).
+machinery runs on.  An exact 0 -> A -> B -> C -> 0 is F-exact when Hom(G, B) ->
+Hom(G, C) is onto: a count of Hom dimensions (`hom_g_exact`), as Ext_F is.
 """
 
 from __future__ import annotations
@@ -13,22 +13,23 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import Matrix, rank
+from .matrix import Matrix, _normal, rank
 from .quiver import PathAlgebra
 from .rep import (
     DirectSum,
     ModuleMap,
     Representation,
     ShortExactSeq,
-    _coordinate_matrix,
     _hom_basis,
+    _paths_from,
     _vertex_maps,
     cokernel,
     direct_sum,
     dual_to_main,
     endo_indecomposability_check,
+    hom_dim,
     hom_space,
-    hom_to_algebra,
+    hom_to_algebra_at,
     injective,
     kernel,
     projective,
@@ -95,16 +96,16 @@ class SubbifunctorF:
 # F-exactness
 
 
-def hom_g_surjective(f: SubbifunctorF, g_map: ModuleMap) -> bool:
-    """Is Hom(G, g_map) surjective onto Hom(G, target)?  When G is the
-    stored P_1..P_n, Hom(P_v, -) = (-)_v, so this is g_map onto."""
-    if _are_vertex_modules(f.summands, f.algebra, "projective"):
-        return g_map.is_surjective()
-    return _minimal_approximating_subset(g_map.target, [g_map], f.summands, left=False) is not None
+def hom_g_exact(f: SubbifunctorF, a: Representation, middle: list[Representation], c: Representation) -> bool:
+    """Is the exact 0 -> a -> ⊕middle -> c -> 0 F-exact?  Hom(G_k, -) is left
+    exact, so it is when dim Hom(G_k, c) = dim Hom(G_k, ⊕middle) -
+    dim Hom(G_k, a) for every summand G_k of G (Auslander-Solberg 1993)."""
+    return all(hom_dim(g, c) == sum(hom_dim(g, b) for b in middle) - hom_dim(g, a)
+               for g in _modules(f.summands))
 
 
 def is_f_exact(ses: ShortExactSeq, f: SubbifunctorF) -> bool:
-    return hom_g_surjective(f, ses.g)
+    return hom_g_exact(f, ses.sub, [ses.middle], ses.quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +212,6 @@ def _vertex_generators(x: Representation, summands: list[SummandDecl],
     return maps, [v for v, _ in gens]
 
 
-def _are_vertex_modules(summands: list[SummandDecl], algebra: PathAlgebra, kind: str) -> bool:
-    """The summands are the stored modules of kind at vertices 1..n, in order."""
-    return _modules(summands) == tuple(algebra.vertex_modules.get((kind, v))
-                                       for v in range(1, algebra.quiver.n + 1))
-
-
 def _on_module(x: Representation, key: tuple, compute):
     """compute(), stored on x under key, which names the summand modules it
     depends on.  Representations are canonical per algebra, so the key is
@@ -253,7 +248,9 @@ def _build_approximation(x: Representation, summands: list[SummandDecl], algebra
         z = zero_representation(algebra)
         return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x),
                              direct_sum([], algebra), [])
-    vertex = _are_vertex_modules(summands, algebra, "injective" if left else "projective")
+    kind = "injective" if left else "projective"  # are the summands the stored I_v (P_v), in order?
+    vertex = _modules(summands) == tuple(algebra.vertex_modules.get((kind, v))
+                                         for v in range(1, algebra.quiver.n + 1))
     if vertex:
         maps, pieces = _vertex_generators(x, summands, left)
     else:
@@ -306,22 +303,34 @@ def projective_cover(m: Representation) -> Approximation:
 
 
 def transpose(m: Representation) -> Representation:
-    """Tr m = coker(Hom(P0, Λ) -> Hom(P1, Λ)) over the opposite algebra, for
-    the minimal presentation P1 -> P0 -> m -> 0 that the projective covers of
-    m and of its syzygy give; Tr P = 0 for a projective P."""
-    if m.is_zero():
-        return zero_representation(m.algebra.opposite())
+    """Tr m = coker(d*: Hom(P0, Λ) -> Hom(P1, Λ)) over the opposite algebra,
+    for the minimal presentation P1 -d-> P0 -> m -> 0: P0 = ⊕P_{v_i} covers m,
+    and P1 = ⊕P_{w_j} covers K = ker(P0 -> m), d sending e_{w_j} to x_j, the
+    top column (w_j, c_j) of K.  On the `hom_to_algebra_at` pieces d* sends
+    φ(e_{v_i}) = q to φ(x_j) = q·x_{ij}, the product in Λ with the part of x_j
+    in P_{v_i}.  Tr P = 0 for a projective P."""
+    alg, op = m.algebra, m.algebra.opposite()
     c0 = projective_cover(m)
-    ker, incl = c0.kernel
-    c1 = projective_cover(ker)
-    d = c1.map.compose(incl)
-    H0, bases0 = hom_to_algebra(c0.map.source)
-    H1, bases1 = hom_to_algebra(c1.map.source)
-    F = m.algebra.field
-    mats = [_coordinate_matrix(F, bases1[v], [d.compose(psi) for psi in bases0[v]])
-            for v in range(m.algebra.quiver.n)]
-    tr, _ = cokernel(ModuleMap(H0, H1, mats))
-    return tr
+    if c0.is_identity:
+        return zero_representation(op)
+    incl, tops = c0.kernel[1], top_columns(c0.kernel[0])
+    paths = [_paths_from(alg, v + 1)[0] for v in range(alg.quiver.n)]  # [v][w]: P_{v+1} at w
+    h0, h1 = (direct_sum([hom_to_algebra_at(alg, v + 1) for v in vs], op).rep
+              for vs in (c0.pieces, [w for w, _ in tops]))
+    mats = []
+    for at_u, d0, d1 in zip(paths, h0.dims, h1.dims):
+        out, row = [0] * (d1 * d0), 0
+        for w, c in tops:
+            x, col, rows = iter(incl.mats[w].col(c)), 0, {t: row + r for r, t in enumerate(at_u[w])}
+            for v in c0.pieces:  # each zip takes the part of x_j in P_{v+1}
+                for p, e in zip(paths[v][w], x):
+                    for k, q in enumerate(at_u[v]) if e else ():
+                        for t, a in alg.mul_basis(q, p).items():
+                            out[rows[t] * d0 + col + k] += e * a
+                col += len(at_u[v])
+            row += len(at_u[w])
+        mats.append(Matrix(alg.field, d1, d0, _normal(out, alg.field.p)))
+    return cokernel(ModuleMap(h0, h1, mats))[0]
 
 
 def dtr(m: Representation) -> Representation:
@@ -396,16 +405,16 @@ def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
     if i < 0:
         raise ValueError("negative degree")
     if i == 0:
-        return len(hom_space(x, y))
+        return hom_dim(x, y)
     res = resolution if resolution is not None else f_resolution(x, f, i - 1)
     if i - 1 > res.length:
         if res.truncated:
             raise TruncationError(f"resolution truncated before depth {i - 1}")
         return 0
     app = res.approximations[i - 1]  # P -> Ω^{i-1} x, with kernel Ω^i x
-    middle = (len(hom_space(app.map.source, y)) if app.pieces is None
-              else sum(len(hom_space(f.summands[k].module, y)) for k in app.pieces))
-    return len(hom_space(app.kernel[0], y)) - middle + len(hom_space(app.map.target, y))
+    middle = (hom_dim(app.map.source, y) if app.pieces is None
+              else sum(hom_dim(f.summands[k].module, y) for k in app.pieces))
+    return hom_dim(app.kernel[0], y) - middle + hom_dim(app.map.target, y)
 
 
 # ---------------------------------------------------------------------------
@@ -420,34 +429,27 @@ def pd_f(x: Representation, f: SubbifunctorF, cutoff: int) -> DimensionReport:
     return DimensionReport("pd_F", f_resolution(x, f, cutoff).pd, cutoff)
 
 
-def relative_injectives(f: SubbifunctorF, corpus: list[Representation] | None = None):
+def relative_injectives(f: SubbifunctorF, corpus: list[Representation]):
     """Candidate I(F) = DTr(non-projective summands of G) ∪ {injectives},
-    deduplicated up to isomorphism and validated against the corpus."""
+    deduplicated up to isomorphism and validated against the corpus: a
+    candidate fails when Ext_F^1(x, -), a count of Hom dimensions, is not 0
+    on it for some x in the corpus."""
     algebra = f.algebra
     candidates: list[SummandDecl] = []
 
     def add(name: str, m: Representation):
-        if m.is_zero():
-            return
-        for c in candidates:
-            if proven_isomorphic(c.module, m):
-                return
-        candidates.append(SummandDecl(name, m))
+        if not m.is_zero() and not any(proven_isomorphic(c.module, m) for c in candidates):
+            candidates.append(SummandDecl(name, m))
 
     for v in range(1, algebra.quiver.n + 1):
         add(f"I{v}", injective(algebra, v))
     for k, s in enumerate(f.summands):
         if not f.is_projective_summand(k):
             add(f"DTr({s.name})", dtr(s.module))
-    validated = True
-    notes: list[str] = []
-    if corpus is not None:
-        resolutions = [f_resolution(x, f, 0) for x in corpus]
-        for c in candidates:
-            if any(ext_f(res.x, c.module, 1, f, resolution=res) != 0 for res in resolutions):
-                validated = False
-                notes.append(f"{c.name} fails F-injectivity against a corpus module")
-    return candidates, validated, notes
+    resolutions = [f_resolution(x, f, 0) for x in corpus]
+    notes = [f"{c.name} fails F-injectivity against a corpus module" for c in candidates
+             if any(ext_f(res.x, c.module, 1, f, resolution=res) != 0 for res in resolutions)]
+    return candidates, not notes, notes
 
 
 class CoresolutionStep(NamedTuple):
@@ -464,14 +466,14 @@ def coresolution_step(x: Representation, f: SubbifunctorF,
     """The step from x, computed once per x, I(F) and G and stored on x, so
     coresolutions that meet share the rest of their steps."""
     def step() -> CoresolutionStep:
-        u = left_approximation(x, injectives, f.algebra).map
-        if u.is_isomorphism():
+        app = left_approximation(x, injectives, f.algebra)
+        if app.map.is_isomorphism():
             return CoresolutionStep(None)
-        if not u.is_injective():
+        if not app.map.is_injective():
             return CoresolutionStep(None, "left approximation not injective: I(F) list rejected"
                                           " as an enough-injectives class")
-        cok, proj = cokernel(u)
-        if not hom_g_surjective(f, proj):
+        cok, _ = cokernel(app.map)
+        if not hom_g_exact(f, x, [injectives[k].module for k in app.pieces], cok):
             return CoresolutionStep(cok, "coresolution step is not F-exact: I(F) list invalid")
         return CoresolutionStep(cok)
 

@@ -332,6 +332,15 @@ def hom_space(m: Representation, n: Representation) -> HomBasis:
     return out
 
 
+def hom_dim(m: Representation, n: Representation) -> int:
+    """dim Hom(m, n): n_v from the stored P_v and m_v into the stored I_v (see
+    `_vertex_maps`), else the length of the `hom_space` basis."""
+    v, w = m.algebra.vertex_modules.get(("projective", m)), n.algebra.vertex_modules.get(("injective", n))
+    if m.algebra is not n.algebra or v is None and w is None:
+        return len(hom_space(m, n))  # which raises across algebras
+    return n.dims[v - 1] if v is not None else m.dims[w - 1]
+
+
 def _hom_basis(m: Representation, n: Representation, vecs: list[list]) -> HomBasis:
     """The maps m -> n flattened in vecs."""
     F = m.algebra.field
@@ -640,26 +649,14 @@ def radical_power_sub(m: Representation, k: int) -> tuple[Representation, Module
 # duals and Hom into the algebra
 
 
-def hom_to_algebra(m: Representation) -> tuple[Representation, list[list[ModuleMap]]]:
-    """Hom(m, Λ) as a representation over the opposite algebra.
-
-    Component at vertex v is Hom(m, P(v)); the opposite arrow a: v' -> v
-    acts by postcomposition with prepend-a: P(v') -> P(v).  Returns the
-    representation together with the chosen hom bases (per vertex).
-    """
-    algebra = m.algebra
-    op = algebra.opposite()
-    F = algebra.field
-    q = algebra.quiver
-    bases = [hom_space(m, projective(algebra, v + 1)) for v in range(q.n)]
-    dims = tuple(len(b) for b in bases)
-    mats = [None] * len(q.arrows)
-    for ai, a in enumerate(q.arrows):
-        # in the opposite quiver the arrow runs a.target -> a.source
-        La = left_multiplication_map(algebra, ai)
-        src_v, tgt_v = a.target - 1, a.source - 1
-        mats[ai] = _coordinate_matrix(F, bases[tgt_v], [phi.compose(La) for phi in bases[src_v]])
-    return Representation(op, dims, mats), bases
+def hom_to_algebra_at(algebra: PathAlgebra, v: int) -> Representation:
+    """Hom(P_v, Λ) over the opposite algebra, read at e_v: Hom(P_v, P_u) =
+    (P_u)_v at u, and the opposite of an arrow a acts by postcomposition with
+    `left_multiplication_map`, so by its block at v.  Built once per algebra
+    and vertex."""
+    return _per_algebra(algebra, "hom_to_algebra", v, lambda alg, v: Representation(
+        alg.opposite(), [projective(alg, u).dims[v - 1] for u in range(1, alg.quiver.n + 1)],
+        [left_multiplication_map(alg, ai).mats[v - 1] for ai in range(len(alg.quiver.arrows))]))
 
 
 def dual_to_main(m_op: Representation) -> Representation:

@@ -12,7 +12,7 @@ import json
 from typing import NamedTuple
 
 from .complexes import Complex, Part, shift_complex, stalk_complex
-from .fields import Field, PrimeField, QQ
+from .fields import Field, PrimeField, QQ, _is_probable_prime
 from .matrix import Matrix
 from .quiver import PathAlgebra, Quiver
 from .rep import (ModuleMap, Representation, cokernel, projective, radical, radical_power_sub,
@@ -134,10 +134,9 @@ def parse_field(spec, path: str) -> Field:
     if spec in ("Q", "q", None):
         return QQ
     if isinstance(spec, dict) and "prime" in spec:
-        try:
-            return PrimeField(_integer(spec["prime"], path, "prime"))
-        except ValueError as e:
-            raise SchemaError(path, str(e))
+        p = _integer(spec["prime"], path, "prime")
+        _expect(_is_probable_prime(p), path, f"{p} is not prime")
+        return PrimeField(p)
     raise SchemaError(path, f"unknown field spec {spec!r}")
 
 

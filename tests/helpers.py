@@ -2,7 +2,9 @@
 second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies, approximations
 from Hom coordinates, the intertwining solve and greedy removal for Homs
-and approximations that are read off vertex spaces, for End(T) its products
+and approximations that are read off vertex spaces, for F-exactness the
+composite blocks and for the transpose the coordinates of composites (the
+program counts Hom dimensions and reads products), for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
 over every idempotent, for path algebras the construction by completing
 the relations into rewriting rules, and for Ext_F the Hom in D_F by
@@ -163,6 +165,56 @@ def solved_hom_space(m, n):
     stored injective target; the reference for the bases read off vertex
     spaces."""
     return rep._hom_space_compute(m, n)
+
+
+def hom_g_surjective(f, g_map):
+    """Is Hom(G, g_map) onto Hom(G, target)?  The composite route that
+    `relative.hom_g_exact` replaced by a count of Hom dimensions: g_map alone
+    must be a right add(G)-approximation of its target, tested on the
+    composite blocks of `relative._minimal_approximating_subset`."""
+    return relative._minimal_approximating_subset(g_map.target, [g_map], f.summands,
+                                                  left=False) is not None
+
+
+def counted_map(frame):
+    """The epimorphism B -> C of the sequence whose F-exactness
+    `relative.hom_g_exact`, called from frame, counts: the map of
+    `is_f_exact`'s sequence, or the cokernel projection of the left
+    approximation `app` of a coresolution step."""
+    names = frame.f_locals
+    return names["ses"].g if "ses" in names else cokernel(names["app"].map)[1]
+
+
+def hom_to_algebra(m):
+    """Hom(m, Λ) over the opposite algebra, with the per-vertex Hom bases:
+    the component at v is Hom(m, P(v)), and the opposite arrow a: v' -> v acts
+    by postcomposition with prepend-a: P(v') -> P(v), read in coordinates."""
+    algebra = m.algebra
+    F = algebra.field
+    bases = [hom_space(m, projective(algebra, v + 1)) for v in range(algebra.quiver.n)]
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        la = rep.left_multiplication_map(algebra, ai)
+        mats.append(_coordinate_matrix(F, bases[a.source - 1],
+                                       [phi.compose(la) for phi in bases[a.target - 1]]))
+    return Representation(algebra.opposite(), tuple(len(b) for b in bases), mats), bases
+
+
+def transpose_by_coordinates(m):
+    """Tr m as `relative.transpose` built it before it read d* at the top
+    columns: `hom_to_algebra` of both terms of the minimal presentation, and
+    d* from the coordinates of the composites "d then ψ"; the reference for
+    the transpose."""
+    c0 = relative.projective_cover(m)
+    ker, incl = c0.kernel
+    c1 = relative.projective_cover(ker)
+    d = c1.map.compose(incl)
+    h0, bases0 = hom_to_algebra(c0.map.source)
+    h1, bases1 = hom_to_algebra(c1.map.source)
+    F = m.algebra.field
+    mats = [_coordinate_matrix(F, bases1[v], [d.compose(psi) for psi in bases0[v]])
+            for v in range(m.algebra.quiver.n)]
+    return cokernel(ModuleMap(h0, h1, mats))[0]
 
 
 def full_basis_approximation(x, summands, left):

@@ -336,6 +336,52 @@ def test_field_override_runs(capsys):
     assert "dimension 9" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, message", [
+    ("fp:x", "prime must be an integer, got 'x'"),
+    ("fp:", "prime must be an integer, got ''"),
+    ("fp:4", "4 is not prime"),
+    ("fp:-7", "-7 is not prime"),
+    ("gf:7", "unknown field 'gf:7' (use q or fp:P)"),
+])
+def test_bad_field_override_is_input_error(capsys, field, message):
+    assert run(["--field", field, "algebra", DATA / "section7.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: --field: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("prime, message", [("x", "prime must be an integer, got 'x'"),
+                                             (4, "4 is not prime")])
+def test_bad_file_prime_is_input_error(tmp_path, capsys, prime, message):
+    data = json.loads((DATA / "section7.json").read_text())
+    data["field"] = {"prime": prime}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["algebra", bad]) == 1
+    assert capsys.readouterr().err == f"input error: $.field: {message}\n"
+
+
+def _homk_shifts(capsys, *window):
+    """(exit code, the shifts of the printed hom_K table)."""
+    code = run(["complex", "homk", DATA / "a2_apr.json", "--complex", "T", "--to", "T1", *window])
+    rows = capsys.readouterr().out.splitlines()[2:]  # after the header and its rule
+    return code, [int(r.split()[0]) for r in rows]
+
+
+def test_homk_window(capsys):
+    assert _homk_shifts(capsys, "--window", "0") == (0, [0])
+    assert _homk_shifts(capsys, "--window", "2") == (0, [-2, -1, 0, 1, 2])
+    assert _homk_shifts(capsys) == (0, [-3, -2, -1, 0, 1, 2, 3])  # the default, 3
+
+
+def test_negative_homk_window_is_input_error(capsys):
+    assert run(["complex", "homk", DATA / "a2_apr.json", "--complex", "T", "--to", "T1",
+                "--window", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "input error: --window: negative window -1\n"
+    assert captured.out == ""
+
+
 def test_cutoff_flag(capsys, tmp_path):
     report = tmp_path / "r.json"
     code = run(["--cutoff", "4", "--report", report, "relhom", "gldim",

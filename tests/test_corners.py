@@ -9,13 +9,16 @@ the relations they are marked as satisfying."""
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from helpers import (
     RewrittenAlgebra,
+    counted_map,
     cycle3_selfinjective,
     dual_numbers,
+    hom_g_surjective,
     matrix_algebra_2,
     mixed_a2,
     nakayama_problem,
@@ -262,33 +265,39 @@ def test_projectives_and_injectives_satisfy_the_relations(label, build, F):
 
 
 # ---------------------------------------------------------------------------
-# F-exactness for G = the projectives is surjectivity
+# F-exactness for G = the projectives: the count is an identity
 
 
 @pytest.mark.parametrize("field", ["q", "fp:32003"])
 def test_surjectivity_matches_the_routine_for_the_projectives(monkeypatch, tmp_path, field):
+    # every summand of G = the projectives is a stored P_v, so the count is
+    # the count of dimensions at each vertex: every exact sequence is F-exact,
+    # as the composite route finds for the onto map of each one
     seen = []
-    surjective = relative.hom_g_surjective
+    count = relative.hom_g_exact
 
-    def both(f, g_map):
-        new = surjective(f, g_map)
+    def both(f, a, middle, c):
+        new = count(f, a, middle, c)
         if f.summands == relative.ordinary_f(f.algebra).summands:
-            ref = relative._minimal_approximating_subset(g_map.target, [g_map], f.summands,
-                                                         left=False) is not None
-            seen.append((new, ref))
+            g = counted_map(sys._getframe(1))
+            seen.append((new, g.is_surjective(), hom_g_surjective(f, g)))
         return new
 
-    monkeypatch.setattr(relative, "hom_g_surjective", both)
+    monkeypatch.setattr(relative, "hom_g_exact", both)
     path = tmp_path / "nakayama44_all.json"
     path.write_text(json.dumps(nakayama_problem(4, 4, every_indecomposable=True, tilting=True)))
     for problem in (DATA / "section7.json", path):
         assert run("--field", field, "bounds", "gorenstein", problem)[0] == 0
     assert len(seen) > 10
-    # and maps that are not onto: the inclusions of the radicals
+    assert set(seen) == {(True, True, True)}
+    # 0 -> rad P_v -> P_v -> top P_v -> 0 is F-exact for G = the projectives
+    # and not once G has the simples, by the count and by the composite route
     alg = cycle3_selfinjective(QQ if field == "q" else PrimeField(32003))
-    f = relative.ordinary_f(alg)
+    ordinary = relative.ordinary_f(alg)
+    simples = relative.SubbifunctorF(alg, ordinary.summands + [
+        relative.SummandDecl(f"S{v}", rep.simple(alg, v)) for v in (1, 2, 3)])
     for v in (1, 2, 3):
-        relative.hom_g_surjective(f, rep.radical(rep.projective(alg, v))[1])
-        relative.hom_g_surjective(f, rep.ModuleMap.identity(rep.projective(alg, v)))
-    assert [new for new, _ in seen[-6:]] == [False, True] * 3
-    assert all(new == ref for new, ref in seen)
+        incl = rep.radical(rep.projective(alg, v))[1]
+        ses = rep.ShortExactSeq(incl, rep.cokernel(incl)[1])
+        for f, expected in ((ordinary, True), (simples, False)):
+            assert relative.is_f_exact(ses, f) == hom_g_surjective(f, ses.g) == expected

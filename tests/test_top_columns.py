@@ -4,13 +4,15 @@
 evaluated at the top columns of a module (`rep.top_columns`), with no
 composite map and no coordinate solve.  These tests check it against the
 coordinate-based routine it replaced (`helpers.coordinate_approximating_subset`)
-on every approximation and every F-exactness test that real commands build,
-over Q and over F_32003, and pin the stored per-object results it reads.
+on every approximation that real commands build, and that routine against the
+count of `relative.hom_g_exact` on every F-exactness test they make, over Q
+and over F_32003, and pin the stored per-object results it reads.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,7 @@ from relhomalg.rep import (
 from relhomalg.relative import SummandDecl, left_approximation
 from relhomalg.schema import load_problem
 
-from helpers import coordinate_approximating_subset, cycle3_selfinjective, nakayama_problem
+from helpers import coordinate_approximating_subset, counted_map, cycle3_selfinjective, nakayama_problem
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section6", "section6_symmetric", "section7", "a2_apr"]
@@ -48,21 +50,22 @@ def checked(monkeypatch):
     answers; returns the list of (what, new, reference)."""
     seen = []
     subset = relative._minimal_approximating_subset
-    surjective = relative.hom_g_surjective
+    count = relative.hom_g_exact
 
     def subset_both(x, maps, summands, left):
         new = subset(x, maps, summands, left)
         seen.append(("keep", new, coordinate_approximating_subset(x, maps, summands, left)))
         return new
 
-    def surjective_both(f, g_map):
-        new = surjective(f, g_map)
-        ref = coordinate_approximating_subset(g_map.target, [g_map], f.summands, False) is not None
-        seen.append(("hom_g_surjective", new, ref))
+    def count_both(f, a, middle, c):
+        new = count(f, a, middle, c)
+        g_map = counted_map(sys._getframe(1))
+        ref = coordinate_approximating_subset(c, [g_map], f.summands, False) is not None
+        seen.append(("hom_g_exact", new, ref))
         return new
 
     monkeypatch.setattr(relative, "_minimal_approximating_subset", subset_both)
-    monkeypatch.setattr(relative, "hom_g_surjective", surjective_both)
+    monkeypatch.setattr(relative, "hom_g_exact", count_both)
     return seen
 
 
@@ -87,10 +90,10 @@ def test_bundled_approximations_match_coordinates(checked, name, field):
         run("--field", field, "relhom", "exact", "--module", module, path)
     assert_agree(checked)
     kinds = {what for what, _, _ in checked}
-    # with G the projectives (a2_apr) F-exactness is surjectivity and every
-    # approximation is a projective cover or injective envelope, so the
-    # routine runs only when G has another summand
-    assert kinds == ({"hom_g_surjective"} if name == "a2_apr" else {"keep", "hom_g_surjective"})
+    # with G the projectives (a2_apr) every approximation is a projective
+    # cover or injective envelope, so the routine runs only when G has
+    # another summand
+    assert kinds == ({"hom_g_exact"} if name == "a2_apr" else {"keep", "hom_g_exact"})
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -100,7 +103,7 @@ def test_nakayama_4_3_approximations_match_coordinates(checked, field, tmp_path)
     assert run("--field", field, "module", str(path)) == 0
     assert run("--field", field, "relhom", "gldim", str(path)) == 0
     assert_agree(checked)
-    assert any(what == "hom_g_surjective" for what, _, _ in checked)
+    assert any(what == "hom_g_exact" for what, _, _ in checked)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
