@@ -19,8 +19,7 @@ from .quiver import PathAlgebra, Quiver, _combine
 
 
 class AbstractAlgebra:
-    def __init__(self, field: Field, dim: int, table, unit, idempotents=None,
-                 validate: bool | None = None):
+    def __init__(self, field: Field, dim: int, table, unit, idempotents=None):
         """table maps (i, j) to the coordinates {k: c} of b_i * b_j and may
         leave out zero products."""
         self.field = field
@@ -45,18 +44,8 @@ class AbstractAlgebra:
         self._sparse_idems = None  # _sparse_idempotents()
         self._presentation = None
         self.arrow_lifts: list | None = None  # the element of A behind each arrow
-        if validate is None:
-            validate = dim <= 16
-        if validate:
-            self.validate()
 
     # -- multiplication -----------------------------------------------------
-
-    def mul(self, u, v) -> list:
-        out = [self.field.zero] * self.dim
-        for k, c in self._sparse_mul(_sparse(self.field, u), _sparse(self.field, v)).items():
-            out[k] = c
-        return out
 
     def _sparse_mul(self, u: dict, v: dict) -> dict:
         """u * v for elements given by their nonzero coordinates {index: c}:
@@ -72,35 +61,6 @@ class AbstractAlgebra:
                 for k, ck in prod:
                     out[k] = F.add(out.get(k, F.zero), F.mul(c, ck))
         return {k: c for k, c in out.items() if not F.is_zero(c)}
-
-    def basis_vector(self, i: int) -> list:
-        F = self.field
-        v = [F.zero] * self.dim
-        v[i] = F.one
-        return v
-
-    def product(self, i: int, j: int) -> list:
-        """b_i * b_j as a coordinate vector."""
-        F = self.field
-        out = [F.zero] * self.dim
-        for k, c in self.products.get((i, j), ()):
-            out[k] = c
-        return out
-
-    def validate(self):
-        F = self.field
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mul(self.product(i, j), self.basis_vector(k))
-                    rhs = self.mul(self.basis_vector(i), self.product(j, k))
-                    if any(not F.is_zero(F.sub(a, b)) for a, b in zip(lhs, rhs)):
-                        raise ValueError(f"associativity fails at ({i},{j},{k})")
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise ValueError("unit law fails")
-        return self
 
     # -- radical -------------------------------------------------------------
 

@@ -195,6 +195,9 @@ def cmd_relhom(args, out: Output) -> int:
 
 
 def cmd_complex(args, out: Output) -> int:
+    for flag, value in (("--to", args.to), ("--window", args.window)):
+        if value is not None and args.sub != "homk":
+            raise SchemaError(flag, "only complex homk reads it")
     problem = _load(args, out)
     F = problem.subbifunctor
     x = _named(problem.complexes, "--complex", "complex", args.complex)
@@ -209,7 +212,7 @@ def cmd_complex(args, out: Output) -> int:
         out.report = {"complex": args.complex, "f_acyclic": ok}
         return EXIT_OK
     if args.sub == "cone":
-        m, _, _ = cone(chain_identity(x))
+        m = cone(chain_identity(x))
         ok = is_f_acyclic(m, F)
         out.say(f"cone(id_{args.complex}): degrees {m.degrees()}, "
                 f"F-acyclic: {'yes' if ok else 'NO'}")

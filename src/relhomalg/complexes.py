@@ -10,7 +10,17 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref
+from .matrix import (
+    Matrix,
+    SpanSolver,
+    block_diag,
+    column_space_basis,
+    inverse,
+    invertible,
+    kernel_basis,
+    rank,
+    rref,
+)
 from .quiver import PathAlgebra
 from .rep import (
     ModuleMap,
@@ -33,8 +43,11 @@ class Part(NamedTuple):
 class Complex:
     """Bounded complex; components outside the stored window are zero.
 
-    Optionally decorated with per-degree direct-sum decompositions (parts),
-    which cone/shift/sum propagate and radical normalization requires.
+    Each component is decomposed into direct summands (parts), which
+    cone/shift/sum propagate and radical normalization reads; without
+    declared parts, each component is one part.  A component is the direct
+    sum of its parts, so a differential is a block matrix at each vertex,
+    one block per pair of parts.
     """
 
     def __init__(self, algebra: PathAlgebra, comps: dict[int, Representation],
@@ -47,9 +60,9 @@ class Complex:
         for i, d in diffs.items():
             if i in self.comps and (i + 1) in self.comps:
                 self.diffs[i] = d
-        self.parts = None
-        if parts is not None:
-            self.parts = {i: list(parts.get(i, [])) for i in self.comps}
+        if parts is None:
+            parts = {i: [Part(f"X^{i}", c)] for i, c in self.comps.items()}
+        self.parts = {i: list(parts.get(i, [])) for i in self.comps}
         if check:
             self._validate(diffs)
 
@@ -62,12 +75,10 @@ class Complex:
             if (i + 1) in self.diffs:
                 if not self.diffs[i].compose(self.diffs[i + 1]).is_zero():
                     raise ValueError(f"d^2 != 0 at degree {i}")
-        if self.parts is not None:
-            for i, pl in self.parts.items():
-                dims = tuple(sum(p.module.dims[v] for p in pl)
-                             for v in range(self.algebra.quiver.n))
-                if dims != self.comps[i].dims:
-                    raise ValueError(f"parts at degree {i} do not sum to the component")
+        for i, pl in self.parts.items():
+            dims = tuple(sum(p.module.dims[v] for p in pl) for v in range(self.algebra.quiver.n))
+            if dims != self.comps[i].dims:
+                raise ValueError(f"parts at degree {i} do not sum to the component")
 
     def degrees(self) -> list[int]:
         return sorted(self.comps)
@@ -120,30 +131,24 @@ def shift_complex(x: Complex, n: int) -> Complex:
     comps = {i - n: c for i, c in x.comps.items()}
     sign = F.of_int(-1 if n % 2 else 1)
     diffs = {i - n: d.scale(sign) for i, d in x.diffs.items()}
-    parts = {i - n: list(pl) for i, pl in (x.parts or {}).items()} if x.parts is not None else None
+    parts = {i - n: list(pl) for i, pl in x.parts.items()}
     return Complex(x.algebra, comps, diffs, parts=parts, check=False)
 
 
 def sum_complexes(xs: list[Complex], algebra: PathAlgebra | None = None) -> Complex:
+    """⊕xs: each differential is block-diagonal, the summands' differentials
+    at each vertex."""
     if algebra is None:
         algebra = xs[0].algebra
+    F, n = algebra.field, algebra.quiver.n
     degrees = sorted({i for x in xs for i in x.degrees()})
-    comps, diffs, parts = {}, {}, {}
-    sums = {}
-    for i in degrees:
-        ds = direct_sum([x.component(i) for x in xs], algebra)
-        sums[i] = ds
-        comps[i] = ds.rep
-        parts[i] = [p for x in xs for p in (x.parts or {}).get(i, [Part("?", x.component(i))])
-                    if not p.module.is_zero()]
-    for i in degrees:
-        if (i + 1) not in comps:
-            continue
-        total = ModuleMap.zero(comps[i], comps[i + 1])
-        for k, x in enumerate(xs):
-            d = x.differential(i)
-            total = total + sums[i].projections[k].compose(d).compose(sums[i + 1].injections[k])
-        diffs[i] = total
+    comps = {i: direct_sum([x.component(i) for x in xs], algebra) for i in degrees}
+    parts = {i: [p for x in xs for p in x.parts.get(i, []) if not p.module.is_zero()]
+             for i in degrees}
+    diffs = {i: ModuleMap(comps[i], comps[i + 1],
+                          [block_diag(F, [x.differential(i).mats[v] for x in xs]) for v in range(n)],
+                          check=False)
+             for i in degrees if (i + 1) in comps}
     return Complex(algebra, comps, diffs, parts=parts)
 
 
@@ -174,46 +179,28 @@ def chain_identity(x: Complex) -> ChainMap:
     return ChainMap(x, x, {i: ModuleMap.identity(x.comps[i]) for i in x.comps})
 
 
-def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
-    """Mapping cone M(f)^i = X^{i+1} ⊕ Y^i, with the canonical maps
-    alpha: Y -> M(f) and beta: M(f) -> X[1]."""
+def cone(f: ChainMap) -> Complex:
+    """Mapping cone M(f)^i = X^{i+1} ⊕ Y^i, with the differential
+    [[-d_X^{i+1}, 0], [f^{i+1}, d_Y^i]] at each vertex."""
     X, Y = f.source, f.target
     algebra = X.algebra
     F = algebra.field
     degrees = sorted({i - 1 for i in X.comps} | set(Y.comps))
-    comps, parts, sums = {}, {}, {}
-    for i in degrees:
-        xs = X.component(i + 1)
-        ys = Y.component(i)
-        ds = direct_sum([xs, ys], algebra)
-        sums[i] = ds
-        comps[i] = ds.rep
-        pl = []
-        if X.parts is not None:
-            pl += [Part(p.label + "[1]", p.module) for p in X.parts.get(i + 1, [])]
-        elif not xs.is_zero():
-            pl += [Part("X[1]", xs)]
-        if Y.parts is not None:
-            pl += [Part(p.label, p.module) for p in Y.parts.get(i, [])]
-        elif not ys.is_zero():
-            pl += [Part("Y", ys)]
-        parts[i] = pl
-    diffs = {}
-    for i in degrees:
-        if (i + 1) not in comps:
-            continue
-        src, tgt = sums[i], sums[i + 1]
-        d = ModuleMap.zero(comps[i], comps[i + 1])
-        minus = F.of_int(-1)
-        d = d + src.projections[0].compose(X.differential(i + 1)).scale(minus).compose(tgt.injections[0])
-        d = d + src.projections[0].compose(f.component(i + 1)).compose(tgt.injections[1])
-        d = d + src.projections[1].compose(Y.differential(i)).compose(tgt.injections[1])
-        diffs[i] = d
-    M = Complex(algebra, comps, diffs, parts=parts)
-    alpha = ChainMap(Y, M, {i: sums[i].injections[1] for i in M.comps if i in Y.comps})
-    x1 = shift_complex(X, 1)
-    beta = ChainMap(M, x1, {i: sums[i].projections[0] for i in M.comps if i in x1.comps})
-    return M, alpha.validate(), beta.validate()
+    comps = {i: direct_sum([X.component(i + 1), Y.component(i)], algebra) for i in degrees}
+    parts = {i: [Part(p.label + "[1]", p.module) for p in X.parts.get(i + 1, [])]
+             + Y.parts.get(i, []) for i in degrees}
+
+    def differential(i: int) -> ModuleMap:
+        dx, fx, dy = X.differential(i + 1), f.component(i + 1), Y.differential(i)
+        mats = []
+        for v in range(algebra.quiver.n):
+            top = (-dx.mats[v]).hstack(Matrix.zeros(F, dx.target.dims[v], dy.source.dims[v]))
+            bottom = fx.mats[v].hstack(dy.mats[v])
+            mats.append(Matrix(F, top.rows + bottom.rows, top.cols, top.entries + bottom.entries))
+        return ModuleMap(comps[i], comps[i + 1], mats, check=False)
+
+    diffs = {i: differential(i) for i in degrees if (i + 1) in comps}
+    return Complex(algebra, comps, diffs, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -421,89 +408,79 @@ def is_f_acyclic(x: Complex, f: SubbifunctorF) -> bool:
 # radical normalization and term length
 
 
-def _extract_block(d: ModuleMap, src_ds, tgt_ds, s: int, t: int) -> ModuleMap:
-    return src_ds.injections[s].compose(d).compose(tgt_ds.projections[t])
+def _ranges(parts: list[Part], v: int) -> list[range]:
+    """The coordinates of each part at vertex v (0-based) in their sum."""
+    out, o = [], 0
+    for p in parts:
+        out.append(range(o, o + p.module.dims[v]))
+        o += p.module.dims[v]
+    return out
+
+
+def _invertible_block(x: Complex) -> tuple[int, int, int] | None:
+    """The first (i, s, t), by degree i, then part s of X^i, then part t of
+    X^{i+1}, whose block of d^i, read at the parts' coordinate ranges, is
+    invertible at every vertex."""
+    n = x.algebra.quiver.n
+    for i in x.degrees():
+        if (i + 1) not in x.comps:
+            continue
+        d = x.differential(i)
+        src = [_ranges(x.parts[i], v) for v in range(n)]
+        tgt = [_ranges(x.parts[i + 1], v) for v in range(n)]
+        for s, ps in enumerate(x.parts[i]):
+            for t, pt in enumerate(x.parts[i + 1]):
+                if ps.module.dims == pt.module.dims and all(
+                        invertible(d.mats[v].submatrix(tgt[v][t], src[v][s])) for v in range(n)):
+                    return i, s, t
+    return None
 
 
 def radical_normalize(x: Complex) -> Complex:
     """Strip contractible two-term summands until every differential is a
-    radical map (no invertible block between declared summands)."""
-    if x.parts is None:
-        raise ValueError("radical normalization needs a summand decomposition")
-    cur = x
-    while True:
-        hit = None
-        sums = {i: direct_sum([p.module for p in cur.parts[i]], cur.algebra)
-                for i in cur.degrees()}
-        for i in cur.degrees():
-            if (i + 1) not in cur.comps:
-                continue
-            d = cur.differential(i)
-            for s, ps in enumerate(cur.parts[i]):
-                for t, pt in enumerate(cur.parts[i + 1]):
-                    if ps.module.dims != pt.module.dims:
-                        continue
-                    blk = _extract_block(d, sums[i], sums[i + 1], s, t)
-                    if blk.is_isomorphism():
-                        hit = (i, s, t, blk)
-                        break
-                if hit:
-                    break
-            if hit:
-                break
-        if hit is None:
-            return cur
-        i, s, t, blk = hit
-        cur = _gauss_eliminate(cur, sums, i, s, t, blk)
+    radical map (no invertible block between parts)."""
+    hit = _invertible_block(x)
+    while hit is not None:
+        x = _gauss_eliminate(x, *hit)
+        hit = _invertible_block(x)
+    return x
 
 
-def _gauss_eliminate(x: Complex, sums, i: int, s: int, t: int, blk: ModuleMap) -> Complex:
+def _gauss_eliminate(x: Complex, i: int, s: int, t: int) -> Complex:
+    """Drop part s of X^i and part t of X^{i+1}, joined by the invertible
+    block δ of d^i.  At each vertex, d^i on the kept parts becomes the Schur
+    complement α - β·δ^{-1}·γ, with α the kept block, β its column of blocks
+    out of part s and γ its row of blocks into part t; d^{i-1} loses the rows
+    of part s and d^{i+1} the columns of part t."""
     algebra = x.algebra
-    F = algebra.field
-    inv = blk.inverse_map()
-    old_parts_i = x.parts[i]
-    old_parts_j = x.parts[i + 1]
-    keep_i = [k for k in range(len(old_parts_i)) if k != s]
-    keep_j = [k for k in range(len(old_parts_j)) if k != t]
-    new_parts = {k: list(v) for k, v in x.parts.items()}
-    new_parts[i] = [old_parts_i[k] for k in keep_i]
-    new_parts[i + 1] = [old_parts_j[k] for k in keep_j]
-    new_comps = dict(x.comps)
-    ds_i = direct_sum([p.module for p in new_parts[i]], algebra)
-    ds_j = direct_sum([p.module for p in new_parts[i + 1]], algebra)
-    new_comps[i] = ds_i.rep
-    new_comps[i + 1] = ds_j.rep
-    d = x.differential(i)
-    new_diffs = dict(x.diffs)
-    # middle differential: alpha - beta . delta^{-1} . gamma, blockwise
-    mid = ModuleMap.zero(ds_i.rep, ds_j.rep)
-    for a, ka in enumerate(keep_i):
-        gamma_a = _extract_block(d, sums[i], sums[i + 1], ka, t)
-        for b, kb in enumerate(keep_j):
-            alpha = _extract_block(d, sums[i], sums[i + 1], ka, kb)
-            beta_b = _extract_block(d, sums[i], sums[i + 1], s, kb)
-            corr = gamma_a.compose(inv).compose(beta_b)
-            mid = mid + ds_i.projections[a].compose(alpha - corr).compose(ds_j.injections[b])
-    new_diffs[i] = mid
-    # incoming differential: drop the s-component
+    n = algebra.quiver.n
+    parts, comps, diffs = dict(x.parts), dict(x.comps), dict(x.diffs)
+    parts[i] = [p for k, p in enumerate(x.parts[i]) if k != s]
+    parts[i + 1] = [p for k, p in enumerate(x.parts[i + 1]) if k != t]
+    comps[i], comps[i + 1] = (direct_sum([p.module for p in parts[j]], algebra) for j in (i, i + 1))
+    src = [_ranges(x.parts[i], v) for v in range(n)]
+    tgt = [_ranges(x.parts[i + 1], v) for v in range(n)]
+    kept = [[c for k, r in enumerate(src[v]) if k != s for c in r] for v in range(n)]  # of X^i
+    kept_next = [[c for k, r in enumerate(tgt[v]) if k != t for c in r] for v in range(n)]
+    d = x.differential(i).mats
+    diffs[i] = ModuleMap(comps[i], comps[i + 1], [
+        d[v].submatrix(kept_next[v], kept[v]) - d[v].submatrix(kept_next[v], src[v][s])
+        * inverse(d[v].submatrix(tgt[v][t], src[v][s])) * d[v].submatrix(tgt[v][t], kept[v])
+        for v in range(n)], check=False)
     if (i - 1) in x.diffs:
-        din = x.diffs[i - 1]
-        acc = ModuleMap.zero(x.comps[i - 1], ds_i.rep)
-        for a, ka in enumerate(keep_i):
-            acc = acc + din.compose(sums[i].projections[ka]).compose(ds_i.injections[a])
-        new_diffs[i - 1] = acc
-    # outgoing differential: restrict to kept parts of degree i+1
+        d = x.diffs[i - 1]
+        diffs[i - 1] = ModuleMap(d.source, comps[i], [
+            d.mats[v].submatrix(kept[v], range(d.source.dims[v])) for v in range(n)], check=False)
     if (i + 1) in x.diffs:
-        dout = x.diffs[i + 1]
-        acc = ModuleMap.zero(ds_j.rep, x.comps[i + 2])
-        for b, kb in enumerate(keep_j):
-            acc = acc + ds_j.projections[b].compose(sums[i + 1].injections[kb]).compose(dout)
-        new_diffs[i + 1] = acc
-    return Complex(algebra, new_comps, new_diffs, parts=new_parts)
+        d = x.diffs[i + 1]
+        diffs[i + 1] = ModuleMap(comps[i + 1], d.target, [
+            d.mats[v].submatrix(range(d.target.dims[v]), kept_next[v]) for v in range(n)],
+            check=False)
+    return Complex(algebra, comps, diffs, parts=parts)
 
 
 def term_length(x: Complex) -> int:
-    norm = radical_normalize(x) if x.parts is not None else x
+    norm = radical_normalize(x)
     if norm.is_zero():
         return 0
     return norm.hi - norm.lo

@@ -16,7 +16,6 @@ from typing import NamedTuple
 from .matrix import Matrix, _normal, rank
 from .quiver import PathAlgebra
 from .rep import (
-    DirectSum,
     ModuleMap,
     Representation,
     ShortExactSeq,
@@ -59,15 +58,11 @@ class SubbifunctorF:
     def __init__(self, algebra: PathAlgebra, summands: list[SummandDecl]):
         self.algebra = algebra
         self.summands = list(summands)
-        self.sum = direct_sum([s.module for s in summands], algebra)
+        self.generator = direct_sum([s.module for s in summands], algebra)
         self.validation_notes: list[str] = []
         self._validate()
 
     # -- declarations ------------------------------------------------------
-
-    @property
-    def generator(self) -> Representation:
-        return self.sum.rep
 
     def _validate(self):
         n = self.algebra.quiver.n
@@ -114,16 +109,15 @@ def is_f_exact(ses: ShortExactSeq, f: SubbifunctorF) -> bool:
 
 class Approximation:
     """Minimal add(⊕summands)-approximation of x: right f: ⊕M_k -> x or left
-    f: x -> ⊕M_k, with the sum of the copies M_k in `total`.
+    f: x -> ⊕M_k.
 
-    pieces[k] = index into the summands for each copy in the sum; when f is
-    an isomorphism (x already in add(⊕summands)) the map is the identity of x
-    and total and pieces are None.
+    pieces[k] = index into the summands for each copy M_k in the sum; when f
+    is an isomorphism (x already in add(⊕summands)) the map is the identity
+    of x and pieces is None.
     """
 
-    def __init__(self, map: ModuleMap, total: DirectSum | None, pieces: list[int] | None):
+    def __init__(self, map: ModuleMap, pieces: list[int] | None):
         self.map = map
-        self.total = total
         self.pieces = pieces
 
     @property
@@ -246,8 +240,7 @@ def _build_approximation(x: Representation, summands: list[SummandDecl], algebra
     of P_v (dim soc(x)_v of I_v), see `projective_cover`."""
     if x.is_zero():
         z = zero_representation(algebra)
-        return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x),
-                             direct_sum([], algebra), [])
+        return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x), [])
     kind = "injective" if left else "projective"  # are the summands the stored I_v (P_v), in order?
     vertex = _modules(summands) == tuple(algebra.vertex_modules.get((kind, v))
                                          for v in range(1, algebra.quiver.n + 1))
@@ -260,12 +253,12 @@ def _build_approximation(x: Representation, summands: list[SummandDecl], algebra
         if keep is None:
             raise ValueError("tautological approximation failed")
         maps, pieces = [pairs[i][0] for i in keep], [pairs[i][1] for i in keep]
-    total, glued = stack_maps(maps, x, into=left)
+    glued = stack_maps(maps, x, into=left)
     if vertex and not (glued.is_injective() if left else glued.is_surjective()):
         raise ValueError("tautological approximation failed")
     if glued.is_isomorphism():
-        return Approximation(ModuleMap.identity(x), None, None)
-    return Approximation(glued, total, pieces)
+        return Approximation(ModuleMap.identity(x), None)
+    return Approximation(glued, pieces)
 
 
 def minimal_right_approximation(x: Representation, summands: list[SummandDecl],
@@ -315,7 +308,7 @@ def transpose(m: Representation) -> Representation:
         return zero_representation(op)
     incl, tops = c0.kernel[1], top_columns(c0.kernel[0])
     paths = [_paths_from(alg, v + 1)[0] for v in range(alg.quiver.n)]  # [v][w]: P_{v+1} at w
-    h0, h1 = (direct_sum([hom_to_algebra_at(alg, v + 1) for v in vs], op).rep
+    h0, h1 = (direct_sum([hom_to_algebra_at(alg, v + 1) for v in vs], op)
               for vs in (c0.pieces, [w for w, _ in tops]))
     mats = []
     for at_u, d0, d1 in zip(paths, h0.dims, h1.dims):

@@ -8,7 +8,6 @@ against the relations exactly.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import residue_certificate
@@ -178,9 +177,6 @@ class ModuleMap:
 
     def is_isomorphism(self) -> bool:
         return all(invertible(m) for m in self.mats)
-
-    def inverse_map(self) -> "ModuleMap":
-        return ModuleMap(self.target, self.source, [inverse(m) for m in self.mats], check=False)
 
     def __repr__(self):
         return f"ModuleMap({self.source.dims} -> {self.target.dims})"
@@ -523,41 +519,11 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return quot, proj
 
 
-class DirectSum:
-    """rep = ⊕parts; the injections and projections of the parts are built
-    on first read."""
-
-    def __init__(self, rep: Representation, parts: list[Representation]):
-        self.rep = rep
-        self.parts = parts
-
-    @cached_property
-    def injections(self) -> list[ModuleMap]:
-        F = self.rep.algebra.field
-        dims = self.rep.dims
-        offs = [0] * len(dims)
-        out = []
-        for p in self.parts:
-            blocks = []
-            for D, d, o in zip(dims, p.dims, offs):
-                e = [F.zero] * (D * d)
-                for t in range(d):
-                    e[(o + t) * d + t] = F.one
-                blocks.append(Matrix(F, D, d, e))
-            out.append(ModuleMap(p, self.rep, blocks, check=False))
-            offs = [o + d for o, d in zip(offs, p.dims)]
-        return out
-
-    @cached_property
-    def projections(self) -> list[ModuleMap]:
-        """The transposes of the injections."""
-        return [ModuleMap(self.rep, i.source, [m.transpose() for m in i.mats], check=False)
-                for i in self.injections]
-
-
-def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) -> DirectSum:
-    """The sum, marked checked when every part is: its arrow matrices are
-    block-diagonal, so every word, and every relation, acts part by part."""
+def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) -> Representation:
+    """⊕parts, marked checked when every part is: its arrow matrices are
+    block-diagonal, so every word, and every relation, acts part by part.
+    At each vertex the coordinates of the parts follow one another in order,
+    so a map between sums is a block matrix laid out by the parts' dims."""
     if algebra is None:
         algebra = parts[0].algebra
     F = algebra.field
@@ -566,23 +532,20 @@ def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) 
     mats = [block_diag(F, [p.mats[ai] for p in parts]) for ai in range(len(q.arrows))]
     rep = Representation(algebra, dims, mats, check=False)
     rep._checked |= all(p._checked for p in parts)
-    return DirectSum(rep, list(parts))
+    return rep
 
 
-def stack_maps(maps: list[ModuleMap], x: Representation,
-               into: bool = False) -> tuple[DirectSum, ModuleMap]:
+def stack_maps(maps: list[ModuleMap], x: Representation, into: bool = False) -> ModuleMap:
     """Bundle f_k: M_k -> x into (⊕M_k) -> x, or with `into` f_k: x -> M_k
     into x -> (⊕M_k)."""
     algebra = x.algebra
-    ds = direct_sum([f.target if into else f.source for f in maps], algebra)
-    F, dims = algebra.field, ds.rep.dims
+    total = direct_sum([f.target if into else f.source for f in maps], algebra)
+    F, dims = algebra.field, total.dims
     mats = [Matrix(F, dims[v], x.dims[v], [e for f in maps for e in f.mats[v].entries]) if into
             else Matrix(F, x.dims[v], dims[v],
                         [e for r in range(x.dims[v]) for f in maps for e in f.mats[v].row(r)])
             for v in range(algebra.quiver.n)]
-    if into:
-        return ds, ModuleMap(x, ds.rep, mats, check=False)
-    return ds, ModuleMap(ds.rep, x, mats, check=False)
+    return ModuleMap(x, total, mats, check=False) if into else ModuleMap(total, x, mats, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def _witness(w, path: str):
                               spec["of"])
     _expect(spec.get("map", "identity") == "identity", path,
             "only identity-component cone maps are supported in files")
-    return ConeWitness(spec["name"], spec["source"], spec["target"], "identity")
+    return ConeWitness(spec["name"], spec["source"], spec["target"])
 
 
 def _parse_scalar(field: Field, v, path: str):
@@ -211,7 +211,7 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
         degree = _integer(spec.get("degree", 0), f"{path}.degree", "degree")
         parts = [Part(m, ctx.module(m, path)) for m in mods]
         from .rep import direct_sum
-        total = direct_sum([p.module for p in parts], algebra).rep
+        total = direct_sum([p.module for p in parts], algebra)
         return Complex(algebra, {degree: total}, {}, parts={degree: parts})
     if "shift" in spec:
         ref = spec["shift"]
@@ -229,7 +229,7 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
         deg = _integer(ref[1], path, "degree")
         _expect(deg in base.comps, path, f"complex {ref[0]} has no component at degree {deg}")
         comp = base.comps[deg]
-        parts = list(base.parts[deg]) if base.parts is not None else None
+        parts = list(base.parts[deg])
         out_degree = _integer(spec.get("degree", deg), f"{path}.degree", "degree")
         return stalk_complex(comp, out_degree, label=f"{ref[0]}@{deg}", parts=parts)
     if "approximation_cone" in spec:
@@ -253,7 +253,7 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
             mods = mods if isinstance(mods, list) else [mods]
             pl = [Part(m, ctx.module(m, path)) for m in mods]
             from .rep import direct_sum
-            comps[deg] = direct_sum([p.module for p in pl], algebra).rep
+            comps[deg] = direct_sum([p.module for p in pl], algebra)
             parts[deg] = pl
         diffs = {}
         for dstr, vmats in spec.get("differentials", {}).items():

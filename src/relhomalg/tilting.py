@@ -106,14 +106,13 @@ class EndoPresentation(NamedTuple):
             out.append(e)
         return out
 
-    def to_abstract(self, validate: bool = False) -> AbstractAlgebra:
+    def to_abstract(self) -> AbstractAlgebra:
         F = self.ts.parts[0].algebra.field
         idempotents = self.idempotents
         unit = [F.zero] * self.dim
         for e in idempotents:
             unit = [F.add(x, y) for x, y in zip(unit, e)]
-        return AbstractAlgebra(F, self.dim, self.table, unit, idempotents=idempotents,
-                               validate=validate)
+        return AbstractAlgebra(F, self.dim, self.table, unit, idempotents=idempotents)
 
 
 def end_algebra(ts: ComplexSum) -> EndoPresentation:
@@ -174,17 +173,32 @@ def stalk_is_homotopy_summand(module: Representation, degree: int, x: Complex) -
 
 
 class ConeWitness(NamedTuple):
-    """new_name := cone(map: source -> target); both must be available."""
+    """name := cone(source -> target) of the identity on each component the
+    two complexes share; both must be available."""
     name: str
     source: str
     target: str
-    map_comps: dict[int, ModuleMap] | str  # explicit maps or "identity"
 
 
 class SummandWitness(NamedTuple):
     summand_name: str  # declared G-summand to realize as a stalk summand
     degree: int
     of: str
+
+
+def _identity_components(src: Complex, tgt: Complex) -> dict[int, ModuleMap]:
+    """The identity at each degree where src and tgt have the same module
+    (representations are canonical per algebra); ValueError where their
+    components have the same dimensions but differ, and so no identity is a
+    module map between them."""
+    comps = {}
+    for i, m in src.comps.items():
+        n = tgt.comps.get(i)
+        if n is not None and n.dims == m.dims:
+            if n is not m:
+                raise ValueError(f"the components at degree {i} are different modules")
+            comps[i] = ModuleMap.identity(m)
+    return comps
 
 
 def check_generation_witnesses(f: SubbifunctorF, steps: list,
@@ -199,20 +213,12 @@ def check_generation_witnesses(f: SubbifunctorF, steps: list,
                 log.append(f"cone step {step.name}: unknown complex reference")
                 return "not checked", log, witnessed
             src, tgt = env[step.source], env[step.target]
-            if step.map_comps == "identity":
-                comps = {}
-                for i in src.degrees():
-                    if i in tgt.comps and src.comps[i].dims == tgt.comps[i].dims:
-                        comps[i] = ModuleMap.identity(src.comps[i])
-            else:
-                comps = step.map_comps
             try:
-                cm = ChainMap(src, tgt, comps).validate()
+                cm = ChainMap(src, tgt, _identity_components(src, tgt)).validate()
             except ValueError as e:
                 log.append(f"cone step {step.name}: invalid chain map ({e})")
                 return "not checked", log, witnessed
-            M, _, _ = cone(cm)
-            env[step.name] = M
+            env[step.name] = cone(cm)
             log.append(f"cone step {step.name}: built cone of {step.source} -> {step.target}")
         elif isinstance(step, SummandWitness):
             decl = {s.name: s.module for s in f.summands}
@@ -265,8 +271,6 @@ class TiltingReport(NamedTuple):
 
 def _component_in_add_g(t: Complex, f: SubbifunctorF) -> tuple[bool, dict, list[str]]:
     witnesses, failures = {}, []
-    if t.parts is None:
-        return False, {}, ["complex carries no summand decomposition"]
     for i in t.degrees():
         for k, part in enumerate(t.parts[i]):
             match = next((s.name for s in f.summands if proven_isomorphic(part.module, s.module)),

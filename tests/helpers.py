@@ -7,15 +7,18 @@ composite blocks and for the transpose the coordinates of composites (the
 program counts Hom dimensions and reads products), for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
 over every idempotent, for path algebras the construction by completing
-the relations into rewriting rules, and for Ext_F the Hom in D_F by
-F-projective replacement, and for the command line the argparse reading)
-that serve only as cross-checks, and the short sequences,
-F-quasi-isomorphisms, stacked matrices and radical matrices that only the
-tests build."""
+the relations into rewriting rules, for Ext_F the Hom in D_F by
+F-projective replacement, for sums, cones and radical normalization the
+composites with the injections and projections of each direct sum (the
+program builds and slices block matrices), and for the command line the
+argparse reading) that serve only as cross-checks, and the short
+sequences, F-quasi-isomorphisms, stacked matrices, radical matrices, dense
+algebra products and the associativity check that only the tests build."""
 
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from relhomalg import cli, relative, rep
 from relhomalg.algebra import AbstractAlgebra, residue_certificate
@@ -27,11 +30,21 @@ from relhomalg.complexes import (
     cone,
     hom_k,
     is_f_acyclic,
+    shift_complex,
     stalk_complex,
     zero_complex,
 )
 from relhomalg.fields import QQ
-from relhomalg.matrix import Matrix, SpanSolver, column_space_basis, kernel_basis, rank, rref, solve
+from relhomalg.matrix import (
+    Matrix,
+    SpanSolver,
+    column_space_basis,
+    inverse,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 from relhomalg.quiver import PathAlgebra, Quiver
 from relhomalg.relative import (
     FResolution,
@@ -230,7 +243,7 @@ def full_basis_approximation(x, summands, left):
             maps.append(phi)
             pieces.append(k)
     keep = relative._minimal_approximating_subset(x, maps, summands, left)
-    return [pieces[i] for i in keep], stack_maps([maps[i] for i in keep], x, into=left)[1]
+    return [pieces[i] for i in keep], stack_maps([maps[i] for i in keep], x, into=left)
 
 
 def compose_chain(f, g):
@@ -276,7 +289,55 @@ def structure_constants(pathalg):
         return [F.one if k in ks else F.zero for k in range(d)]
 
     return AbstractAlgebra(F, d, table, vector(trivial),
-                           idempotents=[vector({k}) for k in trivial], validate=False)
+                           idempotents=[vector({k}) for k in trivial])
+
+
+# ---------------------------------------------------------------------------
+# dense products of an AbstractAlgebra and the check of its table: the
+# program multiplies sparse vectors (`AbstractAlgebra._sparse_mul`), and the
+# only tables it builds, of End(T) and End(G), hold products of chain maps
+
+
+def basis_vector(algebra, i):
+    v = [algebra.field.zero] * algebra.dim
+    v[i] = algebra.field.one
+    return v
+
+
+def mul(algebra, u, v):
+    """u * v as coordinate vectors, by the sparse product."""
+    F = algebra.field
+    out = [F.zero] * algebra.dim
+    sparse = [{k: c for k, c in enumerate(w) if not F.is_zero(c)} for w in (u, v)]
+    for k, c in algebra._sparse_mul(*sparse).items():
+        out[k] = c
+    return out
+
+
+def product(algebra, i, j):
+    """b_i * b_j as a coordinate vector."""
+    out = [algebra.field.zero] * algebra.dim
+    for k, c in algebra.products.get((i, j), ()):
+        out[k] = c
+    return out
+
+
+def validated(algebra):
+    """algebra, once its table is checked associative with the given unit;
+    ValueError otherwise."""
+    F, d = algebra.field, algebra.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = mul(algebra, product(algebra, i, j), basis_vector(algebra, k))
+                rhs = mul(algebra, basis_vector(algebra, i), product(algebra, j, k))
+                if any(not F.is_zero(F.sub(a, b)) for a, b in zip(lhs, rhs)):
+                    raise ValueError(f"associativity fails at ({i},{j},{k})")
+    for i in range(d):
+        e = basis_vector(algebra, i)
+        if mul(algebra, algebra.unit, e) != e or mul(algebra, e, algebra.unit) != e:
+            raise ValueError("unit law fails")
+    return algebra
 
 
 def vstack(a, b):
@@ -304,7 +365,7 @@ def residue_form_radical(algebra):
     for e in algebra.idempotents or [algebra.unit]:
         ys = {}
         for k in range(d):
-            y = algebra.mul(algebra.mul(e, algebra.basis_vector(k)), e)
+            y = mul(algebra, mul(algebra, e, basis_vector(algebra, k)), e)
             if any(not F.is_zero(c) for c in y):
                 ys[k] = y
         Y = Matrix(F, d, len(ys), [y[r] for r in range(d) for y in ys.values()])
@@ -312,7 +373,7 @@ def residue_form_radical(algebra):
         basis = Y.select_columns(pivots)
         solver = SpanSolver(basis)
         residues = residue_certificate(F, len(pivots), solver.coords(e), lambda u, v: solver.coords(
-            algebra.mul(basis.apply(u), basis.apply(v))))
+            mul(algebra, basis.apply(u), basis.apply(v))))
         assert residues is not None
         for c, k in enumerate(ys):
             for r, lam in enumerate(residues):
@@ -341,15 +402,15 @@ def scanned_grading(algebra):
     for a, e in enumerate(idems):
         total = [F.add(x, y) for x, y in zip(total, e)]
         for b, f in enumerate(idems):
-            if not same(algebra.mul(e, f), e if a == b else [F.zero] * d):
+            if not same(mul(algebra, e, f), e if a == b else [F.zero] * d):
                 return None
     if not same(total, algebra.unit):
         return None
     grading = []
     for b in range(d):
-        v = algebra.basis_vector(b)
-        lefts = [i for i, e in enumerate(idems) if same(algebra.mul(e, v), v)]
-        rights = [j for j, e in enumerate(idems) if same(algebra.mul(v, e), v)]
+        v = basis_vector(algebra, b)
+        lefts = [i for i, e in enumerate(idems) if same(mul(algebra, e, v), v)]
+        rights = [j for j, e in enumerate(idems) if same(mul(algebra, v, e), v)]
         if len(lefts) != 1 or len(rights) != 1:
             return None
         grading.append((lefts[0], rights[0]))
@@ -501,15 +562,15 @@ def matrix_algebra_2(field=QQ):
     table = {(a, b): {index[(i, l)]: field.one}
              for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
     o, z = field.one, field.zero
-    return AbstractAlgebra(field, 4, table, [o, z, z, o], idempotents=[[o, z, z, z], [z, z, z, o]],
-                           validate=True)
+    return validated(AbstractAlgebra(field, 4, table, [o, z, z, o],
+                                     idempotents=[[o, z, z, z], [z, z, z, o]]))
 
 
 def dual_numbers(field=QQ):
     """k[x]/(x^2) on the basis 1, x, with no idempotents supplied."""
     o, z = field.one, field.zero
-    return AbstractAlgebra(field, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}, [o, z],
-                           validate=True)
+    return validated(AbstractAlgebra(field, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
+                                     [o, z]))
 
 
 def mixed_a2(field=QQ):
@@ -532,11 +593,11 @@ def mixed_a2(field=QQ):
         w[mix] = F.sub(w[mix], v[x])
         return w
 
-    table = {(i, j): dict(enumerate(to_new(a.mul(to_old(a.basis_vector(i)),
-                                                 to_old(a.basis_vector(j))))))
+    table = {(i, j): dict(enumerate(to_new(mul(a, to_old(basis_vector(a, i)),
+                                               to_old(basis_vector(a, j))))))
              for i in range(a.dim) for j in range(a.dim)}
-    return AbstractAlgebra(F, a.dim, table, to_new(a.unit),
-                           idempotents=[to_new(e) for e in a.idempotents], validate=True)
+    return validated(AbstractAlgebra(F, a.dim, table, to_new(a.unit),
+                                     idempotents=[to_new(e) for e in a.idempotents]))
 
 
 def ext_by_injectives(x, y, upto):
@@ -607,6 +668,149 @@ def coordinate_approximating_subset(x, maps, summands, left):
     return keep
 
 
+class DirectSum:
+    """rep = `rep.direct_sum(parts)` with the injections and projections of
+    its parts, built on first read: the coordinate inclusions and
+    restrictions that `complexes` reads as index ranges of block matrices."""
+
+    def __init__(self, parts, algebra=None):
+        self.parts = list(parts)
+        self.rep = direct_sum(self.parts, algebra)
+
+    @cached_property
+    def injections(self):
+        F = self.rep.algebra.field
+        dims = self.rep.dims
+        offs = [0] * len(dims)
+        out = []
+        for p in self.parts:
+            blocks = []
+            for D, d, o in zip(dims, p.dims, offs):
+                e = [F.zero] * (D * d)
+                for t in range(d):
+                    e[(o + t) * d + t] = F.one
+                blocks.append(Matrix(F, D, d, e))
+            out.append(ModuleMap(p, self.rep, blocks, check=False))
+            offs = [o + d for o, d in zip(offs, p.dims)]
+        return out
+
+    @cached_property
+    def projections(self):
+        """The transposes of the injections."""
+        return [ModuleMap(self.rep, i.source, [m.transpose() for m in i.mats], check=False)
+                for i in self.injections]
+
+
+# ---------------------------------------------------------------------------
+# sums, cones and radical normalization by composing whole maps with the
+# injections and projections of `DirectSum`: the routes that `complexes`
+# replaced by building and slicing block matrices
+
+
+def composed_sum_complexes(xs, algebra=None):
+    """⊕xs, each differential the sum of the summands' differentials moved
+    along the projections and injections."""
+    if algebra is None:
+        algebra = xs[0].algebra
+    degrees = sorted({i for x in xs for i in x.degrees()})
+    sums = {i: DirectSum([x.component(i) for x in xs], algebra) for i in degrees}
+    parts = {i: [p for x in xs for p in x.parts.get(i, []) if not p.module.is_zero()]
+             for i in degrees}
+    diffs = {}
+    for i in degrees:
+        if (i + 1) not in sums:
+            continue
+        total = ModuleMap.zero(sums[i].rep, sums[i + 1].rep)
+        for k, x in enumerate(xs):
+            total = total + sums[i].projections[k].compose(x.differential(i)).compose(
+                sums[i + 1].injections[k])
+        diffs[i] = total
+    return Complex(algebra, {i: ds.rep for i, ds in sums.items()}, diffs, parts=parts)
+
+
+def composed_cone(f):
+    """(M(f), alpha, beta): the mapping cone M(f)^i = X^{i+1} ⊕ Y^i with the
+    canonical maps alpha: Y -> M(f) and beta: M(f) -> X[1], each validated."""
+    X, Y = f.source, f.target
+    algebra = X.algebra
+    minus = algebra.field.of_int(-1)
+    degrees = sorted({i - 1 for i in X.comps} | set(Y.comps))
+    sums = {i: DirectSum([X.component(i + 1), Y.component(i)], algebra) for i in degrees}
+    parts = {i: [Part(p.label + "[1]", p.module) for p in X.parts.get(i + 1, [])]
+             + Y.parts.get(i, []) for i in degrees}
+    diffs = {}
+    for i in degrees:
+        if (i + 1) not in sums:
+            continue
+        src, tgt = sums[i], sums[i + 1]
+        d = ModuleMap.zero(src.rep, tgt.rep)
+        d = d + src.projections[0].compose(X.differential(i + 1)).scale(minus).compose(tgt.injections[0])
+        d = d + src.projections[0].compose(f.component(i + 1)).compose(tgt.injections[1])
+        d = d + src.projections[1].compose(Y.differential(i)).compose(tgt.injections[1])
+        diffs[i] = d
+    M = Complex(algebra, {i: ds.rep for i, ds in sums.items()}, diffs, parts=parts)
+    alpha = ChainMap(Y, M, {i: sums[i].injections[1] for i in M.comps if i in Y.comps})
+    x1 = shift_complex(X, 1)
+    beta = ChainMap(M, x1, {i: sums[i].projections[0] for i in M.comps if i in x1.comps})
+    return M, alpha.validate(), beta.validate()
+
+
+def _block(d, src, tgt, s, t):
+    """The block part s -> part t of d: src -> tgt (DirectSums)."""
+    return src.injections[s].compose(d).compose(tgt.projections[t])
+
+
+def composed_radical_normalize(x):
+    """`complexes.radical_normalize` with each block extracted, and each
+    Gaussian elimination assembled, by composing with injections and
+    projections, in the same search order."""
+    while True:
+        sums = {i: DirectSum([p.module for p in x.parts[i]], x.algebra) for i in x.degrees()}
+        hit = next(((i, s, t) for i in x.degrees() if (i + 1) in x.comps
+                    for s, ps in enumerate(x.parts[i]) for t, pt in enumerate(x.parts[i + 1])
+                    if ps.module.dims == pt.module.dims
+                    and _block(x.differential(i), sums[i], sums[i + 1], s, t).is_isomorphism()),
+                   None)
+        if hit is None:
+            return x
+        x = _composed_eliminate(x, sums, *hit)
+
+
+def _composed_eliminate(x, sums, i, s, t):
+    d = x.differential(i)
+    blk = _block(d, sums[i], sums[i + 1], s, t)
+    inv = ModuleMap(blk.target, blk.source, [inverse(m) for m in blk.mats], check=False)
+    keep_i = [k for k in range(len(x.parts[i])) if k != s]
+    keep_j = [k for k in range(len(x.parts[i + 1])) if k != t]
+    parts = dict(x.parts)
+    parts[i] = [x.parts[i][k] for k in keep_i]
+    parts[i + 1] = [x.parts[i + 1][k] for k in keep_j]
+    ds_i = DirectSum([p.module for p in parts[i]], x.algebra)
+    ds_j = DirectSum([p.module for p in parts[i + 1]], x.algebra)
+    comps, diffs = dict(x.comps), dict(x.diffs)
+    comps[i], comps[i + 1] = ds_i.rep, ds_j.rep
+    mid = ModuleMap.zero(ds_i.rep, ds_j.rep)
+    for a, ka in enumerate(keep_i):
+        gamma = _block(d, sums[i], sums[i + 1], ka, t)
+        for b, kb in enumerate(keep_j):
+            alpha = _block(d, sums[i], sums[i + 1], ka, kb)
+            beta = _block(d, sums[i], sums[i + 1], s, kb)
+            mid = mid + ds_i.projections[a].compose(
+                alpha - gamma.compose(inv).compose(beta)).compose(ds_j.injections[b])
+    diffs[i] = mid
+    if (i - 1) in x.diffs:
+        acc = ModuleMap.zero(x.comps[i - 1], ds_i.rep)
+        for a, ka in enumerate(keep_i):
+            acc = acc + x.diffs[i - 1].compose(sums[i].projections[ka]).compose(ds_i.injections[a])
+        diffs[i - 1] = acc
+    if (i + 1) in x.diffs:
+        acc = ModuleMap.zero(ds_j.rep, x.comps[i + 2])
+        for b, kb in enumerate(keep_j):
+            acc = acc + ds_j.projections[b].compose(sums[i + 1].injections[kb]).compose(x.diffs[i + 1])
+        diffs[i + 1] = acc
+    return Complex(x.algebra, comps, diffs, parts=parts)
+
+
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     cols = [column_space_basis(f.mats[v]) for v in range(len(f.mats))]
     return _induced_sub(f.target, cols)
@@ -618,14 +822,14 @@ def ses_from_sub(m: Representation, incl: ModuleMap) -> ShortExactSeq:
 
 
 def is_f_quasi_iso(h: ChainMap, f: SubbifunctorF) -> bool:
-    return is_f_acyclic(cone(h)[0], f)
+    return is_f_acyclic(cone(h), f)
 
 
 def pushout_ses(ses: ShortExactSeq, h: ModuleMap) -> ShortExactSeq:
     """Pushout of 0 -> A -> B -> C -> 0 along h: A -> A'."""
     a = ses.f.source
     aprime = h.target
-    ds = direct_sum([aprime, ses.middle])
+    ds = DirectSum([aprime, ses.middle])
     # map A -> A' ⊕ B, a |-> (h(a), -f(a)); pushout is its cokernel
     glue = h.compose(ds.injections[0]) + ses.f.compose(ds.injections[1]).scale(
         a.algebra.field.of_int(-1))
@@ -834,8 +1038,7 @@ def build_replacement(x: Complex, f: SubbifunctorF, depth: int) -> Replacement:
         return Replacement(rep.complex, tgt_map.validate(), rep.trusted_below)
     upper = Complex(x.algebra, {i: c for i, c in x.comps.items() if i > m},
                     {i: d for i, d in x.diffs.items() if i > m},
-                    parts={i: pl for i, pl in (x.parts or {}).items() if i > m}
-                    if x.parts is not None else None)
+                    parts={i: pl for i, pl in x.parts.items() if i > m})
     r_b = build_replacement(upper, f, depth)
     res_a = f_resolution(x.comps[m], f, depth)
     rep_a = resolution_as_complex(res_a, m + 1, f)
@@ -845,13 +1048,13 @@ def build_replacement(x: Complex, f: SubbifunctorF, depth: int) -> Replacement:
     g = ChainMap(rep_a.complex, upper,
                  {m + 1: rep_a.to_target.component(m + 1).compose(x.differential(m))}).validate()
     lifted, failed_at = lift_through(r_b.to_target, g)
-    M, alpha, beta = cone(lifted)
+    M = cone(lifted)
     # augmentation: diag(eps_A shifted, eps_B)
     comps = {}
     for i in M.degrees():
         a_part = rep_a.complex.component(i + 1)
         b_part = r_b.complex.component(i)
-        ds = direct_sum([a_part, b_part], x.algebra)
+        ds = DirectSum([a_part, b_part], x.algebra)
         acc = ModuleMap.zero(M.comps[i], x.component(i))
         if i == m:
             acc = acc + ds.projections[0].compose(rep_a.to_target.component(m + 1))

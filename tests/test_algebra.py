@@ -22,18 +22,19 @@ from helpers import (
     loop_dual_numbers,
     radical_matrix,
     structure_constants,
+    validated,
 )
 
 
 def field_algebra():
-    return AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [QQ.one], validate=True)
+    return validated(AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [QQ.one]))
 
 
 def dual_numbers():
     # basis 1, x with x^2 = 0
     z, o = QQ.zero, QQ.one
     table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
-    return AbstractAlgebra(QQ, 2, table, [o, z], validate=True)
+    return validated(AbstractAlgebra(QQ, 2, table, [o, z]))
 
 
 def test_field_has_zero_radical():
@@ -57,7 +58,7 @@ def test_bad_associativity_rejected():
         bad = {key: dict(vec) for key, vec in table.items()}
         bad[(1, 1)] = {1: o}  # x*x = x while 1*x = x: (xx)x = xx = x, x(xx) = xx = x ... tweak more
         bad[(0, 1)] = {0: o}  # 1*x = 1 breaks the unit law
-        AbstractAlgebra(QQ, 2, bad, [o, z], validate=True)
+        validated(AbstractAlgebra(QQ, 2, bad, [o, z]))
 
 
 def test_free_module_pd_zero():
@@ -111,7 +112,7 @@ def test_quiver_bridge_left_module_property():
     # algebra, not of its opposite: representations are left modules
     for L in (cycle3_selfinjective(), a2_algebra()):
         A = structure_constants(L)
-        A.validate()
+        validated(A)
         assert A.idempotents_split_basic()
         P = A.presentation()
         assert (P.quiver.n, len(P.quiver.arrows), P.dim) == (L.quiver.n, len(L.quiver.arrows), L.dim)
@@ -166,6 +167,6 @@ def test_injdim_of_a2_projectives():
 
 def test_loop_algebra_matches_dual_numbers():
     A = structure_constants(loop_dual_numbers())
-    A.validate()
+    validated(A)
     assert A.radical_dim() == 1
     assert gldim(A.presentation(), 5).dim.censored

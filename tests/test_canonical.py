@@ -59,12 +59,12 @@ def test_repeated_constructions_return_one_object():
     _, incl = socle(p1)
     assert cokernel(incl)[0] is cokernel(incl)[0]
     assert kernel(incl)[0] is kernel(incl)[0]
-    assert direct_sum([s1, s2]).rep is direct_sum([s1, s2]).rep
+    assert direct_sum([s1, s2]) is direct_sum([s1, s2])
     # different constructions of one content meet in the same object
     zero = ModuleMap.zero(s1, s1)
     assert kernel(zero)[0] is s1
     assert cokernel(zero)[0] is s1
-    assert direct_sum([s1]).rep is s1
+    assert direct_sum([s1]) is s1
 
 
 def test_equal_content_over_other_algebras_is_a_different_object():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from relhomalg import algebra, cli, relative, rep
+from relhomalg import algebra, cli, complexes, relative, rep
 from relhomalg.cli import main
 from relhomalg.schema import canonical_form, load_problem
 
@@ -380,6 +380,57 @@ def test_negative_homk_window_is_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.err == "input error: --window: negative window -1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("sub", ["termlength", "acyclic", "cone"])
+@pytest.mark.parametrize("option", [["--to", "T1"], ["--window", "1"]], ids=["to", "window"])
+def test_only_homk_reads_to_and_window(capsys, sub, option):
+    assert run(["complex", sub, DATA / "a2_apr.json", "--complex", "T", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {option[0]}: only complex homk reads it\n"
+    assert captured.out == ""
+
+
+def test_termlength_strips_a_contractible_summand_by_its_schur_complement(
+        capsys, tmp_path, monkeypatch):
+    # X = (P1 ⊕ P2 -> P1 ⊕ P3) on section7, rows (P1, P3) and columns (P1, P2)
+    # at each vertex: the block P1 -> P1 is the identity, P2 -> P1 sends e2 to
+    # a and P1 -> P3 sends e1 to c.  Stripping P1 -> P1 leaves P2 -> P3 as
+    # minus their composite, e2 -> -ca, which is radical: t(X) = 1
+    data = json.loads((DATA / "section7.json").read_text())
+    data["complexes"]["X"] = {
+        "terms": {"-1": ["P1", "P2"], "0": ["P1", "P3"]},
+        "differentials": {"-1": {"1": [[1, 0], [1, 0]], "2": [[1, 1], [1, 0]],
+                                 "3": [[1, 1], [0, 0]]}}}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    stripped = []
+    eliminate = complexes._gauss_eliminate
+
+    def recorded(x, i, s, t):
+        stripped.append(eliminate(x, i, s, t))
+        return stripped[-1]
+
+    monkeypatch.setattr(complexes, "_gauss_eliminate", recorded)
+    assert run(["complex", "termlength", path, "--complex", "X"]) == 0
+    assert capsys.readouterr().out == "term length t(X) = 1\n"
+    [y] = stripped
+    assert [[p.label for p in y.parts[i]] for i in (-1, 0)] == [["P2"], ["P3"]]
+    assert [m.entries for m in y.diffs[-1].mats] == [[0], [-1], [0]]
+
+
+def test_a_witness_cone_between_different_modules_is_not_built(capsys, tmp_path):
+    # P1 and S1 ⊕ S2 both have dimensions (1, 1) over A2
+    data = json.loads((DATA / "a2_apr.json").read_text())
+    data["complexes"].update({"A": {"stalk": "P1"}, "B": {"stalk": ["S1", "S2"]}})
+    data["tilting"]["witnesses"].insert(0, {"cone": {"name": "W", "source": "A", "target": "B"}})
+    path, report = tmp_path / "probe.json", tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    assert run(["--report", report, "tilting", path]) == 0
+    tilting = json.loads(report.read_text())["results"]["tilting"]
+    assert tilting["generation"] == "count-criterion passed"
+    assert tilting["generation_log"] == [
+        "cone step W: invalid chain map (the components at degree 0 are different modules)"]
 
 
 def test_cutoff_flag(capsys, tmp_path):

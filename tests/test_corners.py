@@ -198,9 +198,9 @@ def test_submodules_and_sums_satisfy_the_relations(monkeypatch, tmp_path, field)
         return sub, incl
 
     def record_sum(parts, algebra=None):
-        ds = direct_sum(parts, algebra)
-        built.append((ds.rep, all(p._checked for p in parts)))
-        return ds
+        total = direct_sum(parts, algebra)
+        built.append((total, all(p._checked for p in parts)))
+        return total
 
     monkeypatch.setattr(rep, "_induced_sub", record_sub)
     monkeypatch.setattr(rep, "direct_sum", record_sum)

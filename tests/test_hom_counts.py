@@ -124,7 +124,7 @@ def test_transpose_matches_the_coordinate_route(field):
             assert proven_isomorphic(piece, projective(alg.opposite(), v))  # e_v Λ
         modules = list(problem.modules.values())
         # sums of two modules have two top columns, so P0 and P1 have several pieces
-        sums = [direct_sum([a, b], alg).rep for a, b in zip(modules, modules[1:] + modules[:1])]
+        sums = [direct_sum([a, b], alg) for a, b in zip(modules, modules[1:] + modules[:1])]
         for m in modules + sums:
             if projective_cover(m).is_identity:
                 assert dtr(m).is_zero()

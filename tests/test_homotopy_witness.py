@@ -12,7 +12,7 @@ from helpers import null_homotopy_witness
 
 def test_null_homotopy_witness_on_contractible(L7_modules):
     m = L7_modules["P2"]
-    contractible, _, _ = cone(chain_identity(stalk_complex(m, 0, label="P2")))
+    contractible = cone(chain_identity(stalk_complex(m, 0, label="P2")))
     hh = HomotopyHom(contractible, contractible, 0)
     ident = chain_identity(contractible)
     wit = null_homotopy_witness(hh, ident.comps)

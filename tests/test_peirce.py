@@ -7,8 +7,8 @@ import json
 from pathlib import Path
 
 import pytest
-from helpers import (a2_algebra, composed_end_table, cycle3_selfinjective, nakayama_problem,
-                     structure_constants, uniserials)
+from helpers import (a2_algebra, basis_vector, composed_end_table, cycle3_selfinjective, mul,
+                     nakayama_problem, structure_constants, uniserials, validated)
 
 from relhomalg import complexes
 from relhomalg.algebra import AbstractAlgebra
@@ -58,7 +58,7 @@ def test_end_algebra_basis_is_graded_by_summand_pairs(label, build):
     for key, d in corner_dims.items():
         assert gamma.grading().count(key) == d
     for i, e in enumerate(endo.idempotents):
-        assert e == gamma.basis_vector(endo.offsets[(i, i)])
+        assert e == basis_vector(gamma, endo.offsets[(i, i)])
     # a product (i -> j) then (j' -> k) is zero unless j = j', and lies in (i, k)
     for (a, b), prod in endo.table.items():
         (i, j), (j2, k) = layout[a], layout[b]
@@ -138,11 +138,11 @@ def mixed_a2():
         w[mix] = F.sub(w[mix], v[x])
         return w
 
-    table = {(i, j): dict(enumerate(to_new(a.mul(to_old(a.basis_vector(i)),
-                                                 to_old(a.basis_vector(j))))))
+    table = {(i, j): dict(enumerate(to_new(mul(a, to_old(basis_vector(a, i)),
+                                               to_old(basis_vector(a, j))))))
              for i in range(a.dim) for j in range(a.dim)}
-    mixed = AbstractAlgebra(F, a.dim, table, to_new(a.unit),
-                            idempotents=[to_new(e) for e in a.idempotents], validate=True)
+    mixed = validated(AbstractAlgebra(F, a.dim, table, to_new(a.unit),
+                                      idempotents=[to_new(e) for e in a.idempotents]))
     return a, mixed
 
 
@@ -153,7 +153,7 @@ def test_inhomogeneous_basis_fails_the_certificate():
     for i, e in enumerate(mixed.idempotents):
         assert e.count(F.one) == 1 and e.count(F.zero) == a.dim - 1
         for j, f in enumerate(mixed.idempotents):
-            assert mixed.mul(e, f) == (e if i == j else [F.zero] * a.dim)
+            assert mul(mixed, e, f) == (e if i == j else [F.zero] * a.dim)
     assert a.grading() is not None
     assert mixed.grading() is None
     assert not mixed.idempotents_split_basic()

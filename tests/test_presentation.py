@@ -7,7 +7,7 @@ simples (Gabriel)."""
 from pathlib import Path
 
 import pytest
-from helpers import cycle3_selfinjective, uniserials
+from helpers import cycle3_selfinjective, uniserials, validated
 
 from relhomalg.algebra import AbstractAlgebra
 from relhomalg.complexes import stalk_complex
@@ -96,8 +96,8 @@ def test_a_non_basic_algebra_fails_the_certificate():
     table = {(a, b): {index[(i, l)]: QQ.one}
              for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
     o, z = QQ.one, QQ.zero
-    m2 = AbstractAlgebra(QQ, 4, table, [o, z, z, o], idempotents=[[o, z, z, z], [z, z, z, o]],
-                         validate=True)
+    m2 = validated(AbstractAlgebra(QQ, 4, table, [o, z, z, o],
+                                   idempotents=[[o, z, z, z], [z, z, z, o]]))
     assert m2.radical_dim() == 0
     with pytest.raises(ValueError, match="certificate"):
         m2.presentation()

@@ -24,7 +24,7 @@ from relhomalg.rep import (
 )
 from relhomalg.relative import dtr, projective_cover, transpose
 
-from helpers import a2_algebra, cycle3_selfinjective, cycle3_verbatim, uniserials
+from helpers import DirectSum, a2_algebra, cycle3_selfinjective, cycle3_verbatim, uniserials
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +110,9 @@ def test_kernel_of_top_cover(L7):
 def test_direct_sum_dims_and_hom_additivity(L7):
     p1, s2 = projective(L7, 1), simple(L7, 2)
     ds = direct_sum([p1, s2])
-    assert ds.rep.dims == (1, 2, 1)
+    assert ds.dims == (1, 2, 1)
     m2 = M_module(L7, 2)
-    assert len(hom_space(m2, ds.rep)) == len(hom_space(m2, p1)) + len(hom_space(m2, s2))
+    assert len(hom_space(m2, ds)) == len(hom_space(m2, p1)) + len(hom_space(m2, s2))
 
 
 def test_radical_top_socle(L7):
@@ -140,7 +140,7 @@ def test_projective_cover_of_projective_is_iso(L7):
 
 def test_cover_of_zero_module(L7):
     cover = projective_cover(zero_representation(L7))
-    assert cover.total.rep.is_zero() and cover.pieces == []
+    assert cover.map.source.is_zero() and cover.pieces == []
 
 
 def test_minimal_presentation_of_s2(L7):
@@ -173,15 +173,14 @@ def test_dtr_on_section7_modules(L7):
 def test_dtr_additivity_modulo_projectives(L7):
     s1 = simple(L7, 1)
     ds = direct_sum([s1, projective(L7, 1)])
-    assert is_isomorphic(dtr(ds.rep), dtr(s1)).isomorphic is True
+    assert is_isomorphic(dtr(ds), dtr(s1)).isomorphic is True
 
 
 def test_transpose_additive(L7):
     m, n = simple(L7, 1), M_module(L7, 2)
-    ds = direct_sum([m, n])
-    t_sum = transpose(ds.rep)
+    t_sum = transpose(direct_sum([m, n]))
     t_parts = direct_sum([transpose(m), transpose(n)], t_sum.algebra)
-    assert is_isomorphic(t_sum, t_parts.rep).isomorphic is True
+    assert is_isomorphic(t_sum, t_parts).isomorphic is True
 
 
 def test_is_isomorphic_negative_on_dim_mismatch(L7):
@@ -238,7 +237,8 @@ def test_hom_caches_do_not_pin_representations():
 def test_direct_sum_maps_are_built_on_read_and_split(L7, names):
     mods = {"Z": zero_representation(L7), "S1": simple(L7, 1), "S2": simple(L7, 2),
             "P1": projective(L7, 1), "P2": projective(L7, 2)}
-    ds = direct_sum([mods[n] for n in names], L7)
+    ds = DirectSum([mods[n] for n in names], L7)
+    assert ds.rep is direct_sum(ds.parts, L7)
     assert "injections" not in vars(ds) and "projections" not in vars(ds)
     inj, proj = ds.injections, ds.projections
     assert ds.injections is inj and ds.projections is proj

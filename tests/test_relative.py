@@ -7,8 +7,9 @@ from relhomalg import relative
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.rep import (
     ModuleMap,
-    direct_sum,
+    cokernel,
     hom_space,
+    injective,
     is_isomorphic,
     kernel,
     projective,
@@ -27,7 +28,9 @@ from relhomalg.relative import (
     f_resolution,
     findim_f,
     gldim_f,
+    id_f,
     is_f_exact,
+    left_approximation,
     pd_f,
     projective_cover,
     relative_injectives,
@@ -36,7 +39,7 @@ from relhomalg.relative import (
 )
 from relhomalg.schema import load_problem
 
-from helpers import a2_algebra, ses_from_sub
+from helpers import DirectSum, a2_algebra, hom_g_surjective, ses_from_sub
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -51,7 +54,7 @@ def ses_cover(m):
 
 def test_split_sequence_is_f_exact(F7, L7_modules):
     a, c = L7_modules["S1"], L7_modules["M2"]
-    ds = direct_sum([a, c])
+    ds = DirectSum([a, c])
     ses = ses_from_sub(ds.rep, ds.injections[0])
     assert is_f_exact(ses, F7)
 
@@ -231,9 +234,9 @@ def test_projective_cover_rejects_a_non_minimal_cover(L7, L7_modules, monkeypatc
     def padded(x, f):
         app = real(x, f)
         extra = projective(L7, 1)
-        maps = [inj.compose(app.map) for inj in app.total.injections] + [ModuleMap.zero(extra, x)]
-        total, glued = stack_maps(maps, x)
-        return relative.Approximation(glued, total, app.pieces + [0])
+        copies = DirectSum([f.summands[k].module for k in app.pieces], L7)
+        maps = [inj.compose(app.map) for inj in copies.injections] + [ModuleMap.zero(extra, x)]
+        return relative.Approximation(stack_maps(maps, x), app.pieces + [0])
 
     assert projective_cover(m).pieces == [1]
     monkeypatch.setattr(relative, "right_approximation", padded)
@@ -330,3 +333,33 @@ def test_ext_f_from_pieces_matches_the_whole_middle_term(name, field):
                 assert ext_f(x, y, i, f) == want, (name, x, y, i)
                 nonzero += want != 0
     assert name == "a2_apr" or nonzero
+
+
+NOT_F_EXACT = "coresolution step is not F-exact: I(F) list invalid"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["q", "fp32003"])
+@pytest.mark.parametrize("name, failing", [("section7", {"S1", "S3", "M1", "M3"}),
+                                           ("section6", {"S1", "U12", "U31", "U312"}),
+                                           ("a2_apr", set())])
+def test_ordinary_injectives_are_no_i_f_list_under_g(name, failing, field):
+    # the step x -> I' -> C by the injectives I_v is exact, and F-exact
+    # exactly when Hom(G, I') -> Hom(G, C) is onto, tested here on the
+    # composite blocks of a right add(G)-approximation
+    problem = load_problem(str(DATA / f"{name}.json"), field)
+    f, alg = problem.subbifunctor, problem.algebra
+    injectives = [SummandDecl(f"I{v}", injective(alg, v)) for v in range(1, alg.quiver.n + 1)]
+    failed = set()
+    for n, x in problem.modules.items():
+        step = coresolution_step(x, f, injectives)
+        if step.cosyzygy is None:
+            assert step.failure is None
+            continue
+        onto = hom_g_surjective(f, cokernel(left_approximation(x, injectives, alg).map)[1])
+        assert step.failure == (None if onto else NOT_F_EXACT), n
+        if not onto:
+            failed.add(n)
+    assert failed == failing
+    if name == "section7":
+        report = id_f(problem.modules["S1"], f, injectives, problem.cutoff)
+        assert report.dim.censored and report.caveats == [NOT_F_EXACT]

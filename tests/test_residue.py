@@ -3,6 +3,7 @@ radical in every characteristic, certified negative isomorphisms, and the
 fail-closed verdicts on decomposable summands of G and T."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,21 +14,21 @@ from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import direct_sum, endo_indecomposability_check, is_isomorphic, projective
 from relhomalg.tilting import ComplexSum, verify_f_tilting
 
-from helpers import cycle3_selfinjective, radical_matrix
+from helpers import cycle3_selfinjective, mul, radical_matrix, validated
 
 
 def truncated_polynomials(F):
     """k[x]/(x^2) on the basis 1, x."""
     z, o = F.zero, F.one
-    return AbstractAlgebra(F, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}, [o, z],
-                           validate=True)
+    return validated(AbstractAlgebra(F, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
+                                     [o, z]))
 
 
 def product_k_k(F, idempotents=None):
     """k × k on the basis e1, e2 of its two idempotents."""
     z, o = F.zero, F.one
-    return AbstractAlgebra(F, 2, {(0, 0): {0: o}, (1, 1): {1: o}}, [o, o],
-                           idempotents=idempotents, validate=True)
+    return validated(AbstractAlgebra(F, 2, {(0, 0): {0: o}, (1, 1): {1: o}}, [o, o],
+                                     idempotents=idempotents))
 
 
 def test_char_p_radical_is_the_residue_kernel():
@@ -37,23 +38,23 @@ def test_char_p_radical_is_the_residue_kernel():
     # 1 + x has minimal polynomial t^2 + 1 = (t - 1)^2 over F_2: p divides k
     F2 = PrimeField(2)
     A = truncated_polynomials(F2)
-    assert residue(F2, [F2.one, F2.one], A.unit, A.mul) == F2.one
-    assert residue(F2, [F2.zero, F2.one], A.unit, A.mul) == F2.zero
+    assert residue(F2, [F2.one, F2.one], A.unit, partial(mul, A)) == F2.one
+    assert residue(F2, [F2.zero, F2.one], A.unit, partial(mul, A)) == F2.zero
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["Q", "F3"])
 def test_residue_reads_the_eigenvalue(F):
     A = truncated_polynomials(F)
     two = F.of_int(2)
-    assert residue(F, [two, F.of_int(7)], A.unit, A.mul) == two
-    assert residue_certificate(F, A.dim, A.unit, A.mul) == [F.one, F.zero]
+    assert residue(F, [two, F.of_int(7)], A.unit, partial(mul, A)) == two
+    assert residue_certificate(F, A.dim, A.unit, partial(mul, A)) == [F.one, F.zero]
 
 
 def test_radical_rejects_k_times_k_given_only_its_unit():
     A = product_k_k(QQ)
     # e1 has minimal polynomial t(t - 1): two eigenvalues, no residue
-    assert residue(QQ, [QQ.one, QQ.zero], A.unit, A.mul) is None
-    assert residue_certificate(QQ, A.dim, A.unit, A.mul) is None
+    assert residue(QQ, [QQ.one, QQ.zero], A.unit, partial(mul, A)) is None
+    assert residue_certificate(QQ, A.dim, A.unit, partial(mul, A)) is None
     with pytest.raises(ValueError):
         radical_matrix(A)
     # with its idempotents supplied, both corners are k and rad = 0
@@ -72,7 +73,7 @@ def test_certified_negative_isomorphism_over_small_fields(p):
 
 
 def test_decomposable_g_summand_gets_a_validation_note(L7, L7_modules):
-    mn = direct_sum([L7_modules["S2"], L7_modules["S3"]]).rep
+    mn = direct_sum([L7_modules["S2"], L7_modules["S3"]])
     assert not endo_indecomposability_check(mn)
     summands = [SummandDecl(f"P{i}", L7_modules[f"P{i}"]) for i in (1, 2, 3)]
     f = SubbifunctorF(L7, summands + [SummandDecl("MN", mn)])
@@ -81,7 +82,7 @@ def test_decomposable_g_summand_gets_a_validation_note(L7, L7_modules):
 
 
 def test_decomposable_t_summand_fails_the_spot_check(F7, L7_modules):
-    mn = direct_sum([L7_modules["S2"], L7_modules["S3"]]).rep
+    mn = direct_sum([L7_modules["S2"], L7_modules["S3"]])
     names = ["P1", "P2", "P3", "M2", "MN"]
     modules = [L7_modules[n] for n in names[:4]] + [mn]
     ts = ComplexSum([stalk_complex(m, 0, label=n) for n, m in zip(names, modules)], names)

@@ -53,7 +53,7 @@ def test_null_homotopic_composition_stays_null(F7, L7_modules):
     # the null-homotopic subspace: class coordinates stay zero
     from relhomalg.complexes import chain_identity, cone
     m = L7_modules["P2"]
-    contractible, _, _ = cone(chain_identity(stalk_complex(m, 0, label="P2")))
+    contractible = cone(chain_identity(stalk_complex(m, 0, label="P2")))
     base = stalk_complex(L7_modules["M2"], 0, label="M2")
     from relhomalg.complexes import sum_complexes
     t = sum_complexes([base, contractible], F7.algebra)

@@ -18,7 +18,7 @@ from relhomalg.tilting import (
     verify_f_tilting,
 )
 
-from helpers import cycle3_verbatim
+from helpers import cycle3_verbatim, validated
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -61,7 +61,7 @@ def test_stalk_end_algebra_dim(F7, stalk_tilting7):
                    for a in F7.summands for b in F7.summands)
     endo = end_algebra(stalk_tilting7)
     assert endo.dim == expected == 22
-    A = endo.to_abstract(validate=True)
+    A = validated(endo.to_abstract())
     assert A.idempotents_split_basic()
 
 
@@ -74,7 +74,7 @@ def test_single_stalk_endo_one_dimensional(F7, L7_modules):
 def test_cone_padding_preserves_endo_dim(F7, L7_modules, stalk_tilting7):
     from relhomalg.complexes import cone, chain_identity
     m = L7_modules["P2"]
-    contractible, _, _ = cone(chain_identity(stalk_complex(m, 0, label="P2")))
+    contractible = cone(chain_identity(stalk_complex(m, 0, label="P2")))
     padded = ComplexSum(stalk_tilting7.parts + [contractible],
                         stalk_tilting7.names + ["pad"])
     assert end_algebra(padded).dim == end_algebra(stalk_tilting7).dim
@@ -85,9 +85,9 @@ def test_section6_tilting(section6, L7):
     wit = [
         SummandWitness("P2", -1, "T2a"),
         SummandWitness("P3", -1, "T2b"),
-        ConeWitness("W_M", "T1a", "Q_M_stalk", "identity"),
+        ConeWitness("W_M", "T1a", "Q_M_stalk"),
         SummandWitness("M", -1, "W_M"),
-        ConeWitness("W_P1", "T1b", "Q_P1_stalk", "identity"),
+        ConeWitness("W_P1", "T1b", "Q_P1_stalk"),
         SummandWitness("P1", -1, "W_P1"),
     ]
     env = dict(env)
@@ -177,7 +177,7 @@ def test_image_over_sigma_is_projective(name):
         for i in x.degrees():
             vertices = [next(a for a, s in enumerate(f.summands, 1)
                              if is_isomorphic(p.module, s.module).isomorphic) for p in x.parts[i]]
-            expected = direct_sum([projective(pres, v) for v in vertices], pres).rep
+            expected = direct_sum([projective(pres, v) for v in vertices], pres)
             assert is_isomorphic(y.comps[i], expected).isomorphic is True, (name, i, vertices)
 
 

@@ -112,16 +112,16 @@ def test_two_top_columns_on_both_sides(checked, field):
     module with two top columns is the source of the left side (every
     summand and module of the bundled problems has a simple top)."""
     alg = cycle3_selfinjective(field)
-    two = direct_sum([simple(alg, 1), simple(alg, 2)]).rep
+    two = direct_sum([simple(alg, 1), simple(alg, 2)])
     assert len(top_columns(two)) == 2
     summands = [SummandDecl(f"P{v}", projective(alg, v)) for v in (1, 2, 3)]
     summands.append(SummandDecl("S1+S2", two))
     f = relative.SubbifunctorF(alg, summands)
     for m in [simple(alg, 3), two, radical(projective(alg, 1))[0],
-              direct_sum([simple(alg, 1), simple(alg, 3)]).rep]:
+              direct_sum([simple(alg, 1), simple(alg, 3)])]:
         relative.f_resolution(m, f, 4)
     injectives = [SummandDecl(f"I{v}", injective(alg, v)) for v in (1, 2, 3)]
-    x = direct_sum([simple(alg, 2), radical(projective(alg, 3))[0]]).rep
+    x = direct_sum([simple(alg, 2), radical(projective(alg, 3))[0]])
     assert len(top_columns(x)) == 2
     app = left_approximation(x, injectives, alg)
     relative.coresolution_step(x, f, injectives)

@@ -218,7 +218,7 @@ def test_kernels_read_at_free_rows_match_the_solve(name):
     mods = list(load_problem(str(DATA / f"{name}.json")).modules.values())
     seen = 0
     for m in mods:
-        fold = stack_maps([ModuleMap.identity(m)] * 2, m)[1]
+        fold = stack_maps([ModuleMap.identity(m)] * 2, m)
         for n in mods:
             basis = hom_space(m, n)
             for f in list(basis) + [ModuleMap.combination(m, n, [1] * len(basis), basis), fold]:
