@@ -148,11 +148,15 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     `rep.top_columns`, so a block is (the evaluated Hom basis, of full
     column rank) times (the coordinates of the composites): its rank is
     theirs, and a trial is onto when it reaches dim Hom(C, x) (left:
-    dim Hom(x, C)), one rank per C.  Surjectivity is monotone in the kept
-    set, so a single greedy removal pass is minimal: a map needed once stays
-    needed.
+    dim Hom(x, C)), one rank per C.  For a stored C = P_v (left: I_v),
+    Hom(P_v, -) is evaluation at e_v (left: Hom(-, I_v) is D of it), so the
+    block is the columns of the (u_c)_v side by side (left: their rows
+    stacked), and it must reach dim x_v; no Hom basis of C is built.
+    Surjectivity is monotone in the kept set, so a single greedy removal
+    pass is minimal: a map needed once stays needed.
     """
     F = x.algebra.field
+    kind = "injective" if left else "projective"
     everything = range(len(maps))
     columns: dict[ModuleMap, list[list]] = {}  # each first map at the top columns, taken once
 
@@ -171,18 +175,22 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     rows: list[tuple[int, int, list[list]]] = []
     for s in summands:
         c = s.module
-        basis = hom_space(x, c) if left else hom_space(c, x)
-        if not basis:
+        v = x.algebra.vertex_modules.get((kind, c))
+        need = x.dims[v - 1] if v is not None else len(hom_space(x, c) if left else hom_space(c, x))
+        if not need:
             continue
-        if left:
+        if v is not None:
+            width = need
+            row = [u.mats[v - 1].entries if left else u.mats[v - 1].transpose().entries for u in maps]
+        elif left:
             width = sum(c.dims[v] for v, _ in top_columns(x))
             row = [[e for h in hom_space(u.target, c) for e in evaluated(u, h)] for u in maps]
         else:
             width = sum(x.dims[v] for v, _ in top_columns(c))
             row = [[e for h in hom_space(c, u.source) for e in evaluated(h, u)] for u in maps]
-        if not onto(len(basis), width, row, everything):
+        if not onto(need, width, row, everything):
             return None
-        rows.append((len(basis), width, row))
+        rows.append((need, width, row))
     keep = list(everything)
     for i in everything:
         trial = [j for j in keep if j != i]
@@ -191,19 +199,31 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     return keep
 
 
-def _vertex_generators(x: Representation, summands: list[SummandDecl],
-                       left: bool) -> tuple[list[ModuleMap], list[int]]:
-    """The maps of the cover of x by the stored P_1..P_n (right), or of its
-    envelope in the stored I_1..I_n (left), with their vertices, and no
-    other map of Hom(P_v, x) or Hom(x, I_v): e_v -> e_j for each top column
-    (v, j) of x, or the functional e_j^T for each of its `socle_rows`."""
+def _candidates(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
+                left: bool) -> tuple[list[ModuleMap], list[int], bool]:
+    """The maps the approximation of x is kept from, the summand of each,
+    and whether every summand is a stored P_v (left: I_v).  If the summands
+    hold every stored P_v, each gives only e_v -> e_j for the top columns
+    (v, j) of x: a map P_v -> x less its top-column part sends e_v into
+    rad x, so it factors through radical maps P_v -> P_w and maps P_w -> x,
+    and by induction on the radical layer it is a sum of top-column maps
+    after maps between projectives.  Every other summand gives its Hom
+    basis.  Left, dually, the functionals e_j^T of the `socle_rows` of x."""
+    kind = "injective" if left else "projective"
+    vertex = [algebra.vertex_modules.get((kind, s.module)) for s in summands]
+    every = len(set(vertex) - {None}) == algebra.quiver.n
     gens = socle_rows(x) if left else top_columns(x)
-    maps: list[ModuleMap] = []
-    for v, s in enumerate(summands):
-        js = [j for w, j in gens if w == v]
+    maps, pieces = [], []
+    for k, (s, v) in enumerate(zip(summands, vertex)):
         src, tgt = (x, s.module) if left else (s.module, x)
-        maps += _hom_basis(src, tgt, _vertex_maps(src, tgt, v + 1, left, js)) if js else []
-    return maps, [v for v, _ in gens]
+        if not every or v is None:
+            found = hom_space(src, tgt)
+        else:
+            js = [j for w, j in gens if w == v - 1]
+            found = _hom_basis(src, tgt, _vertex_maps(src, tgt, v, left, js)) if js else []
+        maps += found
+        pieces += [k] * len(found)
+    return maps, pieces, every and None not in vertex
 
 
 def _on_module(x: Representation, key: tuple, compute):
@@ -225,7 +245,7 @@ def _modules(summands: list[SummandDecl]) -> tuple[Representation, ...]:
 def _approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
                    left: bool) -> Approximation:
     """The minimal left or right add(⊕summands)-approximation of x, by greedy
-    copy removal over the hom-space bases on that side; computed once per x,
+    copy removal over the `_candidates` on that side; computed once per x,
     side and summands, and stored on x."""
     return _on_module(x, ("left" if left else "right", _modules(summands)),
                       lambda: _build_approximation(x, summands, algebra, left))
@@ -233,26 +253,20 @@ def _approximation(x: Representation, summands: list[SummandDecl], algebra: Path
 
 def _build_approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
                          left: bool) -> Approximation:
-    """By the greedy pass over the Hom-space basis maps, or, for the stored
-    projectives (injectives), from `_vertex_generators` alone: their glued
-    map is checked onto (mono), so it is an add(Λ)- (add(DΛ)-)
-    approximation, and it is minimal by its count of copies, dim top(x)_v
-    of P_v (dim soc(x)_v of I_v), see `projective_cover`."""
+    """By the greedy pass over the `_candidates`.  When every summand is a
+    stored P_v (I_v) the candidates are kept whole: their glued map is
+    checked onto (mono), so it is an add(Λ)- (add(DΛ)-) approximation, and
+    it is minimal by its count of copies, dim top(x)_v of P_v
+    (dim soc(x)_v of I_v), see `projective_cover`."""
     if x.is_zero():
         z = zero_representation(algebra)
         return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x), [])
-    kind = "injective" if left else "projective"  # are the summands the stored I_v (P_v), in order?
-    vertex = _modules(summands) == tuple(algebra.vertex_modules.get((kind, v))
-                                         for v in range(1, algebra.quiver.n + 1))
-    if vertex:
-        maps, pieces = _vertex_generators(x, summands, left)
-    else:
-        pairs = [(phi, k) for k, s in enumerate(summands)
-                 for phi in (hom_space(x, s.module) if left else hom_space(s.module, x))]
-        keep = _minimal_approximating_subset(x, [phi for phi, _ in pairs], summands, left)
+    maps, pieces, vertex = _candidates(x, summands, algebra, left)
+    if not vertex:
+        keep = _minimal_approximating_subset(x, maps, summands, left)
         if keep is None:
             raise ValueError("tautological approximation failed")
-        maps, pieces = [pairs[i][0] for i in keep], [pairs[i][1] for i in keep]
+        maps, pieces = [maps[i] for i in keep], [pieces[i] for i in keep]
     glued = stack_maps(maps, x, into=left)
     if vertex and not (glued.is_injective() if left else glued.is_surjective()):
         raise ValueError("tautological approximation failed")
@@ -284,7 +298,7 @@ def left_approximation(x: Representation, targets: list[SummandDecl],
 
 def projective_cover(m: Representation) -> Approximation:
     """The projective cover of m: its minimal right add(Λ)-approximation,
-    built from the top columns of m alone (`_vertex_generators`), checked
+    built from the top columns of m alone (`_candidates`), checked
     onto, and certified by counting.  A surjection ⊕P_v -> m is a projective
     cover (its kernel lies in the radical of the source) exactly when the
     copies of P_v number dim top(m)_v, the top columns (v, j) of m at each

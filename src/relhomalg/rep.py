@@ -17,7 +17,6 @@ from .matrix import (
     block_diag,
     column_space_basis,
     complement_columns,
-    inverse,
     invertible,
     kernel_basis,
     lincomb,
@@ -491,27 +490,24 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Quotient target/im(f) with the projection map, checked when the
-    target is."""
+    target is.  At each vertex rref([f_v | I]) = [E·f_v | E]: the rows P of
+    E below rank f_v kill im f_v, and the I-block's pivots are the identity
+    columns C completing it, so P·C = I.  That P is unique, so the quotient
+    is canonical; P·f_v = 0 and P·C = I are checked."""
     F = f.source.algebra.field
     q = f.source.algebra.quiver
-    projs, sections, dims = [], [], []
-    for v in range(q.n):
-        B = column_space_basis(f.mats[v])
-        comp = complement_columns(B)
-        dims.append(len(comp))
-        n = f.target.dims[v]
-        C = Matrix.identity(F, n).select_columns(comp)
-        sections.append(C)
-        if n == 0:
-            projs.append(Matrix(F, 0, 0, []))
-            continue
-        # inverse() checks full · inv = I, so inv · full = I and proj · C = I:
-        # the complement columns C are a section of the projection
-        inv = inverse(B.hstack(C))
-        projs.append(inv.submatrix(range(B.cols, n), range(n)))
-    mats = [projs[a.target - 1] * f.target.mats[ai] * sections[a.source - 1]
+    projs, comps = [], []
+    for a, n in zip(f.mats, f.target.dims):
+        R, pivots = rref(a.hstack(Matrix.identity(F, n)))
+        comp = [p - a.cols for p in pivots if p >= a.cols]
+        P = R.submatrix(range(n - len(comp), n), range(a.cols, a.cols + n))
+        if not (P * a).is_zero() or P.select_columns(comp) != Matrix.identity(F, len(comp)):
+            raise ValueError("cokernel projection check failed")
+        projs.append(P)
+        comps.append(comp)
+    mats = [(projs[a.target - 1] * f.target.mats[ai]).select_columns(comps[a.source - 1])
             for ai, a in enumerate(q.arrows)]
-    quot = Representation(f.source.algebra, dims, mats, check=False)
+    quot = Representation(f.source.algebra, [len(c) for c in comps], mats, check=False)
     proj = ModuleMap(f.target, quot, projs)
     # the projection intertwines, so quot(ρ)·proj = proj·target(ρ) = 0 for a
     # relation ρ the target satisfies, and every projs[v] is onto: quot(ρ) = 0

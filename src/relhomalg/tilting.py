@@ -203,7 +203,10 @@ def _identity_components(src: Complex, tgt: Complex) -> dict[int, ModuleMap]:
 
 def check_generation_witnesses(f: SubbifunctorF, steps: list,
                                env: dict[str, Complex]) -> tuple[str, list[str], set[str]]:
-    """Run the witness steps; returns (status, log, witnessed G-summands)."""
+    """Run the witness steps; returns (status, log, witnessed G-summands).
+    The status is "witnessed", "not checked" when the steps leave a summand
+    unwitnessed, or "refused" when the program rejects a step, whose reason
+    is the last log line."""
     log: list[str] = []
     witnessed: set[str] = set()
     env = dict(env)
@@ -211,24 +214,24 @@ def check_generation_witnesses(f: SubbifunctorF, steps: list,
         if isinstance(step, ConeWitness):
             if step.source not in env or step.target not in env:
                 log.append(f"cone step {step.name}: unknown complex reference")
-                return "not checked", log, witnessed
+                return "refused", log, witnessed
             src, tgt = env[step.source], env[step.target]
             try:
                 cm = ChainMap(src, tgt, _identity_components(src, tgt)).validate()
             except ValueError as e:
                 log.append(f"cone step {step.name}: invalid chain map ({e})")
-                return "not checked", log, witnessed
+                return "refused", log, witnessed
             env[step.name] = cone(cm)
             log.append(f"cone step {step.name}: built cone of {step.source} -> {step.target}")
         elif isinstance(step, SummandWitness):
             decl = {s.name: s.module for s in f.summands}
             if step.summand_name not in decl or step.of not in env:
                 log.append(f"summand step {step.summand_name}: unknown reference")
-                return "not checked", log, witnessed
+                return "refused", log, witnessed
             ok = stalk_is_homotopy_summand(decl[step.summand_name], step.degree, env[step.of])
             if not ok:
                 log.append(f"summand step {step.summand_name}@{step.degree} of {step.of}: FAILED")
-                return "not checked", log, witnessed
+                return "refused", log, witnessed
             witnessed.add(step.summand_name)
             log.append(f"summand step {step.summand_name}@{step.degree} of {step.of}: verified")
         else:
@@ -324,8 +327,8 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
         status, glog, _ = check_generation_witnesses(f, witnesses, env)
         if status == "witnessed":
             generation = "witnessed"
-        else:
-            failures += [m for m in glog if "FAILED" in m or "unknown" in m]
+        elif status == "refused":
+            failures.append(glog[-1])
     endo_dim = ts.hom_k(0)
     tl = term_length(t)
     return TiltingReport(

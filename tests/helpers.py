@@ -10,10 +10,12 @@ over every idempotent, for path algebras the construction by completing
 the relations into rewriting rules, for Ext_F the Hom in D_F by
 F-projective replacement, for sums, cones and radical normalization the
 composites with the injections and projections of each direct sum (the
-program builds and slices block matrices), and for the command line the
-argparse reading) that serve only as cross-checks, and the short
-sequences, F-quasi-isomorphisms, stacked matrices, radical matrices, dense
-algebra products and the associativity check that only the tests build."""
+program builds and slices block matrices), for cokernels the inverse of a
+completed image basis (the program reads one elimination), and for the
+command line the argparse reading) that serve only as cross-checks, and
+the short sequences, F-quasi-isomorphisms, stacked matrices, radical
+matrices, dense algebra products and the associativity check that only the
+tests build."""
 
 import argparse
 import sys
@@ -39,6 +41,7 @@ from relhomalg.matrix import (
     Matrix,
     SpanSolver,
     column_space_basis,
+    complement_columns,
     inverse,
     kernel_basis,
     rank,
@@ -184,9 +187,8 @@ def hom_g_surjective(f, g_map):
     """Is Hom(G, g_map) onto Hom(G, target)?  The composite route that
     `relative.hom_g_exact` replaced by a count of Hom dimensions: g_map alone
     must be a right add(G)-approximation of its target, tested on the
-    composite blocks of `relative._minimal_approximating_subset`."""
-    return relative._minimal_approximating_subset(g_map.target, [g_map], f.summands,
-                                                  left=False) is not None
+    coordinates of the composites (`coordinate_approximating_subset`)."""
+    return coordinate_approximating_subset(g_map.target, [g_map], f.summands, False) is not None
 
 
 def counted_map(frame):
@@ -232,17 +234,16 @@ def transpose_by_coordinates(m):
 
 def full_basis_approximation(x, summands, left):
     """(pieces, map) of the minimal approximation that the greedy removal
-    pass, `relative._minimal_approximating_subset`, keeps from every map of
-    the Hom-space bases: the route that covers by the stored projectives
-    (right) and envelopes in the stored injectives (left) took before they
-    were built from their kept maps alone (`relative._vertex_generators`);
-    every other summand list still takes it."""
+    pass keeps from every map of the Hom-space bases, each summand's block
+    read from coordinates (`coordinate_approximating_subset`): a reference
+    that shares no code with the candidates and vertex blocks of
+    `relative._build_approximation`."""
     maps, pieces = [], []
     for k, s in enumerate(summands):
         for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
             maps.append(phi)
             pieces.append(k)
-    keep = relative._minimal_approximating_subset(x, maps, summands, left)
+    keep = coordinate_approximating_subset(x, maps, summands, left)
     return [pieces[i] for i in keep], stack_maps([maps[i] for i in keep], x, into=left)
 
 
@@ -814,6 +815,32 @@ def _composed_eliminate(x, sums, i, s, t):
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     cols = [column_space_basis(f.mats[v]) for v in range(len(f.mats))]
     return _induced_sub(f.target, cols)
+
+
+def inverse_cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    """target/im(f) with its projection, as `rep.cokernel` built it before it
+    read the projection off one elimination: at each vertex a basis B of
+    im f_v (its pivot columns), the identity columns C completing it, and
+    the projection as the rows of [B | C]^-1 past B; the reference for
+    the cokernel."""
+    F = f.source.algebra.field
+    q = f.source.algebra.quiver
+    projs, sections, dims = [], [], []
+    for v in range(q.n):
+        B = column_space_basis(f.mats[v])
+        comp = complement_columns(B)
+        dims.append(len(comp))
+        n = f.target.dims[v]
+        sections.append(Matrix.identity(F, n).select_columns(comp))
+        if n == 0:
+            projs.append(Matrix(F, 0, 0, []))
+            continue
+        inv = inverse(B.hstack(sections[-1]))
+        projs.append(inv.submatrix(range(B.cols, n), range(n)))
+    mats = [projs[a.target - 1] * f.target.mats[ai] * sections[a.source - 1]
+            for ai, a in enumerate(q.arrows)]
+    quot = Representation(f.source.algebra, dims, mats, check=False)
+    return quot, ModuleMap(f.target, quot, projs)
 
 
 def ses_from_sub(m: Representation, incl: ModuleMap) -> ShortExactSeq:

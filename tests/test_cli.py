@@ -426,11 +426,17 @@ def test_a_witness_cone_between_different_modules_is_not_built(capsys, tmp_path)
     data["tilting"]["witnesses"].insert(0, {"cone": {"name": "W", "source": "A", "target": "B"}})
     path, report = tmp_path / "probe.json", tmp_path / "r.json"
     path.write_text(json.dumps(data))
-    assert run(["--report", report, "tilting", path]) == 0
+    capsys.readouterr()
+    # a witness step the program refuses is a failure on stdout, not only in the log
+    assert run(["--report", report, "tilting", path]) == 2
+    refusal = "cone step W: invalid chain map (the components at degree 0 are different modules)"
+    out = capsys.readouterr().out
+    assert out.startswith("tilting complex T: FAILS\n")
+    assert f"failure: {refusal}\n" in out
     tilting = json.loads(report.read_text())["results"]["tilting"]
     assert tilting["generation"] == "count-criterion passed"
-    assert tilting["generation_log"] == [
-        "cone step W: invalid chain map (the components at degree 0 are different modules)"]
+    assert tilting["generation_log"] == [refusal]
+    assert tilting["failures"] == [refusal]
 
 
 def test_cutoff_flag(capsys, tmp_path):

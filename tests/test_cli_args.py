@@ -49,6 +49,10 @@ CI = [
     ["--quiet", "algebra", S7],
     ["--quiet", "bounds", "theorem73", "nakayama55.json"],
     ["--quiet", "--field", "fp:32003", "tilting", "nakayama65.json"],
+    ["--quiet", "module", "nakayama65ps.json"],
+    ["--quiet", "--field", "fp:32003", "module", "nakayama65ps.json"],
+    ["--quiet", "relhom", "ifset", "nakayama65ps.json"],
+    ["--quiet", "--field", "fp:32003", "relhom", "ifset", "nakayama65ps.json"],
 ]
 # tests/test_cli.py
 TEST_CLI = [

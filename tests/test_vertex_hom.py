@@ -1,17 +1,19 @@
 """Hom from projectives and into injectives read off vertex spaces, and
-covers and envelopes built from their kept maps alone.
+approximations kept from top-column and socle-row maps.
 
 `rep.hom_space` reads Hom(P_v, X) off X_v and Hom(X, I_v) off D(X_v) for the
-stored projectives and injectives (`rep._vertex_hom`), and
-`relative._build_approximation` builds a cover by the projectives from the
-top columns of X and an envelope in the injectives from the rows completing
-the arrows out of each vertex (`relative._vertex_generators`), with no
-other map of those Hom spaces.  These tests check both against the
-intertwining solve and against the greedy pass over the whole Hom bases
-(`helpers.solved_hom_space`, `helpers.full_basis_approximation`) on every
-Hom and approximation that real commands build, over Q and F_32003, and
-count that those commands no longer solve or scan where the answer is
-structural.
+stored projectives and injectives (`rep._vertex_hom`).  When the summands
+of an approximation hold every stored P_v (left: I_v),
+`relative._build_approximation` takes from each P_v only the maps to the
+top columns of X (left: from the rows completing the arrows out of each
+vertex, into I_v), with no other map of those Hom spaces
+(`relative._candidates`), and `relative._minimal_approximating_subset`
+tests the blocks of P_v and I_v at their vertex.  These tests check both
+against the intertwining solve and against the greedy pass over the whole
+Hom bases read from coordinates (`helpers.solved_hom_space`,
+`helpers.full_basis_approximation`) on every Hom and approximation that
+real commands build, over Q and F_32003, and count that those commands no
+longer solve or scan where the answer is structural.
 """
 
 import contextlib
@@ -38,6 +40,7 @@ from relhomalg.rep import (
     kernel,
     left_multiplication_map,
     projective,
+    socle_rows,
     stack_maps,
     top_columns,
 )
@@ -49,7 +52,11 @@ from helpers import (cycle3_selfinjective, cycle3_verbatim, full_basis_approxima
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section6", "section6_symmetric", "section7", "a2_apr"]
 FIELDS = ["q", "fp:32003"]
-GENERATED = {"nakayama(4,4) P+S": (4, 4, False), "nakayama(3,3) all": (3, 3, True)}
+GENERATED = {  # (n, L, every uniserial in G, the commands run)
+    "nakayama(4,4) P+S": (4, 4, False, (["bounds", "theorem73"], ["bounds", "gorenstein"])),
+    "nakayama(3,3) all": (3, 3, True, (["bounds", "theorem73"], ["bounds", "gorenstein"])),
+    "nakayama(6,5) P+S": (6, 5, False, (["module"],)),
+}
 
 
 def stored(m, kind):
@@ -63,13 +70,22 @@ def flat(basis):
     return [[a.entries for a in f.mats] for f in basis]
 
 
+def holds_every_stored(summands, algebra, kind):
+    """Do the summand modules include the stored P_v (kind "projective") or
+    I_v of every vertex?"""
+    return {s.module for s in summands} >= {
+        algebra.vertex_modules.get((kind, v)) for v in range(1, algebra.quiver.n + 1)}
+
+
 @pytest.fixture
 def compared(monkeypatch):
     """Checks every Hom read off a vertex space against the intertwining
-    solve, and every cover and envelope against the one the greedy pass
-    keeps from the whole Hom bases (the same pieces, and a kernel or
-    cokernel certified isomorphic); returns the counts of each."""
-    seen = {"hom": 0, "cover": 0, "envelope": 0}
+    solve, and every approximation whose summands hold every stored P_v
+    (left: I_v) against the one the greedy pass keeps from the whole Hom
+    bases by coordinates (the same pieces, and a kernel or cokernel
+    certified isomorphic); returns the counts of each, and of the
+    approximations with a summand besides the P_v (I_v)."""
+    seen = {"hom": 0, "right": 0, "left": 0, "mixed": 0}
     vertex_hom, build = rep._vertex_hom, relative._build_approximation
 
     def hom_both(m, n):
@@ -82,11 +98,15 @@ def compared(monkeypatch):
 
     def approximation_both(x, summands, algebra, left):
         kind = "injective" if left else "projective"
-        if x.is_zero() or [s.module for s in summands] != [
-                algebra.vertex_modules.get((kind, v)) for v in range(1, algebra.quiver.n + 1)]:
+        if x.is_zero() or not holds_every_stored(summands, algebra, kind):
             return build(x, summands, algebra, left)
-        with pytest.MonkeyPatch.context() as mp:  # no Hom basis on the vertex side is built
-            mp.setattr(relative, "hom_space", None)
+
+        def off_the_vertex_side(m, n):  # no Hom(P_v, -) (left: Hom(-, I_v)) basis is built
+            assert not stored(n if left else m, kind)
+            return hom_space(m, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relative, "hom_space", off_the_vertex_side)
             out = build(x, summands, algebra, left)
         pieces, ref = full_basis_approximation(x, summands, left)
         if out.is_identity:
@@ -95,7 +115,8 @@ def compared(monkeypatch):
             assert sorted(out.pieces) == sorted(pieces)
             end = cokernel if left else kernel
             assert is_isomorphic(end(out.map)[0], end(ref)[0]).isomorphic is True
-        seen["envelope" if left else "cover"] += 1
+        seen["left" if left else "right"] += 1
+        seen["mixed"] += not all(stored(s.module, kind) for s in summands)
         return out
 
     monkeypatch.setattr(rep, "_vertex_hom", hom_both)
@@ -109,7 +130,7 @@ def run(*argv):
 
 
 def generated(name, tmp_path):
-    n, length, every = GENERATED[name]
+    n, length, every, _ = GENERATED[name]
     path = tmp_path / "nakayama.json"
     data = nakayama_problem(n, length, every_indecomposable=every, tilting=True)
     path.write_text(json.dumps(data))
@@ -122,16 +143,17 @@ def test_bundled_vertex_homs_and_keeps_match_the_solve(compared, name, field):
     path = str(DATA / f"{name}.json")
     for argv in (["module", path], ["bounds", "theorem73", path], ["bounds", "gorenstein", path]):
         run("--field", field, *argv)  # section6_symmetric reports a violation (exit 2)
-    assert compared["hom"] and compared["cover"] and compared["envelope"]
+    assert compared["hom"] and compared["right"] and compared["left"]
+    assert bool(compared["mixed"]) == (name != "a2_apr")  # a2_apr has G = the projectives
 
 
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("name", GENERATED)
 def test_nakayama_vertex_homs_and_keeps_match_the_solve(compared, name, field, tmp_path):
     path = generated(name, tmp_path)
-    for argv in (["bounds", "theorem73", path], ["bounds", "gorenstein", path]):
-        assert run("--field", field, *argv) == 0
-    assert compared["hom"] and compared["cover"] and compared["envelope"]
+    for argv in GENERATED[name][3]:
+        assert run("--field", field, *argv, path) == 0
+    assert compared["hom"] and compared["right"] and compared["left"] and compared["mixed"]
 
 
 def test_theorem73_solves_and_scans_nothing_structural(monkeypatch, tmp_path):
@@ -161,6 +183,42 @@ def test_theorem73_solves_and_scans_nothing_structural(monkeypatch, tmp_path):
     assert run("bounds", "gorenstein", path) == 0
     assert solved and not any(solved)
     assert greedy and not any(greedy)
+
+
+def test_module_keeps_from_top_columns_and_tests_blocks_at_their_vertex(monkeypatch, tmp_path):
+    """`module` on Nakayama (6,5) P+S hands the greedy pass no map out of a
+    stored P_v but e_v -> e_j for a top column (v, j) of its target, and no
+    map into a stored I_v but a functional e_j^T for a socle row (v, j) of
+    its source, and the pass builds no Hom(P_v, -) or Hom(-, I_v) basis."""
+    kept, strays, vertex_homs, inside = [], [], [], []
+    subset, hom = relative._minimal_approximating_subset, relative.hom_space
+
+    def counting_subset(x, maps, summands, left):
+        kind = "injective" if left else "projective"
+        gens = socle_rows(x) if left else top_columns(x)
+        for u in maps:
+            v = x.algebra.vertex_modules.get((kind, u.target if left else u.source))
+            if v is not None:  # the trivial path e_v comes first at v
+                at_e_v = u.mats[v - 1].row(0) if left else u.mats[v - 1].col(0)
+                units = [[int(i == j) for i in range(x.dims[v - 1])] for w, j in gens if w == v - 1]
+                (kept if at_e_v in units else strays).append(left)
+        inside.append(kind)
+        try:
+            return subset(x, maps, summands, left)
+        finally:
+            inside.pop()
+
+    def counting_hom(m, n):
+        if inside and stored(n if inside[-1] == "injective" else m, inside[-1]):
+            vertex_homs.append((m, n))
+        return hom(m, n)
+
+    monkeypatch.setattr(relative, "_minimal_approximating_subset", counting_subset)
+    monkeypatch.setattr(relative, "hom_space", counting_hom)
+    assert run("module", generated("nakayama(6,5) P+S", tmp_path)) == 0
+    assert set(kept) == {False, True}  # both sides ran with the stored P_v and I_v
+    assert not vertex_homs
+    assert not strays
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
