@@ -78,7 +78,10 @@ def _load(args, out: Output):
             field = parse_field({"prime": p}, "--field")
         else:
             raise SchemaError("--field", f"unknown field {args.field!r} (use q or fp:P)")
-    return load_problem(args.file, field_override=field, cutoff_override=args.cutoff)
+    problem = load_problem(args.file, field_override=field, cutoff_override=args.cutoff)
+    for note in problem.subbifunctor.validation_notes:
+        out.say("note:", note)
+    return problem
 
 
 def _named(table: dict, flag: str, kind: str, name: str):

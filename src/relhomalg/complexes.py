@@ -240,7 +240,7 @@ class _TotalHom:
         if m not in self._diffs:
             n_src, n_tgt = self.blocks(m)[1], self.blocks(m + 1)[1]
             self._diffs[m] = (self._assemble(m) if n_src and n_tgt
-                              else Matrix(self.x.algebra.field, n_tgt, n_src, []))
+                              else Matrix.zeros(self.x.algebra.field, n_tgt, n_src))
         return self._diffs[m]
 
     def _assemble(self, m: int) -> Matrix:
@@ -277,8 +277,10 @@ class _TotalHom:
         return self._ranks[m]
 
     def dim(self, n: int) -> int:
-        """dim H^n = dim Hom^n - rank D^n - rank D^{n-1}."""
-        return self.blocks(n)[1] - self.rank(n) - self.rank(n - 1)
+        """dim H^n = dim Hom^n - rank D^n - rank D^{n-1}, and 0 with no
+        differential read when Hom^n = 0."""
+        h = self.blocks(n)[1]
+        return h and h - self.rank(n) - self.rank(n - 1)
 
 
 class HomotopyHom:
@@ -305,11 +307,13 @@ class HomotopyHom:
         self.blocks, self.dim_total = total.blocks(n)    # maps X^i -> Y^{i+n}
         self.homotopies = total.blocks(n - 1)[0]          # maps X^i -> Y^{i+n-1}
         self.d_in = total.differential(n - 1)             # Hom^{n-1} -> Hom^n
+        if not self.dim_total:  # Hom^n = 0: no cycle, boundary or class
+            self.cycles = self.boundaries = self._class_basis = Matrix.zeros(F, 0, 0)
+            self.dim, self.rep_vectors = 0, []
+            return
         d_out = total.differential(n)                     # Hom^n -> Hom^{n+1}
-        K = kernel_basis(d_out)
-        self.cycles = K
-        img = column_space_basis(self.d_in)
-        self.boundaries = img
+        self.cycles = K = kernel_basis(d_out)
+        self.boundaries = img = column_space_basis(self.d_in)
         self.dim = K.cols - img.cols
         lead = [self.chain_map_to_vector(comps) for comps in first]
         if any(not F.is_zero(c) for v in lead for c in d_out.apply(v)):

@@ -57,6 +57,7 @@ class Field:
     def __init__(self):
         self.rref_table: dict = {}     # (rows, cols, entries) -> matrix.rref(...)
         self.product_table: dict = {}  # (n, k, m, entries, entries) -> the product
+        self.empty_table: dict = {}    # (rows, cols) -> the matrix of that shape without entries
 
     def of_int(self, n: int):
         raise NotImplementedError

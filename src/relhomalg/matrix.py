@@ -13,6 +13,12 @@ modules and algebras, while large operands do not.  Results may therefore
 be shared between calls, and no code writes into the `entries` of a
 matrix or into a pivot list.
 
+A matrix without entries (no rows or no columns) is answered from its
+shape: `Matrix.zeros` hands out one stored object per field and shape, so
+the zero blocks of representations and maps at vertices outside their
+support are shared, not built, and `rref` returns it as its own echelon
+form with no pivot, neither eliminated nor stored.
+
 The inner loops use the native operators and truthiness on the entries, and
 reduce by the field's modulus ``p`` once per entry or row update over F_p
 (whose elements are ints in [0, p)).  Over Q (``p == 0``) the results are
@@ -74,15 +80,15 @@ class Matrix:
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, rows, cols, [z] * (rows * cols))
+        if not (rows and cols):  # one object per field and shape without entries
+            return field.empty_table.get((rows, cols)) or field.empty_table.setdefault(
+                (rows, cols), Matrix(field, rows, cols, []))
+        return Matrix(field, rows, cols, [field.zero] * (rows * cols))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        e = [z] * (n * n)
-        for i in range(n):
-            e[i * n + i] = o
+        e = [field.zero] * (n * n)
+        e[::n + 1] = [field.one] * n
         return Matrix(field, n, n, e)
 
     # -- access --------------------------------------------------------
@@ -224,6 +230,8 @@ def lincomb(field: Field, rows: int, cols: int, coeffs, mats) -> Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
+    if not m.entries:  # no rows or no columns: its own rref, with no pivot
+        return m, []
     if m.rows * m.cols > STORED_ENTRIES:
         return _rref(m)
     key = (m.rows, m.cols, tuple(m.entries))
@@ -313,26 +321,22 @@ def solve(a: Matrix, b: Matrix):
     for p in pivots:
         if p >= a.cols:
             return None
-    X = Matrix.zeros(F, a.cols, b.cols).to_rows()
+    X = [F.zero] * (a.cols * b.cols)
     for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            X[pc][j] = R.at(r, a.cols + j)
-    return Matrix.from_rows(F, X) if a.cols else Matrix(F, 0, b.cols, [])
+        X[pc * b.cols:(pc + 1) * b.cols] = R.row(r)[a.cols:]
+    return Matrix(F, a.cols, b.cols, X)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """The pivot columns of m: a deterministic basis of the column space."""
-    _, pivots = rref(m)
-    return m.select_columns(pivots)
+    return m.select_columns(rref(m)[1])
 
 
 def complement_columns(basis: Matrix) -> list[int]:
     """Indices j of identity columns e_j completing the column space of
     basis (of any rank) to the whole space: the pivots past basis in
     rref([basis | I])."""
-    n = basis.rows
-    aug = basis.hstack(Matrix.identity(basis.field, n))
-    _, pivots = rref(aug)
+    pivots = rref(basis.hstack(Matrix.identity(basis.field, basis.rows)))[1]
     return [p - basis.cols for p in pivots if p >= basis.cols]
 
 
@@ -359,21 +363,14 @@ class SpanSolver:
 
     def __init__(self, basis: Matrix):
         self.basis = basis
-        F = basis.field
         _, pivot_rows = rref(basis.transpose())
         self.rows = pivot_rows
         if len(pivot_rows) != basis.cols:
             raise ValueError("basis columns are dependent")
-        if basis.cols:
-            sq = basis.submatrix(pivot_rows, range(basis.cols))
-            self.inv = inverse(sq)
-        else:
-            self.inv = Matrix(F, 0, 0, [])
+        self.inv = inverse(basis.submatrix(pivot_rows, range(basis.cols)))
 
     def coords(self, vec: list):
         """Coordinates of vec in the basis, or None if outside the span."""
-        if self.basis.cols == 0:
-            return None if any(vec) else []
         out = self.inv.apply([vec[r] for r in self.rows])
         back = self.basis.apply(out)
         for a, b in zip(back, vec):

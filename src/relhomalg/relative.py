@@ -58,9 +58,13 @@ class SubbifunctorF:
     def __init__(self, algebra: PathAlgebra, summands: list[SummandDecl]):
         self.algebra = algebra
         self.summands = list(summands)
-        self.generator = direct_sum([s.module for s in summands], algebra)
         self.validation_notes: list[str] = []
         self._validate()
+
+    @cached_property
+    def generator(self) -> Representation:
+        """⊕G, built on first read: only F-acyclicity reads it."""
+        return direct_sum([s.module for s in self.summands], self.algebra)
 
     # -- declarations ------------------------------------------------------
 
@@ -76,6 +80,8 @@ class SubbifunctorF:
                     raise ValueError(
                         f"declared summands {self.summands[a].name} and {self.summands[b].name} are isomorphic")
         for s in self.summands:
+            if s.module.is_zero():
+                raise ValueError(f"declared summand {s.name} is the zero module")
             if not endo_indecomposability_check(s.module):
                 self.validation_notes.append(
                     f"summand {s.name}: End({s.name}) failed the residue certificate (not"

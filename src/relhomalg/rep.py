@@ -4,6 +4,18 @@ A representation assigns k^{d_i} to vertex i and a d_j x d_i matrix to each
 arrow a: i -> j (column-vector convention, so the word (a, b) acts as
 X_b . X_a).  Everything is immutable after construction and validated
 against the relations exactly.
+
+The per-vertex and per-arrow loops keep to the support.  A block with no
+entries (at a vertex where a module, or a side of a map, is zero) comes from
+its shape alone, as `Matrix.zeros`, and is never multiplied, eliminated,
+solved or compared: the intertwining check of `ModuleMap` tests only the
+arrows whose equation has entries (an empty equation holds vacuously),
+subrepresentations solve only the arrows whose blocks on the sub have
+entries, `cokernel` eliminates only where f_v is nonzero (P = I elsewhere,
+a zero target included), `top_columns` and `socle_rows` read only the
+nonzero vertices, and a Hom space without unknowns is empty.  The content
+of every result is what the full loops give, so canonical representations
+are the same objects.
 """
 
 from __future__ import annotations
@@ -118,18 +130,22 @@ class ModuleMap:
             self._check_intertwining()
 
     def _check_intertwining(self):
-        for ai, a in enumerate(self.source.algebra.quiver.arrows):
-            lhs = self.target.mats[ai] * self.mats[a.source - 1]
-            rhs = self.mats[a.target - 1] * self.source.mats[ai]
-            if not (lhs - rhs).is_zero():
+        """T_a·f_i = f_j·S_a for every arrow a: i -> j whose equation has
+        entries (the source at i and the target at j are nonzero).  Products
+        are in the field's normal form, so equal entry lists are equal
+        matrices."""
+        s, t = self.source, self.target
+        for ai, a in enumerate(s.algebra.quiver.arrows):
+            i, j = a.source - 1, a.target - 1
+            if s.dims[i] and t.dims[j] and (t.mats[ai] * self.mats[i]).entries != (
+                    self.mats[j] * s.mats[ai]).entries:
                 raise ValueError(f"map does not intertwine arrow {a.name}")
 
     @staticmethod
     def zero(source: Representation, target: Representation) -> "ModuleMap":
         F = source.algebra.field
-        return ModuleMap(source, target,
-                         [Matrix.zeros(F, target.dims[v], source.dims[v])
-                          for v in range(source.algebra.quiver.n)], check=False)
+        return ModuleMap(source, target, [Matrix.zeros(F, t, s) for t, s in zip(target.dims, source.dims)],
+                         check=False)
 
     @staticmethod
     def combination(source: Representation, target: Representation, coeffs,
@@ -148,8 +164,8 @@ class ModuleMap:
     def compose(self, then: "ModuleMap") -> "ModuleMap":
         """self followed by `then` (diagrammatic order)."""
         assert then.source.dims == self.target.dims
-        return ModuleMap(self.source, then.target,
-                         [then.mats[v] * self.mats[v] for v in range(len(self.mats))], check=False)
+        return ModuleMap(self.source, then.target, [b * a for a, b in zip(self.mats, then.mats)],
+                         check=False)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target,
@@ -158,9 +174,6 @@ class ModuleMap:
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target,
                          [a - b for a, b in zip(self.mats, other.mats)], check=False)
-
-    def __neg__(self) -> "ModuleMap":
-        return ModuleMap(self.source, self.target, [-a for a in self.mats], check=False)
 
     def scale(self, c) -> "ModuleMap":
         return ModuleMap(self.source, self.target, [m.scale(c) for m in self.mats], check=False)
@@ -252,12 +265,13 @@ def _build_projective(algebra: PathAlgebra, i: int) -> Representation:
     dims = tuple(len(per_vertex[v]) for v in range(q.n))
     mats = []
     for ai, a in enumerate(q.arrows):
-        m = Matrix.zeros(F, dims[a.target - 1], dims[a.source - 1]).to_rows()
+        rows, cols = dims[a.target - 1], dims[a.source - 1]
+        m = Matrix.zeros(F, rows, cols).to_rows()
         ae = algebra.arrow_element(ai)
         for col, k in enumerate(per_vertex[a.source - 1]):
             for k2, c in algebra.mul_basis(k, ae).items():
                 m[index[k2][1]][col] = c
-        mats.append(Matrix.from_rows(F, m) if dims[a.target - 1] else Matrix(F, 0, dims[a.source - 1], []))
+        mats.append(Matrix.from_rows(F, m) if rows and cols else Matrix.zeros(F, rows, cols))
     # a word w acts on the basis path k as the product k·w in the algebra,
     # so a relation, zero in the algebra, acts as zero: checked by construction
     p = Representation(algebra, dims, mats, check=False)
@@ -337,16 +351,16 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 
 def _hom_basis(m: Representation, n: Representation, vecs: list[list]) -> HomBasis:
-    """The maps m -> n flattened in vecs."""
+    """The maps m -> n flattened in vecs; a block without entries comes from
+    its shape."""
     F = m.algebra.field
-    out = HomBasis()
-    for vec in vecs:
-        mats, o = [], 0
-        for v in range(len(m.dims)):
-            mats.append(Matrix(F, n.dims[v], m.dims[v], vec[o:o + n.dims[v] * m.dims[v]]))
-            o += n.dims[v] * m.dims[v]
-        out.append(ModuleMap(m, n, mats, check=False))
-    return out
+    blocks, o = [], 0
+    for t, s in zip(n.dims, m.dims):
+        blocks.append((o, t, s))
+        o += t * s
+    return HomBasis(ModuleMap(m, n, [Matrix(F, t, s, vec[o:o + t * s]) if t and s
+                                     else Matrix.zeros(F, t, s) for o, t, s in blocks], check=False)
+                    for vec in vecs)
 
 
 def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
@@ -357,11 +371,12 @@ def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
     for v in range(q.n):
         offsets.append(total)
         total += n.dims[v] * m.dims[v]
+    if not total:
+        return HomBasis()
 
     # one row per arrow a: i -> j and entry (u, c) of T_a f_i - f_j S_a, with
     # the block f_v stored row-major from offsets[v] in the unknown vector
     flat = []
-    nrows = 0
     for ai, a in enumerate(q.arrows):
         i, j = a.source - 1, a.target - 1
         ta, sa = n.mats[ai].entries, m.mats[ai].entries
@@ -375,8 +390,7 @@ def _hom_space_compute(m: Representation, n: Representation) -> HomBasis:
                 for w in range(mj):
                     row[oj + u * mj + w] -= sa[w * mi + c]
                 flat += row
-                nrows += 1
-    K = kernel_basis(Matrix(F, nrows, total, _normal(flat, F.p)))
+    K = kernel_basis(Matrix(F, len(flat) // total, total, _normal(flat, F.p)))
     return _hom_basis(m, n, [K.col(c) for c in range(K.cols)])
 
 
@@ -393,8 +407,9 @@ def _vertex_hom(m: Representation, n: Representation) -> HomBasis:
         if v is None:
             return _hom_space_compute(m, n)
     vecs = _vertex_maps(m, n, v, into)
-    size = len(vecs[0]) if vecs else 0
-    R, _ = rref(Matrix(m.algebra.field, len(vecs), size,
+    if not vecs:
+        return HomBasis()
+    R, _ = rref(Matrix(m.algebra.field, len(vecs), len(vecs[0]),
                        [e for vec in vecs for e in reversed(vec)]))
     return _hom_basis(m, n, [R.row(r)[::-1] for r in reversed(range(len(vecs)))])
 
@@ -441,13 +456,6 @@ def hom_coordinates(basis: HomBasis, f: ModuleMap) -> list:
     return out
 
 
-def _coordinate_matrix(field, basis: list[ModuleMap], maps) -> Matrix:
-    """The matrix whose columns are the coordinates of maps in basis."""
-    cols = [hom_coordinates(basis, m) for m in maps]
-    return Matrix(field, len(basis), len(cols),
-                  [cols[c][r] for r in range(len(basis)) for c in range(len(cols))])
-
-
 # ---------------------------------------------------------------------------
 # kernels, images, quotients
 
@@ -460,12 +468,14 @@ def _induced_sub(m: Representation, cols: list[Matrix],
     proves closure.  That check also proves the relations when m satisfies
     them: it gives m(w)·cols = cols·sub(w) for every word w, so
     cols·sub(ρ) = m(ρ)·cols = 0 for a relation ρ, and cols is injective.
-    So the sub is checked exactly when m is."""
+    So the sub is checked exactly when m is; it also proves closure on an
+    arrow whose block on the sub is empty, which comes from its shape."""
     mats = []
     for ai, a in enumerate(m.algebra.quiver.arrows):
-        img = m.mats[ai] * cols[a.source - 1]
-        coef = (solve(cols[a.target - 1], img) if rows is None
-                else img.submatrix(rows[a.target - 1], range(img.cols)))
+        src, tgt = cols[a.source - 1], cols[a.target - 1]
+        coef = (Matrix.zeros(m.algebra.field, tgt.cols, src.cols) if not (src.cols and tgt.cols)
+                else solve(tgt, m.mats[ai] * src) if rows is None
+                else (m.mats[ai] * src).submatrix(rows[a.target - 1], range(src.cols)))
         if coef is None:
             raise ValueError("columns not closed under the action")
         mats.append(coef)
@@ -498,11 +508,14 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     q = f.source.algebra.quiver
     projs, comps = [], []
     for a, n in zip(f.mats, f.target.dims):
-        R, pivots = rref(a.hstack(Matrix.identity(F, n)))
-        comp = [p - a.cols for p in pivots if p >= a.cols]
-        P = R.submatrix(range(n - len(comp), n), range(a.cols, a.cols + n))
-        if not (P * a).is_zero() or P.select_columns(comp) != Matrix.identity(F, len(comp)):
-            raise ValueError("cokernel projection check failed")
+        if any(a.entries):
+            R, pivots = rref(a.hstack(Matrix.identity(F, n)))
+            comp = [p - a.cols for p in pivots if p >= a.cols]
+            P = R.submatrix(range(n - len(comp), n), range(a.cols, a.cols + n))
+            if not (P * a).is_zero() or P.select_columns(comp) != Matrix.identity(F, len(comp)):
+                raise ValueError("cokernel projection check failed")
+        else:  # f_v = 0, a zero target included: the projection is I
+            comp, P = list(range(n)), Matrix.identity(F, n)
         projs.append(P)
         comps.append(comp)
     mats = [(projs[a.target - 1] * f.target.mats[ai]).select_columns(comps[a.source - 1])
@@ -578,7 +591,7 @@ def top_columns(m: Representation) -> list[tuple[int, int]]:
     cokernels, sums and duals keep it), so the submodule S they generate,
     with S + J·m = m, is m = S + J^N·m by Nakayama's lemma."""
     if m._top is None:
-        m._top = [(v, j) for v in range(len(m.dims)) for j in complement_columns(_arrows_at(m, v))]
+        m._top = [(v, j) for v, d in enumerate(m.dims) if d for j in complement_columns(_arrows_at(m, v))]
     return m._top
 
 
@@ -586,7 +599,7 @@ def socle_rows(m: Representation) -> list[tuple[int, int]]:
     """The (v, j), v 0-based, whose functionals e_j^T complete the pivot rows
     of the arrows out of v, which vanish exactly on (soc m)_v, to a basis of
     D(m_v): restricted to (soc m)_v they form a basis of its dual."""
-    return [(v, j) for v in range(len(m.dims))
+    return [(v, j) for v, d in enumerate(m.dims) if d
             for j in complement_columns(_arrows_at(m, v, into=False).transpose())]
 
 
@@ -704,7 +717,9 @@ def endo_indecomposability_check(m: Representation) -> bool:
 
 
 class ShortExactSeq:
-    """0 -> A -f-> B -g-> C -> 0, validated exactly."""
+    """0 -> A -f-> B -g-> C -> 0, validated exactly: f is mono, g is epi,
+    f then g is zero, and dim A_v + dim C_v = dim B_v at every vertex, so
+    im f, of dimension A_v, is all of ker g, of dimension B_v - C_v."""
 
     def __init__(self, f: ModuleMap, g: ModuleMap):
         if f.target.dims != g.source.dims:
@@ -715,12 +730,8 @@ class ShortExactSeq:
             raise ValueError("second map not surjective")
         if not f.compose(g).is_zero():
             raise ValueError("composite not zero")
-        a, b, c = f.source, f.target, g.target
-        if a.total_dim + c.total_dim != b.total_dim:
-            raise ValueError("dimension additivity fails")
-        for v in range(len(f.mats)):
-            if rank(f.mats[v]) != kernel_basis(g.mats[v]).cols:
-                raise ValueError("image(f) != kernel(g)")
+        if any(a + c != b for a, b, c in zip(f.source.dims, f.target.dims, g.target.dims)):
+            raise ValueError("image(f) != kernel(g): dimension additivity fails")
         self.f = f
         self.g = g
 

@@ -23,7 +23,8 @@ from .complexes import (
     sum_complexes,
     term_length,
 )
-from .rep import ModuleMap, Representation, _coordinate_matrix, hom_space, proven_isomorphic
+from .matrix import Matrix
+from .rep import ModuleMap, Representation, hom_coordinates, hom_space, proven_isomorphic
 from .relative import SubbifunctorF, minimal_right_approximation
 
 
@@ -349,6 +350,13 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
 
 # ---------------------------------------------------------------------------
 # the image tilting complex over Sigma = End(G)
+
+
+def _coordinate_matrix(field, basis: list[ModuleMap], maps) -> Matrix:
+    """The matrix whose columns are the coordinates of maps in basis."""
+    cols = [hom_coordinates(basis, m) for m in maps]
+    return Matrix(field, len(basis), len(cols),
+                  [cols[c][r] for r in range(len(basis)) for c in range(len(cols))])
 
 
 def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF) -> tuple[ComplexSum, dict[int, int]]:

@@ -11,7 +11,9 @@ the relations into rewriting rules, for Ext_F the Hom in D_F by
 F-projective replacement, for sums, cones and radical normalization the
 composites with the injections and projections of each direct sum (the
 program builds and slices block matrices), for cokernels the inverse of a
-completed image basis (the program reads one elimination), and for the
+completed image basis (the program reads one elimination), for kernels,
+radicals, Hom bases, tops, socles, sums and stacked maps the loops over
+every vertex and arrow (the program keeps to the support), and for the
 command line the argparse reading) that serve only as cross-checks, and
 the short sequences, F-quasi-isomorphisms, stacked matrices, radical
 matrices, dense algebra products and the associativity check that only the
@@ -40,6 +42,7 @@ from relhomalg.fields import QQ
 from relhomalg.matrix import (
     Matrix,
     SpanSolver,
+    _normal,
     column_space_basis,
     complement_columns,
     inverse,
@@ -62,7 +65,6 @@ from relhomalg.rep import (
     ModuleMap,
     Representation,
     ShortExactSeq,
-    _coordinate_matrix,
     _induced_sub,
     cokernel,
     direct_sum,
@@ -74,7 +76,7 @@ from relhomalg.rep import (
     socle,
     stack_maps,
 )
-from relhomalg.tilting import end_algebra
+from relhomalg.tilting import _coordinate_matrix, end_algebra
 
 
 def cycle3_selfinjective(field=QQ):
@@ -1113,6 +1115,103 @@ def hom_df(x: Complex, y: Complex, n: int, f: SubbifunctorF, depth: int | None =
             raise TruncationError(
                 f"replacement truncated: degree {lowest_needed} needed, trusted down to {rep.trusted_below}")
     return hom_k(rep.complex, y, n)
+
+
+# ---------------------------------------------------------------------------
+# full loops over every vertex and arrow, zero blocks included: the references
+# for the representation kernels, which keep to the support of a module
+
+
+def full_loop_intertwines(source: Representation, target: Representation, mats) -> bool:
+    """Do the vertex blocks mats intertwine every arrow?  Each difference
+    T_a·f_i - f_j·S_a is built and tested, empty ones included."""
+    return all((target.mats[ai] * mats[a.source - 1] - mats[a.target - 1] * source.mats[ai]).is_zero()
+               for ai, a in enumerate(source.algebra.quiver.arrows))
+
+
+def _full_loop_sub(m: Representation, cols: list[Matrix]) -> tuple[Representation, ModuleMap]:
+    """The sub of m on the column spaces cols, with every arrow solved."""
+    mats = [solve(cols[a.target - 1], m.mats[ai] * cols[a.source - 1])
+            for ai, a in enumerate(m.algebra.quiver.arrows)]
+    sub = Representation(m.algebra, [c.cols for c in cols], mats, check=False)
+    return sub, ModuleMap(sub, m, cols, check=False)
+
+
+def full_loop_kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    return _full_loop_sub(f.source, [kernel_basis(a) for a in f.mats])
+
+
+def full_loop_radical(m: Representation) -> tuple[Representation, ModuleMap]:
+    return _full_loop_sub(m, [column_space_basis(rep._arrows_at(m, v)) for v in range(len(m.dims))])
+
+
+def full_loop_top_columns(m: Representation) -> list[tuple[int, int]]:
+    return [(v, j) for v in range(len(m.dims)) for j in complement_columns(rep._arrows_at(m, v))]
+
+
+def full_loop_socle_rows(m: Representation) -> list[tuple[int, int]]:
+    return [(v, j) for v in range(len(m.dims))
+            for j in complement_columns(rep._arrows_at(m, v, into=False).transpose())]
+
+
+def full_loop_hom_space(m: Representation, n: Representation) -> list[ModuleMap]:
+    """Hom(m, n) by the intertwining solve, with one row for each entry of
+    every arrow's equation and every vertex block read off each kernel
+    vector, in the canonical form of `rep.hom_space`."""
+    F = m.algebra.field
+    sizes = [t * s for t, s in zip(n.dims, m.dims)]
+    offsets = [sum(sizes[:v]) for v in range(len(sizes))]
+    rows = []
+    for ai, a in enumerate(m.algebra.quiver.arrows):
+        i, j = a.source - 1, a.target - 1
+        for u in range(n.dims[j]):
+            for c in range(m.dims[i]):
+                row = [0] * sum(sizes)
+                for w in range(n.dims[i]):
+                    row[offsets[i] + w * m.dims[i] + c] += n.mats[ai].at(u, w)
+                for w in range(m.dims[j]):
+                    row[offsets[j] + u * m.dims[j] + w] -= m.mats[ai].at(w, c)
+                rows.append(_normal(row, F.p))
+    K = kernel_basis(Matrix(F, len(rows), sum(sizes), [x for r in rows for x in r]))
+    return [ModuleMap(m, n, [Matrix(F, n.dims[v], m.dims[v], K.col(c)[o:o + sizes[v]])
+                             for v, o in enumerate(offsets)], check=False)
+            for c in range(K.cols)]
+
+
+def full_loop_direct_sum(parts: list[Representation], algebra: PathAlgebra) -> Representation:
+    """⊕parts, each arrow matrix filled block by block."""
+    F = algebra.field
+    dims = [sum(p.dims[v] for p in parts) for v in range(algebra.quiver.n)]
+    mats = []
+    for ai, a in enumerate(algebra.quiver.arrows):
+        rows, cols = dims[a.target - 1], dims[a.source - 1]
+        e, r0, c0 = [F.zero] * (rows * cols), 0, 0
+        for p in parts:
+            b = p.mats[ai]
+            for r in range(b.rows):
+                e[(r0 + r) * cols + c0:(r0 + r) * cols + c0 + b.cols] = b.row(r)
+            r0, c0 = r0 + b.rows, c0 + b.cols
+        mats.append(Matrix(F, rows, cols, e))
+    return Representation(algebra, dims, mats, check=False)
+
+
+def full_loop_stack_maps(maps: list[ModuleMap], x: Representation, into: bool = False) -> ModuleMap:
+    """The maps M_k -> x side by side, (⊕M_k) -> x, or with into the maps
+    x -> M_k stacked, x -> (⊕M_k), filled block by block at every vertex."""
+    F = x.algebra.field
+    total = full_loop_direct_sum([f.target if into else f.source for f in maps], x.algebra)
+    mats = []
+    for v in range(len(x.dims)):
+        rows, cols = (total.dims[v], x.dims[v]) if into else (x.dims[v], total.dims[v])
+        e, o = [F.zero] * (rows * cols), 0
+        for f in maps:
+            b = f.mats[v]
+            for r in range(b.rows):
+                start = (o + r) * cols if into else r * cols + o
+                e[start:start + b.cols] = b.row(r)
+            o += b.rows if into else b.cols
+        mats.append(Matrix(F, rows, cols, e))
+    return ModuleMap(x, total, mats, check=False) if into else ModuleMap(total, x, mats, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -569,3 +569,43 @@ def test_theorem73_builds_and_resolves_gamma_top_once(monkeypatch, capsys):
     simples = [rep.simple(pres, v) for v in range(1, pres.quiver.n + 1)]
     assert len(resolved) == len(simples) == 6
     assert all(sum(m is s for m in resolved) == 1 for s in simples)
+
+
+def section7_with(tmp_path, name, dims):
+    """section7 with one more module, declared by its dims with zero arrow
+    matrices, listed in the generator."""
+    data = json.loads((DATA / "section7.json").read_text())
+    data["modules"][name] = {"dims": dims}
+    data["generator"].append(name)
+    path = tmp_path / "section7_plus.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["bounds", "counts"], ["module"]])
+def test_a_zero_summand_of_g_is_an_input_error(capsys, tmp_path, argv):
+    # accepted, counts would compare 7 declared summands with 6 simples of
+    # Gamma and report the theorem violated (exit 2)
+    code = run([*argv, section7_with(tmp_path, "Z", [0, 0, 0])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "$.generator: declared summand Z is the zero module" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["bounds", "counts"], ["module"], ["relhom", "ifset"]])
+def test_validation_notes_are_printed_after_loading(capsys, tmp_path, argv):
+    # S2 + S3 declared by its dims: End is k x k, which is not local
+    path = section7_with(tmp_path, "MN", [0, 1, 1])
+    run([*argv, path])
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "note: summand MN: End(MN) failed the residue certificate (not proven local);"
+        " indecomposability is unproven")
+    run(["--quiet", *argv, path])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", ["section6", "section6_symmetric", "section7", "a2_apr"])
+def test_bundled_files_have_no_validation_note(capsys, name):
+    run(["module", DATA / f"{name}.json"])
+    assert "note:" not in capsys.readouterr().out

@@ -48,6 +48,8 @@ CI = [
     ["--quiet", "complex", "homk", S6, "--complex", "T1a", "--to", "T1b", "--window", "1"],
     ["--quiet", "algebra", S7],
     ["--quiet", "bounds", "theorem73", "nakayama55.json"],
+    *(["bounds", sub, "nakayama55.json"] for sub in ("theorem73", "gorenstein")),
+    *(["--field", "fp:32003", "bounds", sub, "nakayama55.json"] for sub in ("theorem73", "gorenstein")),
     ["--quiet", "--field", "fp:32003", "tilting", "nakayama65.json"],
     ["--quiet", "module", "nakayama65ps.json"],
     ["--quiet", "--field", "fp:32003", "module", "nakayama65ps.json"],

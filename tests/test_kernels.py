@@ -357,7 +357,8 @@ def test_stored_results_match_the_computed_ones():
             for b in others:
                 assert (again * b).entries == m._product(b).entries == ref_mul(m, b).entries
         small = rows * cols <= STORED_ENTRIES
-        assert (rref(m) is rref(again)) == small
+        # a matrix without entries is its own rref, answered from its shape
+        assert (rref(m) is rref(again)) == (small and bool(m.entries))
         stored += small
     assert stored > 30  # both sides of the cap are exercised
 

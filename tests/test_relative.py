@@ -8,6 +8,7 @@ from relhomalg.fields import QQ, PrimeField
 from relhomalg.rep import (
     ModuleMap,
     cokernel,
+    direct_sum,
     hom_space,
     injective,
     is_isomorphic,
@@ -363,3 +364,11 @@ def test_ordinary_injectives_are_no_i_f_list_under_g(name, failing, field):
     if name == "section7":
         report = id_f(problem.modules["S1"], f, injectives, problem.cutoff)
         assert report.dim.censored and report.caveats == [NOT_F_EXACT]
+
+
+def test_the_generator_is_built_on_first_read(L7, F7):
+    # only F-acyclicity reads it
+    f = SubbifunctorF(L7, F7.summands)
+    assert "generator" not in vars(f)
+    assert f.generator is direct_sum([s.module for s in F7.summands], L7)
+    assert "generator" in vars(f)
