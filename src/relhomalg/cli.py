@@ -129,7 +129,9 @@ def cmd_module(args, out: Output) -> int:
         if deg < 0:
             raise SchemaError("--ext", f"negative degree {deg}")
     names = [args.name] if args.name else list(problem.modules)
-    injs, validated, _notes = relative_injectives(F, [m for _, m in problem.corpus()])
+    injs, _validated, notes = relative_injectives(F, [m for _, m in problem.corpus()])
+    for note in notes:  # I(F) failed validation: id_F is against an unproven class
+        out.say("note:", note)
     rows = []
     rep_json = {}
     for n in names:
@@ -137,6 +139,7 @@ def cmd_module(args, out: Output) -> int:
         res = f_resolution(m, F, problem.cutoff)
         pdr = DimensionReport("pd_F", res.pd, problem.cutoff)
         idr = id_f(m, F, injs, problem.cutoff)
+        idr.caveats += notes
         shape = " <- ".join(str(p.dims) for p in res.modules)
         rows.append([n, str(m.dims), str(pdr.dim), str(idr.dim), shape])
         rep_json[n] = {"dims": list(m.dims), "pd_F": pdr.to_json(), "id_F": idr.to_json()}

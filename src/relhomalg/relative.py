@@ -118,13 +118,21 @@ class Approximation:
     f: x -> ⊕M_k.
 
     pieces[k] = index into the summands for each copy M_k in the sum; when f
-    is an isomorphism (x already in add(⊕summands)) the map is the identity
-    of x and pieces is None.
+    is an isomorphism (x in add(⊕summands), as a summand is) the map is the
+    identity of x, pieces is None and the kernel is zero.
     """
 
     def __init__(self, map: ModuleMap, pieces: list[int] | None):
         self.map = map
         self.pieces = pieces
+
+    @classmethod
+    def identity(cls, x: Representation) -> "Approximation":
+        """The identity of x, its zero kernel stored, not eliminated."""
+        app = cls(ModuleMap.identity(x), None)
+        z = zero_representation(x.algebra)
+        app.kernel = (z, ModuleMap.zero(z, x))
+        return app
 
     @property
     def is_identity(self) -> bool:
@@ -159,7 +167,9 @@ def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
     block is the columns of the (u_c)_v side by side (left: their rows
     stacked), and it must reach dim x_v; no Hom basis of C is built.
     Surjectivity is monotone in the kept set, so a single greedy removal
-    pass is minimal: a map needed once stays needed.
+    pass keeps a minimal subset (a map needed once stays needed); its glued
+    map is sure to be right (left) minimal only when every summand has
+    local End.
     """
     F = x.algebra.field
     kind = "injective" if left else "projective"
@@ -259,14 +269,18 @@ def _approximation(x: Representation, summands: list[SummandDecl], algebra: Path
 
 def _build_approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
                          left: bool) -> Approximation:
-    """By the greedy pass over the `_candidates`.  When every summand is a
-    stored P_v (I_v) the candidates are kept whole: their glued map is
-    checked onto (mono), so it is an add(Λ)- (add(DΛ)-) approximation, and
-    it is minimal by its count of copies, dim top(x)_v of P_v
-    (dim soc(x)_v of I_v), see `projective_cover`."""
+    """A summand x is its own approximation, the identity with zero kernel
+    (Auslander-Solberg 1993); else by the greedy pass over the
+    `_candidates`.  When every summand is a stored P_v (I_v) the candidates
+    are kept whole: their glued map is checked onto (mono), so it is an
+    add(Λ)- (add(DΛ)-) approximation, and it is minimal by its count of
+    copies, dim top(x)_v of P_v (dim soc(x)_v of I_v), see
+    `projective_cover`."""
     if x.is_zero():
         z = zero_representation(algebra)
         return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x), [])
+    if any(s.module is x for s in summands):
+        return Approximation.identity(x)
     maps, pieces, vertex = _candidates(x, summands, algebra, left)
     if not vertex:
         keep = _minimal_approximating_subset(x, maps, summands, left)
@@ -277,7 +291,7 @@ def _build_approximation(x: Representation, summands: list[SummandDecl], algebra
     if vertex and not (glued.is_injective() if left else glued.is_surjective()):
         raise ValueError("tautological approximation failed")
     if glued.is_isomorphism():
-        return Approximation(ModuleMap.identity(x), None)
+        return Approximation.identity(x)
     return Approximation(glued, pieces)
 
 
@@ -413,8 +427,8 @@ def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
     -> 0 of the resolution, with Ext_F^{>=1}(P, -) = 0, gives
     dim Hom(Ω^i x, y) - dim Hom(P, y) + dim Hom(Ω^{i-1} x, y).  Hom is
     additive, so dim Hom(P, y) is the sum of dim Hom(G_k, y) over the
-    G-summands G_k of P; only an identity approximation (P = Ω^{i-1} x)
-    has no pieces to sum."""
+    G-summands G_k of P.  At an identity approximation Ω^{i-1} x is in
+    add G and Ω^i x = 0, so Ext_F^i vanishes."""
     if i < 0:
         raise ValueError("negative degree")
     if i == 0:
@@ -425,8 +439,9 @@ def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
             raise TruncationError(f"resolution truncated before depth {i - 1}")
         return 0
     app = res.approximations[i - 1]  # P -> Ω^{i-1} x, with kernel Ω^i x
-    middle = (hom_dim(app.map.source, y) if app.pieces is None
-              else sum(hom_dim(f.summands[k].module, y) for k in app.pieces))
+    if app.is_identity:
+        return 0
+    middle = sum(hom_dim(f.summands[k].module, y) for k in app.pieces)
     return hom_dim(app.kernel[0], y) - middle + hom_dim(app.map.target, y)
 
 
@@ -480,7 +495,7 @@ def coresolution_step(x: Representation, f: SubbifunctorF,
     coresolutions that meet share the rest of their steps."""
     def step() -> CoresolutionStep:
         app = left_approximation(x, injectives, f.algebra)
-        if app.map.is_isomorphism():
+        if app.is_identity:
             return CoresolutionStep(None)
         if not app.map.is_injective():
             return CoresolutionStep(None, "left approximation not injective: I(F) list rejected"

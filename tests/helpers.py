@@ -178,11 +178,10 @@ def nakayama_problem(n, length, every_indecomposable=False, tilting=False):
 
 
 def solved_hom_space(m, n):
-    """Hom(m, n) by the intertwining solve, `rep._hom_space_compute`, which
-    `rep.hom_space` runs for every pair but a stored projective source or
-    stored injective target; the reference for the bases read off vertex
-    spaces."""
-    return rep._hom_space_compute(m, n)
+    """Hom(m, n) by the intertwining solve of `full_loop_hom_space`, which
+    shares no code with `rep.hom_space`; the reference for the bases read
+    off vertex spaces and for the solve `rep._hom_space_compute`."""
+    return full_loop_hom_space(m, n)
 
 
 def hom_g_surjective(f, g_map):

@@ -609,3 +609,37 @@ def test_validation_notes_are_printed_after_loading(capsys, tmp_path, argv):
 def test_bundled_files_have_no_validation_note(capsys, name):
     run(["module", DATA / f"{name}.json"])
     assert "note:" not in capsys.readouterr().out
+
+
+def test_a_decomposable_summand_of_g_resolves_as_itself(tmp_path):
+    # MN = S2 + S3 is in G next to S2 and S3, and each of the three is its
+    # own approximation; the greedy pass over the candidates can keep
+    # MN -> S2 instead, which reads pd_F >= 10, a false lower bound
+    path = section7_with(tmp_path, "MN", [0, 1, 1])
+    report = tmp_path / "rep.json"
+    assert run(["--report", report, "module", path]) == 0
+    results = json.loads(report.read_text())["results"]
+    for name in ("S2", "S3", "MN"):
+        assert results[name]["pd_F"]["value"] == 0 and not results[name]["pd_F"]["censored"], name
+    assert run(["--report", report, "relhom", "gldim", path]) == 0
+    breakdown = json.loads(report.read_text())["results"]["gldim_F"]["breakdown"]
+    for name in ("S2", "S3"):
+        assert breakdown[name] == {"value": 0, "censored": False}, name
+
+
+def test_module_reports_an_unvalidated_ifset(capsys, tmp_path, monkeypatch):
+    note = "I9 fails F-injectivity against a corpus module"
+
+    def failing(f, corpus):
+        injs, _, _ = relative.relative_injectives(f, corpus)
+        return injs, False, [note]
+
+    monkeypatch.setattr(cli, "relative_injectives", failing)
+    report = tmp_path / "rep.json"
+    assert run(["--report", report, "module", DATA / "section7.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"note: {note}"
+    results = json.loads(report.read_text())["results"]
+    assert results and all(r["id_F"]["caveats"] == [note] for r in results.values())
+    assert all(r["pd_F"]["caveats"] == [] for r in results.values())
+    assert run(["--quiet", "module", DATA / "section7.json"]) == 0
+    assert capsys.readouterr().out == ""

@@ -55,6 +55,8 @@ CI = [
     ["--quiet", "--field", "fp:32003", "module", "nakayama65ps.json"],
     ["--quiet", "relhom", "ifset", "nakayama65ps.json"],
     ["--quiet", "--field", "fp:32003", "relhom", "ifset", "nakayama65ps.json"],
+    ["module", "nakayama65ps.json"],
+    ["--field", "fp:32003", "module", "nakayama65ps.json"],
 ]
 # tests/test_cli.py
 TEST_CLI = [

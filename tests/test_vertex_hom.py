@@ -156,6 +156,40 @@ def test_nakayama_vertex_homs_and_keeps_match_the_solve(compared, name, field, t
     assert compared["hom"] and compared["right"] and compared["left"] and compared["mixed"]
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name, argv, sides", [  # sides: left, of the members met
+    ("nakayama(6,5) P+S", ["module"], {False, True}),
+    ("nakayama(3,3) all", ["bounds", "theorem73"], {False}),
+])
+def test_a_summand_is_its_own_approximation(monkeypatch, name, argv, sides, field, tmp_path):
+    """No module that is one of the summands reaches `_candidates`: its
+    approximation, on either side, is the identity with no pieces and zero
+    kernel, and the greedy pass over the whole Hom bases keeps one copy of
+    that summand, mapped isomorphically onto (left: from) it."""
+    members = {False: 0, True: 0}
+    candidates, build = relative._candidates, relative._build_approximation
+
+    def no_member(x, summands, algebra, left):
+        assert all(s.module is not x for s in summands)
+        return candidates(x, summands, algebra, left)
+
+    def member_checked(x, summands, algebra, left):
+        out = build(x, summands, algebra, left)
+        at = [k for k, s in enumerate(summands) if s.module is x]
+        if at:
+            assert out.is_identity and out.pieces is None
+            assert "kernel" in vars(out) and out.kernel[0].is_zero()  # stored, not eliminated
+            pieces, ref = full_basis_approximation(x, summands, left)
+            assert pieces == at and ref.is_isomorphism()
+            members[left] += 1
+        return out
+
+    monkeypatch.setattr(relative, "_candidates", no_member)
+    monkeypatch.setattr(relative, "_build_approximation", member_checked)
+    assert run("--field", field, *argv, generated(name, tmp_path)) == 0
+    assert {left for left, met in members.items() if met} == sides
+
+
 def test_theorem73_solves_and_scans_nothing_structural(monkeypatch, tmp_path):
     """`bounds theorem73` and `bounds gorenstein` on Nakayama (4,4) solve no
     intertwining system for a stored projective source or injective target,
