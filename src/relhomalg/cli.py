@@ -7,11 +7,18 @@ names a long option, a repeated option's last value wins, a negative number
 is a value, and every token after `--` is a positional.
 
 Exit codes: 0 = all checks verified or vacuous-at-cutoff, 1 = input or
-usage error, 2 = a check reported "violated" or a validation failed.
+usage error, 2 = a check reported "violated" or a validation failed,
+3 = an internal error, printed as one line without a traceback.
+
+`main` runs with Python's cyclic collector paused and restores the state it
+found on every way out: what a command builds stays reachable from the
+per-algebra caches until it returns, so a collection during the run would
+rescan the growing heap and free nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -45,6 +52,7 @@ from .tilting import image_tilting_over_sigma, verify_f_tilting
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VIOLATED = 2
+EXIT_INTERNAL = 3
 
 
 class Output:
@@ -421,7 +429,17 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
+    args = parse_args(argv)
     out = Output(quiet=args.quiet)
     try:
         code = args.fn(args, out)
@@ -431,6 +449,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return EXIT_VIOLATED
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.report:
         payload = {"command": args.command, "file": getattr(args, "file", None),
                    "exit": code, "results": out.report}

@@ -643,3 +643,38 @@ def test_module_reports_an_unvalidated_ifset(capsys, tmp_path, monkeypatch):
     assert all(r["pd_F"]["caveats"] == [] for r in results.values())
     assert run(["--quiet", "module", DATA / "section7.json"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_an_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
+    def crash(args, out):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli.COMMANDS, "module", cli.COMMANDS["module"]._replace(fn=crash))
+    assert run(["module", DATA / "section7.json"]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'lost'\n"
+
+
+def test_the_count_gives_no_generation_at_term_length_two(capsys, tmp_path):
+    # no arrows, G = P1 + P2 and T = P1 + P2[2]: two summands proven
+    # indecomposable pass the count, but no theorem turns the count into
+    # generation for a T of three or more terms
+    data = {
+        "schema": "relhomalg/1", "field": "Q",
+        "quiver": {"vertices": 2, "arrows": []}, "relations": [], "nilpotency": 2,
+        "modules": {"P1": {"projective": 1}, "P2": {"projective": 2}},
+        "generator": ["P1", "P2"], "corpus": ["P1", "P2"],
+        "complexes": {"T1": {"stalk": "P1", "degree": 0}, "T2": {"stalk": "P2", "degree": -2},
+                      "T": {"sum": ["T1", "T2"]}},
+        "tilting": {"complex": "T", "summands": ["T1", "T2"], "summand_count": 2},
+    }
+    path, report = tmp_path / "stalks.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    assert run(["--report", report, "tilting", path]) == 0
+    lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+    assert "term length 2" in lines and "count criterion passes" in lines
+    assert "generation not checked" in lines
+    tilting = json.loads(report.read_text())["results"]["tilting"]
+    assert tilting["count_criterion_ok"] and tilting["generation"] == "not checked"
+    assert tilting["generation_log"] == [
+        "count criterion: no generation from the count at term length 2 > 1"]
