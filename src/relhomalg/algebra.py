@@ -3,25 +3,26 @@ algebras, the radical they give in every characteristic, and the
 presentation as a bound quiver algebra kQ/I.
 
 Only the nonzero products of basis vectors are stored.  The supplied
-orthogonal idempotents (or the unit) are the vertices of the presentation;
-its arrows are lifts of rad/rad² taken corner by corner, its relations the
-kernel of the path map, and a certificate checks that the basis words map to
-a basis.  Modules over the algebra are then representations of the
-presentation, resolved by the same code as modules over a path algebra
-(`relative`).
+idempotents, certified to grade the basis, are the vertices of the
+presentation; its arrows are lifts of rad/rad² taken corner by corner, its
+relations the kernel of the path map, and a certificate checks that the
+basis words map to a basis.  Modules over the algebra are then
+representations of the presentation, resolved by the same code as modules
+over a path algebra (`relative`).
 """
 
 from __future__ import annotations
 
 from .fields import Field
 from .matrix import Matrix, SpanSolver, kernel_basis, rank, rref
-from .quiver import PathAlgebra, Quiver, _combine
+from .quiver import PathAlgebra, Quiver
 
 
 class AbstractAlgebra:
-    def __init__(self, field: Field, dim: int, table, unit, idempotents=None):
+    def __init__(self, field: Field, dim: int, table, idempotents):
         """table maps (i, j) to the coordinates {k: c} of b_i * b_j and may
-        leave out zero products."""
+        leave out zero products; idempotents are the vertices, [unit] for
+        one vertex, and must grade the basis (see `grading`)."""
         self.field = field
         self.dim = dim
         is_zero = field.is_zero
@@ -35,13 +36,12 @@ class AbstractAlgebra:
         for (i, j), prod in sorted(self.products.items()):
             self._by_left[i].append((j, prod))
             self._by_right[j].append((i, prod))
-        self.unit = list(unit)
-        self.idempotents = [list(e) for e in idempotents] if idempotents else None
-        self._grading = None  # the certified grading, False once the check failed
+        self.idempotents = [list(e) for e in idempotents]
+        self._idems = [_sparse(field, e) for e in self.idempotents]
+        self._grading = None  # grading(), once certified
         self._rad = None  # radical(), with _off_diagonal_zero
         self._off_diagonal_zero = None
-        self._corners = {}  # i -> corner_certificate(i)
-        self._sparse_idems = None  # _sparse_idempotents()
+        self._residues = {}  # i -> corner_residues(i)
         self._presentation = None
         self.arrow_lifts: list | None = None  # the element of A behind each arrow
 
@@ -66,37 +66,40 @@ class AbstractAlgebra:
 
     def radical(self) -> dict[tuple[int, int], list[dict]]:
         """rad A corner by corner: (i, j) -> a basis of rad A ∩ e_i A e_j as
-        sparse vectors, for the idempotents e_i of `_corner_idempotents`;
-        ValueError when a corner is not certified.
+        sparse vectors; ValueError when a corner is not certified.
 
         rad A is the kernel of the form (a, b) -> χ(ab) with χ(b) =
         Σ_i ε_i(e_i b e_i), where ε_i is the residue map of the corner
-        e_i A e_i (see `corner_certificate`): χ vanishes on rad A and is the
+        e_i A e_i (see `corner_residues`): χ vanishes on rad A and is the
         trace on A/rad A, a product of matrix algebras over k whose trace
         form is nondegenerate, in every characteristic.  χ(ab) ≠ 0 needs ab
         in some e_k A e_k, so b in e_i A e_j pairs only with a in e_j A e_i:
         the kernel is the direct sum over (i, j) of the kernels of the blocks
-        [χ(x·y)], x and y running over bases of e_j A e_i and e_i A e_j.
-        `_off_diagonal_zero` records whether every block with i ≠ j is 0."""
+        [χ(x·y)], x and y running over the basis vectors of e_j A e_i and
+        e_i A e_j (see `grading`).  `_off_diagonal_zero` records whether
+        every block with i ≠ j is 0."""
         if self._rad is None:
             F = self.field
+            n = len(self._idems)
+            bases = {(i, j): [] for i in range(n) for j in range(n)}
+            for b, corner in enumerate(self.grading()):
+                bases[corner].append(b)
             chi = {}
-            for i in range(len(self._corner_idempotents())):
-                ks, coords, residues = self.corner_certificate(i)
+            for i in range(n):
+                residues = self.corner_residues(i)
                 if residues is None:
                     raise ValueError(f"corner {i} is not certified local with residue field {F!r}")
-                for c, k in enumerate(ks):
-                    chi[k] = F.add(chi.get(k, F.zero), _dot(F, coords.col(c), residues))
-            bases = self._corner_bases()
+                chi.update(zip(bases[(i, i)], residues))
             self._rad, self._off_diagonal_zero = {}, True
             for (i, j), ys in bases.items():
                 xs = bases[(j, i)]
-                block = [_dot(F, xy.values(), (chi.get(k, F.zero) for k in xy))
-                         for xy in (self._sparse_mul(x, y) for x in xs for y in ys)]
+                block = [_dot(F, (c for _, c in xy), (chi.get(k, F.zero) for k, _ in xy))
+                         for xy in (self.products.get((x, y), ()) for x in xs for y in ys)]
                 if i != j and not all(F.is_zero(c) for c in block):
                     self._off_diagonal_zero = False
                 kernel = kernel_basis(Matrix(F, len(xs), len(ys), block))
-                self._rad[(i, j)] = [_combine(F, zip(kernel.col(c), ys)) for c in range(kernel.cols)]
+                self._rad[(i, j)] = [{y: c for y, c in zip(ys, kernel.col(col)) if not F.is_zero(c)}
+                                     for col in range(kernel.cols)]
         return self._rad
 
     def radical_dim(self) -> int:
@@ -105,116 +108,54 @@ class AbstractAlgebra:
     def semisimple_quotient_dim(self) -> int:
         return self.dim - self.radical_dim()
 
-    def _corner_idempotents(self) -> list:
-        """The supplied idempotents, certified orthogonal and complete, or the
-        unit when none were supplied."""
-        if not self.idempotents:
-            return [self.unit]
-        # a certified grading includes the check, and is kept
-        if self.grading() is None and not self._orthogonal_complete():
-            raise ValueError("the supplied idempotents are not orthogonal and complete")
-        return self.idempotents
-
-    def _sparse_idempotents(self) -> list[dict]:
-        """The idempotents of `_corner_idempotents` as sparse vectors, built
-        once."""
-        if self._sparse_idems is None:
-            self._sparse_idems = [_sparse(self.field, e) for e in self._corner_idempotents()]
-        return self._sparse_idems
-
-    def _corner_bases(self) -> dict[tuple[int, int], list[dict]]:
-        """A basis of each corner e_i A e_j as sparse vectors: the basis
-        vectors in it when the basis is graded (see `grading`; without
-        supplied idempotents the one corner is A), else a basis of the span
-        of the e_i·b·e_j over the basis vectors b."""
-        F = self.field
-        idems = self._sparse_idempotents()
-        n = len(idems)
-        grading = self.grading() if self.idempotents else [(0, 0)] * self.dim
-        if grading:
-            bases = {(i, j): [] for i in range(n) for j in range(n)}
-            for b, corner in enumerate(grading):
-                bases[corner].append({b: F.one})
-            return bases
-        lefts = [[self._sparse_mul(e, {b: F.one}) for b in range(self.dim)] for e in idems]
-        return {(i, j): _span(F, [self._sparse_mul(x, e) for x in lefts[i]])
-                for i in range(n) for j, e in enumerate(idems)}
-
-    def corner_certificate(self, i: int) -> tuple[list[int], Matrix, list | None]:
-        """The corner E = e_i A e_i, spanned by the products e_i b_k e_i: the
-        indices k of the nonzero ones, their coordinates (columns) in a basis
-        of E, and the residues of that basis when they certify E local with
-        E/rad E = k (see `residue_certificate`), else None.  When the basis
-        is graded (see `grading`) the nonzero products are the basis vectors
-        of the corner, read off the grading."""
-        if i not in self._corners:
+    def corner_residues(self, i: int) -> list | None:
+        """The residues of the basis vectors of the corner E = e_i A e_i,
+        those graded (i, i), when they certify E local with E/rad E = k (see
+        `residue_certificate`), else None."""
+        if i not in self._residues:
             F = self.field
-            es = self._sparse_idempotents()[i]
-            grading = self.grading()
-            if grading:
-                pairs = [(k, {k: F.one}) for k, corner in enumerate(grading) if corner == (i, i)]
-            else:
-                pairs = [(k, y) for k in range(self.dim)
-                         for y in [self._sparse_mul(self._sparse_mul(es, {k: F.one}), es)] if y]
-            ks, ys = [k for k, _ in pairs], [y for _, y in pairs]
-            rows = sorted(set().union(*ys))
-            Y = Matrix(F, len(rows), len(ys), [y.get(r, F.zero) for r in rows for y in ys])
-            R, pivots = rref(Y)
-            basis = [ys[p] for p in pivots]
-            solver = SpanSolver(Y.select_columns(pivots))
+            ks = [k for k, corner in enumerate(self.grading()) if corner == (i, i)]
 
             def coords(x: dict):
-                return solver.coords([x.get(r, F.zero) for r in rows])
+                return [x.get(k, F.zero) for k in ks]
 
             def mul(u, v):
-                return coords(self._sparse_mul(_combine(F, zip(u, basis)), _combine(F, zip(v, basis))))
+                return coords(self._sparse_mul(dict(zip(ks, u)), dict(zip(ks, v))))
 
-            self._corners[i] = (ks, R.submatrix(range(len(pivots)), range(len(ys))),
-                                residue_certificate(F, len(pivots), coords(es), mul))
-        return self._corners[i]
+            self._residues[i] = residue_certificate(F, len(ks), coords(self._idems[i]), mul)
+        return self._residues[i]
 
     # -- idempotent certificates ---------------------------------------------
 
-    def grading(self) -> list[tuple[int, int]] | None:
-        """The corner (i, j) of each basis vector, certified: the supplied
-        idempotents are orthogonal and complete, and every basis vector b has
+    def grading(self) -> list[tuple[int, int]]:
+        """The corner (i, j) of each basis vector, certified once: the
+        idempotents are orthogonal, and every basis vector b has
         e_i·b = b = b·e_j for some pair (i, j).  Then b lies in e_i A e_j and
         in no other corner, since e_k·b = e_k·e_i·b = 0 for k ≠ i (and
-        b·e_l = 0 for l ≠ j).  None when no idempotents were supplied or the
-        check fails."""
+        b·e_l = 0 for l ≠ j); so Σ_k e_k fixes every basis vector on both
+        sides and is the unit.  ValueError when a check fails."""
         if self._grading is None:
-            self._grading = self._certify_grading() if self.idempotents else False
-        return self._grading or None
+            F, idems = self.field, self._idems
+            for a, e in enumerate(idems):
+                for b, f in enumerate(idems):
+                    if not _same(F, self._sparse_mul(e, f), e if a == b else {}):
+                        raise ValueError(f"the idempotents are not orthogonal: e{a}·e{b}")
+            lefts, rights = self._fixed(self._by_left), self._fixed(self._by_right)
+            if len(lefts) < self.dim or len(rights) < self.dim:
+                raise ValueError("the idempotents do not grade the basis: "
+                                 f"{self.dim - min(len(lefts), len(rights))} basis vectors "
+                                 "lie in no corner e_i A e_j")
+            self._grading = [(lefts[b], rights[b]) for b in range(self.dim)]
+        return self._grading
 
-    def _orthogonal_complete(self) -> bool:
-        F = self.field
-        idems = [_sparse(F, e) for e in self.idempotents]
-        total = {}
-        for a, e in enumerate(idems):
-            for k, c in e.items():
-                total[k] = F.add(total.get(k, F.zero), c)
-            for b, f in enumerate(idems):
-                if not _same(F, self._sparse_mul(e, f), e if a == b else {}):
-                    return False
-        return _same(F, total, _sparse(F, self.unit))
-
-    def _certify_grading(self):
-        if not self._orthogonal_complete():
-            return False
-        idems = [_sparse(self.field, e) for e in self.idempotents]
-        lefts, rights = self._fixed(idems, self._by_left), self._fixed(idems, self._by_right)
-        if len(lefts) < self.dim or len(rights) < self.dim:
-            return False
-        return [(lefts[b], rights[b]) for b in range(self.dim)]
-
-    def _fixed(self, idems: list[dict], by) -> dict[int, int]:
+    def _fixed(self, by) -> dict[int, int]:
         """b -> i for the basis vectors b with e_i·b = b (by = _by_left) or
         b·e_i = b (by = _by_right).  Each e_i multiplies every basis vector
         at once, through the products of the basis vectors in its support,
         so only nonzero products are touched."""
         F = self.field
         fixed = {}
-        for i, e in enumerate(idems):
+        for i, e in enumerate(self._idems):
             out: dict[int, dict] = {}
             for k, c in e.items():
                 for b, prod in by[k]:
@@ -225,13 +166,11 @@ class AbstractAlgebra:
         return fixed
 
     def idempotents_split_basic(self) -> bool:
-        """The split basic certificate: the supplied idempotents grade the
-        basis (see `grading`), every corner passes the residue certificate,
-        which proves its image in A/rad A to be k, and every block of
-        `radical` off the diagonal is zero, so e_i A e_j lies in rad A for
-        i ≠ j.  Together A/rad A = k × ... × k."""
-        if self.grading() is None or any(self.corner_certificate(i)[2] is None
-                                         for i in range(len(self.idempotents))):
+        """The split basic certificate: every corner passes the residue
+        certificate, which proves its image in A/rad A to be k, and every
+        block of `radical` off the diagonal is zero, so e_i A e_j lies in
+        rad A for i ≠ j.  Together A/rad A = k × ... × k."""
+        if any(self.corner_residues(i) is None for i in range(len(self._idems))):
             return False
         self.radical()
         return self._off_diagonal_zero
@@ -242,9 +181,9 @@ class AbstractAlgebra:
         """A as a bound quiver algebra kQ/I (Gabriel; Assem–Simson–Skowroński
         I, §II.3), built once and certified (`certify_presentation`).
 
-        Vertex i is the idempotent e_i of `_corner_idempotents`.  A lift b of
-        a basis of e_i(rad/rad²)e_j is an arrow j -> i, read off the corners
-        of `radical`.  The word (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul`
+        Vertex i is the idempotent e_i.  A lift b of a basis of
+        e_i(rad/rad²)e_j is an arrow j -> i, read off the corners of
+        `radical`.  The word (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul`
         order), so representations of kQ/I are left A-modules.  With L the
         Loewy length, J^L maps to 0 and the nilpotency bound is max(L, 2).
         This map is the path algebra's model of the words' images: its basis
@@ -253,7 +192,7 @@ class AbstractAlgebra:
         if self._presentation is None:
             F = self.field
             quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
-            idems = self._sparse_idempotents()
+            idems = self._idems
             pathalg = PathAlgebra(F, quiver, None, max(loewy, 2),
                                   (lambda v: idems[v - 1],
                                    lambda x, a: self._sparse_mul(self.arrow_lifts[a], x)))
@@ -265,7 +204,7 @@ class AbstractAlgebra:
         """The quiver, the lift of each arrow and the Loewy length, with
         elements kept sparse, corner by corner."""
         F = self.field
-        n = len(self._corner_idempotents())
+        n = len(self._idems)
         corners = self.radical()  # e_i rad e_j
         arrows, lifts = [], []
         for j in range(n):
@@ -290,10 +229,9 @@ class AbstractAlgebra:
         pathalg (a trivial path to its idempotent, a word to the product of
         `arrow_lifts`) form a basis of A."""
         F = self.field
-        idems = self._sparse_idempotents()
         images = []
         for v, word in pathalg.basis:
-            x = idems[v - 1]
+            x = self._idems[v - 1]
             for a in word:
                 x = self._sparse_mul(self.arrow_lifts[a], x)
             images.append(x)

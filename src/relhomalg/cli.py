@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -438,8 +439,24 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _report_error(path: str) -> str | None:
+    """Why the report cannot be written to path, checked before the command
+    runs; None when it can."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        return f"--report {path}: is a directory"
+    if not os.path.isdir(folder):
+        return f"--report {path}: no directory {folder}"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return f"--report {path}: not writable"
+    return None
+
+
 def _run(argv) -> int:
     args = parse_args(argv)
+    if args.report and (problem := _report_error(args.report)):
+        print(f"input error: {problem}", file=sys.stderr)
+        return EXIT_INPUT
     out = Output(quiet=args.quiet)
     try:
         code = args.fn(args, out)

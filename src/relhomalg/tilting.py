@@ -108,12 +108,8 @@ class EndoPresentation(NamedTuple):
         return out
 
     def to_abstract(self) -> AbstractAlgebra:
-        F = self.ts.parts[0].algebra.field
-        idempotents = self.idempotents
-        unit = [F.zero] * self.dim
-        for e in idempotents:
-            unit = [F.add(x, y) for x, y in zip(unit, e)]
-        return AbstractAlgebra(F, self.dim, self.table, unit, idempotents=idempotents)
+        return AbstractAlgebra(self.ts.parts[0].algebra.field, self.dim, self.table,
+                               self.idempotents)
 
 
 def end_algebra(ts: ComplexSum) -> EndoPresentation:
@@ -308,7 +304,7 @@ def verify_f_tilting(ts: ComplexSum, f: SubbifunctorF, declared_count: int,
             f"declared summand count {declared_count} differs from the structural "
             f"decomposition into {len(ts.parts)} parts")
     gamma = ts.gamma()
-    spot = {name: gamma.corner_certificate(k)[2] is not None for k, name in enumerate(ts.names)}
+    spot = {name: gamma.corner_residues(k) is not None for k, name in enumerate(ts.names)}
     for name, ok in spot.items():
         if not ok:
             failures.append(f"summand {name}: End_K({name}) failed the residue certificate;"

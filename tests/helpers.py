@@ -22,7 +22,7 @@ tests build."""
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from relhomalg import cli, relative, rep
 from relhomalg.algebra import AbstractAlgebra, residue_certificate
@@ -290,8 +290,7 @@ def structure_constants(pathalg):
     def vector(ks):
         return [F.one if k in ks else F.zero for k in range(d)]
 
-    return AbstractAlgebra(F, d, table, vector(trivial),
-                           idempotents=[vector({k}) for k in trivial])
+    return AbstractAlgebra(F, d, table, [vector({k}) for k in trivial])
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +303,13 @@ def basis_vector(algebra, i):
     v = [algebra.field.zero] * algebra.dim
     v[i] = algebra.field.one
     return v
+
+
+def unit(algebra):
+    """The sum of the idempotents: the unit once they grade the basis (see
+    `AbstractAlgebra.grading`)."""
+    F = algebra.field
+    return [reduce(F.add, column, F.zero) for column in zip(*algebra.idempotents)]
 
 
 def mul(algebra, u, v):
@@ -325,8 +331,8 @@ def product(algebra, i, j):
 
 
 def validated(algebra):
-    """algebra, once its table is checked associative with the given unit;
-    ValueError otherwise."""
+    """algebra, once its table is checked associative with the sum of its
+    idempotents as unit; ValueError otherwise."""
     F, d = algebra.field, algebra.dim
     for i in range(d):
         for j in range(d):
@@ -335,9 +341,10 @@ def validated(algebra):
                 rhs = mul(algebra, basis_vector(algebra, i), product(algebra, j, k))
                 if any(not F.is_zero(F.sub(a, b)) for a, b in zip(lhs, rhs)):
                     raise ValueError(f"associativity fails at ({i},{j},{k})")
+    one = unit(algebra)
     for i in range(d):
         e = basis_vector(algebra, i)
-        if mul(algebra, algebra.unit, e) != e or mul(algebra, e, algebra.unit) != e:
+        if mul(algebra, one, e) != e or mul(algebra, e, one) != e:
             raise ValueError("unit law fails")
     return algebra
 
@@ -364,7 +371,7 @@ def residue_form_radical(algebra):
     replaced."""
     F, d = algebra.field, algebra.dim
     chi = [F.zero] * d
-    for e in algebra.idempotents or [algebra.unit]:
+    for e in algebra.idempotents:
         ys = {}
         for k in range(d):
             y = mul(algebra, mul(algebra, e, basis_vector(algebra, k)), e)
@@ -391,11 +398,9 @@ def scanned_grading(algebra):
     """The corner (i, j) of each basis vector b from dense products of b with
     every idempotent on both sides: None unless the idempotents are
     orthogonal and complete and exactly one fixes b on each side; a second
-    route to `AbstractAlgebra.grading`."""
+    route to `AbstractAlgebra.grading`, which finds completeness implied."""
     F, d = algebra.field, algebra.dim
     idems = algebra.idempotents
-    if not idems:
-        return None
 
     def same(u, v):
         return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
@@ -406,8 +411,10 @@ def scanned_grading(algebra):
         for b, f in enumerate(idems):
             if not same(mul(algebra, e, f), e if a == b else [F.zero] * d):
                 return None
-    if not same(total, algebra.unit):
-        return None
+    for b in range(d):
+        v = basis_vector(algebra, b)
+        if not same(mul(algebra, total, v), v) or not same(mul(algebra, v, total), v):
+            return None
     grading = []
     for b in range(d):
         v = basis_vector(algebra, b)
@@ -564,15 +571,14 @@ def matrix_algebra_2(field=QQ):
     table = {(a, b): {index[(i, l)]: field.one}
              for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
     o, z = field.one, field.zero
-    return validated(AbstractAlgebra(field, 4, table, [o, z, z, o],
-                                     idempotents=[[o, z, z, z], [z, z, z, o]]))
+    return validated(AbstractAlgebra(field, 4, table, [[o, z, z, z], [z, z, z, o]]))
 
 
 def dual_numbers(field=QQ):
-    """k[x]/(x^2) on the basis 1, x, with no idempotents supplied."""
+    """k[x]/(x^2) on the basis 1, x, with its unit as the one idempotent."""
     o, z = field.one, field.zero
     return validated(AbstractAlgebra(field, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
-                                     [o, z]))
+                                     [[o, z]]))
 
 
 def mixed_a2(field=QQ):
@@ -598,8 +604,7 @@ def mixed_a2(field=QQ):
     table = {(i, j): dict(enumerate(to_new(mul(a, to_old(basis_vector(a, i)),
                                                to_old(basis_vector(a, j))))))
              for i in range(a.dim) for j in range(a.dim)}
-    return validated(AbstractAlgebra(F, a.dim, table, to_new(a.unit),
-                                     idempotents=[to_new(e) for e in a.idempotents]))
+    return validated(AbstractAlgebra(F, a.dim, table, [to_new(e) for e in a.idempotents]))
 
 
 def ext_by_injectives(x, y, upto):

@@ -27,14 +27,14 @@ from helpers import (
 
 
 def field_algebra():
-    return validated(AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [QQ.one]))
+    return validated(AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [[QQ.one]]))
 
 
 def dual_numbers():
     # basis 1, x with x^2 = 0
     z, o = QQ.zero, QQ.one
     table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
-    return validated(AbstractAlgebra(QQ, 2, table, [o, z]))
+    return validated(AbstractAlgebra(QQ, 2, table, [[o, z]]))
 
 
 def test_field_has_zero_radical():
@@ -58,7 +58,29 @@ def test_bad_associativity_rejected():
         bad = {key: dict(vec) for key, vec in table.items()}
         bad[(1, 1)] = {1: o}  # x*x = x while 1*x = x: (xx)x = xx = x, x(xx) = xx = x ... tweak more
         bad[(0, 1)] = {0: o}  # 1*x = 1 breaks the unit law
-        validated(AbstractAlgebra(QQ, 2, bad, [o, z]))
+        validated(AbstractAlgebra(QQ, 2, bad, [[o, z]]))
+
+
+def test_a_unit_that_is_not_idempotent_is_rejected():
+    # 1 + x in k[x]/(x^2) is a unit of the algebra but not its identity:
+    # (1 + x)^2 = 1 + 2x, so it is no idempotent and grades nothing
+    z, o = QQ.zero, QQ.one
+    table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
+    A = AbstractAlgebra(QQ, 2, table, [[o, o]])
+    with pytest.raises(ValueError, match="not orthogonal"):
+        A.grading()
+    with pytest.raises(ValueError):
+        A.radical()
+    with pytest.raises(ValueError):
+        A.presentation()
+
+
+def test_a_nilpotent_idempotent_is_not_orthogonal():
+    # x in k[x]/(x^2) has x^2 = 0, not x
+    z, o = QQ.zero, QQ.one
+    table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
+    with pytest.raises(ValueError, match="not orthogonal"):
+        AbstractAlgebra(QQ, 2, table, [[z, o]]).grading()
 
 
 def test_free_module_pd_zero():

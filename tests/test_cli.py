@@ -655,6 +655,27 @@ def test_an_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
     assert err == "internal error: KeyError: 'lost'\n"
 
 
+@pytest.mark.parametrize("where, diagnostic", [
+    ("missing/r.json", "no directory"), (".", "is a directory"),
+    ("file.txt/r.json", "no directory"), ("locked/r.json", "not writable")])
+def test_an_unwritable_report_is_an_input_error_before_the_command(
+        capsys, monkeypatch, tmp_path, where, diagnostic):
+    (tmp_path / "file.txt").write_text("")
+    (tmp_path / "locked").mkdir()
+    # the permission bits do not stop a superuser, so deny the check itself
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: "locked" not in str(p) and access(p, mode))
+    ran = []
+    monkeypatch.setitem(cli.COMMANDS, "algebra", cli.COMMANDS["algebra"]._replace(
+        fn=lambda args, out: ran.append(args) or 0))
+    report = tmp_path / where
+    assert run(["--report", report, "algebra", DATA / "section7.json"]) == cli.EXIT_INPUT
+    assert not ran
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: --report {report}: {diagnostic}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_the_count_gives_no_generation_at_term_length_two(capsys, tmp_path):
     # no arrows, G = P1 + P2 and T = P1 + P2[2]: two summands proven
     # indecomposable pass the count, but no theorem turns the count into

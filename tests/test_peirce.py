@@ -7,14 +7,12 @@ import json
 from pathlib import Path
 
 import pytest
-from helpers import (a2_algebra, basis_vector, composed_end_table, cycle3_selfinjective, mul,
-                     nakayama_problem, structure_constants, uniserials, validated)
+from helpers import (a2_algebra, basis_vector, composed_end_table, cycle3_selfinjective, mixed_a2,
+                     mul, nakayama_problem, structure_constants, uniserials)
 
 from relhomalg import complexes
-from relhomalg.algebra import AbstractAlgebra
 from relhomalg.complexes import HomotopyHom, hom_k, stalk_complex
 from relhomalg.fields import QQ, PrimeField
-from relhomalg.relative import gldim
 from relhomalg.rep import ModuleMap
 from relhomalg.schema import load_problem, parse_problem
 from relhomalg.tilting import ComplexSum, end_algebra
@@ -117,46 +115,21 @@ def test_end_algebra_matches_the_composed_products(label, build, field):
     assert end_algebra(ts).table == composed_end_table(ts)
 
 
-def mixed_a2():
-    """A2's path algebra with the arrow a replaced by a + e1 in its basis:
-    that basis vector mixes two corners, while the supplied idempotents stay
-    the trivial paths e1 and e2."""
-    lam = a2_algebra()
-    a = structure_constants(lam)
-    F = a.field
-    trivial = [e.index(F.one) for e in a.idempotents]
-    (x,) = [b for b in range(a.dim) if b not in trivial]
-    mix = trivial[0]
-
-    def to_old(w):  # new coordinates -> old: b'_x = b_x + b_mix
-        v = list(w)
-        v[mix] = F.add(v[mix], w[x])
-        return v
-
-    def to_new(v):
-        w = list(v)
-        w[mix] = F.sub(w[mix], v[x])
-        return w
-
-    table = {(i, j): dict(enumerate(to_new(mul(a, to_old(basis_vector(a, i)),
-                                               to_old(basis_vector(a, j))))))
-             for i in range(a.dim) for j in range(a.dim)}
-    mixed = validated(AbstractAlgebra(F, a.dim, table, to_new(a.unit),
-                                      idempotents=[to_new(e) for e in a.idempotents]))
-    return a, mixed
-
-
 def test_inhomogeneous_basis_fails_the_certificate():
-    a, mixed = mixed_a2()
+    a, mixed = structure_constants(a2_algebra()), mixed_a2()
     F = a.field
     # the idempotents are still orthogonal, complete and basis vectors
     for i, e in enumerate(mixed.idempotents):
         assert e.count(F.one) == 1 and e.count(F.zero) == a.dim - 1
         for j, f in enumerate(mixed.idempotents):
             assert mul(mixed, e, f) == (e if i == j else [F.zero] * a.dim)
-    assert a.grading() is not None
-    assert mixed.grading() is None
-    assert not mixed.idempotents_split_basic()
-    # the presentation takes its corners by multiplication, with the same answer
-    assert gldim(mixed.presentation(), 5).dim == gldim(a.presentation(), 5).dim
-    assert gldim(a.presentation(), 5).dim.value == 1
+    assert a.idempotents_split_basic()
+    with pytest.raises(ValueError, match="do not grade the basis"):
+        mixed.idempotents_split_basic()
+
+
+@pytest.mark.parametrize("entry", ["grading", "radical", "presentation"])
+def test_inhomogeneous_basis_raises_at_every_entry(entry):
+    # no ungraded route: each reader of the corners meets the failed grading
+    with pytest.raises(ValueError, match="do not grade the basis"):
+        getattr(mixed_a2(), entry)()

@@ -7,18 +7,14 @@ simples (Gabriel)."""
 from pathlib import Path
 
 import pytest
-from helpers import cycle3_selfinjective, uniserials, validated
+from helpers import cycle3_selfinjective, matrix_algebra_2, uniserials
 
-from relhomalg.algebra import AbstractAlgebra
 from relhomalg.complexes import stalk_complex
-from relhomalg.fields import QQ
 from relhomalg.quiver import PathAlgebra
 from relhomalg.relative import ext_f, ordinary_f
 from relhomalg.rep import simple
 from relhomalg.schema import load_problem
 from relhomalg.tilting import ComplexSum
-
-from test_peirce import mixed_a2
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section7", "section6", "a2_apr", "section6_symmetric"]
@@ -34,7 +30,7 @@ def nakayama33_gamma():
 
 GAMMAS = [(name, lambda name=name: load_problem(str(DATA / f"{name}.json")).tilting_sum().gamma())
           for name in BUNDLED]
-GAMMAS += [("nakayama(3,3) all", nakayama33_gamma), ("mixed_a2", lambda: mixed_a2()[1])]
+GAMMAS += [("nakayama(3,3) all", nakayama33_gamma)]
 
 
 @pytest.mark.parametrize("label, build", GAMMAS, ids=[g[0] for g in GAMMAS])
@@ -92,12 +88,7 @@ def test_arrows_count_ext1_between_simples(label, build):
 def test_a_non_basic_algebra_fails_the_certificate():
     # M_2(Q) with the two diagonal idempotents: they are isomorphic, so two
     # vertices and no arrows present k x k, not M_2(Q)
-    index = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    table = {(a, b): {index[(i, l)]: QQ.one}
-             for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
-    o, z = QQ.one, QQ.zero
-    m2 = validated(AbstractAlgebra(QQ, 4, table, [o, z, z, o],
-                                   idempotents=[[o, z, z, z], [z, z, z, o]]))
+    m2 = matrix_algebra_2()
     assert m2.radical_dim() == 0
     with pytest.raises(ValueError, match="certificate"):
         m2.presentation()

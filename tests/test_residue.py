@@ -14,21 +14,19 @@ from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import direct_sum, endo_indecomposability_check, is_isomorphic, projective
 from relhomalg.tilting import ComplexSum, verify_f_tilting
 
-from helpers import cycle3_selfinjective, mul, radical_matrix, validated
+from helpers import cycle3_selfinjective, mul, radical_matrix, unit, validated
 
 
 def truncated_polynomials(F):
     """k[x]/(x^2) on the basis 1, x."""
     z, o = F.zero, F.one
     return validated(AbstractAlgebra(F, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
-                                     [o, z]))
+                                     [[o, z]]))
 
 
-def product_k_k(F, idempotents=None):
+def product_k_k(F, idempotents):
     """k × k on the basis e1, e2 of its two idempotents."""
-    z, o = F.zero, F.one
-    return validated(AbstractAlgebra(F, 2, {(0, 0): {0: o}, (1, 1): {1: o}}, [o, o],
-                                     idempotents=idempotents))
+    return validated(AbstractAlgebra(F, 2, {(0, 0): {0: F.one}, (1, 1): {1: F.one}}, idempotents))
 
 
 def test_char_p_radical_is_the_residue_kernel():
@@ -38,27 +36,27 @@ def test_char_p_radical_is_the_residue_kernel():
     # 1 + x has minimal polynomial t^2 + 1 = (t - 1)^2 over F_2: p divides k
     F2 = PrimeField(2)
     A = truncated_polynomials(F2)
-    assert residue(F2, [F2.one, F2.one], A.unit, partial(mul, A)) == F2.one
-    assert residue(F2, [F2.zero, F2.one], A.unit, partial(mul, A)) == F2.zero
+    assert residue(F2, [F2.one, F2.one], unit(A), partial(mul, A)) == F2.one
+    assert residue(F2, [F2.zero, F2.one], unit(A), partial(mul, A)) == F2.zero
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["Q", "F3"])
 def test_residue_reads_the_eigenvalue(F):
     A = truncated_polynomials(F)
     two = F.of_int(2)
-    assert residue(F, [two, F.of_int(7)], A.unit, partial(mul, A)) == two
-    assert residue_certificate(F, A.dim, A.unit, partial(mul, A)) == [F.one, F.zero]
+    assert residue(F, [two, F.of_int(7)], unit(A), partial(mul, A)) == two
+    assert residue_certificate(F, A.dim, unit(A), partial(mul, A)) == [F.one, F.zero]
 
 
 def test_radical_rejects_k_times_k_given_only_its_unit():
-    A = product_k_k(QQ)
+    A = product_k_k(QQ, [[QQ.one, QQ.one]])
     # e1 has minimal polynomial t(t - 1): two eigenvalues, no residue
-    assert residue(QQ, [QQ.one, QQ.zero], A.unit, partial(mul, A)) is None
-    assert residue_certificate(QQ, A.dim, A.unit, partial(mul, A)) is None
+    assert residue(QQ, [QQ.one, QQ.zero], unit(A), partial(mul, A)) is None
+    assert residue_certificate(QQ, A.dim, unit(A), partial(mul, A)) is None
     with pytest.raises(ValueError):
         radical_matrix(A)
     # with its idempotents supplied, both corners are k and rad = 0
-    B = product_k_k(QQ, idempotents=[[QQ.one, QQ.zero], [QQ.zero, QQ.one]])
+    B = product_k_k(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.one]])
     assert B.radical_dim() == 0
     assert B.idempotents_split_basic()
 
