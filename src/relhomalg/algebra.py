@@ -14,8 +14,8 @@ over a path algebra (`relative`).
 from __future__ import annotations
 
 from .fields import Field
-from .matrix import Matrix, SpanSolver, kernel_basis, rank, rref
-from .quiver import PathAlgebra, Quiver
+from .matrix import Matrix, SpanSolver, kernel_basis
+from .quiver import PathAlgebra, Quiver, _add, _reduce
 
 
 class AbstractAlgebra:
@@ -206,36 +206,37 @@ class AbstractAlgebra:
         F = self.field
         n = len(self._idems)
         corners = self.radical()  # e_i rad e_j
-        arrows, lifts = [], []
+        arrows, lifts, into = [], [], [[] for _ in range(n)]  # into[i]: (lift, source) of arrows into i
         for j in range(n):
             for i in range(n):
-                square = _span(F, [self._sparse_mul(x, y) for k in range(n)
-                                   for x in corners[(i, k)] for y in corners[(k, j)]])
-                _, pivots = rref(_columns(F, square + corners[(i, j)]))
-                for p in pivots[len(square):]:
+                square = {}  # the echelon of rad² ∩ e_i A e_j
+                _span(F, [self._sparse_mul(x, y) for k in range(n)
+                          for x in corners[(i, k)] for y in corners[(k, j)]], square)
+                for lift in _span(F, corners[(i, j)], square):
                     arrows.append((f"b{len(arrows) + 1}", j + 1, i + 1))
-                    lifts.append(corners[(i, j)][p - len(square)])
+                    lifts.append(lift)
+                    into[i].append((lift, j))
         # rad^(k+1) = Σ_arrows b·rad^k, corner by corner
         loewy, layer = 1, corners
         while any(layer.values()):
             loewy += 1
-            layer = {(i, j): _span(F, [self._sparse_mul(b, y) for b, (_, s, t) in zip(lifts, arrows)
-                                       if t == i + 1 for y in layer[(s - 1, j)]])
+            layer = {(i, j): _span(F, [self._sparse_mul(b, y) for b, s in into[i] for y in layer[(s, j)]])
                      for (i, j) in layer}
         return Quiver(n, arrows), lifts, loewy
 
     def certify_presentation(self, pathalg: PathAlgebra):
         """Raise ValueError unless the images in A of the basis words of
         pathalg (a trivial path to its idempotent, a word to the product of
-        `arrow_lifts`) form a basis of A."""
-        F = self.field
+        `arrow_lifts`) form a basis of A.  Each image lies in one corner and
+        reduces only against rows of that corner: the sparse echelon form
+        holds Σ d_c² entries over the corner dimensions d_c, not dim²."""
         images = []
         for v, word in pathalg.basis:
             x = self._idems[v - 1]
             for a in word:
                 x = self._sparse_mul(self.arrow_lifts[a], x)
             images.append(x)
-        if len(images) != self.dim or rank(_columns(F, images)) != self.dim:
+        if len(images) != self.dim or len(_span(self.field, images)) != self.dim:
             raise ValueError(f"the quiver presentation fails its certificate: {len(images)} "
                              f"basis words do not map to a basis of the {self.dim}-dimensional algebra")
 
@@ -251,20 +252,19 @@ def _sparse(F: Field, v: list) -> dict:
     return {k: c for k, c in enumerate(v) if not F.is_zero(c)}
 
 
-def _columns(F: Field, vectors: list[dict]) -> Matrix:
-    """Sparse vectors as the columns of a matrix over the union of their
-    supports."""
-    rows = sorted(set().union(*vectors))
-    return Matrix(F, len(rows), len(vectors), [v.get(r, F.zero) for r in rows for v in vectors])
-
-
-def _span(F: Field, vectors: list[dict]) -> list[dict]:
-    """A basis of the span of vectors, chosen among them."""
-    vectors = [v for v in vectors if v]
-    if not vectors:
-        return []
-    _, pivots = rref(_columns(F, vectors))
-    return [vectors[p] for p in pivots]
+def _span(F: Field, vectors: list[dict], echelon: dict | None = None) -> list[dict]:
+    """The vectors (sparse, with no zero entries) that are independent of
+    those before them and of the rows of echelon, in order, added to
+    echelon (a `quiver` echelon form, a new one by default): a basis of
+    their span modulo echelon's, the pivot columns of `rref`."""
+    echelon = {} if echelon is None else echelon
+    kept = []
+    for v in vectors:
+        rest, _ = _reduce(F, echelon, v)
+        if rest:
+            _add(F, echelon, rest, {}, None)  # no combination is read: one label for every row
+            kept.append(v)
+    return kept
 
 
 def _dot(F: Field, u, v):

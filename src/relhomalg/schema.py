@@ -390,6 +390,8 @@ class _Loader:
         corpus_names = data.get("corpus", [])
         for n in corpus_names:
             self.module(n, "$.corpus")
+        complete = data.get("corpus_complete", False)
+        _expect(isinstance(complete, bool), "$.corpus_complete", "corpus_complete must be true or false")
         tilting = None
         tspec = data.get("tilting")
         if tspec is not None:
@@ -414,7 +416,7 @@ class _Loader:
         return Problem(field=self.field, cutoff=self.cutoff, algebra=self.algebra,
                        modules=dict(self._modules), generator_names=list(gen_names),
                        subbifunctor=sub, corpus_names=list(corpus_names),
-                       corpus_complete=bool(data.get("corpus_complete", False)),
+                       corpus_complete=complete,
                        complexes=dict(self._complexes), tilting=tilting,
                        checks=list(checks), raw=data)
 

@@ -69,7 +69,7 @@ class ComplexSum:
         """Γ = End_K(T) with the identities of the T_i as its idempotents,
         built once; its corners e_i Γ e_i are the End_K(T_i)."""
         if self._gamma is None:
-            self._gamma = end_algebra(self).to_abstract()
+            self._gamma = end_algebra(self)
         return self._gamma
 
 
@@ -86,40 +86,18 @@ def approximation_cone_complex(target: Representation, target_label: str,
                    parts={-1: parts_src, 0: [Part(target_label, target)]})
 
 
-class EndoPresentation(NamedTuple):
-    """End_{K(A)}(T) by structure constants over homotopy-class
-    representatives (product: a*b = a then b).  The basis is graded by
-    summand pairs: corner (i, j) is Hom_K(T_i, T_j), and its representatives
-    are the basis vectors from offsets[(i, j)] on."""
-    dim: int
-    table: dict          # (a, b) -> {k: c}, nonzero products only
-    ts: ComplexSum
-    offsets: dict        # (i, j) -> index of the first basis vector of the corner
-
-    @property
-    def idempotents(self) -> list:
-        """The identities of the T_i, by their class coordinates."""
-        F, out = self.ts.parts[0].algebra.field, []
-        for i, p in enumerate(self.ts.parts):
-            e, start = [F.zero] * self.dim, self.offsets[(i, i)]
-            coords = self.ts.corner(i, i).class_coordinates(chain_identity(p).comps)
-            e[start:start + len(coords)] = coords
-            out.append(e)
-        return out
-
-    def to_abstract(self) -> AbstractAlgebra:
-        return AbstractAlgebra(self.ts.parts[0].algebra.field, self.dim, self.table,
-                               self.idempotents)
-
-
-def end_algebra(ts: ComplexSum) -> EndoPresentation:
-    """End_K(T) one corner at a time: a product (i -> j) then (j' -> k) is
-    zero unless j = j', so only pairs of corners that meet are multiplied.
-    No composite is built: corner (i, k) evaluates its class basis once at
-    the top columns of each component of T_i, and each product f·g is one
-    matrix-vector product per top column (g applied to f's column there)
-    and one solve (`HomotopyHom.product_coordinates`), whose back-check
-    proves the product, since evaluation at the top columns is injective."""
+def end_algebra(ts: ComplexSum) -> AbstractAlgebra:
+    """End_K(T) over homotopy-class representatives (a*b = a then b), the
+    representatives of corner (i, j) = Hom_K(T_i, T_j) consecutive, and e_i
+    the first of corner (i, i), the identity of T_i (`ComplexSum.corner`),
+    or 0 when T_i is contractible; `AbstractAlgebra.grading` certifies them.
+    A product (i -> j) then (j' -> k) is zero unless j = j', so only pairs
+    of corners that meet are multiplied.  No composite is built: corner
+    (i, k) evaluates its class basis once at the top columns of each
+    component of T_i, and each product f·g is one matrix-vector product per
+    top column (g applied to f's column there) and one solve
+    (`HomotopyHom.product_coordinates`), whose back-check proves the
+    product, since evaluation at the top columns is injective."""
     F = ts.parts[0].algebra.field
     n = len(ts.parts)
     offsets, reps, dim = {}, {}, 0
@@ -140,7 +118,9 @@ def end_algebra(ts: ComplexSum) -> EndoPresentation:
                     nonzero = {start + c: x for c, x in enumerate(coords) if not F.is_zero(x)}
                     if nonzero:
                         table[(offsets[(i, j)] + a, offsets[(j, k)] + b)] = nonzero
-    return EndoPresentation(dim=dim, table=table, ts=ts, offsets=offsets)
+    idempotents = [[F.one if reps[(i, i)] and b == offsets[(i, i)] else F.zero for b in range(dim)]
+                   for i in range(n)]
+    return AbstractAlgebra(F, dim, table, idempotents)
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +358,20 @@ def image_tilting_over_sigma(ts: ComplexSum, f: SubbifunctorF) -> tuple[ComplexS
     G = [s.module for s in f.summands]
     gs = ComplexSum([stalk_complex(s.module, 0, label=s.name) for s in f.summands],
                     [s.name for s in f.summands])
-    sigma = end_algebra(gs)
-    sig = sigma.to_abstract()
+    sig = end_algebra(gs)
     if not sig.idempotents_split_basic():
         raise ValueError("Sigma idempotents failed the split-basic certificate")
     pres = sig.presentation()
-    F = pres.field
+    F, grading = pres.field, sig.grading()
     lifts = []
     for lift, arrow in zip(sig.arrow_lifts, pres.quiver.arrows):
         i, j = arrow.target - 1, arrow.source - 1
         reps = [r.comps[0] for r in gs.corner(i, j).representatives()]
-        start = sigma.offsets[(i, j)]
-        if any(not start <= b < start + len(reps) for b in lift):
-            raise ValueError(f"the lift of arrow {arrow.name} of Sigma leaves its corner")
-        lifts.append(ModuleMap.combination(G[i], G[j], [lift.get(start + k, F.zero)
-                                                        for k in range(len(reps))], reps))
+        corner = [b for b, c in enumerate(grading) if c == (i, j)]
+        if len(corner) != len(reps):
+            raise ValueError(f"the corner of arrow {arrow.name} of Sigma has {len(corner)} basis "
+                             f"vectors for {len(reps)} representatives")
+        lifts.append(ModuleMap.combination(G[i], G[j], [lift.get(b, F.zero) for b in corner], reps))
 
     def image(x: Complex) -> Complex:
         bases = {d: [hom_space(g, c) for g in G] for d, c in x.comps.items()}

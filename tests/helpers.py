@@ -6,7 +6,8 @@ and approximations that are read off vertex spaces, for F-exactness the
 composite blocks and for the transpose the coordinates of composites (the
 program counts Hom dimensions and reads products), for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
-over every idempotent, for path algebras the construction by completing
+over every idempotent, for the spans that present Γ the dense elimination
+over the union of their supports, for path algebras the construction by completing
 the relations into rewriting rules, for Ext_F the Hom in D_F by
 F-projective replacement, for sums, cones and radical normalization the
 composites with the injections and projections of each direct sum (the
@@ -76,7 +77,7 @@ from relhomalg.rep import (
     socle,
     stack_maps,
 )
-from relhomalg.tilting import _coordinate_matrix, end_algebra
+from relhomalg.tilting import _coordinate_matrix
 
 
 def cycle3_selfinjective(field=QQ):
@@ -254,27 +255,32 @@ def compose_chain(f, g):
 
 
 def composed_end_table(ts):
-    """The structure constants of End_K(T) by composing each pair of
-    representatives with `compose_chain` and solving the class coordinates
-    of the composite over all of Hom^0 (`hom_coordinates` in each degree);
-    the route that `tilting.end_algebra` replaced by reading products at
-    the top columns."""
-    endo = end_algebra(ts)
+    """The structure constants of End_K(T), as `AbstractAlgebra.products`
+    lists them, by composing each pair of representatives with
+    `compose_chain` and solving the class coordinates of the composite over
+    all of Hom^0 (`hom_coordinates` in each degree); the route that
+    `tilting.end_algebra` replaced by reading products at the top columns.
+    The representatives of corner (i, j) are numbered consecutively, the
+    corners in row-major order."""
     F, n = ts.parts[0].algebra.field, len(ts.parts)
-    reps = {key: ts.corner(*key).representatives() for key in endo.offsets}
+    reps, offsets, dim = {}, {}, 0
+    for i in range(n):
+        for j in range(n):
+            reps[(i, j)], offsets[(i, j)] = ts.corner(i, j).representatives(), dim
+            dim += len(reps[(i, j)])
     table = {}
     for (i, j), left in reps.items():
         for k in range(n):
-            hh, start = ts.corner(i, k), endo.offsets[(i, k)]
+            hh, start = ts.corner(i, k), offsets[(i, k)]
             solver = SpanSolver(hh._class_basis)
             for a, f in enumerate(left):
                 for b, g in enumerate(reps[(j, k)]):
                     coords = solver.coords(hh.chain_map_to_vector(compose_chain(f, g)))
                     assert coords is not None
-                    nonzero = {start + c: x for c, x in enumerate(coords[hh.boundaries.cols:])
-                               if not F.is_zero(x)}
+                    nonzero = [(start + c, x) for c, x in enumerate(coords[hh.boundaries.cols:])
+                               if not F.is_zero(x)]
                     if nonzero:
-                        table[(endo.offsets[(i, j)] + a, endo.offsets[(j, k)] + b)] = nonzero
+                        table[(offsets[(i, j)] + a, offsets[(j, k)] + b)] = nonzero
     return table
 
 
@@ -328,6 +334,19 @@ def product(algebra, i, j):
     for k, c in algebra.products.get((i, j), ()):
         out[k] = c
     return out
+
+
+def dense_span(F, vectors, prefix=()):
+    """The vectors (sparse dicts) that `rref` keeps as pivot columns after
+    the columns of prefix, on the dense matrix over the union of their
+    supports: the dense route that `algebra._span` replaced."""
+    columns = list(prefix) + [v for v in vectors if v]
+    if not columns:
+        return []
+    rows = sorted(set().union(*columns))
+    _, pivots = rref(Matrix(F, len(rows), len(columns),
+                            [v.get(r, F.zero) for r in rows for v in columns]))
+    return [columns[p] for p in pivots if p >= len(prefix)]
 
 
 def validated(algebra):

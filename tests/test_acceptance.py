@@ -133,16 +133,14 @@ def test_criterion_6_property_suites(F7, corpus7):
 
 
 def test_criterion_7_counts(sec7, sec6):
-    endo7 = end_algebra(sec7.tilting_sum())
     rep7 = prop63_64_counts(sec7.subbifunctor, sec7.tilting.declared_count,
-                            endo7.to_abstract())
+                            end_algebra(sec7.tilting_sum()))
     assert rep7.counts["indecomposables in P(F)"] == 6
     assert rep7.counts["dim(Gamma/rad Gamma)"] == 6
     assert rep7.counts["split_basic_verified"] is True
     assert rep7.worst_status == VERIFIED
-    endo6 = end_algebra(sec6.tilting_sum())
     rep6 = prop63_64_counts(sec6.subbifunctor, sec6.tilting.declared_count,
-                            endo6.to_abstract())
+                            end_algebra(sec6.tilting_sum()))
     assert rep6.counts["indecomposables in P(F)"] == 4
     assert rep6.counts["dim(Gamma/rad Gamma)"] == 4
     assert rep6.counts["split_basic_verified"] is True

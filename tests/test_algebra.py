@@ -18,6 +18,7 @@ from relhomalg.rep import injective, projective, simple, zero_representation
 from helpers import (
     a2_algebra,
     cycle3_selfinjective,
+    dual_numbers,
     ext_by_injectives,
     loop_dual_numbers,
     radical_matrix,
@@ -28,13 +29,6 @@ from helpers import (
 
 def field_algebra():
     return validated(AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [[QQ.one]]))
-
-
-def dual_numbers():
-    # basis 1, x with x^2 = 0
-    z, o = QQ.zero, QQ.one
-    table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
-    return validated(AbstractAlgebra(QQ, 2, table, [[o, z]]))
 
 
 def test_field_has_zero_radical():

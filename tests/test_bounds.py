@@ -94,8 +94,7 @@ def test_corollary710_rejects_relative_case(F7, corpus7):
 
 def test_counts_section7(F7):
     ts = stalk_sum(F7)
-    endo = end_algebra(ts)
-    rep = prop63_64_counts(F7, len(ts.parts), endo.to_abstract())
+    rep = prop63_64_counts(F7, len(ts.parts), end_algebra(ts))
     assert rep.counts["indecomposables in P(F)"] == 6
     assert rep.counts["dim(Gamma/rad Gamma)"] == 6
     assert rep.counts["split_basic_verified"] is True
@@ -104,8 +103,7 @@ def test_counts_section7(F7):
 
 def test_counts_ordinary_three_vertices(F7_ordinary):
     ts = stalk_sum(F7_ordinary)
-    endo = end_algebra(ts)
-    rep = prop63_64_counts(F7_ordinary, 3, endo.to_abstract())
+    rep = prop63_64_counts(F7_ordinary, 3, end_algebra(ts))
     assert rep.counts["dim(Gamma/rad Gamma)"] == 3
     assert rep.worst_status == VERIFIED
 
@@ -113,7 +111,7 @@ def test_counts_ordinary_three_vertices(F7_ordinary):
 @pytest.mark.parametrize("split, status", [(True, VIOLATED), (False, VACUOUS)])
 def test_count_disagreement_refutes_only_a_split_gamma(F7_ordinary, monkeypatch, split, status):
     # unless Gamma/rad is split, its dimension only bounds the number of simples
-    gamma = end_algebra(stalk_sum(F7_ordinary)).to_abstract()
+    gamma = end_algebra(stalk_sum(F7_ordinary))
     monkeypatch.setattr(type(gamma), "idempotents_split_basic", lambda self: split)
     rep = prop63_64_counts(F7_ordinary, 4, gamma)
     assert [c.status for c in rep.checks] == [status]

@@ -185,6 +185,31 @@ def test_non_integers_are_input_errors(tmp_path, capsys, edit, path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []],
+                         ids=["string-false", "string-true", "zero", "one", "null", "list"])
+def test_corpus_complete_must_be_a_json_boolean(tmp_path, capsys, value):
+    # a truthy non-boolean such as "false" would claim the corpus complete
+    data = json.loads((DATA / "section7.json").read_text())
+    data["corpus_complete"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["relhom", "gldim", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: $.corpus_complete: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_corpus_complete_decides_the_corpus_assumption(tmp_path, complete):
+    data = json.loads((DATA / "section7.json").read_text())
+    data["corpus_complete"] = complete
+    path, report = tmp_path / "p.json", tmp_path / "r.json"
+    path.write_text(json.dumps(data))
+    assert run(["--report", report, "relhom", "gldim", path]) == 0
+    assumptions = json.loads(report.read_text())["results"]["gldim_F"]["assumptions"]
+    assert (assumptions == []) == complete
+
+
 def _one_loop(nilpotency, loop):
     """The one-loop quiver with no relations and J^nilpotency = 0, with a
     declared module M on which the loop acts by `loop`."""

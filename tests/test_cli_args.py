@@ -50,6 +50,7 @@ CI = [
     ["--quiet", "bounds", "theorem73", "nakayama55.json"],
     *(["bounds", sub, "nakayama55.json"] for sub in ("theorem73", "gorenstein")),
     *(["--field", "fp:32003", "bounds", sub, "nakayama55.json"] for sub in ("theorem73", "gorenstein")),
+    ["--quiet", "bounds", "theorem73", "nakayama88.json"],
     ["--quiet", "--field", "fp:32003", "tilting", "nakayama65.json"],
     ["--quiet", "module", "nakayama65ps.json"],
     ["--quiet", "--field", "fp:32003", "module", "nakayama65ps.json"],

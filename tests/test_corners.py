@@ -51,7 +51,7 @@ def bundled_sigma(name, field):
     summands = load_problem(str(DATA / f"{name}.json"), field).subbifunctor.summands
     gs = ComplexSum([stalk_complex(s.module, 0, label=s.name) for s in summands],
                     [s.name for s in summands])
-    return end_algebra(gs).to_abstract()
+    return end_algebra(gs)
 
 
 def nakayama33_gamma(field):

@@ -11,7 +11,7 @@ from helpers import (a2_algebra, basis_vector, composed_end_table, cycle3_selfin
                      mul, nakayama_problem, structure_constants, uniserials)
 
 from relhomalg import complexes
-from relhomalg.complexes import HomotopyHom, hom_k, stalk_complex
+from relhomalg.complexes import HomotopyHom, chain_identity, hom_k, stalk_complex
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.rep import ModuleMap
 from relhomalg.schema import load_problem, parse_problem
@@ -41,27 +41,25 @@ def test_end_algebra_basis_is_graded_by_summand_pairs(label, build):
     ts = build()
     n = len(ts.parts)
     corner_dims = {(i, j): hom_k(ts.parts[i], ts.parts[j], 0) for i in range(n) for j in range(n)}
-    endo = end_algebra(ts)
-    gamma = endo.to_abstract()
-    # the layout: corner (i, j) holds dim Hom_K(T_i, T_j) consecutive basis vectors
-    layout = [None] * endo.dim
-    for key, start in endo.offsets.items():
-        for b in range(start, start + corner_dims[key]):
-            assert layout[b] is None
-            layout[b] = key
-    assert None not in layout
+    gamma = end_algebra(ts)
+    # the layout: corner (i, j) holds dim Hom_K(T_i, T_j) consecutive basis
+    # vectors, the corners in row-major order
+    layout = [key for key, d in corner_dims.items() for _ in range(d)]
+    assert gamma.dim == len(layout)
     # the certificate finds exactly that grading
     assert gamma.grading() == layout
     assert gamma.idempotents_split_basic()
-    for key, d in corner_dims.items():
-        assert gamma.grading().count(key) == d
-    for i, e in enumerate(endo.idempotents):
-        assert e == basis_vector(gamma, endo.offsets[(i, i)])
+    # e_i is the first basis vector of corner (i, i), the identity of T_i
+    F = gamma.field
+    for i, e in enumerate(gamma.idempotents):
+        assert e == basis_vector(gamma, layout.index((i, i)))
+        identity = ts.corner(i, i).class_coordinates(chain_identity(ts.parts[i]).comps)
+        assert identity == [F.one] + [F.zero] * (corner_dims[(i, i)] - 1)
     # a product (i -> j) then (j' -> k) is zero unless j = j', and lies in (i, k)
-    for (a, b), prod in endo.table.items():
+    for (a, b), prod in gamma.products.items():
         (i, j), (j2, k) = layout[a], layout[b]
         assert j == j2
-        assert {layout[c] for c in prod} == {(i, k)}
+        assert {layout[c] for c, _ in prod} == {(i, k)}
 
 
 @pytest.mark.parametrize("label, build", SUMS, ids=[s[0] for s in SUMS])
@@ -112,7 +110,7 @@ def test_end_algebra_matches_the_composed_products(label, build, field):
     composing each pair of representatives and solving its class over all
     of Hom^0 (`helpers.composed_end_table`)."""
     ts = build(field)
-    assert end_algebra(ts).table == composed_end_table(ts)
+    assert end_algebra(ts).products == composed_end_table(ts)
 
 
 def test_inhomogeneous_basis_fails_the_certificate():

@@ -4,16 +4,23 @@ I and dropping one that is needed breaks the certificate, the quiver of an
 Auslander algebra is its AR quiver, and the arrows count Ext^1 between
 simples (Gabriel)."""
 
+import copy
+import json
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from helpers import cycle3_selfinjective, matrix_algebra_2, uniserials
+from helpers import cycle3_selfinjective, dense_span, matrix_algebra_2, nakayama_problem, uniserials
 
+from relhomalg import algebra
 from relhomalg.complexes import stalk_complex
+from relhomalg.fields import QQ, PrimeField
+from relhomalg.matrix import Matrix
 from relhomalg.quiver import PathAlgebra
 from relhomalg.relative import ext_f, ordinary_f
 from relhomalg.rep import simple
-from relhomalg.schema import load_problem
+from relhomalg.schema import load_problem, parse_problem
 from relhomalg.tilting import ComplexSum
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
@@ -64,6 +71,79 @@ def test_dropping_a_needed_relation_breaks_the_certificate(label):
         with pytest.raises(ValueError, match="certificate"):
             gamma.certify_presentation(fewer)
     assert needed
+
+
+def test_a_zero_arrow_lift_breaks_the_certificate():
+    # the same number of basis words, but the words through the zeroed arrow
+    # map to 0, so the images do not span Gamma
+    gamma = nakayama33_gamma()
+    pres = gamma.presentation()
+    broken = copy.copy(gamma)
+    broken.arrow_lifts = [{}] + gamma.arrow_lifts[1:]
+    assert pres.dim == gamma.dim
+    with pytest.raises(ValueError, match="certificate"):
+        broken.certify_presentation(pres)
+    gamma.certify_presentation(pres)
+
+
+def test_presentation_builds_no_matrix_larger_than_a_corner(monkeypatch):
+    """The radical, the quiver, the Loewy layers and the certificate of a
+    fresh Gamma work corner by corner: no dense matrix spans two corners.
+    A matrix has at most d·(d + 1) entries, d the largest corner dimension:
+    a corner's square, and one more column for the right-hand side of a
+    solve (`residue`)."""
+    text = json.dumps(nakayama_problem(4, 4, every_indecomposable=True, tilting=True))
+    gamma = parse_problem(text).tilting_sum().gamma()
+    largest = []
+    init = Matrix.__init__
+
+    def recorded(self, field, rows, cols, entries):
+        init(self, field, rows, cols, entries)
+        largest.append(rows * cols)
+
+    monkeypatch.setattr(Matrix, "__init__", recorded)
+    gamma.presentation()
+    monkeypatch.undo()
+    corner = max(Counter(gamma.grading()).values())
+    assert gamma.dim > corner * (corner + 1)
+    assert largest and max(largest) <= corner * (corner + 1)
+
+
+def random_vectors(F, rng, count, width):
+    """Sparse vectors with no zero entries over `width` coordinates: random
+    ones, empty ones and combinations of earlier ones."""
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append({})
+            continue
+        if kind < 0.5 and out:
+            terms = [(F.of_int(rng.randint(-3, 3)), rng.choice(out)) for _ in range(rng.randint(1, 3))]
+        else:
+            terms = [(F.one, {k: F.of_int(rng.choice([-2, -1, 1, 2, 5]))
+                              for k in rng.sample(range(width), rng.randint(1, width))})]
+        v = {}
+        for c, x in terms:
+            for k, a in x.items():
+                v[k] = F.add(v.get(k, F.zero), F.mul(c, a))
+        out.append({k: a for k, a in v.items() if not F.is_zero(a)})
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(32003)], ids=["q", "fp:32003"])
+def test_sparse_span_keeps_the_pivot_columns(F):
+    """`algebra._span` keeps the vectors that the dense elimination keeps as
+    pivot columns, alone and after the rows of a filled echelon form."""
+    rng = random.Random(32)
+    for _ in range(200):
+        width = rng.randint(1, 8)
+        prefix = random_vectors(F, rng, rng.randint(0, 5), width)
+        vectors = random_vectors(F, rng, rng.randint(0, 10), width)
+        assert algebra._span(F, vectors) == dense_span(F, vectors)
+        echelon = {}
+        assert algebra._span(F, prefix, echelon) == dense_span(F, prefix)
+        assert algebra._span(F, vectors, echelon) == dense_span(F, vectors, prefix)
 
 
 def test_auslander_algebra_quiver_is_the_ar_quiver():

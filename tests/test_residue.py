@@ -14,14 +14,7 @@ from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import direct_sum, endo_indecomposability_check, is_isomorphic, projective
 from relhomalg.tilting import ComplexSum, verify_f_tilting
 
-from helpers import cycle3_selfinjective, mul, radical_matrix, unit, validated
-
-
-def truncated_polynomials(F):
-    """k[x]/(x^2) on the basis 1, x."""
-    z, o = F.zero, F.one
-    return validated(AbstractAlgebra(F, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
-                                     [[o, z]]))
+from helpers import cycle3_selfinjective, dual_numbers, mul, radical_matrix, unit, validated
 
 
 def product_k_k(F, idempotents):
@@ -31,18 +24,18 @@ def product_k_k(F, idempotents):
 
 def test_char_p_radical_is_the_residue_kernel():
     F5 = PrimeField(5)
-    rad = radical_matrix(truncated_polynomials(F5))
+    rad = radical_matrix(dual_numbers(F5))
     assert rad.cols == 1 and rad.col(0)[0] == F5.zero and rad.col(0)[1] != F5.zero
     # 1 + x has minimal polynomial t^2 + 1 = (t - 1)^2 over F_2: p divides k
     F2 = PrimeField(2)
-    A = truncated_polynomials(F2)
+    A = dual_numbers(F2)
     assert residue(F2, [F2.one, F2.one], unit(A), partial(mul, A)) == F2.one
     assert residue(F2, [F2.zero, F2.one], unit(A), partial(mul, A)) == F2.zero
 
 
 @pytest.mark.parametrize("F", [QQ, PrimeField(3)], ids=["Q", "F3"])
 def test_residue_reads_the_eigenvalue(F):
-    A = truncated_polynomials(F)
+    A = dual_numbers(F)
     two = F.of_int(2)
     assert residue(F, [two, F.of_int(7)], unit(A), partial(mul, A)) == two
     assert residue_certificate(F, A.dim, unit(A), partial(mul, A)) == [F.one, F.zero]

@@ -59,9 +59,8 @@ def test_stalk_end_algebra_dim(F7, stalk_tilting7):
     # dim End(G) = sum of pairwise hom dims
     expected = sum(len(hom_space(a.module, b.module))
                    for a in F7.summands for b in F7.summands)
-    endo = end_algebra(stalk_tilting7)
-    assert endo.dim == expected == 22
-    A = validated(endo.to_abstract())
+    A = validated(end_algebra(stalk_tilting7))
+    assert A.dim == expected == 22
     assert A.idempotents_split_basic()
 
 
@@ -182,8 +181,7 @@ def test_image_over_sigma_is_projective(name):
 
 
 def test_gamma_gldim_section7(F7, stalk_tilting7):
-    endo = end_algebra(stalk_tilting7)
-    A = endo.to_abstract()
+    A = end_algebra(stalk_tilting7)
     assert A.radical_dim() == 22 - 6
     g = gldim(A.presentation(), 10)
     assert not g.dim.censored
