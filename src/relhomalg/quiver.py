@@ -5,9 +5,8 @@ A word is a tuple of arrow indices (left-to-right composition: the word
 ideal.  The basis is the trivial paths and the normal words of length < N
 (`_normal_words`), ordered by (length, word), and a product is read off its
 image.  A model gives the images: the residue modulo the relations
-(`_relations_model`), the reversed word in the algebra an opposite is taken
-of (`PathAlgebra.opposite`), or the product of arrow lifts in an algebra
-given by structure constants (`algebra.AbstractAlgebra.presentation`).
+(`_relations_model`), or the product of arrow lifts in an algebra given by
+structure constants (`algebra.AbstractAlgebra.presentation`).
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ class Quiver:
     def composable(self, word: tuple[int, ...]) -> bool:
         return all(self.arrows[word[k]].target == self.arrows[word[k + 1]].source
                    for k in range(len(word) - 1))
-
-    def opposite(self) -> "Quiver":
-        return Quiver(self.n, [(a.name, a.target, a.source) for a in self.arrows])
 
 
 MAX_WORDS = 200000  # composable words of length < N a relations model may have
@@ -217,7 +213,6 @@ class PathAlgebra:
         if nilpotency < 2:
             raise ValueError("nilpotency bound must be at least 2")
         self.field, self.quiver, self.N = field, quiver, nilpotency
-        self._opposite: PathAlgebra | None = None
         unit, self._times = model or _relations_model(field, quiver, relations, nilpotency)
         images, self._spans, rules = _normal_words(field, quiver, nilpotency, unit, self._times)
         self.relations = rules if relations is None else relations
@@ -232,8 +227,8 @@ class PathAlgebra:
         self._mul_table: dict[tuple[int, int], dict[int, object]] = {}
         # Representations over this algebra, one object per content (dims and
         # arrow-matrix entries, see rep.Representation), and the projective
-        # and injective at each vertex and the left multiplication map of
-        # each arrow, keyed (kind, vertex or arrow index).  Insert-only.
+        # and injective at each vertex and the basis paths from and into it,
+        # keyed (kind, vertex).  Insert-only.
         self.modules: dict = {}
         self.vertex_modules: dict[tuple[str, int], object] = {}
         self.ordinary = None  # relative.ordinary_f (G = the projectives), built once
@@ -267,21 +262,6 @@ class PathAlgebra:
                     raise ValueError("a product lies outside the span of the basis words")
             cached = self._mul_table[(i, j)] = {self.basis_index[(src, w)]: c for w, c in coords.items()}
         return cached
-
-    # -- opposite ----------------------------------------------------------
-
-    def opposite(self) -> "PathAlgebra":
-        """kQ^op/I^op: its word (a_1, ..., a_k) has the image a_k ⋯ a_1 in
-        this algebra, and its relations are the reversed relations."""
-        if self._opposite is None:
-            F = self.field
-            rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in self.relations]
-            op = PathAlgebra(F, self.quiver.opposite(), rels, self.N,
-                             (lambda v: {self.trivial_path(v): F.one},
-                              lambda x, a: _combine(F, ((c, self.mul_basis(self.arrow_element(a), k))
-                                                        for k, c in x.items()))))
-            op._opposite, self._opposite = self, op
-        return self._opposite
 
     def __repr__(self):
         return f"PathAlgebra(n={self.quiver.n}, arrows={len(self.quiver.arrows)}, dim={self.dim})"

@@ -24,11 +24,9 @@ from .rep import (
     _vertex_maps,
     cokernel,
     direct_sum,
-    dual_to_main,
     endo_indecomposability_check,
     hom_dim,
     hom_space,
-    hom_to_algebra_at,
     injective,
     kernel,
     projective,
@@ -329,40 +327,38 @@ def projective_cover(m: Representation) -> Approximation:
     return app
 
 
-def transpose(m: Representation) -> Representation:
-    """Tr m = coker(d*: Hom(P0, Λ) -> Hom(P1, Λ)) over the opposite algebra,
-    for the minimal presentation P1 -d-> P0 -> m -> 0: P0 = ⊕P_{v_i} covers m,
-    and P1 = ⊕P_{w_j} covers K = ker(P0 -> m), d sending e_{w_j} to x_j, the
-    top column (w_j, c_j) of K.  On the `hom_to_algebra_at` pieces d* sends
-    φ(e_{v_i}) = q to φ(x_j) = q·x_{ij}, the product in Λ with the part of x_j
-    in P_{v_i}.  Tr P = 0 for a projective P."""
-    alg, op = m.algebra, m.algebra.opposite()
+def dtr(m: Representation) -> Representation:
+    """The Auslander-Reiten translate D Tr m = ker(ν d: νP1 -> νP0) for the
+    minimal presentation P1 -d-> P0 -> m -> 0 and the Nakayama functor
+    ν = D Hom(-, Λ), νP_v = I_v (Assem-Simson-Skowroński I, IV.2): P0 =
+    ⊕P_{v_i} covers m, and P1 = ⊕P_{w_j} covers K = ker(P0 -> m), d sending
+    e_{w_j} to x_j, the top column (w_j, c_j) of K.  The block (i, j) of ν d
+    sends φ in I_{w_j} to p -> φ(p·x_ij) on the paths p into v_i, the
+    product in Λ with the part x_ij of x_j in P_{v_i}.  Zero on projectives."""
+    alg = m.algebra
     c0 = projective_cover(m)
     if c0.is_identity:
-        return zero_representation(op)
+        return zero_representation(alg)
     incl, tops = c0.kernel[1], top_columns(c0.kernel[0])
-    paths = [_paths_from(alg, v + 1)[0] for v in range(alg.quiver.n)]  # [v][w]: P_{v+1} at w
-    h0, h1 = (direct_sum([hom_to_algebra_at(alg, v + 1) for v in vs], op)
-              for vs in (c0.pieces, [w for w, _ in tops]))
+    n = alg.quiver.n
+    out_of = [_paths_from(alg, v + 1)[0] for v in range(n)]  # [v][w]: P_{v+1} at w
+    into = [_paths_from(alg, v + 1, into=True)[0] for v in range(n)]  # [v][u]: I_{v+1} at u
+    i1, i0 = (direct_sum([injective(alg, v + 1) for v in vs], alg)
+              for vs in ([w for w, _ in tops], c0.pieces))
     mats = []
-    for at_u, d0, d1 in zip(paths, h0.dims, h1.dims):
-        out, row = [0] * (d1 * d0), 0
+    for u, d1, d0 in zip(range(n), i1.dims, i0.dims):
+        out, col = [0] * (d0 * d1), 0
         for w, c in tops:
-            x, col, rows = iter(incl.mats[w].col(c)), 0, {t: row + r for r, t in enumerate(at_u[w])}
+            x, row, cols = iter(incl.mats[w].col(c)), 0, {t: col + r for r, t in enumerate(into[w][u])}
             for v in c0.pieces:  # each zip takes the part of x_j in P_{v+1}
-                for p, e in zip(paths[v][w], x):
-                    for k, q in enumerate(at_u[v]) if e else ():
-                        for t, a in alg.mul_basis(q, p).items():
-                            out[rows[t] * d0 + col + k] += e * a
-                col += len(at_u[v])
-            row += len(at_u[w])
-        mats.append(Matrix(alg.field, d1, d0, _normal(out, alg.field.p)))
-    return cokernel(ModuleMap(h0, h1, mats))[0]
-
-
-def dtr(m: Representation) -> Representation:
-    """The Auslander-Reiten translate D Tr m (zero on projectives)."""
-    return dual_to_main(transpose(m))
+                for q, e in zip(out_of[v][w], x):
+                    for k, p in enumerate(into[v][u]) if e else ():
+                        for t, a in alg.mul_basis(p, q).items():
+                            out[(row + k) * d1 + cols[t]] += e * a
+                row += len(into[v][u])
+            col += len(into[w][u])
+        mats.append(Matrix(alg.field, d0, d1, _normal(out, alg.field.p)))
+    return kernel(ModuleMap(i1, i0, mats))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ class Representation:
     the same module.  The relations are checked once per content, the first
     time a checked construction asks for it; unchecked constructions (simples,
     submodules, quotients and sums of unchecked modules) store the content
-    unvalidated until then.  Projectives, and duals, submodules, quotients
-    and sums of checked modules, are checked by construction."""
+    unvalidated until then.  Projectives and injectives, and submodules,
+    quotients and sums of checked modules, are checked by construction."""
     __slots__ = ("algebra", "dims", "mats", "_checked", "_homs", "_local", "_approximations",
                  "_radical", "_top")
 
@@ -221,14 +221,14 @@ def projective(algebra: PathAlgebra, i: int) -> Representation:
     q = algebra.quiver
     if not 1 <= i <= q.n:
         raise ValueError("vertex out of range")
-    return _per_algebra(algebra, "projective", i, _build_projective)
+    return _per_algebra(algebra, "projective", i, lambda alg, v: _build_vertex_module(alg, v, False))
 
 
 def injective(algebra: PathAlgebra, i: int) -> Representation:
-    """The injective with socle S_i, D P_i of the opposite algebra.  Built once
-    per algebra and vertex."""
-    return _per_algebra(algebra, "injective", i,
-                        lambda alg, v: dual(projective(alg.opposite(), v)))
+    """The injective with socle S_i: the dual basis of the basis paths into
+    i, an arrow a sending φ to q -> φ(a·q).  Built once per algebra and
+    vertex."""
+    return _per_algebra(algebra, "injective", i, lambda alg, v: _build_vertex_module(alg, v, True))
 
 
 def _per_algebra(algebra: PathAlgebra, kind: str, i: int, build):
@@ -240,71 +240,54 @@ def _per_algebra(algebra: PathAlgebra, kind: str, i: int, build):
     return out
 
 
-def _paths_from(algebra: PathAlgebra, i: int) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
-    """The basis paths from vertex i: per target vertex (0-based) in basis
-    order, the basis of P_i at each vertex; and in basis order, each
-    nontrivial path's (index, index of its prefix, last arrow).  Basis paths
-    are prefix-closed.  Built once per algebra and vertex."""
+def _paths_from(algebra: PathAlgebra, i: int, into: bool = False
+                ) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """The basis paths from vertex i, or with into those into i: per vertex
+    (0-based) at their other end, in basis order, the basis of P_i (of I_i,
+    dually) there; and in basis order, each nontrivial path's (index, index
+    of its prefix, last arrow), with into (index, index of its suffix, first
+    arrow).  Normal words are closed under prefixes and suffixes
+    (`quiver._normal_words`).  Built once per algebra, vertex and side."""
     def build(alg, i):
         per_vertex, steps = [[] for _ in range(alg.quiver.n)], []
         for k, (src, word) in enumerate(alg.basis):
-            if src == i:
-                per_vertex[alg.element_target(k) - 1].append(k)
-                if word:
-                    steps.append((k, alg.basis_index[(i, word[:-1])], word[-1]))
+            tgt = alg.element_target(k)
+            if (tgt if into else src) != i:
+                continue
+            per_vertex[(src if into else tgt) - 1].append(k)
+            if word:
+                prev = (alg.quiver.arrows[word[0]].target, word[1:]) if into else (i, word[:-1])
+                steps.append((k, alg.basis_index[prev], word[0] if into else word[-1]))
         return per_vertex, steps
 
-    return _per_algebra(algebra, "paths", i, build)
+    return _per_algebra(algebra, "paths into" if into else "paths", i, build)
 
 
-def _build_projective(algebra: PathAlgebra, i: int) -> Representation:
+def _build_vertex_module(algebra: PathAlgebra, i: int, into: bool) -> Representation:
+    """P_i, where an arrow a sends the basis path p to p·a, or with into I_i,
+    where it sends the functional φ on the paths at its source to q -> φ(a·q)
+    on the paths q at its target; both products are read off `mul_basis`."""
     q = algebra.quiver
     F = algebra.field
-    per_vertex = _paths_from(algebra, i)[0]
-    index = {k: (v, pos) for v in range(q.n) for pos, k in enumerate(per_vertex[v])}
-    dims = tuple(len(per_vertex[v]) for v in range(q.n))
+    per_vertex = _paths_from(algebra, i, into)[0]
+    position = {k: pos for ks in per_vertex for pos, k in enumerate(ks)}
+    dims = tuple(map(len, per_vertex))
     mats = []
     for ai, a in enumerate(q.arrows):
         rows, cols = dims[a.target - 1], dims[a.source - 1]
         m = Matrix.zeros(F, rows, cols).to_rows()
         ae = algebra.arrow_element(ai)
-        for col, k in enumerate(per_vertex[a.source - 1]):
-            for k2, c in algebra.mul_basis(k, ae).items():
-                m[index[k2][1]][col] = c
+        for pos, k in enumerate(per_vertex[(a.target if into else a.source) - 1]):
+            for k2, c in (algebra.mul_basis(ae, k) if into else algebra.mul_basis(k, ae)).items():
+                r, col = (pos, position[k2]) if into else (position[k2], pos)
+                m[r][col] = c
         mats.append(Matrix.from_rows(F, m) if rows and cols else Matrix.zeros(F, rows, cols))
     # a word w acts on the basis path k as the product k·w in the algebra,
-    # so a relation, zero in the algebra, acts as zero: checked by construction
-    p = Representation(algebra, dims, mats, check=False)
-    p._checked = True
-    return p
-
-
-def left_multiplication_map(algebra: PathAlgebra, ai: int) -> ModuleMap:
-    """Prepending arrow a: m -> m' gives the module map P(m') -> P(m).  Built
-    once per algebra and arrow."""
-    return _per_algebra(algebra, "left_multiplication", ai, _build_left_multiplication)
-
-
-def _build_left_multiplication(algebra: PathAlgebra, ai: int) -> ModuleMap:
-    """The map P(a.target) -> P(a.source) sending e to the arrow a, the j-th
-    basis path of P(a.source) at a.target."""
-    a = algebra.quiver.arrows[ai]
-    src, tgt = projective(algebra, a.target), projective(algebra, a.source)
-    j = _paths_from(algebra, a.source)[0][a.target - 1].index(algebra.arrow_element(ai))
-    e_to_a = _vertex_maps(src, tgt, a.target, False)[j]
-    return ModuleMap(src, tgt, _hom_basis(src, tgt, [e_to_a])[0].mats)
-
-
-def dual(m: Representation) -> Representation:
-    """Vector-space dual, a representation over the opposite algebra.  The
-    opposite's relations are the reversed ones, and a reversed word acts on
-    the dual by the transpose of the word's action on m, so the dual of a
-    checked m is checked by construction."""
-    op = m.algebra.opposite()
-    mats = [m.mats[ai].transpose() for ai in range(len(m.mats))]
-    d = Representation(op, m.dims, mats, check=not m._checked)
-    d._checked |= m._checked
-    return d
+    # and on φ as q -> φ(w·q), so a relation, zero in the algebra, acts as
+    # zero: checked by construction
+    m = Representation(algebra, dims, mats, check=False)
+    m._checked = True
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +402,25 @@ def _vertex_maps(m: Representation, n: Representation, v: int, into: bool,
     """A basis of Hom(P_v, n) = n_v, m = P_v (Assem-Simson-Skowroński I,
     III.2), flattened as in `_hom_space_compute`: the map e_v -> e_j sends
     the basis path p of P_v to n(p)·e_j.  With into, dually, of
-    Hom(m, I_v) = D(m_v) for I_v = D P'_v, P'_v over the opposite algebra:
-    the functional e_j^T gives the map sending y in m_w to p -> e_j^T·m(p*)·y
-    on the basis paths p of P'_v at w, p* reversed.  Each product is one
-    step from its prefix's.  Only the maps of the j in js, when given."""
-    x, paths_alg = (m, m.algebra.opposite()) if into else (n, n.algebra)
+    Hom(m, I_v) = D(m_v): the functional e_j^T gives the map sending y in
+    m_w to q -> e_j^T·m(q)·y on the basis paths q from w into v.  Each
+    product is one step from its prefix's (with into, its suffix's).  Only
+    the maps of the j in js, when given."""
+    x = m if into else n
     d = x.dims[v - 1]
     if not d:
         return []
-    per_vertex, steps = _paths_from(paths_alg, v)
+    per_vertex, steps = _paths_from(x.algebra, v, into)
     trivial = per_vertex[v - 1][0]
-    products = {trivial: Matrix.identity(x.algebra.field, d)}  # path p -> n(p), or m(p*) with into
-    for k, prefix, a in steps:
-        products[k] = (x.mats[a] if prefix == trivial
-                       else products[prefix] * x.mats[a] if into else x.mats[a] * products[prefix])
+    products = {trivial: Matrix.identity(x.algebra.field, d)}  # path p -> n(p), or m(q) with into
+    for k, prev, a in steps:
+        products[k] = (x.mats[a] if prev == trivial
+                       else products[prev] * x.mats[a] if into else x.mats[a] * products[prev])
     vecs = []
     for j in range(d) if js is None else js:
         vec = []
         for ks in per_vertex:
-            if into:  # the block at w has the rows j of m(p*)
+            if into:  # the block at w has the rows j of m(q)
                 vec += [e for k in ks for e in products[k].row(j)]
             else:  # the block at w has the columns j of n(p)
                 vec += [e for col in zip(*(products[k].entries[j::d] for k in ks)) for e in col]
@@ -588,7 +571,7 @@ def top_columns(m: Representation) -> list[tuple[int, int]]:
     `radical` takes, to one of m_v; computed once per m and stored on it.
     They generate m, so evaluating at them is injective on Hom(m, -): every
     module has J^N m = 0 (the schema checks declared ones, and kernels,
-    cokernels, sums and duals keep it), so the submodule S they generate,
+    cokernels and sums keep it), so the submodule S they generate,
     with S + J·m = m, is m = S + J^N·m by Nakayama's lemma."""
     if m._top is None:
         m._top = [(v, j) for v, d in enumerate(m.dims) if d for j in complement_columns(_arrows_at(m, v))]
@@ -615,27 +598,6 @@ def radical_power_sub(m: Representation, k: int) -> tuple[Representation, Module
         incl = sub_incl.compose(incl)
         cur = sub
     return cur, incl
-
-
-# ---------------------------------------------------------------------------
-# duals and Hom into the algebra
-
-
-def hom_to_algebra_at(algebra: PathAlgebra, v: int) -> Representation:
-    """Hom(P_v, Λ) over the opposite algebra, read at e_v: Hom(P_v, P_u) =
-    (P_u)_v at u, and the opposite of an arrow a acts by postcomposition with
-    `left_multiplication_map`, so by its block at v.  Built once per algebra
-    and vertex."""
-    return _per_algebra(algebra, "hom_to_algebra", v, lambda alg, v: Representation(
-        alg.opposite(), [projective(alg, u).dims[v - 1] for u in range(1, alg.quiver.n + 1)],
-        [left_multiplication_map(alg, ai).mats[v - 1] for ai in range(len(alg.quiver.arrows))]))
-
-
-def dual_to_main(m_op: Representation) -> Representation:
-    """Dual of an opposite-algebra representation, back over the original."""
-    main = m_op.algebra.opposite()
-    mats = [m_op.mats[ai].transpose() for ai in range(len(m_op.mats))]
-    return Representation(main, m_op.dims, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _typed(v, kind: type, path: str, what: str):
+    """v, checked to be a JSON array (kind list) or object (kind dict)."""
+    _expect(isinstance(v, kind), path, f"{what} must be {'an array' if kind is list else 'an object'}")
+    return v
+
+
 def _integer(v, path: str, what: str, minimum: int | None = None) -> int:
     """v, checked to be a JSON integer of at least minimum."""
     bound = "" if minimum is None else f" >= {minimum}"
@@ -174,7 +180,7 @@ def _build_module(name: str, spec, ctx: "_Loader") -> Representation:
         for k, d in enumerate(dims):
             _integer(d, f"{path}.dims[{k}]", "dimension", 0)
         mats = []
-        given = spec.get("matrices", {})
+        given = _typed(spec.get("matrices", {}), dict, f"{path}.matrices", "matrices")
         for ai, a in enumerate(q.arrows):
             rows_expected = dims[a.target - 1]
             cols_expected = dims[a.source - 1]
@@ -218,7 +224,7 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
         _expect(isinstance(ref, list) and len(ref) == 2, path, "shift expects [complex, n]")
         return shift_complex(ctx.complex(ref[0], path), _integer(ref[1], path, "shift"))
     if "sum" in spec:
-        parts = [ctx.complex(n, path) for n in spec["sum"]]
+        parts = [ctx.complex(n, path) for n in _typed(spec["sum"], list, f"{path}.sum", "sum")]
         from .complexes import sum_complexes
         return sum_complexes(parts, algebra)
     if "stalk_from" in spec:
@@ -237,13 +243,14 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
         _expect(isinstance(sub, dict) and "target" in sub and "by" in sub, path,
                 "approximation_cone expects {target, by}")
         target = ctx.module(sub["target"], path)
-        by = [SummandDecl(n, ctx.module(n, path)) for n in sub["by"]]
+        by = [SummandDecl(n, ctx.module(n, path))
+              for n in _typed(sub["by"], list, f"{path}.approximation_cone.by", "by")]
         try:
             return approximation_cone_complex(target, sub["target"], by, algebra)
         except ValueError as e:
             raise SchemaError(path, str(e))
     if "terms" in spec:
-        terms = spec["terms"]
+        terms = _typed(spec["terms"], dict, f"{path}.terms", "terms")
         comps, parts = {}, {}
         for dstr, mods in terms.items():
             try:
@@ -256,13 +263,15 @@ def _build_complex(name: str, spec, ctx: "_Loader") -> Complex:
             comps[deg] = direct_sum([p.module for p in pl], algebra)
             parts[deg] = pl
         diffs = {}
-        for dstr, vmats in spec.get("differentials", {}).items():
+        for dstr, vmats in _typed(spec.get("differentials", {}), dict, f"{path}.differentials",
+                                  "differentials").items():
             try:
                 deg = int(dstr)
             except ValueError:
                 raise SchemaError(f"{path}.differentials", f"bad degree key {dstr!r}")
             _expect(deg in comps and (deg + 1) in comps, f"{path}.differentials.{dstr}",
                     "differential endpoints missing")
+            _typed(vmats, dict, f"{path}.differentials.{dstr}", "a differential")
             src, tgt = comps[deg], comps[deg + 1]
             mats = []
             for v in range(algebra.quiver.n):
@@ -306,7 +315,7 @@ class _Loader:
         _expect(isinstance(qspec, dict), "$.quiver", "missing quiver")
         _integer(qspec.get("vertices"), "$.quiver.vertices", "vertex count", 1)
         arrows = []
-        for k, a in enumerate(qspec.get("arrows", [])):
+        for k, a in enumerate(_typed(qspec.get("arrows", []), list, "$.quiver.arrows", "arrows")):
             _expect(isinstance(a, list) and len(a) == 3, f"$.quiver.arrows[{k}]",
                     "arrow must be [name, source, target]")
             for end in (1, 2):
@@ -318,7 +327,8 @@ class _Loader:
             raise SchemaError("$.quiver", str(e))
         name_to_idx = {a[0]: i for i, a in enumerate(arrows)}
         relations = []
-        for k, rel in enumerate(self.data.get("relations", [])):
+        for k, rel in enumerate(_typed(self.data.get("relations", []), list, "$.relations",
+                                       "relations")):
             terms = []
             _expect(isinstance(rel, list) and rel, f"$.relations[{k}]",
                     "relation must be a nonempty array of [coeff, word] terms")
@@ -327,8 +337,8 @@ class _Loader:
                         f"$.relations[{k}][{t}]", "term must be [coeff, word]")
                 coeff = _parse_scalar(self.field, term[0], f"$.relations[{k}][{t}][0]")
                 word = []
-                for astr in term[1]:
-                    _expect(astr in name_to_idx, f"$.relations[{k}][{t}][1]",
+                for astr in _typed(term[1], list, f"$.relations[{k}][{t}][1]", "a word"):
+                    _expect(isinstance(astr, str) and astr in name_to_idx, f"$.relations[{k}][{t}][1]",
                             f"unknown arrow {astr!r}")
                     word.append(name_to_idx[astr])
                 terms.append((coeff, tuple(word)))
@@ -375,9 +385,9 @@ class _Loader:
 
     def load(self) -> Problem:
         data = self.data
-        for name in data.get("modules", {}):
+        for name in _typed(data.get("modules", {}), dict, "$.modules", "modules"):
             self.module(name, "$.modules")
-        for name in data.get("complexes", {}):
+        for name in _typed(data.get("complexes", {}), dict, "$.complexes", "complexes"):
             self.complex(name, "$.complexes")
         gen_names = data.get("generator", [])
         _expect(isinstance(gen_names, list) and gen_names, "$.generator",
@@ -387,7 +397,7 @@ class _Loader:
             sub = SubbifunctorF(self.algebra, summands)
         except ValueError as e:
             raise SchemaError("$.generator", str(e))
-        corpus_names = data.get("corpus", [])
+        corpus_names = _typed(data.get("corpus", []), list, "$.corpus", "corpus")
         for n in corpus_names:
             self.module(n, "$.corpus")
         complete = data.get("corpus_complete", False)
@@ -404,12 +414,13 @@ class _Loader:
             count = _integer(tspec.get("summand_count", len(summand_names)),
                              "$.tilting.summand_count", "summand count")
             witnesses = []
-            for k, w in enumerate(tspec.get("witnesses", [])):
+            for k, w in enumerate(_typed(tspec.get("witnesses", []), list, "$.tilting.witnesses",
+                                         "witnesses")):
                 witnesses.append(_witness(w, f"$.tilting.witnesses[{k}]"))
             tilting = TiltingDecl(complex_name=tspec.get("complex", "T"),
                                   summand_names=summand_names,
                                   declared_count=count, witnesses=witnesses)
-        checks = data.get("checks", [])
+        checks = _typed(data.get("checks", []), list, "$.checks", "checks")
         for k, c in enumerate(checks):
             _expect(c in KNOWN_CHECKS, f"$.checks[{k}]",
                     f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")

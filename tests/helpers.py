@@ -3,8 +3,10 @@ second routes to what the program computes (images and pushouts, the
 definitional F-acyclicity check, explicit null-homotopies, approximations
 from Hom coordinates, the intertwining solve and greedy removal for Homs
 and approximations that are read off vertex spaces, for F-exactness the
-composite blocks and for the transpose the coordinates of composites (the
-program counts Hom dimensions and reads products), for End(T) its products
+composite blocks (the program counts Hom dimensions), for DTr the
+transpose over the opposite algebra, dualized back, and for the transpose
+the coordinates of composites (the program reads DTr over Λ as the kernel
+of the Nakayama functor, off products), for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
 over every idempotent, for the spans that present Γ the dense elimination
 over the union of their supports, for path algebras the construction by completing
@@ -52,7 +54,7 @@ from relhomalg.matrix import (
     rref,
     solve,
 )
-from relhomalg.quiver import PathAlgebra, Quiver
+from relhomalg.quiver import PathAlgebra, Quiver, _combine
 from relhomalg.relative import (
     FResolution,
     SubbifunctorF,
@@ -202,6 +204,61 @@ def counted_map(frame):
     return names["ses"].g if "ses" in names else cokernel(names["app"].map)[1]
 
 
+def opposite_quiver(quiver):
+    return Quiver(quiver.n, [(a.name, a.target, a.source) for a in quiver.arrows])
+
+
+def opposite(algebra):
+    """kQ^op/I^op, built once per algebra and stored on it: its word
+    (a_1, ..., a_k) has the image a_k ⋯ a_1 in algebra, and its relations
+    are the reversed relations."""
+    op = algebra.__dict__.get("_opposite")
+    if op is None:
+        F = algebra.field
+        rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in algebra.relations]
+        op = PathAlgebra(F, opposite_quiver(algebra.quiver), rels, algebra.N,
+                         (lambda v: {algebra.trivial_path(v): F.one},
+                          lambda x, a: _combine(F, ((c, algebra.mul_basis(algebra.arrow_element(a), k))
+                                                    for k, c in x.items()))))
+        op._opposite, algebra._opposite = algebra, op
+    return op
+
+
+def dual(m):
+    """Vector-space dual, a representation over the opposite algebra.  The
+    opposite's relations are the reversed ones, and a reversed word acts on
+    the dual by the transpose of the word's action on m, so the dual of a
+    checked m is checked by construction."""
+    d = Representation(opposite(m.algebra), m.dims, [a.transpose() for a in m.mats],
+                       check=not m._checked)
+    d._checked |= m._checked
+    return d
+
+
+def dual_to_main(m_op):
+    """Dual of an opposite-algebra representation, back over the original."""
+    return Representation(opposite(m_op.algebra), m_op.dims, [a.transpose() for a in m_op.mats])
+
+
+def left_multiplication_map(algebra, ai):
+    """Prepending arrow a: m -> m' gives the module map P(m') -> P(m),
+    sending e to the arrow a, the j-th basis path of P(m) at m'."""
+    a = algebra.quiver.arrows[ai]
+    src, tgt = projective(algebra, a.target), projective(algebra, a.source)
+    j = rep._paths_from(algebra, a.source)[0][a.target - 1].index(algebra.arrow_element(ai))
+    e_to_a = rep._vertex_maps(src, tgt, a.target, False)[j]
+    return ModuleMap(src, tgt, rep._hom_basis(src, tgt, [e_to_a])[0].mats)
+
+
+def hom_to_algebra_at(algebra, v):
+    """Hom(P_v, Λ) over the opposite algebra, read at e_v: Hom(P_v, P_u) =
+    (P_u)_v at u, and the opposite of an arrow a acts by postcomposition with
+    `left_multiplication_map`, so by its block at v."""
+    return Representation(
+        opposite(algebra), [projective(algebra, u).dims[v - 1] for u in range(1, algebra.quiver.n + 1)],
+        [left_multiplication_map(algebra, ai).mats[v - 1] for ai in range(len(algebra.quiver.arrows))])
+
+
 def hom_to_algebra(m):
     """Hom(m, Λ) over the opposite algebra, with the per-vertex Hom bases:
     the component at v is Hom(m, P(v)), and the opposite arrow a: v' -> v acts
@@ -211,14 +268,52 @@ def hom_to_algebra(m):
     bases = [hom_space(m, projective(algebra, v + 1)) for v in range(algebra.quiver.n)]
     mats = []
     for ai, a in enumerate(algebra.quiver.arrows):
-        la = rep.left_multiplication_map(algebra, ai)
+        la = left_multiplication_map(algebra, ai)
         mats.append(_coordinate_matrix(F, bases[a.source - 1],
                                        [phi.compose(la) for phi in bases[a.target - 1]]))
-    return Representation(algebra.opposite(), tuple(len(b) for b in bases), mats), bases
+    return Representation(opposite(algebra), tuple(len(b) for b in bases), mats), bases
+
+
+def transpose(m):
+    """Tr m = coker(d*: Hom(P0, Λ) -> Hom(P1, Λ)) over the opposite algebra,
+    for the minimal presentation P1 -d-> P0 -> m -> 0: P0 = ⊕P_{v_i} covers m,
+    and P1 = ⊕P_{w_j} covers K = ker(P0 -> m), d sending e_{w_j} to x_j, the
+    top column (w_j, c_j) of K.  On the `hom_to_algebra_at` pieces d* sends
+    φ(e_{v_i}) = q to φ(x_j) = q·x_{ij}, the product in Λ with the part of x_j
+    in P_{v_i}.  Tr P = 0 for a projective P."""
+    alg, op = m.algebra, opposite(m.algebra)
+    c0 = relative.projective_cover(m)
+    if c0.is_identity:
+        return rep.zero_representation(op)
+    incl, tops = c0.kernel[1], rep.top_columns(c0.kernel[0])
+    paths = [rep._paths_from(alg, v + 1)[0] for v in range(alg.quiver.n)]  # [v][w]: P_{v+1} at w
+    h0, h1 = (direct_sum([hom_to_algebra_at(alg, v + 1) for v in vs], op)
+              for vs in (c0.pieces, [w for w, _ in tops]))
+    mats = []
+    for at_u, d0, d1 in zip(paths, h0.dims, h1.dims):
+        out, row = [0] * (d1 * d0), 0
+        for w, c in tops:
+            x, col, rows = iter(incl.mats[w].col(c)), 0, {t: row + r for r, t in enumerate(at_u[w])}
+            for v in c0.pieces:  # each zip takes the part of x_j in P_{v+1}
+                for p, e in zip(paths[v][w], x):
+                    for k, q in enumerate(at_u[v]) if e else ():
+                        for t, a in alg.mul_basis(q, p).items():
+                            out[rows[t] * d0 + col + k] += e * a
+                col += len(at_u[v])
+            row += len(at_u[w])
+        mats.append(Matrix(alg.field, d1, d0, _normal(out, alg.field.p)))
+    return cokernel(ModuleMap(h0, h1, mats))[0]
+
+
+def dtr_by_transpose(m):
+    """D Tr m by the transpose over the opposite algebra, dualized back: the
+    reference for `relative.dtr`, which reads it over Λ as the kernel of
+    the Nakayama functor."""
+    return dual_to_main(transpose(m))
 
 
 def transpose_by_coordinates(m):
-    """Tr m as `relative.transpose` built it before it read d* at the top
+    """Tr m as `transpose` built it before it read d* at the top
     columns: `hom_to_algebra` of both terms of the minimal presentation, and
     d* from the coordinates of the composites "d then ψ"; the reference for
     the transpose."""
@@ -577,10 +672,10 @@ class RewrittenAlgebra:
 
 
 def rewritten_opposite(pathalg):
-    """The reference `RewrittenAlgebra` for pathalg.opposite(): the reversed
+    """The reference `RewrittenAlgebra` for opposite(pathalg): the reversed
     relations on the opposite quiver."""
     rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in pathalg.relations]
-    return RewrittenAlgebra(pathalg.field, pathalg.quiver.opposite(), rels, pathalg.N)
+    return RewrittenAlgebra(pathalg.field, opposite_quiver(pathalg.quiver), rels, pathalg.N)
 
 
 def matrix_algebra_2(field=QQ):

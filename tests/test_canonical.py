@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from helpers import a2_algebra, cycle3_selfinjective, nakayama_problem
+from helpers import a2_algebra, cycle3_selfinjective, dual, nakayama_problem, opposite
 
 from relhomalg import relative, rep
 from relhomalg.cli import main
@@ -77,7 +77,7 @@ def test_equal_content_over_other_algebras_is_a_different_object():
     mod5 = a2_algebra(PrimeField(5))
     over_p = Representation(mod5, *_ones(mod5, (1, 1)))
     assert over_p is not m and over_p.algebra.field != m.algebra.field
-    op = alg.opposite()
+    op = opposite(alg)
     over_op = Representation(op, *_ones(op, (1, 1)))
     assert over_op is not m and over_op.algebra is op
 
@@ -110,25 +110,26 @@ def test_projectives_and_duals_of_checked_modules_are_checked_by_construction(ch
     for v in (1, 2, 3):
         assert projective(alg, v)._checked and injective(alg, v)._checked
     assert sum(check_calls.values()) == 0
-    assert rep.dual(simple(alg, 1))._checked  # the dual of an unchecked module is checked
+    assert dual(simple(alg, 1))._checked  # the dual of an unchecked module is checked
     assert sum(check_calls.values()) == 1
 
 
 def test_projectives_and_injectives_are_built_once_per_algebra(monkeypatch):
     builds = collections.Counter()
-    original = rep._build_projective
+    original = rep._build_vertex_module
 
-    def counting(algebra, i):
-        builds[(algebra, i)] += 1
-        return original(algebra, i)
+    def counting(algebra, i, into):
+        builds[(algebra, i, into)] += 1
+        return original(algebra, i, into)
 
-    monkeypatch.setattr(rep, "_build_projective", counting)
+    monkeypatch.setattr(rep, "_build_vertex_module", counting)
     alg = cycle3_selfinjective()
     for _ in range(3):
         for v in (1, 2, 3):
             projective(alg, v)
             injective(alg, v)
-    assert sorted(builds.values()) == [1] * 6  # P_v over the algebra and over its opposite
+    # one P_v and one I_v per vertex, both over the algebra itself
+    assert builds == {(alg, v, into): 1 for v in (1, 2, 3) for into in (False, True)}
     assert injective(alg, 2) is injective(alg, 2)
 
 
@@ -170,7 +171,7 @@ def test_coresolution_steps_run_once_per_module(tmp_path, monkeypatch):
     real_cokernel, real_exact = relative.cokernel, relative.hom_g_exact
 
     def counted_cokernel(u):
-        # only the cokernels of coresolution steps; Tr takes cokernels too
+        # only the cokernels of coresolution steps
         if sys._getframe(1).f_code.co_qualname == "coresolution_step.<locals>.step":
             cokernels.append(u.source)
         return real_cokernel(u)

@@ -1,5 +1,8 @@
+import collections
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +186,100 @@ def test_non_integers_are_input_errors(tmp_path, capsys, edit, path):
     err = capsys.readouterr().err
     assert path in err
     assert "Traceback" not in err
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_set("modules", ["P1"]), "$.modules"),
+    (_set("complexes", 0), "$.complexes"),
+    (_set("corpus", {"P1": 1}), "$.corpus"),
+    (_set("checks", "theorem73"), "$.checks"),
+    (_set("tilting", "witnesses", {}), "$.tilting.witnesses"),
+    (_set("relations", {}), "$.relations"),
+    (_set("relations", 0, 0, 1, 0), "$.relations[0][0][1]"),
+    (_set("relations", 0, 0, 1, [[1]]), "$.relations[0][0][1]"),
+    (_set("relations", 0, 0, 1, {}), "$.relations[0][0][1]"),
+    (_set("relations", 0, 0, 1, [["a"], "b", "c"]), "$.relations[0][0][1]"),
+    (_set("quiver", "arrows", {}), "$.quiver.arrows"),
+    (_with_module({"dims": [1, 0, 0], "matrices": []}), "$.modules.X.matrices"),
+    (_with_complex({"terms": ["P1"]}), "$.complexes.C.terms"),
+    (_with_complex({"terms": {"0": "P1"}, "differentials": []}), "$.complexes.C.differentials"),
+    (_with_complex({"terms": {"0": "P1", "1": "P1"}, "differentials": {"0": ["x"]}}),
+     "$.complexes.C.differentials.0"),
+    (_with_complex({"sum": None}), "$.complexes.C.sum"),
+    (_with_complex({"approximation_cone": {"target": "M1", "by": "P2"}}),
+     "$.complexes.C.approximation_cone.by"),
+], ids=["modules-array", "complexes-number", "corpus-object", "checks-string",
+        "witnesses-object", "relations-object", "word-number", "word-nested", "word-object",
+        "word-list-entry", "arrows-object", "matrices-array", "terms-array",
+        "differentials-array", "differential-array", "sum-null", "by-string"])
+def test_values_of_the_wrong_json_type_are_input_errors(tmp_path, capsys, edit, path):
+    data = json.loads((DATA / "section7.json").read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["--quiet", "module", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {path}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+FUZZ_VALUES = [None, True, 0, 1, -1, 3, "", "x", "P1", [], [0], [[1]], ["x"], {}, {"x": 1}]
+FUZZ_COMMANDS = [["algebra"], ["module"], ["tilting"], ["relhom", "ifset"], ["relhom", "gldim"],
+                 ["bounds", "theorem73"], ["bounds", "counts"], ["bounds", "gorenstein"]]
+
+
+def _mutate_problem(rng: random.Random, data: dict) -> dict:
+    """data with one or two nodes, each reached by a random walk from the
+    root that stops at each level with chance 1/3, deleted or replaced by a
+    value from FUZZ_VALUES."""
+    data = copy.deepcopy(data)
+    for _ in range(rng.randint(1, 2)):
+        parent, key, node = None, None, data
+        while isinstance(node, (dict, list)) and node and (parent is None or rng.random() < 2 / 3):
+            parent, key = node, rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+            node = node[key]
+        if parent is None:
+            continue
+        if rng.randrange(4) == 0:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return data
+
+
+def test_problem_file_fuzz_exits_0_1_or_2(tmp_path, capsys):
+    # malformed input exits 1 with one `$.path` line on stderr, never 3
+    files = {name: json.loads((DATA / f"{name}.json").read_text())
+             for name in ("a2_apr", "section6", "section6_symmetric", "section7")}
+    path, codes = tmp_path / "fuzz.json", collections.Counter()
+    for seed in (1, 7):
+        rng = random.Random(seed)
+        for k in range(400):
+            name = rng.choice(sorted(files))
+            data = _mutate_problem(rng, files[name])
+            path.write_text(json.dumps(data))
+            argv = ["--quiet", "--cutoff", "4", *FUZZ_COMMANDS[k % len(FUZZ_COMMANDS)], path]
+            code = run(argv)
+            err = capsys.readouterr().err.splitlines()
+            codes[code] += 1
+            assert code in (0, 1, 2), (seed, k, name, argv, err)
+            if code == 1:
+                assert len(err) == 1 and err[0].startswith("input error: $"), (seed, k, name, err)
+            else:  # a verdict or a failed check, on stdout or one stderr line
+                assert len(err) <= code // 2, (seed, k, name, err)
+    # the mutations reach the commands as well as the schema
+    assert codes[0] > 50 and codes[1] > 600 and codes[2] > 0
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []],

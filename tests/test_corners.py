@@ -22,6 +22,7 @@ from helpers import (
     matrix_algebra_2,
     mixed_a2,
     nakayama_problem,
+    opposite,
     radical_matrix,
     residue_form_radical,
     rewritten_opposite,
@@ -108,7 +109,7 @@ def test_presentation_matches_the_completing_construction(label, build, F):
     # relations there and from the reversed words' elements here
     pres = build(F).presentation()
     for ours, ref in ((pres, RewrittenAlgebra(F, pres.quiver, pres.relations, pres.N)),
-                      (pres.opposite(), rewritten_opposite(pres))):
+                      (opposite(pres), rewritten_opposite(pres))):
         assert ours.basis == ref.basis
         for i in range(ours.dim):
             for j in range(ours.dim):
@@ -222,7 +223,6 @@ def test_submodules_and_sums_satisfy_the_relations(monkeypatch, tmp_path, field)
 @pytest.mark.parametrize("field", ["q", "fp:32003"])
 def test_quotients_are_checked_by_construction(monkeypatch, tmp_path, field):
     # bounds gorenstein takes the cokernels of the injective coresolutions
-    # and of the transposes
     built, checks = [], []
     cokernel, check = rep.cokernel, rep.Representation._check_relations
 
@@ -263,11 +263,27 @@ PRESENTED += [("Gamma nakayama(3,3) all", lambda F: nakayama33_gamma(F).presenta
                          ids=[f"{label}-{F!r}" for label, _ in PRESENTED for F in FIELDS])
 def test_projectives_and_injectives_satisfy_the_relations(label, build, F):
     algebra = build(F)
-    for alg in (algebra, algebra.opposite()):
+    for alg in (algebra, opposite(algebra)):
         for v in range(1, alg.quiver.n + 1):
             for m in (rep.projective(alg, v), rep.injective(alg, v)):
                 assert m._checked  # marked by construction
                 m._check_relations()  # raises when a relation fails
+
+
+@pytest.mark.parametrize("label, build, F", [(label, build, F) for label, build in PRESENTED
+                                             for F in FIELDS],
+                         ids=[f"{label}-{F!r}" for label, _ in PRESENTED for F in FIELDS])
+def test_injectives_are_dual_to_the_paths_into_their_vertex(label, build, F):
+    # (I_v)_w = D(e_w Λ e_v) has one dual basis vector per basis path w -> v,
+    # and the socle of I_v is S_v
+    algebra = build(F)
+    n = algebra.quiver.n
+    for v in range(1, n + 1):
+        paths = [sum(1 for k, (src, _) in enumerate(algebra.basis)
+                     if src == w and algebra.element_target(k) == v) for w in range(1, n + 1)]
+        m = rep.injective(algebra, v)
+        assert list(m.dims) == paths
+        assert [w for w, _ in rep.socle_rows(m)] == [v - 1]
 
 
 # ---------------------------------------------------------------------------

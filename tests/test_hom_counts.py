@@ -1,10 +1,11 @@
-"""F-exactness, Ext_F and the transpose read as Hom dimensions.
+"""F-exactness, Ext_F and DTr read as Hom dimensions and products.
 
 `relative.hom_g_exact` decides F-exactness of an exact sequence by counting
 dim Hom(G_k, -) over the summands of G, `rep.hom_dim` reads a Hom dimension
-off vertex spaces where it can, and `relative.transpose` reads d* at the top
+off vertex spaces where it can, and `relative.dtr` reads ν d at the top
 columns of the minimal presentation.  Each is checked against the route it
-replaced (`helpers.hom_g_surjective`, the Hom-space bases,
+replaced (`helpers.hom_g_surjective`, the Hom-space bases, the transpose
+over the opposite algebra, `helpers.dtr_by_transpose` and
 `helpers.transpose_by_coordinates`) on the bundled problems and two
 generated Nakayama problems, over Q and over F_32003.
 """
@@ -31,10 +32,8 @@ from relhomalg.rep import (
     ShortExactSeq,
     cokernel,
     direct_sum,
-    dual_to_main,
     hom_dim,
     hom_space,
-    hom_to_algebra_at,
     injective,
     projective,
     proven_isomorphic,
@@ -42,16 +41,21 @@ from relhomalg.rep import (
 from relhomalg.schema import parse_problem
 
 from helpers import (
+    dtr_by_transpose,
+    dual_to_main,
     hom_g_surjective,
     hom_to_algebra,
+    hom_to_algebra_at,
     nakayama_problem,
+    opposite,
     solved_hom_space,
     transpose_by_coordinates,
 )
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 PROBLEMS = {
-    **{name: (DATA / f"{name}.json").read_text() for name in ("section6", "section7", "a2_apr")},
+    **{name: (DATA / f"{name}.json").read_text() for name in ("section6", "section7", "a2_apr",
+                                                                 "section6_symmetric")},
     "nakayama(4,3)": json.dumps(nakayama_problem(4, 3)),
     "nakayama(4,4)-all": json.dumps(nakayama_problem(4, 4, every_indecomposable=True)),
 }
@@ -119,9 +123,8 @@ def test_transpose_matches_the_coordinate_route(field):
         alg = problem.algebra
         for v in range(1, alg.quiver.n + 1):
             piece = hom_to_algebra_at(alg, v)
-            assert hom_to_algebra_at(alg, v) is piece  # built once per algebra
             assert proven_isomorphic(piece, hom_to_algebra(projective(alg, v))[0])
-            assert proven_isomorphic(piece, projective(alg.opposite(), v))  # e_v Λ
+            assert proven_isomorphic(piece, projective(opposite(alg), v))  # e_v Λ
         modules = list(problem.modules.values())
         # sums of two modules have two top columns, so P0 and P1 have several pieces
         sums = [direct_sum([a, b], alg) for a, b in zip(modules, modules[1:] + modules[:1])]
@@ -130,6 +133,7 @@ def test_transpose_matches_the_coordinate_route(field):
                 assert dtr(m).is_zero()
                 continue
             assert proven_isomorphic(dtr(m), dual_to_main(transpose_by_coordinates(m))), name
+            assert proven_isomorphic(dtr(m), dtr_by_transpose(m)), name
             checked += 1
     assert checked > 40
 

@@ -1,8 +1,9 @@
 """Path algebras kQ/(I + J^N) built by linear algebra: the normal words and
-every product of each algebra and of its opposite agree with the rewriting
-construction (`helpers.RewrittenAlgebra`) where rewriting is right, over Q
-and F_32003; a relation with terms of two lengths gets the right algebra;
-and the count of paths bounds what a problem file may ask for."""
+every product of each algebra and of its opposite (`helpers.opposite`)
+agree with the rewriting construction (`helpers.RewrittenAlgebra`) where
+rewriting is right, over Q and F_32003; a relation with terms of two
+lengths gets the right algebra; and the count of paths bounds what a
+problem file may ask for."""
 
 import json
 import time
@@ -16,6 +17,7 @@ from helpers import (
     cycle3_verbatim,
     loop_dual_numbers,
     nakayama_problem,
+    opposite,
     rewritten_opposite,
 )
 
@@ -45,12 +47,12 @@ CASES = [(label, build, F) for label, build in LAMBDAS for F in FIELDS]
 def test_words_and_products_match_the_rewriting_construction(label, build, F):
     alg = build(F)
     ref = RewrittenAlgebra(F, alg.quiver, alg.relations, alg.N)
-    for ours, theirs in ((alg, ref), (alg.opposite(), rewritten_opposite(alg))):
+    for ours, theirs in ((alg, ref), (opposite(alg), rewritten_opposite(alg))):
         assert ours.basis == theirs.basis
         for i in range(ours.dim):
             for j in range(ours.dim):
                 assert ours.mul_basis(i, j) == theirs.mul_basis(i, j), (i, j)
-    assert alg.opposite().opposite() is alg
+    assert opposite(opposite(alg)) is alg
 
 
 def mixed_lengths(field=None):

@@ -9,8 +9,6 @@ from relhomalg.rep import (
     Representation,
     cokernel,
     direct_sum,
-    dual,
-    dual_to_main,
     hom_coordinates,
     hom_space,
     injective,
@@ -22,9 +20,18 @@ from relhomalg.rep import (
     socle,
     zero_representation,
 )
-from relhomalg.relative import dtr, projective_cover, transpose
+from relhomalg.relative import dtr, projective_cover
 
-from helpers import DirectSum, a2_algebra, cycle3_selfinjective, cycle3_verbatim, uniserials
+from helpers import (
+    DirectSum,
+    a2_algebra,
+    cycle3_selfinjective,
+    cycle3_verbatim,
+    dual,
+    dual_to_main,
+    transpose,
+    uniserials,
+)
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,6 @@ from relhomalg.matrix import rank
 from relhomalg.rep import (
     direct_sum,
     injective,
-    left_multiplication_map,
     projective,
     radical,
     radical_power_sub,
@@ -156,5 +155,3 @@ def test_radical_and_left_multiplication_are_built_once():
     assert radical(p) is radical(p)
     sub, _ = radical_power_sub(p, 2)
     assert sub is radical(radical(p)[0])[0]
-    for ai in range(len(alg.quiver.arrows)):
-        assert left_multiplication_map(alg, ai) is left_multiplication_map(alg, ai)

@@ -38,7 +38,6 @@ from relhomalg.rep import (
     injective,
     is_isomorphic,
     kernel,
-    left_multiplication_map,
     projective,
     socle_rows,
     stack_maps,
@@ -47,7 +46,7 @@ from relhomalg.rep import (
 from relhomalg.schema import load_problem
 
 from helpers import (cycle3_selfinjective, cycle3_verbatim, full_basis_approximation,
-                     nakayama_problem, solved_hom_space, uniserials)
+                     left_multiplication_map, nakayama_problem, solved_hom_space, uniserials)
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section6", "section6_symmetric", "section7", "a2_apr"]
