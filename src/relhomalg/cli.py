@@ -164,7 +164,7 @@ def cmd_module(args, out: Output) -> int:
 def cmd_relhom(args, out: Output) -> int:
     problem = _load(args, out)
     F = problem.subbifunctor
-    corpus = problem.corpus()
+    corpus = problem.corpus(sup=args.sub == "gldim")
     if args.sub == "ifset":
         injs, validated, notes = relative_injectives(F, [m for _, m in corpus])
         names = [_named_match(problem, c.module) for c in injs]
@@ -286,7 +286,7 @@ def cmd_tilting(args, out: Output) -> int:
 def cmd_bounds(args, out: Output) -> int:
     problem = _load(args, out)
     F = problem.subbifunctor
-    corpus = problem.corpus()
+    corpus = problem.corpus(sup=args.sub in ("theorem73", "cor710"))
     if problem.tilting is None:
         raise SchemaError("$.tilting", "bounds checks need a tilting declaration")
     ts = problem.tilting_sum()

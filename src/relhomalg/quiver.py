@@ -226,9 +226,9 @@ class PathAlgebra:
 
         self._mul_table: dict[tuple[int, int], dict[int, object]] = {}
         # Representations over this algebra, one object per content (dims and
-        # arrow-matrix entries, see rep.Representation), and the projective
-        # and injective at each vertex and the basis paths from and into it,
-        # keyed (kind, vertex).  Insert-only.
+        # arrow-matrix entries, see rep.Representation); the projective and
+        # injective at each vertex and the basis paths from and into it, keyed
+        # (kind, vertex), and direct sums, keyed ("sum", parts).  Insert-only.
         self.modules: dict = {}
         self.vertex_modules: dict[tuple[str, int], object] = {}
         self.ordinary = None  # relative.ordinary_f (G = the projectives), built once

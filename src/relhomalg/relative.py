@@ -13,13 +13,12 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .matrix import Matrix, _normal, rank
+from .matrix import Matrix, _normal
 from .quiver import PathAlgebra
 from .rep import (
     ModuleMap,
     Representation,
     ShortExactSeq,
-    _hom_basis,
     _paths_from,
     _vertex_maps,
     cokernel,
@@ -49,20 +48,37 @@ class SummandDecl(NamedTuple):
     module: Representation
 
 
+class Summands(list):
+    """SummandDecls and the tuple of their modules, taken once, which keys
+    what is stored on a module for them (`_on_module`)."""
+
+    def __init__(self, decls):
+        super().__init__(decls)
+        self.key = tuple(s.module for s in self)
+
+
 class SubbifunctorF:
     """F = F_{add G} for a generator G declared by its indecomposable
     summands (pairwise non-isomorphic, projectives included)."""
 
     def __init__(self, algebra: PathAlgebra, summands: list[SummandDecl]):
         self.algebra = algebra
-        self.summands = list(summands)
+        self.summands = Summands(summands)
         self.validation_notes: list[str] = []
+        self._hom_dims: dict[Representation, list[int]] = {}
         self._validate()
+
+    def hom_dims(self, y: Representation) -> list[int]:
+        """dim Hom(G_k, y) for each summand G_k, computed once per y."""
+        out = self._hom_dims.get(y)
+        if out is None:
+            out = self._hom_dims[y] = [hom_dim(g, y) for g in self.summands.key]
+        return out
 
     @cached_property
     def generator(self) -> Representation:
         """⊕G, built on first read: only F-acyclicity reads it."""
-        return direct_sum([s.module for s in self.summands], self.algebra)
+        return direct_sum(self.summands.key, self.algebra)
 
     # -- declarations ------------------------------------------------------
 
@@ -99,8 +115,8 @@ def hom_g_exact(f: SubbifunctorF, a: Representation, middle: list[Representation
     """Is the exact 0 -> a -> ⊕middle -> c -> 0 F-exact?  Hom(G_k, -) is left
     exact, so it is when dim Hom(G_k, c) = dim Hom(G_k, ⊕middle) -
     dim Hom(G_k, a) for every summand G_k of G (Auslander-Solberg 1993)."""
-    return all(hom_dim(g, c) == sum(hom_dim(g, b) for b in middle) - hom_dim(g, a)
-               for g in _modules(f.summands))
+    mid = [sum(d) for d in zip([0] * len(f.summands), *map(f.hom_dims, middle))]
+    return all(dc == dm - da for dc, dm, da in zip(f.hom_dims(c), mid, f.hom_dims(a)))
 
 
 def is_f_exact(ses: ShortExactSeq, f: SubbifunctorF) -> bool:
@@ -144,100 +160,102 @@ class Approximation:
         return kernel(self.map)
 
 
-def _minimal_approximating_subset(x: Representation, maps: list[ModuleMap],
-                                  summands: list[SummandDecl], left: bool) -> list[int] | None:
-    """Indices of a minimal sublist of maps that is still an add(⊕summands)-
-    approximation of x, or None when the full list is not one.
+def _echelon_add(F, echelon: list[tuple[int, list]], vecs: list[list]):
+    """Reduce each of vecs by the echelon, pairs (pivot, row) with row 1 at
+    its pivot and 0 at the pivots before it, and append the rest unless 0."""
+    p = F.p
+    for vec in vecs:
+        for c, r in echelon:
+            if f := vec[c]:
+                vec = [(a - f * b) % p for a, b in zip(vec, r)] if p else [a - f * b for a, b in zip(vec, r)]
+        c = next((c for c, a in enumerate(vec) if a), None)
+        if c is not None:
+            inv = F.inv(vec[c]) if vec[c] != 1 else 1
+            echelon.append((c, [inv * a % p for a in vec] if p else [inv * a for a in vec]))
 
-    Right (left=False): maps u_c: M_c -> x, and Hom(C, ⊕M_c) -> Hom(C, x)
-    must be onto for every summand C.  Left: maps u_c: x -> M_c, and
-    Hom(⊕M_c, C) -> Hom(x, C) must be onto.  No composite is built: the
-    block of (C, u_c) holds the composites "h then u_c" over h in Hom(C, M_c)
-    (left: "u_c then h" over h in Hom(M_c, C)) evaluated at the top columns
-    of their source, the vectors (u_c)_v·(column j of h_v) (left:
-    h_v·(column j of (u_c)_v)) over the top columns (v, j).  Evaluation at
-    the top columns is injective on Hom(C, x) (left: Hom(x, C)), see
-    `rep.top_columns`, so a block is (the evaluated Hom basis, of full
-    column rank) times (the coordinates of the composites): its rank is
-    theirs, and a trial is onto when it reaches dim Hom(C, x) (left:
-    dim Hom(x, C)), one rank per C.  For a stored C = P_v (left: I_v),
-    Hom(P_v, -) is evaluation at e_v (left: Hom(-, I_v) is D of it), so the
-    block is the columns of the (u_c)_v side by side (left: their rows
-    stacked), and it must reach dim x_v; no Hom basis of C is built.
-    Surjectivity is monotone in the kept set, so a single greedy removal
-    pass keeps a minimal subset (a map needed once stays needed); its glued
-    map is sure to be right (left) minimal only when every summand has
-    local End.
-    """
-    F = x.algebra.field
+
+def _minimal_approximating_subset(x: Representation, blocks: list[list[list]], pieces: list[int],
+                                  summands: Summands, left: bool) -> list[int] | None:
+    """Indices of the candidates u_c (`_candidates`) that one greedy removal
+    pass keeps, a minimal sublist still making Hom(C, ⊕M_c) -> Hom(C, x)
+    (left: Hom(⊕M_c, C) -> Hom(x, C)) onto for each summand C, M_c =
+    summands[pieces[c]]; None when the full list does not.  The row of C
+    gives u_c the composites "h then u_c" over h in Hom(C, M_c) (left:
+    "u_c then h") at the top columns of their source, an injective
+    evaluation (`rep.top_columns`), or at a stored C = P_v (left: I_v) the
+    columns (rows) of (u_c)_v; onto means these reach rank dim Hom(C, x).
+    The pass drops u_i when the maps kept before i and all after i stay
+    onto: with the kept maps E it drops up to the largest j whose maps from
+    j on, with E, are onto at every C, and keeps u_j.  Each row keeps an
+    echelon of E and finds its j on a copy, reducing u_{n-1}, u_{n-2}, ...
+    The glued map is sure to be minimal only when every summand is local."""
+    F, dims, n = x.algebra.field, x.dims, len(blocks)
     kind = "injective" if left else "projective"
-    everything = range(len(maps))
-    columns: dict[ModuleMap, list[list]] = {}  # each first map at the top columns, taken once
-
-    def evaluated(first: ModuleMap, then: ModuleMap) -> list:
-        top = top_columns(first.source)
-        cols = columns.get(first)
-        if cols is None:
-            cols = columns[first] = [first.mats[v].col(j) for v, j in top]
-        return [e for (v, _), col in zip(top, cols) for e in then.mats[v].apply(col)]
-
-    def onto(need: int, width: int, row: list[list], subset) -> bool:
-        flat = [e for c in subset for e in row[c]]
-        n = len(flat) // width
-        return n >= need and rank(Matrix(F, n, width, flat)) == need
-
-    rows: list[tuple[int, int, list[list]]] = []
-    for s in summands:
-        c = s.module
+    parts = [summands.key[k] for k in pieces]
+    rows = []  # per C with Hom(C, x) (left: Hom(x, C)) nonzero: need, vectors per map, E's echelon
+    for c in summands.key:
         v = x.algebra.vertex_modules.get((kind, c))
-        need = x.dims[v - 1] if v is not None else len(hom_space(x, c) if left else hom_space(c, x))
+        need = dims[v - 1] if v is not None else len(hom_space(x, c) if left else hom_space(c, x))
         if not need:
             continue
         if v is not None:
-            width = need
-            row = [u.mats[v - 1].entries if left else u.mats[v - 1].transpose().entries for u in maps]
+            vecs = [[b[v - 1][i * need:(i + 1) * need] for i in range(m.dims[v - 1])] if left
+                    else [b[v - 1][j::m.dims[v - 1]] for j in range(m.dims[v - 1])]
+                    for b, m in zip(blocks, parts)]
         elif left:
-            width = sum(c.dims[v] for v, _ in top_columns(x))
-            row = [[e for h in hom_space(u.target, c) for e in evaluated(u, h)] for u in maps]
+            vecs = [[[e for w, j in top_columns(x) for e in h.mats[w].apply(b[w][j::dims[w]])]
+                     for h in hom_space(m, c)] for b, m in zip(blocks, parts)]
         else:
-            width = sum(x.dims[v] for v, _ in top_columns(c))
-            row = [[e for h in hom_space(c, u.source) for e in evaluated(h, u)] for u in maps]
-        if not onto(need, width, row, everything):
-            return None
-        rows.append((need, width, row))
-    keep = list(everything)
-    for i in everything:
-        trial = [j for j in keep if j != i]
-        if all(onto(need, width, row, trial) for need, width, row in rows):
-            keep = trial
+            vecs = [[[e for w, j in top_columns(c) for e in Matrix(F, dims[w], m.dims[w], b[w]).apply(
+                h.mats[w].col(j))] for h in hom_space(c, m)] for b, m in zip(blocks, parts)]
+        rows.append((need, vecs, []))
+    keep = []
+    while rows:  # the rows that E is not onto at
+        first = keep[-1] + 1 if keep else 0
+        if keep and first == n - 1:  # E with u_{n-1} is onto at every C
+            return keep + [first]
+        last = []
+        for need, vecs, kept in rows:
+            echelon = list(kept)
+            for c in range(n - 1, first - 1, -1):
+                _echelon_add(F, echelon, vecs[c])
+                if len(echelon) == need:
+                    last.append(c)
+                    break
+            else:
+                return None  # only in the first round: the full list is not onto at C
+        keep.append(min(last))
+        for need, vecs, kept in rows:
+            _echelon_add(F, kept, vecs[keep[-1]])
+        rows = [row for row in rows if len(row[2]) < row[0]]
     return keep
 
 
-def _candidates(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
-                left: bool) -> tuple[list[ModuleMap], list[int], bool]:
-    """The maps the approximation of x is kept from, the summand of each,
-    and whether every summand is a stored P_v (left: I_v).  If the summands
-    hold every stored P_v, each gives only e_v -> e_j for the top columns
-    (v, j) of x: a map P_v -> x less its top-column part sends e_v into
-    rad x, so it factors through radical maps P_v -> P_w and maps P_w -> x,
-    and by induction on the radical layer it is a sum of top-column maps
-    after maps between projectives.  Every other summand gives its Hom
-    basis.  Left, dually, the functionals e_j^T of the `socle_rows` of x."""
+def _candidates(x: Representation, summands: Summands, algebra: PathAlgebra,
+                left: bool) -> tuple[list[list[list]], list[int], bool]:
+    """The maps the approximation of x is kept from, as vertex blocks
+    (row-major, one list per vertex), the summand of each, and whether every
+    summand is a stored P_v (left: I_v).  If the summands hold every stored
+    P_v, each gives only the `_vertex_maps` e_v -> e_j for the top columns
+    (v, j) of x: a map P_v -> x less its top-column part factors through
+    radical maps P_v -> P_w, so by induction on the radical layer it is a
+    sum of top-column maps after maps between projectives.  Other summands
+    give their cached Hom bases.  Left, dually, the `socle_rows` of x."""
     kind = "injective" if left else "projective"
-    vertex = [algebra.vertex_modules.get((kind, s.module)) for s in summands]
+    vertex = [algebra.vertex_modules.get((kind, m)) for m in summands.key]
     every = len(set(vertex) - {None}) == algebra.quiver.n
     gens = socle_rows(x) if left else top_columns(x)
-    maps, pieces = [], []
-    for k, (s, v) in enumerate(zip(summands, vertex)):
-        src, tgt = (x, s.module) if left else (s.module, x)
+    blocks, pieces = [], []
+    for k, (m, v) in enumerate(zip(summands.key, vertex)):
+        src, tgt = (x, m) if left else (m, x)
         if not every or v is None:
-            found = hom_space(src, tgt)
+            found = [[a.entries for a in f.mats] for f in hom_space(src, tgt)]
         else:
             js = [j for w, j in gens if w == v - 1]
-            found = _hom_basis(src, tgt, _vertex_maps(src, tgt, v, left, js)) if js else []
-        maps += found
+            found = _vertex_maps(src, tgt, v, left, js) if js else []
+        blocks += found
         pieces += [k] * len(found)
-    return maps, pieces, every and None not in vertex
+    return blocks, pieces, every and None not in vertex
 
 
 def _on_module(x: Representation, key: tuple, compute):
@@ -247,48 +265,39 @@ def _on_module(x: Representation, key: tuple, compute):
     if x._approximations is None:
         x._approximations = {}
     out = x._approximations.get(key)
-    if out is None:
-        out = x._approximations[key] = compute()
-    return out
-
-
-def _modules(summands: list[SummandDecl]) -> tuple[Representation, ...]:
-    return tuple(s.module for s in summands)
+    return out if out is not None else x._approximations.setdefault(key, compute())
 
 
 def _approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
                    left: bool) -> Approximation:
-    """The minimal left or right add(⊕summands)-approximation of x, by greedy
-    copy removal over the `_candidates` on that side; computed once per x,
-    side and summands, and stored on x."""
-    return _on_module(x, ("left" if left else "right", _modules(summands)),
-                      lambda: _build_approximation(x, summands, algebra, left))
+    """The minimal left or right add(⊕summands)-approximation of x, computed
+    once per x, side and summand modules, and stored on x."""
+    summands = summands if isinstance(summands, Summands) else Summands(summands)
+    return _on_module(x, (left, summands.key), lambda: _build_approximation(x, summands, algebra, left))
 
 
-def _build_approximation(x: Representation, summands: list[SummandDecl], algebra: PathAlgebra,
+def _build_approximation(x: Representation, summands: Summands, algebra: PathAlgebra,
                          left: bool) -> Approximation:
     """A summand x is its own approximation, the identity with zero kernel
-    (Auslander-Solberg 1993); else by the greedy pass over the
-    `_candidates`.  When every summand is a stored P_v (I_v) the candidates
-    are kept whole: their glued map is checked onto (mono), so it is an
-    add(Λ)- (add(DΛ)-) approximation, and it is minimal by its count of
-    copies, dim top(x)_v of P_v (dim soc(x)_v of I_v), see
-    `projective_cover`."""
+    (Auslander-Solberg 1993).  Else `_candidates` are kept whole when every
+    summand is a stored P_v (I_v), their glued map checked onto (mono) and
+    minimal by its count of copies (see `projective_cover`), or the greedy
+    pass keeps some; `rep.stack_maps` glues only the kept blocks."""
     if x.is_zero():
         z = zero_representation(algebra)
         return Approximation(ModuleMap.zero(x, z) if left else ModuleMap.zero(z, x), [])
-    if any(s.module is x for s in summands):
+    if x in summands.key:
         return Approximation.identity(x)
-    maps, pieces, vertex = _candidates(x, summands, algebra, left)
+    blocks, pieces, vertex = _candidates(x, summands, algebra, left)
     if not vertex:
-        keep = _minimal_approximating_subset(x, maps, summands, left)
+        keep = _minimal_approximating_subset(x, blocks, pieces, summands, left)
         if keep is None:
             raise ValueError("tautological approximation failed")
-        maps, pieces = [maps[i] for i in keep], [pieces[i] for i in keep]
-    glued = stack_maps(maps, x, into=left)
+        blocks, pieces = [blocks[i] for i in keep], [pieces[i] for i in keep]
+    glued = stack_maps([summands.key[k] for k in pieces], blocks, x, into=left)
     if vertex and not (glued.is_injective() if left else glued.is_surjective()):
         raise ValueError("tautological approximation failed")
-    if glued.is_isomorphism():
+    if glued.source.dims == glued.target.dims and glued.is_isomorphism():
         return Approximation.identity(x)
     return Approximation(glued, pieces)
 
@@ -437,8 +446,8 @@ def ext_f(x: Representation, y: Representation, i: int, f: SubbifunctorF,
     app = res.approximations[i - 1]  # P -> Ω^{i-1} x, with kernel Ω^i x
     if app.is_identity:
         return 0
-    middle = sum(hom_dim(f.summands[k].module, y) for k in app.pieces)
-    return hom_dim(app.kernel[0], y) - middle + hom_dim(app.map.target, y)
+    dims = f.hom_dims(y)
+    return hom_dim(app.kernel[0], y) - sum(dims[k] for k in app.pieces) + hom_dim(app.map.target, y)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +482,7 @@ def relative_injectives(f: SubbifunctorF, corpus: list[Representation]):
     resolutions = [f_resolution(x, f, 0) for x in corpus]
     notes = [f"{c.name} fails F-injectivity against a corpus module" for c in candidates
              if any(ext_f(res.x, c.module, 1, f, resolution=res) != 0 for res in resolutions)]
-    return candidates, not notes, notes
+    return Summands(candidates), not notes, notes
 
 
 class CoresolutionStep(NamedTuple):
@@ -501,14 +510,14 @@ def coresolution_step(x: Representation, f: SubbifunctorF,
             return CoresolutionStep(cok, "coresolution step is not F-exact: I(F) list invalid")
         return CoresolutionStep(cok)
 
-    return _on_module(x, ("coresolution", _modules(injectives), _modules(f.summands)), step)
+    injectives = injectives if isinstance(injectives, Summands) else Summands(injectives)
+    return _on_module(x, ("coresolution", injectives.key, f.summands.key), step)
 
 
 def id_f(x: Representation, f: SubbifunctorF, injectives: list[SummandDecl],
          cutoff: int) -> DimensionReport:
     """Relative injective dimension, by minimal left I(F)-approximations."""
-    cur = x
-    length = 0
+    cur, length = x, 0
     while not cur.is_zero():
         step = coresolution_step(cur, f, injectives)
         if step.failure is not None:
@@ -524,8 +533,6 @@ def id_f(x: Representation, f: SubbifunctorF, injectives: list[SummandDecl],
 
 def gldim_f(corpus: list[tuple[str, Representation]], f: SubbifunctorF, cutoff: int,
             complete: bool = False) -> DimensionReport:
-    if not corpus:
-        raise ValueError("empty corpus")
     breakdown = {name: f_resolution(x, f, cutoff).pd for name, x in corpus}
     report = DimensionReport("gldim_F", dim_max(list(breakdown.values())), cutoff,
                              breakdown=breakdown)
@@ -576,8 +583,8 @@ def gldim(algebra: PathAlgebra, cutoff: int) -> DimensionReport:
 def regular_id(algebra: PathAlgebra, cutoff: int) -> DimensionReport:
     """id of the left regular module, the largest id of a projective, by
     minimal injective coresolutions (I(F) = the injectives)."""
-    injectives = [SummandDecl(f"I{v}", injective(algebra, v))
-                  for v in range(1, algebra.quiver.n + 1)]
+    injectives = Summands(SummandDecl(f"I{v}", injective(algebra, v))
+                          for v in range(1, algebra.quiver.n + 1))
     d = dim_max([id_f(projective(algebra, v), ordinary_f(algebra), injectives, cutoff).dim
                  for v in range(1, algebra.quiver.n + 1)])
     return DimensionReport("id", d, cutoff)

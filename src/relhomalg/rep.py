@@ -15,7 +15,9 @@ entries, `cokernel` eliminates only where f_v is nonzero (P = I elsewhere,
 a zero target included), `top_columns` and `socle_rows` read only the
 nonzero vertices, and a Hom space without unknowns is empty.  The content
 of every result is what the full loops give, so canonical representations
-are the same objects.
+are the same objects.  Each algebra stores one representation per content
+(`algebra.modules`), and its projectives, injectives, paths from and into
+each vertex and direct sums (`algebra.vertex_modules`).
 """
 
 from __future__ import annotations
@@ -392,16 +394,16 @@ def _vertex_hom(m: Representation, n: Representation) -> HomBasis:
     vecs = _vertex_maps(m, n, v, into)
     if not vecs:
         return HomBasis()
-    R, _ = rref(Matrix(m.algebra.field, len(vecs), len(vecs[0]),
-                       [e for vec in vecs for e in reversed(vec)]))
+    R, _ = rref(Matrix(m.algebra.field, len(vecs), sum(map(len, vecs[0])),
+                       [e for vec in vecs for b in reversed(vec) for e in reversed(b)]))
     return _hom_basis(m, n, [R.row(r)[::-1] for r in reversed(range(len(vecs)))])
 
 
 def _vertex_maps(m: Representation, n: Representation, v: int, into: bool,
                  js: list[int] | None = None) -> list[list]:
     """A basis of Hom(P_v, n) = n_v, m = P_v (Assem-Simson-Skowroński I,
-    III.2), flattened as in `_hom_space_compute`: the map e_v -> e_j sends
-    the basis path p of P_v to n(p)·e_j.  With into, dually, of
+    III.2), each map as its vertex blocks, row-major: the map e_v -> e_j
+    sends the basis path p of P_v to n(p)·e_j.  With into, dually, of
     Hom(m, I_v) = D(m_v): the functional e_j^T gives the map sending y in
     m_w to q -> e_j^T·m(q)·y on the basis paths q from w into v.  Each
     product is one step from its prefix's (with into, its suffix's).  Only
@@ -421,9 +423,9 @@ def _vertex_maps(m: Representation, n: Representation, v: int, into: bool,
         vec = []
         for ks in per_vertex:
             if into:  # the block at w has the rows j of m(q)
-                vec += [e for k in ks for e in products[k].row(j)]
+                vec.append([e for k in ks for e in products[k].row(j)])
             else:  # the block at w has the columns j of n(p)
-                vec += [e for col in zip(*(products[k].entries[j::d] for k in ks)) for e in col]
+                vec.append([e for col in zip(*(products[k].entries[j::d] for k in ks)) for e in col])
         vecs.append(vec)
     return vecs
 
@@ -485,24 +487,24 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Quotient target/im(f) with the projection map, checked when the
     target is.  At each vertex rref([f_v | I]) = [E·f_v | E]: the rows P of
     E below rank f_v kill im f_v, and the I-block's pivots are the identity
-    columns C completing it, so P·C = I.  That P is unique, so the quotient
-    is canonical; P·f_v = 0 and P·C = I are checked."""
+    columns C completing it, so P·C = I.  P is unique, so the quotient is
+    canonical; P·f_v = 0 and P·C = I are checked where P has rows."""
     F = f.source.algebra.field
-    q = f.source.algebra.quiver
     projs, comps = [], []
     for a, n in zip(f.mats, f.target.dims):
         if any(a.entries):
             R, pivots = rref(a.hstack(Matrix.identity(F, n)))
             comp = [p - a.cols for p in pivots if p >= a.cols]
             P = R.submatrix(range(n - len(comp), n), range(a.cols, a.cols + n))
-            if not (P * a).is_zero() or P.select_columns(comp) != Matrix.identity(F, len(comp)):
+            if comp and (not (P * a).is_zero() or P.select_columns(comp) != Matrix.identity(F, len(comp))):
                 raise ValueError("cokernel projection check failed")
         else:  # f_v = 0, a zero target included: the projection is I
             comp, P = list(range(n)), Matrix.identity(F, n)
         projs.append(P)
         comps.append(comp)
-    mats = [(projs[a.target - 1] * f.target.mats[ai]).select_columns(comps[a.source - 1])
-            for ai, a in enumerate(q.arrows)]
+    mats = [(projs[j - 1] * t).select_columns(comps[i - 1]) if comps[i - 1] and comps[j - 1]
+            else Matrix.zeros(F, len(comps[j - 1]), len(comps[i - 1]))
+            for t, (_, i, j) in zip(f.target.mats, f.source.algebra.quiver.arrows)]
     quot = Representation(f.source.algebra, [len(c) for c in comps], mats, check=False)
     proj = ModuleMap(f.target, quot, projs)
     # the projection intertwines, so quot(ρ)·proj = proj·target(ρ) = 0 for a
@@ -512,31 +514,33 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 
 def direct_sum(parts: list[Representation], algebra: PathAlgebra | None = None) -> Representation:
-    """⊕parts, marked checked when every part is: its arrow matrices are
-    block-diagonal, so every word, and every relation, acts part by part.
-    At each vertex the coordinates of the parts follow one another in order,
-    so a map between sums is a block matrix laid out by the parts' dims."""
-    if algebra is None:
-        algebra = parts[0].algebra
-    F = algebra.field
-    q = algebra.quiver
-    dims = tuple(sum(p.dims[v] for p in parts) for v in range(q.n))
-    mats = [block_diag(F, [p.mats[ai] for p in parts]) for ai in range(len(q.arrows))]
-    rep = Representation(algebra, dims, mats, check=False)
-    rep._checked |= all(p._checked for p in parts)
+    """⊕parts, built once per algebra and parts, and checked when every part
+    is: its arrow matrices are block-diagonal, so every word, and relation,
+    acts part by part.  At each vertex the coordinates of the parts follow
+    one another, so a map between sums is a block matrix by the parts' dims."""
+    algebra = algebra or parts[0].algebra
+    key = ("sum", tuple(parts))
+    rep = algebra.vertex_modules.get(key)
+    if rep is None:
+        F, q = algebra.field, algebra.quiver
+        dims = tuple(sum(p.dims[v] for p in parts) for v in range(q.n))
+        mats = [block_diag(F, [p.mats[ai] for p in parts]) for ai in range(len(q.arrows))]
+        rep = algebra.vertex_modules[key] = Representation(algebra, dims, mats, check=False)
+    rep._checked = rep._checked or all(p._checked for p in parts)
     return rep
 
 
-def stack_maps(maps: list[ModuleMap], x: Representation, into: bool = False) -> ModuleMap:
-    """Bundle f_k: M_k -> x into (⊕M_k) -> x, or with `into` f_k: x -> M_k
-    into x -> (⊕M_k)."""
-    algebra = x.algebra
-    total = direct_sum([f.target if into else f.source for f in maps], algebra)
-    F, dims = algebra.field, total.dims
-    mats = [Matrix(F, dims[v], x.dims[v], [e for f in maps for e in f.mats[v].entries]) if into
-            else Matrix(F, x.dims[v], dims[v],
-                        [e for r in range(x.dims[v]) for f in maps for e in f.mats[v].row(r)])
-            for v in range(algebra.quiver.n)]
+def stack_maps(parts: list[Representation], blocks: list[list[list]], x: Representation,
+               into: bool = False) -> ModuleMap:
+    """The map (⊕parts) -> x that is f_k on parts[k], or with `into` the map
+    x -> (⊕parts) whose part k is f_k, each f_k given by its vertex blocks
+    blocks[k], row-major, one list per vertex."""
+    total, F = direct_sum(parts, x.algebra), x.algebra.field
+    mats = [Matrix.zeros(F, *((t, d) if into else (d, t))) if not (t and d)
+            else Matrix(F, t, d, [e for b in blocks for e in b[v]]) if into
+            else Matrix(F, d, t, [e for r in range(d) for b, p in zip(blocks, parts)
+                                  for e in b[v][r * p.dims[v]:(r + 1) * p.dims[v]]])
+            for v, (d, t) in enumerate(zip(x.dims, total.dims))]
     return ModuleMap(x, total, mats, check=False) if into else ModuleMap(total, x, mats, check=False)
 
 
@@ -594,9 +598,8 @@ def radical_power_sub(m: Representation, k: int) -> tuple[Representation, Module
     """rad^k(m) as a subrepresentation of m."""
     cur, incl = m, ModuleMap.identity(m)
     for _ in range(k):
-        sub, sub_incl = radical(cur)
+        cur, sub_incl = radical(cur)
         incl = sub_incl.compose(incl)
-        cur = sub
     return cur, incl
 
 
@@ -694,17 +697,5 @@ class ShortExactSeq:
             raise ValueError("composite not zero")
         if any(a + c != b for a, b, c in zip(f.source.dims, f.target.dims, g.target.dims)):
             raise ValueError("image(f) != kernel(g): dimension additivity fails")
-        self.f = f
-        self.g = g
-
-    @property
-    def sub(self) -> Representation:
-        return self.f.source
-
-    @property
-    def middle(self) -> Representation:
-        return self.f.target
-
-    @property
-    def quotient(self) -> Representation:
-        return self.g.target
+        self.f, self.g = f, g
+        self.sub, self.middle, self.quotient = f.source, f.target, g.target

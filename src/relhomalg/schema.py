@@ -57,7 +57,9 @@ class Problem(NamedTuple):
     checks: list[str]
     raw: dict
 
-    def corpus(self) -> list[tuple[str, Representation]]:
+    def corpus(self, sup: bool = False) -> list[tuple[str, Representation]]:
+        """The corpus modules; a command that takes a sup over them (sup) needs one."""
+        _expect(self.corpus_names or not sup, "$.corpus", "empty or absent; this command takes a sup over it")
         return [(n, self.modules[n]) for n in self.corpus_names]
 
     def tilting_sum(self) -> ComplexSum:

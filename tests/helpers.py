@@ -246,7 +246,7 @@ def left_multiplication_map(algebra, ai):
     a = algebra.quiver.arrows[ai]
     src, tgt = projective(algebra, a.target), projective(algebra, a.source)
     j = rep._paths_from(algebra, a.source)[0][a.target - 1].index(algebra.arrow_element(ai))
-    e_to_a = rep._vertex_maps(src, tgt, a.target, False)[j]
+    e_to_a = [e for block in rep._vertex_maps(src, tgt, a.target, False)[j] for e in block]
     return ModuleMap(src, tgt, rep._hom_basis(src, tgt, [e_to_a])[0].mats)
 
 
@@ -329,19 +329,45 @@ def transpose_by_coordinates(m):
     return cokernel(ModuleMap(h0, h1, mats))[0]
 
 
-def full_basis_approximation(x, summands, left):
+def full_basis_approximation(x, summands, left, maps=None, pieces=None):
     """(pieces, map) of the minimal approximation that the greedy removal
-    pass keeps from every map of the Hom-space bases, each summand's block
-    read from coordinates (`coordinate_approximating_subset`): a reference
-    that shares no code with the candidates and vertex blocks of
+    pass keeps from the candidate maps (the summand of each in pieces), by
+    default every map of the Hom-space bases, each summand's block read from
+    coordinates (`coordinate_approximating_subset`): a reference that shares
+    no code with the vertex blocks and echelons of
     `relative._build_approximation`."""
-    maps, pieces = [], []
-    for k, s in enumerate(summands):
-        for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
-            maps.append(phi)
-            pieces.append(k)
+    if maps is None:
+        maps, pieces = [], []
+        for k, s in enumerate(summands):
+            for phi in (hom_space(x, s.module) if left else hom_space(s.module, x)):
+                maps.append(phi)
+                pieces.append(k)
     keep = coordinate_approximating_subset(x, maps, summands, left)
-    return [pieces[i] for i in keep], stack_maps([maps[i] for i in keep], x, into=left)
+    return [pieces[i] for i in keep], glue([maps[i] for i in keep], x, into=left)
+
+
+def blocks_of(f):
+    """The vertex blocks of a map, row-major, one list per vertex: the form
+    in which `relative._candidates` hands on a map and `rep.stack_maps`
+    glues it."""
+    return [a.entries for a in f.mats]
+
+
+def maps_of(parts, blocks, x, into=False):
+    """The maps f_k: parts[k] -> x, or with into x -> parts[k], whose vertex
+    blocks are blocks[k]."""
+    F, out = x.algebra.field, []
+    for p, b in zip(parts, blocks):
+        src, tgt = (x, p) if into else (p, x)
+        out.append(ModuleMap(src, tgt, [Matrix(F, t, s, e) if t and s else Matrix.zeros(F, t, s)
+                                        for t, s, e in zip(tgt.dims, src.dims, b)], check=False))
+    return out
+
+
+def glue(maps, x, into=False):
+    """`rep.stack_maps` of the maps f_k: M_k -> x, or with into x -> M_k."""
+    return stack_maps([f.target if into else f.source for f in maps], [blocks_of(f) for f in maps],
+                      x, into)
 
 
 def compose_chain(f, g):

@@ -296,6 +296,41 @@ def test_corpus_complete_must_be_a_json_boolean(tmp_path, capsys, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("corpus", ["absent", "empty"])
+@pytest.mark.parametrize("name, argv", [
+    ("section7", ["relhom", "gldim"]),
+    ("section7", ["bounds", "theorem73"]),
+    ("section6", ["bounds", "theorem73"]),
+    ("a2_apr", ["bounds", "cor710"]),
+])
+def test_a_sup_over_no_corpus_is_an_input_error(tmp_path, capsys, corpus, name, argv):
+    """gldim_F, Theorem 7.3 and Corollary 7.10 take a sup over the corpus;
+    without a module there it is an input error at `$.corpus`, not a
+    failed check (exit 2) or a sup over nothing."""
+    data = json.loads((DATA / f"{name}.json").read_text())
+    if corpus == "absent":
+        del data["corpus"]
+    else:
+        data["corpus"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run([*argv, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "input error: $.corpus: empty or absent; this command takes a sup over it\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["bounds", "gorenstein"], ["relhom", "ifset"], ["module"]])
+def test_commands_without_a_sup_over_the_corpus_run_without_one(tmp_path, capsys, argv):
+    # I(F) is validated against the corpus, which holds vacuously when it is empty
+    data = json.loads((DATA / "section7.json").read_text())
+    del data["corpus"]
+    path = tmp_path / "no_corpus.json"
+    path.write_text(json.dumps(data))
+    assert run(["--quiet", *argv, path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("complete", [True, False])
 def test_corpus_complete_decides_the_corpus_assumption(tmp_path, complete):
     data = json.loads((DATA / "section7.json").read_text())

@@ -16,7 +16,6 @@ from relhomalg.rep import (
     projective,
     radical,
     simple,
-    stack_maps,
     zero_representation,
 )
 from relhomalg.relative import (
@@ -39,7 +38,7 @@ from relhomalg.relative import (
 )
 from relhomalg.schema import load_problem
 
-from helpers import DirectSum, a2_algebra, hom_g_surjective, ses_from_sub
+from helpers import DirectSum, a2_algebra, glue, hom_g_surjective, ses_from_sub
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
@@ -236,7 +235,7 @@ def test_projective_cover_rejects_a_non_minimal_cover(L7, L7_modules, monkeypatc
         extra = projective(L7, 1)
         copies = DirectSum([f.summands[k].module for k in app.pieces], L7)
         maps = [inj.compose(app.map) for inj in copies.injections] + [ModuleMap.zero(extra, x)]
-        return relative.Approximation(stack_maps(maps, x), app.pieces + [0])
+        return relative.Approximation(glue(maps, x), app.pieces + [0])
 
     assert projective_cover(m).pieces == [1]
     monkeypatch.setattr(relative, "right_approximation", padded)

@@ -37,6 +37,7 @@ from helpers import (
     full_loop_stack_maps,
     full_loop_top_columns,
     inverse_cokernel,
+    maps_of,
     nakayama_problem,
 )
 
@@ -86,8 +87,8 @@ class Compared:
             "socle_rows": lambda out, m: equal(out, full_loop_socle_rows(m)),
             "direct_sum": lambda out, parts, algebra=None: equal(
                 out, full_loop_direct_sum(parts, algebra or parts[0].algebra)),
-            "stack_maps": lambda out, maps, x, into=False: same_map(
-                out, full_loop_stack_maps(maps, x, into)),
+            "stack_maps": lambda out, parts, blocks, x, into=False: same_map(
+                out, full_loop_stack_maps(maps_of(parts, blocks, x, into), x, into)),
         }
         for name, check in checks.items():
             self.counts[name] = 0

@@ -35,7 +35,8 @@ from relhomalg.rep import (
 from relhomalg.relative import SummandDecl, left_approximation
 from relhomalg.schema import load_problem
 
-from helpers import coordinate_approximating_subset, counted_map, cycle3_selfinjective, nakayama_problem
+from helpers import (coordinate_approximating_subset, counted_map, cycle3_selfinjective, maps_of,
+                     nakayama_problem)
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section6", "section6_symmetric", "section7", "a2_apr"]
@@ -51,8 +52,9 @@ def checked(monkeypatch):
     subset = relative._minimal_approximating_subset
     count = relative.hom_g_exact
 
-    def subset_both(x, maps, summands, left):
-        new = subset(x, maps, summands, left)
+    def subset_both(x, blocks, pieces, summands, left):
+        new = subset(x, blocks, pieces, summands, left)
+        maps = maps_of([summands[k].module for k in pieces], blocks, x, left)
         seen.append(("keep", new, coordinate_approximating_subset(x, maps, summands, left)))
         return new
 

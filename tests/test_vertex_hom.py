@@ -40,13 +40,12 @@ from relhomalg.rep import (
     kernel,
     projective,
     socle_rows,
-    stack_maps,
     top_columns,
 )
 from relhomalg.schema import load_problem
 
-from helpers import (cycle3_selfinjective, cycle3_verbatim, full_basis_approximation,
-                     left_multiplication_map, nakayama_problem, solved_hom_space, uniserials)
+from helpers import (blocks_of, cycle3_selfinjective, cycle3_verbatim, full_basis_approximation, glue,
+                     left_multiplication_map, maps_of, nakayama_problem, solved_hom_space, uniserials)
 
 DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 BUNDLED = ["section6", "section6_symmetric", "section7", "a2_apr"]
@@ -201,13 +200,13 @@ def test_theorem73_solves_and_scans_nothing_structural(monkeypatch, tmp_path):
         solved.append(stored(m, "projective") or stored(n, "injective"))
         return compute(m, n)
 
-    def counting_subset(x, maps, summands, left):
+    def counting_subset(x, blocks, pieces, summands, left):
         kind = "injective" if left else "projective"
-        every_map = [phi for s in summands
+        every_map = [blocks_of(phi) for s in summands
                      for phi in (hom_space(x, s.module) if left else hom_space(s.module, x))]
-        greedy.append(maps == every_map and len(summands) == x.algebra.quiver.n
+        greedy.append(blocks == every_map and len(summands) == x.algebra.quiver.n
                       and all(stored(s.module, kind) for s in summands))
-        return subset(x, maps, summands, left)
+        return subset(x, blocks, pieces, summands, left)
 
     monkeypatch.setattr(rep, "_hom_space_compute", counting_compute)
     monkeypatch.setattr(relative, "_minimal_approximating_subset", counting_subset)
@@ -226,10 +225,10 @@ def test_module_keeps_from_top_columns_and_tests_blocks_at_their_vertex(monkeypa
     kept, strays, vertex_homs, inside = [], [], [], []
     subset, hom = relative._minimal_approximating_subset, relative.hom_space
 
-    def counting_subset(x, maps, summands, left):
+    def counting_subset(x, blocks, pieces, summands, left):
         kind = "injective" if left else "projective"
         gens = socle_rows(x) if left else top_columns(x)
-        for u in maps:
+        for u in maps_of([summands[k].module for k in pieces], blocks, x, left):
             v = x.algebra.vertex_modules.get((kind, u.target if left else u.source))
             if v is not None:  # the trivial path e_v comes first at v
                 at_e_v = u.mats[v - 1].row(0) if left else u.mats[v - 1].col(0)
@@ -237,7 +236,7 @@ def test_module_keeps_from_top_columns_and_tests_blocks_at_their_vertex(monkeypa
                 (kept if at_e_v in units else strays).append(left)
         inside.append(kind)
         try:
-            return subset(x, maps, summands, left)
+            return subset(x, blocks, pieces, summands, left)
         finally:
             inside.pop()
 
@@ -309,7 +308,7 @@ def test_kernels_read_at_free_rows_match_the_solve(name):
     mods = list(load_problem(str(DATA / f"{name}.json")).modules.values())
     seen = 0
     for m in mods:
-        fold = stack_maps([ModuleMap.identity(m)] * 2, m)
+        fold = glue([ModuleMap.identity(m)] * 2, m)
         for n in mods:
             basis = hom_space(m, n)
             for f in list(basis) + [ModuleMap.combination(m, n, [1] * len(basis), basis), fold]:
