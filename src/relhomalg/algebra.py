@@ -2,11 +2,11 @@
 algebras, the radical they give in every characteristic, and the
 presentation as a bound quiver algebra kQ/I.
 
-Only the nonzero products of basis vectors are stored.  The supplied
-idempotents, certified to grade the basis, are the vertices of the
-presentation; its arrows are lifts of rad/rad² taken corner by corner, its
-relations the kernel of the path map, and a certificate checks that the
-basis words map to a basis.  Modules over the algebra are then
+No product table is built: each product of basis vectors is computed
+when it is first read.  The supplied idempotents, certified to grade the
+basis as laid out, are the vertices of the presentation; its arrows are
+lifts of rad/rad² taken corner by corner, its relations the kernel of the
+path map, and a certificate checks that the basis words map to a basis.  Modules over the algebra are then
 representations of the presentation, resolved by the same code as modules
 over a path algebra (`relative`).
 """
@@ -19,26 +19,20 @@ from .quiver import PathAlgebra, Quiver, _add, _reduce
 
 
 class AbstractAlgebra:
-    def __init__(self, field: Field, dim: int, table, idempotents):
-        """table maps (i, j) to the coordinates {k: c} of b_i * b_j and may
-        leave out zero products; idempotents are the vertices, [unit] for
-        one vertex, and must grade the basis (see `grading`)."""
+    """A finite-dimensional algebra given by the corner (i, j) = layout[b]
+    of each basis vector b and by product(a, b), the nonzero coordinates
+    [(k, c)] of b_a * b_b, asked for once per pair and only when read.  The
+    idempotents are the vertices as sparse vectors {b: c}, [unit] for one
+    vertex; the layout must grade the basis (see `grading`)."""
+
+    def __init__(self, field: Field, layout: list[tuple[int, int]], product, idempotents: list[dict]):
         self.field = field
-        self.dim = dim
-        is_zero = field.is_zero
-        self.products: dict[tuple[int, int], list] = {}  # (i, j) -> [(k, c)], c != 0
-        for key, vec in table.items():
-            nonzero = sorted((k, c) for k, c in vec.items() if not is_zero(c))
-            if nonzero:
-                self.products[key] = nonzero
-        self._by_left = [[] for _ in range(dim)]   # i -> [(j, product)]
-        self._by_right = [[] for _ in range(dim)]  # j -> [(i, product)]
-        for (i, j), prod in sorted(self.products.items()):
-            self._by_left[i].append((j, prod))
-            self._by_right[j].append((i, prod))
-        self.idempotents = [list(e) for e in idempotents]
-        self._idems = [_sparse(field, e) for e in self.idempotents]
-        self._grading = None  # grading(), once certified
+        self.dim = len(layout)
+        self._layout = layout
+        self._product = product
+        self._products: dict[tuple[int, int], list] = {}  # (a, b) -> product(a, b), once asked
+        self.idempotents = idempotents
+        self._certified = False  # grading()
         self._rad = None  # radical(), with _off_diagonal_zero
         self._off_diagonal_zero = None
         self._residues = {}  # i -> corner_residues(i)
@@ -47,15 +41,24 @@ class AbstractAlgebra:
 
     # -- multiplication -----------------------------------------------------
 
+    def product(self, a: int, b: int) -> list:
+        """b_a * b_b as [(k, c)], c != 0, computed on first use and kept."""
+        prod = self._products.get((a, b))
+        if prod is None:
+            prod = self._products[(a, b)] = self._product(a, b)
+        return prod
+
     def _sparse_mul(self, u: dict, v: dict) -> dict:
         """u * v for elements given by their nonzero coordinates {index: c}:
-        one lookup per pair of nonzero coordinates."""
-        F = self.field
+        one product per pair of nonzero coordinates."""
+        F, products = self.field, self._products
         out = {}
         for i, ci in u.items():
             for j, cj in v.items():
-                prod = self.products.get((i, j))
+                prod = products.get((i, j))
                 if prod is None:
+                    prod = self.product(i, j)
+                if not prod:
                     continue
                 c = F.mul(ci, cj)
                 for k, ck in prod:
@@ -80,7 +83,7 @@ class AbstractAlgebra:
         every block with i ≠ j is 0."""
         if self._rad is None:
             F = self.field
-            n = len(self._idems)
+            n = len(self.idempotents)
             bases = {(i, j): [] for i in range(n) for j in range(n)}
             for b, corner in enumerate(self.grading()):
                 bases[corner].append(b)
@@ -94,7 +97,7 @@ class AbstractAlgebra:
             for (i, j), ys in bases.items():
                 xs = bases[(j, i)]
                 block = [_dot(F, (c for _, c in xy), (chi.get(k, F.zero) for k, _ in xy))
-                         for xy in (self.products.get((x, y), ()) for x in xs for y in ys)]
+                         for xy in (self.product(x, y) for x in xs for y in ys)]
                 if i != j and not all(F.is_zero(c) for c in block):
                     self._off_diagonal_zero = False
                 kernel = kernel_basis(Matrix(F, len(xs), len(ys), block))
@@ -122,55 +125,39 @@ class AbstractAlgebra:
             def mul(u, v):
                 return coords(self._sparse_mul(dict(zip(ks, u)), dict(zip(ks, v))))
 
-            self._residues[i] = residue_certificate(F, len(ks), coords(self._idems[i]), mul)
+            self._residues[i] = residue_certificate(F, len(ks), coords(self.idempotents[i]), mul)
         return self._residues[i]
 
     # -- idempotent certificates ---------------------------------------------
 
     def grading(self) -> list[tuple[int, int]]:
-        """The corner (i, j) of each basis vector, certified once: the
-        idempotents are orthogonal, and every basis vector b has
-        e_i·b = b = b·e_j for some pair (i, j).  Then b lies in e_i A e_j and
-        in no other corner, since e_k·b = e_k·e_i·b = 0 for k ≠ i (and
-        b·e_l = 0 for l ≠ j); so Σ_k e_k fixes every basis vector on both
-        sides and is the unit.  ValueError when a check fails."""
-        if self._grading is None:
-            F, idems = self.field, self._idems
+        """The corner (i, j) of each basis vector, as the construction laid
+        it out, certified once: the idempotents are orthogonal, and every
+        basis vector b laid out in (i, j) has e_i·b = b = b·e_j.  Then b lies
+        in e_i A e_j and in no other corner, since e_k·b = e_k·e_i·b = 0 for
+        k ≠ i (and b·e_l = 0 for l ≠ j); so Σ_k e_k fixes every basis vector
+        on both sides and is the unit.  ValueError when a check fails."""
+        if not self._certified:
+            F, idems = self.field, self.idempotents
             for a, e in enumerate(idems):
                 for b, f in enumerate(idems):
                     if not _same(F, self._sparse_mul(e, f), e if a == b else {}):
                         raise ValueError(f"the idempotents are not orthogonal: e{a}·e{b}")
-            lefts, rights = self._fixed(self._by_left), self._fixed(self._by_right)
-            if len(lefts) < self.dim or len(rights) < self.dim:
-                raise ValueError("the idempotents do not grade the basis: "
-                                 f"{self.dim - min(len(lefts), len(rights))} basis vectors "
-                                 "lie in no corner e_i A e_j")
-            self._grading = [(lefts[b], rights[b]) for b in range(self.dim)]
-        return self._grading
-
-    def _fixed(self, by) -> dict[int, int]:
-        """b -> i for the basis vectors b with e_i·b = b (by = _by_left) or
-        b·e_i = b (by = _by_right).  Each e_i multiplies every basis vector
-        at once, through the products of the basis vectors in its support,
-        so only nonzero products are touched."""
-        F = self.field
-        fixed = {}
-        for i, e in enumerate(self._idems):
-            out: dict[int, dict] = {}
-            for k, c in e.items():
-                for b, prod in by[k]:
-                    y = out.setdefault(b, {})
-                    for t, ct in prod:
-                        y[t] = F.add(y.get(t, F.zero), F.mul(c, ct))
-            fixed.update((b, i) for b, y in out.items() if _same(F, y, {b: F.one}))
-        return fixed
+            for b, (i, j) in enumerate(self._layout):
+                x = {b: F.one}
+                if not (_same(F, self._sparse_mul(idems[i], x), x)
+                        and _same(F, self._sparse_mul(x, idems[j]), x)):
+                    raise ValueError("the idempotents do not grade the basis: basis vector "
+                                     f"{b} does not lie in corner e_{i} A e_{j}")
+            self._certified = True
+        return self._layout
 
     def idempotents_split_basic(self) -> bool:
         """The split basic certificate: every corner passes the residue
         certificate, which proves its image in A/rad A to be k, and every
         block of `radical` off the diagonal is zero, so e_i A e_j lies in
         rad A for i ≠ j.  Together A/rad A = k × ... × k."""
-        if any(self.corner_residues(i) is None for i in range(len(self._idems))):
+        if any(self.corner_residues(i) is None for i in range(len(self.idempotents))):
             return False
         self.radical()
         return self._off_diagonal_zero
@@ -192,7 +179,7 @@ class AbstractAlgebra:
         if self._presentation is None:
             F = self.field
             quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
-            idems = self._idems
+            idems = self.idempotents
             pathalg = PathAlgebra(F, quiver, None, max(loewy, 2),
                                   (lambda v: idems[v - 1],
                                    lambda x, a: self._sparse_mul(self.arrow_lifts[a], x)))
@@ -202,17 +189,25 @@ class AbstractAlgebra:
 
     def _gabriel_quiver(self) -> tuple[Quiver, list[dict], int]:
         """The quiver, the lift of each arrow and the Loewy length, with
-        elements kept sparse, corner by corner."""
+        elements kept sparse, corner by corner.
+
+        The products of the radical bases stream into the echelon of
+        rad² ∩ e_i A e_j, which stops once it has as many rows as
+        rad ∩ e_i A e_j has basis vectors: rad² lies in rad, so it is then
+        all of that corner, and the corner has no arrow.  A lift is kept
+        when it is independent of the echelon's span and of the lifts before
+        it, which depends only on that span, so the stop changes nothing."""
         F = self.field
-        n = len(self._idems)
+        n = len(self.idempotents)
         corners = self.radical()  # e_i rad e_j
         arrows, lifts, into = [], [], [[] for _ in range(n)]  # into[i]: (lift, source) of arrows into i
         for j in range(n):
             for i in range(n):
-                square = {}  # the echelon of rad² ∩ e_i A e_j
-                _span(F, [self._sparse_mul(x, y) for k in range(n)
-                          for x in corners[(i, k)] for y in corners[(k, j)]], square)
-                for lift in _span(F, corners[(i, j)], square):
+                rad, square = corners[(i, j)], {}  # square: the echelon of rad² ∩ e_i A e_j
+                if rad:
+                    _span(F, (self._sparse_mul(x, y) for k in range(n)
+                              for x in corners[(i, k)] for y in corners[(k, j)]), square, len(rad))
+                for lift in _span(F, rad, square):
                     arrows.append((f"b{len(arrows) + 1}", j + 1, i + 1))
                     lifts.append(lift)
                     into[i].append((lift, j))
@@ -232,7 +227,7 @@ class AbstractAlgebra:
         holds Σ d_c² entries over the corner dimensions d_c, not dim²."""
         images = []
         for v, word in pathalg.basis:
-            x = self._idems[v - 1]
+            x = self.idempotents[v - 1]
             for a in word:
                 x = self._sparse_mul(self.arrow_lifts[a], x)
             images.append(x)
@@ -248,15 +243,12 @@ def _same(F: Field, u: dict, v: dict) -> bool:
     return all(F.is_zero(F.sub(u.get(k, F.zero), v.get(k, F.zero))) for k in u.keys() | v.keys())
 
 
-def _sparse(F: Field, v: list) -> dict:
-    return {k: c for k, c in enumerate(v) if not F.is_zero(c)}
-
-
-def _span(F: Field, vectors: list[dict], echelon: dict | None = None) -> list[dict]:
+def _span(F: Field, vectors, echelon: dict | None = None, size: int | None = None) -> list[dict]:
     """The vectors (sparse, with no zero entries) that are independent of
     those before them and of the rows of echelon, in order, added to
     echelon (a `quiver` echelon form, a new one by default): a basis of
-    their span modulo echelon's, the pivot columns of `rref`."""
+    their span modulo echelon's, the pivot columns of `rref`.  With size,
+    no vector is read after echelon reaches size rows."""
     echelon = {} if echelon is None else echelon
     kept = []
     for v in vectors:
@@ -264,6 +256,8 @@ def _span(F: Field, vectors: list[dict], echelon: dict | None = None) -> list[di
         if rest:
             _add(F, echelon, rest, {}, None)  # no combination is read: one label for every row
             kept.append(v)
+            if len(echelon) == size:
+                break
     return kept
 
 

@@ -10,8 +10,9 @@ it.  Contexts are per-computation so the same process can run a problem
 over Q and over F_p side by side.
 
 Each field object owns the insert-only tables in which `matrix` stores the
-products and eliminations of small operands over it (see `matrix`), so
-results computed over Q are never handed to a computation over F_p.
+products and eliminations of small operands over it, its matrices without
+entries and its identities (see `matrix`), so results computed over Q are
+never handed to a computation over F_p.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class Field:
         self.rref_table: dict = {}     # (rows, cols, entries) -> matrix.rref(...)
         self.product_table: dict = {}  # (n, k, m, entries, entries) -> the product
         self.empty_table: dict = {}    # (rows, cols) -> the matrix of that shape without entries
+        self.identity_table: dict = {}  # n -> the n x n identity
 
     def of_int(self, n: int):
         raise NotImplementedError

@@ -17,7 +17,8 @@ A matrix without entries (no rows or no columns) is answered from its
 shape: `Matrix.zeros` hands out one stored object per field and shape, so
 the zero blocks of representations and maps at vertices outside their
 support are shared, not built, and `rref` returns it as its own echelon
-form with no pivot, neither eliminated nor stored.
+form with no pivot, neither eliminated nor stored.  `Matrix.identity`
+hands out one stored identity per field and size.
 
 The inner loops use the native operators and truthiness on the entries, and
 reduce by the field's modulus ``p`` once per entry or row update over F_p
@@ -87,9 +88,13 @@ class Matrix:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        e = [field.zero] * (n * n)
-        e[::n + 1] = [field.one] * n
-        return Matrix(field, n, n, e)
+        """The n x n identity, one stored object per field and size."""
+        out = field.identity_table.get(n)
+        if out is None:
+            e = [field.zero] * (n * n)
+            e[::n + 1] = [field.one] * n
+            out = field.identity_table[n] = Matrix(field, n, n, e)
+        return out
 
     # -- access --------------------------------------------------------
 

@@ -239,9 +239,6 @@ class PathAlgebra:
         src, word = self.basis[k]
         return src if not word else self.quiver.word_target(word)
 
-    def trivial_path(self, v: int) -> int:
-        return self.basis_index[(v, ())]
-
     def arrow_element(self, ai: int) -> int:
         a = self.quiver.arrows[ai]
         return self.basis_index[(a.source, (ai,))]

@@ -90,37 +90,35 @@ def end_algebra(ts: ComplexSum) -> AbstractAlgebra:
     """End_K(T) over homotopy-class representatives (a*b = a then b), the
     representatives of corner (i, j) = Hom_K(T_i, T_j) consecutive, and e_i
     the first of corner (i, i), the identity of T_i (`ComplexSum.corner`),
-    or 0 when T_i is contractible; `AbstractAlgebra.grading` certifies them.
-    A product (i -> j) then (j' -> k) is zero unless j = j', so only pairs
-    of corners that meet are multiplied.  No composite is built: corner
-    (i, k) evaluates its class basis once at the top columns of each
+    or 0 when T_i is contractible; `AbstractAlgebra.grading` certifies the
+    layout.  No table is built: the algebra asks for each product it reads.
+    A product (i -> j) then (j' -> k) is zero unless j = j' and
+    Hom_K(T_i, T_k) ≠ 0, and no composite is built otherwise either:
+    corner (i, k) evaluates its class basis once at the top columns of each
     component of T_i, and each product f·g is one matrix-vector product per
     top column (g applied to f's column there) and one solve
     (`HomotopyHom.product_coordinates`), whose back-check proves the
     product, since evaluation at the top columns is injective."""
     F = ts.parts[0].algebra.field
     n = len(ts.parts)
-    offsets, reps, dim = {}, {}, 0
+    starts, sizes, reps, layout = {}, {}, [], []  # reps[b]: the representative of basis vector b
     for i in range(n):
         for j in range(n):
-            offsets[(i, j)] = dim
-            reps[(i, j)] = ts.corner(i, j).representatives()
-            dim += len(reps[(i, j)])
-    table = {}
-    for (i, j), left in reps.items():
-        for k in range(n):
-            if not left or not reps[(j, k)] or not reps[(i, k)]:
-                continue  # a product into Hom_K(T_i, T_k) = 0 is 0
-            target, start = ts.corner(i, k), offsets[(i, k)]
-            for a, f in enumerate(left):
-                for b, g in enumerate(reps[(j, k)]):
-                    coords = target.product_coordinates(f, g)
-                    nonzero = {start + c: x for c, x in enumerate(coords) if not F.is_zero(x)}
-                    if nonzero:
-                        table[(offsets[(i, j)] + a, offsets[(j, k)] + b)] = nonzero
-    idempotents = [[F.one if reps[(i, i)] and b == offsets[(i, i)] else F.zero for b in range(dim)]
-                   for i in range(n)]
-    return AbstractAlgebra(F, dim, table, idempotents)
+            corner = ts.corner(i, j).representatives()
+            starts[(i, j)], sizes[(i, j)] = len(layout), len(corner)
+            reps += corner
+            layout += [(i, j)] * len(corner)
+
+    def product(a: int, b: int) -> list:
+        (i, j), (h, k) = layout[a], layout[b]
+        if j != h or not sizes[(i, k)]:
+            return []
+        start = starts[(i, k)]
+        coords = ts.corner(i, k).product_coordinates(reps[a], reps[b])
+        return [(start + c, x) for c, x in enumerate(coords) if not F.is_zero(x)]
+
+    return AbstractAlgebra(F, layout, product,
+                           [{starts[(i, i)]: F.one} if sizes[(i, i)] else {} for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

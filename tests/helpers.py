@@ -9,7 +9,8 @@ the coordinates of composites (the program reads DTr over Λ as the kernel
 of the Nakayama functor, off products), for End(T) its products
 by composing chain maps, the residue form on all of A and the grading scan
 over every idempotent, for the spans that present Γ the dense elimination
-over the union of their supports, for path algebras the construction by completing
+over the union of their supports with rad² spanned by every product of
+radical bases, for path algebras the construction by completing
 the relations into rewriting rules, for Ext_F the Hom in D_F by
 F-projective replacement, for sums, cones and radical normalization the
 composites with the injections and projections of each direct sum (the
@@ -19,8 +20,8 @@ radicals, Hom bases, tops, socles, sums and stacked maps the loops over
 every vertex and arrow (the program keeps to the support), and for the
 command line the argparse reading) that serve only as cross-checks, and
 the short sequences, F-quasi-isomorphisms, stacked matrices, radical
-matrices, dense algebra products and the associativity check that only the
-tests build."""
+matrices, algebras from product tables, dense algebra products and the
+associativity check that only the tests build."""
 
 import argparse
 import sys
@@ -204,6 +205,11 @@ def counted_map(frame):
     return names["ses"].g if "ses" in names else cokernel(names["app"].map)[1]
 
 
+def trivial_path(pathalg, v):
+    """The basis index of the trivial path at vertex v."""
+    return pathalg.basis_index[(v, ())]
+
+
 def opposite_quiver(quiver):
     return Quiver(quiver.n, [(a.name, a.target, a.source) for a in quiver.arrows])
 
@@ -217,7 +223,7 @@ def opposite(algebra):
         F = algebra.field
         rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in algebra.relations]
         op = PathAlgebra(F, opposite_quiver(algebra.quiver), rels, algebra.N,
-                         (lambda v: {algebra.trivial_path(v): F.one},
+                         (lambda v: {trivial_path(algebra, v): F.one},
                           lambda x, a: _combine(F, ((c, algebra.mul_basis(algebra.arrow_element(a), k))
                                                     for k, c in x.items()))))
         op._opposite, algebra._opposite = algebra, op
@@ -376,8 +382,8 @@ def compose_chain(f, g):
 
 
 def composed_end_table(ts):
-    """The structure constants of End_K(T), as `AbstractAlgebra.products`
-    lists them, by composing each pair of representatives with
+    """The structure constants of End_K(T), as `products_table` lists them,
+    by composing each pair of representatives with
     `compose_chain` and solving the class coordinates of the composite over
     all of Hom^0 (`hom_coordinates` in each degree); the route that
     `tilting.end_algebra` replaced by reading products at the top columns.
@@ -407,23 +413,49 @@ def composed_end_table(ts):
 
 def structure_constants(pathalg):
     """pathalg as an AbstractAlgebra whose left modules are its
-    representations: b_i * b_j is (path j) followed by (path i), and the
-    supplied idempotents are the trivial paths."""
+    representations: b_i * b_j is (path j) followed by (path i), the
+    supplied idempotents are the trivial paths, and a path from s to t lies
+    in the corner (t, s)."""
     F = pathalg.field
     d = pathalg.dim
     table = {(i, j): pathalg.mul_basis(j, i) for i in range(d) for j in range(d)}
-    trivial = [pathalg.trivial_path(v) for v in range(1, pathalg.quiver.n + 1)]
+    trivial = [trivial_path(pathalg, v) for v in range(1, pathalg.quiver.n + 1)]
+    layout = [(pathalg.element_target(k) - 1, src - 1) for k, (src, _) in enumerate(pathalg.basis)]
+    return table_algebra(F, table, [[F.one if k == t else F.zero for k in range(d)] for t in trivial],
+                         layout)
 
-    def vector(ks):
-        return [F.one if k in ks else F.zero for k in range(d)]
 
-    return AbstractAlgebra(F, d, table, [vector({k}) for k in trivial])
+def table_algebra(field, table, idempotents, layout=None):
+    """The AbstractAlgebra whose products are read off table,
+    {(i, j): {k: c}} with zero products left out, with the idempotents
+    given as coordinate vectors and the basis laid out in corners by
+    layout, by default all in the corner (0, 0) of one vertex."""
+    layout = layout or [(0, 0)] * len(idempotents[0])
+
+    def product(i, j):
+        return sorted((k, c) for k, c in table.get((i, j), {}).items() if not field.is_zero(c))
+
+    return AbstractAlgebra(field, layout, product,
+                           [{k: c for k, c in enumerate(e) if not field.is_zero(c)} for e in idempotents])
 
 
 # ---------------------------------------------------------------------------
 # dense products of an AbstractAlgebra and the check of its table: the
-# program multiplies sparse vectors (`AbstractAlgebra._sparse_mul`), and the
-# only tables it builds, of End(T) and End(G), hold products of chain maps
+# program multiplies sparse vectors (`AbstractAlgebra._sparse_mul`) and asks
+# for each product of basis vectors when it first reads it
+
+
+def products_table(algebra):
+    """Every nonzero product of basis vectors {(a, b): [(k, c)]}, asked of
+    the algebra for every pair whose corners meet, (i, j) and (j, k); the
+    others are zero once `grading` is certified."""
+    layout = algebra.grading()
+    table = {}
+    for a, (_, j) in enumerate(layout):
+        for b, (h, _) in enumerate(layout):
+            if j == h and (prod := algebra.product(a, b)):
+                table[(a, b)] = prod
+    return table
 
 
 def basis_vector(algebra, i):
@@ -432,11 +464,17 @@ def basis_vector(algebra, i):
     return v
 
 
+def dense(algebra, x):
+    """The coordinate vector of the sparse element x {index: c}."""
+    return [x.get(k, algebra.field.zero) for k in range(algebra.dim)]
+
+
 def unit(algebra):
     """The sum of the idempotents: the unit once they grade the basis (see
     `AbstractAlgebra.grading`)."""
     F = algebra.field
-    return [reduce(F.add, column, F.zero) for column in zip(*algebra.idempotents)]
+    idems = [dense(algebra, e) for e in algebra.idempotents]
+    return [reduce(F.add, column, F.zero) for column in zip(*idems)]
 
 
 def mul(algebra, u, v):
@@ -451,10 +489,7 @@ def mul(algebra, u, v):
 
 def product(algebra, i, j):
     """b_i * b_j as a coordinate vector."""
-    out = [algebra.field.zero] * algebra.dim
-    for k, c in algebra.products.get((i, j), ()):
-        out[k] = c
-    return out
+    return dense(algebra, dict(algebra.product(i, j)))
 
 
 def dense_span(F, vectors, prefix=()):
@@ -468,6 +503,30 @@ def dense_span(F, vectors, prefix=()):
     _, pivots = rref(Matrix(F, len(rows), len(columns),
                             [v.get(r, F.zero) for r in rows for v in columns]))
     return [columns[p] for p in pivots if p >= len(prefix)]
+
+
+def full_span_quiver(algebra):
+    """The arrows (source, target), their lifts and the Loewy length of
+    `AbstractAlgebra._gabriel_quiver`, with each corner's rad² spanned by
+    every product of radical bases and every span taken densely
+    (`dense_span`): the reference for the stop at dim rad."""
+    F, n = algebra.field, len(algebra.idempotents)
+    corners = algebra.radical()
+    arrows, lifts, into = [], [], [[] for _ in range(n)]
+    for j in range(n):
+        for i in range(n):
+            square = dense_span(F, [algebra._sparse_mul(x, y) for k in range(n)
+                                    for x in corners[(i, k)] for y in corners[(k, j)]])
+            for lift in dense_span(F, corners[(i, j)], square):
+                arrows.append((j + 1, i + 1))
+                lifts.append(lift)
+                into[i].append((lift, j))
+    loewy, layer = 1, corners
+    while any(layer.values()):
+        loewy += 1
+        layer = {(i, j): dense_span(F, [algebra._sparse_mul(b, y) for b, s in into[i] for y in layer[(s, j)]])
+                 for (i, j) in layer}
+    return arrows, lifts, loewy
 
 
 def validated(algebra):
@@ -511,7 +570,7 @@ def residue_form_radical(algebra):
     replaced."""
     F, d = algebra.field, algebra.dim
     chi = [F.zero] * d
-    for e in algebra.idempotents:
+    for e in (dense(algebra, e) for e in algebra.idempotents):
         ys = {}
         for k in range(d):
             y = mul(algebra, mul(algebra, e, basis_vector(algebra, k)), e)
@@ -528,7 +587,7 @@ def residue_form_radical(algebra):
             for r, lam in enumerate(residues):
                 chi[k] = F.add(chi[k], F.mul(R.at(r, c), lam))
     gram = [[F.zero] * d for _ in range(d)]
-    for (i, j), prod in algebra.products.items():
+    for (i, j), prod in products_table(algebra).items():
         for k, c in prod:
             gram[i][j] = F.add(gram[i][j], F.mul(c, chi[k]))
     return kernel_basis(Matrix.from_rows(F, gram))
@@ -540,7 +599,7 @@ def scanned_grading(algebra):
     orthogonal and complete and exactly one fixes b on each side; a second
     route to `AbstractAlgebra.grading`, which finds completeness implied."""
     F, d = algebra.field, algebra.dim
-    idems = algebra.idempotents
+    idems = [dense(algebra, e) for e in algebra.idempotents]
 
     def same(u, v):
         return all(F.is_zero(F.sub(x, y)) for x, y in zip(u, v))
@@ -711,23 +770,24 @@ def matrix_algebra_2(field=QQ):
     table = {(a, b): {index[(i, l)]: field.one}
              for (i, j), a in index.items() for (k, l), b in index.items() if j == k}
     o, z = field.one, field.zero
-    return validated(AbstractAlgebra(field, 4, table, [[o, z, z, z], [z, z, z, o]]))
+    return validated(table_algebra(field, table, [[o, z, z, z], [z, z, z, o]],
+                                   [(i - 1, j - 1) for i, j in index]))
 
 
 def dual_numbers(field=QQ):
     """k[x]/(x^2) on the basis 1, x, with its unit as the one idempotent."""
     o, z = field.one, field.zero
-    return validated(AbstractAlgebra(field, 2, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}},
-                                     [[o, z]]))
+    return validated(table_algebra(field, {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}, [[o, z]]))
 
 
 def mixed_a2(field=QQ):
     """A2's path algebra with the arrow a replaced by a + e1 in its basis, so
     that basis vector mixes two corners, while the supplied idempotents stay
-    the trivial paths e1 and e2."""
+    the trivial paths e1 and e2 and the layout puts b'_x in the corner of
+    a."""
     a = structure_constants(a2_algebra(field))
     F = a.field
-    trivial = [e.index(F.one) for e in a.idempotents]
+    trivial = [next(iter(e)) for e in a.idempotents]
     (x,) = [b for b in range(a.dim) if b not in trivial]
     mix = trivial[0]
 
@@ -744,7 +804,7 @@ def mixed_a2(field=QQ):
     table = {(i, j): dict(enumerate(to_new(mul(a, to_old(basis_vector(a, i)),
                                                to_old(basis_vector(a, j))))))
              for i in range(a.dim) for j in range(a.dim)}
-    return validated(AbstractAlgebra(F, a.dim, table, [to_new(e) for e in a.idempotents]))
+    return validated(table_algebra(F, table, [to_new(dense(a, e)) for e in a.idempotents], a.grading()))
 
 
 def ext_by_injectives(x, y, upto):

@@ -1,7 +1,6 @@
 import pytest
 
 from relhomalg.fields import QQ
-from relhomalg.algebra import AbstractAlgebra
 from relhomalg.relative import (
     SummandDecl,
     ext_f,
@@ -23,12 +22,13 @@ from helpers import (
     loop_dual_numbers,
     radical_matrix,
     structure_constants,
+    table_algebra,
     validated,
 )
 
 
 def field_algebra():
-    return validated(AbstractAlgebra(QQ, 1, {(0, 0): {0: QQ.one}}, [[QQ.one]]))
+    return validated(table_algebra(QQ, {(0, 0): {0: QQ.one}}, [[QQ.one]]))
 
 
 def test_field_has_zero_radical():
@@ -52,7 +52,7 @@ def test_bad_associativity_rejected():
         bad = {key: dict(vec) for key, vec in table.items()}
         bad[(1, 1)] = {1: o}  # x*x = x while 1*x = x: (xx)x = xx = x, x(xx) = xx = x ... tweak more
         bad[(0, 1)] = {0: o}  # 1*x = 1 breaks the unit law
-        validated(AbstractAlgebra(QQ, 2, bad, [[o, z]]))
+        validated(table_algebra(QQ, bad, [[o, z]]))
 
 
 def test_a_unit_that_is_not_idempotent_is_rejected():
@@ -60,7 +60,7 @@ def test_a_unit_that_is_not_idempotent_is_rejected():
     # (1 + x)^2 = 1 + 2x, so it is no idempotent and grades nothing
     z, o = QQ.zero, QQ.one
     table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
-    A = AbstractAlgebra(QQ, 2, table, [[o, o]])
+    A = table_algebra(QQ, table, [[o, o]])
     with pytest.raises(ValueError, match="not orthogonal"):
         A.grading()
     with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ def test_a_nilpotent_idempotent_is_not_orthogonal():
     z, o = QQ.zero, QQ.one
     table = {(0, 0): {0: o}, (0, 1): {1: o}, (1, 0): {1: o}}
     with pytest.raises(ValueError, match="not orthogonal"):
-        AbstractAlgebra(QQ, 2, table, [[z, o]]).grading()
+        table_algebra(QQ, table, [[z, o]]).grading()
 
 
 def test_free_module_pd_zero():

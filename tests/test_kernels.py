@@ -23,8 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import (a2_algebra, basis_vector, cycle3_selfinjective, cycle3_verbatim, mul,
-                     structure_constants, unit, vstack)
+from helpers import (a2_algebra, basis_vector, cycle3_selfinjective, cycle3_verbatim, dense, mul,
+                     products_table, structure_constants, unit, vstack)
 
 from relhomalg.algebra import residue_certificate
 from relhomalg.complexes import HomotopyHom, stalk_complex
@@ -451,7 +451,7 @@ DATA = Path(__file__).parent.parent / "src" / "relhomalg" / "data"
 
 def dense_table(field, dim, table):
     """The full table[i][j] of structure constants {(i, j): {k: c}}, or
-    {(i, j): [(k, c)]} as `AbstractAlgebra.products` lists them."""
+    {(i, j): [(k, c)]} as `helpers.products_table` lists them."""
     out = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
     for (i, j), prod in table.items():
         for k, c in dict(prod).items():
@@ -471,7 +471,8 @@ def path_algebra_pairs():
 def end_algebra_pairs():
     for name in ("section6", "section7"):
         gamma = end_algebra(load_problem(str(DATA / f"{name}.json")).tilting_sum())
-        yield f"End(T) {name}", gamma, RefAlgebra(QQ, gamma.dim, dense_table(QQ, gamma.dim, gamma.products))
+        yield f"End(T) {name}", gamma, RefAlgebra(QQ, gamma.dim,
+                                                  dense_table(QQ, gamma.dim, products_table(gamma)))
 
 
 ALGEBRAS = list(path_algebra_pairs()) + list(end_algebra_pairs())
@@ -484,7 +485,7 @@ def test_sparse_products_match_the_dense_table(label, algebra, ref):
     vectors = [basis_vector(algebra, b) for b in range(algebra.dim)]
     vectors += [sparse_list(F, rng, algebra.dim, zeros)
                 for zeros in (0.0, 0.5, 0.9) for _ in range(3)]
-    vectors += [unit(algebra)] + algebra.idempotents
+    vectors += [unit(algebra)] + [dense(algebra, e) for e in algebra.idempotents]
     for u in vectors:
         for v in vectors[::3]:
             assert mul(algebra, u, v) == ref.mul(u, v)
@@ -498,7 +499,7 @@ def test_piece_actions_match_the_solves(label, algebra, ref):
     F = algebra.field
     pres = algebra.presentation()
     lifts = [[b.get(k, F.zero) for k in range(algebra.dim)] for b in algebra.arrow_lifts]
-    for j, e in enumerate(algebra.idempotents):
+    for j, e in enumerate(dense(algebra, e) for e in algebra.idempotents):
         pj = projective(pres, j + 1)
         words = [pres.basis[k] for v in range(1, pres.quiver.n + 1)
                  for k, (src, _) in enumerate(pres.basis)
@@ -585,10 +586,10 @@ BUNDLED = sorted(p.stem for p in DATA.glob("*.json"))
 @pytest.mark.parametrize("name", BUNDLED)
 def test_corner_certificates_match_the_dense_products(name):
     gamma = end_algebra(load_problem(str(DATA / f"{name}.json")).tilting_sum())
-    ref = RefAlgebra(QQ, gamma.dim, dense_table(QQ, gamma.dim, gamma.products))
+    ref = RefAlgebra(QQ, gamma.dim, dense_table(QQ, gamma.dim, products_table(gamma)))
     # the corner e_i·Γ·e_i has the basis vectors graded (i, i) as its basis,
     # so their residues are read without a change of basis
-    for i, e in enumerate(gamma.idempotents):
+    for i, e in enumerate(dense(gamma, e) for e in gamma.idempotents):
         residues = gamma.corner_residues(i)
         ref_ks, ref_coords, ref_residues = ref_corner_certificate(ref, e)
         assert ref_ks == [b for b, c in enumerate(gamma.grading()) if c == (i, i)]

@@ -7,7 +7,8 @@ sum that the algebra stores once per tuple of parts (`rep.direct_sum`).
 These tests check every approximation that `module` builds against the
 greedy pass over coordinates (`helpers.full_basis_approximation`), and
 count, on the benchmark's `relative` input, the direct sums built, the
-vectors the greedy pass reduces and the empty products of `rep.cokernel`.
+vectors the greedy pass reduces, the empty products of `rep.cokernel` and
+the identity matrices built.
 """
 
 import collections
@@ -15,6 +16,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,3 +210,25 @@ def test_cokernels_multiply_no_empty_block(monkeypatch, tmp_path):
     for m in prob.modules.values():
         relative.id_f(m, prob.subbifunctor, injs, prob.cutoff)
     assert empty and not any(empty)
+
+
+def test_module_builds_each_identity_once(monkeypatch, tmp_path):
+    """`module` on the `relative` input over Q: `Matrix.identity` hands out
+    one stored matrix per field and size, so it builds at most one identity
+    of each size, where `rep.cokernel` built 270 at every vertex before."""
+    built, calls = collections.Counter(), []
+    init, identity = Matrix.__init__, Matrix.identity
+
+    def counting_init(self, field, rows, cols, entries):
+        if sys._getframe(1).f_code is identity.__code__:
+            built[rows] += 1
+        init(self, field, rows, cols, entries)
+
+    def counting_identity(field, n):
+        calls.append(n)
+        return identity(field, n)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "identity", staticmethod(counting_identity))
+    assert run("--field", "q", "module", relative_workload_input(tmp_path)) == 0
+    assert calls and all(k == 1 for k in built.values()), built

@@ -11,7 +11,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from helpers import cycle3_selfinjective, dense_span, matrix_algebra_2, nakayama_problem, uniserials
+from helpers import (cycle3_selfinjective, dense_span, full_span_quiver, matrix_algebra_2,
+                     nakayama_problem, uniserials)
 
 from relhomalg import algebra
 from relhomalg.complexes import stalk_complex
@@ -48,6 +49,33 @@ def test_presentation_is_certified(label, build):
     assert pres.quiver.n == len(gamma.idempotents)
     assert gamma.presentation() is pres
     gamma.certify_presentation(pres)
+
+
+def nakayama_gamma(n, length, every, field, drop=()):
+    """Γ of the stalk sum of `nakayama_problem`'s G without the summands
+    named in drop."""
+    data = nakayama_problem(n, length, every_indecomposable=every, tilting=True)
+    ts = parse_problem(json.dumps(data), field_override=field).tilting_sum()
+    keep = [k for k, name in enumerate(ts.names) if name[1:] not in drop]
+    return ComplexSum([ts.parts[k] for k in keep], [ts.names[k] for k in keep]).gamma()
+
+
+STOPPED = [(name, lambda field, name=name: load_problem(str(DATA / f"{name}.json"), field)
+            .tilting_sum().gamma()) for name in BUNDLED]
+STOPPED += [("nakayama(3,3) all", lambda field: nakayama_gamma(3, 3, True, field)),
+            ("nakayama(4,4) P+S2..S4", lambda field: nakayama_gamma(4, 4, False, field, ("U1_1",))),
+            ("nakayama(5,5) all", lambda field: nakayama_gamma(5, 5, True, field))]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["q", "fp:32003"])
+@pytest.mark.parametrize("label, build", STOPPED, ids=[g[0] for g in STOPPED])
+def test_rad_square_stopped_at_the_radical_gives_the_same_quiver(label, build, field):
+    """Each corner's rad² span stops once it is as large as the corner of
+    rad: the arrows, their lifts and the Loewy length are those of spanning
+    every product of radical bases (`helpers.full_span_quiver`)."""
+    gamma = build(field)
+    quiver, lifts, loewy = gamma._gabriel_quiver()
+    assert ([(a.source, a.target) for a in quiver.arrows], lifts, loewy) == full_span_quiver(gamma)
 
 
 @pytest.mark.parametrize("label", ["section7", "section6", "section6_symmetric", "nakayama(3,3) all"])

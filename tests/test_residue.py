@@ -7,19 +7,19 @@ from functools import partial
 
 import pytest
 
-from relhomalg.algebra import AbstractAlgebra, residue, residue_certificate
+from relhomalg.algebra import residue, residue_certificate
 from relhomalg.complexes import stalk_complex
 from relhomalg.fields import PrimeField, QQ
 from relhomalg.relative import SubbifunctorF, SummandDecl
 from relhomalg.rep import direct_sum, endo_indecomposability_check, is_isomorphic, projective
 from relhomalg.tilting import ComplexSum, verify_f_tilting
 
-from helpers import cycle3_selfinjective, dual_numbers, mul, radical_matrix, unit, validated
+from helpers import cycle3_selfinjective, dual_numbers, mul, radical_matrix, table_algebra, unit, validated
 
 
-def product_k_k(F, idempotents):
+def product_k_k(F, idempotents, layout=None):
     """k × k on the basis e1, e2 of its two idempotents."""
-    return validated(AbstractAlgebra(F, 2, {(0, 0): {0: F.one}, (1, 1): {1: F.one}}, idempotents))
+    return validated(table_algebra(F, {(0, 0): {0: F.one}, (1, 1): {1: F.one}}, idempotents, layout))
 
 
 def test_char_p_radical_is_the_residue_kernel():
@@ -49,7 +49,7 @@ def test_radical_rejects_k_times_k_given_only_its_unit():
     with pytest.raises(ValueError):
         radical_matrix(A)
     # with its idempotents supplied, both corners are k and rad = 0
-    B = product_k_k(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.one]])
+    B = product_k_k(QQ, [[QQ.one, QQ.zero], [QQ.zero, QQ.one]], [(0, 0), (1, 1)])
     assert B.radical_dim() == 0
     assert B.idempotents_split_basic()
 
