@@ -171,25 +171,26 @@ class AbstractAlgebra:
         Vertex i is the idempotent e_i.  A lift b of a basis of
         e_i(rad/rad²)e_j is an arrow j -> i, read off the corners of
         `radical`.  The word (a_1, ..., a_k) maps to b_k ⋯ b_1 (`mul`
-        order), so representations of kQ/I are left A-modules.  With L the
-        Loewy length, J^L maps to 0 and the nilpotency bound is max(L, 2).
-        This map is the path algebra's model of the words' images: its basis
-        is the normal words, and its relations the reduced Gröbner basis of
-        I, the kernel of the map (see `quiver._normal_words`)."""
+        order), so representations of kQ/I are left A-modules.  This map is
+        the path algebra's model of the words' images: its basis is the
+        normal words, and its relations the reduced Gröbner basis of I, the
+        kernel of the map (see `quiver._normal_words`).  The bound dim A + 1
+        only ends that loop, which stops at the Loewy length L (a word of
+        length k lies in rad^k); the rules then hold the tested words of
+        length L, which map to 0, so they alone generate I."""
         if self._presentation is None:
-            F = self.field
-            quiver, self.arrow_lifts, loewy = self._gabriel_quiver()
+            quiver, self.arrow_lifts = self._gabriel_quiver()
             idems = self.idempotents
-            pathalg = PathAlgebra(F, quiver, None, max(loewy, 2),
+            pathalg = PathAlgebra(self.field, quiver, None, self.dim + 1,
                                   (lambda v: idems[v - 1],
                                    lambda x, a: self._sparse_mul(self.arrow_lifts[a], x)))
             self.certify_presentation(pathalg)
             self._presentation = pathalg
         return self._presentation
 
-    def _gabriel_quiver(self) -> tuple[Quiver, list[dict], int]:
-        """The quiver, the lift of each arrow and the Loewy length, with
-        elements kept sparse, corner by corner.
+    def _gabriel_quiver(self) -> tuple[Quiver, list[dict]]:
+        """The quiver and the lift of each arrow, with elements kept sparse,
+        corner by corner.
 
         The products of the radical bases stream into the echelon of
         rad² ∩ e_i A e_j, which stops once it has as many rows as
@@ -200,7 +201,7 @@ class AbstractAlgebra:
         F = self.field
         n = len(self.idempotents)
         corners = self.radical()  # e_i rad e_j
-        arrows, lifts, into = [], [], [[] for _ in range(n)]  # into[i]: (lift, source) of arrows into i
+        arrows, lifts = [], []
         for j in range(n):
             for i in range(n):
                 rad, square = corners[(i, j)], {}  # square: the echelon of rad² ∩ e_i A e_j
@@ -210,29 +211,23 @@ class AbstractAlgebra:
                 for lift in _span(F, rad, square):
                     arrows.append((f"b{len(arrows) + 1}", j + 1, i + 1))
                     lifts.append(lift)
-                    into[i].append((lift, j))
-        # rad^(k+1) = Σ_arrows b·rad^k, corner by corner
-        loewy, layer = 1, corners
-        while any(layer.values()):
-            loewy += 1
-            layer = {(i, j): _span(F, [self._sparse_mul(b, y) for b, s in into[i] for y in layer[(s, j)]])
-                     for (i, j) in layer}
-        return Quiver(n, arrows), lifts, loewy
+        return Quiver(n, arrows), lifts
 
     def certify_presentation(self, pathalg: PathAlgebra):
         """Raise ValueError unless the images in A of the basis words of
         pathalg (a trivial path to its idempotent, a word to the product of
-        `arrow_lifts`) form a basis of A.  Each image lies in one corner and
-        reduces only against rows of that corner: the sparse echelon form
-        holds Σ d_c² entries over the corner dimensions d_c, not dim²."""
-        images = []
-        for v, word in pathalg.basis:
+        `arrow_lifts`) form a basis of A.  A word from v to w maps into the
+        corner e_w A e_v, so each corner's images are spanned in an echelon
+        of their own, and the corners' ranks must sum to dim A."""
+        corners = {}  # (source, target) of the words -> their images
+        for k, (v, word) in enumerate(pathalg.basis):
             x = self.idempotents[v - 1]
             for a in word:
                 x = self._sparse_mul(self.arrow_lifts[a], x)
-            images.append(x)
-        if len(images) != self.dim or len(_span(self.field, images)) != self.dim:
-            raise ValueError(f"the quiver presentation fails its certificate: {len(images)} "
+            corners.setdefault((v, pathalg.element_target(k)), []).append(x)
+        if (len(pathalg.basis) != self.dim
+                or sum(len(_span(self.field, images)) for images in corners.values()) != self.dim):
+            raise ValueError(f"the quiver presentation fails its certificate: {len(pathalg.basis)} "
                              f"basis words do not map to a basis of the {self.dim}-dimensional algebra")
 
     def __repr__(self):

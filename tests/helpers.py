@@ -506,10 +506,12 @@ def dense_span(F, vectors, prefix=()):
 
 
 def full_span_quiver(algebra):
-    """The arrows (source, target), their lifts and the Loewy length of
+    """The arrows (source, target) and their lifts of
     `AbstractAlgebra._gabriel_quiver`, with each corner's rad² spanned by
     every product of radical bases and every span taken densely
-    (`dense_span`): the reference for the stop at dim rad."""
+    (`dense_span`): the reference for the stop at dim rad; and the Loewy
+    length L, from the layers rad^(k+1) = Σ b·rad^k, for the tests that
+    rebuild a presentation from its relations with J^L = 0."""
     F, n = algebra.field, len(algebra.idempotents)
     corners = algebra.radical()
     arrows, lifts, into = [], [], [[] for _ in range(n)]
@@ -756,11 +758,13 @@ class RewrittenAlgebra:
                 for w, c in self.rewriter.reduce({wi + wj: self.field.one}).items()}
 
 
-def rewritten_opposite(pathalg):
+def rewritten_opposite(pathalg, nilpotency=None):
     """The reference `RewrittenAlgebra` for opposite(pathalg): the reversed
-    relations on the opposite quiver."""
+    relations on the opposite quiver, cut at nilpotency (by default
+    pathalg's bound)."""
     rels = [[(c, tuple(reversed(tuple(w)))) for c, w in rel] for rel in pathalg.relations]
-    return RewrittenAlgebra(pathalg.field, opposite_quiver(pathalg.quiver), rels, pathalg.N)
+    return RewrittenAlgebra(pathalg.field, opposite_quiver(pathalg.quiver), rels,
+                            nilpotency or pathalg.N)
 
 
 def matrix_algebra_2(field=QQ):

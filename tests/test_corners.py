@@ -18,6 +18,7 @@ from helpers import (
     counted_map,
     cycle3_selfinjective,
     dual_numbers,
+    full_span_quiver,
     hom_g_surjective,
     matrix_algebra_2,
     mixed_a2,
@@ -105,11 +106,14 @@ def test_grading_matches_the_scan(label, build, F):
                          ids=[i for c, i in zip(CASES, IDS) if c[0] != "M_2"])
 def test_presentation_matches_the_completing_construction(label, build, F):
     # J^L maps to 0 in the algebra, so rewriting loses nothing by dropping
-    # the words of length >= L; the opposite is built from the reversed
+    # the words of length >= L, L the Loewy length of the dense oracle (the
+    # presentation's own bound is only a loop bound, and the rewriting sweeps
+    # every word of that length); the opposite is built from the reversed
     # relations there and from the reversed words' elements here
-    pres = build(F).presentation()
-    for ours, ref in ((pres, RewrittenAlgebra(F, pres.quiver, pres.relations, pres.N)),
-                      (opposite(pres), rewritten_opposite(pres))):
+    algebra = build(F)
+    pres, loewy = algebra.presentation(), max(full_span_quiver(algebra)[2], 2)
+    for ours, ref in ((pres, RewrittenAlgebra(F, pres.quiver, pres.relations, loewy)),
+                      (opposite(pres), rewritten_opposite(pres, loewy))):
         assert ours.basis == ref.basis
         for i in range(ours.dim):
             for j in range(ours.dim):

@@ -162,7 +162,7 @@ def test_theorem73_asks_only_for_the_products_it_reads(tmp_path, monkeypatch):
     """`bounds theorem73` on Nakayama (5,5) with G = every uniserial: a
     product table of Γ (dim 275) takes 1960 `product_coordinates`, one per
     pair of representatives whose corners meet into a nonzero corner; the
-    radical, rad² stopped at each corner's radical, the Loewy layers and
+    radical, rad² stopped at each corner's radical, the normal words and
     the certificate read fewer, and the verdict stands."""
     path = tmp_path / "nakayama55.json"
     path.write_text(json.dumps(nakayama_problem(5, 5, every_indecomposable=True, tilting=True)))

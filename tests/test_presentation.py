@@ -71,27 +71,70 @@ STOPPED += [("nakayama(3,3) all", lambda field: nakayama_gamma(3, 3, True, field
 @pytest.mark.parametrize("label, build", STOPPED, ids=[g[0] for g in STOPPED])
 def test_rad_square_stopped_at_the_radical_gives_the_same_quiver(label, build, field):
     """Each corner's rad² span stops once it is as large as the corner of
-    rad: the arrows, their lifts and the Loewy length are those of spanning
-    every product of radical bases (`helpers.full_span_quiver`)."""
+    rad: the arrows and their lifts are those of spanning every product of
+    radical bases (`helpers.full_span_quiver`)."""
     gamma = build(field)
-    quiver, lifts, loewy = gamma._gabriel_quiver()
-    assert ([(a.source, a.target) for a in quiver.arrows], lifts, loewy) == full_span_quiver(gamma)
+    quiver, lifts = gamma._gabriel_quiver()
+    assert ([(a.source, a.target) for a in quiver.arrows], lifts) == full_span_quiver(gamma)[:2]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["q", "fp:32003"])
+@pytest.mark.parametrize("label, build", STOPPED, ids=[g[0] for g in STOPPED])
+def test_the_presentation_does_not_depend_on_its_bound(label, build, field):
+    """With a model, the nilpotency bound only ends the loop of
+    `quiver._normal_words`, which stops at the Loewy length L anyway: N = L
+    and N = dim + 1 give the same basis and products, and the rules differ
+    only by the words of length L, which map to 0."""
+    gamma = build(field)
+    quiver, lifts = gamma._gabriel_quiver()
+    loewy = max(full_span_quiver(gamma)[2], 2)
+    model = (lambda v: gamma.idempotents[v - 1], lambda x, a: gamma._sparse_mul(lifts[a], x))
+    at_loewy, loose = (PathAlgebra(field, quiver, None, n, model) for n in (loewy, gamma.dim + 1))
+    assert loose.basis == at_loewy.basis and loose.dim == gamma.dim
+    assert all(loose.mul_basis(i, j) == at_loewy.mul_basis(i, j)
+               for i in range(gamma.dim) for j in range(gamma.dim))
+    small = len(at_loewy.relations)
+    assert loose.relations[:small] == at_loewy.relations
+    assert all(len(rel) == 1 and rel[0][0] == field.one and len(rel[0][1]) == loewy
+               for rel in loose.relations[small:])
+
+
+@pytest.mark.parametrize("label", ["section6", "nakayama(3,3) all"])
+def test_the_certificate_reduces_each_corner_alone(monkeypatch, label):
+    """`certify_presentation` spans the images of the basis words corner by
+    corner: every echelon it builds holds vectors of one corner of Γ."""
+    gamma = dict(GAMMAS)[label]()
+    pres, grading = gamma.presentation(), gamma.grading()
+    calls = []
+    span = algebra._span
+
+    def recorded(F, vectors, *args):
+        vectors = list(vectors)
+        calls.append({grading[b] for v in vectors for b in v})
+        return span(F, vectors, *args)
+
+    monkeypatch.setattr(algebra, "_span", recorded)
+    gamma.certify_presentation(pres)
+    assert len(calls) > 1
+    assert all(len(corners) == 1 for corners in calls)
 
 
 @pytest.mark.parametrize("label", ["section7", "section6", "section6_symmetric", "nakayama(3,3) all"])
 def test_dropping_a_needed_relation_breaks_the_certificate(label):
     gamma = dict(GAMMAS)[label]()
     pres = gamma.presentation()
-    # the relations (a reduced Gröbner basis) and J^N generate I: the path
-    # algebra on them is the presentation
-    again = PathAlgebra(pres.field, pres.quiver, pres.relations, pres.N)
+    # the relations (a reduced Gröbner basis) generate I, and J^L lies in I
+    # for the Loewy length L of the dense oracle: the path algebra on them,
+    # cut at L, is the presentation (its own bound, dim + 1, is only a loop
+    # bound, and the relations model would count every path below it)
+    loewy = full_span_quiver(gamma)[2]
+    again = PathAlgebra(pres.field, pres.quiver, pres.relations, loewy)
     assert again.basis == pres.basis
     assert all(again.mul_basis(i, j) == pres.mul_basis(i, j)
                for i in range(pres.dim) for j in range(pres.dim))
     needed = 0
     for k in range(len(pres.relations)):
-        fewer = PathAlgebra(pres.field, pres.quiver, pres.relations[:k] + pres.relations[k + 1:],
-                            pres.N)
+        fewer = PathAlgebra(pres.field, pres.quiver, pres.relations[:k] + pres.relations[k + 1:], loewy)
         if fewer.dim == pres.dim:  # a redundant rule: the same ideal
             assert fewer.basis == pres.basis
             continue
@@ -115,7 +158,7 @@ def test_a_zero_arrow_lift_breaks_the_certificate():
 
 
 def test_presentation_builds_no_matrix_larger_than_a_corner(monkeypatch):
-    """The radical, the quiver, the Loewy layers and the certificate of a
+    """The radical, the quiver, the normal words and the certificate of a
     fresh Gamma work corner by corner: no dense matrix spans two corners.
     A matrix has at most d·(d + 1) entries, d the largest corner dimension:
     a corner's square, and one more column for the right-hand side of a
@@ -202,17 +245,26 @@ def test_a_non_basic_algebra_fails_the_certificate():
         m2.presentation()
 
 
-def test_nilpotency_bound_is_the_loewy_length_not_the_longest_normal_word():
+def test_a_path_longer_than_every_normal_word_stays_nonzero():
     """Γ of section6 has Loewy length 4, while its longest normal word has
     length 2: a relation sets a path of length 3 equal to a normal word of
     length 2, so that path is a nonzero element of rad³Γ.  The first length
-    with no normal word (3) is therefore no nilpotency bound: J³ = 0 would
-    lose that product, and the bound comes from the radical layers."""
-    pres = load_problem(str(DATA / "section6.json")).tilting_sum().gamma().presentation()
-    assert pres.N == 4
+    with no normal word (3) is therefore no bound with J³ = 0, which would
+    lose that product; the presentation's loop runs past it and keeps the
+    relation."""
+    gamma = load_problem(str(DATA / "section6.json")).tilting_sum().gamma()
+    pres, F = gamma.presentation(), gamma.field
+    assert full_span_quiver(gamma)[2] == 4
     assert max(len(word) for _, word in pres.basis) == 2
     mixed = [rel for rel in pres.relations if {len(w) for _, w in rel} == {2, 3}]
     assert mixed
-    for rel in mixed:
-        for _, w in rel:
-            assert len(w) == 3 or (pres.quiver.word_source(w), w) in pres.basis_index
+    for (one, path), *rest in mixed:
+        assert one == F.one and len(path) == 3
+        src = pres.quiver.word_source(path)
+        assert all(len(w) == 2 and (src, w) in pres.basis_index for _, w in rest)
+        image = gamma.idempotents[src - 1]
+        for a in path:
+            image = gamma._sparse_mul(gamma.arrow_lifts[a], image)
+        assert image
+        product = pres.mul_basis(pres.basis_index[(src, path[:2])], pres.arrow_element(path[2]))
+        assert product == {pres.basis_index[(src, w)]: F.neg(c) for c, w in rest}
