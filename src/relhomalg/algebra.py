@@ -14,8 +14,8 @@ over a path algebra (`relative`).
 from __future__ import annotations
 
 from .fields import Field
-from .matrix import Matrix, SpanSolver, kernel_basis
-from .quiver import PathAlgebra, Quiver, _add, _reduce
+from .matrix import Matrix, kernel_basis
+from .quiver import PathAlgebra, Quiver, _add, _Echelon, _reduce, _sparse, _span
 
 
 class AbstractAlgebra:
@@ -204,7 +204,7 @@ class AbstractAlgebra:
         arrows, lifts = [], []
         for j in range(n):
             for i in range(n):
-                rad, square = corners[(i, j)], {}  # square: the echelon of rad² ∩ e_i A e_j
+                rad, square = corners[(i, j)], _Echelon()  # of rad² ∩ e_i A e_j
                 if rad:
                     _span(F, (self._sparse_mul(x, y) for k in range(n)
                               for x in corners[(i, k)] for y in corners[(k, j)]), square, len(rad))
@@ -238,24 +238,6 @@ def _same(F: Field, u: dict, v: dict) -> bool:
     return all(F.is_zero(F.sub(u.get(k, F.zero), v.get(k, F.zero))) for k in u.keys() | v.keys())
 
 
-def _span(F: Field, vectors, echelon: dict | None = None, size: int | None = None) -> list[dict]:
-    """The vectors (sparse, with no zero entries) that are independent of
-    those before them and of the rows of echelon, in order, added to
-    echelon (a `quiver` echelon form, a new one by default): a basis of
-    their span modulo echelon's, the pivot columns of `rref`.  With size,
-    no vector is read after echelon reaches size rows."""
-    echelon = {} if echelon is None else echelon
-    kept = []
-    for v in vectors:
-        rest, _ = _reduce(F, echelon, v)
-        if rest:
-            _add(F, echelon, rest, {}, None)  # no combination is read: one label for every row
-            kept.append(v)
-            if len(echelon) == size:
-                break
-    return kept
-
-
 def _dot(F: Field, u, v):
     out = F.zero
     for x, y in zip(u, v):
@@ -270,21 +252,21 @@ def _dot(F: Field, u, v):
 def residue(F: Field, x: list, unit: list, mul):
     """The only eigenvalue λ of x in an algebra with unit `unit` (elements are
     coordinate vectors, `mul` multiplies them), read off the minimal
-    polynomial (t - λ)^k of x; None when the minimal polynomial is not a
-    power of a linear factor.  Over F_p write k = p^a·m with p ∤ m: then
-    (t - λ)^k = (t^(p^a) - λ)^m because λ^p = λ, so the coefficient of
-    t^(p^a·(m-1)) is -mλ (a = 0 in characteristic 0)."""
-    n = len(unit)
-    powers = [unit]
+    polynomial (t - λ)^k of x, where x^k is the first power that reduces to
+    0 in the echelon of the powers before it; None when the minimal
+    polynomial is not a power of a linear factor.  Over F_p write k = p^a·m
+    with p ∤ m: then (t - λ)^k = (t^(p^a) - λ)^m because λ^p = λ, so the
+    coefficient of t^(p^a·(m-1)) is -mλ (a = 0 in characteristic 0)."""
+    powers, xk, k = _Echelon(), unit, 0  # of the x^j, j < k, each labelled j
     while True:
-        nxt = mul(powers[-1], x)
-        basis = Matrix(F, n, len(powers), [v[r] for r in range(n) for v in powers])
-        low = SpanSolver(basis).coords(nxt)
-        if low is not None:
+        rest, low = _reduce(F, powers, _sparse(F, xk))
+        if not rest:
             break
-        powers.append(nxt)
-    k = len(powers)
-    poly = [F.neg(c) for c in low] + [F.one]  # the minimal polynomial, constant term first
+        _add(F, powers, rest, low, k)
+        xk, k = mul(xk, x), k + 1
+    if not k:  # the zero algebra
+        return None
+    poly = [F.neg(low.get(j, F.zero)) for j in range(k)] + [F.one]  # constant term first
     p, q = F.p, 1
     while p and (k // q) % p == 0:
         q *= p

@@ -92,10 +92,10 @@ def _gamma_pd_breakdown(gl_g: Dim) -> dict[str, Dim]:
     return {"regular": Dim(0), "Gamma/rad": gl_g}
 
 
-def _fd_gamma_upper(fd_g: Dim, gl_g: Dim) -> Dim:
-    """The supplied-corpus fd(Gamma) as the left side of an upper bound: it
-    equals fd(Gamma) when gldim(Gamma) is exact (then fd = gldim), and is only
-    a lower bound when gldim(Gamma) is censored."""
+def _fd_gamma(fd_g: Dim, gl_g: Dim) -> Dim:
+    """The supplied-corpus fd(Gamma), on either side of a check: it equals
+    fd(Gamma) when gldim(Gamma) is exact (then fd = gldim), and is only a
+    lower bound when gldim(Gamma) is censored."""
     return Dim(fd_g.value, gl_g.censored)
 
 
@@ -129,10 +129,10 @@ def theorem73_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]],
         "fd", fd_g_value, cutoff, breakdown=fd_g_break,
         assumptions=["max over the supplied Gamma modules of finite pd; a lower bound of fd"])
     rep.checks.append(InequalityCheck.of(
-        "fd_F(Lambda) - t <= fd(Gamma)", _shifted(fd_f, -t), Dim(fd_g_value.value, True)))
+        "fd_F(Lambda) - t <= fd(Gamma)", _shifted(fd_f, -t), _fd_gamma(fd_g_value, gl_g.dim)))
     rep.checks.append(InequalityCheck.of(
         "fd(Gamma) <= fd_F(Lambda) + t + 2 (per supplied corpora)",
-        _fd_gamma_upper(fd_g_value, gl_g.dim), _shifted(fd_f, t + 2)))
+        _fd_gamma(fd_g_value, gl_g.dim), _shifted(fd_f, t + 2)))
     return rep
 
 
@@ -172,10 +172,10 @@ def corollary710_check(f: SubbifunctorF, corpus: list[tuple[str, Representation]
     rep.values["fd(Gamma) corpus max"] = DimensionReport("fd", fd_g, cutoff, breakdown=fd_g_break)
     rep.checks.append(InequalityCheck.of(
         "fd(Lambda) - l <= fd(Gamma)",
-        _shifted(Dim(fd_l.value, not fd_l_exact), -l), Dim(fd_g.value, True)))
+        _shifted(Dim(fd_l.value, not fd_l_exact), -l), _fd_gamma(fd_g, gl_g.dim)))
     rep.checks.append(InequalityCheck.of(
         "fd(Gamma) <= fd(Lambda) + l (per supplied corpora)",
-        _fd_gamma_upper(fd_g, gl_g.dim), _shifted(Dim(fd_l.value, not fd_l_exact), l)))
+        _fd_gamma(fd_g, gl_g.dim), _shifted(Dim(fd_l.value, not fd_l_exact), l)))
     rep.checks.append(InequalityCheck.of("id(Lambda) - l <= id(Gamma)",
                                          _shifted(id_l.dim, -l), id_g.dim))
     rep.checks.append(InequalityCheck.of("id(Gamma) <= id(Lambda) + l",

@@ -12,7 +12,6 @@ from typing import NamedTuple
 
 from .matrix import (
     Matrix,
-    SpanSolver,
     block_diag,
     column_space_basis,
     inverse,
@@ -21,7 +20,7 @@ from .matrix import (
     rank,
     rref,
 )
-from .quiver import PathAlgebra
+from .quiver import PathAlgebra, _add, _Echelon, _reduce, _sparse
 from .rep import (
     ModuleMap,
     Representation,
@@ -356,16 +355,24 @@ class HomotopyHom:
                 for i, (basis, _) in self.blocks.items() if basis]
 
     @cached_property
-    def _top_solver(self) -> SpanSolver:
+    def _top_echelon(self) -> _Echelon:
         """The class basis evaluated at the top columns, in the layout of
-        `_class_of`; of full column rank, as the evaluation is injective."""
-        F, rows = self.field, []
+        `_class_of`, in an echelon form: the boundary columns unlabelled and
+        the k-th class representative labelled k, so a combination of the
+        labels is a class.  ValueError if the evaluation is not injective."""
+        F, rows, skip = self.field, [], self.boundaries.cols
         for i, tops, y in self._tops:
             basis, off = self.blocks[i]
             rows += [[F.zero] * off + [b.mats[v].at(r, c) for b in basis]
                      + [F.zero] * (self.dim_total - off - len(basis))
                      for v, c in tops for r in range(y.dims[v])]
-        return SpanSolver(Matrix.from_rows(F, rows) * self._class_basis)
+        evaluated, echelon = Matrix.from_rows(F, rows) * self._class_basis, _Echelon()
+        for k in range(evaluated.cols):
+            rest, combo = _reduce(F, echelon, _sparse(F, evaluated.col(k)))
+            if not rest:
+                raise ValueError("basis columns are dependent")
+            _add(F, echelon, rest, combo, k - skip if k >= skip else None)
+        return echelon
 
     def _class_of(self, values) -> list:
         """Class coordinates of the cycle whose column c at vertex v in
@@ -375,10 +382,10 @@ class HomotopyHom:
             for v, c in tops:
                 col = values(i, v, c)
                 vec += [self.field.zero] * y.dims[v] if col is None else col
-        coords = self._top_solver.coords(vec)
-        if coords is None:
+        rest, coords = _reduce(self.field, self._top_echelon, _sparse(self.field, vec))
+        if rest:
             raise ValueError("vector is not a cycle combination")
-        return coords[self.boundaries.cols:]
+        return [coords.get(k, self.field.zero) for k in range(self.dim)]
 
     def class_coordinates(self, cm_comps: dict[int, ModuleMap]) -> list:
         """Coordinates of a cycle's homotopy class in the representative

@@ -358,32 +358,6 @@ def inverse(m: Matrix) -> Matrix:
     return inv
 
 
-class SpanSolver:
-    """Repeated coordinate extraction against a fixed full-column-rank basis.
-
-    Precomputes a row selection and the inverse of the selected square block,
-    so each coords() call is two small matrix-vector products instead of a
-    fresh elimination.
-    """
-
-    def __init__(self, basis: Matrix):
-        self.basis = basis
-        _, pivot_rows = rref(basis.transpose())
-        self.rows = pivot_rows
-        if len(pivot_rows) != basis.cols:
-            raise ValueError("basis columns are dependent")
-        self.inv = inverse(basis.submatrix(pivot_rows, range(basis.cols)))
-
-    def coords(self, vec: list):
-        """Coordinates of vec in the basis, or None if outside the span."""
-        out = self.inv.apply([vec[r] for r in self.rows])
-        back = self.basis.apply(out)
-        for a, b in zip(back, vec):
-            if a != b:
-                return None
-        return out
-
-
 def block_diag(field: Field, blocks: list[Matrix]) -> Matrix:
     cols = sum(b.cols for b in blocks)
     z, out, co = field.zero, [], 0

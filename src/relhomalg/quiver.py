@@ -7,6 +7,12 @@ ideal.  The basis is the trivial paths and the normal words of length < N
 image.  A model gives the images: the residue modulo the relations
 (`_relations_model`), or the product of arrow lifts in an algebra given by
 structure constants (`algebra.AbstractAlgebra.presentation`).
+
+The sparse, labelled echelon form here (`_Echelon`, filled by `_add` and
+read by `_reduce` and `_span`) is the program's one incremental
+elimination: every routine that adds vectors one at a time to decide
+independence or read coordinates uses it, and the dense `matrix.rref`
+serves kernels and solves.
 """
 
 from __future__ import annotations
@@ -67,21 +73,22 @@ def _axpy(F: Field, y: dict, c, x: dict) -> dict:
     return y
 
 
-def _combine(F: Field, terms) -> dict:
-    """Σ c·x over the pairs (c, x) of terms, sparse."""
-    out: dict = {}
-    for c, x in terms:
-        _axpy(F, out, c, x)
-    return out
+class _Echelon(dict):
+    """An echelon form of sparse vectors, each added with a label (or None
+    for no label), as a dict pivot -> (row, its combination of the labels),
+    reduced: a row is 1 at its pivot and 0 at the others, so it enters x
+    with coefficient x[pivot].  holders maps each other column to the
+    pivots of the rows nonzero there, so that a new pivot is cleared from
+    those rows alone, not looked for in every row."""
 
+    __slots__ = ("holders",)  # set by the first `_add`
 
-# An echelon form of sparse vectors, each added with a label, is a dict
-# pivot -> (row, its combination of the labels), reduced: a row is 1 at its
-# pivot and 0 at the others, so it enters x with coefficient x[pivot].
 
 def _reduce(F: Field, span: dict, x: dict) -> tuple[dict, dict]:
-    """x less its component in the span, and that component as a
-    combination of the labels."""
+    """x less its component in the span (x itself when the span is empty),
+    and that component as a combination of the labels."""
+    if not span:
+        return x, {}
     rest, combo = dict(x), {}
     for p, c in x.items():
         if p in span:
@@ -90,17 +97,61 @@ def _reduce(F: Field, span: dict, x: dict) -> tuple[dict, dict]:
     return rest, combo
 
 
-def _add(F: Field, span: dict, rest: dict, combo: dict, label):
-    """Add the vector whose `_reduce` gave rest ≠ 0 and combo."""
-    p = next(iter(rest))
-    s = F.inv(rest[p])
-    row, labels = {k: F.mul(s, c) for k, c in rest.items()}, _axpy(F, {label: s}, F.neg(s), combo)
-    for other, other_labels in span.values():
-        if p in other:
-            c = F.neg(other[p])
-            _axpy(F, other, c, row)
-            _axpy(F, other_labels, c, labels)
+def _add(F: Field, span: _Echelon, rest: dict, combo: dict, label, pivot=None):
+    """Add the vector whose `_reduce` gave rest ≠ 0 and combo, with its
+    pivot at pivot, by default the first entry of rest; the row is a copy
+    of rest, scaled unless it is 1 there.  Which vectors are kept, and the
+    label combinations of those that reduce to 0, depend only on the spans."""
+    p = next(iter(rest)) if pivot is None else pivot
+    if rest[p] == F.one:
+        s, row = F.one, dict(rest)
+    else:
+        s = F.inv(rest[p])
+        row = {k: F.mul(s, c) for k, c in rest.items()}
+    labels = {} if label is None else _axpy(F, {label: s}, F.neg(s), combo)
+    if not span:
+        span.holders = {}
+    holders = span.holders
+    for k in row:
+        if k != p:
+            holders.setdefault(k, set()).add(p)
+    for q in holders.pop(p, ()):
+        other, other_labels = span[q]
+        c = F.neg(other[p])
+        _axpy(F, other, c, row)
+        _axpy(F, other_labels, c, labels)
+        for k in row:
+            if k != p:
+                (holders[k].add if k in other else holders[k].discard)(q)
     span[p] = (row, labels)
+
+
+def _span(F: Field, vectors, echelon: _Echelon | None = None, size: int | None = None,
+          modulo: _Echelon | None = None) -> list[dict]:
+    """The vectors (sparse, with no zero entries) that are independent of
+    those before them and of the rows of echelon and of modulo, in order,
+    added to echelon (a new one by default) with no label once reduced by
+    modulo: a basis of their span modulo echelon's and modulo's, the pivot
+    columns of `rref`.  With size, no vector is read after echelon reaches
+    size rows."""
+    echelon = _Echelon() if echelon is None else echelon
+    kept = []
+    for v in vectors:
+        rest = _reduce(F, modulo, v)[0] if modulo else v
+        if echelon:  # no call for an empty echelon: the greedy pass starts every trial with one
+            rest = _reduce(F, echelon, rest)[0]
+        if rest:
+            _add(F, echelon, rest, {}, None)
+            kept.append(v)
+            if len(echelon) == size:
+                break
+    return kept
+
+
+def _sparse(F: Field, vec) -> dict:
+    """The nonzero entries of a coordinate list, by position (a 0 in normal
+    form is false, and skips the field's test)."""
+    return {k: a for k, a in enumerate(vec) if a and not F.is_zero(a)}
 
 
 def _normal_words(field: Field, quiver: Quiver, nilpotency: int, unit, times):
@@ -116,7 +167,7 @@ def _normal_words(field: Field, quiver: Quiver, nilpotency: int, unit, times):
     the rules of those that fail are the reduced Gröbner basis of I for this
     order, which with J^N generates I."""
     F, arrows = field, quiver.arrows
-    spans: dict[tuple[int, int], dict] = {(v, v): {} for v in range(1, quiver.n + 1)}
+    spans: dict[tuple[int, int], _Echelon] = {(v, v): _Echelon() for v in range(1, quiver.n + 1)}
     for (v, _), span in spans.items():
         _add(F, span, unit(v), {}, ())  # the trivial path
     images: dict[tuple[int, ...], dict] = {}  # normal word -> image
@@ -130,7 +181,7 @@ def _normal_words(field: Field, quiver: Quiver, nilpotency: int, unit, times):
         level = []
         for src, tgt, w in candidates:
             x = times(images[w[:-1]] if len(w) > 1 else unit(src), w[-1])
-            span = spans.setdefault((src, tgt), {})
+            span = spans.setdefault((src, tgt), _Echelon())
             rest, coords = _reduce(F, span, x)
             if rest:
                 _add(F, span, rest, coords, w)
@@ -145,10 +196,11 @@ def _normal_words(field: Field, quiver: Quiver, nilpotency: int, unit, times):
 
 def _relations_model(field: Field, quiver: Quiver, relations, nilpotency: int):
     """(unit, times) for kQ/(I + J^N), I generated by the relations: a word's
-    image is its residue modulo an echelon form (larger words lead) of the
-    span of the products u·r·w (paths u, w, relation r) cut below length N:
-    the relations' span closed under multiplying by arrows on both sides, so
-    each new row queues its products with the arrows.  ValueError for a
+    image is its residue modulo an echelon form, each row's pivot its largest
+    word, of the span of the products u·r·w (paths u, w, relation r) cut
+    below length N: the relations' span closed under multiplying by arrows
+    on both sides, so each new row queues its products with the arrows.  A
+    leading word's residue is the word less its row.  ValueError for a
     relation that is not admissible, and, before any row, when more than
     MAX_WORDS composable words have length < N."""
     F, arrows, vertices = field, quiver.arrows, range(1, quiver.n + 1)
@@ -176,25 +228,20 @@ def _relations_model(field: Field, quiver: Quiver, relations, nilpotency: int):
                              "lower the nilpotency bound")
         if not any(longer.values()):
             break
-    rows: dict[tuple[int, ...], dict] = {}  # leading word -> row, 1 there
+    rows = _Echelon()  # of the span, each row led by its largest word
     while queue:
-        x = {w: c for w, c in queue.pop().items() if len(w) < nilpotency and not F.is_zero(c)}
-        while x:
-            lead = max(x, key=_word_key)
-            if lead not in rows:
-                rows[lead] = row = {w: F.div(c, x[lead]) for w, c in x.items()}
-                queue += [{(a,) + w: c for w, c in row.items()} for a, arrow in enumerate(arrows)
-                          if arrow.target == quiver.word_source(lead)]
-                queue += [{w + (a,): c for w, c in row.items()} for a, arrow in enumerate(arrows)
-                          if arrow.source == quiver.word_target(lead)]
-                break
-            _axpy(F, x, F.neg(x[lead]), rows[lead])
-    residues: dict[tuple[int, ...], dict] = {}  # leading word -> residue, smaller words first
-    for w in sorted(rows, key=_word_key):
-        residues[w] = _combine(F, ((F.neg(c), residues.get(u, {u: F.one}))
-                                   for u, c in rows[w].items() if u != w))
-    return (lambda v: {(): F.one}), lambda x, a: _combine(
-        F, ((c, residues.get(w + (a,), {w + (a,): F.one})) for w, c in x.items() if len(w) + 1 < nilpotency))
+        rest, _ = _reduce(F, rows, {w: c for w, c in queue.pop().items()
+                                    if len(w) < nilpotency and not F.is_zero(c)})
+        if rest:
+            lead = max(rest, key=_word_key)
+            _add(F, rows, rest, {}, None, lead)
+            row = rows[lead][0]
+            queue += [{(a,) + w: c for w, c in row.items()} for a, arrow in enumerate(arrows)
+                      if arrow.target == quiver.word_source(lead)]
+            queue += [{w + (a,): c for w, c in row.items()} for a, arrow in enumerate(arrows)
+                      if arrow.source == quiver.word_target(lead)]
+    return (lambda v: {(): F.one}), lambda x, a: _reduce(
+        F, rows, {w + (a,): c for w, c in x.items() if len(w) + 1 < nilpotency})[0]
 
 
 class PathAlgebra:

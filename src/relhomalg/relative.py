@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .matrix import Matrix, _normal
-from .quiver import PathAlgebra
+from .quiver import PathAlgebra, _Echelon, _sparse, _span
 from .rep import (
     ModuleMap,
     Representation,
@@ -160,20 +160,6 @@ class Approximation:
         return kernel(self.map)
 
 
-def _echelon_add(F, echelon: list[tuple[int, list]], vecs: list[list]):
-    """Reduce each of vecs by the echelon, pairs (pivot, row) with row 1 at
-    its pivot and 0 at the pivots before it, and append the rest unless 0."""
-    p = F.p
-    for vec in vecs:
-        for c, r in echelon:
-            if f := vec[c]:
-                vec = [(a - f * b) % p for a, b in zip(vec, r)] if p else [a - f * b for a, b in zip(vec, r)]
-        c = next((c for c, a in enumerate(vec) if a), None)
-        if c is not None:
-            inv = F.inv(vec[c]) if vec[c] != 1 else 1
-            echelon.append((c, [inv * a % p for a in vec] if p else [inv * a for a in vec]))
-
-
 def _minimal_approximating_subset(x: Representation, blocks: list[list[list]], pieces: list[int],
                                   summands: Summands, left: bool) -> list[int] | None:
     """Indices of the candidates u_c (`_candidates`) that one greedy removal
@@ -187,8 +173,9 @@ def _minimal_approximating_subset(x: Representation, blocks: list[list[list]], p
     The pass drops u_i when the maps kept before i and all after i stay
     onto: with the kept maps E it drops up to the largest j whose maps from
     j on, with E, are onto at every C, and keeps u_j.  Each row keeps an
-    echelon of E and finds its j on a copy, reducing u_{n-1}, u_{n-2}, ...
-    The glued map is sure to be minimal only when every summand is local."""
+    echelon of E and finds its j in a fresh echelon T of u_{n-1}, u_{n-2},
+    ... reduced by E, as rank(E ∪ T) = |E| + rank(T mod E).  The glued map
+    is sure to be minimal only when every summand is local."""
     F, dims, n = x.algebra.field, x.dims, len(blocks)
     kind = "injective" if left else "projective"
     parts = [summands.key[k] for k in pieces]
@@ -199,16 +186,17 @@ def _minimal_approximating_subset(x: Representation, blocks: list[list[list]], p
         if not need:
             continue
         if v is not None:
-            vecs = [[b[v - 1][i * need:(i + 1) * need] for i in range(m.dims[v - 1])] if left
-                    else [b[v - 1][j::m.dims[v - 1]] for j in range(m.dims[v - 1])]
+            vecs = [[_sparse(F, b[v - 1][i * need:(i + 1) * need]) for i in range(m.dims[v - 1])] if left
+                    else [_sparse(F, b[v - 1][j::m.dims[v - 1]]) for j in range(m.dims[v - 1])]
                     for b, m in zip(blocks, parts)]
         elif left:
-            vecs = [[[e for w, j in top_columns(x) for e in h.mats[w].apply(b[w][j::dims[w]])]
+            vecs = [[_sparse(F, [e for w, j in top_columns(x) for e in h.mats[w].apply(b[w][j::dims[w]])])
                      for h in hom_space(m, c)] for b, m in zip(blocks, parts)]
         else:
-            vecs = [[[e for w, j in top_columns(c) for e in Matrix(F, dims[w], m.dims[w], b[w]).apply(
-                h.mats[w].col(j))] for h in hom_space(c, m)] for b, m in zip(blocks, parts)]
-        rows.append((need, vecs, []))
+            vecs = [[_sparse(F, [e for w, j in top_columns(c)
+                                 for e in Matrix(F, dims[w], m.dims[w], b[w]).apply(h.mats[w].col(j))])
+                     for h in hom_space(c, m)] for b, m in zip(blocks, parts)]
+        rows.append((need, vecs, _Echelon()))
     keep = []
     while rows:  # the rows that E is not onto at
         first = keep[-1] + 1 if keep else 0
@@ -216,17 +204,17 @@ def _minimal_approximating_subset(x: Representation, blocks: list[list[list]], p
             return keep + [first]
         last = []
         for need, vecs, kept in rows:
-            echelon = list(kept)
+            trial = _Echelon()
             for c in range(n - 1, first - 1, -1):
-                _echelon_add(F, echelon, vecs[c])
-                if len(echelon) == need:
+                _span(F, vecs[c], trial, modulo=kept)
+                if len(kept) + len(trial) == need:
                     last.append(c)
                     break
             else:
                 return None  # only in the first round: the full list is not onto at C
         keep.append(min(last))
         for need, vecs, kept in rows:
-            _echelon_add(F, kept, vecs[keep[-1]])
+            _span(F, vecs[keep[-1]], kept)
         rows = [row for row in rows if len(row[2]) < row[0]]
     return keep
 

@@ -45,7 +45,6 @@ from relhomalg.complexes import (
 from relhomalg.fields import QQ
 from relhomalg.matrix import (
     Matrix,
-    SpanSolver,
     _normal,
     column_space_basis,
     complement_columns,
@@ -55,7 +54,7 @@ from relhomalg.matrix import (
     rref,
     solve,
 )
-from relhomalg.quiver import PathAlgebra, Quiver, _combine
+from relhomalg.quiver import PathAlgebra, Quiver, _axpy
 from relhomalg.relative import (
     FResolution,
     SubbifunctorF,
@@ -212,6 +211,14 @@ def trivial_path(pathalg, v):
 
 def opposite_quiver(quiver):
     return Quiver(quiver.n, [(a.name, a.target, a.source) for a in quiver.arrows])
+
+
+def _combine(F, terms) -> dict:
+    """Σ c·x over the pairs (c, x) of terms, sparse."""
+    out = {}
+    for c, x in terms:
+        _axpy(F, out, c, x)
+    return out
 
 
 def opposite(algebra):
@@ -381,6 +388,13 @@ def compose_chain(f, g):
     return {i: f.comps[i].compose(g.comps[i]) for i in f.comps if i in g.comps}
 
 
+def solve_coords(basis, vec):
+    """The coordinates of vec in the columns of basis, of full column rank,
+    by `matrix.solve`; None outside their span."""
+    x = solve(basis, Matrix(basis.field, basis.rows, 1, list(vec)))
+    return None if x is None else x.entries
+
+
 def composed_end_table(ts):
     """The structure constants of End_K(T), as `products_table` lists them,
     by composing each pair of representatives with
@@ -399,10 +413,9 @@ def composed_end_table(ts):
     for (i, j), left in reps.items():
         for k in range(n):
             hh, start = ts.corner(i, k), offsets[(i, k)]
-            solver = SpanSolver(hh._class_basis)
             for a, f in enumerate(left):
                 for b, g in enumerate(reps[(j, k)]):
-                    coords = solver.coords(hh.chain_map_to_vector(compose_chain(f, g)))
+                    coords = solve_coords(hh._class_basis, hh.chain_map_to_vector(compose_chain(f, g)))
                     assert coords is not None
                     nonzero = [(start + c, x) for c, x in enumerate(coords[hh.boundaries.cols:])
                                if not F.is_zero(x)]
@@ -581,9 +594,8 @@ def residue_form_radical(algebra):
         Y = Matrix(F, d, len(ys), [y[r] for r in range(d) for y in ys.values()])
         R, pivots = rref(Y)
         basis = Y.select_columns(pivots)
-        solver = SpanSolver(basis)
-        residues = residue_certificate(F, len(pivots), solver.coords(e), lambda u, v: solver.coords(
-            mul(algebra, basis.apply(u), basis.apply(v))))
+        residues = residue_certificate(F, len(pivots), solve_coords(basis, e), lambda u, v: solve_coords(
+            basis, mul(algebra, basis.apply(u), basis.apply(v))))
         assert residues is not None
         for c, k in enumerate(ys):
             for r, lam in enumerate(residues):

@@ -675,6 +675,21 @@ def test_fd_gamma_upper_bound_is_vacuous_when_gldim_gamma_is_censored(tmp_path, 
     assert "verified" not in capsys.readouterr().out.split("fd(Gamma) <=")[1].splitlines()[0]
 
 
+@pytest.mark.parametrize("problem, cutoff, rhs, status", [
+    ("section7", [], {"value": 3, "censored": False}, "verified"),
+    ("section6", ["--cutoff", "2"], {"value": 0, "censored": True}, "vacuous-at-cutoff"),
+])
+def test_fd_gamma_lower_bound_is_exact_when_gldim_gamma_is(tmp_path, problem, cutoff, rhs, status):
+    # fd(Gamma) = gldim(Gamma) when gldim(Gamma) is exact, so the right side
+    # of the lower fd check is exact; at a cutoff that censors gldim(Gamma)
+    # it stays a lower bound
+    report = tmp_path / "rep.json"
+    assert run([*cutoff, "--report", report, "bounds", "theorem73", DATA / f"{problem}.json"]) == 0
+    results = json.loads(report.read_text())["results"]
+    [check] = [c for c in results["checks"] if c["label"] == "fd_F(Lambda) - t <= fd(Gamma)"]
+    assert (check["rhs"], check["status"]) == (rhs, status)
+
+
 def _resolutions(monkeypatch, argv, ordinary=False) -> list:
     """The modules one CLI command passes to f_resolution: for the problem's
     F, or with ordinary=True for G = the projectives of the algebra they

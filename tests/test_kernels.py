@@ -1,12 +1,14 @@
-"""The zero-skipping kernels of `matrix` and the sparse structure constants
-of `AbstractAlgebra` against the plain kernels they replaced.
+"""The zero-skipping kernels of `matrix`, the incremental echelon of
+`quiver` and the sparse structure constants of `AbstractAlgebra` against
+the plain kernels they replaced.
 
 The reference functions below are the earlier dense versions of
-`Matrix.apply`, `Matrix.__mul__`, `rref` and `SpanSolver.coords`, kept
-verbatim as an oracle, and so are the dense `AbstractAlgebra.mul` over a
-full table, the solve-based action of A on a piece A*e_j, which the
-projectives of the quiver presentation must reproduce, and the corner
-certificate built from dense products e*b_k*e.  Every check
+`Matrix.apply`, `Matrix.__mul__` and `rref`, kept verbatim as an oracle,
+and so are the dense `AbstractAlgebra.mul` over a full table, the
+solve-based action of A on a piece A*e_j, which the projectives of the
+quiver presentation must reproduce, and the corner certificate built from
+dense products e*b_k*e.  The echelon keeps the pivot columns of `_rref`,
+and the coordinates read off its labels are those of `solve`.  Every check
 compares exact entries on seeded random matrices over Q and F_32003, most
 of them sparse (at least 70% zeros, like the matrices the workloads build),
 plus zero-row and zero-column shapes, or on the algebras the program
@@ -16,6 +18,7 @@ of `fields`: every entry they return over Q is an int when it is integral
 are not in normal form give the same values.
 """
 
+import collections
 import json
 import random
 from fractions import Fraction
@@ -24,13 +27,14 @@ from pathlib import Path
 
 import pytest
 from helpers import (a2_algebra, basis_vector, cycle3_selfinjective, cycle3_verbatim, dense, mul,
-                     products_table, structure_constants, unit, vstack)
+                     products_table, solve_coords, structure_constants, unit, vstack)
 
 from relhomalg.algebra import residue_certificate
 from relhomalg.complexes import HomotopyHom, stalk_complex
 from relhomalg.fields import QQ, PrimeField
-from relhomalg.matrix import (STORED_ENTRIES, Matrix, SpanSolver, _rref, column_space_basis,
+from relhomalg.matrix import (STORED_ENTRIES, Matrix, _rref, column_space_basis,
                               kernel_basis, lincomb, rref, solve)
+from relhomalg.quiver import _add, _axpy, _Echelon, _reduce, _sparse, _span
 from relhomalg.rep import Representation, _induced_sub, projective
 from relhomalg.schema import load_problem, parse_problem
 from relhomalg.tilting import end_algebra
@@ -109,17 +113,16 @@ def ref_rref(m):
     return Matrix.from_rows(F, rows) if nr else Matrix(F, 0, nc, []), pivots
 
 
-def ref_coords(solver, vec):
-    F = solver.basis.field
-    if solver.basis.cols == 0:
-        return [] if all(F.is_zero(v) for v in vec) else None
-    sel = [vec[r] for r in solver.rows]
-    out = ref_apply(solver.inv, sel)
-    back = ref_apply(solver.basis, out)
-    for a, b in zip(back, vec):
-        if not F.is_zero(F.sub(a, b)):
-            return None
-    return out
+def echelon_coords(basis, vec):
+    """The coordinates of vec in the columns of basis, read off the labels
+    of `quiver`'s echelon with column k labelled k; None outside their span."""
+    F, echelon = basis.field, _Echelon()
+    for k in range(basis.cols):
+        rest, combo = _reduce(F, echelon, _sparse(F, basis.col(k)))
+        assert rest
+        _add(F, echelon, rest, combo, k)
+    rest, combo = _reduce(F, echelon, _sparse(F, vec))
+    return None if rest else [combo.get(k, F.zero) for k in range(basis.cols)]
 
 
 class RefAlgebra:
@@ -255,27 +258,83 @@ def test_rref_matches_reference():
                                                               want[0].entries)
 
 
-def test_coords_matches_reference_inside_and_outside_the_span():
+def test_echelon_coordinates_match_solve_inside_and_outside_the_span():
     outside = 0
     for field, rng, rows, cols, zeros in cases(4):
         basis = column_space_basis(sparse_matrix(field, rng, rows, cols, zeros))
-        solver = SpanSolver(basis)
         for _ in range(3):
-            inside = ref_apply(basis, sparse_list(field, rng, basis.cols, zeros))
-            assert solver.coords(inside) == ref_coords(solver, inside)
-            assert solver.coords(inside) is not None
+            coords = sparse_list(field, rng, basis.cols, zeros)
+            inside = ref_apply(basis, coords)
+            assert echelon_coords(basis, inside) == solve_coords(basis, inside) == coords
             v = sparse_list(field, rng, rows, zeros)
-            want = ref_coords(solver, v)
-            assert solver.coords(v) == want
+            want = solve_coords(basis, v)
+            assert echelon_coords(basis, v) == want
             outside += want is None
     assert outside > 50  # the rejection path is exercised, not just the solve
 
 
-def test_coords_on_an_empty_basis():
+def test_echelon_coordinates_on_an_empty_basis():
     for field in FIELDS:
-        solver = SpanSolver(Matrix(field, 3, 0, []))
-        assert solver.coords([field.zero] * 3) == []
-        assert solver.coords([field.zero, field.one, field.zero]) is None
+        basis = Matrix(field, 3, 0, [])
+        for v, want in (([field.zero] * 3, []), ([field.zero, field.one, field.zero], None)):
+            assert echelon_coords(basis, v) == solve_coords(basis, v) == want
+
+
+def echelon_cases(seed):
+    """Sparse vectors over up to 8 coordinates, about a third of them
+    combinations of earlier ones, so that some reduce to 0."""
+    rng = random.Random(seed)
+    for field in FIELDS:
+        for _ in range(150):
+            width, vectors = rng.randint(1, 8), []
+            for _ in range(rng.randint(0, 10)):
+                if vectors and rng.random() < 0.35:
+                    v = {}
+                    for _ in range(rng.randint(1, 3)):
+                        _axpy(field, v, scalar(field, rng), rng.choice(vectors))
+                else:
+                    v = _sparse(field, sparse_list(field, rng, width, rng.choice((0.0, 0.5, 0.8))))
+                vectors.append(v)
+            yield field, rng, width, vectors
+
+
+def echelon_run(F, vectors, pivot=None):
+    """The indices of the vectors that one echelon keeps, each added with
+    its index as label and its pivot chosen by pivot(rest) (by default
+    `_add`'s), and the label combination of each vector that reduces to 0;
+    rest plus the combination of the labelled vectors must rebuild every
+    vector."""
+    echelon, kept, combos = _Echelon(), [], {}
+    for k, v in enumerate(vectors):
+        rest, combo = _reduce(F, echelon, v)
+        rebuilt = dict(rest)
+        for label, c in combo.items():
+            _axpy(F, rebuilt, c, vectors[label])
+        assert rebuilt == v
+        if rest:
+            _add(F, echelon, rest, combo, k, None if pivot is None else pivot(rest))
+            kept.append(k)
+        else:
+            combos[k] = combo
+    return kept, combos
+
+
+def test_the_echelon_keeps_the_pivot_columns_of_rref():
+    seen = collections.Counter()
+    for F, rng, width, vectors in echelon_cases(41):
+        kept, combos = echelon_run(F, vectors)
+        dense = Matrix(F, width, len(vectors), [v.get(r, F.zero) for r in range(width) for v in vectors])
+        assert kept == _rref(dense)[1]
+        # the pivots change the rows, not what is kept or the combinations
+        assert echelon_run(F, vectors, max) == (kept, combos)
+        assert echelon_run(F, vectors, lambda rest: rng.choice(sorted(rest))) == (kept, combos)
+        # reduced by the echelon of a prefix, the rest keep what they kept
+        cut, prefix = rng.randint(0, len(vectors)), _Echelon()
+        _span(F, vectors[:cut], prefix)
+        assert _span(F, vectors[cut:], modulo=prefix) == [vectors[k] for k in kept if k >= cut]
+        seen["dependent"] += bool(combos)
+        seen["nonzero combination"] += any(combos.values())
+    assert seen["dependent"] > 100 and seen["nonzero combination"] > 100
 
 
 def test_lincomb_matches_repeated_add_and_scale():
@@ -314,15 +373,14 @@ def kernel_outputs(field, rng, rows, cols, zeros, entries):
     same_shape = mat(rows, cols)
     v = entries(sparse_list(field, rng, cols, zeros))
     basis = column_space_basis(m)
-    solver = SpanSolver(basis)
     out = {"add": (m + same_shape).entries, "sub": (m - same_shape).entries,
            "neg": (-m).entries, "scale": m.scale(entries(sparse_list(field, rng, 1, 0))[0]).entries,
            "mul": (m * other).entries, "apply": m.apply(v), "rref": rref(m)[0].entries,
            "kernel_basis": kernel_basis(m).entries,
            "lincomb": lincomb(field, rows, cols, entries(sparse_list(field, rng, 3, 0.3)),
                               [m, mat(rows, cols), mat(rows, cols)]).entries,
-           "coords": solver.coords(basis.apply(entries(sparse_list(field, rng, basis.cols,
-                                                                     zeros)))),
+           "coords": echelon_coords(basis, basis.apply(entries(sparse_list(field, rng, basis.cols,
+                                                                            zeros)))),
            "solve": (solve(m, mat(rows, 2)) or Matrix(field, 0, 0, [])).entries}
     return out
 
@@ -571,13 +629,12 @@ def ref_corner_certificate(ref, e):
     Y = Matrix(F, ref.dim, len(ys), [y[r] for r in range(ref.dim) for y in ys])
     R, pivots = rref(Y)
     basis = Y.select_columns(pivots)
-    solver = SpanSolver(basis)
 
     def mul(u, v):
-        return solver.coords(ref.mul(basis.apply(u), basis.apply(v)))
+        return solve_coords(basis, ref.mul(basis.apply(u), basis.apply(v)))
 
     return (ks, R.submatrix(range(len(pivots)), range(len(ys))),
-            residue_certificate(F, len(pivots), solver.coords(e), mul))
+            residue_certificate(F, len(pivots), solve_coords(basis, e), mul))
 
 
 BUNDLED = sorted(p.stem for p in DATA.glob("*.json"))

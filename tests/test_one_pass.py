@@ -150,10 +150,11 @@ def test_module_builds_each_direct_sum_once(monkeypatch, tmp_path):
 def test_the_greedy_pass_reduces_vectors_not_matrices(monkeypatch, tmp_path):
     """One `module` command over Q on the `relative` input runs the greedy
     pass 43 times; it reduced 290 freshly built matrices with `rank` when
-    every trial eliminated the whole stacked block, and now reduces 283
-    single vectors against its echelons, with no rank or rref."""
+    every trial eliminated the whole stacked block, and now adds 283
+    single vectors to `quiver`'s sparse echelons (`_span`), with no rank or
+    rref."""
     counts = collections.Counter()
-    subset, add = relative._minimal_approximating_subset, relative._echelon_add
+    subset, span = relative._minimal_approximating_subset, relative._span
     inside = []
 
     def counting_subset(*args):
@@ -164,9 +165,10 @@ def test_the_greedy_pass_reduces_vectors_not_matrices(monkeypatch, tmp_path):
         finally:
             inside.pop()
 
-    def counting_add(F, echelon, vecs):
-        counts["vectors"] += len(vecs)
-        return add(F, echelon, vecs)
+    def counting_span(F, vectors, *args, **kwargs):
+        vectors = list(vectors)
+        counts["vectors"] += len(vectors)
+        return span(F, vectors, *args, **kwargs)
 
     def elimination(name, real):
         def counted(m):
@@ -175,7 +177,7 @@ def test_the_greedy_pass_reduces_vectors_not_matrices(monkeypatch, tmp_path):
         return counted
 
     monkeypatch.setattr(relative, "_minimal_approximating_subset", counting_subset)
-    monkeypatch.setattr(relative, "_echelon_add", counting_add)
+    monkeypatch.setattr(relative, "_span", counting_span)
     for name in ("rank", "rref"):
         if hasattr(relative, name):
             monkeypatch.setattr(relative, name, elimination(name, getattr(relative, name)))

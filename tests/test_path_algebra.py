@@ -23,7 +23,7 @@ from helpers import (
 
 from relhomalg.cli import main
 from relhomalg.fields import QQ, PrimeField
-from relhomalg.quiver import PathAlgebra, Quiver
+from relhomalg.quiver import PathAlgebra, Quiver, _axpy
 from relhomalg.rep import projective
 from relhomalg.schema import load_problem, parse_problem
 
@@ -84,6 +84,41 @@ def test_a_relation_of_two_lengths_gets_the_right_algebra(tmp_path, capsys, fiel
     # rewriting drops xxyy -> yyyyy before it can rewrite, and keeps three
     # words of length 4 that lie in the ideal
     assert RewrittenAlgebra(alg.field, alg.quiver, alg.relations, alg.N).dim == 12
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["q", "fp:32003"])
+def test_a_relation_of_two_lengths_multiplies_right(field):
+    """No oracle checks the products of `mixed_lengths` (rewriting loses
+    part of I there): they are associative, every relation maps to 0, and
+    yyy = xx."""
+    alg = parse_problem(json.dumps(mixed_lengths()), field).algebra
+
+    def product(u, v):  # of elements given as sparse coordinates
+        out = {}
+        for i, c in u.items():
+            for k, d in v.items():
+                _axpy(field, out, field.mul(c, d), alg.mul_basis(i, k))
+        return out
+
+    def word(w):
+        u = {alg.basis_index[(alg.quiver.word_source(w), ())]: field.one}
+        for a in w:
+            u = product(u, {alg.arrow_element(a): field.one})
+        return u
+
+    one = field.one
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                assert (product(alg.mul_basis(i, j), {k: one})
+                        == product({i: one}, alg.mul_basis(j, k)))
+    for rel in alg.relations:
+        total = {}
+        for c, w in rel:
+            _axpy(field, total, c, word(tuple(w)))
+        assert total == {}
+    x, y = alg.quiver.arrow_index["x"], alg.quiver.arrow_index["y"]
+    assert word((y, y, y)) == word((x, x)) != {}
 
 
 def test_too_many_paths_is_an_input_error(tmp_path, capsys):

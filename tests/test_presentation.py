@@ -18,7 +18,7 @@ from relhomalg import algebra
 from relhomalg.complexes import stalk_complex
 from relhomalg.fields import QQ, PrimeField
 from relhomalg.matrix import Matrix
-from relhomalg.quiver import PathAlgebra
+from relhomalg.quiver import PathAlgebra, _Echelon
 from relhomalg.relative import ext_f, ordinary_f
 from relhomalg.rep import simple
 from relhomalg.schema import load_problem, parse_problem
@@ -212,7 +212,7 @@ def test_sparse_span_keeps_the_pivot_columns(F):
         prefix = random_vectors(F, rng, rng.randint(0, 5), width)
         vectors = random_vectors(F, rng, rng.randint(0, 10), width)
         assert algebra._span(F, vectors) == dense_span(F, vectors)
-        echelon = {}
+        echelon = _Echelon()
         assert algebra._span(F, prefix, echelon) == dense_span(F, prefix)
         assert algebra._span(F, vectors, echelon) == dense_span(F, vectors, prefix)
 
